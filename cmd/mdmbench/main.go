@@ -5,195 +5,45 @@
 // Usage:
 //
 //	mdmbench [-quick]
-//	mdmbench -obs [-out BENCH_obs.json]
-//	mdmbench -quel [-quick] [-out BENCH_quel.json]
-//	mdmbench -par [-quick] [-out BENCH_par.json]
-//	mdmbench -commit [-quick] [-out BENCH_commit.json]
-//	mdmbench -read [-quick] [-out BENCH_read.json]
-//	mdmbench -repl [-quick] [-out BENCH_repl.json]
-//	mdmbench -net [-quick] [-out BENCH_net.json]
-//	mdmbench -ckpt [-quick] [-out BENCH_ckpt.json]
-//	mdmbench -ingest [-quick] [-out BENCH_ingest.json]
+//	mdmbench -par [-quick]
+//	mdmbench -repl [-quick]
 //
 // -quick runs reduced workload sizes (seconds instead of minutes).
-// -obs runs a small demo workload against a durable store and writes
-// the observability baseline (the versioned metrics snapshot) to -out,
-// then re-reads and validates it; the exit status is nonzero if the
-// document is malformed.  CI's bench-smoke target runs this mode.
-// -quel benchmarks the cost-based query planner against the retained
-// naive executor (scan-, join-, and ordering-heavy workloads, 100k
-// notes across 1k scores at full scale) and writes BENCH_quel.json; at
-// full scale the exit status is nonzero if the join-heavy speedup falls
-// below 5x.  CI's bench-quel target runs this mode.
-// -par benchmarks the morsel-driven parallel executor over the same
-// corpus across a 1/2/4/8 worker sweep and writes BENCH_par.json,
-// recording the CPU count alongside the speedups; at full scale on a
-// machine with at least 4 CPUs the exit status is nonzero if the
-// 8-worker speedup falls below 2x.  CI's bench-par target runs this
-// mode.
-// -commit benchmarks commit throughput across a 1..64 concurrent-writer
-// sweep, per-transaction fsync against the group-commit pipeline, and
-// writes BENCH_commit.json; at full scale the exit status is nonzero
-// if group commit falls below 3x the baseline at 16 writers.  CI's
-// bench-commit target runs this mode.
-// -read benchmarks read scaling across a 1..8 concurrent-reader sweep
-// under a fixed pool of 4 committing writers, shared-lock reads against
-// MVCC snapshot reads, and writes BENCH_read.json; at full scale the
-// exit status is nonzero if snapshot reads fall below 5x locking
-// throughput at 4 readers.  CI's bench-read target runs this mode.
-// -repl benchmarks read-replica scaling across a 1/2/4 replica sweep:
-// a leader under continuous write load ships its WAL to the replicas
-// and each node's read throughput is measured in turn, and writes
-// BENCH_repl.json; at full scale the exit status is nonzero if the
-// 4-replica aggregate falls below 2x the leader's single-node read
-// throughput.  CI's bench-repl target runs this mode.
-// -net benchmarks the TCP server (cmd/mdmd's serving stack) across a
-// 1..64 concurrent-client sweep — prepared appends and indexed probes
-// over loopback, group commit on — plus an admission-control overload
-// experiment, and writes BENCH_net.json; at full scale the exit status
-// is nonzero if write throughput at 16 clients falls below 2x the
-// 1-client point, if no requests are shed under overload, or if the
-// overload burst collapses the server.  CI's bench-net target runs this
-// mode.
-// -ckpt benchmarks checkpointing under write load (many relations, a
-// small dirty subset, periodic checkpoints): legacy quiesce-the-world
-// full snapshots against segmented fuzzy incremental checkpoints, and
-// writes BENCH_ckpt.json; at full scale the exit status is nonzero if
-// the fuzzy path does not cut the during-checkpoint commit p99 by at
-// least 3x and the bytes written per checkpoint by at least 5x.  CI's
-// bench-ckpt target runs this mode.
-// -ingest benchmarks the bulk-ingest path (naive per-statement against
-// the streaming loader with batched transactions, deferred index build,
-// and a WAL-bypass checkpoint) and catalogue-scale incipit search
-// (gram-index probe against full scan), and writes BENCH_ingest.json;
-// the exit status is nonzero — at full and at smoke scale — if batched
-// ingest falls below 3x naive or the indexed query below 10x the scan.
-// CI's bench-ingest target runs this mode.
+//
+// -par and -repl are the two scenarios the repository's benchmark
+// (bench/, see bench/README.md) declares out of scope; each prints its
+// sweep with the host CPU count and enforces its own floor.
+// -par runs the morsel-driven parallel executor over 100k notes across
+// 1k scores with 1/2/4/8 workers; at full scale on a machine with at
+// least 4 CPUs the exit status is nonzero if the 8-worker speedup falls
+// below 2x.
+// -repl measures read-replica scaling across a 1/2/4 replica sweep: a
+// leader under continuous write load ships its WAL to the replicas and
+// each node's read throughput is measured in turn; at full scale the
+// exit status is nonzero if the 4-replica aggregate falls below 2x the
+// leader's single-node read throughput.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/mdm"
-	"repro/internal/obs"
-	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced workload sizes")
-	obsMode := flag.Bool("obs", false, "emit and validate the observability baseline")
-	quelMode := flag.Bool("quel", false, "benchmark the query planner and emit BENCH_quel.json")
-	parMode := flag.Bool("par", false, "benchmark the parallel executor and emit BENCH_par.json")
-	commitMode := flag.Bool("commit", false, "benchmark group commit and emit BENCH_commit.json")
-	readMode := flag.Bool("read", false, "benchmark snapshot read scaling and emit BENCH_read.json")
-	replMode := flag.Bool("repl", false, "benchmark read-replica scaling and emit BENCH_repl.json")
-	netMode := flag.Bool("net", false, "benchmark the TCP server and emit BENCH_net.json")
-	ckptMode := flag.Bool("ckpt", false, "benchmark fuzzy incremental checkpoints and emit BENCH_ckpt.json")
-	ingestMode := flag.Bool("ingest", false, "benchmark bulk ingest and incipit search and emit BENCH_ingest.json")
-	out := flag.String("out", "", "output path for -obs / -quel / -par / -commit / -read / -repl / -net / -ckpt / -ingest")
+	parMode := flag.Bool("par", false, "benchmark the parallel executor's worker sweep")
+	replMode := flag.Bool("repl", false, "benchmark read-replica scaling")
 	flag.Parse()
 
-	if *obsMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_obs.json"
+	if *parMode || *replMode {
+		run := runPar
+		if *replMode {
+			run = runRepl
 		}
-		if err := runObs(path); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *quelMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_quel.json"
-		}
-		if err := runQuel(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_par.json"
-		}
-		if err := runPar(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *commitMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_commit.json"
-		}
-		if err := runCommit(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *readMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_read.json"
-		}
-		if err := runRead(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_repl.json"
-		}
-		if err := runRepl(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *netMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_net.json"
-		}
-		if err := runNet(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ckptMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_ckpt.json"
-		}
-		if err := runCkpt(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingestMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_ingest.json"
-		}
-		if err := runIngest(path, *quick); err != nil {
+		if err := run(*quick); err != nil {
 			fmt.Fprintf(os.Stderr, "mdmbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -206,110 +56,4 @@ func main() {
 	}
 	rows := experiments.RunAllExtended(sz)
 	fmt.Print(experiments.Render(rows))
-}
-
-// runObs drives a small demo workload through every instrumented layer
-// (DDL, appends, joins, ordering operators, checkpoint) on a durable
-// store so the snapshot contains nonzero WAL and storage metrics, then
-// writes, re-reads, and validates the baseline document.
-func runObs(path string) error {
-	dir, err := os.MkdirTemp("", "mdmbench-obs-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	m, err := mdm.Open(mdm.Options{Dir: dir, SyncCommits: true})
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	sess := m.NewSession()
-	ctx := context.Background()
-
-	stmts := []string{
-		`define entity work (title = string, year = int)`,
-		`define entity movement (name = string, idx = int, part_of = work)`,
-		`define ordering movement_order (movement) under work`,
-		`define index on work (year)`,
-	}
-	for i := 0; i < 8; i++ {
-		stmts = append(stmts, fmt.Sprintf(`append to work (title = "work %d", year = %d)`, i, 1900+i))
-	}
-	stmts = append(stmts,
-		`retrieve (work.title, work.year) where work.year > 1903`,
-		`retrieve unique (work.year) sort by year`,
-		`explain retrieve (work.title) where work.year >= 1900`,
-		`replace work (year = work.year + 1) where work.title = "work 0"`,
-		`delete work where work.year > 1906`,
-	)
-	for _, src := range stmts {
-		if _, err := sess.ExecContext(ctx, src); err != nil {
-			return fmt.Errorf("workload %q: %w", src, err)
-		}
-	}
-
-	// A moment of contention so the lock-wait histogram is nonzero: a
-	// raw reader transaction holds a shared lock on the work relation
-	// while a session append (exclusive) arrives and must wait.
-	holder := m.Store.Begin()
-	if err := holder.Scan(m.Model.InstanceRelation("work"),
-		func(storage.RowID, value.Tuple) bool { return false }); err != nil {
-		holder.Abort()
-		return err
-	}
-	blocked := make(chan error, 1)
-	go func() {
-		_, err := sess.ExecContext(ctx, `append to work (title = "contended", year = 1999)`)
-		blocked <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	holder.Abort()
-	if err := <-blocked; err != nil {
-		return fmt.Errorf("contended append: %w", err)
-	}
-
-	if err := m.Checkpoint(); err != nil {
-		return err
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Obs().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	// Re-read and validate what was actually written: the whole point
-	// of the baseline is that downstream consumers can trust it.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc obs.SnapshotDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := obs.ValidateDoc(doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	for _, name := range []string{"wal.fsync.ns", "storage.txn.commit", "quel.stmt.ns", "txn.lock.wait.ns", "quel.plan.scan.index", "snap.reads"} {
-		found := false
-		for _, mt := range doc.Metrics {
-			if mt.Name == name && (mt.Value > 0 || mt.Count > 0) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("%s: expected nonzero metric %s", path, name)
-		}
-	}
-	fmt.Printf("wrote %s: %d metrics, schema v%d\n", path, len(doc.Metrics), doc.SchemaVersion)
-	return nil
 }

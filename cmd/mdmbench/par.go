@@ -2,48 +2,87 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
 	"repro/internal/mdm"
+	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/value"
 )
 
-// parBenchDoc is the BENCH_par.json document: the parallel executor's
-// worker sweep over the shared 100k-note / 1k-score corpus.  The cpus
-// field records the machine the numbers came from — a 1-core container
-// produces an honest ~1x sweep, and the absolute speedup floor is only
-// enforced where parallelism is physically measurable (>= 4 CPUs).
-type parBenchDoc struct {
-	SchemaVersion int               `json:"schema_version"`
-	Scale         quelScale         `json:"scale"`
-	CPUs          int               `json:"cpus"`
-	GoMaxProcs    int               `json:"gomaxprocs"`
-	Sweep         []parPoint        `json:"sweep"`
-	ParCounters   map[string]uint64 `json:"par_counters"`
+// parScale is the -par corpus size: 100k notes across 1k scores at full
+// scale (the multi-score analytic workload the floor gates on), reduced
+// for -quick.
+type parScale struct{ Notes, Scores int }
+
+func parBenchScale(quick bool) parScale {
+	if quick {
+		return parScale{Notes: 4000, Scores: 50}
+	}
+	return parScale{Notes: 100000, Scores: 1000}
 }
 
-// parPoint is one worker count's measurements.  ParSpeedup is the
-// serial round time divided by this point's round time — the number the
-// CI floor gates on at workers=8.
-type parPoint struct {
-	Workers    int           `json:"workers"`
-	TotalNs    int64         `json:"total_ns_per_round"`
-	ParSpeedup float64       `json:"par_speedup"`
-	Workloads  []parWorkload `json:"workloads"`
+// buildScoreCorpus defines the SCORE/NOTE schema with the
+// note_in_score ordering and a pitch index, then loads scale.Notes
+// notes spread round-robin across scale.Scores scores.  Pitches cycle
+// deterministically through the MIDI range.
+func buildScoreCorpus(ctx context.Context, m *mdm.MDM, sess *mdm.Session, scale parScale) error {
+	for _, src := range []string{
+		`define entity SCORE (name = integer)`,
+		`define entity NOTE (name = integer, pitch = integer, score = integer)`,
+		`define ordering note_in_score (NOTE) under SCORE`,
+		`define index on NOTE (pitch)`,
+		`define index on NOTE (name)`,
+	} {
+		if _, err := sess.ExecContext(ctx, src); err != nil {
+			return fmt.Errorf("ddl %q: %w", src, err)
+		}
+	}
+	scores := make([]value.Ref, scale.Scores)
+	var err error
+	for i := range scores {
+		scores[i], err = m.Model.NewEntity("SCORE", model.Attrs{"name": value.Int(int64(i))})
+		if err != nil {
+			return err
+		}
+	}
+	for i := 0; i < scale.Notes; i++ {
+		si := i % scale.Scores
+		n, err := m.Model.NewEntity("NOTE", model.Attrs{
+			"name":  value.Int(int64(i)),
+			"pitch": value.Int(int64(i % 128)),
+			"score": value.Int(int64(si)),
+		})
+		if err != nil {
+			return err
+		}
+		if err := m.Model.InsertChild("note_in_score", scores[si], n, model.Last()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-type parWorkload struct {
-	Name      string `json:"name"`
-	Query     string `json:"query"`
-	Rows      int    `json:"rows"`
-	NsPerStmt int64  `json:"ns_per_stmt"`
+// timeQuery measures one query's per-statement latency: a warm-up run
+// (whose row count is returned), then repeated runs until 300ms or 50
+// iterations, whichever comes first.
+func timeQuery(ctx context.Context, sess *mdm.Session, query string) (rows int, nsPerStmt int64, err error) {
+	res, err := sess.QueryContext(ctx, query)
+	if err != nil {
+		return 0, 0, err
+	}
+	rows = len(res.Rows)
+	var iters int
+	start := time.Now()
+	for iters = 0; iters < 50 && time.Since(start) < 300*time.Millisecond; iters++ {
+		if _, err := sess.QueryContext(ctx, query); err != nil {
+			return 0, 0, err
+		}
+	}
+	return rows, time.Since(start).Nanoseconds() / int64(iters), nil
 }
-
-const parBenchSchemaVersion = 1
 
 // parFloorSpeedup is the acceptance floor: >= 2x at 8 workers on the
 // 1k-score workload, enforced only at full scale on machines with at
@@ -54,15 +93,16 @@ const (
 	parFloorWorkers = 8
 )
 
-// runPar benchmarks the morsel-driven parallel executor: the shared
+// runPar benchmarks the morsel-driven parallel executor: the
 // score/note corpus is queried with scan-, probe-, and join-heavy
-// retrieves across a 1/2/4/8 worker sweep, and BENCH_par.json records
-// per-point speedups over the serial executor.  Every sweep point must
-// return the same row counts as the serial baseline; at full scale on a
-// machine with >= 4 CPUs the exit status is nonzero if the 8-worker
-// speedup falls below 2x.
-func runPar(path string, quick bool) error {
-	scale := quelBenchScale(quick)
+// retrieves across a 1/2/4/8 worker sweep, printing each point's round
+// time and its speedup over the serial executor (the serial round time
+// divided by the point's).  Every sweep point must return the same row
+// counts as the serial baseline; at full scale on a machine with >= 4
+// CPUs — a 1-core container produces an honest ~1x sweep — the exit
+// status is nonzero if the 8-worker speedup falls below 2x.
+func runPar(quick bool) error {
+	scale := parBenchScale(quick)
 
 	m, err := mdm.Open(mdm.Options{SkipCMN: true})
 	if err != nil {
@@ -84,14 +124,11 @@ func runPar(path string, quick bool) error {
 	decls := `range of n is NOTE
 range of s is SCORE`
 
-	doc := parBenchDoc{
-		SchemaVersion: parBenchSchemaVersion,
-		Scale:         scale,
-		CPUs:          runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-	}
+	cpus := runtime.NumCPU()
+	fmt.Printf("notes=%d scores=%d cpus=%d gomaxprocs=%d\n", scale.Notes, scale.Scores, cpus, runtime.GOMAXPROCS(0))
 	baseRows := map[string]int{}
 	var serialNs int64
+	var floorSpeedup float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		sess := m.NewSession()
 		sess.SetParallelWorkers(workers)
@@ -101,7 +138,7 @@ range of s is SCORE`
 		if _, err := sess.ExecContext(ctx, decls); err != nil {
 			return err
 		}
-		pt := parPoint{Workers: workers}
+		var totalNs int64
 		for _, w := range workloads {
 			rows, ns, err := timeQuery(ctx, sess, w.query)
 			if err != nil {
@@ -112,65 +149,40 @@ range of s is SCORE`
 			} else if rows != base {
 				return fmt.Errorf("%s: %d rows at workers=%d, serial returned %d", w.name, rows, workers, base)
 			}
-			pt.Workloads = append(pt.Workloads, parWorkload{Name: w.name, Query: w.query, Rows: rows, NsPerStmt: ns})
-			pt.TotalNs += ns
+			fmt.Printf("workers=%-2d %-12s rows=%-6d %s/stmt\n", workers, w.name, rows, time.Duration(ns))
+			totalNs += ns
 		}
 		if workers == 1 {
-			serialNs = pt.TotalNs
+			serialNs = totalNs
 		}
-		if pt.TotalNs > 0 {
-			pt.ParSpeedup = float64(serialNs) / float64(pt.TotalNs)
+		speedup := float64(serialNs) / float64(totalNs)
+		if workers == parFloorWorkers {
+			floorSpeedup = speedup
 		}
-		doc.Sweep = append(doc.Sweep, pt)
-		fmt.Printf("workers=%-2d round=%-12s par_speedup=%.2fx\n",
-			workers, time.Duration(pt.TotalNs), pt.ParSpeedup)
+		fmt.Printf("workers=%-2d round=%-12s par_speedup=%.2fx\n", workers, time.Duration(totalNs), speedup)
 	}
 
 	// The sweep above must actually have taken the parallel path.
-	snap := m.Obs().Doc()
-	if err := obs.ValidateDoc(snap); err != nil {
+	if err := obs.ValidateDoc(m.Obs().Doc()); err != nil {
 		return err
 	}
-	doc.ParCounters = map[string]uint64{}
-	for _, mt := range snap.Metrics {
-		if len(mt.Name) > 9 && mt.Name[:9] == "quel.par." {
-			doc.ParCounters[mt.Name] = mt.Value
-		}
-	}
 	for _, name := range []string{"quel.par.queries", "quel.par.morsels"} {
-		if doc.ParCounters[name] == 0 {
+		if mt, _ := m.Obs().Get(name); mt.Value == 0 {
 			return fmt.Errorf("expected nonzero parallel counter %s", name)
 		}
 	}
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (cpus=%d)\n", path, doc.CPUs)
-
 	if quick {
 		return nil
 	}
-	if doc.CPUs < parFloorMinCPUs {
+	if cpus < parFloorMinCPUs {
 		fmt.Printf("note: %d CPU(s); the %.0fx parallel-speedup floor needs >= %d and was not enforced\n",
-			doc.CPUs, parFloorSpeedup, parFloorMinCPUs)
+			cpus, parFloorSpeedup, parFloorMinCPUs)
 		return nil
 	}
-	for _, pt := range doc.Sweep {
-		if pt.Workers == parFloorWorkers && pt.ParSpeedup < parFloorSpeedup {
-			return fmt.Errorf("par_speedup %.2fx at %d workers below the %.0fx floor",
-				pt.ParSpeedup, pt.Workers, parFloorSpeedup)
-		}
+	if floorSpeedup < parFloorSpeedup {
+		return fmt.Errorf("par_speedup %.2fx at %d workers below the %.0fx floor",
+			floorSpeedup, parFloorWorkers, parFloorSpeedup)
 	}
 	return nil
 }

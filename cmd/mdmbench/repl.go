@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +16,10 @@ import (
 	"repro/internal/value"
 )
 
-// replBenchDoc is the BENCH_repl.json document: aggregate read
-// throughput of a WAL-shipping cluster (one leader plus a sweep of
-// replica counts) under a fixed leader write load, against the leader's
-// own single-node read throughput from the same run.
+// The -repl scenario: aggregate read throughput of a WAL-shipping
+// cluster (one leader plus a sweep of replica counts) under a fixed
+// leader write load, against the leader's own single-node read
+// throughput from the same run.
 //
 // Everything runs on one box, so the nodes cannot run concurrently at
 // full speed; instead each node's read throughput is measured ALONE
@@ -29,23 +27,11 @@ import (
 // cluster aggregate is the sum — a capacity projection for one-node-
 // per-machine deployments, the standard single-box methodology for
 // read-replica scaling.
-type replBenchDoc struct {
-	SchemaVersion int               `json:"schema_version"`
-	DurationMs    int64             `json:"duration_ms"`
-	Writers       int               `json:"writers"`
-	Sweep         []replPoint       `json:"sweep"`
-	ReplMetrics   map[string]uint64 `json:"repl_metrics"`
-}
-
 type replPoint struct {
-	Replicas      int       `json:"replicas"`
-	SingleNodeRPS float64   `json:"single_node_rps"`
-	PerNodeRPS    []float64 `json:"per_node_rps"`
-	AggregateRPS  float64   `json:"aggregate_rps"`
-	Scaling       float64   `json:"scaling"`
+	SingleNodeRPS float64
+	AggregateRPS  float64
+	Scaling       float64
 }
-
-const replBenchSchemaVersion = 1
 
 // replBenchWriters is the leader-side write pool kept running through
 // every measurement window, so replicas are measured while actually
@@ -66,10 +52,10 @@ const (
 
 // runRepl benchmarks read-replica scaling: for each replica count, a
 // leader under continuous write load ships its WAL to the replicas,
-// and read throughput is measured per node.  It writes BENCH_repl.json
-// and, at full scale, fails if the 4-replica aggregate does not reach
-// 2x the leader's single-node read throughput.
-func runRepl(path string, quick bool) error {
+// and read throughput is measured per node.  At full scale it fails if
+// the 4-replica aggregate does not reach 2x the leader's single-node
+// read throughput.
+func runRepl(quick bool) error {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
@@ -81,81 +67,46 @@ func runRepl(path string, quick bool) error {
 		dur = 120 * time.Millisecond
 	}
 
-	doc := replBenchDoc{SchemaVersion: replBenchSchemaVersion, DurationMs: dur.Milliseconds(), Writers: replBenchWriters}
+	fmt.Printf("cpus=%d gomaxprocs=%d writers=%d window=%s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), replBenchWriters, dur)
+	var floor replPoint
 	for _, replicas := range sweep {
 		pt, reg, err := measureReplPoint(replicas, dur)
 		if err != nil {
 			return fmt.Errorf("%d replicas: %w", replicas, err)
 		}
-		doc.Sweep = append(doc.Sweep, pt)
 		fmt.Printf("replicas=%-2d  single-node=%8.0f stmt/s  aggregate=%8.0f stmt/s  scaling=%.2fx\n",
 			replicas, pt.SingleNodeRPS, pt.AggregateRPS, pt.Scaling)
-
+		if replicas == replFloorReplicas {
+			floor = pt
+		}
 		if replicas == sweep[len(sweep)-1] {
-			snap := reg.Doc()
-			if err := obs.ValidateDoc(snap); err != nil {
+			if err := obs.ValidateDoc(reg.Doc()); err != nil {
 				return err
 			}
-			doc.ReplMetrics = map[string]uint64{}
-			for _, mt := range snap.Metrics {
-				if strings.HasPrefix(mt.Name, "repl.") {
-					v := mt.Value
-					if mt.Kind == "histogram" {
-						v = mt.Count
-					}
-					doc.ReplMetrics[mt.Name] = v
-				}
-			}
-			if doc.ReplMetrics["repl.batches.applied"] == 0 {
+			if mt, _ := reg.Get("repl.batches.applied"); mt.Value == 0 {
 				return fmt.Errorf("replication run applied no batches")
 			}
 		}
 	}
-
+	if quick {
+		return nil
+	}
 	// Short wall-clock samples jitter; re-measure the floor point before
 	// declaring a regression, keeping the best observation.
-	if !quick {
-		for i := range doc.Sweep {
-			pt := &doc.Sweep[i]
-			if pt.Replicas != replFloorReplicas {
-				continue
-			}
-			for attempt := 0; pt.Scaling < replFloorScaling && attempt < 2; attempt++ {
-				again, _, err := measureReplPoint(replFloorReplicas, dur)
-				if err != nil {
-					return err
-				}
-				if again.Scaling > pt.Scaling {
-					*pt = again
-					fmt.Printf("replicas=%d  re-measured: aggregate=%8.0f stmt/s  scaling=%.2fx\n",
-						replFloorReplicas, pt.AggregateRPS, pt.Scaling)
-				}
-			}
+	for attempt := 0; floor.Scaling < replFloorScaling && attempt < 2; attempt++ {
+		again, _, err := measureReplPoint(replFloorReplicas, dur)
+		if err != nil {
+			return err
+		}
+		if again.Scaling > floor.Scaling {
+			floor = again
+			fmt.Printf("replicas=%d  re-measured: aggregate=%8.0f stmt/s  scaling=%.2fx\n",
+				replFloorReplicas, floor.AggregateRPS, floor.Scaling)
 		}
 	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-
-	if !quick {
-		for _, pt := range doc.Sweep {
-			if pt.Replicas == replFloorReplicas && pt.Scaling < replFloorScaling {
-				return fmt.Errorf("aggregate read scaling %.2fx at %d replicas below the %.1fx floor",
-					pt.Scaling, replFloorReplicas, replFloorScaling)
-			}
-		}
+	if floor.Scaling < replFloorScaling {
+		return fmt.Errorf("aggregate read scaling %.2fx at %d replicas below the %.1fx floor",
+			floor.Scaling, replFloorReplicas, replFloorScaling)
 	}
 	return nil
 }
@@ -165,7 +116,7 @@ func runRepl(path string, quick bool) error {
 // pool, and measures read throughput on the leader and then on each
 // replica in turn.
 func measureReplPoint(n int, dur time.Duration) (replPoint, *obs.Registry, error) {
-	pt := replPoint{Replicas: n}
+	var pt replPoint
 	dir, err := os.MkdirTemp("", "mdmbench-repl-*")
 	if err != nil {
 		return pt, nil, err
@@ -262,7 +213,6 @@ func measureReplPoint(n int, dur time.Duration) (replPoint, *obs.Registry, error
 			if rps, err = measure(r.NewSession()); err != nil {
 				break
 			}
-			pt.PerNodeRPS = append(pt.PerNodeRPS, rps)
 			pt.AggregateRPS += rps
 		}
 	}

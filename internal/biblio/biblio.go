@@ -326,7 +326,7 @@ func (ix *Index) SearchIncipit(query []int) ([]value.Ref, error) {
 // SearchIncipitScan is the unindexed search path: it materializes every
 // entry's incipit across all catalogues and tests the pattern against
 // each.  It remains as the fallback for sub-gram queries and as the
-// baseline the ingest benchmark measures the gram index against.
+// oracle the tests compare the gram index's results against.
 func (ix *Index) SearchIncipitScan(query []int) ([]value.Ref, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("biblio: empty incipit query")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,16 @@ import (
 func TestRunAllExtendedQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow")
+	}
+	// The assertions below are orderings between rows that differ by
+	// integer factors, so a 50 ms window per row decides them — long
+	// enough that one preemption on a busy machine cannot flip a
+	// sub-microsecond row.  testing.Benchmark's default second per row
+	// (what mdmbench records for EXPERIMENTS.md) would spend minutes here.
+	bt := flag.Lookup("test.benchtime")
+	defer flag.Set(bt.Name, bt.Value.String())
+	if err := flag.Set(bt.Name, "50ms"); err != nil {
+		t.Fatal(err)
 	}
 	rows := RunAllExtended(Quick())
 	byName := map[string]float64{}

@@ -80,7 +80,7 @@ type armedPoint struct {
 
 // Registry names failpoints and decides when they fire.  Points are
 // identified by strings conventionally built with Point (op + ":" + file
-// base name), e.g. "sync:mdm.wal" or "rename:mdm.snapshot.tmp".  All hits
+// base name), e.g. "sync:mdm.wal" or "rename:mdm.manifest.tmp".  All hits
 // are counted whether or not the point is armed, so harnesses can first
 // measure how often a workload passes a point and then schedule crashes
 // at every hit.

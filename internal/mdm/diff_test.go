@@ -13,37 +13,21 @@ import (
 // TestConcurrentDifferentialGroupCommit is the differential harness for
 // the commit pipeline: the same deterministic concurrent workload —
 // four writers issuing randomized appends, replaces, and deletes
-// through their own sessions — runs under every combination of
-// GroupCommit on/off and naive/cost-based planner.  After each run the
-// store is synced, the manager abandoned WITHOUT a clean close (so the
-// checkpoint cannot paper over the log), and the directory reopened
-// cold: recovery must replay the WAL.  The post-recovery relation
-// contents must be identical across all four configurations and match
-// the per-writer oracle.  Group commit batches and reorders flushes; it
-// must never change what recovers.
+// through their own sessions — runs with GroupCommit off and on.  After
+// each run the store is synced, the manager abandoned WITHOUT a clean
+// close (so the checkpoint cannot paper over the log), and the
+// directory reopened cold: recovery must replay the WAL.  The
+// post-recovery relation contents must be identical in both modes and
+// match the per-writer oracle.  Group commit batches and reorders
+// flushes; it must never change what recovers.  (Planner vs. naive
+// executor on the same statement shapes is internal/quel's
+// TestPlannerNaiveDifferential.)
 func TestConcurrentDifferentialGroupCommit(t *testing.T) {
-	configs := []struct {
-		name  string
-		group bool
-		naive bool
-	}{
-		{"serial-planner", false, false},
-		{"serial-naive", false, true},
-		{"group-planner", true, false},
-		{"group-naive", true, true},
-	}
-	var want map[string][]string
-	for _, cfg := range configs {
-		got := runDifferentialWorkload(t, cfg.group, cfg.naive)
-		if want == nil {
-			want = got
-			continue
-		}
-		for typ, rows := range want {
-			if strings.Join(got[typ], "\n") != strings.Join(rows, "\n") {
-				t.Fatalf("config %s diverged on %s:\n got: %v\nwant: %v",
-					cfg.name, typ, got[typ], rows)
-			}
+	want := runDifferentialWorkload(t, false)
+	got := runDifferentialWorkload(t, true)
+	for typ, rows := range want {
+		if strings.Join(got[typ], "\n") != strings.Join(rows, "\n") {
+			t.Fatalf("group commit diverged on %s:\n got: %v\nwant: %v", typ, got[typ], rows)
 		}
 	}
 }
@@ -53,7 +37,7 @@ const diffWriters = 4
 // runDifferentialWorkload runs the deterministic concurrent workload
 // under one configuration and returns the post-recovery contents of
 // each writer's entity relation as sorted "name=v" rows.
-func runDifferentialWorkload(t *testing.T, group, naive bool) map[string][]string {
+func runDifferentialWorkload(t *testing.T, group bool) map[string][]string {
 	t.Helper()
 	dir := t.TempDir()
 	m, err := Open(Options{Dir: dir, SyncCommits: true, GroupCommit: group, SkipCMN: true})
@@ -74,18 +58,18 @@ func runDifferentialWorkload(t *testing.T, group, naive bool) map[string][]strin
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			oracles[w], errs[w] = diffWriter(m, w, naive)
+			oracles[w], errs[w] = diffWriter(m, w)
 		}(w)
 	}
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
-			t.Fatalf("writer %d (group=%v naive=%v): %v", w, group, naive, err)
+			t.Fatalf("writer %d (group=%v): %v", w, group, err)
 		}
 	}
 
 	// Make the log durable, then abandon the manager without Close: the
-	// reopen below must reconstruct state from snapshot + WAL replay
+	// reopen below must reconstruct state from checkpoint + WAL replay
 	// exactly as a crashed process would.
 	if err := m.Store.Sync(); err != nil {
 		t.Fatal(err)
@@ -118,8 +102,8 @@ func runDifferentialWorkload(t *testing.T, group, naive bool) map[string][]strin
 		}
 		sort.Strings(expect)
 		if strings.Join(rows, "\n") != strings.Join(expect, "\n") {
-			t.Fatalf("writer %d (group=%v naive=%v): recovered rows diverge from oracle:\n got: %v\nwant: %v",
-				w, group, naive, rows, expect)
+			t.Fatalf("writer %d (group=%v): recovered rows diverge from oracle:\n got: %v\nwant: %v",
+				w, group, rows, expect)
 		}
 	}
 	return out
@@ -127,9 +111,8 @@ func runDifferentialWorkload(t *testing.T, group, naive bool) map[string][]strin
 
 // diffWriter runs one writer's deterministic operation stream against
 // its own entity type and returns the expected final name→v contents.
-func diffWriter(m *MDM, w int, naive bool) (map[int]int, error) {
+func diffWriter(m *MDM, w int) (map[int]int, error) {
 	s := m.NewSession()
-	s.SetNaivePlanner(naive)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(int64(1000 + w)))
 	typ := fmt.Sprintf("T%d", w)

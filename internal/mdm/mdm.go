@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/biblio"
 	"repro/internal/cmn"
@@ -37,16 +36,9 @@ type Options struct {
 	// transaction (see storage.Options.GroupCommit).  Sessions that
 	// commit concurrently then amortize the fsync across the batch.
 	GroupCommit bool
-	// GroupCommitWindow optionally makes the flush leader wait for more
-	// committers before draining the queue; zero flushes immediately.
-	GroupCommitWindow time.Duration
 	// SkipCMN leaves the CMN and bibliographic schemas undefined (for
 	// clients that define their own domain from scratch).
 	SkipCMN bool
-	// SnapshotReads controls whether read-only statements (retrieve,
-	// explain) run against a pinned MVCC snapshot with zero lock
-	// acquisition.  The zero value (SnapshotAuto) enables them.
-	SnapshotReads SnapshotMode
 	// ParallelWorkers sets the worker fan-out for snapshot retrieves:
 	// full scans, index range scans, hash-join builds, and ordering
 	// probes partition across this many workers on a shared morsel
@@ -56,26 +48,7 @@ type Options struct {
 	// outgrows this size.  Zero means 64 MiB; negative disables
 	// automatic checkpoints.
 	CheckpointBytes int64
-	// FullSnapshots restores the legacy quiesce-the-world monolithic
-	// snapshot checkpoint instead of segmented fuzzy checkpoints (see
-	// storage.Options.FullSnapshots).  Benchmarks use it as the
-	// comparison baseline.
-	FullSnapshots bool
 }
-
-// SnapshotMode selects how sessions execute read-only statements.
-type SnapshotMode int
-
-const (
-	// SnapshotAuto (the default) runs every read-only statement against
-	// a pinned commit-sequence snapshot: readers never block on — or
-	// block — writers.
-	SnapshotAuto SnapshotMode = iota
-	// SnapshotOff routes reads through shared relation locks, the
-	// pre-MVCC behavior.  Benchmarks and differential tests use it as
-	// the comparison baseline.
-	SnapshotOff
-)
 
 // MDM is the music data manager.
 type MDM struct {
@@ -85,10 +58,9 @@ type MDM struct {
 	Music   *cmn.Music
 	Biblio  *biblio.Index
 
-	snapshotReads SnapshotMode
-	parWorkers    int
-	stmts         *stmtCache
-	plans         *quel.PlanCache
+	parWorkers int
+	stmts      *stmtCache
+	plans      *quel.PlanCache
 }
 
 // Open builds (or reopens) a music data manager.
@@ -101,12 +73,10 @@ func Open(opts Options) (*MDM, error) {
 		ckptBytes = 0
 	}
 	store, err := storage.Open(storage.Options{
-		Dir:               opts.Dir,
-		SyncCommits:       opts.SyncCommits,
-		GroupCommit:       opts.GroupCommit,
-		GroupCommitWindow: opts.GroupCommitWindow,
-		CheckpointBytes:   ckptBytes,
-		FullSnapshots:     opts.FullSnapshots,
+		Dir:             opts.Dir,
+		SyncCommits:     opts.SyncCommits,
+		GroupCommit:     opts.GroupCommit,
+		CheckpointBytes: ckptBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -117,12 +87,11 @@ func Open(opts Options) (*MDM, error) {
 		return nil, err
 	}
 	mgr := &MDM{
-		Store:         store,
-		Model:         m,
-		snapshotReads: opts.SnapshotReads,
-		parWorkers:    opts.ParallelWorkers,
-		stmts:         newStmtCache(stmtCacheMax),
-		plans:         quel.NewPlanCache(store.Obs()),
+		Store:      store,
+		Model:      m,
+		parWorkers: opts.ParallelWorkers,
+		stmts:      newStmtCache(stmtCacheMax),
+		plans:      quel.NewPlanCache(store.Obs()),
 	}
 	if !opts.SkipCMN {
 		if mgr.Music, err = cmn.Open(m); err != nil {
@@ -144,7 +113,7 @@ func Open(opts Options) (*MDM, error) {
 // Close checkpoints and closes the manager.
 func (m *MDM) Close() error { return m.Store.Close() }
 
-// Checkpoint forces a snapshot.
+// Checkpoint forces a checkpoint (see storage.DB.Checkpoint).
 func (m *MDM) Checkpoint() error { return m.Store.Checkpoint() }
 
 // Obs returns the manager's metrics registry (see internal/obs): every
@@ -186,7 +155,6 @@ type sessionObs struct {
 // NewSession opens a client session with the default retry policy.
 func (m *MDM) NewSession() *Session {
 	s := &Session{mdm: m, quel: quel.NewSession(m.Model), policy: DefaultRetryPolicy}
-	s.quel.SetSnapshotReads(m.snapshotReads == SnapshotAuto)
 	s.quel.SetPlanCache(m.plans)
 	if m.parWorkers > 1 {
 		s.quel.SetParallel(m.parWorkers)
@@ -218,16 +186,6 @@ type ExecResult struct {
 	// DDL reports that the statement was schema definition.
 	DDL bool
 }
-
-// SetNaivePlanner switches the session's QUEL executor to the retained
-// pre-planner nested-loop path.  Benchmarks and differential tests use
-// it to compare against the cost-based planner.
-func (s *Session) SetNaivePlanner(on bool) { s.quel.SetNaive(on) }
-
-// SetSnapshotReads overrides the manager-wide Options.SnapshotReads for
-// this session: on runs read-only statements lock-free against a pinned
-// snapshot, off takes shared locks (the comparison baseline).
-func (s *Session) SetSnapshotReads(on bool) { s.quel.SetSnapshotReads(on) }
 
 // SetParallelWorkers overrides the manager-wide Options.ParallelWorkers
 // for this session.  Benchmarks use it to sweep worker counts over one

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/quel"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -82,6 +83,11 @@ func TestWorkloadMetrics(t *testing.T) {
 	}
 	if v, _ := metricValue(t, m, "txn.lock.acquire"); v == 0 {
 		t.Error("txn.lock.acquire = 0")
+	}
+	// The whole-stack snapshot document must pass the structural check
+	// downstream consumers rely on (complete, coherent metric families).
+	if err := obs.ValidateDoc(m.Obs().Doc()); err != nil {
+		t.Errorf("ValidateDoc on a live workload's registry: %v", err)
 	}
 }
 

@@ -61,7 +61,7 @@ func NewCluster(leader *MDM, opts repl.Options) (*Cluster, error) {
 	return &Cluster{Leader: leader, shipper: s, ropts: opts}, nil
 }
 
-// AddReplica bootstraps dir from the leader (checkpoint + snapshot
+// AddReplica bootstraps dir from the leader (checkpoint + image
 // copy), opens it in replica mode sharing the leader's metrics
 // registry, starts the replication link, and opens the replica's model
 // for read sessions.
@@ -82,7 +82,7 @@ func (c *Cluster) AddReplica(name, dir string) (*ReadReplica, error) {
 	rr := &ReadReplica{
 		Name: name,
 		Rep:  rep,
-		mdm:  &MDM{Store: rep.DB(), Model: m, snapshotReads: SnapshotAuto},
+		mdm:  &MDM{Store: rep.DB(), Model: m},
 	}
 	c.mu.Lock()
 	c.replicas = append(c.replicas, rr)

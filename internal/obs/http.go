@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// SnapshotDoc is the JSON document served by the HTTP endpoint and
-// written by `mdmbench -obs` as BENCH_obs.json.  SchemaVersion guards
-// downstream consumers against silent format drift.
+// SnapshotDoc is the JSON document served by the HTTP endpoint.
+// SchemaVersion guards downstream consumers against silent format
+// drift.
 type SnapshotDoc struct {
 	SchemaVersion int      `json:"schema_version"`
 	Metrics       []Metric `json:"metrics"`

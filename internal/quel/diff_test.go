@@ -12,20 +12,13 @@ import (
 	"repro/internal/value"
 )
 
-// TestPlannerNaiveDifferential executes randomized retrieves through
-// both executors — the cost-based planner and the retained naive
-// nested-loop path — over the same database and asserts identical
-// result multisets.  The query pool exercises every planner decision:
-// index range scans (bounded and unbounded sargs, matched and
-// mismatched literal kinds), hash equi-joins (attribute/attribute,
-// identity, multi-conjunct), ordering probes (before/after/under, both
-// orientations), join reordering, sort elision, unique, and empty-scan
-// short-circuits.
-func TestPlannerNaiveDifferential(t *testing.T) {
-	db, planned := newSession(t)
-	naive := NewSession(db)
-	naive.SetNaive(true)
-
+// diffFixture builds the differential test's database: two plain
+// entity types (one indexed), and notes ordered under chords.  The data
+// is a pure function of the fixed seed, so two fixtures are row-for-row
+// (and surrogate-for-surrogate) identical.
+func diffFixture(t *testing.T) *model.Database {
+	t.Helper()
+	db, _ := newSession(t)
 	if _, err := ddl.Exec(db, `
 define entity A (x = integer, y = integer, w = float)
 define entity B (x = integer, z = integer)
@@ -79,7 +72,46 @@ define index on NOTE (name)
 			t.Fatal(err)
 		}
 	}
+	return db
+}
 
+// diffState dumps every entity type and the ordering's membership
+// through a fresh planner session, as one canonical string.
+func diffState(t *testing.T, db *model.Database) string {
+	t.Helper()
+	s := NewSession(db)
+	var b strings.Builder
+	for _, q := range []string{
+		`retrieve (A.x, A.y, A.w)`,
+		`retrieve (B.x, B.z)`,
+		`retrieve (NOTE.name, NOTE.pitch, NOTE.chord)`,
+		`retrieve (NOTE.name, CHORD.name) where NOTE under CHORD in note_in_chord`,
+	} {
+		b.WriteString(q + "\n" + canonRows(mustExec(t, s, q)) + "\n")
+	}
+	return b.String()
+}
+
+// TestPlannerNaiveDifferential executes randomized statements through
+// both executors — the cost-based planner and the naive nested-loop
+// oracle — over two identical databases and asserts identical result
+// multisets and, after every replace or delete, identical database
+// contents.  The statement pool exercises every planner decision:
+// index range scans (bounded and unbounded sargs, matched and
+// mismatched literal kinds), hash equi-joins (attribute/attribute,
+// identity, multi-conjunct), ordering probes (before/after/under, both
+// orientations), join reordering, sort elision, unique, empty-scan
+// short-circuits, and writes qualified by each of those access paths
+// (including a replace that moves rows within the index it scans).
+func TestPlannerNaiveDifferential(t *testing.T) {
+	plannedDB, naiveDB := diffFixture(t), diffFixture(t)
+	planned, naive := NewSession(plannedDB), NewSession(naiveDB)
+	naive.naive = true
+	if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
+		t.Fatalf("fixtures differ before any statement:\n%s\nvs\n%s", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(43))
 	lit := func() int64 { return rng.Int63n(12) }
 	pitch := func() int64 { return 48 + rng.Int63n(32) }
 	op := func() string {
@@ -139,6 +171,26 @@ define index on NOTE (name)
 		},
 		func() string { return `retrieve unique (x = a.x) sort by x desc` },
 		func() string { return `retrieve (a.y, b.z) where a.x = b.x sort by y, z desc` },
+		// Writes.  Assigned values never depend on which of several
+		// qualifying combinations is visited, so the post-state is
+		// executor-independent.
+		func() string { return fmt.Sprintf(`replace a (y = a.y + 1) where a.x %s %d`, op(), lit()) },
+		func() string {
+			return fmt.Sprintf(`replace a (x = %d) where a.x >= %d and a.x < %d`, lit(), lit(), lit())
+		},
+		func() string {
+			return fmt.Sprintf(`replace b (z = %d) where a.x = b.x and a.y = %d`, lit(), rng.Int63n(5))
+		},
+		func() string {
+			return fmt.Sprintf(`replace n1 (pitch = %d) where n1 before n2 in note_in_chord and n2.name = %d`, pitch(), rng.Int63n(40))
+		},
+		func() string {
+			return fmt.Sprintf(`replace n (pitch = n.pitch + 1) where n under c in note_in_chord and c.name = %d and n.pitch >= %d`, 1+rng.Int63n(4), pitch())
+		},
+		func() string { return fmt.Sprintf(`delete a where a.x = %d and a.y %s %d`, lit(), op(), rng.Int63n(5)) },
+		func() string {
+			return fmt.Sprintf(`delete b where a.x = b.x and a.y = %d and b.z = %d`, rng.Int63n(5), rng.Int63n(6))
+		},
 	}
 
 	decls := `range of a is A
@@ -148,6 +200,7 @@ range of c is CHORD`
 	mustExec(t, planned, decls)
 	mustExec(t, naive, decls)
 
+	var writes, affected int
 	for i := 0; i < 250; i++ {
 		q := templates[i%len(templates)]()
 		pres, perr := planned.Exec(q)
@@ -164,6 +217,20 @@ range of c is CHORD`
 		if got, want := canonRows(pres), canonRows(nres); got != want {
 			t.Fatalf("query %q: result mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
 		}
+		if strings.HasPrefix(q, "retrieve") {
+			continue
+		}
+		writes++
+		if pres.Affected != nres.Affected {
+			t.Fatalf("statement %q: planner affected %d, naive %d", q, pres.Affected, nres.Affected)
+		}
+		affected += pres.Affected
+		if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
+			t.Fatalf("statement %q: post-state mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
+		}
+	}
+	if writes == 0 || affected == 0 {
+		t.Fatalf("write statements did no work (%d statements, %d rows affected): the differential is vacuous", writes, affected)
 	}
 }
 
@@ -189,7 +256,7 @@ func canonRows(res *Result) string {
 func TestPlannerSortedOrderAgreement(t *testing.T) {
 	db, planned := newSession(t)
 	naive := NewSession(db)
-	naive.SetNaive(true)
+	naive.naive = true
 	if _, err := ddl.Exec(db, `
 define entity NOTE (name = integer, pitch = integer)
 define index on NOTE (name)

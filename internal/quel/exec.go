@@ -70,8 +70,7 @@ type Session struct {
 	m      sessMetrics
 	pm     planMetrics
 	ps     *planStats // live stats for the statement being executed
-	naive  bool       // bypass the cost-based planner (SetNaive)
-	noSnap bool       // route read-only statements through locks (SetSnapshotReads)
+	naive  bool       // test oracle: run bindAllNaive instead of the planner; set only by in-package tests
 	// sortHint, cache, snap, and emit live for one statement;
 	// retrieveStats and execOne install and clear them.
 	sortHint *sortHint
@@ -106,26 +105,12 @@ func (s *Session) SetParallelMinRows(n int) {
 // normalized shape, until a schema change invalidates them.
 func (s *Session) SetPlanCache(c *PlanCache) { s.plans = c }
 
-// SetNaive switches the session to the retained pre-planner executor:
-// alphabetical variable order, heap scans, pure nested-loop join.
-// Differential tests and benchmarks compare it against the cost-based
-// planner; both paths must produce identical result sets.
-func (s *Session) SetNaive(on bool) { s.naive = on }
-
-// SetSnapshotReads toggles lock-free snapshot reads for read-only
-// statements (retrieve and explain).  On by default; off routes reads
-// through shared relation locks, the pre-MVCC behavior.  Both modes
-// must produce identical results on a quiescent database.
-func (s *Session) SetSnapshotReads(on bool) { s.noSnap = !on }
-
 // beginStmtSnap pins a read snapshot for one read-only statement and
-// returns the function that releases it.  On any failure (disabled, or
-// a canceled context) the session simply falls back to locking reads:
-// s.snap stays nil and every scan takes its shared lock as before.
+// returns the function that releases it.  If the snapshot cannot be
+// pinned (a canceled context) the session falls back to locking reads:
+// s.snap stays nil and every scan takes its shared lock, as write
+// statements do.
 func (s *Session) beginStmtSnap(ctx context.Context) func() {
-	if s.noSnap {
-		return func() {}
-	}
 	snap, err := s.db.BeginSnapshot(ctx)
 	if err != nil {
 		return func() {}
@@ -488,13 +473,13 @@ func sargMatches(ss []sarg, fields []value.Field, attrs value.Tuple) bool {
 }
 
 // bindAll materializes the instances of each variable and invokes fn
-// for every surviving combination.  The default path plans access and
-// join order (plan.go); SetNaive selects the retained nested-loop
-// executor.  Both record per-variable scan statistics and combination
-// counts when the session's planStats is live, check the context
-// periodically so a canceled statement stops promptly, and stop
-// scanning as soon as any variable has no bindings (zero combinations
-// regardless of the qualification's shape).
+// for every surviving combination.  It plans access and join order
+// (plan.go); in-package tests flip s.naive to run the nested-loop
+// oracle bindAllNaive instead.  Both record per-variable scan
+// statistics and combination counts when the session's planStats is
+// live, check the context periodically so a canceled statement stops
+// promptly, and stop scanning as soon as any variable has no bindings
+// (zero combinations regardless of the qualification's shape).
 func (s *Session) bindAll(ctx context.Context, vars []string, where Expr, fn func(env) error) error {
 	infos := make(map[string]varInfo, len(vars))
 	for _, v := range vars {

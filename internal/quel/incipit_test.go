@@ -75,7 +75,7 @@ func TestIncipitQueryIndexed(t *testing.T) {
 	}
 	// Differential: the naive executor (full scan + residual predicate)
 	// must agree with the gram-probe plan.
-	s.SetNaive(true)
+	s.naive = true
 	naive := entryNumbers(t, mustExec(t, s, q))
 	if sprintInts(naive) != sprintInts(got) {
 		t.Fatalf("naive = %v, planned = %v", naive, got)

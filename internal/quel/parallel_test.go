@@ -114,7 +114,7 @@ func TestParallelSerialNaiveDifferential(t *testing.T) {
 	buildScores(t, db, 10, 20)
 	par := parSession(db, 4)
 	naive := NewSession(db)
-	naive.SetNaive(true)
+	naive.naive = true
 
 	decls := "range of n, n1, n2 is NOTE\nrange of s, s1, s2 is SCORE"
 	for _, sess := range []*Session{serial, par, naive} {

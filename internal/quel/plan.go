@@ -29,8 +29,9 @@ import (
 //
 // The qualification is still evaluated in full for every emitted
 // combination, so the join conjuncts only prune; they never decide truth
-// on their own.  The pre-planner executor is retained as bindAllNaive
-// (Session.SetNaive) and differential tests assert both agree.
+// on their own.  The pre-planner executor is retained as bindAllNaive,
+// the oracle the in-package differential tests compare against; no
+// non-test code can select it.
 
 // planMetrics are the planner's observability handles (all nil-safe).
 type planMetrics struct {

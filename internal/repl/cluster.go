@@ -11,49 +11,29 @@ import (
 )
 
 // BootstrapDir prepares a replica directory from a leader checkpoint
-// image: the segment files a manifest references are copied first, then
-// the manifest itself (or, for a legacy monolithic snapshot, just the
-// snapshot file), and any stale log or stale image of the other kind
-// from a previous incarnation is removed, so the replica opens at
-// exactly the leader's checkpointed state.  Bootstrap is not
+// image: the segment files the manifest at manifestPath references are
+// copied first, then the manifest itself, and any stale log from a
+// previous incarnation is removed, so the replica opens at exactly the
+// leader's checkpointed state.  A file that is not a manifest is
+// rejected before the replica directory is touched.  Bootstrap is not
 // crash-atomic — a half-bootstrapped replica is simply bootstrapped
 // again.
-func BootstrapDir(leaderFS fault.FS, checkpointPath string, replicaFS fault.FS, replicaDir string) error {
+func BootstrapDir(leaderFS fault.FS, manifestPath string, replicaFS fault.FS, replicaDir string) error {
+	data, err := leaderFS.ReadFile(manifestPath)
+	if err != nil {
+		return fmt.Errorf("repl: bootstrap read manifest: %w", err)
+	}
+	segs, err := storage.ManifestSegments(data)
+	if err != nil {
+		return fmt.Errorf("repl: bootstrap: %s is not a checkpoint manifest: %w", manifestPath, err)
+	}
 	if err := replicaFS.MkdirAll(replicaDir, 0o755); err != nil {
 		return fmt.Errorf("repl: bootstrap mkdir: %w", err)
 	}
 	if err := replicaFS.Remove(filepath.Join(replicaDir, storage.WALFileName)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("repl: bootstrap remove stale log: %w", err)
 	}
-	data, err := leaderFS.ReadFile(checkpointPath)
-	if errors.Is(err, os.ErrNotExist) {
-		// An empty leader has nothing to copy; make sure the replica is
-		// empty too.  (Stale segment files without a manifest naming them
-		// are inert — recovery never reads them.)
-		for _, stale := range []string{storage.SnapshotFileName, storage.ManifestFileName} {
-			if err := replicaFS.Remove(filepath.Join(replicaDir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("repl: bootstrap remove stale %s: %w", stale, err)
-			}
-		}
-		return replicaFS.SyncDir(replicaDir)
-	}
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap read checkpoint: %w", err)
-	}
-	segs, isManifest, err := storage.ManifestSegments(data)
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	// Remove the stale image of the other kind first: recovery prefers a
-	// manifest, so one must never outlive a legacy-snapshot bootstrap.
-	stale, dstName := storage.ManifestFileName, storage.SnapshotFileName
-	if isManifest {
-		stale, dstName = storage.SnapshotFileName, storage.ManifestFileName
-	}
-	if err := replicaFS.Remove(filepath.Join(replicaDir, stale)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("repl: bootstrap remove stale %s: %w", stale, err)
-	}
-	leaderDir := filepath.Dir(checkpointPath)
+	leaderDir := filepath.Dir(manifestPath)
 	for _, seg := range segs {
 		segData, err := leaderFS.ReadFile(filepath.Join(leaderDir, seg))
 		if err != nil {
@@ -64,7 +44,7 @@ func BootstrapDir(leaderFS fault.FS, checkpointPath string, replicaFS fault.FS, 
 		}
 	}
 	// The manifest lands after every segment it names is in place.
-	if err := bootstrapCopy(replicaFS, filepath.Join(replicaDir, dstName), data); err != nil {
+	if err := bootstrapCopy(replicaFS, filepath.Join(replicaDir, storage.ManifestFileName), data); err != nil {
 		return err
 	}
 	return replicaFS.SyncDir(replicaDir)
@@ -103,8 +83,8 @@ func AttachReplica(s *Shipper, name string, sopts storage.Options, ropts Options
 	if rfs == nil {
 		rfs = fault.Disk{}
 	}
-	if err := s.AddReplica(name, conn, func(snapshotPath string) error {
-		return BootstrapDir(s.db.FS(), snapshotPath, rfs, sopts.Dir)
+	if err := s.AddReplica(name, conn, func(manifestPath string) error {
+		return BootstrapDir(s.db.FS(), manifestPath, rfs, sopts.Dir)
 	}); err != nil {
 		conn.Close()
 		return nil, err

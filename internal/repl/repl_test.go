@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -419,5 +422,23 @@ func TestPromote(t *testing.T) {
 		if err := rel.CheckIndexes(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBootstrapRejectsNonManifest: a checkpoint file that is not a
+// manifest — here the header of the retired monolithic image — fails
+// the bootstrap before the replica directory is touched.
+func TestBootstrapRejectsNonManifest(t *testing.T) {
+	leaderDir, replicaDir := t.TempDir(), filepath.Join(t.TempDir(), "replica")
+	legacy := filepath.Join(leaderDir, "mdm.snapshot")
+	if err := os.WriteFile(legacy, []byte("MDMSNAP1\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := BootstrapDir(fault.Disk{}, legacy, fault.Disk{}, replicaDir)
+	if err == nil || !strings.Contains(err.Error(), "not a checkpoint manifest") {
+		t.Fatalf("bootstrap from a non-manifest file: err = %v", err)
+	}
+	if _, statErr := os.Stat(replicaDir); !errors.Is(statErr, os.ErrNotExist) {
+		t.Fatalf("rejected bootstrap touched the replica directory (stat err %v)", statErr)
 	}
 }

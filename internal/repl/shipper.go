@@ -59,14 +59,14 @@ func NewShipper(db *storage.DB, opts Options) (*Shipper, error) {
 
 // AddReplica bootstraps and attaches one replica link.  It checkpoints
 // the leader and, inside the exclusive section — no append in flight —
-// runs bootstrap with the leader's snapshot path (the callback copies
-// it into the replica's directory) and registers conn, so conn's stream
-// begins exactly where the snapshot ends.  The ship hook is
+// runs bootstrap with the leader's manifest path (the callback copies
+// the image into the replica's directory) and registers conn, so conn's
+// stream begins exactly where the image ends.  The ship hook is
 // (re)installed in the same quiesced instant.
-func (s *Shipper) AddReplica(name string, conn Conn, bootstrap func(snapshotPath string) error) error {
-	return s.db.CheckpointWith(func(snapshotPath string) error {
+func (s *Shipper) AddReplica(name string, conn Conn, bootstrap func(manifestPath string) error) error {
+	return s.db.CheckpointWith(func(manifestPath string) error {
 		if bootstrap != nil {
-			if err := bootstrap(snapshotPath); err != nil {
+			if err := bootstrap(manifestPath); err != nil {
 				return err
 			}
 		}

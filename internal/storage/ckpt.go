@@ -9,10 +9,9 @@ import (
 
 // Fuzzy incremental checkpoints.
 //
-// The legacy checkpoint (fullCheckpointWith, kept under
-// Options.FullSnapshots) quiesces every writer and rewrites the whole
-// database image — a stall that grows with database size.  The default
-// path here removes both costs:
+// A checkpoint that quiesces every writer and rewrites the whole
+// database image stalls for a time that grows with database size.  The
+// checkpoint here avoids both costs:
 //
 //   - incremental: a CSN-stamped dirty set (db.dirty) records, per
 //     relation, the highest commit CSN since its segment was last
@@ -110,13 +109,13 @@ func (db *DB) planWrite(p *ckptPlan, rel *Relation, at uint64) error {
 	return nil
 }
 
-// fuzzyCheckpointWith is the default checkpoint: fuzzy copy phase, then
+// fuzzyCheckpointWith is the leader checkpoint: fuzzy copy phase, then
 // a short exclusive install.  Caller holds db.ckptMu.
 func (db *DB) fuzzyCheckpointWith(attach func(string) error) error {
 	p := db.newCkptPlan(attach)
 	if db.committer == nil {
-		// No commit pipeline (NoWAL ablation with a directory): quiesce
-		// writers like the legacy path and install directly.
+		// No commit pipeline (NoWAL with a directory, the bulk loader's
+		// mode): quiesce writers and install directly.
 		err := func() error {
 			release, err := db.quiesce()
 			if err != nil {
@@ -190,10 +189,9 @@ func (db *DB) fuzzyCheckpointWith(attach func(string) error) error {
 // under applyMu, unlogged databases under a full quiesce.
 //
 // Failure semantics: any error before the log reset leaves the previous
-// checkpoint (manifest or legacy snapshot) plus the complete log — the
-// checkpoint simply did not happen.  A failed reset, or a failed
-// directory sync after it, degrades the database: the durable log state
-// is then unknown.
+// manifest plus the complete log — the checkpoint simply did not
+// happen.  A failed reset, or a failed directory sync after it,
+// degrades the database: the durable log state is then unknown.
 func (db *DB) installCheckpoint(p *ckptPlan) error {
 	w := db.snaps.Last()
 	names := db.Relations()
@@ -279,107 +277,14 @@ func (db *DB) installCheckpoint(p *ckptPlan) error {
 	db.m.ckptSegsWritten.Add(uint64(written))
 	db.m.ckptSegsSkipped.Add(uint64(skipped))
 	db.m.ckptBytes.Add(uint64(p.bytes))
-	// Best-effort housekeeping: the one-way migration away from the
-	// legacy monolithic snapshot, and segments of dropped relations.
-	// Failures leave stale files that recovery ignores (the manifest is
-	// authoritative) and the next checkpoint retries the segment GC.
-	if db.legacySnap {
-		if err := db.fs.Remove(db.snapshotPath()); err == nil {
-			db.legacySnap = false
-		}
-	}
+	// Best-effort housekeeping: segments of dropped relations.  Failures
+	// leave stale files that recovery ignores (the manifest is
+	// authoritative) and the next checkpoint retries the GC.
 	for _, f := range doomed {
 		db.fs.Remove(filepath.Join(db.opts.Dir, f)) //nolint:errcheck // best-effort GC
 	}
 	if p.attach != nil {
 		return p.attach(db.manifestPath())
-	}
-	return nil
-}
-
-// fullCheckpointWith is the legacy quiesce-the-world checkpoint
-// (Options.FullSnapshots): S-lock every relation, drain the pipeline,
-// rewrite the monolithic snapshot, reset the log.  Planner statistics
-// rebuild after the quiesce releases, not inside it.
-func (db *DB) fullCheckpointWith(attach func(string) error) error {
-	err := func() error {
-		release, err := db.quiesce()
-		if err != nil {
-			return err
-		}
-		defer release()
-		stallStart := time.Now()
-		defer func() { db.m.ckptStall.Observe(int64(time.Since(stallStart))) }()
-		if db.committer == nil {
-			if err := db.writable(); err != nil {
-				return err
-			}
-			return db.installFullSnapshot(attach)
-		}
-		// Drain the commit queue (and fsync) before snapshotting, so every
-		// acknowledged commit is on disk in the log the snapshot supersedes.
-		if err := db.Sync(); err != nil {
-			return err
-		}
-		return db.committer.Exclusive(func() error {
-			if err := db.writable(); err != nil {
-				return err
-			}
-			return db.installFullSnapshot(attach)
-		})
-	}()
-	if err != nil {
-		return err
-	}
-	db.rebuildAllStats()
-	return nil
-}
-
-// installFullSnapshot writes the monolithic snapshot and resets the
-// log.  If a segmented manifest is installed, it is durably removed
-// between the snapshot write and the log reset: recovery prefers the
-// manifest, so one must never survive a full snapshot that supersedes
-// it.  (A crash before the removal is durable leaves manifest + full
-// log — the state before this checkpoint, still consistent.)
-func (db *DB) installFullSnapshot(attach func(string) error) error {
-	n, err := db.writeSnapshot(db.snapshotPath())
-	if err != nil {
-		return err
-	}
-	rels := len(db.Relations())
-	db.m.ckptRelations.Add(uint64(rels))
-	db.m.ckptSegsWritten.Add(uint64(rels))
-	db.m.ckptBytes.Add(uint64(n))
-	db.legacySnap = true
-	if db.manifest != nil {
-		for _, e := range db.manifest {
-			db.fs.Remove(filepath.Join(db.opts.Dir, e.file)) //nolint:errcheck // best-effort
-		}
-		if err := db.fs.Remove(db.manifestPath()); err != nil {
-			return err
-		}
-		if err := db.fs.SyncDir(db.opts.Dir); err != nil {
-			return err
-		}
-		db.manifest = nil
-	}
-	db.dirtyMu.Lock()
-	db.dirty = make(map[string]uint64)
-	db.dirtyMu.Unlock()
-	if db.log != nil {
-		if err := db.log.Reset(); err != nil {
-			db.degrade(err)
-			return err
-		}
-		// Make the truncation durable at the directory level too, so
-		// the snapshot+empty-log pair is what any post-crash open sees.
-		if err := db.fs.SyncDir(db.opts.Dir); err != nil {
-			db.degrade(err)
-			return err
-		}
-	}
-	if attach != nil {
-		return attach(db.snapshotPath())
 	}
 	return nil
 }

@@ -37,9 +37,8 @@ func mustNotExist(t *testing.T, path string) {
 	}
 }
 
-// TestSegmentedCheckpointRoundtrip pins the default checkpoint format: a
-// manifest plus per-relation segment files (no monolithic snapshot), and
-// a reopen that restores relations, rows, indexes, and sequences from
+// TestSegmentedCheckpointRoundtrip pins the checkpoint format: a
+// manifest plus per-relation segment files, and a reopen that restores relations, rows, indexes, and sequences from
 // them.
 func TestSegmentedCheckpointRoundtrip(t *testing.T) {
 	dir := t.TempDir()
@@ -79,7 +78,6 @@ func TestSegmentedCheckpointRoundtrip(t *testing.T) {
 	mustExist(t, filepath.Join(dir, ManifestFileName))
 	mustExist(t, filepath.Join(dir, SegmentFileName("A")))
 	mustExist(t, filepath.Join(dir, SegmentFileName("B")))
-	mustNotExist(t, filepath.Join(dir, SnapshotFileName))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,109 +181,54 @@ func TestIncrementalCheckpointSkipsCleanRelations(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration pins the one-way migration: a store
-// checkpointed by the legacy monolithic path opens under the segmented
-// default, and its first segmented checkpoint installs a manifest and
-// removes the old snapshot file.
-func TestLegacySnapshotMigration(t *testing.T) {
+// TestOrphanLegacySnapshotFailsClosed pins the retirement of the
+// monolithic image format: a directory holding mdm.snapshot and no
+// manifest must not open — empty would mean logging over a store the
+// engine can no longer read — while the same stale file beside a
+// manifest (a crash state of the old one-way migration) is ignored.
+func TestOrphanLegacySnapshotFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, SyncCommits: true, FullSnapshots: true})
-	if err != nil {
+	legacy := filepath.Join(dir, retiredSnapshotFileName)
+	if err := os.WriteFile(legacy, []byte("MDMSNAP1\x00\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateRelation("M", value.NewSchema(value.Field{Name: "v", Kind: value.KindInt})); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Run(func(tx *Tx) error {
-		for i := 0; i < 25; i++ {
-			if _, err := tx.Insert("M", value.Tuple{value.Int(int64(i))}); err != nil {
-				return err
-			}
+	for _, opts := range []Options{{Dir: dir}, {Dir: dir, NoWAL: true}, {Dir: dir, Replica: true}} {
+		db, err := Open(opts)
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open(%+v) succeeded over an orphan legacy snapshot", opts)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil { // Close checkpoints: legacy snapshot
-		t.Fatal(err)
-	}
-	mustExist(t, filepath.Join(dir, SnapshotFileName))
-	mustNotExist(t, filepath.Join(dir, ManifestFileName))
-
-	// Reopen under the segmented default: the legacy snapshot must load.
-	db2, err := Open(Options{Dir: dir, SyncCommits: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := db2.Relation("M"); rel == nil || rel.Len() != 25 {
-		t.Fatalf("legacy snapshot did not load under segmented default")
-	}
-	// The first segmented checkpoint migrates: manifest in, snapshot out.
-	if err := db2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	mustExist(t, filepath.Join(dir, ManifestFileName))
-	mustExist(t, filepath.Join(dir, SegmentFileName("M")))
-	mustNotExist(t, filepath.Join(dir, SnapshotFileName))
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
+		if !strings.Contains(err.Error(), retiredSnapshotFileName) || !strings.Contains(err.Error(), ManifestFileName) {
+			t.Fatalf("error does not name the files involved: %v", err)
+		}
+		mustNotExist(t, filepath.Join(dir, WALFileName))
 	}
 
-	db3, err := Open(Options{Dir: dir})
-	if err != nil {
+	// With a manifest beside it the stale file is inert.
+	if err := os.Remove(legacy); err != nil {
 		t.Fatal(err)
 	}
-	defer db3.Close()
-	if rel := db3.Relation("M"); rel == nil || rel.Len() != 25 {
-		t.Fatalf("migrated store lost rows across reopen")
-	}
-}
-
-// TestFullSnapshotSupersedesManifest pins the reverse switch: a store
-// checkpointed segmented and then reopened with FullSnapshots writes a
-// monolithic snapshot and durably removes the manifest, so recovery can
-// never prefer the stale segmented image.
-func TestFullSnapshotSupersedesManifest(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, SyncCommits: true})
+	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.CreateRelation("M", value.NewSchema(value.Field{Name: "v", Kind: value.KindInt})); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Run(func(tx *Tx) error {
-		_, err := tx.Insert("M", value.Tuple{value.Int(1)})
-		return err
-	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mustExist(t, filepath.Join(dir, ManifestFileName))
-
-	db2, err := Open(Options{Dir: dir, SyncCommits: true, FullSnapshots: true})
+	if err := os.WriteFile(legacy, []byte("MDMSNAP1\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(Options{Dir: dir})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("stale legacy snapshot beside a manifest blocked open: %v", err)
 	}
-	if err := db2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	mustExist(t, filepath.Join(dir, SnapshotFileName))
-	mustNotExist(t, filepath.Join(dir, ManifestFileName))
-	mustNotExist(t, filepath.Join(dir, SegmentFileName("M")))
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db3, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if rel := db3.Relation("M"); rel == nil || rel.Len() != 1 {
-		t.Fatalf("snapshot-superseded store lost rows")
+	defer db2.Close()
+	if db2.Relation("M") == nil {
+		t.Fatal("manifest image not loaded")
 	}
 }
 
@@ -329,9 +272,9 @@ func TestDroppedRelationSegmentGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, isManifest, err := ManifestSegments(man)
-	if err != nil || !isManifest {
-		t.Fatalf("manifest unreadable: isManifest=%v err=%v", isManifest, err)
+	segs, err := ManifestSegments(man)
+	if err != nil {
+		t.Fatalf("manifest unreadable: %v", err)
 	}
 	if len(segs) != 1 || segs[0] != SegmentFileName("KEEP") {
 		t.Fatalf("manifest names %v, want just KEEP's segment", segs)

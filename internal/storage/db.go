@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -31,9 +32,6 @@ type Options struct {
 	// GroupCommitter).  When false every commit flushes alone — the
 	// per-txn-fsync baseline.  Defaults to false.
 	GroupCommit bool
-	// GroupCommitMaxBytes caps the log bytes one flush round covers
-	// before fsyncing and starting the next.  Zero means 1MiB.
-	GroupCommitMaxBytes int64
 	// GroupCommitWindow is how long the flush leader waits for more
 	// committers before draining the queue.  Zero (the default) flushes
 	// immediately, which on fast storage batches well through natural
@@ -44,14 +42,6 @@ type Options struct {
 	// checkpoint runs on a background goroutine (singleflight), never
 	// inline on the committing transaction that crossed the threshold.
 	CheckpointBytes int64
-	// FullSnapshots restores the legacy checkpoint behavior: quiesce all
-	// writers and rewrite the complete database image as one monolithic
-	// snapshot file.  The default (false) uses segmented snapshots with
-	// fuzzy incremental checkpoints (ckpt.go), which only rewrite
-	// relations dirtied since the last checkpoint and copy them through
-	// MVCC snapshots concurrently with writers.  Kept for comparison
-	// benchmarks and migration tests.
-	FullSnapshots bool
 	// NoWAL disables logging entirely (used by the ablation benchmarks
 	// that measure WAL overhead).  Implies no durability.
 	NoWAL bool
@@ -106,7 +96,6 @@ type DB struct {
 	dirty         map[string]uint64        // relation -> max commit CSN since its last segment
 	manifest      map[string]manifestEntry // installed segment set; nil before first manifest
 	manifestEpoch uint64
-	legacySnap    bool        // recovery loaded the monolithic mdm.snapshot
 	ckptBusy      atomic.Bool // an automatic checkpoint is in flight
 	ckptWG        sync.WaitGroup
 
@@ -243,9 +232,8 @@ func Open(opts Options) (*DB, error) {
 		return db, nil
 	}
 	db.committer = wal.NewGroupCommitter(log, wal.GroupOptions{
-		Group:    opts.GroupCommit,
-		MaxBytes: opts.GroupCommitMaxBytes,
-		Window:   opts.GroupCommitWindow,
+		Group:  opts.GroupCommit,
+		Window: opts.GroupCommitWindow,
 	})
 	db.committer.SetObserver(db.obs)
 	if db.logic != nil {
@@ -289,14 +277,13 @@ func (db *DB) writable() error {
 	return nil
 }
 
-func (db *DB) logPath() string      { return filepath.Join(db.opts.Dir, WALFileName) }
-func (db *DB) snapshotPath() string { return filepath.Join(db.opts.Dir, SnapshotFileName) }
+func (db *DB) logPath() string { return filepath.Join(db.opts.Dir, WALFileName) }
 
 // recover loads the checkpoint image (if any) and replays the committed
-// suffix of the log on top of it.  The segmented manifest is preferred;
-// a database that has never taken a segmented checkpoint falls back to
-// the legacy monolithic snapshot (one-way migration: the next checkpoint
-// writes segments and removes it).
+// suffix of the log on top of it.  A directory holding a monolithic
+// mdm.snapshot (the retired image format) and no manifest is refused:
+// opening it empty would start logging over a store this engine cannot
+// read.
 //
 // Replay is idempotent: a crash between the checkpoint's manifest rename
 // and its log truncation leaves a log whose records are already in the
@@ -313,11 +300,14 @@ func (db *DB) recover() error {
 		return err
 	}
 	if !haveManifest {
-		if err := db.loadSnapshot(db.snapshotPath()); err != nil {
-			return err
+		legacy := filepath.Join(db.opts.Dir, retiredSnapshotFileName)
+		f, err := db.fs.Open(legacy)
+		if err == nil {
+			f.Close()
+			return fmt.Errorf("storage: %s is a monolithic snapshot (retired format) with no %s beside it; refusing to open the directory empty — migrate it with a build that still reads that format (its first checkpoint writes segments)", legacy, ManifestFileName)
 		}
-		if len(db.relations) > 0 || len(db.seqs) > 0 {
-			db.legacySnap = true
+		if !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("storage: recover: %w", err)
 		}
 	}
 	return wal.ReplayFS(db.fs, db.logPath(), func(r *wal.Record) error {
@@ -660,20 +650,17 @@ func (db *DB) BumpSeq(name string, floor uint64) {
 	}
 }
 
-// Checkpoint writes a full snapshot and truncates the log.  All committed
-// work becomes durable in the snapshot.
+// Checkpoint makes all committed work durable in the checkpoint image
+// and truncates the log (ckpt.go): dirty relations are copied into fresh
+// segments through an MVCC snapshot while writers keep committing, then
+// a short exclusive section drains the commit pipeline, catches up,
+// swaps the manifest and resets the log.
 //
-// Under concurrency the checkpoint first quiesces writers (a shared
-// lock on every relation, so no transaction holds a write lock while
-// the snapshot scans) and then drains the commit pipeline, so the
-// snapshot never captures uncommitted in-memory rows and never loses a
-// batch that was still queued behind the flush leader.
-//
-// Failure handling: a failed snapshot write leaves the previous
-// snapshot + full log intact (the checkpoint simply did not happen); a
-// failed log flush, truncation, or directory sync poisons the WAL and
-// degrades the database, because the log's durable state is then
-// unknown.
+// Failure handling: a failed segment or manifest write leaves the
+// previous image + full log intact (the checkpoint simply did not
+// happen); a failed log flush, truncation, or directory sync poisons
+// the WAL and degrades the database, because the log's durable state is
+// then unknown.
 func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -688,8 +675,7 @@ func (db *DB) checkpoint() error { return db.checkpointWith(nil) }
 // flight.  Replication bootstrap lives on this hook — the image it
 // copies plus the record stream shipped from that instant is exactly
 // the database, nothing lost and nothing duplicated.  attach receives
-// the manifest path (or the monolithic snapshot path under
-// Options.FullSnapshots).
+// the manifest path.
 func (db *DB) checkpointWith(attach func(checkpointPath string) error) error {
 	if db.opts.Dir == "" {
 		return nil
@@ -711,9 +697,6 @@ func (db *DB) checkpointWith(attach func(checkpointPath string) error) error {
 			db.m.trace.Emit("storage.checkpoint", db.opts.Dir, start, time.Since(start))
 		}
 	}()
-	if db.opts.FullSnapshots {
-		return db.fullCheckpointWith(attach)
-	}
 	return db.fuzzyCheckpointWith(attach)
 }
 

@@ -274,56 +274,6 @@ func TestCheckpointExcludesUncommitted(t *testing.T) {
 	}
 }
 
-// TestFullSnapshotCheckpointBlocksOnWriter pins the legacy
-// Options.FullSnapshots behavior: the quiesce barrier waits out an open
-// write transaction, and the monolithic snapshot holds only committed
-// data.
-func TestFullSnapshotCheckpointBlocksOnWriter(t *testing.T) {
-	dir := t.TempDir()
-	opts := groupOpts(0).withDir(dir)
-	opts.FullSnapshots = true
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, db, "R")
-	if err := insertSeq(db, "R", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	tx := db.Begin()
-	if _, err := tx.Insert("R", value.Tuple{value.Int(99), value.Int(0)}); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := make(chan error, 1)
-	go func() { ckpt <- db.Checkpoint() }()
-	time.Sleep(20 * time.Millisecond) // checkpoint blocks on the quiesce barrier
-	select {
-	case err := <-ckpt:
-		t.Fatalf("full-snapshot checkpoint finished under an open write transaction: %v", err)
-	default:
-	}
-	tx.Abort()
-	if err := <-ckpt; err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(Options{Dir: dir, FullSnapshots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	got := seqSet(t, db2, "R")
-	if got[99] != 0 {
-		t.Fatal("aborted row leaked into the checkpoint snapshot")
-	}
-	if got[1] != 1 {
-		t.Fatal("committed row missing from the checkpoint snapshot")
-	}
-}
-
 // withDir returns a copy of opts with Dir set (test helper).
 func (o Options) withDir(dir string) Options {
 	o.Dir = dir

@@ -31,14 +31,17 @@ var ErrReplica = errors.New("storage: replica is apply-only (writes arrive via W
 
 // The fixed file names of a database directory.  Replication bootstrap
 // builds a replica directory by copying the leader's checkpoint image —
-// the manifest plus the segment files it names (segment.go), or a
-// legacy monolithic snapshot under SnapshotFileName — and removing any
-// stale WALFileName.
+// the manifest plus the segment files it names (segment.go) — and
+// removing any stale WALFileName.
 const (
 	WALFileName      = "mdm.wal"
-	SnapshotFileName = "mdm.snapshot"
 	ManifestFileName = "mdm.manifest"
 )
+
+// retiredSnapshotFileName is the monolithic image of the retired
+// checkpoint format; recover refuses a directory that holds one and no
+// manifest.
+const retiredSnapshotFileName = "mdm.snapshot"
 
 // IsReplica reports whether the database is in apply-only replica mode.
 func (db *DB) IsReplica() bool { return db.opts.Replica }
@@ -69,10 +72,9 @@ func (db *DB) SetOnSync(fn func(recs []*wal.Record)) error {
 // section, after the checkpoint image is durable and the log is reset,
 // with no append in flight.  Replication uses it to bootstrap a replica
 // without loss or duplication: attach copies the image (it receives the
-// manifest path — or the monolithic snapshot path under FullSnapshots)
-// and registers the replica's stream in the same quiesced instant, so
-// the image plus every record shipped afterwards is exactly the
-// database.
+// manifest path) and registers the replica's stream in the same
+// quiesced instant, so the image plus every record shipped afterwards
+// is exactly the database.
 func (db *DB) CheckpointWith(attach func(checkpointPath string) error) error {
 	if db.committer == nil {
 		return errors.New("storage: only a durable, logged leader can ship its WAL")
@@ -175,11 +177,6 @@ func (db *DB) replicaCheckpointLocked(attach func(string) error) error {
 	}
 	start := time.Now()
 	defer func() { db.m.checkpoint.ObserveSince(start) }()
-	if db.opts.FullSnapshots {
-		stallStart := time.Now()
-		defer func() { db.m.ckptStall.Observe(int64(time.Since(stallStart))) }()
-		return db.installFullSnapshot(attach)
-	}
 	p := db.newCkptPlan(attach)
 	stallStart := time.Now()
 	defer func() { db.m.ckptStall.Observe(int64(time.Since(stallStart))) }()

@@ -13,13 +13,13 @@ import (
 	"repro/internal/value"
 )
 
-// Segmented snapshot format (see DESIGN.md §10): instead of one
-// monolithic image, a checkpoint maintains one segment file per relation
-// plus a small manifest that names the segment set, the sequences, and
-// the checkpoint epoch.  Segments are immutable once installed (they are
-// replaced whole, via tmp+rename), so a checkpoint that finds a relation
-// unchanged since its segment was written simply keeps the file — the
-// incremental half of fuzzy checkpointing.
+// Checkpoint image format (see DESIGN.md §10): a checkpoint maintains
+// one segment file per relation plus a small manifest that names the
+// segment set, the sequences, and the checkpoint epoch.  Segments are
+// immutable once installed (they are replaced whole, via tmp+rename),
+// so a checkpoint that finds a relation unchanged since its segment was
+// written simply keeps the file — the incremental half of fuzzy
+// checkpointing.
 //
 // Manifest ("mdm.manifest"):
 //
@@ -55,6 +55,13 @@ const (
 	// segmentPrefix starts every segment file's base name.
 	segmentPrefix = "mdm.seg."
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
 
 // dirtyDDL is the dirty stamp used where no precise CSN exists — schema
 // operations, crash-recovery replay, and replica apply.  It compares
@@ -103,56 +110,52 @@ func SegmentFileName(relation string) string {
 
 func (db *DB) manifestPath() string { return filepath.Join(db.opts.Dir, ManifestFileName) }
 
-// ManifestSegments inspects a checkpoint file image.  For a segmented
-// manifest it returns the base names of the segment files the manifest
-// references (the files a bootstrap must copy alongside it) and
-// isManifest true; for a legacy monolithic snapshot it returns (nil,
-// false, nil).  Anything else is an error.
-func ManifestSegments(data []byte) (files []string, isManifest bool, err error) {
-	if len(data) >= len(snapshotMagic) && string(data[:len(snapshotMagic)]) == snapshotMagic {
-		return nil, false, nil
-	}
+// ManifestSegments returns the base names of the segment files a
+// manifest image references — the files a bootstrap must copy alongside
+// it.  Anything that is not a well-formed manifest is an error.
+func ManifestSegments(data []byte) ([]string, error) {
 	body, err := checkFrame(data, manifestMagic, "manifest")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	r := &byteReader{body: body, ctx: "manifest"}
 	if _, err := r.uvarint(); err != nil { // epoch
-		return nil, false, err
+		return nil, err
 	}
 	nseq, err := r.uvarint()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	for i := uint64(0); i < nseq; i++ {
 		if _, err := r.str(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if _, err := r.uvarint(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	nrel, err := r.uvarint()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	var files []string
 	for i := uint64(0); i < nrel; i++ {
 		if _, err := r.str(); err != nil { // relation name
-			return nil, false, err
+			return nil, err
 		}
 		file, err := r.str()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if _, err := r.uvarint(); err != nil { // covered CSN
-			return nil, false, err
+			return nil, err
 		}
 		if _, err := r.uvarint(); err != nil { // byte size
-			return nil, false, err
+			return nil, err
 		}
 		files = append(files, file)
 	}
-	return files, true, nil
+	return files, nil
 }
 
 // writeSegmentFile writes the named relation's segment at CSN at — the
@@ -392,10 +395,10 @@ func checkFrame(data []byte, magic, ctx string) ([]byte, error) {
 
 // loadManifest restores the database image from the segmented snapshot,
 // reporting whether a manifest was present.  A missing manifest is not
-// an error — recovery then falls back to the legacy monolithic snapshot.
-// Loaded relations start with their dirty stamps clear, so a reopen
-// followed by a checkpoint reuses every segment the log replay did not
-// touch.
+// an error here — recover decides whether the directory is new or holds
+// an image it cannot read.  Loaded relations start with their dirty
+// stamps clear, so a reopen followed by a checkpoint reuses every
+// segment the log replay did not touch.
 func (db *DB) loadManifest(path string) (bool, error) {
 	data, err := db.fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {

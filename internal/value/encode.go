@@ -158,16 +158,24 @@ func AppendKey(dst []byte, v Value) []byte {
 	return dst
 }
 
-// appendKeyFloat encodes a float so byte order matches numeric order:
+// appendKeyFloat encodes a float so byte order matches Compare's order:
 // flip the sign bit for non-negatives, flip all bits for negatives.
-// For integers beyond float precision the exact int64 is appended as a
-// tiebreaker (monotone within equal float prefixes).
+// Compare places every NaN below every number and equal to every other
+// NaN, and -0 equal to +0, so all NaN payloads share the one encoding
+// below -Inf's (which flips to 0x000F…FF, leaving all-zero unused) and
+// -0 encodes as +0.  For integers beyond float precision the exact
+// int64 is appended as a tiebreaker (monotone within equal float
+// prefixes).
 func appendKeyFloat(dst []byte, f float64, exact int64) []byte {
-	bits := math.Float64bits(f)
-	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+	var bits uint64
+	switch {
+	case math.IsNaN(f): // bits stays 0
+	case f == 0:
+		bits = 1 << 63
+	case f < 0:
+		bits = ^math.Float64bits(f)
+	default:
+		bits = math.Float64bits(f) | 1<<63
 	}
 	dst = binary.BigEndian.AppendUint64(dst, bits)
 	return binary.BigEndian.AppendUint64(dst, uint64(exact)^(1<<63))

@@ -4,9 +4,9 @@
 // operations, some standard, such as concurrency control and recovery".
 // This package is the recovery half: an append-only redo log with CRC32C
 // framing and torn-tail tolerance.  The storage engine keeps relations in
-// memory and durability is log + snapshot: every mutation is logged before
-// it is applied, checkpoints write a full snapshot and truncate the log,
-// and recovery replays the operations of committed transactions in log
+// memory and durability is log + checkpoint image: every mutation is
+// logged before it is applied, checkpoints bring the image up to date
+// and truncate the log, and recovery replays the operations of committed transactions in log
 // order (a redo-only, two-pass scheme: pass one collects commit records,
 // pass two reapplies).
 package wal
