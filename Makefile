@@ -3,7 +3,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 FUZZTIME ?= 30s
 
-.PHONY: all build fmt-check vet staticcheck test race torture torture-repl fuzz-smoke bench bench-quick bench-par bench-repl ci
+.PHONY: all build fmt-check vet staticcheck test race torture torture-repl fuzz-smoke paper bench bench-quick bench-par bench-repl ci
 
 all: ci
 
@@ -55,6 +55,13 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
+# The paper's figures and its table of measurements, as printed: every
+# figure generator and every row of internal/experiments at test sizes.
+# go test checks their content and shapes; this checks the printers.
+paper:
+	$(GO) run ./cmd/figures > /dev/null
+	$(GO) run ./cmd/mdmbench -quick
+
 # The repository's benchmark (bench/, BENCHMARK.json) at smoke scale:
 # its own unit tests, then all four workloads untraced and traced.  An
 # operation that fails its oracle fails the run.  Span files land in
@@ -80,4 +87,4 @@ bench-par:
 bench-repl:
 	$(GO) run ./cmd/mdmbench -repl
 
-ci: fmt-check vet build race torture torture-repl bench-quick
+ci: fmt-check vet build race torture torture-repl paper bench-quick

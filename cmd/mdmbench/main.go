@@ -1,6 +1,6 @@
-// Command mdmbench runs the reproduction's experiment suite (DESIGN.md
-// Q1-Q7 and the figure-derived F-experiments) and prints the rows
-// recorded in EXPERIMENTS.md.
+// Command mdmbench prints the table of paper measurements defined in
+// internal/experiments (DESIGN.md's Q1-Q7, the figure-derived F-rows
+// and the A-row ablations): the rows recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -8,7 +8,8 @@
 //	mdmbench -par [-quick]
 //	mdmbench -repl [-quick]
 //
-// -quick runs reduced workload sizes (seconds instead of minutes).
+// -quick runs the test sizes with a 50 ms window per row (seconds
+// instead of minutes).
 //
 // -par and -repl are the two scenarios the repository's benchmark
 // (bench/, see bench/README.md) declares out of scope; each prints its
@@ -54,6 +55,5 @@ func main() {
 	if *quick {
 		sz = experiments.Quick()
 	}
-	rows := experiments.RunAllExtended(sz)
-	fmt.Print(experiments.Render(rows))
+	fmt.Print(experiments.Render(experiments.RunAll(sz)))
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,10 +135,10 @@ func measureReplPoint(n int, dur time.Duration) (replPoint, *obs.Registry, error
 	}
 	defer m.Close()
 	setup := m.NewSession()
-	if _, err := setup.Exec("define entity EVENT (n = integer)"); err != nil {
+	if _, err := setup.ExecContext(context.Background(), "define entity EVENT (n = integer)"); err != nil {
 		return pt, nil, err
 	}
-	if _, err := setup.Exec("define index on EVENT (n)"); err != nil {
+	if _, err := setup.ExecContext(context.Background(), "define index on EVENT (n)"); err != nil {
 		return pt, nil, err
 	}
 	for s := 0; s < replBenchSeed; s += 64 {
@@ -198,7 +199,7 @@ func measureReplPoint(n int, dur time.Duration) (replPoint, *obs.Registry, error
 		var reads int64
 		start := time.Now()
 		for time.Since(start) < dur {
-			if _, err := sess.Query(q); err != nil {
+			if _, err := sess.QueryContext(context.Background(), q); err != nil {
 				return 0, err
 			}
 			reads++

@@ -5,8 +5,10 @@
 //
 // The public surface lives under internal/ packages composed by
 // internal/mdm; the executables are cmd/mdm (interactive DDL/QUEL
-// shell), cmd/darmsconv (DARMS canonizer), cmd/figures (regenerates
-// every figure of the paper), and cmd/mdmbench (the experiment suite
-// recorded in EXPERIMENTS.md).  bench_test.go in this directory holds
-// one benchmark per paper figure and per quantified claim.
+// shell), cmd/mdmd (network server), cmd/darmsconv (DARMS canonizer),
+// cmd/figures (regenerates every figure of the paper), and cmd/mdmbench
+// (prints the table of paper measurements recorded in EXPERIMENTS.md).
+// Every measurement of the paper's claims is defined once, in
+// internal/experiments; go test -bench Paper ./internal/experiments
+// times it.
 package repro

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -100,7 +101,7 @@ func main() {
 
 	// QUEL aggregates over the stored score.
 	s := m.NewSession()
-	res, err := s.Query(`
+	res, err := s.QueryContext(context.Background(), `
 range of n is NOTE
 retrieve (notes = count(n.all), lowest = min(n.midi_pitch), highest = max(n.midi_pitch),
           mean = avg(n.midi_pitch))`)

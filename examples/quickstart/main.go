@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,8 @@ func main() {
 
 	// The schema of §5.4: notes ordered within chords, with a secondary
 	// index so pitch predicates become B-tree range scans.
-	if _, err := s.Exec(`
+	ctx := context.Background()
+	if _, err := s.ExecContext(ctx, `
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer, chord = integer)
 define ordering note_in_chord (NOTE) under CHORD
@@ -69,11 +71,11 @@ define index on NOTE (pitch)
 		 retrieve (n1.name) where n1 under c1 in note_in_chord and c1.name = 1`,
 		`retrieve (c1.name) where n1 under c1 in note_in_chord and n1.name = 4`,
 	} {
-		out, err := s.Exec(q)
+		res, err := s.ExecContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(out)
+		fmt.Println(res.Output)
 	}
 
 	// The cost-based planner at work: explain shows the pitch predicate
@@ -83,10 +85,10 @@ define index on NOTE (pitch)
 		`explain retrieve (n1.name) where n1.pitch >= 64 and n1.pitch < 70`,
 		`explain retrieve (n1.name, c1.name) where n1.chord = c1.name`,
 	} {
-		out, err := s.Exec(q)
+		res, err := s.ExecContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(out)
+		fmt.Println(res.Output)
 	}
 }

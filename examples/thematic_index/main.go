@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 
 	// The catalogue is ordinary data: query it through QUEL.
 	s := m.NewSession()
-	res, err := s.Query(`
+	res, err := s.QueryContext(context.Background(), `
 range of e is CATALOG_ENTRY
 retrieve (e.number, e.title) where e.measures > 100`)
 	if err != nil {

@@ -48,7 +48,7 @@ func SyntheticEntry(seed int64, number int) Entry {
 // GenerateWorks bulk-loads n synthetic entries numbered [start, start+n)
 // into a catalogue, batchSize entries per transaction, and returns the
 // number loaded.  It is the catalogue-scale workload generator behind
-// `mdmload -synthetic` and `mdmbench -ingest`.
+// `mdmload -synthetic`.
 func (ix *Index) GenerateWorks(catalog value.Ref, seed int64, start, n, batchSize int) (int, error) {
 	if batchSize <= 0 {
 		batchSize = 256

@@ -1,47 +1,60 @@
-// Package experiments implements the quantitative harness of the
-// reproduction: for each performance argument the paper makes
-// qualitatively, a measured experiment (DESIGN.md's Q1–Q7), plus
-// scaling sweeps for the figure-derived operations (F-experiments).
-// The cmd/mdmbench tool prints the rows recorded in EXPERIMENTS.md.
+// Package experiments is the one definition of every measurement the
+// reproduction makes of the paper: the quantified claims (DESIGN.md's
+// Q1–Q7), the figure-derived operations (F-rows) and the design-choice
+// ablations (A-rows).  Each measurement is a case in one table, read by
+// three consumers:
 //
-// Measurements use testing.Benchmark, so each number is a stable ns/op
-// (or a ratio/bytes metric where noted).
+//   - go test runs the table at Quick sizes and checks the shape each
+//     claim predicts (experiments_test.go);
+//   - go test -bench Paper/<id> times the cases at Full sizes;
+//   - cmd/mdmbench prints the table (the rows of EXPERIMENTS.md).
+//
+// A timed case builds its own fixture the first time it runs, so timing
+// one case builds only that case's data.  Ratio and exact rows are
+// derived from measured rows or computed, never timed.
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/cmn"
-	"repro/internal/darms"
-	"repro/internal/demo"
-	"repro/internal/midi"
-	"repro/internal/model"
-	"repro/internal/relbase"
-	"repro/internal/sound"
-	"repro/internal/storage"
-	"repro/internal/value"
+	"repro/internal/mdm"
 )
 
 // Row is one measured result.
 type Row struct {
-	ID     string  // experiment id (Q1, F14, ...)
+	ID     string  // experiment id (Q1, F14, A1, ...)
 	Name   string  // what is measured
 	Config string  // workload parameters
 	Value  float64 // the measurement
 	Unit   string
 }
 
-// Render formats rows as an aligned table.
-func Render(rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-44s %-22s %14s %s\n", "id", "measurement", "configuration", "value", "unit")
-	b.WriteString(strings.Repeat("-", 100) + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-4s %-44s %-22s %14.1f %s\n", r.ID, r.Name, r.Config, r.Value, r.Unit)
-	}
-	return b.String()
+// caseDef is one measurement of the table.  Exactly one of Bench, Exact
+// and Ratio is set.
+type caseDef struct {
+	ID, Name, Config, Unit string
+	// Bench times one operation per b.N iteration; the row's value is
+	// ns per iteration.
+	Bench func(b *testing.B)
+	// Exact computes the row's value directly (paper arithmetic, codec
+	// ratios).
+	Exact func() float64
+	// Ratio names two earlier cases by key; the row's value is the first
+	// one's value divided by the second's.
+	Ratio [2]string
+}
+
+// key identifies a case within the table.
+func (c caseDef) key() string { return c.ID + "/" + c.Name + "/" + c.Config }
+
+// ratio derives a case dividing num's value by den's.
+func ratio(name string, num, den caseDef) caseDef {
+	return caseDef{ID: num.ID, Name: name, Config: num.Config, Unit: "x", Ratio: [2]string{num.key(), den.key()}}
 }
 
 // Sizes scales workloads: Quick for tests, Full for the recorded runs.
@@ -53,12 +66,19 @@ type Sizes struct {
 	Clients      int
 	ClientOps    int
 	SoundSeconds float64
+	// Window is how long RunAll times each timed case (testing's
+	// -test.benchtime); zero keeps testing's default of one second.
+	Window time.Duration
 }
 
-// Quick returns test-sized workloads.
+// Quick returns test-sized workloads.  The shape checks compare rows
+// that differ by integer factors, so a 50 ms window per row decides
+// them — long enough that one preemption on a busy machine cannot flip
+// a sub-microsecond row.
 func Quick() Sizes {
 	return Sizes{ScanRows: 2000, OrderedNotes: 500, MiddleChord: 300,
-		SyncMeasures: 8, Clients: 4, ClientOps: 25, SoundSeconds: 0.25}
+		SyncMeasures: 8, Clients: 4, ClientOps: 25, SoundSeconds: 0.25,
+		Window: 50 * time.Millisecond}
 }
 
 // Full returns the workload sizes used for EXPERIMENTS.md.
@@ -67,331 +87,96 @@ func Full() Sizes {
 		SyncMeasures: 64, Clients: 4, ClientOps: 400, SoundSeconds: 5}
 }
 
-func nsPerOp(fn func(b *testing.B)) float64 {
-	r := testing.Benchmark(fn)
-	return float64(r.NsPerOp())
+// cases returns the table at the given sizes, in report order.
+func cases(sz Sizes) []caseDef {
+	// Q3 and A1 ask their questions of the same chord.
+	ordered := sync.OnceValue(func() *chord { return newChord(sz.OrderedNotes) })
+	var cs []caseDef
+	for _, part := range [][]caseDef{
+		q1SortedSelection(sz), q2MiddleInsert(sz), q3OrderingOperators(sz.OrderedNotes, ordered),
+		q4Sound(sz), q5CatalogIndirection(), q6SharedMDM(sz), q7TxnOverhead(),
+		f2ThematicLookup(), f3PianoRoll(), f4Darms(), f5QuelJoin(sz),
+		f6OrdinalFanout(sz), f8RecursiveTraversal(), f9CatalogBootstrap(),
+		f12DynamicInheritance(), f13Extrapolation(), f14SyncAlignment(sz),
+		f15GroupAggregate(), a1BeforeRankVsWalk(sz.OrderedNotes, ordered), a2SargPushdown(),
+	} {
+		cs = append(cs, part...)
+	}
+	return cs
 }
 
-// RunAll executes every experiment at the given sizes.
+// RunAll measures every case at the given sizes.
 func RunAll(sz Sizes) []Row {
+	if sz.Window > 0 {
+		testing.Init() // registers -test.benchtime outside a test binary
+		bt := flag.Lookup("test.benchtime")
+		defer flag.Set(bt.Name, bt.Value.String())
+		if err := flag.Set(bt.Name, sz.Window.String()); err != nil {
+			panic(err)
+		}
+	}
+	val := map[string]float64{}
 	var rows []Row
-	rows = append(rows, Q1SortedSelection(sz)...)
-	rows = append(rows, Q2MiddleInsert(sz)...)
-	rows = append(rows, Q3OrderingOperators(sz)...)
-	rows = append(rows, Q4Sound(sz)...)
-	rows = append(rows, Q7TxnOverhead(sz)...)
-	rows = append(rows, F13Extrapolation(sz)...)
-	rows = append(rows, F14SyncAlignment(sz)...)
-	rows = append(rows, F4DarmsThroughput()...)
-	return rows
-}
-
-// Q1SortedSelection measures §5.2's claim: key-range selection on a
-// sorted (indexed) relation versus a heap scan, and the footnote's
-// caveat that a mismatched sort key does not help.
-func Q1SortedSelection(sz Sizes) []Row {
-	db, _ := storage.Open(storage.Options{})
-	db.CreateRelation("N", value.NewSchema(
-		value.Field{Name: "pitch", Kind: value.KindInt},
-		value.Field{Name: "dur", Kind: value.KindInt},
-	))
-	db.CreateIndex("N", storage.IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}})
-	db.Run(func(tx *storage.Tx) error {
-		for i := 0; i < sz.ScanRows; i++ {
-			tx.Insert("N", value.Tuple{value.Int(int64(i % 128)), value.Int(int64(i % 7))})
-		}
-		return nil
-	})
-	cfg := fmt.Sprintf("n=%d", sz.ScanRows)
-	lo := value.AppendKey(nil, value.Int(60))
-	hi := value.AppendKey(nil, value.Int(64))
-	idx := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db.Run(func(tx *storage.Tx) error {
-				return tx.IndexScan("N", "by_pitch", lo, hi, func(storage.RowID, value.Tuple) bool { return true })
-			})
-		}
-	})
-	heap := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db.Run(func(tx *storage.Tx) error {
-				return tx.Scan("N", func(_ storage.RowID, t value.Tuple) bool {
-					_ = t[0].AsInt() >= 60 && t[0].AsInt() < 64
-					return true
-				})
-			})
-		}
-	})
-	// Mismatched key: selecting on dur via the pitch index degenerates
-	// to the heap scan (the paper's footnote 3).
-	mismatch := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db.Run(func(tx *storage.Tx) error {
-				return tx.Scan("N", func(_ storage.RowID, t value.Tuple) bool {
-					_ = t[1].AsInt() == 3
-					return true
-				})
-			})
-		}
-	})
-	return []Row{
-		{"Q1", "range selection via matching sort key", cfg, idx, "ns/query"},
-		{"Q1", "range selection via heap scan", cfg, heap, "ns/query"},
-		{"Q1", "selection with mismatched sort key", cfg, mismatch, "ns/query"},
-		{"Q1", "speedup from matching key", cfg, heap / idx, "x"},
-	}
-}
-
-// Q2MiddleInsert measures ordered insertion in the middle: the model
-// layer's gap ranks versus the relational baseline's renumbering.
-func Q2MiddleInsert(sz Sizes) []Row {
-	cfg := fmt.Sprintf("siblings=%d", sz.MiddleChord)
-
-	gap := nsPerOp(func(b *testing.B) {
-		b.StopTimer()
-		db := freshModel()
-		defineChordSchema(db)
-		chord, _ := db.NewEntity("CHORD", nil)
-		refs, _ := db.NewEntities("NOTE", sz.MiddleChord+b.N, func(int) model.Attrs { return nil })
-		for i := 0; i < sz.MiddleChord; i++ {
-			db.InsertChild("note_in_chord", chord, refs[i], model.Last())
-		}
-		anchor := refs[sz.MiddleChord/2]
-		b.StartTimer()
-		for i := 0; i < b.N; i++ {
-			if err := db.InsertChild("note_in_chord", chord, refs[sz.MiddleChord+i], model.Before(anchor)); err != nil {
-				b.Fatal(err)
+	cs := cases(sz)
+	for i, c := range cs {
+		cs[i] = caseDef{} // a fixture is garbage once its last case has run
+		var v float64
+		switch {
+		case c.Bench != nil:
+			r := testing.Benchmark(c.Bench)
+			if r.N == 0 {
+				panic("experiments: case " + c.key() + " failed")
 			}
+			v = float64(r.T.Nanoseconds()) / float64(r.N)
+		case c.Exact != nil:
+			v = c.Exact()
+		default:
+			v = val[c.Ratio[0]] / val[c.Ratio[1]]
 		}
-	})
-	renumber := nsPerOp(func(b *testing.B) {
-		b.StopTimer()
-		db, _ := storage.Open(storage.Options{})
-		s, _ := relbase.Open(db)
-		chord, _ := s.NewChord(1)
-		for i := 0; i < sz.MiddleChord; i++ {
-			s.AppendNote(chord, int64(i), 60)
-		}
-		b.StartTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.InsertNoteAt(chord, int64(sz.MiddleChord/2), int64(1000+i), 60); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return []Row{
-		{"Q2", "middle insert, hierarchical ordering (gap ranks)", cfg, gap, "ns/insert"},
-		{"Q2", "middle insert, relational seqno renumbering", cfg, renumber, "ns/insert"},
-		{"Q2", "hierarchical ordering advantage", cfg, renumber / gap, "x"},
-	}
-}
-
-// Q3OrderingOperators measures the §5.6 operators against the relational
-// equivalents.
-func Q3OrderingOperators(sz Sizes) []Row {
-	cfg := fmt.Sprintf("siblings=%d", sz.OrderedNotes)
-	db := freshModel()
-	defineChordSchema(db)
-	chord, _ := db.NewEntity("CHORD", nil)
-	refs, _ := db.NewEntities("NOTE", sz.OrderedNotes, func(i int) model.Attrs {
-		return model.Attrs{"name": value.Int(int64(i))}
-	})
-	for _, r := range refs {
-		db.InsertChild("note_in_chord", chord, r, model.Last())
-	}
-	sdb, _ := storage.Open(storage.Options{})
-	rb, _ := relbase.Open(sdb)
-	bchord, _ := rb.NewChord(1)
-	for i := 0; i < sz.OrderedNotes; i++ {
-		rb.AppendNote(bchord, int64(i), 60)
-	}
-
-	before := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db.BeforeIn("note_in_chord", refs[i%len(refs)], refs[(i*7)%len(refs)])
-		}
-	})
-	rbBefore := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rb.Before(bchord, int64(i%sz.OrderedNotes), int64((i*7)%sz.OrderedNotes))
-		}
-	})
-	at := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db.ChildAt("note_in_chord", chord, i%sz.OrderedNotes)
-		}
-	})
-	rbAt := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rb.NoteAt(bchord, int64(i%sz.OrderedNotes))
-		}
-	})
-	return []Row{
-		{"Q3", "before operator, hierarchical ordering", cfg, before, "ns/op"},
-		{"Q3", "before equivalent, relational scan", cfg, rbBefore, "ns/op"},
-		{"Q3", "ordinal access, order-statistics tree", cfg, at, "ns/op"},
-		{"Q3", "ordinal access, relational index walk", cfg, rbAt, "ns/op"},
-	}
-}
-
-// Q4Sound verifies §4.1's storage arithmetic and measures the two
-// compaction families on synthesized music.
-func Q4Sound(sz Sizes) []Row {
-	exact := float64(sound.StorageBytes(600, sound.ProfessionalRate))
-	m := freshMusic()
-	_, voice, _, err := demo.LoadFugue(m)
-	if err != nil {
-		panic(err)
-	}
-	notes, _ := voice.PerformedNotes()
-	// Stretch/loop the subject to fill the requested duration.
-	tm := cmn.NewTempoMap(8 * 60 / sz.SoundSeconds) // 8 beats over SoundSeconds
-	seq := midi.FromPerformance(notes, tm, 0)
-	buf, err := sound.Synthesize(seq, sound.Organ, 48000)
-	if err != nil {
-		panic(err)
-	}
-	cfg := fmt.Sprintf("%.2gs @48kHz", buf.Duration())
-	delta := sound.EncodeDelta(buf)
-	mulaw := sound.EncodeMuLaw(buf)
-	dec, _ := sound.DecodeMuLaw(mulaw)
-	snr, _ := sound.SNR(buf, dec)
-	return []Row{
-		{"Q4", "10 min at 48kHz/16-bit (paper: 57.6 MB)", "exact", exact, "bytes"},
-		{"Q4", "redundancy codec (delta) compression", cfg, sound.CompressionRatio(buf, delta), "x"},
-		{"Q4", "perceptual codec (mu-law) compression", cfg, sound.CompressionRatio(buf, mulaw), "x"},
-		{"Q4", "perceptual codec SNR", cfg, snr, "dB"},
-	}
-}
-
-// Q7TxnOverhead measures WAL and locking overheads (§2's standard
-// duties).
-func Q7TxnOverhead(sz Sizes) []Row {
-	schema := value.NewSchema(value.Field{Name: "v", Kind: value.KindInt})
-	insertBench := func(opts storage.Options) float64 {
-		return nsPerOp(func(b *testing.B) {
-			b.StopTimer()
-			db, err := storage.Open(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			db.CreateRelation("T", schema)
-			b.StartTimer()
-			for i := 0; i < b.N; i++ {
-				db.Run(func(tx *storage.Tx) error {
-					_, err := tx.Insert("T", value.Tuple{value.Int(int64(i))})
-					return err
-				})
-			}
-		})
-	}
-	mem := insertBench(storage.Options{})
-	dir1, _ := tempDir()
-	wal := insertBench(storage.Options{Dir: dir1})
-	dir2, _ := tempDir()
-	walSync := insertBench(storage.Options{Dir: dir2, SyncCommits: true})
-	return []Row{
-		{"Q7", "txn insert, no WAL (in-memory)", "1 row/txn", mem, "ns/txn"},
-		{"Q7", "txn insert, WAL (group commit)", "1 row/txn", wal, "ns/txn"},
-		{"Q7", "txn insert, WAL + fsync per commit", "1 row/txn", walSync, "ns/txn"},
-	}
-}
-
-// F13Extrapolation measures score-time → performance-time MIDI
-// extrapolation through a tempo map with ramps.
-func F13Extrapolation(sz Sizes) []Row {
-	tm := cmn.NewTempoMap(96)
-	tm.AddMark(cmn.TempoMark{Beat: cmn.Beats(32, 1), BPM: 120, Ramp: true})
-	tm.AddMark(cmn.TempoMark{Beat: cmn.Beats(64, 1), BPM: 60})
-	notes := make([]cmn.PerformedNote, 1000)
-	for i := range notes {
-		notes[i] = cmn.PerformedNote{Pitch: 40 + i%40, Start: cmn.Beats(int64(i), 4),
-			Duration: cmn.Quarter, Velocity: 80}
-	}
-	ns := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			midi.FromPerformance(notes, tm, 0)
-		}
-	})
-	return []Row{
-		{"F13", "temporal extrapolation (1000 notes, 3-mark map)", "ramped tempo", ns / 1000, "ns/note"},
-	}
-}
-
-// F14SyncAlignment measures the figure-14 alignment as score size grows.
-func F14SyncAlignment(sz Sizes) []Row {
-	var rows []Row
-	for _, voices := range []int{1, 2, 4} {
-		cfg := fmt.Sprintf("measures=%d voices=%d", sz.SyncMeasures, voices)
-		v := voices
-		ns := nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := freshMusic()
-				score, vs, err := demo.RandomScore(m, sz.SyncMeasures, v, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				movements, _ := score.Movements()
-				movements[0].ClearAlignment()
-				b.StartTimer()
-				if err := movements[0].Align(vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows = append(rows, Row{"F14", "sync alignment of a movement", cfg, ns, "ns/align"})
+		val[c.key()] = v
+		rows = append(rows, Row{c.ID, c.Name, c.Config, v, c.Unit})
 	}
 	return rows
 }
 
-// F4DarmsThroughput measures DARMS parsing and canonization.
-func F4DarmsThroughput() []Row {
-	src := darms.Figure4
-	parse := nsPerOp(func(b *testing.B) {
+// Render formats rows as an aligned table.
+func Render(rows []Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-4s %-50s %-22s %14s %s\n", "id", "measurement", "configuration", "value", "unit")
+	b.WriteString(strings.Repeat("-", 106) + "\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-4s %-50s %-22s %14.1f %s\n", r.ID, r.Name, r.Config, r.Value, r.Unit)
+	}
+	return b.String()
+}
+
+// loop times fn once per iteration over the fixture fix() builds on the
+// case's first run.
+func loop[T any](fix func() T, fn func(f T, i int) error) func(b *testing.B) {
+	return func(b *testing.B) {
+		f := fix()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := darms.Parse(src); err != nil {
+			if err := fn(f, i); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	items, _ := darms.Parse(src)
-	canon := nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := darms.Canonize(items); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return []Row{
-		{"F4", "DARMS parse (figure 4 fragment)", fmt.Sprintf("%d bytes", len(src)), parse, "ns/parse"},
-		{"F4", "DARMS canonize (figure 4 fragment)", "24 notes", canon, "ns/op"},
 	}
 }
 
-func freshModel() *model.Database {
-	store, err := storage.Open(storage.Options{})
-	if err != nil {
-		panic(err)
-	}
-	db, err := model.Open(store)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
-func freshMusic() *cmn.Music {
-	m, err := cmn.Open(freshModel())
-	if err != nil {
-		panic(err)
-	}
+// openMDM opens an in-memory manager: the fixture of every case that
+// runs through the engine.  skipCMN leaves out the music and
+// bibliographic schemas for cases that define their own.
+func openMDM(skipCMN bool) *mdm.MDM {
+	m, err := mdm.Open(mdm.Options{SkipCMN: skipCMN})
+	check(err)
 	return m
 }
 
-func defineChordSchema(db *model.Database) {
-	db.DefineEntity("CHORD", value.Field{Name: "name", Kind: value.KindInt})
-	db.DefineEntity("NOTE", value.Field{Name: "name", Kind: value.KindInt})
-	db.DefineOrdering("note_in_chord", []string{"NOTE"}, "CHORD")
+// check panics on a fixture error: fixtures are deterministic, so a
+// failure is a bug, not a measurement.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

@@ -1,12 +1,17 @@
 // Package figuregen regenerates the content of each of the paper's
 // fifteen figures from the implemented system.  Each generator builds
 // the data the figure depicts — live, through the music data manager —
-// and renders it as text.  The cmd/figures tool is a thin wrapper; the
+// and renders it as text in the paper's diagram vocabulary (the render
+// functions at the end of this file): Chen entity-relationship graphs,
+// instance graphs with P- and S-edges, hierarchical-ordering graphs,
+// and the aspect tree.  The cmd/figures tool is a thin wrapper; the
 // generators are also exercised by tests and by EXPERIMENTS.md.
 package figuregen
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/biblio"
@@ -14,7 +19,6 @@ import (
 	"repro/internal/darms"
 	"repro/internal/ddl"
 	"repro/internal/demo"
-	"repro/internal/figures"
 	"repro/internal/mdm"
 	"repro/internal/meta"
 	"repro/internal/model"
@@ -76,7 +80,7 @@ func Figure1() (string, error) {
 		return "", err
 	}
 	s := m.NewSession()
-	res, err := s.Query(`range of n is NOTE retrieve (total = count(n.all))`)
+	res, err := s.QueryContext(context.Background(), `range of n is NOTE retrieve (total = count(n.all))`)
 	if err != nil {
 		return "", err
 	}
@@ -224,7 +228,7 @@ retrieve (PERSON.name)
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(figures.RenderER(db,
+	b.WriteString(renderER(db,
 		[]string{"DATE", "COMPOSITION", "PERSON"}, []string{"COMPOSER"}))
 	b.WriteString("\nthe §5.6 query over this schema:\n")
 	b.WriteString(res.String())
@@ -262,7 +266,7 @@ define ordering note_in_chord (NOTE) under CHORD
 	}
 	name, _ := db.Attr(third, "name")
 	var b strings.Builder
-	b.WriteString(figures.RenderInstance(g))
+	b.WriteString(renderInstance(g))
 	fmt.Fprintf(&b, "the third child of y is %s (ordinal access through the ordering)\n", name)
 	return b.String(), nil
 }
@@ -280,7 +284,7 @@ define ordering note_in_chord (NOTE) under CHORD
 `); err != nil {
 		return "", err
 	}
-	return figures.RenderHO(db.HOGraph("note_in_chord")), nil
+	return renderHO(db.HOGraph("note_in_chord")), nil
 }
 
 // Figure8 reproduces the recursive beam-group ordering: HO graph,
@@ -299,13 +303,13 @@ func Figure8() (string, error) {
 	}
 	var b strings.Builder
 	b.WriteString("(a) HO graph (recursive: BEAM_GROUP is parent and child):\n")
-	b.WriteString(figures.RenderHO(db.HOGraph("beam_content")))
+	b.WriteString(renderHO(db.HOGraph("beam_content")))
 	b.WriteString("\n(c) instance graph for the figure's six chords:\n")
 	ig, err := db.InstanceGraph(g1, "name")
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(figures.RenderInstance(ig))
+	b.WriteString(renderInstance(ig))
 	// Demonstrate the §5.5 restriction.
 	err = db.InsertChild("beam_content", g1, g1, model.Last())
 	fmt.Fprintf(&b, "\ninserting g1 under itself: %v\n", err)
@@ -324,7 +328,7 @@ func Figure9() (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString(figures.RenderHO(db.HOGraph(meta.OrderEntityAttrs, meta.OrderRelationshipAttrs)))
+	b.WriteString(renderHO(db.HOGraph(meta.OrderEntityAttrs, meta.OrderRelationshipAttrs)))
 	b.WriteString("\nthe fixpoint: the meta-schema catalogued in itself —\n")
 	s := quel.NewSession(db)
 	res, err := s.Exec(`
@@ -428,12 +432,12 @@ func Figure11() (string, error) {
 			return "", fmt.Errorf("figuregen: inventory entity %s missing from schema", e.Name)
 		}
 	}
-	return figures.RenderInventory(cmn.Inventory()), nil
+	return renderInventory(cmn.Inventory()), nil
 }
 
 // Figure12 reproduces the aspect tree.
 func Figure12() (string, error) {
-	return figures.RenderAspects(cmn.Aspects()), nil
+	return renderAspects(cmn.Aspects()), nil
 }
 
 // Figure13 reproduces the temporal-aspect HO graph from the live CMN
@@ -443,7 +447,7 @@ func Figure13() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return figures.RenderHO(m.DB.HOGraph(cmn.TemporalOrderings()...)), nil
+	return renderHO(m.DB.HOGraph(cmn.TemporalOrderings()...)), nil
 }
 
 // Figure14 reproduces the division of measures into syncs for a
@@ -477,7 +481,7 @@ func Figure14() (string, error) {
 	if err := mv.Align([]*cmn.Voice{v1, v2}); err != nil {
 		return "", err
 	}
-	return figures.RenderSyncs(mv)
+	return renderSyncs(mv)
 }
 
 // Figure15 reproduces melodic groups: the beams of the fugue subject and
@@ -513,5 +517,186 @@ func Figure15() (string, error) {
 		return "", err
 	}
 	fmt.Fprintf(&b, "(%d groups; duration is the §7.2 aggregate over constituent chords)\n", count)
+	return b.String(), nil
+}
+
+// renderER renders the schema's entity-relationship graph in Chen's
+// notation, textually: entity types in [boxes], relationships in
+// <diamonds> with their role edges.
+func renderER(db *model.Database, entities []string, relationships []string) string {
+	var b strings.Builder
+	b.WriteString("Entity types:\n")
+	for _, e := range entities {
+		et, ok := db.EntityType(e)
+		if !ok {
+			continue
+		}
+		attrs := make([]string, len(et.Attrs))
+		for i, a := range et.Attrs {
+			if a.Kind == value.KindRef && a.RefType != "" {
+				attrs[i] = fmt.Sprintf("%s = %s (1:n)", a.Name, a.RefType)
+			} else {
+				attrs[i] = fmt.Sprintf("%s = %s", a.Name, a.Kind)
+			}
+		}
+		fmt.Fprintf(&b, "  [%s] (%s)\n", e, strings.Join(attrs, ", "))
+	}
+	b.WriteString("Relationships:\n")
+	for _, r := range relationships {
+		rt, ok := db.RelationshipType(r)
+		if !ok {
+			continue
+		}
+		legs := make([]string, len(rt.Roles))
+		for i, role := range rt.Roles {
+			legs[i] = fmt.Sprintf("%s:[%s]", role.Name, role.EntityType)
+		}
+		fmt.Fprintf(&b, "  <%s> m:n — %s\n", r, strings.Join(legs, " — "))
+	}
+	return b.String()
+}
+
+// renderHO renders a hierarchical-ordering graph: one line per ordering
+// (edge), parent above children, matching the solid arrows of the
+// paper's HO graphs.
+func renderHO(g *model.HOGraph) string {
+	var b strings.Builder
+	for _, e := range g.Edges {
+		fmt.Fprintf(&b, "  [%s]\n", e.Parent)
+		fmt.Fprintf(&b, "    │ %s\n", e.Ordering)
+		fmt.Fprintf(&b, "    ▼ (%s)\n", strings.Join(e.Children, ", "))
+	}
+	return b.String()
+}
+
+// renderInstance renders an instance graph as an indented tree: P-edges
+// as indentation, S-edges as the top-to-bottom order of siblings, each
+// node labelled.  The sibling arrows of figure 6 appear as "→" chains.
+func renderInstance(g *model.InstanceGraph) string {
+	children := map[value.Ref][]value.Ref{}
+	isChild := map[value.Ref]bool{}
+	labels := map[value.Ref]string{}
+	for _, n := range g.Nodes {
+		labels[n.Ref] = fmt.Sprintf("%s @%d (%s)", n.Type, n.Ref, n.Label)
+	}
+	// P-edges preserve sibling order because InstanceGraph emits them in
+	// ordering order.
+	for _, e := range g.PEdges {
+		children[e.To] = append(children[e.To], e.From)
+		isChild[e.From] = true
+	}
+	var roots []value.Ref
+	for _, n := range g.Nodes {
+		if !isChild[n.Ref] {
+			roots = append(roots, n.Ref)
+		}
+	}
+	var b strings.Builder
+	var walk func(ref value.Ref, depth int)
+	walk = func(ref value.Ref, depth int) {
+		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), labels[ref])
+		kids := dedupe(children[ref])
+		if len(kids) > 0 {
+			names := make([]string, len(kids))
+			for i, k := range kids {
+				names[i] = fmt.Sprintf("@%d", k)
+			}
+			fmt.Fprintf(&b, "%sS: %s\n", strings.Repeat("  ", depth+1), strings.Join(names, " → "))
+		}
+		for _, k := range kids {
+			walk(k, depth+1)
+		}
+	}
+	for _, r := range roots {
+		walk(r, 0)
+	}
+	fmt.Fprintf(&b, "(%d nodes, %d P-edges, %d S-edges)\n",
+		len(g.Nodes), len(g.PEdges), len(g.SEdges))
+	return b.String()
+}
+
+func dedupe(refs []value.Ref) []value.Ref {
+	seen := map[value.Ref]bool{}
+	out := refs[:0:0]
+	for _, r := range refs {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// renderAspects renders figure 12's aspect tree: aspects and subaspects,
+// with the entities participating in each.
+func renderAspects(asp map[string][]cmn.Aspect) string {
+	byAspect := map[cmn.Aspect][]string{}
+	for entity, aspects := range asp {
+		for _, a := range aspects {
+			byAspect[a] = append(byAspect[a], entity)
+		}
+	}
+	order := []cmn.Aspect{
+		cmn.AspectTemporal,
+		cmn.AspectTimbral, cmn.AspectPitch, cmn.AspectArticulation, cmn.AspectDynamic,
+		cmn.AspectGraphical, cmn.AspectTextual,
+	}
+	var b strings.Builder
+	b.WriteString("Aspects of musical entities (figure 12):\n")
+	for _, a := range order {
+		ents := byAspect[a]
+		sort.Strings(ents)
+		indent := "  "
+		if strings.Contains(string(a), "/") {
+			indent = "      "
+		}
+		fmt.Fprintf(&b, "%s%s: %s\n", indent, a, strings.Join(ents, ", "))
+	}
+	return b.String()
+}
+
+// renderInventory renders figure 11's entity table.
+func renderInventory(inv []cmn.EntityDesc) string {
+	width := 0
+	for _, e := range inv {
+		if len(e.Name) > width {
+			width = len(e.Name)
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-*s  %s\n", width, "Entity type", "Description")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", width+40))
+	for _, e := range inv {
+		fmt.Fprintf(&b, "%-*s  %s\n", width, e.Name, e.Description)
+	}
+	return b.String()
+}
+
+// renderSyncs renders figure 14: a movement's measures divided into
+// syncs, with the chords aligned at each.
+func renderSyncs(mv *cmn.Movement) (string, error) {
+	var b strings.Builder
+	measures, err := mv.Measures()
+	if err != nil {
+		return "", err
+	}
+	for _, me := range measures {
+		fmt.Fprintf(&b, "measure %d:\n", me.Number())
+		syncs, err := me.Syncs()
+		if err != nil {
+			return "", err
+		}
+		for _, sy := range syncs {
+			chords, err := sy.Chords()
+			if err != nil {
+				return "", err
+			}
+			names := make([]string, len(chords))
+			for i, c := range chords {
+				names[i] = fmt.Sprintf("chord@%d(%s)", c.Ref, c.Duration())
+			}
+			fmt.Fprintf(&b, "  sync at beat %-5s %s\n", sy.Offset().String()+":", strings.Join(names, " "))
+		}
+	}
 	return b.String(), nil
 }

@@ -1,4 +1,4 @@
-package figures
+package figuregen
 
 import (
 	"strings"
@@ -7,17 +7,12 @@ import (
 	"repro/internal/cmn"
 	"repro/internal/ddl"
 	"repro/internal/model"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 func newDB(t testing.TB) *model.Database {
 	t.Helper()
-	store, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := model.Open(store)
+	db, err := freshModel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +29,7 @@ define relationship COMPOSER (person = PERSON, composition = COMPOSITION)
 `); err != nil {
 		t.Fatal(err)
 	}
-	out := RenderER(db, []string{"DATE", "COMPOSITION", "PERSON"}, []string{"COMPOSER"})
+	out := renderER(db, []string{"DATE", "COMPOSITION", "PERSON"}, []string{"COMPOSER"})
 	for _, want := range []string{
 		"[COMPOSITION]", "composition_date = DATE (1:n)",
 		"<COMPOSER> m:n", "person:[PERSON]", "composition:[COMPOSITION]",
@@ -44,7 +39,7 @@ define relationship COMPOSER (person = PERSON, composition = COMPOSITION)
 		}
 	}
 	// Unknown names are skipped, not fatal.
-	out = RenderER(db, []string{"NOPE"}, []string{"NOPE"})
+	out = renderER(db, []string{"NOPE"}, []string{"NOPE"})
 	if strings.Contains(out, "NOPE") {
 		t.Error("unknown names rendered")
 	}
@@ -58,14 +53,10 @@ define entity NOTE (name = integer)
 define ordering note_in_chord (NOTE) under CHORD
 `)
 	g := db.HOGraph()
-	out := RenderHO(g)
+	out := renderHO(g)
 	if !strings.Contains(out, "[CHORD]") || !strings.Contains(out, "note_in_chord") ||
 		!strings.Contains(out, "(NOTE)") {
 		t.Fatalf("HO rendering:\n%s", out)
-	}
-	dot := RenderHOGraphviz(g)
-	if !strings.Contains(dot, `"CHORD" -> "NOTE"`) {
-		t.Fatalf("DOT rendering:\n%s", dot)
 	}
 }
 
@@ -85,7 +76,7 @@ define ordering note_in_chord (NOTE) under CHORD
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderInstance(g)
+	out := renderInstance(g)
 	if !strings.Contains(out, "CHORD") || !strings.Contains(out, "(y)") {
 		t.Fatalf("instance rendering:\n%s", out)
 	}
@@ -101,23 +92,21 @@ define ordering note_in_chord (NOTE) under CHORD
 }
 
 func TestRenderAspectsAndInventory(t *testing.T) {
-	out := RenderAspects(cmn.Aspects())
+	out := renderAspects(cmn.Aspects())
 	if !strings.Contains(out, "temporal:") || !strings.Contains(out, "timbral/pitch:") {
 		t.Fatalf("aspects:\n%s", out)
 	}
 	if !strings.Contains(out, "NOTE") {
 		t.Fatal("NOTE missing from aspects")
 	}
-	inv := RenderInventory(cmn.Inventory())
+	inv := renderInventory(cmn.Inventory())
 	if !strings.Contains(inv, "SYNC") || !strings.Contains(inv, "Sets of simultaneous events") {
 		t.Fatalf("inventory:\n%s", inv)
 	}
 }
 
 func TestRenderSyncs(t *testing.T) {
-	store, _ := storage.Open(storage.Options{})
-	db, _ := model.Open(store)
-	m, err := cmn.Open(db)
+	m, err := freshMusic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +124,7 @@ func TestRenderSyncs(t *testing.T) {
 	if err := mv.Align([]*cmn.Voice{v}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := RenderSyncs(mv)
+	out, err := renderSyncs(mv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func runDifferentialWorkload(t *testing.T, group bool) map[string][]string {
 	}
 	ddl := m.NewSession()
 	for w := 0; w < diffWriters; w++ {
-		if _, err := ddl.Exec(fmt.Sprintf("define entity T%d (name = integer, v = integer)", w)); err != nil {
+		if _, err := ddl.ExecContext(context.Background(), fmt.Sprintf("define entity T%d (name = integer, v = integer)", w)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestEndToEndGloria(t *testing.T) {
 	s := m.NewSession()
 
 	// QUEL: the text underlay via the SYLLABLE_OF relationship.
-	res, err := s.Query(`
+	res, err := s.QueryContext(context.Background(), `
 range of sy is SYLLABLE
 range of n is NOTE
 retrieve (sy.text)
@@ -57,7 +58,7 @@ retrieve (sy.text)
 	}
 
 	// QUEL over the meta-catalog: the temporal orderings exist as data.
-	res, err = s.Query(`
+	res, err = s.QueryContext(context.Background(), `
 range of o is ORDERING
 retrieve (o.order_name) where o.order_name = "sync_in_measure"`)
 	if err != nil || len(res.Rows) != 1 {
@@ -179,7 +180,7 @@ func TestMetaCatalogConsistency(t *testing.T) {
 	s := m.NewSession()
 	// Every model entity type appears exactly once in the ENTITY
 	// relation.
-	res, err := s.Query(`range of e is ENTITY retrieve (e.entity_name)`)
+	res, err := s.QueryContext(context.Background(), `range of e is ENTITY retrieve (e.entity_name)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestQUELOverScoreHierarchy(t *testing.T) {
 	_ = me2
 	s := m.NewSession()
 	// Measures are ordered under the movement; "measure m1 before m2".
-	res, err := s.Query(`
+	res, err := s.QueryContext(context.Background(), `
 range of m1, m2 is MEASURE
 retrieve (m1.number) where m1 before m2 in measure_in_movement and m2.number = 2`)
 	if err != nil {
@@ -229,7 +230,7 @@ retrieve (m1.number) where m1 before m2 in measure_in_movement and m2.number = 2
 		t.Fatalf("measure ordering via QUEL: %v", res.Rows)
 	}
 	// Movement is the parent through under.
-	res, err = s.Query(`
+	res, err = s.QueryContext(context.Background(), `
 range of mv is MOVEMENT
 range of me is MEASURE
 retrieve (mv.name) where me under mv in measure_in_movement and me.number = 1`)

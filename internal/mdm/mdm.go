@@ -217,15 +217,6 @@ func (s *Session) ExecContext(ctx context.Context, src string) (ExecResult, erro
 	return out, err
 }
 
-// Exec executes DDL or QUEL source and returns the printable result.
-//
-// Deprecated: use ExecContext, which supports cancellation and returns
-// the structured result alongside the text.
-func (s *Session) Exec(src string) (string, error) {
-	res, err := s.ExecContext(context.Background(), src)
-	return res.Output, err
-}
-
 func (s *Session) execOnce(ctx context.Context, trimmed string) (ExecResult, error) {
 	first := strings.ToLower(firstWord(trimmed))
 	for _, kw := range ddlKeywords {
@@ -259,13 +250,6 @@ func (s *Session) QueryContext(ctx context.Context, src string) (*quel.Result, e
 		return err
 	})
 	return res, err
-}
-
-// Query executes QUEL and returns the structured result.
-//
-// Deprecated: use QueryContext, which supports cancellation.
-func (s *Session) Query(src string) (*quel.Result, error) {
-	return s.QueryContext(context.Background(), src)
 }
 
 func firstWord(s string) string {

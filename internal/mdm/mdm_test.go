@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -46,29 +47,29 @@ func TestSessionDDLAndQUEL(t *testing.T) {
 	}
 	defer m.Close()
 	s := m.NewSession()
-	out, err := s.Exec(`
+	out, err := s.ExecContext(context.Background(), `
 define entity COMPOSITION (title = string, year = integer)
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "defined entity COMPOSITION") {
-		t.Fatalf("ddl output: %q", out)
+	if !strings.Contains(out.Output, "defined entity COMPOSITION") {
+		t.Fatalf("ddl output: %q", out.Output)
 	}
-	if _, err := s.Exec(`append to COMPOSITION (title = "Fuge g-moll", year = 1709)`); err != nil {
+	if _, err := s.ExecContext(context.Background(), `append to COMPOSITION (title = "Fuge g-moll", year = 1709)`); err != nil {
 		t.Fatal(err)
 	}
-	out, err = s.Exec(`
+	out, err = s.ExecContext(context.Background(), `
 range of c is COMPOSITION
 retrieve (c.title) where c.year = 1709`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Fuge g-moll") {
-		t.Fatalf("query output: %q", out)
+	if !strings.Contains(out.Output, "Fuge g-moll") {
+		t.Fatalf("query output: %q", out.Output)
 	}
 	// DDL refreshes the meta catalog: the new type is queryable.
-	res, err := s.Query(`
+	res, err := s.QueryContext(context.Background(), `
 range of e is ENTITY
 retrieve (e.entity_name) where e.entity_name = "COMPOSITION"`)
 	if err != nil {
@@ -78,13 +79,13 @@ retrieve (e.entity_name) where e.entity_name = "COMPOSITION"`)
 		t.Fatalf("catalog rows: %v", res.Rows)
 	}
 	// Errors propagate.
-	if _, err := s.Exec("retrieve (nope.x)"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "retrieve (nope.x)"); err == nil {
 		t.Fatal("bad query accepted")
 	}
-	if _, err := s.Exec("define entity COMPOSITION (a = integer)"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "define entity COMPOSITION (a = integer)"); err == nil {
 		t.Fatal("duplicate entity accepted")
 	}
-	if out, err := s.Exec("   "); err != nil || out != "" {
+	if out, err := s.ExecContext(context.Background(), "   "); err != nil || out.Output != "" {
 		t.Fatal("blank input")
 	}
 }
@@ -124,7 +125,7 @@ func TestFigure1SharedClients(t *testing.T) {
 		defer wg.Done()
 		s := m.NewSession()
 		for i := 0; i < 20; i++ {
-			if _, err := s.Query(`range of n is NOTE retrieve (total = count(n.all))`); err != nil {
+			if _, err := s.QueryContext(context.Background(), `range of n is NOTE retrieve (total = count(n.all))`); err != nil {
 				errs <- err
 				return
 			}
@@ -134,7 +135,7 @@ func TestFigure1SharedClients(t *testing.T) {
 		defer wg.Done()
 		s := m.NewSession()
 		for i := 0; i < 20; i++ {
-			if _, err := s.Exec(`append to ANNOTATION (kind = "rehearsal", text = "A")`); err != nil {
+			if _, err := s.ExecContext(context.Background(), `append to ANNOTATION (kind = "rehearsal", text = "A")`); err != nil {
 				errs <- err
 				return
 			}
@@ -156,7 +157,7 @@ func TestFigure1SharedClients(t *testing.T) {
 	}
 	// All clients see consistent state.
 	s := m.NewSession()
-	res, _ := s.Query(`range of a is ANNOTATION retrieve (total = count(a.all))`)
+	res, _ := s.QueryContext(context.Background(), `range of a is ANNOTATION retrieve (total = count(a.all))`)
 	if res.Rows[0][0].AsInt() != 21 { // 1 from DARMS + 20 appended
 		t.Fatalf("annotations: %v", res.Rows)
 	}
@@ -169,7 +170,7 @@ func TestDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.NewSession()
-	if _, err := s.Exec(`append to SCORE (title = "persisted", catalog_id = "X 1")`); err != nil {
+	if _, err := s.ExecContext(context.Background(), `append to SCORE (title = "persisted", catalog_id = "X 1")`); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -181,7 +182,7 @@ func TestDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	res, err := m2.NewSession().Query(`range of s is SCORE retrieve (s.title)`)
+	res, err := m2.NewSession().QueryContext(context.Background(), `range of s is SCORE retrieve (s.title)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.NewSession()
-	if _, err := s.Exec(`append to ANNOTATION (kind = "k", text = "t")`); err != nil {
+	if _, err := s.ExecContext(context.Background(), `append to ANNOTATION (kind = "k", text = "t")`); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Checkpoint(); err != nil {

@@ -3,7 +3,6 @@ package mdm
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -239,26 +238,6 @@ func TestErrorClassification(t *testing.T) {
 	}
 	if !errors.Is(classify(txn.ErrCanceled), ErrCanceled) {
 		t.Error("classify(txn.ErrCanceled) not ErrCanceled")
-	}
-}
-
-// TestDeprecatedWrappers: the string API still works and is equivalent.
-func TestDeprecatedWrappers(t *testing.T) {
-	m := openObsMDM(t)
-	s := m.NewSession()
-	if _, err := s.Exec(`define entity w (a = int)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`append to w (a = 7)`); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Exec(`retrieve (w.a)`)
-	if err != nil || !strings.Contains(out, "7") {
-		t.Fatalf("Exec = %q, %v", out, err)
-	}
-	res, err := s.Query(`retrieve (w.a)`)
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("Query = %+v, %v", res, err)
 	}
 }
 

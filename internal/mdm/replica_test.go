@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,11 +28,11 @@ func TestClusterReadRouting(t *testing.T) {
 	}
 	defer leader.Close()
 	ls := leader.NewSession()
-	if _, err := ls.Exec(`define entity COMPOSITION (title = string, year = integer)`); err != nil {
+	if _, err := ls.ExecContext(context.Background(), `define entity COMPOSITION (title = string, year = integer)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := ls.Exec(`append to COMPOSITION (title = "pre", year = 1700)`); err != nil {
+		if _, err := ls.ExecContext(context.Background(), `append to COMPOSITION (title = "pre", year = 1700)`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func TestClusterReadRouting(t *testing.T) {
 	if _, err := c.Exec(`append to COMPOSITION (title = "post", year = 1800)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r1.NewSession().Query("range of c is COMPOSITION\nretrieve (c.title, c.year)")
+	res, err := r1.NewSession().QueryContext(context.Background(), "range of c is COMPOSITION\nretrieve (c.title, c.year)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestClusterReadRouting(t *testing.T) {
 	}
 
 	// explain is read-only and must be servable by a replica session.
-	if _, err := r1.NewSession().Exec("range of c is COMPOSITION\nexplain retrieve (c.title)"); err != nil {
+	if _, err := r1.NewSession().ExecContext(context.Background(), "range of c is COMPOSITION\nexplain retrieve (c.title)"); err != nil {
 		t.Fatalf("explain on replica: %v", err)
 	}
 

@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,7 +34,7 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 		`define entity VOICE (label = string, gain = integer)`,
 		`append to VOICE (label = "v", gain = 0)`,
 	} {
-		if _, err := setup.Exec(stmt); err != nil {
+		if _, err := setup.ExecContext(context.Background(), stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +100,7 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 				stmt := fmt.Sprintf(
 					`range of x is VOICE replace x (gain = %d) where x.label != ""`,
 					w*1000+i)
-				if _, err := s.Exec(stmt); err != nil {
+				if _, err := s.ExecContext(context.Background(), stmt); err != nil {
 					errs <- fmt.Errorf("session %d: %w", w, err)
 					return
 				}
@@ -152,7 +153,7 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 	}
 
 	// The row survived the storm intact.
-	res, err := setup.Query(`range of v is VOICE retrieve (total = count(v.all))`)
+	res, err := setup.QueryContext(context.Background(), `range of v is VOICE retrieve (total = count(v.all))`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +195,11 @@ func TestExhaustedRetriesSurfaceError(t *testing.T) {
 	defer m.Close()
 	s := m.NewSession()
 	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
-	if _, err := s.Exec(`define entity SOLO (label = string)`); err != nil {
+	if _, err := s.ExecContext(context.Background(), `define entity SOLO (label = string)`); err != nil {
 		t.Fatal(err)
 	}
 	// Not a transient error: surfaced immediately, never retried.
-	if _, err := s.Exec(`append to NOSUCH (label = "x")`); err == nil {
+	if _, err := s.ExecContext(context.Background(), `append to NOSUCH (label = "x")`); err == nil {
 		t.Fatal("expected error for unknown entity type")
 	}
 	st := s.Stats()

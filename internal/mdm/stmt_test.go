@@ -153,26 +153,3 @@ func TestStmtCacheShared(t *testing.T) {
 		t.Fatalf("rows: %v / %v", r1.Rows, r2.Rows)
 	}
 }
-
-// TestDeprecatedShims: the context-less Exec/Query wrappers still work
-// and classify errors through the same sentinel taxonomy.
-func TestDeprecatedShims(t *testing.T) {
-	_, s := stmtTestMDM(t)
-	out, err := s.Exec(`retrieve (w.title) where w.opus = 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == "" {
-		t.Fatal("empty shim output")
-	}
-	res, err := s.Query(`retrieve (w.title) where w.opus = 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows: %v", res.Rows)
-	}
-	if _, err := s.Query(`retrieve (w.`); !errors.Is(err, ErrParse) {
-		t.Fatalf("shim parse error: %v", err)
-	}
-}

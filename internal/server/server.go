@@ -9,7 +9,8 @@
 // this package is the same architecture across a socket.  Group commit
 // (one fsync per concurrent batch) and MVCC snapshot reads (lock-free
 // retrieves) were built for exactly the concurrency profile a network
-// front end produces, and cmd/mdmbench -net measures them through it.
+// front end produces; the catalogue workloads of bench/ measure them
+// through it.
 package server
 
 import (
@@ -39,13 +40,13 @@ type Options struct {
 	// QueueTimeout bounds how long a queued statement waits for a slot
 	// before being shed.  Zero defaults to 1s.
 	QueueTimeout time.Duration
-	// AuthToken, when set, must be presented in the client's Hello.
-	// (Auth stub: a shared static token; real credential schemes slot in
-	// here.)
+	// AuthToken, when set, is a shared static token every client must
+	// present in its Hello; a wrong or missing token is refused with
+	// mdm.ErrAuth.
 	AuthToken string
-	// TLS, when set, wraps every accepted connection.  (TLS stub: the
-	// config is applied verbatim; certificate management lives with the
-	// caller.)
+	// TLS, when set, wraps every accepted connection; the config is
+	// applied verbatim, so certificates come from the caller (cmd/mdmd
+	// loads them from -tls-cert/-tls-key).
 	TLS *tls.Config
 	// DrainGrace bounds how long Shutdown waits for in-flight statements
 	// before giving up.  Zero defaults to 10s.
