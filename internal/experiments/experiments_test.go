@@ -66,10 +66,21 @@ func TestRunAllExtendedQuick(t *testing.T) {
 	if ho4N >= 2*hoN {
 		t.Errorf("Q2: gap-rank insertion should stay flat: %.0f → %.0f ns", hoN, ho4N)
 	}
-	// Q3: the model's before operator beats the seqno formulation.  The
-	// same operator through QUEL is recorded, not asserted.
-	if get("Q3/before, typed API") >= get("Q3/before, seqno attribute (QUEL)") {
+	// Q3: the model's before operator beats the seqno formulation, and
+	// through QUEL it costs no more than the seqno query (within timing
+	// noise: at most 1.5x).  The two QUEL rows do the same work, so one
+	// 50 ms window each, skewed by a loaded machine, can miss; a miss is
+	// re-timed before it counts.
+	hoQuel, seqQuel := "Q3/before, hierarchical ordering (QUEL)", "Q3/before, seqno attribute (QUEL)"
+	if get("Q3/before, typed API") >= get(seqQuel) {
 		t.Error("Q3: before operator should beat the seqno formulation")
+	}
+	hoQ, seqQ := get(hoQuel), get(seqQuel)
+	if hoQ > 1.5*seqQ {
+		hoQ, seqQ = retime(sz, hoQuel, seqQuel)
+	}
+	if hoQ > 1.5*seqQ {
+		t.Errorf("Q3: before through QUEL %.0f ns, seqno through QUEL %.0f ns: more than 1.5x", hoQ, seqQ)
 	}
 	// Q4: exact paper arithmetic.
 	if get("Q4/10 min at 48kHz") != 57_600_000 {
@@ -97,6 +108,32 @@ func TestRunAllExtendedQuick(t *testing.T) {
 	if !strings.Contains(out, "Q1") || !strings.Contains(out, "ns/query") {
 		t.Error("render")
 	}
+}
+
+// retime times the two timed cases whose keys start with a and b
+// alternately, three one-second windows each, and returns each one's
+// fastest window in ns per operation.
+func retime(sz Sizes, a, b string) (float64, float64) {
+	var ca, cb caseDef
+	for _, c := range cases(sz) {
+		if strings.HasPrefix(c.key(), a) {
+			ca = c
+		}
+		if strings.HasPrefix(c.key(), b) {
+			cb = c
+		}
+	}
+	va, vb := math.Inf(1), math.Inf(1)
+	for i := 0; i < 3; i++ {
+		for _, m := range []struct {
+			c caseDef
+			v *float64
+		}{{ca, &va}, {cb, &vb}} {
+			r := testing.Benchmark(m.c.Bench)
+			*m.v = min(*m.v, float64(r.T.Nanoseconds())/float64(r.N))
+		}
+	}
+	return va, vb
 }
 
 // TestQUELBaselineDifferential applies one seeded sequence of middle

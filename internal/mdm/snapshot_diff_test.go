@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,10 @@ const (
 //     guarantee;
 //   - QUEL retrieve statements (which auto-pin a snapshot per
 //     statement) must satisfy the same per-relation invariants;
+//   - each writer also appends children K (seq i) under its own parent
+//     P in the ordering k_in_p, in seq order, so QUEL `under` and
+//     `before ... and k2.seq = i` — both fetching children by key at the
+//     statement's snapshot — must see a gap-free prefix of them;
 //   - once the writers finish, snapshot retrieves and the typed API's
 //     locking scan must agree exactly.
 func TestConcurrentSnapshotDifferential(t *testing.T) {
@@ -51,6 +56,18 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 		if _, err := setup.ExecContext(ctx, fmt.Sprintf("define entity B%d (tag = integer, k = integer)", w)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, src := range []string{"define entity P (w = integer)", "define entity K (w = integer, seq = integer)",
+		"define ordering k_in_p (K) under P", "define index on K (seq)"} {
+		if _, err := setup.ExecContext(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parents, err := m.Model.NewEntities("P", snapDiffWriters, func(w int) model.Attrs {
+		return model.Attrs{"w": value.Int(int64(w))}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var (
@@ -80,6 +97,15 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 					if _, err := m.Model.NewEntityCtx(ctx, fmt.Sprintf("W%d", w),
 						model.Attrs{"seq": value.Int(int64(singles))}); err != nil {
 						fail(fmt.Errorf("writer %d single %d: %w", w, singles, err))
+						return
+					}
+					k, err := m.Model.NewEntityCtx(ctx, "K",
+						model.Attrs{"w": value.Int(int64(w)), "seq": value.Int(int64(singles))})
+					if err == nil {
+						err = m.Model.InsertChild("k_in_p", parents[w], k, model.Last())
+					}
+					if err != nil {
+						fail(fmt.Errorf("writer %d child %d: %w", w, singles, err))
 						return
 					}
 					singles++
@@ -144,18 +170,31 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 				default:
 				}
 				w := i % snapDiffWriters
-				res, err := sess.QueryContext(ctx, fmt.Sprintf("range of x is W%d retrieve (x.seq)", w))
-				if err != nil {
-					fail(fmt.Errorf("quel reader: %w", err))
-					return
-				}
-				seqs := make([]int64, 0, len(res.Rows))
-				for _, row := range res.Rows {
-					seqs = append(seqs, row[0].AsInt())
-				}
-				if err := prefixGapFree(seqs); err != nil {
-					fail(fmt.Errorf("quel reader W%d: %w", w, err))
-					return
+				seq := i % snapDiffSingles
+				for _, q := range []string{
+					fmt.Sprintf("range of x is W%d retrieve (x.seq)", w),
+					fmt.Sprintf("range of k is K range of p is P retrieve (k.seq) where k under p in k_in_p and p.w = %d", w),
+					fmt.Sprintf("range of k1, k2 is K retrieve (k1.seq) where k1 before k2 in k_in_p and k2.seq = %d and k2.w = %d", seq, w),
+				} {
+					res, err := sess.QueryContext(ctx, q)
+					if err != nil {
+						fail(fmt.Errorf("quel reader: %w", err))
+						return
+					}
+					seqs := make([]int64, 0, len(res.Rows))
+					for _, row := range res.Rows {
+						seqs = append(seqs, row[0].AsInt())
+					}
+					if err := prefixGapFree(seqs); err != nil {
+						fail(fmt.Errorf("quel reader %q: %w", q, err))
+						return
+					}
+					// k2 is seq's own child: before it are all or none of
+					// the seq children preceding it.
+					if strings.Contains(q, "before") && len(seqs) != 0 && len(seqs) != seq {
+						fail(fmt.Errorf("quel reader %q: %d siblings before child %d", q, len(seqs), seq))
+						return
+					}
 				}
 			}
 		}(r)
@@ -189,6 +228,13 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		sort.Slice(typed, func(i, j int) bool { return typed[i] < typed[j] })
+		kids, err := sess.QueryContext(ctx, fmt.Sprintf("range of k is K range of p is P retrieve (k.seq) where k under p in k_in_p and p.w = %d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kids.Rows) != snapDiffSingles {
+			t.Fatalf("P%d: %d children, want %d", w, len(kids.Rows), snapDiffSingles)
+		}
 		if len(res.Rows) != snapDiffSingles || len(typed) != snapDiffSingles {
 			t.Fatalf("W%d: snapshot retrieve %d rows, typed scan %d, want %d", w, len(res.Rows), len(typed), snapDiffSingles)
 		}
@@ -202,15 +248,17 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 	// No snapshot remains pinned, so a vacuum pass must reclaim every
 	// retired version and index-history entry the run produced.
 	m.Store.Vacuum()
+	rels := []string{"E$K", "O$k_in_p"}
 	for w := 0; w < snapDiffWriters; w++ {
-		for _, typ := range []string{"W", "B"} {
-			rel := m.Store.Relation(fmt.Sprintf("E$%s%d", typ, w))
-			if rel == nil {
-				t.Fatalf("relation E$%s%d missing", typ, w)
-			}
-			if _, old, hist := rel.VersionStats(); old != 0 || hist != 0 {
-				t.Fatalf("E$%s%d: vacuum left old=%d hist=%d with no live snapshot", typ, w, old, hist)
-			}
+		rels = append(rels, fmt.Sprintf("E$W%d", w), fmt.Sprintf("E$B%d", w))
+	}
+	for _, name := range rels {
+		rel := m.Store.Relation(name)
+		if rel == nil {
+			t.Fatalf("relation %s missing", name)
+		}
+		if _, old, hist := rel.VersionStats(); old != 0 || hist != 0 {
+			t.Fatalf("%s: vacuum left old=%d hist=%d with no live snapshot", name, old, hist)
 		}
 	}
 }

@@ -82,6 +82,18 @@ func (s *Snap) Instances(typeName string, fn func(ref value.Ref, attrs value.Tup
 	})
 }
 
+// Instance returns entity ref's attributes as of the snapshot, ok false
+// unless ref is a typeName instance visible at the pin: a point read on
+// the by_ref index, which (unlike the directory) sees later deletes.
+func (s *Snap) Instance(typeName string, ref value.Ref) (value.Tuple, bool, error) {
+	var kb [16]byte
+	t, ok, err := s.s.IndexGet(entPrefix+typeName, "by_ref", value.AppendKey(kb[:0], value.RefVal(ref)))
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return t[1:], true, nil
+}
+
 // InstancesRange is Database.InstancesRange against the snapshot.
 func (s *Snap) InstancesRange(typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, attrs value.Tuple) bool) error {
 	if _, ok := s.db.EntityType(typeName); !ok {
@@ -106,20 +118,19 @@ func (s *Snap) RelationshipTuples(name string, fn func(t value.Tuple) bool) erro
 
 // ChildPosition returns child's P-edge parent and rank in the named
 // ordering as of the snapshot, with ok false if child was not placed in
-// it.  It probes the ordering relation's unique by_child index rather
-// than the in-memory runtime, which tracks the latest state only.
+// it.  It is a point read on the ordering relation's unique by_child
+// index rather than the in-memory runtime, which tracks the latest state
+// only.
 func (s *Snap) ChildPosition(ordering string, child value.Ref) (parent value.Ref, rank int64, ok bool, err error) {
 	if _, exists := s.db.OrderingByName(ordering); !exists {
 		return 0, 0, false, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
 	}
-	lo := value.AppendKey(nil, value.RefVal(child))
-	hi := append(append([]byte(nil), lo...), keySuffixMax...)
-	err = s.s.IndexRange(ordPrefix+ordering, "by_child", lo, hi, false,
-		func(_ storage.RowID, t value.Tuple) bool {
-			parent, rank, ok = t[0].AsRef(), t[2].AsInt(), true
-			return false
-		})
-	return parent, rank, ok, err
+	var kb [16]byte
+	t, ok, err := s.s.IndexGet(ordPrefix+ordering, "by_child", value.AppendKey(kb[:0], value.RefVal(child)))
+	if !ok || err != nil {
+		return 0, 0, false, err
+	}
+	return t[0].AsRef(), t[2].AsInt(), true, nil
 }
 
 // Children returns the ordered children of parent in the named ordering

@@ -106,6 +106,7 @@ func diffState(t *testing.T, db *model.Database) string {
 func TestPlannerNaiveDifferential(t *testing.T) {
 	plannedDB, naiveDB := diffFixture(t), diffFixture(t)
 	planned, naive := NewSession(plannedDB), NewSession(naiveDB)
+	planned.SetPlanCache(NewPlanCache(plannedDB.Store().Obs()))
 	naive.naive = true
 	if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
 		t.Fatalf("fixtures differ before any statement:\n%s\nvs\n%s", got, want)
@@ -160,9 +161,48 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 			return fmt.Sprintf(`retrieve (c.name) where n under c in note_in_chord and n.name = %d`, rng.Int63n(40))
 		},
 		func() string { return `retrieve unique (c.name) where n under c in note_in_chord and n.pitch > 60` },
-		// Three-way: ordering probe plus hash join.
+		// Ordering fetches whose partner has no bounded range either (a
+		// residual sarg on the unindexed chord attribute, or a CHORD
+		// scan), in both orientations of before, after and under.
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n2.chord = %d`, 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n1.chord = %d`, 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 after n2 in note_in_chord and n2.chord = %d`, 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 after n2 in note_in_chord and n1.chord = %d`, 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, c.name) where n under c in note_in_chord and c.name %s %d`, op(), 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, c.name) where n under c in note_in_chord and n.chord = %d and n.pitch > 50`, 1+rng.Int63n(4))
+		},
+		// Both partners bounded: a nested loop the rank compare decides.
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n1.name < %d and n2.pitch >= %d`, rng.Int63n(40), pitch())
+		},
+		// A fetched variable with a residual sarg of its own (a float
+		// literal bounds no integer index).
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = %d and n1.pitch >= %d.0`, rng.Int63n(40), pitch())
+		},
+		// Three-way: ordering fetch plus hash join.
 		func() string {
 			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n1.pitch = n2.pitch and c.name = n1.chord and c.name %s %d`, op(), 1+rng.Int63n(4))
+		},
+		// Order conjunct and equi-joins around a streamed driver: a
+		// heap driver hashing both other inputs, and a chord driver whose
+		// fetched notes probe a hash table.
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, n2.name) where n.chord = c.name and n.pitch = n2.pitch and n2 under c in note_in_chord and n2.pitch >= %d.0`, pitch())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, n2.name) where n2 under c in note_in_chord and c.name = %d and n.pitch = n2.pitch`, 1+rng.Int63n(4))
 		},
 		// Sort elision (asc and desc) and sorted joins.
 		func() string { return fmt.Sprintf(`retrieve (p = n.pitch) where n.pitch > %d sort by p`, pitch()) },
@@ -187,6 +227,14 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 		func() string {
 			return fmt.Sprintf(`replace n (pitch = n.pitch + 1) where n under c in note_in_chord and c.name = %d and n.pitch >= %d`, 1+rng.Int63n(4), pitch())
 		},
+		// Writes whose target is fetched under its chord on the locking
+		// path.
+		func() string {
+			return fmt.Sprintf(`replace n (pitch = n.pitch - 1) where n under c in note_in_chord and c.name = %d`, 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`delete n where n under c in note_in_chord and c.name = %d and n.pitch = %d.0`, 1+rng.Int63n(4), pitch())
+		},
 		func() string { return fmt.Sprintf(`delete a where a.x = %d and a.y %s %d`, lit(), op(), rng.Int63n(5)) },
 		func() string {
 			return fmt.Sprintf(`delete b where a.x = b.x and a.y = %d and b.z = %d`, rng.Int63n(5), rng.Int63n(6))
@@ -200,37 +248,44 @@ range of c is CHORD`
 	mustExec(t, planned, decls)
 	mustExec(t, naive, decls)
 
+	// Every statement runs twice: the planner's second run of a retrieve
+	// replays its strategy from the plan cache.
 	var writes, affected int
-	for i := 0; i < 250; i++ {
+	for i := 0; i < 400; i++ {
 		q := templates[i%len(templates)]()
-		pres, perr := planned.Exec(q)
-		nres, nerr := naive.Exec(q)
-		if (perr == nil) != (nerr == nil) {
-			t.Fatalf("query %q: planner err = %v, naive err = %v", q, perr, nerr)
-		}
-		if perr != nil {
-			t.Fatalf("query %q: %v", q, perr)
-		}
-		if got, want := strings.Join(pres.Columns, ","), strings.Join(nres.Columns, ","); got != want {
-			t.Fatalf("query %q: columns %q vs %q", q, got, want)
-		}
-		if got, want := canonRows(pres), canonRows(nres); got != want {
-			t.Fatalf("query %q: result mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
-		}
-		if strings.HasPrefix(q, "retrieve") {
-			continue
-		}
-		writes++
-		if pres.Affected != nres.Affected {
-			t.Fatalf("statement %q: planner affected %d, naive %d", q, pres.Affected, nres.Affected)
-		}
-		affected += pres.Affected
-		if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
-			t.Fatalf("statement %q: post-state mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
+		for run := 0; run < 2; run++ {
+			pres, perr := planned.Exec(q)
+			nres, nerr := naive.Exec(q)
+			if (perr == nil) != (nerr == nil) {
+				t.Fatalf("query %q run %d: planner err = %v, naive err = %v", q, run, perr, nerr)
+			}
+			if perr != nil {
+				t.Fatalf("query %q run %d: %v", q, run, perr)
+			}
+			if got, want := strings.Join(pres.Columns, ","), strings.Join(nres.Columns, ","); got != want {
+				t.Fatalf("query %q run %d: columns %q vs %q", q, run, got, want)
+			}
+			if got, want := canonRows(pres), canonRows(nres); got != want {
+				t.Fatalf("query %q run %d: result mismatch\nplanner:\n%s\nnaive:\n%s", q, run, got, want)
+			}
+			if strings.HasPrefix(q, "retrieve") {
+				continue
+			}
+			writes++
+			if pres.Affected != nres.Affected {
+				t.Fatalf("statement %q run %d: planner affected %d, naive %d", q, run, pres.Affected, nres.Affected)
+			}
+			affected += pres.Affected
+			if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
+				t.Fatalf("statement %q run %d: post-state mismatch\nplanner:\n%s\nnaive:\n%s", q, run, got, want)
+			}
 		}
 	}
 	if writes == 0 || affected == 0 {
 		t.Fatalf("write statements did no work (%d statements, %d rows affected): the differential is vacuous", writes, affected)
+	}
+	if hits := plannedDB.Store().Obs().Counter("quel.plan.cache.hits").Value(); hits == 0 {
+		t.Fatal("no retrieve replayed from the plan cache")
 	}
 }
 

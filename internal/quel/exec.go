@@ -472,8 +472,8 @@ func sargMatches(ss []sarg, fields []value.Field, attrs value.Tuple) bool {
 	return true
 }
 
-// bindAll materializes the instances of each variable and invokes fn
-// for every surviving combination.  It plans access and join order
+// bindAll binds the instances of each variable and invokes fn for
+// every surviving combination.  It plans access and join order
 // (plan.go); in-package tests flip s.naive to run the nested-loop
 // oracle bindAllNaive instead.  Both record per-variable scan
 // statistics and combination counts when the session's planStats is

@@ -45,29 +45,32 @@ type parStats struct {
 
 // scanStats describes one range variable's scan.
 type scanStats struct {
-	Var     string
-	Rel     string // entity or relationship type scanned
-	Est     int    // estimated rows (range count for index scans)
-	Scanned int    // rows visited
-	Kept    int    // rows surviving pushed-down sargs
-	Index   string // secondary index used; empty = heap scan
-	Range   string // key-range description for index scans
-	Incipit bool   // gram-probe scan driven by an incipit predicate
-	Skipped bool   // not scanned: an earlier variable had no bindings
-	Parts   int    // sub-ranges scanned in parallel; 0 = serial scan
-	Sargs   []string
-	Dur     time.Duration
+	Var      string
+	Rel      string // entity or relationship type scanned
+	Est      int    // estimated rows (range count for index scans)
+	Scanned  int    // rows visited
+	Kept     int    // rows surviving pushed-down sargs
+	Index    string // secondary index used; empty = heap scan
+	Range    string // key-range description for index scans
+	Incipit  bool   // gram-probe scan driven by an incipit predicate
+	Skipped  bool   // not scanned: another variable had no bindings
+	Streamed bool   // iterated straight into the join, never collected
+	Fetch    bool   // read by key per ordering partner (OrderFetch), not scanned
+	Parts    int    // sub-ranges scanned in parallel; 0 = serial scan
+	Sargs    []string
+	Dur      time.Duration
 }
 
 // joinStat describes how one variable entered the planned join.
 type joinStat struct {
-	Var    string
-	Method string // "scan", "hash", "probe", "loop"
-	Cond   string // join conjunct(s) driving a hash join or order probe
-	Est    int    // planner's combination estimate after this step
-	Build  int    // bindings on the step's own side
-	Probes int
-	Hits   int
+	Var     string
+	Method  string // "scan", "hash", "fetch", "loop"
+	Cond    string // join conjunct(s) driving a hash join or order fetch
+	Est     int    // planner's combination estimate after this step
+	Build   int    // bindings on the step's own side
+	Probes  int
+	Fetched int // rows read by key (fetch steps)
+	Hits    int
 }
 
 // estCombos is the join-size estimate: the product of per-scan
@@ -166,7 +169,7 @@ func renderPlan(q Retrieve, ps *planStats) []string {
 		depth++
 	}
 	for _, sc := range ps.Scans {
-		renderScan(add, depth, sc)
+		renderScan(add, depth, sc, false)
 	}
 	return lines
 }
@@ -176,19 +179,20 @@ func renderPlan(q Retrieve, ps *planStats) []string {
 func renderSteps(add func(int, string, ...any), depth int, ps *planStats, k int) {
 	st := ps.Steps[k]
 	if k == 0 {
-		renderScan(add, depth, scanFor(ps, st.Var))
+		sc := scanFor(ps, st.Var)
+		renderScan(add, depth, sc, sc.Streamed)
 		return
 	}
 	switch st.Method {
 	case "hash":
 		add(depth, "HashJoin (%s) (est=%d, build=%d, probes=%d, hits=%d)", st.Cond, st.Est, st.Build, st.Probes, st.Hits)
-	case "probe":
-		add(depth, "OrderProbe (%s) (est=%d, probes=%d, hits=%d)", st.Cond, st.Est, st.Probes, st.Hits)
+	case "fetch":
+		add(depth, "OrderFetch (%s) (est=%d, probes=%d, fetched=%d, kept=%d)", st.Cond, st.Est, st.Probes, st.Fetched, st.Hits)
 	default:
 		add(depth, "NestedLoopJoin (est=%d, probes=%d, hits=%d)", st.Est, st.Probes, st.Hits)
 	}
 	renderSteps(add, depth+1, ps, k-1)
-	renderScan(add, depth+1, scanFor(ps, st.Var))
+	renderScan(add, depth+1, scanFor(ps, st.Var), false)
 }
 
 func scanFor(ps *planStats, v string) scanStats {
@@ -200,23 +204,28 @@ func scanFor(ps *planStats, v string) scanStats {
 	return scanStats{Var: v}
 }
 
-// renderScan renders one access-path leaf.
-func renderScan(add func(int, string, ...any), depth int, sc scanStats) {
+// renderScan renders one access-path leaf, marking a join's streamed driver.
+func renderScan(add func(int, string, ...any), depth int, sc scanStats, driver bool) {
+	counts := fmt.Sprintf("est=%d, scanned=%d, kept=%d", sc.Est, sc.Scanned, sc.Kept)
+	if driver {
+		counts += ", streamed"
+	}
 	switch {
 	case sc.Skipped:
 		add(depth, "Scan %s on %s (est=%d, skipped: earlier variable empty)", sc.Var, sc.Rel, sc.Est)
+	case sc.Fetch:
+		add(depth, "Fetch %s on %s using by_ref", sc.Var, sc.Rel)
 	case sc.Incipit:
-		add(depth, "IncipitScan %s on %s using %s [%s] (est=%d, scanned=%d, kept=%d) (time=%s)",
-			sc.Var, sc.Rel, sc.Index, sc.Range, sc.Est, sc.Scanned, sc.Kept, sc.Dur)
+		add(depth, "IncipitScan %s on %s using %s [%s] (%s) (time=%s)",
+			sc.Var, sc.Rel, sc.Index, sc.Range, counts, sc.Dur)
 	case sc.Index != "" && sc.Range != "":
-		add(depth, "IndexScan %s on %s using %s [%s] (est=%d, scanned=%d, kept=%d) (time=%s)",
-			sc.Var, sc.Rel, sc.Index, sc.Range, sc.Est, sc.Scanned, sc.Kept, sc.Dur)
+		add(depth, "IndexScan %s on %s using %s [%s] (%s) (time=%s)",
+			sc.Var, sc.Rel, sc.Index, sc.Range, counts, sc.Dur)
 	case sc.Index != "":
-		add(depth, "IndexScan %s on %s using %s (est=%d, scanned=%d, kept=%d) (time=%s)",
-			sc.Var, sc.Rel, sc.Index, sc.Est, sc.Scanned, sc.Kept, sc.Dur)
+		add(depth, "IndexScan %s on %s using %s (%s) (time=%s)",
+			sc.Var, sc.Rel, sc.Index, counts, sc.Dur)
 	default:
-		add(depth, "Scan %s on %s (est=%d, scanned=%d, kept=%d) (time=%s)",
-			sc.Var, sc.Rel, sc.Est, sc.Scanned, sc.Kept, sc.Dur)
+		add(depth, "Scan %s on %s (%s) (time=%s)", sc.Var, sc.Rel, counts, sc.Dur)
 	}
 	if sc.Parts > 0 {
 		add(depth+1, "Parallel: %d sub-ranges", sc.Parts)

@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/ddl"
 )
 
 // redactTimes replaces wall-clock fields so plan output is comparable
@@ -45,17 +47,18 @@ func TestExplainOrderOpJoin(t *testing.T) {
 	mustExec(t, s, `range of n1, n2 is NOTE`)
 	got := planLines(t, s,
 		`explain retrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = 3`)
-	// The planner binds n2 first (its sarg leaves one binding) and joins
-	// n1 by probing the ordering's sibling tree instead of looping all
-	// 25 pairs; only the two real candidates reach the qualification.
+	// The planner streams n2 first (its sarg leaves one binding) and
+	// never scans n1: the ordering's sibling range names n1's two
+	// candidates, each fetched by key, and only they reach the
+	// qualification.
 	want := []string{
 		`Retrieve (rows=2) (time=X)`,
 		`  Filter: ((n1 before n2 in note_in_chord) and (n2.name = 3)) (in=2, out=2)`,
 		`    OrderOps: 2 evals (time=X)`,
-		`    OrderProbe (n1 before n2 in note_in_chord) (est=2, probes=1, hits=2)`,
-		`      Scan n2 on NOTE (est=5, scanned=5, kept=1) (time=X)`,
+		`    OrderFetch (n1 before n2 in note_in_chord) (est=1, probes=1, fetched=2, kept=2)`,
+		`      Scan n2 on NOTE (est=5, scanned=5, kept=1, streamed) (time=X)`,
 		`        Sarg: n2.name = 3`,
-		`      Scan n1 on NOTE (est=5, scanned=5, kept=5) (time=X)`,
+		`      Fetch n1 on NOTE using by_ref`,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("plan:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -71,9 +74,95 @@ func TestExplainUnderUniqueSort(t *testing.T) {
 		t.Fatalf("root: %s", got[0])
 	}
 	joined := strings.Join(got, "\n")
-	for _, want := range []string{"Sort: pitch", "Unique (dropped=0)", "under", "OrderOps: 5 evals", "OrderProbe"} {
+	for _, want := range []string{"Sort: pitch", "Unique (dropped=0)", "under", "OrderOps: 5 evals",
+		"OrderFetch (NOTE under CHORD in note_in_chord) (est=5, probes=1, fetched=5, kept=5)",
+		"Scan CHORD on CHORD (est=1, scanned=1, kept=1, streamed)", "Fetch NOTE on NOTE using by_ref"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("plan missing %q:\n%s", want, joined)
+		}
+	}
+}
+
+// TestExplainScoreQueryShapes pins the plan of each statement shape the
+// score-query benchmark issues, on its schema (NOTE indexed on name and
+// pitch, SCORE on name) at 3 scores of 4 notes.  The ordering operators
+// read only their partners' rows: before/after/under stream the one
+// bounded row and fetch its siblings or children by key; the join
+// streams the NOTE heap through a hash table built on the two SCOREs.
+func TestExplainScoreQueryShapes(t *testing.T) {
+	db, s := newSession(t)
+	buildScores(t, db, 3, 4)
+	if _, err := ddl.Exec(db, `define index on SCORE (name)`); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "range of n, n1, n2 is NOTE\nrange of s is SCORE")
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{{
+		`explain retrieve (n1.name) where n1 before n2 in note_in_score and n2.name = 6`,
+		[]string{
+			`Retrieve (rows=2) (time=X)`,
+			`  Filter: ((n1 before n2 in note_in_score) and (n2.name = 6)) (in=2, out=2)`,
+			`    OrderOps: 2 evals (time=X)`,
+			`    OrderFetch (n1 before n2 in note_in_score) (est=2, probes=1, fetched=2, kept=2)`,
+			`      IndexScan n2 on NOTE using ix_note_name [name = 6] (est=1, scanned=1, kept=1, streamed) (time=X)`,
+			`        Sarg: n2.name = 6`,
+			`      Fetch n1 on NOTE using by_ref`,
+		},
+	}, {
+		`explain retrieve (n1.name) where n1 after n2 in note_in_score and n2.name = 6`,
+		[]string{
+			`Retrieve (rows=1) (time=X)`,
+			`  Filter: ((n1 after n2 in note_in_score) and (n2.name = 6)) (in=1, out=1)`,
+			`    OrderOps: 1 evals (time=X)`,
+			`    OrderFetch (n1 after n2 in note_in_score) (est=2, probes=1, fetched=1, kept=1)`,
+			`      IndexScan n2 on NOTE using ix_note_name [name = 6] (est=1, scanned=1, kept=1, streamed) (time=X)`,
+			`        Sarg: n2.name = 6`,
+			`      Fetch n1 on NOTE using by_ref`,
+		},
+	}, {
+		`explain retrieve (n.name) where n under s in note_in_score and s.name = 1`,
+		[]string{
+			`Retrieve (rows=4) (time=X)`,
+			`  Filter: ((n under s in note_in_score) and (s.name = 1)) (in=4, out=4)`,
+			`    OrderOps: 4 evals (time=X)`,
+			`    OrderFetch (n under s in note_in_score) (est=4, probes=1, fetched=4, kept=4)`,
+			`      IndexScan s on SCORE using ix_score_name [name = 1] (est=1, scanned=1, kept=1, streamed) (time=X)`,
+			`        Sarg: s.name = 1`,
+			`      Fetch n on NOTE using by_ref`,
+		},
+	}, {
+		`explain retrieve (n.name, s.name) where n.score = s.name and s.name >= 0 and s.name < 2`,
+		[]string{
+			`Retrieve (rows=8) (time=X)`,
+			`  Filter: (((n.score = s.name) and (s.name >= 0)) and (s.name < 2)) (in=8, out=8)`,
+			`    HashJoin (n.score = s.name) (est=12, build=2, probes=12, hits=8)`,
+			`      Scan n on NOTE (est=12, scanned=12, kept=12, streamed) (time=X)`,
+			`      IndexScan s on SCORE using ix_score_name [name >= 0 and name < 2] (est=2, scanned=2, kept=2) (time=X)`,
+			`        Sarg: s.name >= 0 and s.name < 2`,
+		},
+	}, {
+		`explain retrieve (p = n.pitch, n.name) where n.pitch >= 43 and n.pitch < 44 sort by p`,
+		[]string{
+			`Retrieve (rows=1) (time=X)`,
+			`  Sort: p (satisfied by IndexScan ix_note_pitch)`,
+			`    Filter: ((n.pitch >= 43) and (n.pitch < 44)) (in=1, out=1)`,
+			`      IndexScan n on NOTE using ix_note_pitch [pitch >= 43 and pitch < 44] (est=1, scanned=1, kept=1) (time=X)`,
+			`        Sarg: n.pitch >= 43 and n.pitch < 44`,
+		},
+	}, {
+		`explain retrieve (n.pitch) where n.name = 7`,
+		[]string{
+			`Retrieve (rows=1) (time=X)`,
+			`  Filter: (n.name = 7) (in=1, out=1)`,
+			`    IndexScan n on NOTE using ix_note_name [name = 7] (est=1, scanned=1, kept=1) (time=X)`,
+			`      Sarg: n.name = 7`,
+		},
+	}} {
+		got := planLines(t, s, tc.src)
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s\nplan:\n%s\nwant:\n%s", tc.src, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
 		}
 	}
 }

@@ -140,6 +140,7 @@ func (s *Session) runParallelJoin(ctx context.Context, steps []*joinStep) error 
 		combos += ws.combos
 		for k := range counts {
 			counts[k].probes += ws.counts[k].probes
+			counts[k].fetched += ws.counts[k].fetched
 			counts[k].hits += ws.counts[k].hits
 		}
 		if s.ps != nil {
@@ -151,13 +152,11 @@ func (s *Session) runParallelJoin(ctx context.Context, steps []*joinStep) error 
 	}
 	// The driver step is scanned once as morsels, not probed per row.
 	counts[0] = stepCount{probes: 1, hits: len(driver)}
-	s.m.combos.Add(uint64(combos))
 	if s.ps != nil {
-		s.ps.Combos = combos
 		s.ps.Par = &parStats{Workers: workers, Morsels: morsels,
 			PartEst: partEst, PartRows: partRows}
-		s.recordSteps(steps, counts)
 	}
+	s.finishJoin(steps, counts, combos)
 	return nil
 }
 

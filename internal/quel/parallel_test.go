@@ -219,9 +219,9 @@ func TestParallelExplain(t *testing.T) {
 		`    Parallel (workers=2, morsels=2)`,
 		`      morsel 0: est=1 rows=4`,
 		`      morsel 1: est=1 rows=4`,
-		`      OrderProbe (n under s in note_in_score) (est=8, probes=2, hits=8)`,
+		`      OrderFetch (n under s in note_in_score) (est=8, probes=2, fetched=8, kept=8)`,
 		`        Scan s on SCORE (est=2, scanned=2, kept=2) (time=X)`,
-		`        Scan n on NOTE (est=8, scanned=8, kept=8) (time=X)`,
+		`        Fetch n on NOTE using by_ref`,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("plan:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the cost-based planning layer over bindAll (§5.2: stored
-// order and access paths are the relational performance lever).  Three
+// order and access paths are the relational performance lever).  Its
 // optimizations, each visible in explain and in the quel.plan.* metrics:
 //
 //   - index range scans: a sarg on an indexed attribute becomes a
@@ -23,9 +23,10 @@ import (
 //   - hash equi-joins: v1.a = v2.b (and `is`) conjuncts build a hash
 //     table on the new variable's bindings and probe it, instead of
 //     looping the cross product;
-//   - join ordering: variables join smallest post-sarg binding list
-//     first, preferring variables connected to the already-joined set
-//     by an equi- or ordering conjunct.
+//   - ordering fetches: a heap-scanned variable tied to a joined partner
+//     by before/after/under is read by key from the partner's range;
+//   - join ordering: smallest estimated fan-out first; the first
+//     variable streams from its scan into the rest of the join.
 //
 // The qualification is still evaluated in full for every emitted
 // combination, so the join conjuncts only prune; they never decide truth
@@ -79,8 +80,38 @@ type varPlan struct {
 	info   varInfo
 	sargs  []sarg
 	access accessPath
-	list   []binding
-	byRef  map[value.Ref]int // entity ref → list position (order probes)
+	list   []binding // materialized bindings; never built for fetched or streamed variables
+}
+
+// estRows guesses how many of vp's rows survive its sargs: the access
+// path's estimate, scaled for every sarg the path does not already bound
+// by the classic selectivity guesses (1/10 for =, 1/3 for a range).
+func estRows(vp *varPlan) float64 {
+	n := float64(vp.access.est)
+	for _, sg := range vp.sargs {
+		switch {
+		case strings.EqualFold(sg.attr, vp.access.attr), sg.op == "!=":
+		case sg.op == "=":
+			n /= 10
+		default:
+			n /= 3
+		}
+	}
+	return n
+}
+
+// orderPartner finds an order conjunct tying vp to an already-joined
+// variable, and which side of it vp is on.
+func orderPartner(vp *varPlan, chosen map[string]bool, orders []orderCond) (_ orderCond, newIsLeft, ok bool) {
+	for _, oc := range orders {
+		if oc.l == vp.name && chosen[oc.r] {
+			return oc, true, true
+		}
+		if oc.r == vp.name && chosen[oc.l] {
+			return oc, false, true
+		}
+	}
+	return orderCond{}, false, false
 }
 
 // joinKey selects the join-key value of one side of an equi-conjunct: an
@@ -332,15 +363,28 @@ func (s *Session) chooseAccess(varName string, info varInfo, sargs []sarg, incip
 	return best
 }
 
-// scanPlan materializes one variable's binding list through its chosen
-// access path, applying the residual sargs.  Tuples are not cloned: the
-// storage layer never mutates stored tuples in place, so bindings may
-// alias them for the statement's lifetime.
-func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
-	st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
-		Index: vp.access.index, Range: vp.access.rng, Incipit: vp.access.incipit}
+// sargStrings renders vp's sargs for explain.
+func sargStrings(vp *varPlan) []string {
+	var out []string
 	for _, sg := range vp.sargs {
-		st.Sargs = append(st.Sargs, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
+		out = append(out, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
+	}
+	return out
+}
+
+// scanPlan reads one variable's bindings through its chosen access path,
+// applying the residual sargs, into keep (false stops the scan) or, with
+// keep nil, into vp.list.  Tuples are not cloned: the storage layer never
+// mutates stored tuples in place, so bindings may alias them.
+func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) bool) error {
+	st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
+		Index: vp.access.index, Range: vp.access.rng, Incipit: vp.access.incipit,
+		Streamed: keep != nil, Sargs: sargStrings(vp)}
+	if keep == nil {
+		keep = func(b binding) bool {
+			vp.list = append(vp.list, b)
+			return true
+		}
 	}
 	start := time.Now()
 	collect := func(b binding) bool {
@@ -349,8 +393,7 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
 			return true
 		}
 		st.Kept++
-		vp.list = append(vp.list, b)
-		return true
+		return keep(b)
 	}
 	var err error
 	if vp.access.incipit {
@@ -361,6 +404,8 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
 		emit := func(ref value.Ref, attrs value.Tuple) bool {
 			return collect(binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ})
 		}
+		// Streamed scans run only on serial sessions, where the parallel
+		// range split never engages.
 		if did, perr := s.scanIndexParallel(ctx, vp, &st); did {
 			err = perr
 		} else if snap := s.snap; snap != nil {
@@ -380,13 +425,13 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
 	return err
 }
 
-// incipitScan materializes a variable's bindings from its gram-index
-// access path: range the companion gram type's index for the probe
-// gram, dedup the posted entry refs (an incipit can contain one gram
-// several times), then fetch each candidate entity through its type's
-// unique surrogate index.  The emitted set is a superset of the true
-// answer; the incipit predicate remains in the qualification and the
-// Match callback rejects gram collisions per combination.
+// incipitScan reads a variable's bindings from its gram-index access
+// path: range the companion gram type's index for the probe gram, dedup
+// the posted entry refs (an incipit can contain one gram several times),
+// then fetch each candidate entity by key.  The emitted set is a
+// superset of the true answer; the incipit predicate remains in the
+// qualification and the Match callback rejects gram collisions per
+// combination.
 func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(binding) bool) error {
 	spec, ok := s.db.IncipitIndexFor(vp.info.typ)
 	if !ok {
@@ -419,43 +464,50 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 	if err != nil {
 		return err
 	}
-	refIx, ok := s.db.AttrIndexName(vp.info.typ, "_ref")
-	if !ok {
-		return fmt.Errorf("quel: %s has no surrogate index", vp.info.typ)
-	}
-	emit := func(ref value.Ref, attrs value.Tuple) bool {
-		return collect(binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ})
-	}
 	for _, ref := range cands {
-		klo := value.AppendKey(nil, value.RefVal(ref))
-		khi := withMaxSuffix(klo)
-		if snap := s.snap; snap != nil {
-			err = snap.InstancesRange(vp.info.typ, refIx, klo, khi, false, emit)
-		} else {
-			err = s.db.InstancesRangeCtx(ctx, vp.info.typ, refIx, klo, khi, false, emit)
-		}
+		b, ok, err := s.fetch(ctx, vp.info, ref)
 		if err != nil {
 			return err
+		}
+		if ok && !collect(b) {
+			return nil
 		}
 	}
 	return nil
 }
 
+// fetch reads ref's instance of info's type by its unique by_ref key, at
+// the statement snapshot or under a shared lock; ok is false when ref is
+// of another type (an ordering may hold several child types).
+func (s *Session) fetch(ctx context.Context, info varInfo, ref value.Ref) (b binding, ok bool, err error) {
+	b = binding{ref: ref, fields: info.fields, typ: info.typ}
+	if snap := s.snap; snap != nil {
+		b.attrs, ok, err = snap.Instance(info.typ, ref)
+		return b, ok, err
+	}
+	lo := value.AppendKey(nil, value.RefVal(ref))
+	err = s.db.InstancesRangeCtx(ctx, info.typ, "by_ref", lo, withMaxSuffix(lo), false, func(_ value.Ref, attrs value.Tuple) bool {
+		b.attrs, ok = attrs, true
+		return false
+	})
+	return b, ok, err
+}
+
 type joinMethod uint8
 
 const (
-	joinScan joinMethod = iota // first variable: plain iteration
+	joinScan joinMethod = iota // first variable: iterated from its scan
 	joinLoop
 	joinHash
-	joinProbe
+	joinFetch
 )
 
 func (m joinMethod) String() string {
 	switch m {
 	case joinHash:
 		return "hash"
-	case joinProbe:
-		return "probe"
+	case joinFetch:
+		return "fetch"
 	case joinScan:
 		return "scan"
 	}
@@ -471,18 +523,17 @@ type joinStep struct {
 	build []joinKey
 	probe []joinKey
 	table map[string][]int
-	// order probe
+	// order fetch
 	oc        orderCond
-	newIsLeft bool
-	otherVar  string
+	newIsLeft bool // the new variable is oc's left operand
 
 	est int // estimated combinations after this step joins
 }
 
-// stepCount accumulates one driver's probe/hit counts for a step.  The
-// counts live outside joinStep so parallel workers driving disjoint
+// stepCount accumulates one driver's probe/fetch/hit counts for a step.
+// The counts live outside joinStep so parallel workers driving disjoint
 // morsels over the same (read-only) steps never write shared memory.
-type stepCount struct{ probes, hits int }
+type stepCount struct{ probes, fetched, hits int }
 
 // appendHashKey encodes v for hash-join key equality.  Within one
 // declared kind the order-preserving encoding is bijective, except that
@@ -508,13 +559,13 @@ func buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
 }
 
 // distinctOf estimates how many distinct join-key values a variable's
-// binding list carries.  Entity refs are unique by construction; indexed
+// bindings carry.  Entity refs are unique by construction; indexed
 // attributes use the per-index distinct count maintained by the storage
 // layer (rebuilt on checkpoint, refreshed lazily on churn); anything
-// else falls back to a tenth of the list — the classic guess for an
+// else falls back to a tenth of the rows — the classic guess for an
 // unindexed equi-key.
 func (s *Session) distinctOf(vp *varPlan, k joinKey) int {
-	n := len(vp.list)
+	n := vp.access.est
 	if n == 0 {
 		return 1
 	}
@@ -537,10 +588,10 @@ func (s *Session) distinctOf(vp *varPlan, k joinKey) int {
 	return 1
 }
 
-// orderFanout estimates an ordering probe's partner count per bound row:
-// one parent when the new variable is the parent side of `under`; the
-// average family size (children over parents) when it is the child side;
-// half the average sibling count for before/after.
+// orderFanout estimates an ordering conjunct's partner count per bound
+// row: one parent when the new variable is the parent side of `under`;
+// the average family size (children over parents) when it is the child
+// side; half the average sibling count for before/after.
 func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64 {
 	if oc.op == "under" && !newIsLeft {
 		return 1
@@ -551,7 +602,7 @@ func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64
 			parents = n
 		}
 	}
-	fan := float64(len(vp.list)) / float64(parents)
+	fan := float64(vp.access.est) / float64(parents)
 	if oc.op != "under" {
 		fan /= 2
 	}
@@ -563,13 +614,12 @@ func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64
 
 // estFanout estimates how many combinations each already-joined row
 // yields when vp joins next.  Equi-conjuncts into the joined set divide
-// the list by the larger side's distinct count (containment assumption);
-// failing those, a connecting ordering conjunct bounds the fan-out by
-// its expected partner count; an unconnected variable contributes its
-// whole list (cross product).  Mirrors makeStep's method choice: hash
-// when equi-connected, probe when order-connected, loop otherwise.
+// vp's estimated rows by the larger side's distinct count (containment
+// assumption); failing those, a connecting ordering conjunct bounds the
+// fan-out by its expected partner count; an unconnected variable
+// contributes all its rows (cross product).
 func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond) float64 {
-	fan := float64(len(vp.list))
+	fan := estRows(vp)
 	conn := false
 	for _, ec := range equis {
 		var mine, theirs joinKey
@@ -595,32 +645,20 @@ func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[
 	if conn {
 		return fan
 	}
-	for _, oc := range orders {
-		newIsLeft := oc.l == vp.name
-		other := oc.r
-		if !newIsLeft {
-			if oc.r != vp.name {
-				continue
-			}
-			other = oc.l
-		}
-		if !chosen[other] {
-			continue
-		}
-		if f := s.orderFanout(vp, oc, newIsLeft); f < fan {
-			fan = f
-		}
+	if oc, newIsLeft, ok := orderPartner(vp, chosen, orders); ok {
+		fan = min(fan, s.orderFanout(vp, oc, newIsLeft))
 	}
 	return fan
 }
 
 // orderJoins picks the join order from planner statistics: each round
 // adds the unchosen variable with the smallest estimated fan-out
-// (estFanout; for the first variable that is simply its list size, so
-// the smallest binding list still drives the pipeline).  Ties break on
-// list size then variable name — plans stay deterministic for golden
-// tests.  A non-nil forced order (plan-cache replay) skips the ranking
-// but still computes each step's estimate for explain.
+// (estFanout; for the first variable that is its estimated row count, so
+// a small partner joins before the variable it can fetch), ties broken
+// on estimated rows then name so plans stay deterministic for golden
+// tests — except that bigDriver, when there is one, goes first.  A
+// non-nil forced order (plan-cache replay) skips the ranking but still
+// computes each step's estimate for explain.
 func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderCond, forced []string) []*joinStep {
 	byName := make(map[string]*varPlan, len(plans))
 	for _, vp := range plans {
@@ -636,44 +674,83 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 	} else {
 		forced = nil
 	}
+	driver := bigDriver(plans, equis, orders)
 	chosen := make(map[string]bool, len(plans))
 	steps := make([]*joinStep, 0, len(plans))
-	estRows := 1.0
+	combos := 1.0
 	for len(steps) < len(plans) {
 		var best *varPlan
 		var bestFan float64
-		if forced != nil {
+		switch {
+		case forced != nil:
 			best = byName[forced[len(steps)]]
-			bestFan = s.estFanout(best, byName, chosen, equis, orders)
-		} else {
+		case len(steps) == 0 && driver != nil:
+			best = driver
+		default:
 			for _, vp := range plans { // plans arrive in sorted-name order
 				if chosen[vp.name] {
 					continue
 				}
 				fan := s.estFanout(vp, byName, chosen, equis, orders)
-				if best == nil || fan < bestFan ||
-					(fan == bestFan && len(vp.list) < len(best.list)) {
+				if best == nil || fan < bestFan || (fan == bestFan && estRows(vp) < estRows(best)) {
 					best, bestFan = vp, fan
 				}
 			}
 		}
-		st := s.makeStep(best, chosen, equis, orders, len(steps) == 0)
-		if estRows *= bestFan; estRows > 1e15 {
-			estRows = 1e15 // saturate: float-to-int overflow is undefined
+		fan := s.estFanout(best, byName, chosen, equis, orders)
+		st := s.makeStep(best, chosen, equis, orders, len(steps) == 0, combos)
+		if combos *= fan; combos > 1e15 {
+			combos = 1e15 // saturate: float-to-int overflow is undefined
 		}
-		st.est = int(estRows)
+		st.est = int(combos)
 		steps = append(steps, st)
 		chosen[best.name] = true
 	}
 	return steps
 }
 
-// makeStep decides how variable vp joins the already-chosen set: a hash
-// join keyed on every connecting equi-conjunct, an ordering probe, or a
-// nested loop.
-func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond, first bool) *joinStep {
+// bigDriver returns the largest input if it is a heap scan equi-joined to
+// every other input: read in full wherever it joins, it streams best as
+// the driver, through hash tables built on the smaller inputs.
+func bigDriver(plans []*varPlan, equis []equiCond, orders []orderCond) *varPlan {
+	var big *varPlan
+	for _, vp := range plans {
+		if big == nil || estRows(vp) > estRows(big) {
+			big = vp
+		}
+	}
+	if len(plans) < 2 || big.access.index != "" {
+		return nil
+	}
+	for _, oc := range orders { // big may be cheaper to fetch than to scan
+		if oc.l == big.name || oc.r == big.name {
+			return nil
+		}
+	}
+	for _, vp := range plans {
+		joined := vp == big
+		for _, ec := range equis {
+			joined = joined || (ec.l.v == big.name && ec.r.v == vp.name) || (ec.r.v == big.name && ec.l.v == vp.name)
+		}
+		if !joined {
+			return nil
+		}
+	}
+	return big
+}
+
+// makeStep decides how vp joins the chosen set (outer combinations): an
+// ordering fetch when vp is a heap-scanned entity whose partners over all
+// outer rows number no more than a scan of vp reads, a hash join on every
+// connecting equi-conjunct, or a nested loop (evalOrderOp's rank compare).
+func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond, first bool, outer float64) *joinStep {
 	st := &joinStep{vp: vp, method: joinScan}
 	if first {
+		return st
+	}
+	if oc, newIsLeft, ok := orderPartner(vp, chosen, orders); ok && !vp.info.isRel && vp.access.index == "" && outer*s.orderFanout(vp, oc, newIsLeft) <= float64(vp.access.est) {
+		st.method, st.oc, st.newIsLeft, st.cond = joinFetch, oc, newIsLeft, oc.desc
+		s.pm.joinProbe.Inc()
 		return st
 	}
 	var parts []string
@@ -694,32 +771,7 @@ func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond
 	if len(st.build) > 0 {
 		st.method = joinHash
 		st.cond = strings.Join(parts, " and ")
-		if s.parWorkers > 1 && len(vp.list) >= s.parMin {
-			st.table = s.buildHashTableParallel(vp, st.build)
-		} else {
-			st.table = buildHashTable(vp, st.build)
-		}
 		s.pm.joinHash.Inc()
-		return st
-	}
-	if !vp.info.isRel {
-		for _, oc := range orders {
-			if oc.l == vp.name && chosen[oc.r] {
-				st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, true, oc.r, oc.desc
-				break
-			}
-			if oc.r == vp.name && chosen[oc.l] {
-				st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, false, oc.l, oc.desc
-				break
-			}
-		}
-	}
-	if st.method == joinProbe {
-		vp.byRef = make(map[value.Ref]int, len(vp.list))
-		for li := range vp.list {
-			vp.byRef[vp.list[li].ref] = li
-		}
-		s.pm.joinProbe.Inc()
 		return st
 	}
 	st.method = joinLoop
@@ -727,72 +779,51 @@ func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond
 	return st
 }
 
-// children, childPosition, siblingsBefore, and siblingsAfter route an
-// ordering read through the statement snapshot when one is pinned, and
-// through the live (locking) runtime otherwise.
-func (s *Session) children(ordering string, parent value.Ref) ([]value.Ref, error) {
-	if snap := s.snap; snap != nil {
-		return snap.Children(ordering, parent)
-	}
-	return s.db.Children(ordering, parent)
+// orderReads is the ordering read API model.Snap and model.Database
+// share.
+type orderReads interface {
+	Children(ordering string, parent value.Ref) ([]value.Ref, error)
+	ChildPosition(ordering string, child value.Ref) (value.Ref, int64, bool, error)
+	SiblingsBefore(ordering string, child value.Ref) ([]value.Ref, error)
+	SiblingsAfter(ordering string, child value.Ref) ([]value.Ref, error)
 }
 
-func (s *Session) childPosition(ordering string, child value.Ref) (value.Ref, int64, bool, error) {
-	if snap := s.snap; snap != nil {
-		return snap.ChildPosition(ordering, child)
+// orderings routes ordering reads through the statement snapshot when
+// one is pinned, and through the live (locking) runtime otherwise.
+func (s *Session) orderings() orderReads {
+	if s.snap != nil {
+		return s.snap
 	}
-	return s.db.ChildPosition(ordering, child)
+	return s.db
 }
 
-func (s *Session) siblingsBefore(ordering string, child value.Ref) ([]value.Ref, error) {
-	if snap := s.snap; snap != nil {
-		return snap.SiblingsBefore(ordering, child)
-	}
-	return s.db.SiblingsBefore(ordering, child)
-}
-
-func (s *Session) siblingsAfter(ordering string, child value.Ref) ([]value.Ref, error) {
-	if snap := s.snap; snap != nil {
-		return snap.SiblingsAfter(ordering, child)
-	}
-	return s.db.SiblingsAfter(ordering, child)
-}
-
-// probeRefs returns the candidate refs for an ordering probe, given the
+// probeRefs returns the candidate refs for an ordering fetch, given the
 // bound binding of the step's other variable.  The sets are exactly the
-// conjunct's satisfying partners (rank-key range scans over the sibling
-// tree, or the P-edge for under), so the residual evaluation only
-// re-confirms them.
+// conjunct's satisfying partners (rank-key ranges over the ordering's
+// (parent, rank) index, or the P-edge for under), so the residual
+// evaluation only re-confirms them.
 func (s *Session) probeRefs(st *joinStep, other binding) ([]value.Ref, error) {
-	switch st.oc.op {
-	case "under":
-		if st.newIsLeft { // new is the child: the other's children
-			return s.children(st.oc.ordering, other.ref)
-		}
-		parent, _, ok, err := s.childPosition(st.oc.ordering, other.ref)
+	o, name := s.orderings(), st.oc.ordering
+	switch {
+	case st.oc.op == "under" && st.newIsLeft: // new is the child: the other's children
+		return o.Children(name, other.ref)
+	case st.oc.op == "under":
+		parent, _, ok, err := o.ChildPosition(name, other.ref)
 		if err != nil || !ok {
 			return nil, err
 		}
 		return []value.Ref{parent}, nil
-	case "before":
-		if st.newIsLeft {
-			return s.siblingsBefore(st.oc.ordering, other.ref)
-		}
-		return s.siblingsAfter(st.oc.ordering, other.ref)
-	case "after":
-		if st.newIsLeft {
-			return s.siblingsAfter(st.oc.ordering, other.ref)
-		}
-		return s.siblingsBefore(st.oc.ordering, other.ref)
+	case (st.oc.op == "before") == st.newIsLeft:
+		return o.SiblingsBefore(name, other.ref)
 	}
-	return nil, nil
+	return o.SiblingsAfter(name, other.ref)
 }
 
-// stepRun drives the materialized left-deep join: rec(k) binds steps[k]
-// against the current environment and recurses.  All mutable state —
-// environment, probe/hit counts, combination counter — lives on the run,
-// so parallel workers can drive disjoint driver morsels over the same
-// (read-only after planning) steps with a stepRun each, race-free.
+// stepRun drives the left-deep join: rec(k) binds steps[k] against the
+// current environment and recurses.  All mutable state — environment,
+// per-step counts, combination counter, hash-probe key buffer — lives on
+// the run, so parallel workers can drive disjoint driver morsels over the
+// same (read-only after planning) steps with a stepRun each, race-free.
 type stepRun struct {
 	s      *Session
 	ctx    context.Context
@@ -802,6 +833,7 @@ type stepRun struct {
 	fn     func(env) error
 	combos int
 	work   int
+	key    []byte
 }
 
 func (r *stepRun) rec(k int) error {
@@ -821,12 +853,13 @@ func (r *stepRun) rec(k int) error {
 	r.counts[k].probes++
 	switch st.method {
 	case joinHash:
-		var buf []byte
+		// The bucket is looked up before the deeper steps reuse r.key.
+		r.key = r.key[:0]
 		for _, p := range st.probe {
-			buf = appendHashKey(buf, p.value(r.e[p.v]))
+			r.key = appendHashKey(r.key, p.value(r.e[p.v]))
 		}
 		s.pm.hashProbes.Inc()
-		for _, li := range st.table[string(buf)] {
+		for _, li := range st.table[string(r.key)] {
 			r.counts[k].hits++
 			s.pm.hashHits.Inc()
 			r.e[vp.name] = vp.list[li]
@@ -834,18 +867,29 @@ func (r *stepRun) rec(k int) error {
 				return err
 			}
 		}
-	case joinProbe:
-		refs, err := s.probeRefs(st, r.e[st.otherVar])
+	case joinFetch:
+		other := r.e[st.oc.l]
+		if st.newIsLeft {
+			other = r.e[st.oc.r]
+		}
+		refs, err := s.probeRefs(st, other)
 		if err != nil {
 			return err
 		}
 		for _, ref := range refs {
-			li, ok := vp.byRef[ref]
+			b, ok, err := s.fetch(r.ctx, vp.info, ref)
+			if err != nil {
+				return err
+			}
 			if !ok {
 				continue
 			}
+			r.counts[k].fetched++
+			if !sargMatches(vp.sargs, b.fields, b.attrs) {
+				continue
+			}
 			r.counts[k].hits++
-			r.e[vp.name] = vp.list[li]
+			r.e[vp.name] = b
 			if err := r.rec(k + 1); err != nil {
 				return err
 			}
@@ -882,34 +926,9 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		}
 		plans[i] = vp
 	}
-	// Materialize binding lists; any empty list means zero combinations
-	// whatever the qualification, so remaining scans are skipped.
-	empty := false
-	for _, vp := range plans {
-		if empty {
-			if s.ps != nil {
-				st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
-					Index: vp.access.index, Range: vp.access.rng, Skipped: true}
-				for _, sg := range vp.sargs {
-					st.Sargs = append(st.Sargs, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
-				}
-				s.ps.Scans = append(s.ps.Scans, st)
-			}
-			continue
-		}
-		if err := s.scanPlan(ctx, vp); err != nil {
-			return err
-		}
-		if len(vp.list) == 0 {
-			empty = true
-		}
-	}
 	if s.ps != nil && len(plans) == 1 && plans[0].access.satisfiesSort {
 		s.ps.SortElided = true
 		s.ps.SortIndex = plans[0].access.index
-	}
-	if empty {
-		return nil
 	}
 	var forced []string
 	if cached != nil {
@@ -919,27 +938,84 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	if cached == nil && key != "" {
 		s.storePlan(key, plans, steps)
 	}
+	if len(steps) == 0 {
+		return fn(env{})
+	}
+
+	// Hash build sides and loop inners are materialized first: an empty
+	// one skips every remaining scan.  The driver streams from its scan
+	// under a snapshot; the locking path materializes it (its scan's
+	// transaction must not host the fetches), as does the parallel
+	// executor, which splits it into morsels.
+	stream := s.snap != nil && s.parWorkers <= 1
+	scanned := make([]bool, len(steps))
+	for k, st := range steps {
+		if st.method == joinFetch || (k == 0 && stream) {
+			continue
+		}
+		scanned[k] = true
+		if err := s.scanPlan(ctx, st.vp, nil); err != nil {
+			return err
+		}
+		switch {
+		case len(st.vp.list) == 0:
+			for j, skip := range steps {
+				if vp := skip.vp; !scanned[j] && s.ps != nil {
+					s.ps.Scans = append(s.ps.Scans, scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
+						Index: vp.access.index, Range: vp.access.rng, Skipped: true, Sargs: sargStrings(vp)})
+				}
+			}
+			return nil
+		case st.method != joinHash:
+		case s.parWorkers > 1 && len(st.vp.list) >= s.parMin:
+			st.table = s.buildHashTableParallel(st.vp, st.build)
+		default:
+			st.table = buildHashTable(st.vp, st.build)
+		}
+	}
 	if s.parallelOK(steps) {
 		return s.runParallelJoin(ctx, steps)
 	}
 	run := &stepRun{s: s, ctx: ctx, steps: steps,
 		counts: make([]stepCount, len(steps)), e: make(env, len(plans)), fn: fn}
-	err := run.rec(0)
-	s.m.combos.Add(uint64(run.combos))
-	if s.ps != nil {
-		s.ps.Combos = run.combos
-		s.recordSteps(steps, run.counts)
+	run.counts[0].probes = 1
+	bind := func(b binding) error { run.counts[0].hits++; run.e[steps[0].vp.name] = b; return run.rec(1) }
+	var err error
+	if stream {
+		if serr := s.scanPlan(ctx, steps[0].vp, func(b binding) bool { err = bind(b); return err == nil }); err == nil {
+			err = serr
+		}
+	} else {
+		for _, b := range steps[0].vp.list {
+			if err = bind(b); err != nil {
+				break
+			}
+		}
 	}
+	s.finishJoin(steps, run.counts, run.combos)
 	return err
 }
 
-// recordSteps copies the planned steps and their counts into the live
-// planStats for explain.
-func (s *Session) recordSteps(steps []*joinStep, counts []stepCount) {
+// finishJoin publishes a finished join's counters — fetched rows count
+// as scanned — and, when plan statistics are live, its steps for
+// explain (with a leaf for each fetched variable, which has no scan).
+func (s *Session) finishJoin(steps []*joinStep, counts []stepCount, combos int) {
+	s.m.combos.Add(uint64(combos))
+	if s.ps != nil {
+		s.ps.Combos = combos
+	}
 	for k, st := range steps {
+		s.m.scanRows.Add(uint64(counts[k].fetched))
+		if s.ps == nil {
+			continue
+		}
 		s.ps.Steps = append(s.ps.Steps, joinStat{Var: st.vp.name, Method: st.method.String(),
 			Cond: st.cond, Est: st.est, Build: len(st.vp.list),
-			Probes: counts[k].probes, Hits: counts[k].hits})
+			Probes: counts[k].probes, Fetched: counts[k].fetched, Hits: counts[k].hits})
+		if st.method == joinFetch {
+			s.ps.Scans = append(s.ps.Scans, scanStats{Var: st.vp.name, Rel: st.vp.info.typ,
+				Est: st.vp.access.est, Fetch: true, Sargs: sargStrings(st.vp)})
+		}
 	}
 }
 
@@ -996,7 +1072,7 @@ func (s *Session) resolveOrdering(x OrderOp, ltyp, rtyp string) (*model.Ordering
 func (s *Session) childPos(ordering string, ref value.Ref) (posEntry, error) {
 	c := s.cache
 	if c == nil {
-		parent, rank, ok, err := s.childPosition(ordering, ref)
+		parent, rank, ok, err := s.orderings().ChildPosition(ordering, ref)
 		return posEntry{parent: parent, rank: rank, ok: ok}, err
 	}
 	m := c.pos[ordering]
@@ -1007,7 +1083,7 @@ func (s *Session) childPos(ordering string, ref value.Ref) (posEntry, error) {
 	if pe, ok := m[ref]; ok {
 		return pe, nil
 	}
-	parent, rank, ok, err := s.childPosition(ordering, ref)
+	parent, rank, ok, err := s.orderings().ChildPosition(ordering, ref)
 	if err != nil {
 		return posEntry{}, err
 	}

@@ -1,6 +1,7 @@
 package quel
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -64,18 +65,18 @@ func TestExplainHashJoinReorder(t *testing.T) {
 	setupPlanned(t, db)
 	mustExec(t, s, `range of n is NOTE
 range of c is CHORD`)
-	// c scans first despite n being alphabetically later work: its sarg
-	// leaves one binding, so the planner reorders and hashes n on the
-	// equi-conjunct instead of looping 6 combinations per chord.
+	// n, the larger input, is read in full whatever its place and is
+	// equi-joined to c, so it drives the pipeline, streaming: the hash
+	// table is built on c's one surviving binding, not on n's six.
 	got := planLines(t, s,
 		`explain retrieve (n.name) where n.chord = c.name and c.name = 1`)
 	want := []string{
 		`Retrieve (rows=3) (time=X)`,
 		`  Filter: ((n.chord = c.name) and (c.name = 1)) (in=3, out=3)`,
-		`    HashJoin (n.chord = c.name) (est=6, build=6, probes=1, hits=3)`,
+		`    HashJoin (n.chord = c.name) (est=1, build=1, probes=6, hits=3)`,
+		`      Scan n on NOTE (est=6, scanned=6, kept=6, streamed) (time=X)`,
 		`      Scan c on CHORD (est=2, scanned=2, kept=1) (time=X)`,
 		`        Sarg: c.name = 1`,
-		`      Scan n on NOTE (est=6, scanned=6, kept=6) (time=X)`,
 	}
 	assertPlan(t, got, want)
 }
@@ -138,6 +139,48 @@ func TestPlannerReplaceDeleteUseIndex(t *testing.T) {
 	}
 	if res := mustExec(t, s, `retrieve (NOTE.name)`); len(res.Rows) != 3 {
 		t.Fatalf("remaining = %d, want 3", len(res.Rows))
+	}
+}
+
+// TestFetchAtSnapshot pins the snapshot safety of ordering fetches: a
+// statement at a snapshot pinned before a note (and with it its edge)
+// was deleted still fetches that note, because the fetch reads the
+// note's version at the pin through NOTE's by_ref index.  A fetch
+// through the model's directory, which holds only the latest state,
+// loses it.
+func TestFetchAtSnapshot(t *testing.T) {
+	db, s := newSession(t)
+	_, notes := setupChords(t, db)
+	mustExec(t, s, `range of n1, n2 is NOTE`)
+	const src = `retrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = 3`
+	stmts, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	snap, err := db.BeginSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if err := db.DeleteEntity(notes[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	s.snap = snap
+	res, ps, err := s.retrieveStats(ctx, stmts[0].(Retrieve))
+	s.snap = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonRows(res); got != "1\n2" {
+		t.Fatalf("at the pinned snapshot: rows %q, want notes 1 and 2", got)
+	}
+	if len(ps.Steps) != 2 || ps.Steps[1].Method != "fetch" || ps.Steps[1].Fetched != 2 {
+		t.Fatalf("steps %+v: want n1 fetched twice", ps.Steps)
+	}
+	if got := canonRows(mustExec(t, s, src)); got != "2" {
+		t.Fatalf("after the delete: rows %q, want note 2", got)
 	}
 }
 

@@ -107,6 +107,7 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	}
 	switch op.op {
 	case verAdd, verSet:
+		r.noteIDLocked(op.id)
 		r.vers[op.id] = &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old}
 	case verDel:
 		// The closed-off old version stays reachable until vacuumed.
@@ -133,6 +134,7 @@ func (r *Relation) seedVersions() {
 	for id, t := range r.rows {
 		r.vers[id] = &rowVersion{begin: 0, end: liveCSN, tuple: t}
 	}
+	r.compactIDsLocked()
 	r.verDirty = make(map[RowID]struct{})
 	for _, ix := range r.indexes {
 		ix.hist = nil
@@ -187,33 +189,9 @@ func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
 }
 
 // snapScan iterates the rows visible at CSN at in row-id order,
-// returning the number of rows seen.  The visible set is collected
-// under a brief read lock and emitted outside it.
+// returning the number of rows seen; fn runs with no lock held.
 func (r *Relation) snapScan(at uint64, fn func(id RowID, t value.Tuple) bool) uint64 {
-	type pair struct {
-		id RowID
-		t  value.Tuple
-	}
-	r.mu.RLock()
-	out := make([]pair, 0, len(r.vers))
-	for id, v := range r.vers {
-		for v != nil && v.begin > at {
-			v = v.prev
-		}
-		if v != nil && v.end > at {
-			out = append(out, pair{id, v.tuple})
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	var n uint64
-	for _, p := range out {
-		n++
-		if !fn(p.id, p.t) {
-			break
-		}
-	}
-	return n
+	return r.walkIDs(func(id RowID) value.Tuple { return r.snapVisibleLocked(id, at) }, fn)
 }
 
 // snapCand is one candidate row of a snapshot index scan: the sort key
@@ -289,7 +267,7 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 // columns, row-id-suffixed only for non-unique indexes.
 func (r *Relation) snapRangeFallbackLocked(ix *index, at uint64, lo, hi []byte) []snapCand {
 	var cands []snapCand
-	for id := range r.vers {
+	for _, id := range r.ids {
 		t := r.snapVisibleLocked(id, at)
 		if t == nil {
 			continue
@@ -398,6 +376,40 @@ func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool
 	return err
 }
 
+// IndexGet returns the row whose key in the named unique index is key
+// (the encoded columns) as visible in the snapshot, ok false if none: a
+// live-tree probe, or — when the row has since left the tree under that
+// key, or the tree postdates the pin — the range read over the key.
+func (s *Snap) IndexGet(relName, indexName string, key []byte) (value.Tuple, bool, error) {
+	r := s.db.Relation(relName)
+	if r == nil {
+		return nil, false, fmt.Errorf("storage: no relation %q", relName)
+	}
+	var t value.Tuple
+	var kb [64]byte
+	r.mu.RLock()
+	if ix := r.findIndex(indexName); ix != nil && s.csn >= ix.createdAt && !r.deferred {
+		if id, ok := ix.tree.Get(key); ok {
+			if t = r.snapVisibleLocked(id, s.csn); t != nil && !bytes.Equal(ix.appendKey(kb[:0], id, t), key) {
+				t = nil
+			}
+		}
+	}
+	r.mu.RUnlock()
+	if t == nil {
+		hi := append(append(make([]byte, 0, len(key)+9), key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(_ RowID, tu value.Tuple) bool {
+			t = tu
+			return false
+		}); err != nil || t == nil {
+			return nil, false, err
+		}
+	}
+	s.db.m.snapReads.Inc()
+	s.db.m.rowsRead.Inc()
+	return t, true, nil
+}
+
 // Get returns the tuple of row id visible in the snapshot.
 func (s *Snap) Get(relName string, id RowID) (value.Tuple, bool) {
 	r := s.db.Relation(relName)
@@ -492,6 +504,11 @@ func (r *Relation) vacuum(w uint64) int {
 		if h := r.vers[id]; h == nil || (h.prev == nil && h.end == liveCSN) {
 			delete(r.verDirty, id)
 		}
+	}
+	// Ids of vacuumed rows stay (scans skip them) until they are over a
+	// fifth of r.ids: compacting per delete is O(rows) under r.mu.
+	if 4*len(r.ids) > 5*max(len(r.rows), len(r.vers)) {
+		r.compactIDsLocked()
 	}
 	for _, ix := range r.indexes {
 		if ix.hist == nil || ix.hist.Len() == 0 {

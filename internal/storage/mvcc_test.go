@@ -367,3 +367,233 @@ func TestSnapshotMultiRowAtomicity(t *testing.T) {
 	}
 	<-done
 }
+
+// scanIDs returns the row ids a snapshot scan and a locking scan of rel
+// visit, in visiting order.
+func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
+	t.Helper()
+	s, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Scan(rel, func(id RowID, _ value.Tuple) bool {
+		snap = append(snap, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	if err := tx.Scan(rel, func(id RowID, _ value.Tuple) bool {
+		locking = append(locking, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return snap, locking
+}
+
+// ascending reports whether ids are strictly increasing.
+func ascending(ids []RowID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRowOrderOutOfOrderPublish: versions published out of row-id order
+// (commits racing, replay) still scan in row-id order, with no sort.
+func TestRowOrderOutOfOrderPublish(t *testing.T) {
+	db := memDB(t)
+	db.CreateRelation("NOTE", noteSchema())
+	for _, id := range []RowID{5, 3, 9, 4, 1} {
+		db.publish([]verOp{{op: verAdd, rel: "NOTE", id: id,
+			t: value.Tuple{value.Int(int64(id)), value.Int(60), value.Str("n")}}})
+	}
+	snap, _ := scanIDs(t, db, "NOTE")
+	if want := []RowID{1, 3, 4, 5, 9}; fmt.Sprint(snap) != fmt.Sprint(want) {
+		t.Fatalf("snapshot scan order %v, want %v", snap, want)
+	}
+	if r := db.Relation("NOTE"); !ascending(r.ids) {
+		t.Fatalf("ids not in row-id order: %v", r.ids)
+	}
+}
+
+// TestRowOrderDeletesAndVacuum: deleted rows leave their ids behind;
+// vacuum compacts them only once they exceed a fifth of the list (a
+// removal is O(1) amortized), scans skip them meanwhile, and a quiesced
+// vacuum leaves no old versions or history.
+func TestRowOrderDeletesAndVacuum(t *testing.T) {
+	db := memDB(t)
+	db.CreateRelation("NOTE", noteSchema())
+	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	ids := make([]RowID, n)
+	mustTx(t, db, func(tx *Tx) {
+		for i := range ids {
+			ids[i], _ = tx.Insert("NOTE", value.Tuple{value.Int(int64(i)), value.Int(int64(i % 12)), value.Str("n")})
+		}
+	})
+	r := db.Relation("NOTE")
+	del := func(from, to int) {
+		mustTx(t, db, func(tx *Tx) {
+			for i := from; i < to; i++ {
+				if err := tx.Delete("NOTE", ids[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		db.Vacuum()
+	}
+	check := func(live []RowID) {
+		t.Helper()
+		snap, locking := scanIDs(t, db, "NOTE")
+		if fmt.Sprint(snap) != fmt.Sprint(live) || fmt.Sprint(locking) != fmt.Sprint(live) {
+			t.Fatalf("scans %v / %v, want %v", snap, locking, live)
+		}
+		if chains, old, hist := r.VersionStats(); chains != len(live) || old != 0 || hist != 0 {
+			t.Fatalf("after a quiesced vacuum: chains=%d old=%d hist=%d, want %d/0/0", chains, old, hist, len(live))
+		}
+	}
+
+	del(0, 10) // 10 % stale: kept in place
+	check(ids[10:])
+	if len(r.ids) != n {
+		t.Fatalf("after 10 deletes: %d ids, want %d (no compaction yet)", len(r.ids), n)
+	}
+	del(10, 40) // past a fifth: compacted
+	check(ids[40:])
+	if len(r.ids) != n-40 {
+		t.Fatalf("after 40 deletes: %d ids, want %d", len(r.ids), n-40)
+	}
+
+	// The fallback index range (a snapshot older than its index) and
+	// point read walk the same ordered ids, stale ones included.
+	old, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_name", Columns: []string{"name"}, Unique: true}); err != nil {
+		t.Fatal(err)
+	}
+	var names []int64
+	if err := old.IndexRange("NOTE", "by_name", nil, nil, false, func(_ RowID, tu value.Tuple) bool {
+		names = append(names, tu[0].AsInt())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != n-40 || names[0] != 40 || names[len(names)-1] != n-1 {
+		t.Fatalf("fallback range: %v", names)
+	}
+	for name, want := range map[int64]bool{39: false, 40: true, 99: true} {
+		if _, ok, err := old.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name))); err != nil || ok != want {
+			t.Fatalf("fallback point read of %d: ok=%v err=%v, want ok=%v", name, ok, err, want)
+		}
+	}
+}
+
+// TestRowOrderReopen: a reopened store rebuilds the ordered ids from its
+// image and log (seedVersions), stale ids dropped.
+func TestRowOrderReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateRelation("NOTE", noteSchema())
+	var ids []RowID
+	mustTx(t, db, func(tx *Tx) {
+		for i := 0; i < 20; i++ {
+			id, _ := tx.Insert("NOTE", value.Tuple{value.Int(int64(i)), value.Int(60), value.Str("n")})
+			ids = append(ids, id)
+		}
+	})
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// After the checkpoint: a delete and an insert only the log holds.
+	mustTx(t, db, func(tx *Tx) {
+		if err := tx.Delete("NOTE", ids[3]); err != nil {
+			t.Fatal(err)
+		}
+		id, _ := tx.Insert("NOTE", value.Tuple{value.Int(20), value.Int(60), value.Str("n")})
+		ids = append(ids, id)
+	})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	live := append(append([]RowID(nil), ids[:3]...), ids[4:]...)
+	snap, locking := scanIDs(t, db, "NOTE")
+	if fmt.Sprint(snap) != fmt.Sprint(live) || fmt.Sprint(locking) != fmt.Sprint(live) {
+		t.Fatalf("after reopen: scans %v / %v, want %v", snap, locking, live)
+	}
+	if r := db.Relation("NOTE"); fmt.Sprint(r.ids) != fmt.Sprint(live) {
+		t.Fatalf("after reopen: ids %v, want %v", r.ids, live)
+	}
+}
+
+// TestSnapshotIndexGet: the unique-index point read sees a row under the
+// key it had at the snapshot — through the key history once an update
+// or delete has taken it out of the live tree — and never under a key
+// it only gained later.
+func TestSnapshotIndexGet(t *testing.T) {
+	db := memDB(t)
+	db.CreateRelation("NOTE", noteSchema())
+	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_name", Columns: []string{"name"}, Unique: true}); err != nil {
+		t.Fatal(err)
+	}
+	var a, b RowID
+	mustTx(t, db, func(tx *Tx) {
+		a, _ = tx.Insert("NOTE", value.Tuple{value.Int(1), value.Int(60), value.Str("a")})
+		b, _ = tx.Insert("NOTE", value.Tuple{value.Int(2), value.Int(62), value.Str("b")})
+	})
+	old, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	mustTx(t, db, func(tx *Tx) {
+		if err := tx.Update("NOTE", a, value.Tuple{value.Int(3), value.Int(60), value.Str("a")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete("NOTE", b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	get := func(s *Snap, name int64) string {
+		tu, ok, err := s.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return "-"
+		}
+		return tu[2].AsString()
+	}
+	if got := get(old, 1) + get(old, 2) + get(old, 3); got != "ab-" {
+		t.Fatalf("old snapshot reads names 1,2,3 as %q, want \"ab-\"", got)
+	}
+	fresh, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got := get(fresh, 1) + get(fresh, 2) + get(fresh, 3); got != "--a" {
+		t.Fatalf("fresh snapshot reads names 1,2,3 as %q, want \"--a\"", got)
+	}
+	if _, _, err := fresh.IndexGet("NOTE", "no_such", nil); err == nil {
+		t.Fatal("IndexGet on a missing index: no error")
+	}
+}

@@ -13,6 +13,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,6 +69,10 @@ type Relation struct {
 	// per row, and the rows whose chains the vacuum should revisit.
 	vers     map[RowID]*rowVersion
 	verDirty map[RowID]struct{}
+
+	// ids holds, ascending, every row id in rows or vers (and stale ones
+	// until vacuum compacts them), so scans need no sort.  Guarded by mu.
+	ids []RowID
 
 	// Planner-statistics bookkeeping (stats.go): mutations since open,
 	// guarded by mu, and the counter the owning DB reports rebuilds to.
@@ -219,14 +224,18 @@ func (r *Relation) buildIndexes() error {
 // non-unique indexes so that duplicate attribute values remain distinct
 // tree keys.
 func (ix *index) key(id RowID, t value.Tuple) []byte {
-	var k []byte
+	return ix.appendKey(nil, id, t)
+}
+
+// appendKey appends ix.key(id, t) to dst.
+func (ix *index) appendKey(dst []byte, id RowID, t value.Tuple) []byte {
 	for _, c := range ix.cols {
-		k = value.AppendKey(k, t[c])
+		dst = value.AppendKey(dst, t[c])
 	}
 	if !ix.spec.Unique {
-		k = appendRowID(k, id)
+		dst = appendRowID(dst, id)
 	}
-	return k
+	return dst
 }
 
 func appendRowID(k []byte, id RowID) []byte {
@@ -278,6 +287,7 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 			}
 		}
 	}
+	r.noteIDLocked(id)
 	r.rows[id] = t
 	if id >= r.nextRow {
 		r.nextRow = id + 1
@@ -344,24 +354,60 @@ func (r *Relation) get(id RowID) (value.Tuple, bool) {
 	return t, ok
 }
 
-// scan invokes fn for every row in ascending row-id order.  Iteration
-// stops if fn returns false.
-func (r *Relation) scan(fn func(id RowID, t value.Tuple) bool) {
-	r.mu.RLock()
-	ids := make([]RowID, 0, len(r.rows))
-	for id := range r.rows {
-		ids = append(ids, id)
-	}
-	r.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+// scan invokes fn for every row in ascending row-id order, returning the
+// number of rows seen.  Iteration stops if fn returns false.
+func (r *Relation) scan(fn func(id RowID, t value.Tuple) bool) uint64 {
+	return r.walkIDs(func(id RowID) value.Tuple { return r.rows[id] }, fn)
+}
+
+// walkIDs calls fn in row-id order with each id of r.ids that pick maps
+// to a tuple until fn returns false, and returns the number of calls.
+// pick runs under the read lock 128 ids at a time, fn with no lock held;
+// each chunk resumes after the last id visited.
+func (r *Relation) walkIDs(pick func(id RowID) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
+	const chunk = 128
+	ids, ts := make([]RowID, 0, chunk), make([]value.Tuple, 0, chunk)
+	for next, more := RowID(0), true; more; {
+		ids, ts = ids[:0], ts[:0]
 		r.mu.RLock()
-		t, ok := r.rows[id]
+		i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= next })
+		end := min(i+chunk, len(r.ids))
+		for _, id := range r.ids[i:end] {
+			if t := pick(id); t != nil {
+				ids, ts = append(ids, id), append(ts, t)
+			}
+			next = id + 1
+		}
+		more = end < len(r.ids)
 		r.mu.RUnlock()
-		if ok && !fn(id, t) {
-			return
+		for k, id := range ids {
+			if n++; !fn(id, ts[k]) {
+				return n
+			}
 		}
 	}
+	return n
+}
+
+// noteIDLocked adds id to r.ids unless present: almost always an append,
+// as new rows take ever-larger ids; one arriving out of order (replay, a
+// rolled-back delete) is placed by binary search.  Caller holds r.mu.
+func (r *Relation) noteIDLocked(id RowID) {
+	n := len(r.ids)
+	if n == 0 || r.ids[n-1] < id {
+		r.ids = append(r.ids, id)
+	} else if i := sort.Search(n, func(i int) bool { return r.ids[i] >= id }); r.ids[i] != id {
+		r.ids = slices.Insert(r.ids, i, id)
+	}
+}
+
+// compactIDsLocked drops the ids in neither rows nor vers.
+func (r *Relation) compactIDsLocked() {
+	r.ids = slices.DeleteFunc(r.ids, func(id RowID) bool {
+		_, live := r.rows[id]
+		_, kept := r.vers[id]
+		return !live && !kept
+	})
 }
 
 // Indexes returns the specs of the relation's secondary indexes, in

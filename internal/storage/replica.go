@@ -227,17 +227,14 @@ func (db *DB) ContentHash() string {
 				buf = appendString(buf, c)
 			}
 		}
-		ids := make([]RowID, 0, len(r.rows))
-		for id := range r.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
+		buf = binary.AppendUvarint(buf, uint64(len(r.rows)))
 		h.Write(buf)
-		for _, id := range ids {
-			buf = binary.AppendUvarint(buf[:0], id)
-			buf = value.AppendTuple(buf, r.rows[id])
-			h.Write(buf)
+		for _, id := range r.ids {
+			if t, ok := r.rows[id]; ok {
+				buf = binary.AppendUvarint(buf[:0], id)
+				buf = value.AppendTuple(buf, t)
+				h.Write(buf)
+			}
 		}
 		r.mu.RUnlock()
 	}

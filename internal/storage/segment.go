@@ -591,6 +591,7 @@ func (db *DB) loadSegment(e manifestEntry) error {
 			return fmt.Errorf("storage: %s row %d: %w", ctx, id, err)
 		}
 		r.pos += n
+		rel.noteIDLocked(id)
 		rel.rows[id] = t
 		if id >= rel.nextRow {
 			rel.nextRow = id + 1

@@ -300,12 +300,7 @@ func (tx *Tx) Scan(relName string, fn func(id RowID, t value.Tuple) bool) error 
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return err
 	}
-	var n uint64
-	r.scan(func(id RowID, t value.Tuple) bool {
-		n++
-		return fn(id, t)
-	})
-	tx.db.m.rowsRead.Add(n)
+	tx.db.m.rowsRead.Add(r.scan(fn))
 	return nil
 }
 
