@@ -30,10 +30,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short torture run: the crash-recovery sweep at reduced depth, as a
-# quick fault-coverage gate for every PR.
+# Short torture run: the crash-recovery sweeps at reduced depth, as a
+# quick fault-coverage gate for every change (quel's: a multi-row
+# replace recovers all old or all new).
 torture:
-	$(GO) test -short -count=1 -run 'Torture|Fault|Poison' ./internal/storage/ ./internal/wal/
+	$(GO) test -short -count=1 -run 'Torture|Fault|Poison' ./internal/storage/ ./internal/wal/ ./internal/quel/
 	$(GO) test -short -count=1 ./internal/fault/...
 
 # Replication torture: the full crash/ship-failure/promote sweep (leader

@@ -70,14 +70,16 @@ func Open(db *model.Database) (*Index, error) {
 func (ix *Index) DB() *model.Database { return ix.db }
 
 // BulkRelations lists the storage relations a catalogue bulk load
-// writes, in a stable order: loaders defer index maintenance on exactly
-// these and rebuild afterwards.
+// writes whose index maintenance a loader may defer and rebuild
+// afterwards, in a stable order.  entry_in_catalog is not among them:
+// each batch appends under the catalogue, a parent from outside the
+// batch, and model.BulkInsert reads that parent's last rank from the
+// ordering's live (parent, rank) index.
 func (ix *Index) BulkRelations() []string {
 	return []string{
 		ix.db.InstanceRelation("CATALOG_ENTRY"),
 		ix.db.InstanceRelation("INCIPIT_NOTE"),
 		ix.db.InstanceRelation("INCIPIT_GRAM"),
-		ix.db.OrderingRelation("entry_in_catalog"),
 		ix.db.OrderingRelation("incipit_of_entry"),
 	}
 }
@@ -252,11 +254,23 @@ func (ix *Index) Lookup(abbreviation string, number int) (value.Ref, error) {
 	return 0, fmt.Errorf("biblio: no entry %s %d", abbreviation, number)
 }
 
+// entryReader is what an entry is read through: the database, or the
+// model.View of the statement that is matching an incipit predicate.
+type entryReader interface {
+	Instance(typeName string, ref value.Ref) (value.Tuple, bool, error)
+	Children(ordering string, parent value.Ref) ([]value.Ref, error)
+}
+
 // Get materializes an entry from the database.
-func (ix *Index) Get(entry value.Ref) (*Entry, error) {
-	t, err := ix.db.AttrTuple(entry)
+func (ix *Index) Get(entry value.Ref) (*Entry, error) { return getEntry(ix.db, entry) }
+
+func getEntry(r entryReader, entry value.Ref) (*Entry, error) {
+	t, ok, err := r.Instance("CATALOG_ENTRY", entry)
 	if err != nil {
 		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("biblio: %w: catalogue entry @%d", model.ErrNoEntity, entry)
 	}
 	e := &Entry{
 		Number: int(t[0].AsInt()), Title: t[1].AsString(), Setting: t[2].AsString(),
@@ -264,14 +278,17 @@ func (ix *Index) Get(entry value.Ref) (*Entry, error) {
 		Measures: int(t[5].AsInt()), Copies: t[6].AsString(),
 		Editions: t[7].AsString(), Literature: t[8].AsString(),
 	}
-	notes, err := ix.db.Children("incipit_of_entry", entry)
+	notes, err := r.Children("incipit_of_entry", entry)
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range notes {
-		nt, err := ix.db.AttrTuple(n)
+		nt, ok, err := r.Instance("INCIPIT_NOTE", n)
 		if err != nil {
 			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("biblio: %w: incipit note @%d", model.ErrNoEntity, n)
 		}
 		e.Incipit = append(e.Incipit, IncipitNote{
 			MIDIPitch: int(nt[0].AsInt()), DurNum: nt[1].AsInt(), DurDen: nt[2].AsInt(),

@@ -155,7 +155,11 @@ func (ix *Index) candidates(gram string) ([]value.Ref, error) {
 // indexed and scanning search paths, and the Match callback of the
 // registered incipit index.
 func (ix *Index) MatchIncipit(entry value.Ref, query []int) (bool, error) {
-	e, err := ix.Get(entry)
+	return matchIncipit(ix.db, entry, query)
+}
+
+func matchIncipit(r entryReader, entry value.Ref, query []int) (bool, error) {
+	e, err := getEntry(r, entry)
 	if err != nil {
 		return false, err
 	}
@@ -204,7 +208,7 @@ func (ix *Index) registerIncipitIndex() error {
 			}
 			return ix.probeGram(pitchIntervals(pitches))
 		},
-		Match: func(entry value.Ref, pattern string) (bool, error) {
+		Match: func(v model.View, entry value.Ref, pattern string) (bool, error) {
 			pitches, err := ParsePitches(pattern)
 			if err != nil {
 				return false, err
@@ -213,7 +217,7 @@ func (ix *Index) registerIncipitIndex() error {
 			if len(iv) == 0 {
 				return false, fmt.Errorf("biblio: incipit pattern needs at least two pitches")
 			}
-			return ix.MatchIncipit(entry, iv)
+			return matchIncipit(v, entry, iv)
 		},
 	})
 }

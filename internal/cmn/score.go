@@ -448,8 +448,7 @@ func (v *Voice) Content() ([]VoiceItem, error) {
 	}
 	out := make([]VoiceItem, len(kids))
 	for i, k := range kids {
-		typ, _ := v.m.DB.TypeOf(k)
-		item := VoiceItem{Ref: k, IsRest: typ == "REST"}
+		item := VoiceItem{Ref: k, IsRest: v.m.DB.Is(k, "REST")}
 		item.Duration = (&node{v.m, k}).rtimeAttr("duration")
 		out[i] = item
 	}

@@ -454,17 +454,17 @@ func (g *Group) Duration() (RTime, error) {
 	}
 	total := Zero
 	for _, k := range kids {
-		typ, _ := g.m.DB.TypeOf(k)
-		switch typ {
-		case "GROUP":
+		switch {
+		case g.m.DB.Is(k, "GROUP"):
 			d, err := (&Group{node{g.m, k}}).Duration()
 			if err != nil {
 				return Zero, err
 			}
 			total = total.Add(d)
-		case "CHORD", "REST":
+		case g.m.DB.Is(k, "CHORD") || g.m.DB.Is(k, "REST"):
 			total = total.Add((&node{g.m, k}).rtimeAttr("duration"))
 		default:
+			typ, _ := g.m.DB.TypeOf(k)
 			return Zero, fmt.Errorf("cmn: unexpected %s in group", typ)
 		}
 	}

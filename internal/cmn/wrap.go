@@ -11,14 +11,14 @@ import (
 // handles with these.  Each checks the surrogate's entity type.
 
 func (m *Music) wrapCheck(ref value.Ref, want string) error {
+	if m.DB.Is(ref, want) {
+		return nil
+	}
 	typ, ok := m.DB.TypeOf(ref)
 	if !ok {
 		return fmt.Errorf("cmn: no entity @%d", ref)
 	}
-	if typ != want {
-		return fmt.Errorf("cmn: @%d is a %s, not a %s", ref, typ, want)
-	}
-	return nil
+	return fmt.Errorf("cmn: @%d is a %s, not a %s", ref, typ, want)
 }
 
 // ScoreByRef wraps a SCORE surrogate.

@@ -54,7 +54,7 @@ func q1SortedSelection(sz Sizes) []caseDef {
 	}
 	idx := caseDef{ID: "Q1", Name: "range selection via matching sort key", Config: cfg, Unit: "ns/query",
 		Bench: run(func(tx *storage.Tx) error {
-			return tx.IndexScan("N", "by_pitch", lo, hi, func(storage.RowID, value.Tuple) bool { return true })
+			return tx.IndexRange("N", "by_pitch", lo, hi, false, func(storage.RowID, value.Tuple) bool { return true })
 		})}
 	heap := caseDef{ID: "Q1", Name: "range selection via heap scan", Config: cfg, Unit: "ns/query",
 		Bench: scan(func(t value.Tuple) bool { return t[0].AsInt() >= 60 && t[0].AsInt() < 64 })}

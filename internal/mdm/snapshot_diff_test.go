@@ -18,6 +18,8 @@ const (
 	snapDiffSingles   = 120 // per-writer single-entity appends (monotone seq)
 	snapDiffBatches   = 15  // per-writer batch appends
 	snapDiffBatchSize = 8
+	snapDiffGenRows   = 12 // rows of G, which one multi-row replace advances together
+	snapDiffReplaces  = 40
 )
 
 // TestConcurrentSnapshotDifferential races snapshot readers against
@@ -38,6 +40,9 @@ const (
 //     P in the ordering k_in_p, in seq order, so QUEL `under` and
 //     `before ... and k2.seq = i` — both fetching children by key at the
 //     statement's snapshot — must see a gap-free prefix of them;
+//   - a replace writer advances every row of G by one generation per
+//     statement, so a snapshot — model-level or a QUEL retrieve's —
+//     must see all of G at one generation, never part of a statement;
 //   - once the writers finish, snapshot retrieves and the typed API's
 //     locking scan must agree exactly.
 func TestConcurrentSnapshotDifferential(t *testing.T) {
@@ -58,7 +63,7 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 		}
 	}
 	for _, src := range []string{"define entity P (w = integer)", "define entity K (w = integer, seq = integer)",
-		"define ordering k_in_p (K) under P", "define index on K (seq)"} {
+		"define ordering k_in_p (K) under P", "define index on K (seq)", "define entity G (gen = integer)"} {
 		if _, err := setup.ExecContext(ctx, src); err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +72,12 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 		return model.Attrs{"w": value.Int(int64(w))}
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := m.Model.NewEntities("G", snapDiffGenRows, func(int) model.Attrs {
+		return model.Attrs{"gen": value.Int(0)}
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,6 +136,25 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 		}(w)
 	}
 
+	// The multi-row replace writer.
+	wg.Add(1)
+	writersWG.Add(1)
+	go func() {
+		defer wg.Done()
+		defer writersWG.Done()
+		sess := m.NewSession()
+		for i := 0; i < snapDiffReplaces && !stop.Load(); i++ {
+			res, err := sess.ExecContext(ctx, "range of g is G replace g (gen = g.gen + 1)")
+			if err == nil && res.Result.Affected != snapDiffGenRows {
+				err = fmt.Errorf("affected %d rows", res.Result.Affected)
+			}
+			if err != nil {
+				fail(fmt.Errorf("replace writer %d: %w", i, err))
+				return
+			}
+		}
+	}()
+
 	// Model-level snapshot readers: all relations under one pin.
 	writersDone := make(chan struct{})
 	for r := 0; r < 2; r++ {
@@ -141,6 +171,9 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 				if err != nil {
 					fail(err)
 					return
+				}
+				if err := checkGeneration(s); err != nil {
+					fail(err)
 				}
 				for w := 0; w < snapDiffWriters; w++ {
 					if err := checkPrefix(s, w); err != nil {
@@ -168,6 +201,15 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 				case <-writersDone:
 					return
 				default:
+				}
+				res, err := sess.QueryContext(ctx, "range of g is G retrieve (g.gen)")
+				if err != nil {
+					fail(fmt.Errorf("quel reader: %w", err))
+					return
+				}
+				if err := oneGeneration(res.Rows); err != nil {
+					fail(fmt.Errorf("quel reader: %w", err))
+					return
 				}
 				w := i % snapDiffWriters
 				seq := i % snapDiffSingles
@@ -275,6 +317,36 @@ func checkPrefix(s *model.Snap, w int) error {
 	}
 	if err := prefixGapFree(seqs); err != nil {
 		return fmt.Errorf("snapshot CSN %d, writer %d: %w", s.CSN(), w, err)
+	}
+	return nil
+}
+
+// checkGeneration asserts snapshot s sees every row of G at one
+// generation: no multi-row replace statement half applied.
+func checkGeneration(s *model.Snap) error {
+	var rows []value.Tuple
+	if err := s.Instances("G", func(_ value.Ref, attrs value.Tuple) bool {
+		rows = append(rows, attrs)
+		return true
+	}); err != nil {
+		return err
+	}
+	if err := oneGeneration(rows); err != nil {
+		return fmt.Errorf("snapshot CSN %d: %w", s.CSN(), err)
+	}
+	return nil
+}
+
+// oneGeneration asserts all snapDiffGenRows rows carry the same first
+// column.
+func oneGeneration(rows []value.Tuple) error {
+	if len(rows) != snapDiffGenRows {
+		return fmt.Errorf("G has %d rows, want %d", len(rows), snapDiffGenRows)
+	}
+	for _, r := range rows {
+		if r[0].AsInt() != rows[0][0].AsInt() {
+			return fmt.Errorf("G torn between generations %d and %d", rows[0][0].AsInt(), r[0].AsInt())
+		}
 	}
 	return nil
 }

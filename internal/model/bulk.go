@@ -1,9 +1,10 @@
 package model
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -38,17 +39,12 @@ type BulkEdge struct {
 // Every edge's child must be an in-batch entity, so the §5.5
 // well-formedness checks reduce to type checks: a freshly created child
 // has no prior parent, and no P-cycle can pass through it.  Edges
-// always append (model.Last()); ranks are computed from the runtime's
-// last sibling plus the standard gap, without per-edge transactions.
-//
-// Like InsertChild, the model mutex is held for the duration: ordering
-// rank assignment must not interleave with concurrent mutations of the
-// same parents.  On error nothing is committed and no runtime state
-// changes.
+// always append (model.Last()); ranks continue from the parent's last
+// stored child with the standard gap, so an ordering that takes edges
+// under an ExternalParent must keep its (parent, rank) index live (not
+// deferred).  The transaction X-locks every relation the batch writes
+// before it reads any.  On error nothing is committed.
 func (db *Database) BulkInsert(entities []BulkEntity, edges []BulkEdge) ([]value.Ref, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-
 	// Validate and build tuples before touching storage.  In-batch
 	// reference attributes are recorded as patches and resolved once the
 	// target's surrogate has been assigned inside the transaction.
@@ -56,24 +52,18 @@ func (db *Database) BulkInsert(entities []BulkEntity, edges []BulkEdge) ([]value
 		tupleIx int
 		target  int
 	}
+	types := make([]*EntityType, len(entities))
 	tuples := make([]value.Tuple, len(entities))
 	patches := make([][]refPatch, len(entities))
+	var locks []string
 	for i, be := range entities {
-		et, ok := db.entities[be.Type]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoEntityType, be.Type)
+		et, err := db.entityType(be.Type)
+		if err != nil {
+			return nil, err
 		}
 		for name := range be.Attrs {
 			if _, ok := et.AttrIndex(name); !ok {
 				return nil, fmt.Errorf("%w: %s.%s", ErrNoAttribute, be.Type, name)
-			}
-		}
-		t := make(value.Tuple, len(et.Attrs)+1)
-		for j, a := range et.Attrs {
-			if v, ok := be.Attrs[a.Name]; ok {
-				t[j+1] = v
-			} else {
-				t[j+1] = value.Null
 			}
 		}
 		for name, target := range be.RefAttrs {
@@ -86,28 +76,15 @@ func (db *Database) BulkInsert(entities []BulkEntity, edges []BulkEdge) ([]value
 			}
 			patches[i] = append(patches[i], refPatch{tupleIx: j + 1, target: target})
 		}
-		tuples[i] = t
+		types[i] = et
+		tuples[i] = et.tuple(0, be.Attrs)
+		locks = append(locks, et.rel)
 	}
-	type plannedEdge struct {
-		ordering string
-		parent   value.Ref // 0 when in-batch; resolved at insert time
-		parentIx int
-		child    int
-		rank     int64
-	}
-	// lastRank tracks the running append rank per (ordering, parent) so
-	// several appends under one parent inside the batch stay ordered.
-	type opKey struct {
-		ordering string
-		parentIx int // -1 for external parents
-		external value.Ref
-	}
-	lastRank := make(map[opKey]int64)
-	planned := make([]plannedEdge, 0, len(edges))
-	for _, e := range edges {
-		o, ok := db.orderings[e.Ordering]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoOrdering, e.Ordering)
+	orders := make([]*Ordering, len(edges))
+	for i, e := range edges {
+		o, err := db.ordering(e.Ordering)
+		if err != nil {
+			return nil, err
 		}
 		if e.Child < 0 || e.Child >= len(entities) {
 			return nil, fmt.Errorf("model: bulk edge child %d out of range", e.Child)
@@ -115,90 +92,78 @@ func (db *Database) BulkInsert(entities []BulkEntity, edges []BulkEdge) ([]value
 		if !o.hasChild(entities[e.Child].Type) {
 			return nil, fmt.Errorf("%w: %s under ordering %s", ErrWrongChildType, entities[e.Child].Type, e.Ordering)
 		}
-		pe := plannedEdge{ordering: e.Ordering, child: e.Child, parentIx: e.Parent}
-		var parentType string
-		key := opKey{ordering: e.Ordering, parentIx: e.Parent}
-		if e.Parent >= 0 {
-			if e.Parent >= len(entities) {
-				return nil, fmt.Errorf("model: bulk edge parent %d out of range", e.Parent)
-			}
-			parentType = entities[e.Parent].Type
-		} else {
-			loc, ok := db.directory[e.ExternalParent]
-			if !ok {
-				return nil, fmt.Errorf("%w: parent @%d", ErrNoEntity, e.ExternalParent)
-			}
-			parentType = loc.typeName
-			pe.parent = e.ExternalParent
-			key.parentIx = -1
-			key.external = e.ExternalParent
+		if e.Parent >= len(entities) {
+			return nil, fmt.Errorf("model: bulk edge parent %d out of range", e.Parent)
 		}
-		if parentType != o.Parent {
-			return nil, fmt.Errorf("%w: %s is not parent type %s of ordering %s", ErrWrongParent, parentType, o.Parent, e.Ordering)
+		if e.Parent >= 0 && entities[e.Parent].Type != o.Parent {
+			return nil, fmt.Errorf("%w: %s is not parent type %s of ordering %s", ErrWrongParent, entities[e.Parent].Type, o.Parent, e.Ordering)
 		}
-		rank, seeded := lastRank[key]
-		if !seeded {
-			rank = 0
-			if e.Parent < 0 {
-				if tr := db.orders[e.Ordering].siblings[e.ExternalParent]; tr != nil && tr.Len() > 0 {
-					k, _, _ := tr.At(tr.Len() - 1)
-					rank = decodeRank(k) + rankGap
-				}
-			}
-		} else {
-			rank += rankGap
-		}
-		lastRank[key] = rank
-		pe.rank = rank
-		planned = append(planned, pe)
+		orders[i] = o
+		locks = append(locks, o.rel)
 	}
+	slices.Sort(locks)
+	locks = slices.Compact(locks)
 
-	// One transaction for the whole batch: entity rows first (assigning
-	// refs), then edge rows.
+	// lastRank tracks the running append rank per (ordering, parent) so
+	// several appends under one parent inside the batch stay ordered.
+	type opKey struct {
+		ordering string
+		parentIx int // -1 for external parents
+		external value.Ref
+	}
 	refs := make([]value.Ref, len(entities))
-	rowIDs := make([]storage.RowID, len(entities))
-	edgeRows := make([]storage.RowID, len(planned))
-	err := db.store.Run(func(tx *storage.Tx) error {
-		for i, be := range entities {
-			ref := value.Ref(db.store.NextSeq("ref"))
-			refs[i] = ref
-			tuples[i][0] = value.RefVal(ref)
+	err := db.write(context.Background(), func(t Tx) error {
+		for _, rel := range locks {
+			if err := t.tx.LockExclusive(rel); err != nil {
+				return err
+			}
+		}
+		for i, et := range types {
+			refs[i] = value.Ref(db.store.NextSeq("ref"))
+			tuples[i][0] = value.RefVal(refs[i])
 			for _, p := range patches[i] {
 				tuples[i][p.tupleIx] = value.RefVal(refs[p.target])
 			}
-			id, err := tx.Insert(entPrefix+be.Type, tuples[i])
-			if err != nil {
+			if _, err := t.tx.Insert(et.rel, tuples[i]); err != nil {
 				return err
 			}
-			rowIDs[i] = id
 		}
-		for i, pe := range planned {
-			parent := pe.parent
-			if pe.parentIx >= 0 {
-				parent = refs[pe.parentIx]
+		lastRank := make(map[opKey]int64)
+		for i, e := range edges {
+			o := orders[i]
+			key := opKey{ordering: o.Name, parentIx: e.Parent}
+			parent := e.ExternalParent
+			if e.Parent >= 0 {
+				parent = refs[e.Parent]
+			} else {
+				key.parentIx, key.external = -1, parent
 			}
-			id, err := tx.Insert(ordPrefix+pe.ordering, value.Tuple{
-				value.RefVal(parent), value.RefVal(refs[pe.child]), value.Int(pe.rank),
-			})
-			if err != nil {
+			rank, seeded := lastRank[key]
+			switch {
+			case seeded:
+				rank += rankGap
+			case e.Parent < 0:
+				if err := t.checkParent(o, parent); err != nil {
+					return err
+				}
+				lo, hi := refRange(parent)
+				if last, err := t.first(o, lo, hi, true); err != nil {
+					return err
+				} else if last != nil {
+					rank = last[2].AsInt() + rankGap
+				}
+			}
+			lastRank[key] = rank
+			if _, err := t.tx.Insert(o.rel, value.Tuple{
+				value.RefVal(parent), value.RefVal(refs[e.Child]), value.Int(rank),
+			}); err != nil {
 				return err
 			}
-			edgeRows[i] = id
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, be := range entities {
-		db.directory[refs[i]] = entityLoc{typeName: be.Type, rowID: rowIDs[i]}
-	}
-	for i, pe := range planned {
-		parent := pe.parent
-		if pe.parentIx >= 0 {
-			parent = refs[pe.parentIx]
-		}
-		db.orders[pe.ordering].attach(parent, refs[pe.child], pe.rank, edgeRows[i])
 	}
 	return refs, nil
 }

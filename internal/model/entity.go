@@ -3,6 +3,8 @@ package model
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -10,6 +12,300 @@ import (
 
 // Attrs is a convenience map for entity attribute values by name.
 type Attrs map[string]value.Value
+
+// Tx is the model bound to one storage transaction: its reads (the
+// embedded View) take shared locks and see the transaction's own writes,
+// and its mutations join the transaction, so a caller that runs several
+// of them commits once.  Database's mutators are one-transaction
+// wrappers around these methods.
+//
+// Lock order: entity relations first — X on those a mutation writes,
+// S on those it only checks (a parent's or a role's type) — then
+// orderings, then relationships, each X-locked before it is read (a
+// shared lock upgraded to exclusive by two transactions at once
+// deadlocks every time).
+type Tx struct {
+	View
+	tx *storage.Tx
+}
+
+// In binds the model to a storage transaction.
+func (db *Database) In(tx *storage.Tx) Tx { return Tx{View{db, tx}, tx} }
+
+// write runs fn in one storage transaction, retried whole on deadlock.
+func (db *Database) write(ctx context.Context, fn func(t Tx) error) error {
+	return db.store.RunCtx(ctx, func(tx *storage.Tx) error { return fn(db.In(tx)) })
+}
+
+// LockType takes the exclusive lock on typeName's instance relation, for
+// a statement that reads the instances it is about to change.
+func (t Tx) LockType(typeName string) error {
+	et, err := t.db.entityType(typeName)
+	if err != nil {
+		return err
+	}
+	return t.tx.LockExclusive(et.rel)
+}
+
+// lockedType resolves the type of ref for a write and X-locks its
+// instance relation before any read of it.  The live-tree hint names
+// the type; the caller's own point read under the lock confirms it.
+// When the hint misses, locate's probe of every type decides.
+func (t Tx) lockedType(ref value.Ref) (*EntityType, error) {
+	if et := t.db.liveType(ref); et != nil {
+		return et, t.tx.LockExclusive(et.rel)
+	}
+	et, _, _, err := t.locate(ref)
+	return et, err
+}
+
+// NewEntity creates an entity instance of the named type with the given
+// attribute values (missing attributes are null) and returns its
+// surrogate reference.
+func (t Tx) NewEntity(typeName string, attrs Attrs) (value.Ref, error) {
+	et, err := t.db.entityType(typeName)
+	if err != nil {
+		return 0, err
+	}
+	for name := range attrs {
+		if _, ok := et.AttrIndex(name); !ok {
+			return 0, fmt.Errorf("%w: %s.%s", ErrNoAttribute, typeName, name)
+		}
+	}
+	ref := value.Ref(t.db.store.NextSeq("ref"))
+	_, err = t.tx.Insert(et.rel, et.tuple(ref, attrs))
+	return ref, err
+}
+
+// tuple builds the stored tuple of an instance: the surrogate, then the
+// attributes in schema order, null where attrs has no value.
+func (et *EntityType) tuple(ref value.Ref, attrs Attrs) value.Tuple {
+	t := make(value.Tuple, len(et.Attrs)+1)
+	t[0] = value.RefVal(ref)
+	for i, a := range et.Attrs {
+		if v, ok := attrs[a.Name]; ok {
+			t[i+1] = v
+		} else {
+			t[i+1] = value.Null
+		}
+	}
+	return t
+}
+
+// Update sets attributes of the typeName instance ref.
+func (t Tx) Update(typeName string, ref value.Ref, attrs Attrs) error {
+	et, err := t.db.entityType(typeName)
+	if err != nil {
+		return err
+	}
+	if err := t.tx.LockExclusive(et.rel); err != nil {
+		return err
+	}
+	return t.update(et, ref, attrs)
+}
+
+// update sets attributes of ref, an et instance whose relation the
+// transaction has X-locked.
+func (t Tx) update(et *EntityType, ref value.Ref, attrs Attrs) error {
+	id, row, ok, err := t.instance(et, ref)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s @%d", ErrNoEntity, et.Name, ref)
+	}
+	nt := row.Clone()
+	for name, v := range attrs {
+		i, ok := et.AttrIndex(name)
+		if !ok {
+			return fmt.Errorf("%w: %s.%s", ErrNoAttribute, et.Name, name)
+		}
+		nt[i+1] = v
+	}
+	return t.tx.Update(et.rel, id, nt)
+}
+
+// Delete removes the typeName instance ref.  It must not be a parent
+// with children in any ordering (ErrHasChildren); it is detached from
+// the orderings in which it is a child, and the relationship instances
+// that reference it are deleted.
+func (t Tx) Delete(typeName string, ref value.Ref) error {
+	et, err := t.db.entityType(typeName)
+	if err != nil {
+		return err
+	}
+	if err := t.tx.LockExclusive(et.rel); err != nil {
+		return err
+	}
+	return t.delete(et, ref)
+}
+
+// delete removes ref, an et instance whose relation the transaction has
+// X-locked.  Only the orderings and relationships whose declared types
+// admit et are consulted.
+func (t Tx) delete(et *EntityType, ref value.Ref) error {
+	id, _, ok, err := t.instance(et, ref)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s @%d", ErrNoEntity, et.Name, ref)
+	}
+	orders, rels := t.db.partsOf(et.Name)
+	for _, o := range orders {
+		if err := t.tx.LockExclusive(o.rel); err != nil {
+			return err
+		}
+	}
+	for _, rt := range rels {
+		if err := t.tx.LockExclusive(rt.rel); err != nil {
+			return err
+		}
+	}
+	for _, o := range orders {
+		if o.Parent == et.Name {
+			lo, hi := refRange(ref)
+			if kid, err := t.first(o, lo, hi, false); err != nil {
+				return err
+			} else if kid != nil {
+				return fmt.Errorf("%w: @%d in ordering %q", ErrHasChildren, ref, o.Name)
+			}
+		}
+		if !o.hasChild(et.Name) {
+			continue
+		}
+		if eid, _, _, placed, err := t.position(o, ref); err != nil {
+			return err
+		} else if placed {
+			if err := t.tx.Delete(o.rel, eid); err != nil {
+				return err
+			}
+		}
+	}
+	for _, rt := range rels {
+		var doomed []storage.RowID
+		lo, hi := refRange(ref)
+		for _, r := range rt.Roles {
+			if r.EntityType != et.Name {
+				continue
+			}
+			if err := t.r.IndexRange(rt.rel, "by_"+r.Name, lo, hi, false, func(rid storage.RowID, _ value.Tuple) bool {
+				if !slices.Contains(doomed, rid) {
+					doomed = append(doomed, rid)
+				}
+				return true
+			}); err != nil {
+				return err
+			}
+		}
+		for _, rid := range doomed {
+			if err := t.tx.Delete(rt.rel, rid); err != nil {
+				return err
+			}
+		}
+	}
+	return t.tx.Delete(et.rel, id)
+}
+
+// partsOf returns the orderings in which typeName is the parent or a
+// child type, and the relationships with a role of typeName, in name
+// order so concurrent deletes lock them in one order.
+func (db *Database) partsOf(typeName string) ([]*Ordering, []*RelationshipType) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var orders []*Ordering
+	for _, o := range db.orderings {
+		if o.Parent == typeName || o.hasChild(typeName) {
+			orders = append(orders, o)
+		}
+	}
+	var rels []*RelationshipType
+	for _, rt := range db.relationships {
+		for _, r := range rt.Roles {
+			if r.EntityType == typeName {
+				rels = append(rels, rt)
+				break
+			}
+		}
+	}
+	slices.SortFunc(orders, func(a, b *Ordering) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(rels, func(a, b *RelationshipType) int { return strings.Compare(a.Name, b.Name) })
+	return orders, rels
+}
+
+// DeleteSubtree removes ref and, recursively, every child beneath it in
+// every ordering ("cascade" deletion of a hierarchy).
+func (t Tx) DeleteSubtree(ref value.Ref) error {
+	et, err := t.lockedType(ref)
+	if err != nil {
+		return err
+	}
+	// Every entity relation the cascade can reach is X-locked before the
+	// first ordering, in the lock order every other mutation keeps.
+	for _, sub := range t.db.descendantTypes(et) {
+		if err := t.tx.LockExclusive(sub.rel); err != nil {
+			return err
+		}
+	}
+	return t.deleteSubtree(et, ref)
+}
+
+func (t Tx) deleteSubtree(et *EntityType, ref value.Ref) error {
+	orders, _ := t.db.partsOf(et.Name)
+	for _, o := range orders {
+		if o.Parent != et.Name {
+			continue
+		}
+		if err := t.tx.LockExclusive(o.rel); err != nil {
+			return err
+		}
+		lo, hi := refRange(ref)
+		kids, err := t.childRefs(o, lo, hi)
+		if err != nil {
+			return err
+		}
+		for _, k := range kids {
+			ket, err := t.lockedType(k)
+			if err == nil {
+				err = t.deleteSubtree(ket, k)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return t.delete(et, ref)
+}
+
+// descendantTypes returns the entity types that can sit below an et
+// instance in some ordering, breadth-first from et's children (orderings
+// in name order), so a parent type precedes its child types.
+func (db *Database) descendantTypes(et *EntityType) []*EntityType {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	orders := make([]*Ordering, 0, len(db.orderings))
+	for _, o := range db.orderings {
+		orders = append(orders, o)
+	}
+	slices.SortFunc(orders, func(a, b *Ordering) int { return strings.Compare(a.Name, b.Name) })
+	var out []*EntityType
+	seen := map[string]bool{et.Name: true}
+	for q := []string{et.Name}; len(q) > 0; q = q[1:] {
+		for _, o := range orders {
+			if o.Parent != q[0] {
+				continue
+			}
+			for _, c := range o.Children {
+				if !seen[c] {
+					seen[c] = true
+					out = append(out, db.entities[c])
+					q = append(q, c)
+				}
+			}
+		}
+	}
+	return out
+}
 
 // NewEntity creates an entity instance of the named type with the given
 // attribute values (missing attributes are null) and returns its
@@ -21,83 +317,24 @@ func (db *Database) NewEntity(typeName string, attrs Attrs) (value.Ref, error) {
 // NewEntityCtx is NewEntity under a context: a blocked lock wait in the
 // underlying transaction aborts with txn.ErrCanceled when ctx is
 // canceled or its deadline passes.
-//
-// Unlike the other mutators, entity creation does NOT hold the model
-// mutex across its storage transaction: concurrent sessions appending
-// to different types must be able to reach the group-commit pipeline
-// together, and a commit fsync under db.mu would serialize every
-// session in the manager.  Isolation comes from the storage layer's
-// relation locks; db.mu guards only the schema lookup and the directory
-// update, so the directory entry for a new ref trails its relation row
-// by an instant.
 func (db *Database) NewEntityCtx(ctx context.Context, typeName string, attrs Attrs) (value.Ref, error) {
-	db.mu.RLock()
-	et, ok := db.entities[typeName]
-	db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoEntityType, typeName)
-	}
-	for name := range attrs {
-		if _, ok := et.AttrIndex(name); !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoAttribute, typeName, name)
-		}
-	}
-	ref := value.Ref(db.store.NextSeq("ref"))
-	t := make(value.Tuple, len(et.Attrs)+1)
-	t[0] = value.RefVal(ref)
-	for i, a := range et.Attrs {
-		if v, ok := attrs[a.Name]; ok {
-			t[i+1] = v
-		} else {
-			t[i+1] = value.Null
-		}
-	}
-	var rowID storage.RowID
-	err := db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		var err error
-		rowID, err = tx.Insert(entPrefix+typeName, t)
+	var ref value.Ref
+	err := db.write(ctx, func(t Tx) (err error) {
+		ref, err = t.NewEntity(typeName, attrs)
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	db.mu.Lock()
-	db.directory[ref] = entityLoc{typeName: typeName, rowID: rowID}
-	db.mu.Unlock()
-	return ref, nil
+	return ref, err
 }
 
 // NewEntities creates n entities of the same type in a single
 // transaction; attrs(i) supplies the attributes of the i'th.  It is the
-// bulk-loading path used by score import.  Like NewEntityCtx it holds
-// the model mutex only around the schema lookup and directory update,
-// never across the commit.
+// bulk-loading path used by score import.
 func (db *Database) NewEntities(typeName string, n int, attrs func(i int) Attrs) ([]value.Ref, error) {
-	db.mu.RLock()
-	et, ok := db.entities[typeName]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoEntityType, typeName)
-	}
 	refs := make([]value.Ref, n)
-	rowIDs := make([]storage.RowID, n)
-	err := db.store.Run(func(tx *storage.Tx) error {
-		for i := 0; i < n; i++ {
-			ref := value.Ref(db.store.NextSeq("ref"))
-			refs[i] = ref
-			t := make(value.Tuple, len(et.Attrs)+1)
-			t[0] = value.RefVal(ref)
-			am := attrs(i)
-			for j, a := range et.Attrs {
-				if v, ok := am[a.Name]; ok {
-					t[j+1] = v
-				} else {
-					t[j+1] = value.Null
-				}
-			}
+	err := db.write(context.Background(), func(t Tx) error {
+		for i := range refs {
 			var err error
-			rowIDs[i], err = tx.Insert(entPrefix+typeName, t)
-			if err != nil {
+			if refs[i], err = t.NewEntity(typeName, attrs(i)); err != nil {
 				return err
 			}
 		}
@@ -106,137 +343,70 @@ func (db *Database) NewEntities(typeName string, n int, attrs func(i int) Attrs)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	for i, ref := range refs {
-		db.directory[ref] = entityLoc{typeName: typeName, rowID: rowIDs[i]}
-	}
-	db.mu.Unlock()
 	return refs, nil
 }
 
-// TypeOf returns the entity type name of ref.
+// TypeOf returns the entity type name of ref.  Refs carry no type, so
+// where the expected type is known, Is is the cheaper check.
 func (db *Database) TypeOf(ref value.Ref) (string, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	loc, ok := db.directory[ref]
-	return loc.typeName, ok
+	et, err := read1(db, func(v View) (*EntityType, error) {
+		et, _, _, err := v.locate(ref)
+		return et, err
+	})
+	if err != nil {
+		return "", false
+	}
+	return et.Name, true
+}
+
+// Instance returns entity ref's attributes, ok false unless ref is an
+// instance of typeName: one by_ref point read.
+func (db *Database) Instance(typeName string, ref value.Ref) (value.Tuple, bool, error) {
+	var t value.Tuple
+	ok, err := read1(db, func(v View) (ok bool, err error) {
+		t, ok, err = v.Instance(typeName, ref)
+		return ok, err
+	})
+	return t, ok, err
+}
+
+// Is reports whether ref is an instance of typeName: one by_ref point
+// read.
+func (db *Database) Is(ref value.Ref, typeName string) bool {
+	_, ok, _ := db.Instance(typeName, ref)
+	return ok
 }
 
 // Exists reports whether ref identifies a live entity.
 func (db *Database) Exists(ref value.Ref) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.directory[ref]
+	_, ok := db.TypeOf(ref)
 	return ok
 }
 
 // Attr returns one attribute value of an entity.
 func (db *Database) Attr(ref value.Ref, attr string) (value.Value, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.attrLocked(ref, attr)
-}
-
-func (db *Database) attrLocked(ref value.Ref, attr string) (value.Value, error) {
-	loc, ok := db.directory[ref]
-	if !ok {
-		return value.Null, fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-	}
-	et := db.entities[loc.typeName]
-	i, ok := et.AttrIndex(attr)
-	if !ok {
-		return value.Null, fmt.Errorf("%w: %s.%s", ErrNoAttribute, loc.typeName, attr)
-	}
-	var out value.Value
-	err := db.store.Run(func(tx *storage.Tx) error {
-		t, err := tx.Get(entPrefix+loc.typeName, loc.rowID)
-		if err != nil {
-			return err
-		}
-		out = t[i+1]
-		return nil
-	})
-	return out, err
+	return read1(db, func(v View) (value.Value, error) { return v.Attr(ref, attr) })
 }
 
 // AttrTuple returns all attribute values of an entity, in schema order
 // (excluding the surrogate).
 func (db *Database) AttrTuple(ref value.Ref) (value.Tuple, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	loc, ok := db.directory[ref]
-	if !ok {
-		return nil, fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-	}
-	var out value.Tuple
-	err := db.store.Run(func(tx *storage.Tx) error {
-		t, err := tx.Get(entPrefix+loc.typeName, loc.rowID)
-		if err != nil {
-			return err
-		}
-		out = t[1:].Clone()
-		return nil
-	})
-	return out, err
+	return read1(db, func(v View) (value.Tuple, error) { return v.AttrTuple(ref) })
 }
 
 // SetAttr updates one attribute value of an entity.
 func (db *Database) SetAttr(ref value.Ref, attr string, v value.Value) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	loc, ok := db.directory[ref]
-	if !ok {
-		return fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-	}
-	et := db.entities[loc.typeName]
-	i, ok := et.AttrIndex(attr)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoAttribute, loc.typeName, attr)
-	}
-	return db.store.Run(func(tx *storage.Tx) error {
-		return tx.UpdateField(entPrefix+loc.typeName, loc.rowID, et.Attrs[i].Name, v)
-	})
+	return db.SetAttrs(ref, Attrs{attr: v})
 }
 
 // SetAttrs updates several attributes of an entity in one transaction.
 func (db *Database) SetAttrs(ref value.Ref, attrs Attrs) error {
-	return db.SetAttrsCtx(context.Background(), ref, attrs)
-}
-
-// SetAttrsCtx is SetAttrs under a context (see NewEntityCtx).
-//
-// Like NewEntityCtx it does not hold the model mutex across the storage
-// transaction: the commit (and its fsync) must not serialize every
-// session in the manager.  Isolation comes from the relation locks; the
-// model mutex guards only the directory/schema lookup.
-func (db *Database) SetAttrsCtx(ctx context.Context, ref value.Ref, attrs Attrs) error {
-	db.mu.RLock()
-	loc, ok := db.directory[ref]
-	et := db.entities[loc.typeName]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-	}
-	return db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		// Declare write intent first: Get-then-Update would upgrade the
-		// shared relation lock to exclusive, and concurrent upgraders on
-		// the same relation deadlock each other every time.
-		if err := tx.LockExclusive(entPrefix + loc.typeName); err != nil {
-			return err
-		}
-		t, err := tx.Get(entPrefix+loc.typeName, loc.rowID)
+	return db.write(context.Background(), func(t Tx) error {
+		et, err := t.lockedType(ref)
 		if err != nil {
 			return err
 		}
-		nt := t.Clone()
-		for name, v := range attrs {
-			i, ok := et.AttrIndex(name)
-			if !ok {
-				return fmt.Errorf("%w: %s.%s", ErrNoAttribute, loc.typeName, name)
-			}
-			nt[i+1] = v
-		}
-		return tx.Update(entPrefix+loc.typeName, loc.rowID, nt)
+		return t.update(et, ref, attrs)
 	})
 }
 
@@ -244,111 +414,28 @@ func (db *Database) SetAttrsCtx(ctx context.Context, ref value.Ref, attrs Attrs)
 // parent with children in any ordering (ErrHasChildren) — callers that
 // want cascade semantics use DeleteSubtree.  The entity is detached from
 // any orderings in which it is a child, and relationship instances that
-// reference it are deleted.
+// reference it are deleted, all in one transaction.
 func (db *Database) DeleteEntity(ref value.Ref) error {
-	return db.DeleteEntityCtx(context.Background(), ref)
-}
-
-// DeleteEntityCtx is DeleteEntity under a context (see NewEntityCtx).
-func (db *Database) DeleteEntityCtx(ctx context.Context, ref value.Ref) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteEntityLocked(ctx, ref)
-}
-
-func (db *Database) deleteEntityLocked(ctx context.Context, ref value.Ref) error {
-	loc, ok := db.directory[ref]
-	if !ok {
-		return fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-	}
-	for name, rt := range db.orders {
-		if rt.childCount(ref) > 0 {
-			return fmt.Errorf("%w: @%d in ordering %q", ErrHasChildren, ref, name)
-		}
-	}
-	// Detach from orderings where ref is a child.
-	for name, rt := range db.orders {
-		if _, ok := rt.child[ref]; ok {
-			if err := db.removeChildLockedCtx(ctx, name, ref); err != nil {
-				return err
-			}
-		}
-	}
-	// Remove relationship instances referencing ref.
-	for rname, rt := range db.relationships {
-		relName := relPrefix + rname
-		var doomed []storage.RowID
-		err := db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-			for ri := range rt.Roles {
-				if err := tx.IndexPrefixScan(relName, "by_"+rt.Roles[ri].Name,
-					value.Tuple{value.RefVal(ref)},
-					func(id storage.RowID, _ value.Tuple) bool {
-						doomed = append(doomed, id)
-						return true
-					}); err != nil {
-					return err
-				}
-			}
-			for _, id := range doomed {
-				if err := tx.Delete(relName, id); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+	return db.write(context.Background(), func(t Tx) error {
+		et, err := t.lockedType(ref)
 		if err != nil {
 			return err
 		}
-	}
-	err := db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		return tx.Delete(entPrefix+loc.typeName, loc.rowID)
+		return t.delete(et, ref)
 	})
-	if err != nil {
-		return err
-	}
-	delete(db.directory, ref)
-	return nil
 }
 
 // DeleteSubtree removes an entity and, recursively, every child beneath
-// it in every ordering ("cascade" deletion of a hierarchy).
+// it in every ordering, in one transaction.
 func (db *Database) DeleteSubtree(ref value.Ref) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteSubtreeLocked(context.Background(), ref)
-}
-
-func (db *Database) deleteSubtreeLocked(ctx context.Context, ref value.Ref) error {
-	for _, rt := range db.orders {
-		for _, child := range rt.childrenOf(ref) {
-			if err := db.deleteSubtreeLocked(ctx, child); err != nil {
-				return err
-			}
-		}
-	}
-	return db.deleteEntityLocked(ctx, ref)
+	return db.write(context.Background(), func(t Tx) error { return t.DeleteSubtree(ref) })
 }
 
 // Instances calls fn for every instance of the named entity type, in
 // creation order, passing the surrogate and the attribute tuple
 // (excluding the surrogate).  Iteration stops if fn returns false.
 func (db *Database) Instances(typeName string, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	return db.InstancesCtx(context.Background(), typeName, fn)
-}
-
-// InstancesCtx is Instances under a context (see NewEntityCtx).
-func (db *Database) InstancesCtx(ctx context.Context, typeName string, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	db.mu.RLock()
-	if _, ok := db.entities[typeName]; !ok {
-		db.mu.RUnlock()
-		return fmt.Errorf("%w: %s", ErrNoEntityType, typeName)
-	}
-	db.mu.RUnlock()
-	return db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		return tx.Scan(entPrefix+typeName, func(_ storage.RowID, t value.Tuple) bool {
-			return fn(t[0].AsRef(), t[1:])
-		})
-	})
+	return db.read(context.Background(), func(v View) error { return v.Instances(typeName, fn) })
 }
 
 // AttrIndexName returns the name of a secondary index on typeName whose
@@ -412,22 +499,7 @@ func (db *Database) SplitInstancesRange(typeName, indexName string, lo, hi []byt
 // reverse is set).  Like Instances it passes the surrogate and the
 // attribute tuple; iteration stops if fn returns false.
 func (db *Database) InstancesRange(typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	return db.InstancesRangeCtx(context.Background(), typeName, indexName, lo, hi, reverse, fn)
-}
-
-// InstancesRangeCtx is InstancesRange under a context (see NewEntityCtx).
-func (db *Database) InstancesRangeCtx(ctx context.Context, typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	db.mu.RLock()
-	if _, ok := db.entities[typeName]; !ok {
-		db.mu.RUnlock()
-		return fmt.Errorf("%w: %s", ErrNoEntityType, typeName)
-	}
-	db.mu.RUnlock()
-	return db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		return tx.IndexRange(entPrefix+typeName, indexName, lo, hi, reverse, func(_ storage.RowID, t value.Tuple) bool {
-			return fn(t[0].AsRef(), t[1:])
-		})
-	})
+	return db.read(context.Background(), func(v View) error { return v.InstancesRange(typeName, indexName, lo, hi, reverse, fn) })
 }
 
 // Count returns the number of instances of the named entity type.
@@ -442,20 +514,5 @@ func (db *Database) Count(typeName string) int {
 // FindByAttr returns the refs of instances of typeName whose attribute
 // equals v, in creation order.
 func (db *Database) FindByAttr(typeName, attr string, v value.Value) ([]value.Ref, error) {
-	var out []value.Ref
-	et, ok := db.EntityType(typeName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoEntityType, typeName)
-	}
-	i, ok := et.AttrIndex(attr)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoAttribute, typeName, attr)
-	}
-	err := db.Instances(typeName, func(ref value.Ref, attrs value.Tuple) bool {
-		if attrs[i].Equal(v) {
-			out = append(out, ref)
-		}
-		return true
-	})
-	return out, err
+	return read1(db, func(vw View) ([]value.Ref, error) { return vw.FindByAttr(typeName, attr, v) })
 }

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"fmt"
+	"context"
 	"sort"
 
 	"repro/internal/value"
@@ -97,56 +97,59 @@ func (db *Database) InstanceGraph(root value.Ref, labelAttr string, names ...str
 		}
 		sort.Strings(names)
 	}
-	runtimes := make(map[string]*orderRuntime, len(names))
+	var orders []*Ordering
 	for _, n := range names {
-		if rt, ok := db.orders[n]; ok {
-			runtimes[n] = rt
+		if o, ok := db.orderings[n]; ok {
+			orders = append(orders, o)
 		}
 	}
 	db.mu.RUnlock()
 
-	g := &InstanceGraph{}
-	visited := map[value.Ref]bool{}
-	var visit func(ref value.Ref) error
-	visit = func(ref value.Ref) error {
-		if visited[ref] {
-			return nil
-		}
-		visited[ref] = true
-		typeName, ok := db.TypeOf(ref)
-		if !ok {
-			return fmt.Errorf("%w: @%d", ErrNoEntity, ref)
-		}
-		label := typeName
-		if labelAttr != "" {
-			if v, err := db.Attr(ref, labelAttr); err == nil && !v.IsNull() {
-				label = v.String()
+	var g *InstanceGraph
+	err := db.read(context.Background(), func(v View) error {
+		g = &InstanceGraph{}
+		visited := map[value.Ref]bool{}
+		var visit func(ref value.Ref) error
+		visit = func(ref value.Ref) error {
+			if visited[ref] {
+				return nil
 			}
-		}
-		g.Nodes = append(g.Nodes, InstanceNode{Ref: ref, Type: typeName, Label: label})
-		for _, name := range names {
-			rt, ok := runtimes[name]
-			if !ok {
-				continue
+			visited[ref] = true
+			et, _, row, err := v.locate(ref)
+			if err != nil {
+				return err
 			}
-			db.mu.RLock()
-			kids := rt.childrenOf(ref)
-			db.mu.RUnlock()
-			for i, k := range kids {
-				g.PEdges = append(g.PEdges, InstanceEdge{From: k, To: ref, Ordering: name})
-				if i > 0 {
-					g.SEdges = append(g.SEdges, InstanceEdge{From: kids[i-1], To: k, Ordering: name})
+			label := et.Name
+			if i, ok := et.AttrIndex(labelAttr); ok && !row[i+1].IsNull() {
+				label = row[i+1].String()
+			}
+			g.Nodes = append(g.Nodes, InstanceNode{Ref: ref, Type: et.Name, Label: label})
+			for _, o := range orders {
+				if o.Parent != et.Name {
+					continue
 				}
-			}
-			for _, k := range kids {
-				if err := visit(k); err != nil {
+				lo, hi := refRange(ref)
+				kids, err := v.childRefs(o, lo, hi)
+				if err != nil {
 					return err
 				}
+				for i, k := range kids {
+					g.PEdges = append(g.PEdges, InstanceEdge{From: k, To: ref, Ordering: o.Name})
+					if i > 0 {
+						g.SEdges = append(g.SEdges, InstanceEdge{From: kids[i-1], To: k, Ordering: o.Name})
+					}
+				}
+				for _, k := range kids {
+					if err := visit(k); err != nil {
+						return err
+					}
+				}
 			}
+			return nil
 		}
-		return nil
-	}
-	if err := visit(root); err != nil {
+		return visit(root)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil

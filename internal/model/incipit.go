@@ -35,10 +35,10 @@ type IncipitIndex struct {
 	// ok is false when the pattern is too short or malformed; the
 	// planner then skips the index and Match reports the problem.
 	Gram func(pattern string) (gram string, ok bool)
-	// Match reports whether an entity's incipit contains the pattern.
-	// It is the authoritative check; the gram probe only narrows
-	// candidates.
-	Match func(entity value.Ref, pattern string) (bool, error)
+	// Match reports whether an entity's incipit contains the pattern,
+	// reading through v, the calling statement's reader.  It is the
+	// authoritative check; the gram probe only narrows candidates.
+	Match func(v View, entity value.Ref, pattern string) (bool, error)
 }
 
 // RegisterIncipitIndex publishes an incipit index for an entity type.

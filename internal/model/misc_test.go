@@ -1,6 +1,7 @@
 package model
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/value"
@@ -154,17 +155,6 @@ func TestWalkEarlyStopAndMissingOrdering(t *testing.T) {
 	}
 }
 
-func TestSortRefs(t *testing.T) {
-	refs := []value.Ref{5, 1, 4, 2, 3}
-	sortRefs(refs)
-	for i := 1; i < len(refs); i++ {
-		if refs[i] < refs[i-1] {
-			t.Fatalf("not sorted: %v", refs)
-		}
-	}
-	sortRefs(nil) // must not panic
-}
-
 func TestRootsMultiple(t *testing.T) {
 	db := memModel(t)
 	defineChordSchema(t, db)
@@ -177,5 +167,80 @@ func TestRootsMultiple(t *testing.T) {
 	roots, err := db.Roots("note_in_chord")
 	if err != nil || len(roots) != 2 || roots[0] != c1 || roots[1] != c2 {
 		t.Fatalf("roots: %v %v", roots, err)
+	}
+}
+
+// TestConcurrentMutationsLockInOrder runs InsertChild, Relate,
+// DeleteEntity and DeleteSubtree on one chord schema from four
+// goroutines.  Every mutation locks entity relations before orderings
+// before relationships, so no transaction closes a waits-for cycle: the
+// lock manager picks no deadlock victim, and nothing is retried.
+func TestConcurrentMutationsLockInOrder(t *testing.T) {
+	const n = 150
+	db := memModel(t)
+	defineChordSchema(t, db)
+	if _, err := db.DefineRelationship("SIMILAR", []Role{
+		{Name: "a", EntityType: "NOTE"}, {Name: "b", EntityType: "NOTE"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	newNote := func(parent value.Ref) value.Ref {
+		ref, err := db.NewEntity("NOTE", Attrs{"name": value.Int(1)})
+		if err == nil {
+			err = db.InsertChild("note_in_chord", parent, ref, At(int(ref)%3))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return ref
+	}
+	chord := func() value.Ref {
+		ref, err := db.NewEntity("CHORD", Attrs{"name": value.Int(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	c := chord()
+	doomed := make([]value.Ref, n)
+	for i := range doomed {
+		doomed[i] = newNote(c)
+	}
+	subtrees := make([]value.Ref, n/10)
+	for i := range subtrees {
+		subtrees[i] = chord()
+		for j := 0; j < 3; j++ {
+			newNote(subtrees[i])
+		}
+	}
+	deadlocks := db.store.Obs().Counter("txn.deadlock")
+	before := deadlocks.Value()
+	var wg sync.WaitGroup
+	run := func(f func(i int) error, count int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < count; i++ {
+				if err := f(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	run(func(int) error { newNote(c); return nil }, n)
+	run(func(i int) error { return db.DeleteEntity(doomed[i]) }, n)
+	run(func(i int) error { return db.DeleteSubtree(subtrees[i]) }, len(subtrees))
+	run(func(i int) error {
+		a := newNote(c)
+		return db.Relate("SIMILAR", map[string]value.Ref{"a": a, "b": a}, nil)
+	}, n)
+	wg.Wait()
+	if got := deadlocks.Value() - before; got != 0 {
+		t.Fatalf("%d deadlock victims among concurrent InsertChild/Relate/DeleteEntity/DeleteSubtree", got)
+	}
+	kids, err := db.Children("note_in_chord", c)
+	if err != nil || len(kids) != 2*n {
+		t.Fatalf("chord has %d children (%v), want %d", len(kids), err, 2*n)
 	}
 }

@@ -11,15 +11,24 @@
 // Hierarchical ordering (§5.3–5.5) is the core extension.  An ordering
 // groups an ordered set of child entities (of one or more types) under a
 // parent entity.  The instance graph has P-edges (child → parent) and
-// S-edges (sibling → next sibling); this implementation represents the
-// S-order with gap-based integer ranks stored in an order-statistics
-// B-tree per parent, so that
+// S-edges (sibling → next sibling).  Each ordering is one stored
+// relation of (parent, child, rank) edges, with gap-based integer ranks
+// 2^20 apart; its unique by_child index is the P-edge and its
+// (parent, rank) index is the S-order, one key range per parent.  There
+// is no sibling list and no in-memory copy of either index, so
 //
-//   - "a before b" (§5.6) is an O(1) rank comparison after two O(1)
-//     hash lookups,
-//   - "the i'th child of p" is O(log n), and
-//   - insertion at any position is amortized O(log n) with occasional
-//     local renumbering when a rank gap is exhausted.
+//   - "a before b" (§5.6) is two by_child point reads and a rank
+//     comparison,
+//   - "the i'th child of p" is O(log n) from the index B-tree's order
+//     statistics, and
+//   - insertion at any position is O(log n), with a renumbering of one
+//     parent's children, in the inserting transaction, when bisection
+//     exhausts a rank gap.
+//
+// The model is a view over storage: every read is written once against
+// a storage reader (a transaction or a snapshot, see View), and every
+// mutation joins a storage transaction (see Tx), so a QUEL statement
+// that changes many rows commits once.
 //
 // All five ordering forms of §5.5 are supported: multiple levels of
 // hierarchy, multiple orderings under one parent, inhomogeneous
@@ -76,6 +85,9 @@ var (
 type EntityType struct {
 	Name  string
 	Attrs []value.Field // user attributes (the stored relation prepends _ref)
+
+	rel  string            // instance relation name
+	live *storage.Relation // the instance relation, for liveType
 }
 
 // AttrIndex returns the position of the named attribute in Attrs.
@@ -95,6 +107,8 @@ type RelationshipType struct {
 	Name  string
 	Roles []Role
 	Attrs []value.Field
+
+	rel string // instance relation name
 }
 
 // Role is one leg of a relationship: the role name and the entity type it
@@ -121,6 +135,8 @@ type Ordering struct {
 	Name     string
 	Parent   string
 	Children []string
+
+	rel string // edge relation name
 }
 
 // Recursive reports whether the ordering's parent type is also one of its
@@ -144,26 +160,21 @@ func (o *Ordering) hasChild(typeName string) bool {
 	return false
 }
 
-// entityLoc locates an entity instance in its type's relation.
-type entityLoc struct {
-	typeName string
-	rowID    storage.RowID
-}
-
 // Database is a music-model database: a schema (entity types,
 // relationships, orderings) plus instances, all persisted through a
-// storage.DB.
+// storage.DB.  The instances live only in storage; the Database holds
+// the schema.
 type Database struct {
 	store *storage.DB
 
+	// mu guards the schema maps below; data is guarded by storage's
+	// relation locks.
 	mu            sync.RWMutex
 	entities      map[string]*EntityType
+	typeList      []*EntityType // entities, in definition order
 	relationships map[string]*RelationshipType
 	orderings     map[string]*Ordering
-
-	directory map[value.Ref]entityLoc
-	orders    map[string]*orderRuntime
-	incipits  map[string]IncipitIndex
+	incipits      map[string]IncipitIndex
 
 	autoOrder int // counter for auto-generated ordering names
 
@@ -181,8 +192,6 @@ func Open(store *storage.DB) (*Database, error) {
 		entities:      make(map[string]*EntityType),
 		relationships: make(map[string]*RelationshipType),
 		orderings:     make(map[string]*Ordering),
-		directory:     make(map[value.Ref]entityLoc),
-		orders:        make(map[string]*orderRuntime),
 	}
 	if err := db.ensureCatalog(); err != nil {
 		return nil, err
@@ -244,8 +253,9 @@ func (db *Database) ensureCatalog() error {
 		value.Field{Name: "pos", Kind: value.KindInt})
 }
 
-// load rebuilds the in-memory schema and runtime state from the catalog
-// and instance relations.
+// load rebuilds the schema from the catalog relations.  It reads no
+// instance rows: the ref sequence resumes above the largest by_ref key
+// of each type.
 func (db *Database) load() error {
 	// Entity types.
 	type attrRow struct {
@@ -270,7 +280,7 @@ func (db *Database) load() error {
 				k, _ := value.KindFromName(r.typ)
 				fields[i] = value.Field{Name: r.name, Kind: k, RefType: r.refType}
 			}
-			db.entities[name] = &EntityType{Name: name, Attrs: fields}
+			db.addEntityType(&EntityType{Name: name, Attrs: fields})
 			return true
 		}); err != nil {
 			return err
@@ -279,7 +289,7 @@ func (db *Database) load() error {
 			name := t[0].AsString()
 			rows := attrs["relationship/"+name]
 			sort.Slice(rows, func(i, j int) bool { return rows[i].pos < rows[j].pos })
-			rt := &RelationshipType{Name: name}
+			rt := &RelationshipType{Name: name, rel: relPrefix + name}
 			for _, r := range rows {
 				if r.typ == "role" {
 					rt.Roles = append(rt.Roles, Role{Name: r.name, EntityType: r.refType})
@@ -310,7 +320,7 @@ func (db *Database) load() error {
 			name := t[0].AsString()
 			kids := children[name]
 			sort.Slice(kids, func(i, j int) bool { return kids[i].pos < kids[j].pos })
-			o := &Ordering{Name: name, Parent: t[1].AsString()}
+			o := &Ordering{Name: name, Parent: t[1].AsString(), rel: ordPrefix + name}
 			for _, k := range kids {
 				o.Children = append(o.Children, k.child)
 			}
@@ -323,62 +333,52 @@ func (db *Database) load() error {
 		return err
 	}
 
-	// Instance directory.
 	var maxRef value.Ref
-	for name := range db.entities {
-		relName := entPrefix + name
-		err := db.store.Run(func(tx *storage.Tx) error {
-			return tx.Scan(relName, func(id storage.RowID, t value.Tuple) bool {
-				ref := t[0].AsRef()
-				db.directory[ref] = entityLoc{typeName: name, rowID: id}
-				if ref > maxRef {
-					maxRef = ref
-				}
-				return true
-			})
-		})
-		if err != nil {
-			return err
+	for _, et := range db.typeList {
+		if et.live == nil {
+			return fmt.Errorf("model: entity type %s has no instance relation", et.Name)
+		}
+		if n, ok := et.live.IndexRangeCount("by_ref", nil, nil); ok && n > 0 {
+			k, _ := et.live.IndexAt("by_ref", n-1)
+			if ref, ok := value.KeyRef(k); ok && ref > maxRef {
+				maxRef = ref
+			}
 		}
 	}
 	db.store.BumpSeq("ref", uint64(maxRef))
 
-	// Ordering runtimes.
-	for name, o := range db.orderings {
-		rt := newOrderRuntime()
-		db.orders[name] = rt
-		relName := ordPrefix + name
-		// Databases created before snapshot reads lack the by_parent_rank
-		// index; add it (CreateIndex backfills) so snapshot sibling scans
-		// work against old data directories.
-		if rel := db.store.Relation(relName); rel != nil {
-			has := false
-			for _, spec := range rel.Indexes() {
-				if spec.Name == ixByParentRank {
-					has = true
-					break
-				}
-			}
-			if !has {
-				if err := db.store.CreateIndex(relName, storage.IndexSpec{
-					Name: ixByParentRank, Columns: []string{"parent", "rank"},
-				}); err != nil {
-					return err
-				}
+	// Databases created before snapshot reads lack the by_parent_rank
+	// index; add it (CreateIndex backfills) against old data directories.
+	for _, o := range db.orderings {
+		rel := db.store.Relation(o.rel)
+		if rel == nil {
+			continue
+		}
+		has := false
+		for _, spec := range rel.Indexes() {
+			if spec.Name == ixByParentRank {
+				has = true
+				break
 			}
 		}
-		err := db.store.Run(func(tx *storage.Tx) error {
-			return tx.Scan(relName, func(id storage.RowID, t value.Tuple) bool {
-				rt.attach(t[0].AsRef(), t[1].AsRef(), t[2].AsInt(), id)
-				return true
-			})
-		})
-		if err != nil {
-			return err
+		if !has {
+			if err := db.store.CreateIndex(o.rel, storage.IndexSpec{
+				Name: ixByParentRank, Columns: []string{"parent", "rank"},
+			}); err != nil {
+				return err
+			}
 		}
-		_ = o
 	}
 	return nil
+}
+
+// addEntityType records et in the schema maps.  Caller holds db.mu (or
+// owns db exclusively, as load does).
+func (db *Database) addEntityType(et *EntityType) {
+	et.rel = entPrefix + et.Name
+	et.live = db.store.Relation(et.rel)
+	db.entities[et.Name] = et
+	db.typeList = append(db.typeList, et)
 }
 
 // DefineEntity declares a new entity type with the given attributes
@@ -418,7 +418,7 @@ func (db *Database) DefineEntity(name string, attrs ...value.Field) (*EntityType
 		return nil, err
 	}
 	et := &EntityType{Name: name, Attrs: attrs}
-	db.entities[name] = et
+	db.addEntityType(et)
 	db.schemaEpoch.Add(1)
 	return et, nil
 }
@@ -482,7 +482,7 @@ func (db *Database) DefineRelationship(name string, roles []Role, attrs ...value
 	if err != nil {
 		return nil, err
 	}
-	rt := &RelationshipType{Name: name, Roles: roles, Attrs: attrs}
+	rt := &RelationshipType{Name: name, Roles: roles, Attrs: attrs, rel: relPrefix + name}
 	db.relationships[name] = rt
 	db.schemaEpoch.Add(1)
 	return rt, nil
@@ -552,9 +552,8 @@ func (db *Database) DefineOrdering(name string, children []string, parent string
 	if err != nil {
 		return nil, err
 	}
-	o := &Ordering{Name: name, Parent: parent, Children: append([]string(nil), children...)}
+	o := &Ordering{Name: name, Parent: parent, Children: append([]string(nil), children...), rel: ordPrefix + name}
 	db.orderings[name] = o
-	db.orders[name] = newOrderRuntime()
 	db.schemaEpoch.Add(1)
 	return o, nil
 }
@@ -623,6 +622,51 @@ func (db *Database) OrderingByName(name string) (*Ordering, bool) {
 	defer db.mu.RUnlock()
 	o, ok := db.orderings[name]
 	return o, ok
+}
+
+// entityType, ordering and relationship resolve a schema object by name
+// for a data operation.
+func (db *Database) entityType(name string) (*EntityType, error) {
+	if et, ok := db.EntityType(name); ok {
+		return et, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoEntityType, name)
+}
+
+func (db *Database) ordering(name string) (*Ordering, error) {
+	if o, ok := db.OrderingByName(name); ok {
+		return o, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoOrdering, name)
+}
+
+func (db *Database) relationship(name string) (*RelationshipType, error) {
+	if rt, ok := db.RelationshipType(name); ok {
+		return rt, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoRelationship, name)
+}
+
+// entityTypes returns the entity types in definition order.
+func (db *Database) entityTypes() []*EntityType {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.typeList[:len(db.typeList):len(db.typeList)]
+}
+
+// liveType returns the entity type whose live by_ref tree holds ref, or
+// nil: a lock-free probe of each type's tree, so it may name the type of
+// an uncommitted insert and miss a row under an uncommitted delete.
+// Callers use it only as a hint and confirm through a reader.
+func (db *Database) liveType(ref value.Ref) *EntityType {
+	var kb [16]byte
+	k := refKey(kb[:0], ref)
+	for _, et := range db.entityTypes() {
+		if et.live.IndexHas("by_ref", k) {
+			return et
+		}
+	}
+	return nil
 }
 
 // FindOrdering resolves an ordering by name, or — when name is empty — by

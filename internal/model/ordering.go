@@ -2,98 +2,19 @@ package model
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 
-	"repro/internal/btree"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // rankGap is the spacing between consecutive sibling ranks.  New siblings
 // inserted between neighbors take the midpoint; when the midpoint
-// collides (gap exhausted), the whole sibling list is renumbered with
+// collides (gap exhausted), the parent's children are renumbered with
 // fresh gaps.  2^20 allows twenty levels of repeated bisection between
 // any two appends before a renumber.
 const rankGap int64 = 1 << 20
-
-// childPos records where a child entity sits in one ordering's instance
-// graph: its parent (P-edge), its rank (S-order), and the storage row
-// holding the edge.
-type childPos struct {
-	parent value.Ref
-	rank   int64
-	rowID  storage.RowID
-}
-
-// orderRuntime is the in-memory index for one ordering: per-parent
-// rank-ordered sibling trees, and a child → position map.
-type orderRuntime struct {
-	siblings map[value.Ref]*btree.Tree // parent → tree of rankKey → child ref
-	child    map[value.Ref]childPos
-}
-
-func newOrderRuntime() *orderRuntime {
-	return &orderRuntime{
-		siblings: make(map[value.Ref]*btree.Tree),
-		child:    make(map[value.Ref]childPos),
-	}
-}
-
-// rankKey encodes a signed rank so byte order matches numeric order.
-func rankKey(rank int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(rank)^(1<<63))
-	return b[:]
-}
-
-// attach records an edge in the runtime (used by load and by mutation).
-func (rt *orderRuntime) attach(parent, child value.Ref, rank int64, rowID storage.RowID) {
-	tr := rt.siblings[parent]
-	if tr == nil {
-		tr = btree.New()
-		rt.siblings[parent] = tr
-	}
-	tr.Set(rankKey(rank), uint64(child))
-	rt.child[child] = childPos{parent: parent, rank: rank, rowID: rowID}
-}
-
-// detach removes a child's edge from the runtime.
-func (rt *orderRuntime) detach(child value.Ref) {
-	cp, ok := rt.child[child]
-	if !ok {
-		return
-	}
-	if tr := rt.siblings[cp.parent]; tr != nil {
-		tr.Delete(rankKey(cp.rank))
-		if tr.Len() == 0 {
-			delete(rt.siblings, cp.parent)
-		}
-	}
-	delete(rt.child, child)
-}
-
-// childCount returns the number of children under parent.
-func (rt *orderRuntime) childCount(parent value.Ref) int {
-	if tr := rt.siblings[parent]; tr != nil {
-		return tr.Len()
-	}
-	return 0
-}
-
-// childrenOf returns the ordered children of parent.
-func (rt *orderRuntime) childrenOf(parent value.Ref) []value.Ref {
-	tr := rt.siblings[parent]
-	if tr == nil {
-		return nil
-	}
-	out := make([]value.Ref, 0, tr.Len())
-	tr.Ascend(nil, nil, func(_ []byte, v uint64) bool {
-		out = append(out, value.Ref(v))
-		return true
-	})
-	return out
-}
 
 // Position is where to insert a child within its siblings.
 type Position struct {
@@ -133,323 +54,326 @@ func At(i int) Position { return Position{kind: posAt, index: i} }
 //   - child's type must be one of the ordering's declared child types,
 //     and parent's type must be the declared parent type;
 //   - child may have at most one parent per ordering (a second insertion
-//     without removal returns ErrAlreadyChild);
+//     without removal returns ErrAlreadyChild, from the unique by_child
+//     index);
 //   - for recursive orderings, the insertion must not create a P-edge
 //     cycle (an instance "part of itself"): ErrPCycle.
 //
 // S-edge cycles cannot arise structurally: sibling order is a total order
 // induced by integer ranks.
-func (db *Database) InsertChild(ordering string, parent, child value.Ref, pos Position) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insertChildLocked(ordering, parent, child, pos)
-}
-
-func (db *Database) insertChildLocked(ordering string, parent, child value.Ref, pos Position) error {
-	o, ok := db.orderings[ordering]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
+func (t Tx) InsertChild(ordering string, parent, child value.Ref, pos Position) error {
+	o, err := t.db.ordering(ordering)
+	if err != nil {
+		return err
 	}
-	rt := db.orders[ordering]
-	ploc, ok := db.directory[parent]
-	if !ok {
-		return fmt.Errorf("%w: parent @%d", ErrNoEntity, parent)
+	if err := t.checkTypes(o, parent, child); err != nil {
+		return err
 	}
-	cloc, ok := db.directory[child]
-	if !ok {
-		return fmt.Errorf("%w: child @%d", ErrNoEntity, child)
-	}
-	if ploc.typeName != o.Parent {
-		return fmt.Errorf("%w: %s is not parent type %s of ordering %s", ErrWrongParent, ploc.typeName, o.Parent, ordering)
-	}
-	if !o.hasChild(cloc.typeName) {
-		return fmt.Errorf("%w: %s under ordering %s", ErrWrongChildType, cloc.typeName, ordering)
+	if err := t.tx.LockExclusive(o.rel); err != nil {
+		return err
 	}
 	// P-cycle check: an entity may not be placed under itself (§5.5
 	// disallows instance graphs where an instance is "part of" itself).
 	if child == parent {
 		return fmt.Errorf("%w: @%d under itself", ErrPCycle, child)
 	}
-	if _, exists := rt.child[child]; exists {
-		return fmt.Errorf("%w: @%d in ordering %s", ErrAlreadyChild, child, ordering)
-	}
-	// Walking P-edges upward from parent must not reach child.
-	for anc := parent; ; {
-		cp, ok := rt.child[anc]
+	// Walking P-edges upward from parent must not reach child; only a
+	// recursive ordering has edges to walk.
+	for anc := parent; o.Recursive(); {
+		_, up, _, ok, err := t.position(o, anc)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			break
 		}
-		if cp.parent == child {
+		if up == child {
 			return fmt.Errorf("%w: @%d is an ancestor of @%d in ordering %s", ErrPCycle, child, parent, ordering)
 		}
-		anc = cp.parent
+		anc = up
 	}
+	err = t.place(o, parent, child, pos)
+	if errors.Is(err, storage.ErrDuplicateKey) {
+		return fmt.Errorf("%w: @%d in ordering %s", ErrAlreadyChild, child, ordering)
+	}
+	return err
+}
 
-	rank, needRenumber := db.chooseRank(rt, parent, pos)
-	if needRenumber {
-		if err := db.renumberLocked(ordering, parent); err != nil {
+// checkTypes verifies that parent is an instance of o's parent type and
+// child of one of its child types.  Each is a typed point read; only a
+// failure pays for locating the entity's actual type.
+func (t Tx) checkTypes(o *Ordering, parent, child value.Ref) error {
+	if err := t.checkParent(o, parent); err != nil {
+		return err
+	}
+	for _, c := range o.Children {
+		if _, ok, err := t.Instance(c, child); ok || err != nil {
 			return err
 		}
-		rank, needRenumber = db.chooseRank(rt, parent, pos)
-		if needRenumber {
-			return fmt.Errorf("model: ordering %s: rank space exhausted after renumber", ordering)
-		}
 	}
-	var rowID storage.RowID
-	err := db.store.Run(func(tx *storage.Tx) error {
-		var err error
-		rowID, err = tx.Insert(ordPrefix+ordering, value.Tuple{
-			value.RefVal(parent), value.RefVal(child), value.Int(rank),
-		})
-		return err
+	return t.mistyped(child, func(typ string) error {
+		return fmt.Errorf("%w: %s under ordering %s", ErrWrongChildType, typ, o.Name)
 	})
+}
+
+// checkParent verifies that parent is an instance of o's parent type.
+func (t Tx) checkParent(o *Ordering, parent value.Ref) error {
+	if _, ok, err := t.Instance(o.Parent, parent); ok || err != nil {
+		return err
+	}
+	return t.mistyped(parent, func(typ string) error {
+		return fmt.Errorf("%w: %s is not parent type %s of ordering %s", ErrWrongParent, typ, o.Parent, o.Name)
+	})
+}
+
+// place inserts the edge parent → child at pos, renumbering parent's
+// children first when the neighbours' ranks leave no gap.  The caller
+// holds o's exclusive lock.
+func (t Tx) place(o *Ordering, parent, child value.Ref, pos Position) error {
+	rank, needRenumber, err := t.chooseRank(o, parent, pos)
 	if err != nil {
 		return err
 	}
-	rt.attach(parent, child, rank, rowID)
-	return nil
+	if needRenumber {
+		if err := t.renumber(o, parent); err != nil {
+			return err
+		}
+		if rank, needRenumber, err = t.chooseRank(o, parent, pos); err != nil {
+			return err
+		} else if needRenumber {
+			return fmt.Errorf("model: ordering %s: rank space exhausted after renumber", o.Name)
+		}
+	}
+	_, err = t.tx.Insert(o.rel, value.Tuple{value.RefVal(parent), value.RefVal(child), value.Int(rank)})
+	return err
 }
 
 // chooseRank computes the rank for an insertion at pos under parent,
 // reporting whether a renumber is needed first (no integer strictly
-// between the neighbors).
-func (db *Database) chooseRank(rt *orderRuntime, parent value.Ref, pos Position) (int64, bool) {
-	tr := rt.siblings[parent]
-	n := 0
-	if tr != nil {
-		n = tr.Len()
+// between the neighbours).  The neighbours are the entries of the
+// (parent, rank) index either side of the insertion point.
+func (t Tx) chooseRank(o *Ordering, parent value.Ref, pos Position) (rank int64, renumber bool, err error) {
+	if pos.kind == posAt {
+		at, _, err := t.childAt(o, parent, max(pos.index, 0))
+		if err != nil {
+			return 0, false, err
+		}
+		pos = Before(at) // past the end at is 0, no sibling: append
 	}
-	if n == 0 {
-		return 0, false
-	}
-	// Resolve the insertion point to neighbor ranks.
-	var loRank, hiRank int64
-	var haveLo, haveHi bool
+	var lo, hi value.Tuple // neighbour edges; nil when absent
+	plo, phi := refRange(parent)
 	switch pos.kind {
-	case posLast:
-		k, _, _ := tr.At(n - 1)
-		loRank, haveLo = decodeRank(k), true
 	case posFirst:
-		k, _, _ := tr.At(0)
-		hiRank, haveHi = decodeRank(k), true
-	case posBefore:
-		cp, ok := rt.child[pos.sibling]
-		if !ok || cp.parent != parent {
-			// Treated as append; callers validate siblings beforehand.
-			k, _, _ := tr.At(n - 1)
-			loRank, haveLo = decodeRank(k), true
+		hi, err = t.first(o, plo, phi, false)
+	case posBefore, posAfter:
+		_, sp, srank, ok, perr := t.position(o, pos.sibling)
+		if perr != nil || !ok || sp != parent {
+			// Not a sibling: append; callers validate siblings beforehand.
+			if err = perr; err == nil {
+				lo, err = t.first(o, plo, phi, true)
+			}
 			break
 		}
-		hiRank, haveHi = cp.rank, true
-		if r := tr.Rank(rankKey(cp.rank)); r > 0 {
-			k, _, _ := tr.At(r - 1)
-			loRank, haveLo = decodeRank(k), true
+		sib := value.Tuple{value.RefVal(parent), value.RefVal(pos.sibling), value.Int(srank)}
+		nlo, nhi := siblingRange(parent, srank, pos.kind == posBefore)
+		if pos.kind == posBefore {
+			hi = sib
+			lo, err = t.first(o, nlo, nhi, true)
+		} else {
+			lo = sib
+			hi, err = t.first(o, nlo, nhi, false)
 		}
-	case posAfter:
-		cp, ok := rt.child[pos.sibling]
-		if !ok || cp.parent != parent {
-			k, _, _ := tr.At(n - 1)
-			loRank, haveLo = decodeRank(k), true
-			break
-		}
-		loRank, haveLo = cp.rank, true
-		if r := tr.Rank(rankKey(cp.rank)); r+1 < n {
-			k, _, _ := tr.At(r + 1)
-			hiRank, haveHi = decodeRank(k), true
-		}
-	case posAt:
-		i := pos.index
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			k, _, _ := tr.At(n - 1)
-			loRank, haveLo = decodeRank(k), true
-			break
-		}
-		k, _, _ := tr.At(i)
-		hiRank, haveHi = decodeRank(k), true
-		if i > 0 {
-			k, _, _ := tr.At(i - 1)
-			loRank, haveLo = decodeRank(k), true
-		}
+	default: // posLast
+		lo, err = t.first(o, plo, phi, true)
 	}
 	switch {
-	case haveLo && haveHi:
-		if hiRank-loRank < 2 {
-			return 0, true
-		}
-		return loRank + (hiRank-loRank)/2, false
-	case haveLo:
-		return loRank + rankGap, false
-	case haveHi:
-		return hiRank - rankGap, false
-	default:
-		return 0, false
+	case err != nil:
+		return 0, false, err
+	case lo != nil && hi != nil:
+		l, h := lo[2].AsInt(), hi[2].AsInt()
+		return l + (h-l)/2, h-l < 2, nil
+	case lo != nil:
+		return lo[2].AsInt() + rankGap, false, nil
+	case hi != nil:
+		return hi[2].AsInt() - rankGap, false, nil
 	}
+	return 0, false, nil
 }
 
-func decodeRank(key []byte) int64 {
-	return int64(binary.BigEndian.Uint64(key) ^ (1 << 63))
-}
-
-// renumberLocked rewrites the ranks of all children under parent with
-// fresh rankGap spacing, updating both storage and the runtime.
-func (db *Database) renumberLocked(ordering string, parent value.Ref) error {
-	rt := db.orders[ordering]
-	kids := rt.childrenOf(parent)
-	err := db.store.Run(func(tx *storage.Tx) error {
-		for i, c := range kids {
-			cp := rt.child[c]
-			if err := tx.UpdateField(ordPrefix+ordering, cp.rowID, "rank", value.Int(int64(i)*rankGap)); err != nil {
-				return err
+// childAt returns parent's i'th child (0 when i is past the end) and the
+// number of children.  Through a transaction it uses the (parent, rank)
+// index's order statistics (see live); a snapshot walks the range.
+func (v View) childAt(o *Ordering, parent value.Ref, i int) (value.Ref, int, error) {
+	lo, hi := refRange(parent)
+	if !v.live() {
+		var kid value.Ref
+		n := 0
+		err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool {
+			if n == i {
+				kid = t[1].AsRef()
 			}
-		}
-		return nil
-	})
-	if err != nil {
+			n++
+			return true
+		})
+		return kid, n, err
+	}
+	if kid, err := v.first(o, lo, hi, false); kid == nil || err != nil {
+		return 0, 0, err
+	}
+	base, _ := v.count(o, nil, lo)
+	n, _ := v.count(o, lo, hi)
+	if i < 0 || i >= n {
+		return 0, n, nil
+	}
+	key, _ := v.db.store.Relation(o.rel).IndexAt(ixByParentRank, base+i)
+	row, err := v.first(o, key, hi, false)
+	if row == nil {
+		return 0, n, err
+	}
+	return row[1].AsRef(), n, nil
+}
+
+// renumber rewrites the ranks of all children under parent with fresh
+// rankGap spacing, in the caller's transaction.
+func (t Tx) renumber(o *Ordering, parent value.Ref) error {
+	type edge struct {
+		id storage.RowID
+		t  value.Tuple
+	}
+	var edges []edge
+	lo, hi := refRange(parent)
+	if err := t.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(id storage.RowID, row value.Tuple) bool {
+		edges = append(edges, edge{id, row})
+		return true
+	}); err != nil {
 		return err
 	}
-	tr := btree.New()
-	for i, c := range kids {
-		cp := rt.child[c]
-		cp.rank = int64(i) * rankGap
-		rt.child[c] = cp
-		tr.Set(rankKey(cp.rank), uint64(c))
+	for i, e := range edges {
+		nt := e.t.Clone()
+		nt[2] = value.Int(int64(i) * rankGap)
+		if err := t.tx.Update(o.rel, e.id, nt); err != nil {
+			return err
+		}
 	}
-	rt.siblings[parent] = tr
 	return nil
 }
 
 // RemoveChild detaches child from its parent in the named ordering.
-func (db *Database) RemoveChild(ordering string, child value.Ref) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.removeChildLocked(ordering, child)
-}
-
-func (db *Database) removeChildLocked(ordering string, child value.Ref) error {
-	return db.removeChildLockedCtx(context.Background(), ordering, child)
-}
-
-func (db *Database) removeChildLockedCtx(ctx context.Context, ordering string, child value.Ref) error {
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
-	}
-	err := db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		return tx.Delete(ordPrefix+ordering, cp.rowID)
-	})
+func (t Tx) RemoveChild(ordering string, child value.Ref) error {
+	o, err := t.db.ordering(ordering)
 	if err != nil {
 		return err
 	}
-	rt.detach(child)
-	return nil
+	if err := t.tx.LockExclusive(o.rel); err != nil {
+		return err
+	}
+	id, _, _, ok, err := t.position(o, child)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
+	}
+	return t.tx.Delete(o.rel, id)
+}
+
+// MoveChild repositions child among its current siblings.
+func (t Tx) MoveChild(ordering string, child value.Ref, pos Position) error {
+	o, err := t.db.ordering(ordering)
+	if err != nil {
+		return err
+	}
+	if err := t.tx.LockExclusive(o.rel); err != nil {
+		return err
+	}
+	id, parent, _, ok, err := t.position(o, child)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
+	}
+	if err := t.tx.Delete(o.rel, id); err != nil {
+		return err
+	}
+	return t.place(o, parent, child, pos)
+}
+
+// InsertChild places child under parent in the named ordering at the
+// given position, in one transaction (see Tx.InsertChild).
+func (db *Database) InsertChild(ordering string, parent, child value.Ref, pos Position) error {
+	return db.write(context.Background(), func(t Tx) error { return t.InsertChild(ordering, parent, child, pos) })
+}
+
+// RemoveChild detaches child from its parent in the named ordering.
+func (db *Database) RemoveChild(ordering string, child value.Ref) error {
+	return db.write(context.Background(), func(t Tx) error { return t.RemoveChild(ordering, child) })
 }
 
 // MoveChild repositions child among its current siblings.
 func (db *Database) MoveChild(ordering string, child value.Ref, pos Position) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
-	}
-	parent := cp.parent
-	if err := db.removeChildLocked(ordering, child); err != nil {
-		return err
-	}
-	return db.insertChildLocked(ordering, parent, child, pos)
+	return db.write(context.Background(), func(t Tx) error { return t.MoveChild(ordering, child, pos) })
 }
 
 // Children returns the ordered children of parent in the named ordering.
 func (db *Database) Children(ordering string, parent value.Ref) ([]value.Ref, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	return rt.childrenOf(parent), nil
+	return read1(db, func(v View) ([]value.Ref, error) { return v.Children(ordering, parent) })
 }
 
 // ChildAt returns the i'th (0-based) child of parent in the ordering.
-// This is the "third note in chord x" query of §5.4.
+// This is the "third note in chord x" query of §5.4: O(log n) from the
+// (parent, rank) index's order statistics.
 func (db *Database) ChildAt(ordering string, parent value.Ref, i int) (value.Ref, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
+	o, err := db.ordering(ordering)
+	if err != nil {
+		return 0, err
 	}
-	tr := rt.siblings[parent]
-	if tr == nil {
-		return 0, fmt.Errorf("model: @%d has no children in ordering %s", parent, ordering)
-	}
-	_, v, ok := tr.At(i)
-	if !ok {
-		return 0, fmt.Errorf("model: @%d has no child at position %d in ordering %s (have %d)", parent, i, ordering, tr.Len())
-	}
-	return value.Ref(v), nil
+	return read1(db, func(v View) (value.Ref, error) {
+		child, n, err := v.childAt(o, parent, i)
+		switch {
+		case err != nil || child != 0:
+			return child, err
+		case n == 0:
+			return 0, fmt.Errorf("model: @%d has no children in ordering %s", parent, ordering)
+		}
+		return 0, fmt.Errorf("model: @%d has no child at position %d in ordering %s (have %d)", parent, i, ordering, n)
+	})
 }
 
 // ParentOf returns the parent of child in the named ordering (the P-edge),
 // if any.
 func (db *Database) ParentOf(ordering string, child value.Ref) (value.Ref, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return 0, false
-	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return 0, false
-	}
-	return cp.parent, true
+	parent, _, ok, _ := db.ChildPosition(ordering, child)
+	return parent, ok
 }
 
 // IndexOf returns the ordinal position (0-based) of child among its
-// siblings in the named ordering.
+// siblings in the named ordering: a by_child point read, then the count
+// of smaller (parent, rank) keys from the index's order statistics.
 func (db *Database) IndexOf(ordering string, child value.Ref) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
+	o, err := db.ordering(ordering)
+	if err != nil {
+		return 0, err
 	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return 0, fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
-	}
-	tr := rt.siblings[cp.parent]
-	return tr.Rank(rankKey(cp.rank)), nil
+	var n int
+	err = db.read(context.Background(), func(v View) error {
+		_, parent, rank, ok, err := v.position(o, child)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("model: @%d is not a child in ordering %s", child, ordering)
+		}
+		lo, hi := siblingRange(parent, rank, true)
+		n, err = v.count(o, lo, hi)
+		return err
+	})
+	return n, err
 }
 
-// BeforeIn implements the before operator of §5.6: true iff a and b have
-// the same parent in the ordering and a precedes b.  Entities with
-// different parents are not comparable and yield false.
+// BeforeIn implements the before operator of §5.6 (see View.BeforeIn).
 func (db *Database) BeforeIn(ordering string, a, b value.Ref) (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	ca, okA := rt.child[a]
-	cb, okB := rt.child[b]
-	if !okA || !okB || ca.parent != cb.parent {
-		return false, nil
-	}
-	return ca.rank < cb.rank, nil
+	return read1(db, func(v View) (bool, error) { return v.BeforeIn(ordering, a, b) })
 }
 
 // AfterIn implements the after operator of §5.6.
@@ -460,163 +384,53 @@ func (db *Database) AfterIn(ordering string, a, b value.Ref) (bool, error) {
 // UnderIn implements the under operator of §5.6: true iff child's P-edge
 // in the ordering points at parent.
 func (db *Database) UnderIn(ordering string, child, parent value.Ref) (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	cp, ok := rt.child[child]
-	return ok && cp.parent == parent, nil
+	return read1(db, func(v View) (bool, error) { return v.UnderIn(ordering, child, parent) })
 }
 
 // ChildPosition returns child's P-edge parent and rank in the named
-// ordering, with ok false if child is not placed in it.  Unlike
-// BeforeIn/IndexOf this is a single map lookup: the query layer caches
-// positions per statement and compares ranks directly, so one join does
-// not re-walk the sibling structures for every binding pair.
+// ordering, with ok false if child is not placed in it: one by_child
+// point read.
 func (db *Database) ChildPosition(ordering string, child value.Ref) (parent value.Ref, rank int64, ok bool, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, exists := db.orders[ordering]
-	if !exists {
-		return 0, 0, false, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	cp, ok := rt.child[child]
-	return cp.parent, cp.rank, ok, nil
+	err = db.read(context.Background(), func(v View) (err error) {
+		parent, rank, ok, err = v.ChildPosition(ordering, child)
+		return err
+	})
+	return
 }
 
 // SiblingsBefore returns, in sibling order, the children that precede
-// child under its parent in the named ordering — exactly the refs x for
-// which `x before child` holds.  It is a rank-key range scan over the
-// sibling B-tree, so the query planner can probe `before` conjuncts
-// instead of testing every candidate pair.  A ref that is not a child in
-// the ordering has no siblings.
+// child under its parent in the named ordering (see View.SiblingsBefore).
 func (db *Database) SiblingsBefore(ordering string, child value.Ref) ([]value.Ref, error) {
-	return db.siblingRange(ordering, child, true)
+	return read1(db, func(v View) ([]value.Ref, error) { return v.SiblingsBefore(ordering, child) })
 }
 
 // SiblingsAfter returns, in sibling order, the children that follow
-// child under its parent in the named ordering (the refs x for which
-// `x after child` holds).
+// child under its parent in the named ordering.
 func (db *Database) SiblingsAfter(ordering string, child value.Ref) ([]value.Ref, error) {
-	return db.siblingRange(ordering, child, false)
-}
-
-func (db *Database) siblingRange(ordering string, child value.Ref, before bool) ([]value.Ref, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return nil, nil
-	}
-	tr := rt.siblings[cp.parent]
-	if tr == nil {
-		return nil, nil
-	}
-	var out []value.Ref
-	collect := func(_ []byte, v uint64) bool {
-		out = append(out, value.Ref(v))
-		return true
-	}
-	if before {
-		tr.Ascend(nil, rankKey(cp.rank), collect)
-	} else {
-		// Rank keys are exactly 8 bytes, so appending a zero byte forms
-		// the smallest key strictly greater than child's own.
-		tr.Ascend(append(rankKey(cp.rank), 0), nil, collect)
-	}
-	return out, nil
+	return read1(db, func(v View) ([]value.Ref, error) { return v.SiblingsAfter(ordering, child) })
 }
 
 // NextSibling returns the sibling immediately after child, if any.
 func (db *Database) NextSibling(ordering string, child value.Ref) (value.Ref, bool) {
-	return db.adjacentSibling(ordering, child, +1)
+	sib, _ := read1(db, func(v View) (value.Ref, error) { return v.adjacent(ordering, child, false) })
+	return sib, sib != 0
 }
 
 // PrevSibling returns the sibling immediately before child, if any.
 func (db *Database) PrevSibling(ordering string, child value.Ref) (value.Ref, bool) {
-	return db.adjacentSibling(ordering, child, -1)
+	sib, _ := read1(db, func(v View) (value.Ref, error) { return v.adjacent(ordering, child, true) })
+	return sib, sib != 0
 }
 
-func (db *Database) adjacentSibling(ordering string, child value.Ref, dir int) (value.Ref, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return 0, false
-	}
-	cp, ok := rt.child[child]
-	if !ok {
-		return 0, false
-	}
-	tr := rt.siblings[cp.parent]
-	i := tr.Rank(rankKey(cp.rank)) + dir
-	_, v, ok := tr.At(i)
-	if !ok {
-		return 0, false
-	}
-	return value.Ref(v), true
-}
-
-// Walk traverses the subtree rooted at root in the named ordering,
-// depth-first and in sibling order, calling fn with each entity and its
-// depth (root is depth 0).  Traversal stops if fn returns false.  For
-// recursive orderings (§5.5, beam groups) this is the natural structural
-// traversal.
+// Walk traverses the subtree rooted at root in the named ordering (see
+// View.Walk) in one read-only transaction, whose shared lock on the
+// ordering is held while fn runs: fn must not write the ordering.
 func (db *Database) Walk(ordering string, root value.Ref, fn func(ref value.Ref, depth int) bool) error {
-	db.mu.RLock()
-	rt, ok := db.orders[ordering]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	var walk func(ref value.Ref, depth int) bool
-	walk = func(ref value.Ref, depth int) bool {
-		if !fn(ref, depth) {
-			return false
-		}
-		db.mu.RLock()
-		kids := rt.childrenOf(ref)
-		db.mu.RUnlock()
-		for _, k := range kids {
-			if !walk(k, depth+1) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(root, 0)
-	return nil
+	return db.read(context.Background(), func(v View) error { return v.Walk(ordering, root, fn) })
 }
 
 // Roots returns the entities that are parents in the ordering but not
 // children of any other entity in the same ordering, in surrogate order.
 func (db *Database) Roots(ordering string) ([]value.Ref, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, ok := db.orders[ordering]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoOrdering, ordering)
-	}
-	var roots []value.Ref
-	for p := range rt.siblings {
-		if _, isChild := rt.child[p]; !isChild {
-			roots = append(roots, p)
-		}
-	}
-	sortRefs(roots)
-	return roots, nil
-}
-
-func sortRefs(refs []value.Ref) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j] < refs[j-1]; j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
+	return read1(db, func(v View) ([]value.Ref, error) { return v.Roots(ordering) })
 }

@@ -12,76 +12,87 @@ import (
 // maps role names to entity refs; attrs supplies values for the
 // relationship's own attributes.  Every role must be filled with an
 // entity of the declared type.
-func (db *Database) Relate(relationship string, roles map[string]value.Ref, attrs Attrs) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rt, ok := db.relationships[relationship]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRelationship, relationship)
+func (t Tx) Relate(relationship string, roles map[string]value.Ref, attrs Attrs) error {
+	rt, err := t.db.relationship(relationship)
+	if err != nil {
+		return err
 	}
-	t := make(value.Tuple, len(rt.Roles)+len(rt.Attrs))
+	tup := make(value.Tuple, len(rt.Roles)+len(rt.Attrs))
 	for i, role := range rt.Roles {
 		ref, ok := roles[role.Name]
 		if !ok {
 			return fmt.Errorf("model: relate %s: missing role %q", relationship, role.Name)
 		}
-		loc, ok := db.directory[ref]
-		if !ok {
-			return fmt.Errorf("model: relate %s: role %q: %w: @%d", relationship, role.Name, ErrNoEntity, ref)
+		if _, ok, err := t.Instance(role.EntityType, ref); err != nil {
+			return err
+		} else if !ok {
+			return t.mistyped(ref, func(typ string) error {
+				return fmt.Errorf("model: relate %s: role %q needs %s, got %s", relationship, role.Name, role.EntityType, typ)
+			})
 		}
-		if loc.typeName != role.EntityType {
-			return fmt.Errorf("model: relate %s: role %q needs %s, got %s",
-				relationship, role.Name, role.EntityType, loc.typeName)
-		}
-		t[i] = value.RefVal(ref)
+		tup[i] = value.RefVal(ref)
 	}
 	for i, a := range rt.Attrs {
 		if v, ok := attrs[a.Name]; ok {
-			t[len(rt.Roles)+i] = v
+			tup[len(rt.Roles)+i] = v
 		} else {
-			t[len(rt.Roles)+i] = value.Null
+			tup[len(rt.Roles)+i] = value.Null
 		}
 	}
-	return db.store.Run(func(tx *storage.Tx) error {
-		_, err := tx.Insert(relPrefix+relationship, t)
+	if err := t.tx.LockExclusive(rt.rel); err != nil {
 		return err
+	}
+	_, err = t.tx.Insert(rt.rel, tup)
+	return err
+}
+
+// Unrelate removes all instances of the relationship in which every
+// given role is bound to the given ref, and returns the number removed.
+func (t Tx) Unrelate(relationship string, roles map[string]value.Ref) (int, error) {
+	rt, err := t.db.relationship(relationship)
+	if err != nil {
+		return 0, err
+	}
+	if err := t.tx.LockExclusive(rt.rel); err != nil {
+		return 0, err
+	}
+	var doomed []storage.RowID
+	err = t.r.Scan(rt.rel, func(id storage.RowID, row value.Tuple) bool {
+		for name, ref := range roles {
+			i, ok := rt.RoleIndex(name)
+			if !ok || row[i].AsRef() != ref {
+				return true
+			}
+		}
+		doomed = append(doomed, id)
+		return true
 	})
+	if err != nil {
+		return 0, err
+	}
+	for _, id := range doomed {
+		if err := t.tx.Delete(rt.rel, id); err != nil {
+			return 0, err
+		}
+	}
+	return len(doomed), nil
+}
+
+// Relate creates an instance of the named m-to-n relationship in one
+// transaction (see Tx.Relate).
+func (db *Database) Relate(relationship string, roles map[string]value.Ref, attrs Attrs) error {
+	return db.write(context.Background(), func(t Tx) error { return t.Relate(relationship, roles, attrs) })
 }
 
 // Unrelate removes all instances of the relationship in which every
 // given role is bound to the given ref.  It returns the number removed.
 func (db *Database) Unrelate(relationship string, roles map[string]value.Ref) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rt, ok := db.relationships[relationship]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoRelationship, relationship)
-	}
-	removed := 0
-	err := db.store.Run(func(tx *storage.Tx) error {
-		var doomed []storage.RowID
-		err := tx.Scan(relPrefix+relationship, func(id storage.RowID, t value.Tuple) bool {
-			for name, ref := range roles {
-				i, ok := rt.RoleIndex(name)
-				if !ok || t[i].AsRef() != ref {
-					return true
-				}
-			}
-			doomed = append(doomed, id)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		for _, id := range doomed {
-			if err := tx.Delete(relPrefix+relationship, id); err != nil {
-				return err
-			}
-		}
-		removed = len(doomed)
-		return nil
+	var n int
+	err := db.write(context.Background(), func(t Tx) (err error) {
+		n, err = t.Unrelate(relationship, roles)
+		return err
 	})
-	return removed, err
+	return n, err
 }
 
 // RelInstance is one relationship instance: role bindings and attribute
@@ -91,53 +102,21 @@ type RelInstance struct {
 	Attrs value.Tuple
 }
 
+// instance decodes a stored relationship tuple.
+func (rt *RelationshipType) instance(t value.Tuple) RelInstance {
+	inst := RelInstance{Roles: make(map[string]value.Ref, len(rt.Roles))}
+	for i, r := range rt.Roles {
+		inst.Roles[r.Name] = t[i].AsRef()
+	}
+	inst.Attrs = t[len(rt.Roles):].Clone()
+	return inst
+}
+
 // Related returns the instances of the relationship in which role is
 // bound to ref.  With role == "" it returns instances where any role is
 // bound to ref.
 func (db *Database) Related(relationship, role string, ref value.Ref) ([]RelInstance, error) {
-	db.mu.RLock()
-	rt, ok := db.relationships[relationship]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoRelationship, relationship)
-	}
-	match := func(t value.Tuple) bool {
-		if role == "" {
-			for i := range rt.Roles {
-				if t[i].AsRef() == ref {
-					return true
-				}
-			}
-			return false
-		}
-		i, ok := rt.RoleIndex(role)
-		return ok && t[i].AsRef() == ref
-	}
-	var out []RelInstance
-	err := db.store.Run(func(tx *storage.Tx) error {
-		// Use the per-role index when the role is known.
-		collect := func(_ storage.RowID, t value.Tuple) bool {
-			if !match(t) {
-				return true
-			}
-			inst := RelInstance{Roles: make(map[string]value.Ref, len(rt.Roles))}
-			for i, r := range rt.Roles {
-				inst.Roles[r.Name] = t[i].AsRef()
-			}
-			inst.Attrs = t[len(rt.Roles):].Clone()
-			out = append(out, inst)
-			return true
-		}
-		if role != "" {
-			if _, ok := rt.RoleIndex(role); !ok {
-				return fmt.Errorf("model: relationship %s has no role %q", relationship, role)
-			}
-			return tx.IndexPrefixScan(relPrefix+relationship, "by_"+role,
-				value.Tuple{value.RefVal(ref)}, collect)
-		}
-		return tx.Scan(relPrefix+relationship, collect)
-	})
-	return out, err
+	return read1(db, func(v View) ([]RelInstance, error) { return v.Related(relationship, role, ref) })
 }
 
 // RelatedRefs is a convenience over Related: the refs bound to wantRole
@@ -171,23 +150,7 @@ func (rt *RelationshipType) Fields() []value.Field {
 // RelationshipTuples calls fn with the raw tuple (role refs then
 // attributes) of every instance of the relationship.
 func (db *Database) RelationshipTuples(name string, fn func(t value.Tuple) bool) error {
-	return db.RelationshipTuplesCtx(context.Background(), name, fn)
-}
-
-// RelationshipTuplesCtx is RelationshipTuples under a context (see
-// NewEntityCtx).
-func (db *Database) RelationshipTuplesCtx(ctx context.Context, name string, fn func(t value.Tuple) bool) error {
-	db.mu.RLock()
-	_, ok := db.relationships[name]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRelationship, name)
-	}
-	return db.store.RunCtx(ctx, func(tx *storage.Tx) error {
-		return tx.Scan(relPrefix+name, func(_ storage.RowID, t value.Tuple) bool {
-			return fn(t)
-		})
-	})
+	return db.read(context.Background(), func(v View) error { return v.RelationshipTuples(name, fn) })
 }
 
 // RelationshipCount returns the number of instances of the named
@@ -203,20 +166,9 @@ func (db *Database) RelationshipCount(name string) int {
 
 // EachRelated calls fn for every instance of the relationship.
 func (db *Database) EachRelated(relationship string, fn func(inst RelInstance) bool) error {
-	db.mu.RLock()
-	rt, ok := db.relationships[relationship]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRelationship, relationship)
+	rt, err := db.relationship(relationship)
+	if err != nil {
+		return err
 	}
-	return db.store.Run(func(tx *storage.Tx) error {
-		return tx.Scan(relPrefix+relationship, func(_ storage.RowID, t value.Tuple) bool {
-			inst := RelInstance{Roles: make(map[string]value.Ref, len(rt.Roles))}
-			for i, r := range rt.Roles {
-				inst.Roles[r.Name] = t[i].AsRef()
-			}
-			inst.Attrs = t[len(rt.Roles):].Clone()
-			return fn(inst)
-		})
-	})
+	return db.RelationshipTuples(relationship, func(t value.Tuple) bool { return fn(rt.instance(t)) })
 }

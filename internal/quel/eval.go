@@ -313,7 +313,7 @@ func (s *Session) evalIncipitOp(x IncipitOp, en env) (value.Value, error) {
 	if !ok {
 		return value.Null, fmt.Errorf("quel: no incipit index registered for %s", lb.typ)
 	}
-	m, err := spec.Match(lb.ref, pv.AsString())
+	m, err := spec.Match(s.rd, lb.ref, pv.AsString())
 	if err != nil {
 		return value.Null, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
@@ -71,11 +72,12 @@ type Session struct {
 	pm     planMetrics
 	ps     *planStats // live stats for the statement being executed
 	naive  bool       // test oracle: run bindAllNaive instead of the planner; set only by in-package tests
-	// sortHint, cache, snap, and emit live for one statement;
-	// retrieveStats and execOne install and clear them.
+	// sortHint, cache, rd, snap, and emit live for one statement;
+	// retrieveStats, execOne, readStmt and inTx install and clear them.
 	sortHint *sortHint
 	cache    *stmtCache
-	snap     *model.Snap // pinned read snapshot; nil = locking reads
+	rd       model.View  // the statement's reader: its snapshot or its transaction
+	snap     *model.Snap // pinned snapshot of a read statement; nil otherwise
 	emit     *emitter    // live row collector; non-nil only inside a retrieve
 	// Parallel execution (parallel.go) and the shared plan cache
 	// (plancache.go) are opt-in per session.
@@ -105,21 +107,33 @@ func (s *Session) SetParallelMinRows(n int) {
 // normalized shape, until a schema change invalidates them.
 func (s *Session) SetPlanCache(c *PlanCache) { s.plans = c }
 
-// beginStmtSnap pins a read snapshot for one read-only statement and
-// returns the function that releases it.  If the snapshot cannot be
-// pinned (a canceled context) the session falls back to locking reads:
-// s.snap stays nil and every scan takes its shared lock, as write
-// statements do.
-func (s *Session) beginStmtSnap(ctx context.Context) func() {
+// readStmt runs a read-only statement against a pinned snapshot, with
+// no lock acquisition.  A snapshot fails to pin only under a canceled
+// context, which cancels the statement.
+func (s *Session) readStmt(ctx context.Context, fn func() (*Result, error)) (*Result, error) {
 	snap, err := s.db.BeginSnapshot(ctx)
 	if err != nil {
-		return func() {}
+		return nil, fmt.Errorf("%w: %w", txn.ErrCanceled, err)
 	}
-	s.snap = snap
-	return func() {
-		s.snap = nil
+	s.snap, s.rd = snap, snap.View
+	defer func() {
+		s.snap, s.rd = nil, model.View{}
 		snap.Close()
-	}
+	}()
+	return fn()
+}
+
+// inTx runs fn as one storage transaction with the statement reading
+// through it, so the statement's reads and writes commit once.  A
+// deadlock victim re-runs fn whole, so fn rebuilds all it collects; the
+// statement cache is reset with it.
+func (s *Session) inTx(ctx context.Context, fn func(t model.Tx) error) error {
+	defer func() { s.rd = model.View{} }()
+	return s.db.Store().RunCtx(ctx, func(tx *storage.Tx) error {
+		t := s.db.In(tx)
+		s.rd, s.cache = t.View, newStmtCache()
+		return fn(t)
+	})
 }
 
 // sessMetrics holds the query layer's observability handles, resolved
@@ -232,9 +246,8 @@ func (s *Session) execOne(ctx context.Context, st Stmt) (*Result, error) {
 		return nil, nil
 	case Retrieve:
 		// Read-only statements run against a pinned snapshot with zero
-		// lock acquisition; writers keep the 2PL path below.
-		defer s.beginStmtSnap(ctx)()
-		return s.retrieve(ctx, q)
+		// lock acquisition; writers run in one 2PL transaction each.
+		return s.readStmt(ctx, func() (*Result, error) { return s.retrieve(ctx, q) })
 	case Append:
 		return s.appendStmt(ctx, q)
 	case Replace:
@@ -242,8 +255,7 @@ func (s *Session) execOne(ctx context.Context, st Stmt) (*Result, error) {
 	case Delete:
 		return s.delete(ctx, q)
 	case Explain:
-		defer s.beginStmtSnap(ctx)()
-		return s.explain(ctx, q)
+		return s.readStmt(ctx, func() (*Result, error) { return s.explain(ctx, q) })
 	}
 	return nil, fmt.Errorf("quel: unknown statement %T", st)
 }
@@ -283,31 +295,15 @@ func (s *Session) varInfo(v string) (varInfo, error) {
 	return varInfo{}, fmt.Errorf("quel: undeclared range variable %q (and no entity or relationship type of that name)", v)
 }
 
-// scanVar iterates the instances the variable ranges over.
+// scanVar iterates the instances the variable ranges over, through the
+// statement's reader.
 func (s *Session) scanVar(info varInfo, fn func(b binding) bool) error {
-	return s.scanVarCtx(context.Background(), info, fn)
-}
-
-// scanVarCtx is scanVar under a context.  With a statement snapshot
-// pinned it reads version chains lock-free; otherwise it takes shared
-// locks through a storage transaction.
-func (s *Session) scanVarCtx(ctx context.Context, info varInfo, fn func(b binding) bool) error {
-	if snap := s.snap; snap != nil {
-		if info.isRel {
-			return snap.RelationshipTuples(info.typ, func(t value.Tuple) bool {
-				return fn(binding{attrs: t, fields: info.fields, typ: info.typ})
-			})
-		}
-		return snap.Instances(info.typ, func(ref value.Ref, attrs value.Tuple) bool {
-			return fn(binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
-		})
-	}
 	if info.isRel {
-		return s.db.RelationshipTuplesCtx(ctx, info.typ, func(t value.Tuple) bool {
+		return s.rd.RelationshipTuples(info.typ, func(t value.Tuple) bool {
 			return fn(binding{attrs: t, fields: info.fields, typ: info.typ})
 		})
 	}
-	return s.db.InstancesCtx(ctx, info.typ, func(ref value.Ref, attrs value.Tuple) bool {
+	return s.rd.Instances(info.typ, func(ref value.Ref, attrs value.Tuple) bool {
 		return fn(binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
 	})
 }
@@ -521,7 +517,7 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 		}
 		start := time.Now()
 		var list []binding
-		err := s.scanVarCtx(ctx, info, func(b binding) bool {
+		err := s.scanVar(info, func(b binding) bool {
 			st.Scanned++
 			if !sargMatches(sargs[v], b.fields, b.attrs) {
 				return true
@@ -771,18 +767,73 @@ func (s *Session) appendStmt(ctx context.Context, q Append) (*Result, error) {
 	if _, ok := s.db.EntityType(q.EntityType); !ok {
 		return nil, fmt.Errorf("quel: append: %w: %s", model.ErrNoEntityType, q.EntityType)
 	}
-	attrs := model.Attrs{}
-	for _, a := range q.Assigns {
-		v, err := s.eval(a.Expr, nil)
-		if err != nil {
-			return nil, err
+	err := s.inTx(ctx, func(t model.Tx) error {
+		if err := t.LockType(q.EntityType); err != nil {
+			return err
 		}
-		attrs[a.Attr] = v
-	}
-	if _, err := s.db.NewEntityCtx(ctx, q.EntityType, attrs); err != nil {
+		attrs := model.Attrs{}
+		for _, a := range q.Assigns {
+			v, err := s.eval(a.Expr, nil)
+			if err != nil {
+				return err
+			}
+			attrs[a.Attr] = v
+		}
+		_, err := t.NewEntity(q.EntityType, attrs)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Affected: 1}, nil
+}
+
+// write is one row's change, prepared while binding and applied after.
+type write func(t model.Tx, typ string) error
+
+// writeRows runs a replace or delete as one transaction that X-locks
+// the target's relation before reading anything.  prepare runs once per
+// distinct qualifying target instance while the join binds, so every
+// read precedes every write; the prepared writes then apply in order.
+// It returns the number of instances changed.
+func (s *Session) writeRows(ctx context.Context, target string, vars []string, where Expr, prepare func(ref value.Ref, e env) (write, error)) (int, error) {
+	info, err := s.varInfo(target)
+	if err != nil {
+		return 0, err
+	}
+	var writes []write
+	err = s.inTx(ctx, func(t model.Tx) error {
+		if !info.isRel {
+			if err := t.LockType(info.typ); err != nil {
+				return err
+			}
+		}
+		writes = writes[:0]
+		seen := map[value.Ref]bool{}
+		err := s.bindAll(ctx, vars, where, func(e env) error {
+			if where != nil {
+				if ok, err := s.evalBool(where, e); err != nil || !ok {
+					return err
+				}
+			}
+			ref := e[target].ref
+			if seen[ref] {
+				return nil
+			}
+			seen[ref] = true
+			w, err := prepare(ref, e)
+			writes = append(writes, w)
+			return err
+		})
+		for _, w := range writes {
+			if err != nil {
+				break
+			}
+			err = w(t, info.typ)
+		}
+		return err
+	})
+	return len(writes), err
 }
 
 func (s *Session) replace(ctx context.Context, q Replace) (*Result, error) {
@@ -793,48 +844,21 @@ func (s *Session) replace(ctx context.Context, q Replace) (*Result, error) {
 	for _, a := range q.Assigns {
 		collectVars(a.Expr, varSet)
 	}
-	vars := sortedKeys(varSet)
-	type update struct {
-		ref   value.Ref
-		attrs model.Attrs
-	}
-	var updates []update
-	seen := map[value.Ref]bool{}
-	err := s.bindAll(ctx, vars, q.Where, func(e env) error {
-		if q.Where != nil {
-			ok, err := s.evalBool(q.Where, e)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		ref := e[q.Var].ref
-		if seen[ref] {
-			return nil
-		}
-		seen[ref] = true
+	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, func(ref value.Ref, e env) (write, error) {
 		attrs := model.Attrs{}
 		for _, a := range q.Assigns {
 			v, err := s.eval(a.Expr, e)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			attrs[a.Attr] = v
 		}
-		updates = append(updates, update{ref: ref, attrs: attrs})
-		return nil
+		return func(t model.Tx, typ string) error { return t.Update(typ, ref, attrs) }, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, u := range updates {
-		if err := s.db.SetAttrsCtx(ctx, u.ref, u.attrs); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(updates)}, nil
+	return &Result{Affected: n}, nil
 }
 
 func (s *Session) delete(ctx context.Context, q Delete) (*Result, error) {
@@ -842,35 +866,13 @@ func (s *Session) delete(ctx context.Context, q Delete) (*Result, error) {
 	if q.Where != nil {
 		collectVars(q.Where, varSet)
 	}
-	vars := sortedKeys(varSet)
-	var doomed []value.Ref
-	seen := map[value.Ref]bool{}
-	err := s.bindAll(ctx, vars, q.Where, func(e env) error {
-		if q.Where != nil {
-			ok, err := s.evalBool(q.Where, e)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		ref := e[q.Var].ref
-		if !seen[ref] {
-			seen[ref] = true
-			doomed = append(doomed, ref)
-		}
-		return nil
+	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, func(ref value.Ref, _ env) (write, error) {
+		return func(t model.Tx, typ string) error { return t.Delete(typ, ref) }, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, ref := range doomed {
-		if err := s.db.DeleteEntityCtx(ctx, ref); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(doomed)}, nil
+	return &Result{Affected: n}, nil
 }
 
 func sortedKeys(m map[string]bool) []string {

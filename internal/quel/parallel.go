@@ -55,6 +55,7 @@ func (s *Session) workerClone() *Session {
 		m:      s.m,
 		pm:     s.pm,
 		ps:     &planStats{},
+		rd:     s.rd,
 		snap:   s.snap,
 		cache:  newStmtCache(),
 	}

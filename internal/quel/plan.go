@@ -408,14 +408,12 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 		// range split never engages.
 		if did, perr := s.scanIndexParallel(ctx, vp, &st); did {
 			err = perr
-		} else if snap := s.snap; snap != nil {
-			err = snap.InstancesRange(vp.info.typ, vp.access.index, vp.access.lo, vp.access.hi, vp.access.reverse, emit)
 		} else {
-			err = s.db.InstancesRangeCtx(ctx, vp.info.typ, vp.access.index, vp.access.lo, vp.access.hi, vp.access.reverse, emit)
+			err = s.rd.InstancesRange(vp.info.typ, vp.access.index, vp.access.lo, vp.access.hi, vp.access.reverse, emit)
 		}
 	} else {
 		s.pm.scanFull.Inc()
-		err = s.scanVarCtx(ctx, vp.info, collect)
+		err = s.scanVar(vp.info, collect)
 	}
 	st.Dur = time.Since(start)
 	s.m.scanRows.Add(uint64(st.Scanned))
@@ -455,17 +453,11 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 		}
 		return true
 	}
-	var err error
-	if snap := s.snap; snap != nil {
-		err = snap.InstancesRange(spec.GramType, vp.access.index, vp.access.lo, vp.access.hi, false, emitGram)
-	} else {
-		err = s.db.InstancesRangeCtx(ctx, spec.GramType, vp.access.index, vp.access.lo, vp.access.hi, false, emitGram)
-	}
-	if err != nil {
+	if err := s.rd.InstancesRange(spec.GramType, vp.access.index, vp.access.lo, vp.access.hi, false, emitGram); err != nil {
 		return err
 	}
 	for _, ref := range cands {
-		b, ok, err := s.fetch(ctx, vp.info, ref)
+		b, ok, err := s.fetch(vp.info, ref)
 		if err != nil {
 			return err
 		}
@@ -476,20 +468,12 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 	return nil
 }
 
-// fetch reads ref's instance of info's type by its unique by_ref key, at
-// the statement snapshot or under a shared lock; ok is false when ref is
-// of another type (an ordering may hold several child types).
-func (s *Session) fetch(ctx context.Context, info varInfo, ref value.Ref) (b binding, ok bool, err error) {
+// fetch reads ref's instance of info's type by its unique by_ref key
+// through the statement's reader; ok is false when ref is of another
+// type (an ordering may hold several child types).
+func (s *Session) fetch(info varInfo, ref value.Ref) (b binding, ok bool, err error) {
 	b = binding{ref: ref, fields: info.fields, typ: info.typ}
-	if snap := s.snap; snap != nil {
-		b.attrs, ok, err = snap.Instance(info.typ, ref)
-		return b, ok, err
-	}
-	lo := value.AppendKey(nil, value.RefVal(ref))
-	err = s.db.InstancesRangeCtx(ctx, info.typ, "by_ref", lo, withMaxSuffix(lo), false, func(_ value.Ref, attrs value.Tuple) bool {
-		b.attrs, ok = attrs, true
-		return false
-	})
+	b.attrs, ok, err = s.rd.Instance(info.typ, ref)
 	return b, ok, err
 }
 
@@ -779,31 +763,13 @@ func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond
 	return st
 }
 
-// orderReads is the ordering read API model.Snap and model.Database
-// share.
-type orderReads interface {
-	Children(ordering string, parent value.Ref) ([]value.Ref, error)
-	ChildPosition(ordering string, child value.Ref) (value.Ref, int64, bool, error)
-	SiblingsBefore(ordering string, child value.Ref) ([]value.Ref, error)
-	SiblingsAfter(ordering string, child value.Ref) ([]value.Ref, error)
-}
-
-// orderings routes ordering reads through the statement snapshot when
-// one is pinned, and through the live (locking) runtime otherwise.
-func (s *Session) orderings() orderReads {
-	if s.snap != nil {
-		return s.snap
-	}
-	return s.db
-}
-
 // probeRefs returns the candidate refs for an ordering fetch, given the
 // bound binding of the step's other variable.  The sets are exactly the
 // conjunct's satisfying partners (rank-key ranges over the ordering's
 // (parent, rank) index, or the P-edge for under), so the residual
 // evaluation only re-confirms them.
 func (s *Session) probeRefs(st *joinStep, other binding) ([]value.Ref, error) {
-	o, name := s.orderings(), st.oc.ordering
+	o, name := s.rd, st.oc.ordering
 	switch {
 	case st.oc.op == "under" && st.newIsLeft: // new is the child: the other's children
 		return o.Children(name, other.ref)
@@ -877,7 +843,7 @@ func (r *stepRun) rec(k int) error {
 			return err
 		}
 		for _, ref := range refs {
-			b, ok, err := s.fetch(r.ctx, vp.info, ref)
+			b, ok, err := s.fetch(vp.info, ref)
 			if err != nil {
 				return err
 			}
@@ -944,8 +910,9 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 
 	// Hash build sides and loop inners are materialized first: an empty
 	// one skips every remaining scan.  The driver streams from its scan
-	// under a snapshot; the locking path materializes it (its scan's
-	// transaction must not host the fetches), as does the parallel
+	// under a snapshot.  A locking index scan calls back under the
+	// relation latch, which a fetch from the callback would re-enter, so
+	// the locking path materializes the driver, as does the parallel
 	// executor, which splits it into morsels.
 	stream := s.snap != nil && s.parWorkers <= 1
 	scanned := make([]bool, len(steps))
@@ -1072,7 +1039,7 @@ func (s *Session) resolveOrdering(x OrderOp, ltyp, rtyp string) (*model.Ordering
 func (s *Session) childPos(ordering string, ref value.Ref) (posEntry, error) {
 	c := s.cache
 	if c == nil {
-		parent, rank, ok, err := s.orderings().ChildPosition(ordering, ref)
+		parent, rank, ok, err := s.rd.ChildPosition(ordering, ref)
 		return posEntry{parent: parent, rank: rank, ok: ok}, err
 	}
 	m := c.pos[ordering]
@@ -1083,7 +1050,7 @@ func (s *Session) childPos(ordering string, ref value.Ref) (posEntry, error) {
 	if pe, ok := m[ref]; ok {
 		return pe, nil
 	}
-	parent, rank, ok, err := s.orderings().ChildPosition(ordering, ref)
+	parent, rank, ok, err := s.rd.ChildPosition(ordering, ref)
 	if err != nil {
 		return posEntry{}, err
 	}

@@ -146,8 +146,7 @@ func TestPlannerReplaceDeleteUseIndex(t *testing.T) {
 // statement at a snapshot pinned before a note (and with it its edge)
 // was deleted still fetches that note, because the fetch reads the
 // note's version at the pin through NOTE's by_ref index.  A fetch
-// through the model's directory, which holds only the latest state,
-// loses it.
+// from the latest state loses it.
 func TestFetchAtSnapshot(t *testing.T) {
 	db, s := newSession(t)
 	_, notes := setupChords(t, db)
@@ -167,9 +166,9 @@ func TestFetchAtSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.snap = snap
+	s.snap, s.rd = snap, snap.View
 	res, ps, err := s.retrieveStats(ctx, stmts[0].(Retrieve))
-	s.snap = nil
+	s.snap, s.rd = nil, model.View{}
 	if err != nil {
 		t.Fatal(err)
 	}

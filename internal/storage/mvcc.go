@@ -380,16 +380,17 @@ func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool
 // (the encoded columns) as visible in the snapshot, ok false if none: a
 // live-tree probe, or — when the row has since left the tree under that
 // key, or the tree postdates the pin — the range read over the key.
-func (s *Snap) IndexGet(relName, indexName string, key []byte) (value.Tuple, bool, error) {
+func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Tuple, bool, error) {
 	r := s.db.Relation(relName)
 	if r == nil {
-		return nil, false, fmt.Errorf("storage: no relation %q", relName)
+		return 0, nil, false, fmt.Errorf("storage: no relation %q", relName)
 	}
+	var id RowID
 	var t value.Tuple
 	var kb [64]byte
 	r.mu.RLock()
 	if ix := r.findIndex(indexName); ix != nil && s.csn >= ix.createdAt && !r.deferred {
-		if id, ok := ix.tree.Get(key); ok {
+		if id, _ = ix.tree.Get(key); id != 0 {
 			if t = r.snapVisibleLocked(id, s.csn); t != nil && !bytes.Equal(ix.appendKey(kb[:0], id, t), key) {
 				t = nil
 			}
@@ -398,16 +399,16 @@ func (s *Snap) IndexGet(relName, indexName string, key []byte) (value.Tuple, boo
 	r.mu.RUnlock()
 	if t == nil {
 		hi := append(append(make([]byte, 0, len(key)+9), key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(_ RowID, tu value.Tuple) bool {
-			t = tu
+		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(rid RowID, tu value.Tuple) bool {
+			id, t = rid, tu
 			return false
 		}); err != nil || t == nil {
-			return nil, false, err
+			return 0, nil, false, err
 		}
 	}
 	s.db.m.snapReads.Inc()
 	s.db.m.rowsRead.Inc()
-	return t, true, nil
+	return id, t, true, nil
 }
 
 // Get returns the tuple of row id visible in the snapshot.

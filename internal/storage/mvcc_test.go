@@ -493,7 +493,7 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 		t.Fatalf("fallback range: %v", names)
 	}
 	for name, want := range map[int64]bool{39: false, 40: true, 99: true} {
-		if _, ok, err := old.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name))); err != nil || ok != want {
+		if _, _, ok, err := old.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name))); err != nil || ok != want {
 			t.Fatalf("fallback point read of %d: ok=%v err=%v, want ok=%v", name, ok, err, want)
 		}
 	}
@@ -573,7 +573,7 @@ func TestSnapshotIndexGet(t *testing.T) {
 		}
 	})
 	get := func(s *Snap, name int64) string {
-		tu, ok, err := s.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name)))
+		_, tu, ok, err := s.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(name)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +593,7 @@ func TestSnapshotIndexGet(t *testing.T) {
 	if got := get(fresh, 1) + get(fresh, 2) + get(fresh, 3); got != "--a" {
 		t.Fatalf("fresh snapshot reads names 1,2,3 as %q, want \"--a\"", got)
 	}
-	if _, _, err := fresh.IndexGet("NOTE", "no_such", nil); err == nil {
+	if _, _, _, err := fresh.IndexGet("NOTE", "no_such", nil); err == nil {
 		t.Fatal("IndexGet on a missing index: no error")
 	}
 }

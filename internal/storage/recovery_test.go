@@ -49,7 +49,7 @@ func TestSchemaCrashRecovery(t *testing.T) {
 	// The index was rebuilt and works.
 	count := 0
 	db2.Run(func(tx *Tx) error {
-		return tx.IndexPrefixScan("LATE", "by_v", value.Tuple{value.Int(5)},
+		return prefixScan(tx, "LATE", "by_v", value.Tuple{value.Int(5)},
 			func(RowID, value.Tuple) bool { count++; return true })
 	})
 	if count != 1 {

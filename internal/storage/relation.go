@@ -164,8 +164,8 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 		if j > 0 && bytes.Equal(runs[j-1].key, rn.key) {
 			// Only unique indexes can collide: non-unique keys carry a
 			// row-id suffix.
-			return nil, fmt.Errorf("unique index %q violation on key %s",
-				ix.spec.Name, tupleKeyString(ix, r.rows[rn.id]))
+			return nil, fmt.Errorf("%w: index %q, key %s",
+				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.rows[rn.id]))
 		}
 		keys[j] = rn.key
 		vals[j] = rn.id
@@ -247,7 +247,7 @@ func (ix *index) insert(id RowID, t value.Tuple) error {
 	k := ix.key(id, t)
 	if ix.spec.Unique {
 		if _, exists := ix.tree.Get(k); exists {
-			return fmt.Errorf("unique index %q violation on key %s", ix.spec.Name, tupleKeyString(ix, t))
+			return fmt.Errorf("%w: index %q, key %s", ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, t))
 		}
 	}
 	ix.tree.Set(k, id)
@@ -452,6 +452,37 @@ func (r *Relation) IndexRangeCount(indexName string, lo, hi []byte) (int, bool) 
 		return 0, false
 	}
 	return ix.tree.CountRange(lo, hi), true
+}
+
+// IndexHas reports whether the named index holds key (for a unique
+// index, the encoded columns).  Like IndexRangeCount it reads the live
+// tree, uncommitted changes included: a hint for callers that confirm
+// under a lock.
+func (r *Relation) IndexHas(indexName string, key []byte) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ix := r.findIndex(indexName)
+	if ix == nil || r.deferred {
+		return false
+	}
+	_, ok := ix.tree.Get(key)
+	return ok
+}
+
+// IndexAt returns the i'th smallest key (0-based) of the named index,
+// from the B-tree's order statistics in O(log n); ok is false when i is
+// out of range or the index does not exist.  It reads the live tree: a
+// transactional caller holds the relation's lock.  The key must not be
+// modified.
+func (r *Relation) IndexAt(indexName string, i int) (key []byte, ok bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ix := r.findIndex(indexName)
+	if ix == nil || r.deferred {
+		return nil, false
+	}
+	key, _, ok = ix.tree.At(i)
+	return key, ok
 }
 
 // ScanRange iterates rows of the named index in key order over the range

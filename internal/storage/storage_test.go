@@ -239,7 +239,7 @@ func TestUniqueIndexUpdateConflictRestoresOld(t *testing.T) {
 	}
 	// Old index entry must be restored: lookup by name=2 still finds id2.
 	found := 0
-	tx.IndexPrefixScan("NOTE", "by_name", value.Tuple{value.Int(2)}, func(id RowID, _ value.Tuple) bool {
+	prefixScan(tx, "NOTE", "by_name", value.Tuple{value.Int(2)}, func(id RowID, _ value.Tuple) bool {
 		if id != id2 {
 			t.Errorf("wrong row %d", id)
 		}
@@ -266,7 +266,7 @@ func TestIndexScanRangeAndPrefix(t *testing.T) {
 	db.Run(func(tx *Tx) error {
 		// Prefix scan: pitch == 5 should find ~8-9 rows.
 		count := 0
-		tx.IndexPrefixScan("NOTE", "by_pitch", value.Tuple{value.Int(5)}, func(_ RowID, tp value.Tuple) bool {
+		prefixScan(tx, "NOTE", "by_pitch", value.Tuple{value.Int(5)}, func(_ RowID, tp value.Tuple) bool {
 			if tp[1].AsInt() != 5 {
 				t.Errorf("wrong pitch %d", tp[1].AsInt())
 			}
@@ -281,7 +281,7 @@ func TestIndexScanRangeAndPrefix(t *testing.T) {
 		hi := value.AppendKey(nil, value.Int(6))
 		last := int64(-1)
 		n := 0
-		tx.IndexScan("NOTE", "by_pitch", lo, hi, func(_ RowID, tp value.Tuple) bool {
+		tx.IndexRange("NOTE", "by_pitch", lo, hi, false, func(_ RowID, tp value.Tuple) bool {
 			p := tp[1].AsInt()
 			if p < 3 || p >= 6 || p < last {
 				t.Errorf("range scan out of order or range: %d", p)
@@ -293,7 +293,7 @@ func TestIndexScanRangeAndPrefix(t *testing.T) {
 		if n != 25 { // pitch 3 occurs 9 times (i=3..99), pitches 4,5 occur 8 times each
 			t.Errorf("range count = %d", n)
 		}
-		if err := tx.IndexScan("NOTE", "nope", nil, nil, nil); err == nil {
+		if err := tx.IndexRange("NOTE", "nope", nil, nil, false, nil); err == nil {
 			t.Error("missing index accepted")
 		}
 		return nil
@@ -314,7 +314,7 @@ func TestIndexBackfill(t *testing.T) {
 	}
 	count := 0
 	db.Run(func(tx *Tx) error {
-		return tx.IndexScan("NOTE", "by_pitch", nil, nil, func(RowID, value.Tuple) bool { count++; return true })
+		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Tuple) bool { count++; return true })
 	})
 	if count != 50 {
 		t.Fatalf("backfilled index sees %d rows", count)
@@ -464,7 +464,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	// Index survived: range scan works.
 	count := 0
 	db2.Run(func(tx *Tx) error {
-		return tx.IndexScan("NOTE", "by_pitch", nil, nil, func(RowID, value.Tuple) bool { count++; return true })
+		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Tuple) bool { count++; return true })
 	})
 	if count != 20 {
 		t.Fatalf("index after reopen: %d", count)
@@ -608,4 +608,13 @@ func TestNoDirtyReads(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("reader never unblocked")
 	}
+}
+
+// prefixScan visits the rows whose key in the named index starts with
+// the encoding of vals (a leading-column equality lookup): the range
+// from that prefix to past any row-id suffix.
+func prefixScan(tx *Tx, rel, ix string, vals value.Tuple, fn func(RowID, value.Tuple) bool) error {
+	lo := value.AppendKeyTuple(nil, vals)
+	hi := append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+	return tx.IndexRange(rel, ix, lo, hi, false, fn)
 }

@@ -52,6 +52,10 @@ type undoRec struct {
 // ErrTxDone is returned by operations on a committed or aborted Tx.
 var ErrTxDone = errors.New("storage: transaction already finished")
 
+// ErrDuplicateKey is wrapped by inserts and updates that would give a
+// unique index two rows under one key.
+var ErrDuplicateKey = errors.New("storage: unique index violation")
+
 // Begin starts a new transaction.  On a degraded database the
 // transaction can still read; any write fails with ErrReadOnly.
 func (db *DB) Begin() *Tx { return db.BeginCtx(context.Background()) }
@@ -304,15 +308,10 @@ func (tx *Tx) Scan(relName string, fn func(id RowID, t value.Tuple) bool) error 
 	return nil
 }
 
-// IndexScan iterates rows of the named index in key order over the range
-// [lo, hi) of encoded keys; nil bounds mean unbounded.  This is the
-// "ordering as a performance optimization" path of §5.2.
-func (tx *Tx) IndexScan(relName, indexName string, lo, hi []byte, fn func(id RowID, t value.Tuple) bool) error {
-	return tx.IndexRange(relName, indexName, lo, hi, false, fn)
-}
-
-// IndexRange is IndexScan with an optional direction: with reverse set
-// the range [lo, hi) is visited in descending key order (a backward
+// IndexRange iterates rows of the named index in key order over the
+// range [lo, hi) of encoded keys; nil bounds mean unbounded.  This is
+// the "ordering as a performance optimization" path of §5.2.  With
+// reverse set the range is visited in descending key order (a backward
 // B-tree walk, used by the query planner to satisfy `sort by ... desc`
 // from index order).
 func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) error {
@@ -335,35 +334,37 @@ func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool,
 	return err
 }
 
-// IndexPrefixScan iterates rows whose index key starts with the encoded
-// prefix of vals (a leading-column equality lookup).
-func (tx *Tx) IndexPrefixScan(relName, indexName string, vals value.Tuple, fn func(id RowID, t value.Tuple) bool) error {
+// IndexGet returns the row whose key in the named unique index is key
+// (the encoded columns), ok false if there is none: a point read under
+// the shared relation lock, the locking twin of Snap.IndexGet.
+func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Tuple, bool, error) {
 	if err := tx.check(); err != nil {
-		return err
+		return 0, nil, false, err
 	}
 	r, err := tx.rel(relName)
 	if err != nil {
-		return err
-	}
-	ix := r.findIndex(indexName)
-	if ix == nil {
-		return fmt.Errorf("storage: no index %q on %s", indexName, relName)
+		return 0, nil, false, err
 	}
 	if err := tx.lock(relName, txn.Shared); err != nil {
-		return err
+		return 0, nil, false, err
 	}
-	prefix := value.AppendKeyTuple(nil, vals)
-	var n uint64
-	ix.tree.AscendPrefix(prefix, func(_ []byte, id uint64) bool {
-		t, ok := r.get(id)
-		if !ok {
-			return true
-		}
-		n++
-		return fn(id, t)
-	})
-	tx.db.m.rowsRead.Add(n)
-	return nil
+	r.mu.RLock()
+	ix := r.findIndex(indexName)
+	if ix == nil || r.deferred {
+		r.mu.RUnlock()
+		return 0, nil, false, fmt.Errorf("storage: no usable index %q on %s", indexName, relName)
+	}
+	id, ok := ix.tree.Get(key)
+	var t value.Tuple
+	if ok {
+		t, ok = r.rows[id]
+	}
+	r.mu.RUnlock()
+	if !ok {
+		return 0, nil, false, nil
+	}
+	tx.db.m.rowsRead.Inc()
+	return id, t, true, nil
 }
 
 // Commit makes the transaction's effects permanent and releases its locks.

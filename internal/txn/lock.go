@@ -67,9 +67,18 @@ type lockState struct {
 // LockManager grants and releases locks.  All state is guarded by one
 // mutex; grant/release are short critical sections and blocking happens
 // on per-waiter channels outside the lock.
+//
+// Resources are few (storage locks whole relations), so a resource's
+// lockState is kept once created and reused by every later transaction;
+// each transaction records the states it holds, and ReleaseAll visits
+// only those.
 type LockManager struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
+	// owned lists, per transaction, the lock states it holds; free
+	// recycles the lists of finished transactions.
+	owned map[uint64][]*lockState
+	free  [][]*lockState
 	// waitsFor[a][b] means transaction a waits for a lock held by b.
 	waitsFor map[uint64]map[uint64]bool
 	// waitTimeout bounds how long Acquire blocks; zero waits forever.
@@ -142,6 +151,7 @@ func (m *LockManager) observeWait(tx uint64, resource string, mode Mode, start t
 func NewLockManager() *LockManager {
 	return &LockManager{
 		locks:    make(map[string]*lockState),
+		owned:    make(map[uint64][]*lockState),
 		waitsFor: make(map[uint64]map[uint64]bool),
 	}
 }
@@ -172,7 +182,7 @@ func (m *LockManager) AcquireCtx(ctx context.Context, tx uint64, resource string
 		return nil // already strong enough
 	}
 	if m.grantable(ls, tx, mode) {
-		ls.holders[tx] = mode
+		m.grant(ls, tx, mode)
 		m.mu.Unlock()
 		if lm := m.metrics.Load(); lm != nil {
 			lm.acquires.Inc()
@@ -349,28 +359,39 @@ func (m *LockManager) removeWaiter(ls *lockState, w *waiter) {
 	}
 }
 
-// ReleaseAll releases every lock held by tx and removes it from all wait
-// queues, then grants any newly compatible waiters.  Called at commit or
-// abort (strict 2PL releases everything at transaction end).
+// grant records tx as holding mode on ls, adding ls to tx's owned list
+// on its first grant there.  Caller holds m.mu.
+func (m *LockManager) grant(ls *lockState, tx uint64, mode Mode) {
+	if _, held := ls.holders[tx]; !held {
+		list, ok := m.owned[tx]
+		if !ok && len(m.free) > 0 {
+			list = m.free[len(m.free)-1]
+			m.free = m.free[:len(m.free)-1]
+		}
+		m.owned[tx] = append(list, ls)
+	}
+	ls.holders[tx] = mode
+}
+
+// ReleaseAll releases every lock held by tx, then grants any newly
+// compatible waiters on those resources.  Called at commit or abort
+// (strict 2PL releases everything at transaction end); a transaction
+// runs on one goroutine, so it has no queued request of its own left.
 func (m *LockManager) ReleaseAll(tx uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clearWaitEdges(tx)
-	for res, ls := range m.locks {
-		delete(ls.holders, tx)
-		for i := 0; i < len(ls.queue); {
-			if ls.queue[i].tx == tx {
-				ls.queue[i].ready <- ErrDeadlock // should not happen; defensive
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		m.grantWaiters(ls)
-		if len(ls.holders) == 0 && len(ls.queue) == 0 {
-			delete(m.locks, res)
-		}
+	list, ok := m.owned[tx]
+	if !ok {
+		return
 	}
+	delete(m.owned, tx)
+	for i, ls := range list {
+		delete(ls.holders, tx)
+		m.grantWaiters(ls)
+		list[i] = nil
+	}
+	m.free = append(m.free, list[:0])
 }
 
 // grantWaiters grants queued requests, in order, while they remain
@@ -394,24 +415,14 @@ func (m *LockManager) grantWaiters(ls *lockState) {
 		if !compatible {
 			return
 		}
-		ls.holders[w.tx] = maxMode(ls.holders[w.tx], w.mode, ls.holders, w.tx)
+		mode := w.mode
+		if ls.holders[w.tx] == Exclusive {
+			mode = Exclusive
+		}
+		m.grant(ls, w.tx, mode)
 		ls.queue = ls.queue[1:]
 		w.ready <- nil
 	}
-}
-
-// maxMode returns the stronger of the currently-held and requested modes.
-func maxMode(held, requested Mode, holders map[uint64]Mode, tx uint64) Mode {
-	if _, ok := holders[tx]; ok && held == Exclusive {
-		return Exclusive
-	}
-	if requested == Exclusive {
-		return Exclusive
-	}
-	if _, ok := holders[tx]; ok {
-		return held
-	}
-	return requested
 }
 
 // Held reports the mode tx holds on resource, if any.
@@ -432,7 +443,9 @@ func (m *LockManager) Stats() (resources, waiters int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, ls := range m.locks {
-		resources++
+		if len(ls.holders) > 0 || len(ls.queue) > 0 {
+			resources++
+		}
 		waiters += len(ls.queue)
 	}
 	return resources, waiters

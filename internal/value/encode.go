@@ -158,6 +158,16 @@ func AppendKey(dst []byte, v Value) []byte {
 	return dst
 }
 
+// KeyRef decodes a key that AppendKey produced from a reference value,
+// or the leading reference of a composite key; ok is false for any
+// other key.
+func KeyRef(key []byte) (Ref, bool) {
+	if len(key) < 9 || key[0] != keyRef {
+		return 0, false
+	}
+	return Ref(binary.BigEndian.Uint64(key[1:9])), true
+}
+
 // appendKeyFloat encodes a float so byte order matches Compare's order:
 // flip the sign bit for non-negatives, flip all bits for negatives.
 // Compare places every NaN below every number and equal to every other
