@@ -67,7 +67,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mdm: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(res.Output)
+		fmt.Println(res.Text())
 		return
 	}
 
@@ -103,8 +103,10 @@ func main() {
 			fmt.Println("canceled")
 		case err != nil:
 			fmt.Printf("error: %v\n", err)
-		case res.Output != "":
-			fmt.Println(res.Output)
+		default:
+			if out := res.Text(); out != "" {
+				fmt.Println(out)
+			}
 		}
 		if trace.Enabled() {
 			for _, e := range trace.Events(lastSeq) {

@@ -75,7 +75,7 @@ define index on NOTE (pitch)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(res.Output)
+		fmt.Println(res.Text())
 	}
 
 	// The cost-based planner at work: explain shows the pitch predicate
@@ -89,6 +89,6 @@ define index on NOTE (pitch)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(res.Output)
+		fmt.Println(res.Text())
 	}
 }

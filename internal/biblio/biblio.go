@@ -14,7 +14,9 @@
 package biblio
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ddl"
@@ -230,25 +232,30 @@ func (ix *Index) Identifier(entry value.Ref) (string, error) {
 }
 
 // Lookup finds an entry by catalogue abbreviation and number ("BWV",
-// 578).
+// 578): the entries with that number (an index range when
+// CATALOG_ENTRY.number is indexed), keeping the first placed under a
+// catalogue of that abbreviation, all read from one snapshot.
 func (ix *Index) Lookup(abbreviation string, number int) (value.Ref, error) {
-	cats, err := ix.db.FindByAttr("CATALOG", "abbreviation", value.Str(abbreviation))
+	snap, err := ix.db.BeginSnapshot(context.Background())
 	if err != nil {
 		return 0, err
 	}
-	for _, cat := range cats {
-		entries, err := ix.db.Children("entry_in_catalog", cat)
+	defer snap.Close()
+	cats, err := snap.FindByAttr("CATALOG", "abbreviation", value.Str(abbreviation))
+	if err != nil {
+		return 0, err
+	}
+	entries, err := snap.FindByAttr("CATALOG_ENTRY", "number", value.Int(int64(number)))
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range entries {
+		parent, _, ok, err := snap.ChildPosition("entry_in_catalog", e)
 		if err != nil {
 			return 0, err
 		}
-		for _, e := range entries {
-			v, err := ix.db.Attr(e, "number")
-			if err != nil {
-				return 0, err
-			}
-			if v.AsInt() == int64(number) {
-				return e, nil
-			}
+		if ok && slices.Contains(cats, parent) {
+			return e, nil
 		}
 	}
 	return 0, fmt.Errorf("biblio: no entry %s %d", abbreviation, number)

@@ -177,14 +177,23 @@ var ddlKeywords = []string{"define", "drop"}
 
 // ExecResult is the outcome of one ExecContext call.
 type ExecResult struct {
-	// Output is the printable form: a table for retrieves, affected
-	// counts for updates, schema messages for DDL.
+	// Output holds the schema messages of DDL; it is empty for QUEL,
+	// whose printable form Text renders on demand.
 	Output string
 	// Result holds the structured rows when the source was QUEL (nil
 	// after DDL).
 	Result *quel.Result
 	// DDL reports that the statement was schema definition.
 	DDL bool
+}
+
+// Text is the printable form: a table for retrieves, affected counts
+// for updates, schema messages for DDL.
+func (r ExecResult) Text() string {
+	if r.Result != nil {
+		return r.Result.String()
+	}
+	return r.Output
 }
 
 // SetParallelWorkers overrides the manager-wide Options.ParallelWorkers
@@ -235,7 +244,7 @@ func (s *Session) execOnce(ctx context.Context, trimmed string) (ExecResult, err
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return ExecResult{Output: res.String(), Result: res}, nil
+	return ExecResult{Result: res}, nil
 }
 
 // QueryContext executes QUEL and returns the structured result (for

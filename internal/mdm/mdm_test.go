@@ -65,8 +65,8 @@ retrieve (c.title) where c.year = 1709`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.Output, "Fuge g-moll") {
-		t.Fatalf("query output: %q", out.Output)
+	if out.Output != "" || !strings.Contains(out.Text(), "Fuge g-moll") {
+		t.Fatalf("query output: %q, text %q", out.Output, out.Text())
 	}
 	// DDL refreshes the meta catalog: the new type is queryable.
 	res, err := s.QueryContext(context.Background(), `

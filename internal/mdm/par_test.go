@@ -37,8 +37,8 @@ func TestStmtCacheInvalidatedByDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(er.Output, "ix_work_opus") {
-		t.Fatalf("plan before drop does not use the index:\n%s", er.Output)
+	if !strings.Contains(er.Text(), "ix_work_opus") {
+		t.Fatalf("plan before drop does not use the index:\n%s", er.Text())
 	}
 
 	// Re-preparing the same source is a cache hit while the schema holds.
@@ -87,8 +87,8 @@ func TestStmtCacheInvalidatedByDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(er.Output, "ix_work_opus") {
-		t.Fatalf("plan still names the dropped index:\n%s", er.Output)
+	if strings.Contains(er.Text(), "ix_work_opus") {
+		t.Fatalf("plan still names the dropped index:\n%s", er.Text())
 	}
 }
 
@@ -109,8 +109,8 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(er.Output, "PlanCache: hit") {
-		t.Fatalf("second session missed the shared plan cache:\n%s", er.Output)
+	if !strings.Contains(er.Text(), "PlanCache: hit") {
+		t.Fatalf("second session missed the shared plan cache:\n%s", er.Text())
 	}
 }
 

@@ -154,7 +154,7 @@ func (c *Cluster) ExecContext(ctx context.Context, src string) (ExecResult, erro
 // rendered output.
 func (c *Cluster) Exec(src string) (string, error) {
 	res, err := c.ExecContext(context.Background(), src)
-	return res.Output, err
+	return res.Text(), err
 }
 
 // Close detaches every replica (stopping links and closing replica

@@ -156,7 +156,7 @@ func (st *Stmt) ExecContext(ctx context.Context, args ...any) (ExecResult, error
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return ExecResult{Output: res.String(), Result: res}, nil
+	return ExecResult{Result: res}, nil
 }
 
 // QueryContext binds args and executes the statement, returning the

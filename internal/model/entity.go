@@ -470,18 +470,6 @@ func (db *Database) InstancesRangeCount(typeName, indexName string, lo, hi []byt
 	return n
 }
 
-// InstanceIndexStats returns planner statistics (distinct count,
-// equi-depth histogram) for the named index on typeName, lazily
-// refreshed by the storage layer.  It reports false if the type or
-// index does not exist.
-func (db *Database) InstanceIndexStats(typeName, indexName string) (storage.IndexStats, bool) {
-	rel := db.store.Relation(entPrefix + typeName)
-	if rel == nil {
-		return storage.IndexStats{}, false
-	}
-	return rel.Stats(indexName)
-}
-
 // SplitInstancesRange returns up to parts-1 boundary keys dividing the
 // named index's entries within [lo, hi) into roughly equal runs, for
 // fanning one logical scan across parallel workers.  It reports false

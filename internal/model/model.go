@@ -211,6 +211,11 @@ func (db *Database) Store() *storage.DB { return db.store }
 // surrogate (_ref); the remaining columns are the type's attributes.
 func (db *Database) InstanceRelation(typeName string) string { return entPrefix + typeName }
 
+// RelationshipRelation returns the name of the storage relation holding
+// a relationship's tuples: its role refs, then its attributes.  Each
+// role is indexed as by_<role>.
+func (db *Database) RelationshipRelation(name string) string { return relPrefix + name }
+
 // OrderingRelation returns the name of the storage relation holding an
 // ordering's (parent, child, rank) edges.  Bulk loaders use it to defer
 // and rebuild ordering indexes around a batch load.

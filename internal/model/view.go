@@ -239,6 +239,17 @@ func (v View) RelationshipTuples(name string, fn func(t value.Tuple) bool) error
 	return v.r.Scan(rt.rel, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
 }
 
+// RelationshipRange calls fn with the raw tuple of every instance of
+// the named relationship whose key in the named index falls in [lo, hi),
+// in key order.
+func (v View) RelationshipRange(name, indexName string, lo, hi []byte, fn func(t value.Tuple) bool) error {
+	rt, err := v.db.relationship(name)
+	if err != nil {
+		return err
+	}
+	return v.r.IndexRange(rt.rel, indexName, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
+}
+
 // Related returns the instances of the relationship in which role is
 // bound to ref.  With role == "" it returns instances where any role is
 // bound to ref.
@@ -471,7 +482,9 @@ func (v View) Roots(ordering string) ([]value.Ref, error) {
 }
 
 // FindByAttr returns the refs of instances of typeName whose attribute
-// equals val, in creation order.
+// equals val: the equality range of the attribute's index when it has
+// one and val is of the attribute's kind, else a scan in creation
+// order.
 func (v View) FindByAttr(typeName, attr string, val value.Value) ([]value.Ref, error) {
 	et, err := v.db.entityType(typeName)
 	if err != nil {
@@ -482,11 +495,16 @@ func (v View) FindByAttr(typeName, attr string, val value.Value) ([]value.Ref, e
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoAttribute, typeName, attr)
 	}
 	var out []value.Ref
-	err = v.Instances(typeName, func(ref value.Ref, attrs value.Tuple) bool {
+	keep := func(ref value.Ref, attrs value.Tuple) bool {
 		if attrs[i].Equal(val) {
 			out = append(out, ref)
 		}
 		return true
-	})
-	return out, err
+	}
+	if ix, ok := v.db.AttrIndexName(typeName, attr); ok && val.Kind() == et.Attrs[i].Kind {
+		lo := value.AppendKey(nil, val)
+		hi := storage.AppendKeyUpper(lo[:len(lo):len(lo)])
+		return out, v.InstancesRange(typeName, ix, lo, hi, false, keep)
+	}
+	return out, v.Instances(typeName, keep)
 }

@@ -112,7 +112,7 @@ func ValidateDoc(d SnapshotDoc) error {
 		for _, name := range []string{
 			"quel.plan.scan.full", "quel.plan.scan.index",
 			"quel.plan.join.hash", "quel.plan.join.loop", "quel.plan.join.probe",
-			"quel.plan.hash.probes", "quel.plan.hash.hits",
+			"quel.plan.join.index", "quel.plan.hash.probes", "quel.plan.hash.hits",
 		} {
 			if _, ok := plan[name]; !ok {
 				return &ValidationError{Reason: "planner metrics present but " + name + " missing"}

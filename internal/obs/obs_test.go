@@ -124,7 +124,7 @@ func TestValidatePlannerCounters(t *testing.T) {
 	planSet := []string{
 		"quel.plan.scan.full", "quel.plan.scan.index",
 		"quel.plan.join.hash", "quel.plan.join.loop", "quel.plan.join.probe",
-		"quel.plan.hash.probes", "quel.plan.hash.hits",
+		"quel.plan.join.index", "quel.plan.hash.probes", "quel.plan.hash.hits",
 	}
 	r := NewRegistry()
 	for _, n := range planSet {

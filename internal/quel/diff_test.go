@@ -9,14 +9,17 @@ import (
 
 	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // diffFixture builds the differential test's database: two plain
-// entity types (one indexed), and notes ordered under chords.  The data
-// is a pure function of the fixed seed, so two fixtures are row-for-row
-// (and surrogate-for-surrogate) identical.
-func diffFixture(t *testing.T) *model.Database {
+// entity types (one indexed), notes ordered under chords, writers with a
+// unique index on their number, a many-to-many wrote table indexed on
+// its writer, and a relationship between A and NOTE.  The data is a pure
+// function of the fixed seed, so two fixtures are row-for-row (and
+// surrogate-for-surrogate) identical.
+func diffFixture(t testing.TB) *model.Database {
 	t.Helper()
 	db, _ := newSession(t)
 	if _, err := ddl.Exec(db, `
@@ -24,60 +27,81 @@ define entity A (x = integer, y = integer, w = float)
 define entity B (x = integer, z = integer)
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer, chord = integer)
+define entity W (num = integer, name = integer)
+define entity WR (writer = integer, work = integer, role = integer)
+define relationship PLAYS (player = A, part = NOTE)
 define ordering note_in_chord (NOTE) under CHORD
 define index on A (x)
 define index on NOTE (pitch)
 define index on NOTE (name)
+define index on WR (writer)
 `); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DefineIndex("W", storage.IndexSpec{Name: "ix_w_num", Columns: []string{"num"}, Unique: true}); err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 30; i++ {
-		if _, err := db.NewEntity("A", model.Attrs{
-			"x": value.Int(rng.Int63n(10)),
-			"y": value.Int(rng.Int63n(5)),
-			"w": value.Float(float64(rng.Int63n(8))),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := db.NewEntity("B", model.Attrs{
-			"x": value.Int(rng.Int63n(10)),
-			"z": value.Int(rng.Int63n(6)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	chords := make([]value.Ref, 4)
-	for i := range chords {
-		c, err := db.NewEntity("CHORD", model.Attrs{"name": value.Int(int64(i + 1))})
+	newEntity := func(typ string, attrs model.Attrs) value.Ref {
+		ref, err := db.NewEntity(typ, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chords[i] = c
+		return ref
 	}
-	for i := 0; i < 40; i++ {
+	as := make([]value.Ref, 30)
+	for i := range as {
+		as[i] = newEntity("A", model.Attrs{
+			"x": value.Int(rng.Int63n(10)),
+			"y": value.Int(rng.Int63n(5)),
+			"w": value.Float(float64(rng.Int63n(8))),
+		})
+	}
+	for i := 0; i < 25; i++ {
+		newEntity("B", model.Attrs{"x": value.Int(rng.Int63n(10)), "z": value.Int(rng.Int63n(6))})
+	}
+	chords := make([]value.Ref, 4)
+	for i := range chords {
+		chords[i] = newEntity("CHORD", model.Attrs{"name": value.Int(int64(i + 1))})
+	}
+	notes := make([]value.Ref, 40)
+	for i := range notes {
 		ci := rng.Intn(len(chords))
-		n, err := db.NewEntity("NOTE", model.Attrs{
+		notes[i] = newEntity("NOTE", model.Attrs{
 			"name":  value.Int(int64(i)),
 			"pitch": value.Int(48 + rng.Int63n(32)),
 			"chord": value.Int(int64(ci + 1)),
 		})
-		if err != nil {
+		if err := db.InsertChild("note_in_chord", chords[ci], notes[i], model.Last()); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.InsertChild("note_in_chord", chords[ci], n, model.Last()); err != nil {
+	}
+	// Writers 1..8; wrote rows name writer 9 and works 40..44, which
+	// match nothing.
+	for i := 1; i <= 8; i++ {
+		newEntity("W", model.Attrs{"num": value.Int(int64(i)), "name": value.Int(rng.Int63n(4))})
+	}
+	for i := 0; i < 40; i++ {
+		newEntity("WR", model.Attrs{
+			"writer": value.Int(1 + rng.Int63n(9)),
+			"work":   value.Int(rng.Int63n(45)),
+			"role":   value.Int(rng.Int63n(3)),
+		})
+	}
+	for i := 0; i < 30; i++ {
+		roles := map[string]value.Ref{"player": as[rng.Intn(len(as))], "part": notes[rng.Intn(len(notes))]}
+		if err := db.Relate("PLAYS", roles, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db
 }
 
-// diffState dumps every entity type and the ordering's membership
-// through a fresh planner session, as one canonical string.
-func diffState(t *testing.T, db *model.Database) string {
+// diffState dumps every entity type, the relationship and the
+// ordering's membership through a fresh planner session, as one
+// canonical string.
+func diffState(t testing.TB, db *model.Database) string {
 	t.Helper()
 	s := NewSession(db)
 	var b strings.Builder
@@ -85,6 +109,9 @@ func diffState(t *testing.T, db *model.Database) string {
 		`retrieve (A.x, A.y, A.w)`,
 		`retrieve (B.x, B.z)`,
 		`retrieve (NOTE.name, NOTE.pitch, NOTE.chord)`,
+		`retrieve (W.num, W.name)`,
+		`retrieve (WR.writer, WR.work, WR.role)`,
+		`retrieve (PLAYS.player, PLAYS.part)`,
 		`retrieve (NOTE.name, CHORD.name) where NOTE under CHORD in note_in_chord`,
 	} {
 		b.WriteString(q + "\n" + canonRows(mustExec(t, s, q)) + "\n")
@@ -92,33 +119,37 @@ func diffState(t *testing.T, db *model.Database) string {
 	return b.String()
 }
 
-// TestPlannerNaiveDifferential executes randomized statements through
-// both executors — the cost-based planner and the naive nested-loop
-// oracle — over two identical databases and asserts identical result
-// multisets and, after every replace or delete, identical database
-// contents.  The statement pool exercises every planner decision:
-// index range scans (bounded and unbounded sargs, matched and
-// mismatched literal kinds), hash equi-joins (attribute/attribute,
-// identity, multi-conjunct), ordering probes (before/after/under, both
-// orientations), join reordering, sort elision, unique, empty-scan
-// short-circuits, and writes qualified by each of those access paths
-// (including a replace that moves rows within the index it scans).
-func TestPlannerNaiveDifferential(t *testing.T) {
-	plannedDB, naiveDB := diffFixture(t), diffFixture(t)
-	planned, naive := NewSession(plannedDB), NewSession(naiveDB)
-	planned.SetPlanCache(NewPlanCache(plannedDB.Store().Obs()))
-	naive.naive = true
-	if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
-		t.Fatalf("fixtures differ before any statement:\n%s\nvs\n%s", got, want)
-	}
+// diffDecls declares the range variables the differential statements use.
+const diffDecls = `range of a is A
+range of b is B
+range of n, n1, n2 is NOTE
+range of c is CHORD
+range of w is W
+range of r is WR`
 
-	rng := rand.New(rand.NewSource(43))
+// diffLits is where the differential statements draw their literals: a
+// seeded *rand.Rand, or the fuzzer's bytes.
+type diffLits interface {
+	Int63n(n int64) int64
+	Intn(n int) int
+}
+
+// diffTemplates is the differential statement pool.  It exercises every
+// planner decision: index range scans (bounded and unbounded sargs,
+// matched and mismatched literal kinds), hash equi-joins
+// (attribute/attribute, multi-conjunct), index fetches (non-unique and
+// unique indexes, identity, relationship roles, a three-step chain),
+// ordering fetches (before/after/under, both orientations), join
+// reordering, sort elision, unique, empty-scan short-circuits, and
+// writes qualified by each of those access paths (including replaces
+// that move rows within the index they scan or fetch through).
+func diffTemplates(rng diffLits) []func() string {
 	lit := func() int64 { return rng.Int63n(12) }
 	pitch := func() int64 { return 48 + rng.Int63n(32) }
 	op := func() string {
 		return []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)]
 	}
-	templates := []func() string{
+	return []func() string{
 		// Single-variable sargs on the indexed attribute, including
 		// ranges and a float literal on an integer field (kind
 		// mismatch: must stay a residual filter, never a bad bound).
@@ -211,6 +242,28 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 		},
 		func() string { return `retrieve unique (x = a.x) sort by x desc` },
 		func() string { return `retrieve (a.y, b.z) where a.x = b.x sort by y, z desc` },
+		// Index fetches: through a non-unique and a unique index, a
+		// three-step chain shaped like the catalogue's by-writer
+		// statement, and relationship roles with the entity identities
+		// they name.
+		func() string {
+			return fmt.Sprintf(`retrieve (w.name, r.role) where w.num = %d and r.writer = w.num`, 1+rng.Int63n(9))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (r.work, w.name) where r.role = %d and w.num = r.writer`, rng.Int63n(3))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (w.name, r.role, n.pitch) where w.num = %d and r.writer = w.num and n.name = r.work`, 1+rng.Int63n(9))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (r.writer, n.pitch) where n.pitch %s %d and n.name = r.work`, op(), pitch())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (a.y, n.name) where PLAYS.player is a and PLAYS.part is n and a.x = %d`, lit())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (a.x, n.pitch) where PLAYS.part is n and PLAYS.player is a and n.name = %d`, rng.Int63n(40))
+		},
 		// Writes.  Assigned values never depend on which of several
 		// qualifying combinations is visited, so the post-state is
 		// executor-independent.
@@ -235,49 +288,118 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 		func() string {
 			return fmt.Sprintf(`delete n where n under c in note_in_chord and c.name = %d and n.pitch = %d.0`, 1+rng.Int63n(4), pitch())
 		},
+		// Writes qualified by an index fetch, run on the locking path;
+		// the second moves rows within the index it fetches through.
+		func() string {
+			return fmt.Sprintf(`replace r (role = %d) where w.num = %d and r.writer = w.num`, rng.Int63n(3), 1+rng.Int63n(9))
+		},
+		func() string {
+			return fmt.Sprintf(`replace r (writer = %d) where r.writer = w.num and w.name = %d`, 1+rng.Int63n(9), rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`replace w (name = %d) where w.num = r.writer and r.role = %d`, rng.Int63n(4), rng.Int63n(3))
+		},
+		func() string {
+			return fmt.Sprintf(`replace a (y = %d) where a.x = b.x and b.z = %d`, rng.Int63n(5), rng.Int63n(6))
+		},
+		func() string {
+			return fmt.Sprintf(`delete r where r.writer = w.num and w.name = %d and r.role = %d`, rng.Int63n(4), rng.Int63n(3))
+		},
+		func() string {
+			return fmt.Sprintf(`delete n where PLAYS.part is n and PLAYS.player is a and a.x = %d and n.pitch = %d`, lit(), pitch())
+		},
 		func() string { return fmt.Sprintf(`delete a where a.x = %d and a.y %s %d`, lit(), op(), rng.Int63n(5)) },
 		func() string {
 			return fmt.Sprintf(`delete b where a.x = b.x and a.y = %d and b.z = %d`, rng.Int63n(5), rng.Int63n(6))
 		},
 	}
+}
 
-	decls := `range of a is A
-range of b is B
-range of n, n1, n2 is NOTE
-range of c is CHORD`
-	mustExec(t, planned, decls)
-	mustExec(t, naive, decls)
+// diffExec runs q through both sessions and fails unless they agree on
+// success, columns, the row multiset, the affected count and, after a
+// write, the contents of both databases.  It returns the affected count.
+func diffExec(t testing.TB, q string, planned, naive *Session) int {
+	t.Helper()
+	pres, perr := planned.Exec(q)
+	nres, nerr := naive.Exec(q)
+	if perr != nil || nerr != nil {
+		t.Fatalf("query %q: planner err = %v, naive err = %v", q, perr, nerr)
+	}
+	diffResults(t, q, planned, naive, pres, nres)
+	return pres.Affected
+}
 
+// diffResults compares two executions of q, and after a write the
+// contents of both databases.
+func diffResults(t testing.TB, q string, planned, naive *Session, pres, nres *Result) {
+	t.Helper()
+	if got, want := strings.Join(pres.Columns, ","), strings.Join(nres.Columns, ","); got != want {
+		t.Fatalf("query %q: columns %q vs %q", q, got, want)
+	}
+	if got, want := canonRows(pres), canonRows(nres); got != want {
+		t.Fatalf("query %q: result mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
+	}
+	if pres.Affected != nres.Affected {
+		t.Fatalf("statement %q: planner affected %d, naive %d", q, pres.Affected, nres.Affected)
+	}
+	if strings.HasPrefix(q, "retrieve") {
+		return
+	}
+	if got, want := diffState(t, planned.db), diffState(t, naive.db); got != want {
+		t.Fatalf("statement %q: post-state mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
+	}
+}
+
+// joinMethods names the join methods an explain plan shows.
+func joinMethods(lines []string) []string {
+	var out []string
+	for _, l := range lines {
+		for marker, m := range map[string]string{", streamed)": "scan", "HashJoin (": "hash",
+			"NestedLoopJoin (est=": "loop", "OrderFetch (": "fetch", "IndexFetch (": "index"} {
+			if strings.Contains(l, marker) && (m != "loop" || strings.Contains(l, "probes=")) {
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// TestPlannerNaiveDifferential executes randomized statements from
+// diffTemplates through both executors — the cost-based planner and the
+// naive nested-loop oracle — over two identical databases and asserts
+// identical result multisets and, after every replace or delete,
+// identical database contents.  Across the pool the planner must choose
+// every join method at least once.
+func TestPlannerNaiveDifferential(t *testing.T) {
+	plannedDB, naiveDB := diffFixture(t), diffFixture(t)
+	planned, naive := NewSession(plannedDB), NewSession(naiveDB)
+	planned.SetPlanCache(NewPlanCache(plannedDB.Store().Obs()))
+	naive.naive = true
+	if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
+		t.Fatalf("fixtures differ before any statement:\n%s\nvs\n%s", got, want)
+	}
+	mustExec(t, planned, diffDecls)
+	mustExec(t, naive, diffDecls)
+
+	templates := diffTemplates(rand.New(rand.NewSource(43)))
+	methods := map[string]int{}
 	// Every statement runs twice: the planner's second run of a retrieve
 	// replays its strategy from the plan cache.
-	var writes, affected int
-	for i := 0; i < 400; i++ {
+	indexJoins := plannedDB.Store().Obs().Counter("quel.plan.join.index")
+	var writes, affected, writeFetches int
+	for i := 0; i < 600; i++ {
 		q := templates[i%len(templates)]()
 		for run := 0; run < 2; run++ {
-			pres, perr := planned.Exec(q)
-			nres, nerr := naive.Exec(q)
-			if (perr == nil) != (nerr == nil) {
-				t.Fatalf("query %q run %d: planner err = %v, naive err = %v", q, run, perr, nerr)
-			}
-			if perr != nil {
-				t.Fatalf("query %q run %d: %v", q, run, perr)
-			}
-			if got, want := strings.Join(pres.Columns, ","), strings.Join(nres.Columns, ","); got != want {
-				t.Fatalf("query %q run %d: columns %q vs %q", q, run, got, want)
-			}
-			if got, want := canonRows(pres), canonRows(nres); got != want {
-				t.Fatalf("query %q run %d: result mismatch\nplanner:\n%s\nnaive:\n%s", q, run, got, want)
-			}
-			if strings.HasPrefix(q, "retrieve") {
-				continue
-			}
-			writes++
-			if pres.Affected != nres.Affected {
-				t.Fatalf("statement %q run %d: planner affected %d, naive %d", q, run, pres.Affected, nres.Affected)
-			}
-			affected += pres.Affected
-			if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
-				t.Fatalf("statement %q run %d: post-state mismatch\nplanner:\n%s\nnaive:\n%s", q, run, got, want)
+			before := indexJoins.Value()
+			n := diffExec(t, q, planned, naive)
+			if !strings.HasPrefix(q, "retrieve") {
+				writes++
+				affected += n
+				writeFetches += int(indexJoins.Value() - before)
+			} else if run == 0 {
+				for _, m := range joinMethods(planLines(t, planned, "explain "+q)) {
+					methods[m]++
+				}
 			}
 		}
 	}
@@ -286,6 +408,14 @@ range of c is CHORD`
 	}
 	if hits := plannedDB.Store().Obs().Counter("quel.plan.cache.hits").Value(); hits == 0 {
 		t.Fatal("no retrieve replayed from the plan cache")
+	}
+	for _, m := range []string{"scan", "hash", "loop", "fetch", "index"} {
+		if methods[m] == 0 {
+			t.Errorf("no retrieve planned a %s join step (methods chosen: %v)", m, methods)
+		}
+	}
+	if writeFetches == 0 {
+		t.Error("no replace or delete was qualified through an index fetch")
 	}
 }
 

@@ -170,6 +170,7 @@ func NewSession(db *model.Database) *Session {
 			joinHash:    reg.Counter("quel.plan.join.hash"),
 			joinLoop:    reg.Counter("quel.plan.join.loop"),
 			joinProbe:   reg.Counter("quel.plan.join.probe"),
+			joinIndex:   reg.Counter("quel.plan.join.index"),
 			hashProbes:  reg.Counter("quel.plan.hash.probes"),
 			hashHits:    reg.Counter("quel.plan.hash.hits"),
 			parQueries:  reg.Counter("quel.par.queries"),

@@ -55,7 +55,7 @@ type scanStats struct {
 	Incipit  bool   // gram-probe scan driven by an incipit predicate
 	Skipped  bool   // not scanned: another variable had no bindings
 	Streamed bool   // iterated straight into the join, never collected
-	Fetch    bool   // read by key per ordering partner (OrderFetch), not scanned
+	Fetch    bool   // read by key per joined partner (OrderFetch, IndexFetch), not scanned
 	Parts    int    // sub-ranges scanned in parallel; 0 = serial scan
 	Sargs    []string
 	Dur      time.Duration
@@ -64,8 +64,9 @@ type scanStats struct {
 // joinStat describes how one variable entered the planned join.
 type joinStat struct {
 	Var     string
-	Method  string // "scan", "hash", "fetch", "loop"
-	Cond    string // join conjunct(s) driving a hash join or order fetch
+	Method  string // "scan", "hash", "fetch", "index", "loop"
+	Cond    string // join conjunct(s) driving a hash join or a fetch
+	Index   string // index a fetch reads partners through
 	Est     int    // planner's combination estimate after this step
 	Build   int    // bindings on the step's own side
 	Probes  int
@@ -188,6 +189,8 @@ func renderSteps(add func(int, string, ...any), depth int, ps *planStats, k int)
 		add(depth, "HashJoin (%s) (est=%d, build=%d, probes=%d, hits=%d)", st.Cond, st.Est, st.Build, st.Probes, st.Hits)
 	case "fetch":
 		add(depth, "OrderFetch (%s) (est=%d, probes=%d, fetched=%d, kept=%d)", st.Cond, st.Est, st.Probes, st.Fetched, st.Hits)
+	case "index":
+		add(depth, "IndexFetch (%s) using %s (est=%d, probes=%d, fetched=%d, kept=%d)", st.Cond, st.Index, st.Est, st.Probes, st.Fetched, st.Hits)
 	default:
 		add(depth, "NestedLoopJoin (est=%d, probes=%d, hits=%d)", st.Est, st.Probes, st.Hits)
 	}
@@ -214,7 +217,7 @@ func renderScan(add func(int, string, ...any), depth int, sc scanStats, driver b
 	case sc.Skipped:
 		add(depth, "Scan %s on %s (est=%d, skipped: earlier variable empty)", sc.Var, sc.Rel, sc.Est)
 	case sc.Fetch:
-		add(depth, "Fetch %s on %s using by_ref", sc.Var, sc.Rel)
+		add(depth, "Fetch %s on %s using %s", sc.Var, sc.Rel, sc.Index)
 	case sc.Incipit:
 		add(depth, "IncipitScan %s on %s using %s [%s] (%s) (time=%s)",
 			sc.Var, sc.Rel, sc.Index, sc.Range, counts, sc.Dur)

@@ -2,11 +2,14 @@ package quel
 
 import (
 	"errors"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/ddl"
+	"repro/internal/model"
+	"repro/internal/value"
 )
 
 // redactTimes replaces wall-clock fields so plan output is comparable
@@ -195,4 +198,116 @@ func TestExplainRunsQuery(t *testing.T) {
 	if !strings.Contains(got[len(got)-1], "scanned=5") {
 		t.Fatalf("expected actual scan counts, got:\n%s", strings.Join(got, "\n"))
 	}
+}
+
+// setupWriters builds the catalogue's Writer–Work shape at test size:
+// WORK(number), WRITER(number) and a many-to-many WROTE(writer, work,
+// role), each indexed on its lookup key.  Works 1..10; writers 1..3;
+// every work has a composer and an arranger.
+func setupWriters(t *testing.T, db *model.Database) {
+	t.Helper()
+	if _, err := ddl.Exec(db, `
+define entity WORK (number = integer, title = string)
+define entity WRITER (number = integer, name = string)
+define entity WROTE (writer = integer, work = integer, role = string)
+define index on WORK (number)
+define index on WRITER (number)
+define index on WROTE (writer)
+`); err != nil {
+		t.Fatal(err)
+	}
+	for w := 1; w <= 3; w++ {
+		if _, err := db.NewEntity("WRITER", model.Attrs{"number": value.Int(int64(w)), "name": value.Str(fmt.Sprintf("writer %d", w))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 10; n++ {
+		if _, err := db.NewEntity("WORK", model.Attrs{"number": value.Int(int64(n)), "title": value.Str(fmt.Sprintf("work %d", n))}); err != nil {
+			t.Fatal(err)
+		}
+		for i, role := range []string{"composer", "arranger"} {
+			if _, err := db.NewEntity("WROTE", model.Attrs{"writer": value.Int(int64((n+i)%3 + 1)),
+				"work": value.Int(int64(n)), "role": value.Str(role)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestExplainIndexFetch pins the plan of the catalogue's by-writer
+// statement: the writer is one index row, and the wrote rows and works
+// are each read from their lookup index per joined row — no heap scan.
+func TestExplainIndexFetch(t *testing.T) {
+	db, s := newSession(t)
+	setupWriters(t, db)
+	mustExec(t, s, "range of e is WORK\nrange of w is WROTE\nrange of a is WRITER")
+	got := planLines(t, s,
+		`explain retrieve (a.name, w.role, e.number) where a.number = 2 and w.writer = a.number and e.number = w.work`)
+	assertPlan(t, got, []string{
+		`Retrieve (rows=7) (time=X)`,
+		`  Filter: (((a.number = 2) and (w.writer = a.number)) and (e.number = w.work)) (in=7, out=7)`,
+		`    IndexFetch (e.number = w.work) using ix_work_number (est=6, probes=7, fetched=7, kept=7)`,
+		`      IndexFetch (w.writer = a.number) using ix_wrote_writer (est=6, probes=1, fetched=7, kept=7)`,
+		`        IndexScan a on WRITER using ix_writer_number [number = 2] (est=1, scanned=1, kept=1, streamed) (time=X)`,
+		`          Sarg: a.number = 2`,
+		`        Fetch w on WROTE using ix_wrote_writer`,
+		`      Fetch e on WORK using ix_work_number`,
+	})
+}
+
+// TestExplainIndexFetchRolesAndIdentity pins the §5.6 is-operator query:
+// the relationship is read through its role index per composition, and
+// each composer by identity through by_ref.
+func TestExplainIndexFetchRolesAndIdentity(t *testing.T) {
+	db, s := newSession(t)
+	if _, err := ddl.Exec(db, `
+define entity PERSON (name = string)
+define entity COMPOSITION (title = string)
+define relationship COMPOSER (composer = PERSON, composition = COMPOSITION)
+`); err != nil {
+		t.Fatal(err)
+	}
+	var people, works []value.Ref
+	for i := 0; i < 20; i++ {
+		p, _ := db.NewEntity("PERSON", model.Attrs{"name": value.Str(fmt.Sprintf("person %d", i))})
+		c, _ := db.NewEntity("COMPOSITION", model.Attrs{"title": value.Str(fmt.Sprintf("title %d", i))})
+		people, works = append(people, p), append(works, c)
+	}
+	for i := range works {
+		for _, p := range []value.Ref{people[i], people[(i+1)%len(people)]} {
+			if err := db.Relate("COMPOSER", map[string]value.Ref{"composer": p, "composition": works[i]}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := planLines(t, s, `explain retrieve (PERSON.name) where COMPOSITION.title = "title 3"
+  and COMPOSER.composition is COMPOSITION and COMPOSER.composer is PERSON`)
+	assertPlan(t, got[2:], []string{
+		`    IndexFetch (COMPOSER.composer is PERSON) using by_ref (est=4, probes=2, fetched=2, kept=2)`,
+		`      IndexFetch (COMPOSER.composition is COMPOSITION) using by_composition (est=4, probes=1, fetched=2, kept=2)`,
+		`        Scan COMPOSITION on COMPOSITION (est=20, scanned=20, kept=1, streamed) (time=X)`,
+		`          Sarg: COMPOSITION.title = title 3`,
+		`        Fetch COMPOSER on COMPOSER using by_composition`,
+		`      Fetch PERSON on PERSON using by_ref`,
+	})
+}
+
+// TestExplainScoreQueryJoinStaysHash: the score-query join has no index
+// on NOTE(score), and fetching a SCORE per NOTE row would cost one probe
+// per note against a two-row range, so it stays a hash join over the
+// streamed NOTE heap.
+func TestExplainScoreQueryJoinStaysHash(t *testing.T) {
+	db, s := newSession(t)
+	buildScores(t, db, 40, 50)
+	if _, err := ddl.Exec(db, `define index on SCORE (name)`); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "range of n is NOTE\nrange of s is SCORE")
+	got := planLines(t, s, `explain retrieve (n.name, s.name) where n.score = s.name and s.name >= 10 and s.name < 12`)
+	assertPlan(t, got[2:], []string{
+		`    HashJoin (n.score = s.name) (est=20, build=2, probes=2000, hits=100)`,
+		`      Scan n on NOTE (est=2000, scanned=2000, kept=2000, streamed) (time=X)`,
+		`      IndexScan s on SCORE using ix_score_name [name >= 10 and name < 12] (est=2, scanned=2, kept=2) (time=X)`,
+		`        Sarg: s.name >= 10 and s.name < 12`,
+	})
 }

@@ -25,6 +25,10 @@ import (
 //     looping the cross product;
 //   - ordering fetches: a heap-scanned variable tied to a joined partner
 //     by before/after/under is read by key from the partner's range;
+//   - index fetches: a variable tied to a joined partner by an
+//     equi-conjunct on a key it can look up (a single-column index, its
+//     identity, a relationship role) is read from that index per
+//     partner row instead of being scanned and hashed;
 //   - join ordering: smallest estimated fan-out first; the first
 //     variable streams from its scan into the rest of the join.
 //
@@ -41,7 +45,8 @@ type planMetrics struct {
 	scanIncipit *obs.Counter // quel.plan.scan.incipit
 	joinHash    *obs.Counter // quel.plan.join.hash
 	joinLoop    *obs.Counter // quel.plan.join.loop
-	joinProbe   *obs.Counter // quel.plan.join.probe
+	joinProbe   *obs.Counter // quel.plan.join.probe (ordering fetches)
+	joinIndex   *obs.Counter // quel.plan.join.index
 	hashProbes  *obs.Counter // quel.plan.hash.probes
 	hashHits    *obs.Counter // quel.plan.hash.hits
 	parQueries  *obs.Counter // quel.par.queries
@@ -232,14 +237,10 @@ func joinKeyOf(e Expr, infos map[string]varInfo) (joinKey, bool) {
 	return joinKey{}, false
 }
 
-// maxKeySuffix exceeds the 8-byte row-id suffix appended to non-unique
-// index keys: enc(v)+maxKeySuffix is greater than every key whose value
-// part is enc(v) and, because one encoded value is never a prefix of
-// another, smaller than every key encoding a larger value.
-var maxKeySuffix = bytes.Repeat([]byte{0xFF}, 9)
-
+// withMaxSuffix returns a copy of enc that bounds, from above, every
+// index key whose value part is enc (storage.AppendKeyUpper).
 func withMaxSuffix(enc []byte) []byte {
-	return append(append([]byte(nil), enc...), maxKeySuffix...)
+	return storage.AppendKeyUpper(enc[:len(enc):len(enc)])
 }
 
 // indexRange matches attr against a secondary index and converts the
@@ -334,7 +335,7 @@ func (s *Session) chooseAccess(varName string, info varInfo, sargs []sarg, incip
 	if info.isRel {
 		return full
 	}
-	rel := s.db.Store().Relation(s.db.InstanceRelation(info.typ))
+	rel := s.relationOf(info)
 	if rel == nil {
 		return full
 	}
@@ -483,7 +484,8 @@ const (
 	joinScan joinMethod = iota // first variable: iterated from its scan
 	joinLoop
 	joinHash
-	joinFetch
+	joinFetch // OrderFetch: partners by key from an ordering's range
+	joinIndex // IndexFetch: partners from a lookup index's equality range
 )
 
 func (m joinMethod) String() string {
@@ -492,6 +494,8 @@ func (m joinMethod) String() string {
 		return "hash"
 	case joinFetch:
 		return "fetch"
+	case joinIndex:
+		return "index"
 	case joinScan:
 		return "scan"
 	}
@@ -503,10 +507,12 @@ type joinStep struct {
 	vp     *varPlan
 	method joinMethod
 	cond   string
-	// hash join
+	// hash join and index fetch: the new variable's key columns and the
+	// bound variables' values they must equal (one pair for a fetch)
 	build []joinKey
 	probe []joinKey
 	table map[string][]int
+	index string // fetch steps: the index partners are read through (by_ref for an order fetch)
 	// order fetch
 	oc        orderCond
 	newIsLeft bool // the new variable is oc's left operand
@@ -542,34 +548,96 @@ func buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
 	return h
 }
 
-// distinctOf estimates how many distinct join-key values a variable's
-// bindings carry.  Entity refs are unique by construction; indexed
-// attributes use the per-index distinct count maintained by the storage
-// layer (rebuilt on checkpoint, refreshed lazily on churn); anything
-// else falls back to a tenth of the rows — the classic guess for an
-// unindexed equi-key.
-func (s *Session) distinctOf(vp *varPlan, k joinKey) int {
-	n := vp.access.est
+// distinctOf estimates how many distinct values of join key k there are
+// among n of info's rows.  Entity refs are unique by construction;
+// indexed attributes (relationship roles included) use the per-index
+// distinct count maintained by the storage layer (rebuilt on checkpoint,
+// refreshed lazily on churn); anything else falls back to a tenth of the
+// rows — the classic guess for an unindexed equi-key.
+func (s *Session) distinctOf(info varInfo, n int, k joinKey) int {
 	if n == 0 {
 		return 1
 	}
 	if k.idx < 0 {
 		return n
 	}
-	if !vp.info.isRel {
-		if ixName, ok := s.db.AttrIndexName(vp.info.typ, k.attr); ok {
-			if st, ok := s.db.InstanceIndexStats(vp.info.typ, ixName); ok && st.Distinct > 0 {
-				if st.Distinct < n {
-					return st.Distinct
-				}
-				return n
+	if rel := s.relationOf(info); rel != nil {
+		if spec, ok := rel.IndexByColumn(k.attr); ok {
+			if st, ok := rel.Stats(spec.Name); ok && st.Distinct > 0 {
+				return min(st.Distinct, n)
 			}
 		}
 	}
-	if d := n / 10; d > 1 {
-		return d
+	return max(n/10, 1)
+}
+
+// relationOf returns the storage relation a variable ranges over.
+func (s *Session) relationOf(info varInfo) *storage.Relation {
+	if info.isRel {
+		return s.db.Store().Relation(s.db.RelationshipRelation(info.typ))
 	}
-	return 1
+	return s.db.Store().Relation(s.db.InstanceRelation(info.typ))
+}
+
+// lookupIndex names the index that reads info's rows by the value of
+// key k: by_ref for an entity's identity, else a single-column index on
+// the attribute (every relationship role has one, by_<role>).
+func (s *Session) lookupIndex(info varInfo, k joinKey) (string, bool) {
+	if k.idx < 0 {
+		return "by_ref", true
+	}
+	rel := s.relationOf(info)
+	if rel == nil {
+		return "", false
+	}
+	spec, ok := rel.IndexByColumn(k.attr)
+	if !ok || len(spec.Columns) != 1 {
+		return "", false
+	}
+	return spec.Name, true
+}
+
+// equiSides orients an equi-conjunct around variable v: v's key, the
+// other variable's, and whether v is one of its sides at all.
+func equiSides(ec equiCond, v string) (mine, theirs joinKey, ok bool) {
+	switch v {
+	case ec.l.v:
+		return ec.l, ec.r, true
+	case ec.r.v:
+		return ec.r, ec.l, true
+	}
+	return joinKey{}, joinKey{}, false
+}
+
+// keyFetch is an equi-conjunct through which a variable can be read by
+// key: its lookup index, both keys, and the rows one probe returns (the
+// relation's rows over the index's distinct keys).
+type keyFetch struct {
+	index        string
+	mine, theirs joinKey
+	desc         string
+	fan          float64
+}
+
+// indexPartner finds the equi-conjunct tying vp to a bound variable
+// through a key vp can look up, preferring the smallest fan-out.
+func (s *Session) indexPartner(vp *varPlan, bound map[string]bool, equis []equiCond) (best keyFetch, ok bool) {
+	for _, ec := range equis {
+		mine, theirs, side := equiSides(ec, vp.name)
+		if !side || !bound[theirs.v] {
+			continue
+		}
+		ix, found := s.lookupIndex(vp.info, mine)
+		if !found {
+			continue
+		}
+		n := s.estimate(vp.info)
+		fan := float64(n) / float64(s.distinctOf(vp.info, n, mine))
+		if !ok || fan < best.fan {
+			best, ok = keyFetch{index: ix, mine: mine, theirs: theirs, desc: ec.desc, fan: fan}, true
+		}
+	}
+	return best, ok
 }
 
 // orderFanout estimates an ordering conjunct's partner count per bound
@@ -606,21 +674,14 @@ func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[
 	fan := estRows(vp)
 	conn := false
 	for _, ec := range equis {
-		var mine, theirs joinKey
-		switch {
-		case ec.l.v == vp.name && chosen[ec.r.v]:
-			mine, theirs = ec.l, ec.r
-		case ec.r.v == vp.name && chosen[ec.l.v]:
-			mine, theirs = ec.r, ec.l
-		default:
+		mine, theirs, ok := equiSides(ec, vp.name)
+		if !ok || !chosen[theirs.v] {
 			continue
 		}
 		conn = true
-		d := s.distinctOf(vp, mine)
+		d := s.distinctOf(vp.info, vp.access.est, mine)
 		if op := byName[theirs.v]; op != nil {
-			if od := s.distinctOf(op, theirs); od > d {
-				d = od
-			}
+			d = max(d, s.distinctOf(op.info, op.access.est, theirs))
 		}
 		if d > 1 {
 			fan /= float64(d)
@@ -658,7 +719,10 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 	} else {
 		forced = nil
 	}
-	driver := bigDriver(plans, equis, orders)
+	var driver *varPlan
+	if forced == nil {
+		driver = s.bigDriver(plans, equis, orders)
+	}
 	chosen := make(map[string]bool, len(plans))
 	steps := make([]*joinStep, 0, len(plans))
 	combos := 1.0
@@ -695,8 +759,10 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 
 // bigDriver returns the largest input if it is a heap scan equi-joined to
 // every other input: read in full wherever it joins, it streams best as
-// the driver, through hash tables built on the smaller inputs.
-func bigDriver(plans []*varPlan, equis []equiCond, orders []orderCond) *varPlan {
+// the driver, through hash tables built on the smaller inputs.  It is
+// none when some partner could fetch it by key — through an ordering or
+// a lookup index — for fewer rows than the scan reads.
+func (s *Session) bigDriver(plans []*varPlan, equis []equiCond, orders []orderCond) *varPlan {
 	var big *varPlan
 	for _, vp := range plans {
 		if big == nil || estRows(vp) > estRows(big) {
@@ -712,44 +778,55 @@ func bigDriver(plans []*varPlan, equis []equiCond, orders []orderCond) *varPlan 
 		}
 	}
 	for _, vp := range plans {
-		joined := vp == big
+		if vp == big {
+			continue
+		}
+		joined := false
 		for _, ec := range equis {
-			joined = joined || (ec.l.v == big.name && ec.r.v == vp.name) || (ec.r.v == big.name && ec.l.v == vp.name)
+			_, theirs, ok := equiSides(ec, big.name)
+			joined = joined || (ok && theirs.v == vp.name)
 		}
 		if !joined {
+			return nil
+		}
+		if kf, ok := s.indexPartner(big, map[string]bool{vp.name: true}, equis); ok && estRows(vp)*kf.fan <= float64(big.access.est) {
 			return nil
 		}
 	}
 	return big
 }
 
-// makeStep decides how vp joins the chosen set (outer combinations): an
-// ordering fetch when vp is a heap-scanned entity whose partners over all
-// outer rows number no more than a scan of vp reads, a hash join on every
-// connecting equi-conjunct, or a nested loop (evalOrderOp's rank compare).
+// makeStep decides how vp joins the chosen set (outer combinations).
+// When vp's partners over all outer rows number no more than a read of
+// vp's own access path, it is fetched by key: an ordering fetch for a
+// heap-scanned entity tied by before/after/under, else an index fetch
+// through an equi-conjunct on a key vp can look up.  Otherwise it is a
+// hash join on every connecting equi-conjunct, or a nested loop
+// (evalOrderOp's rank compare).
 func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond, first bool, outer float64) *joinStep {
 	st := &joinStep{vp: vp, method: joinScan}
 	if first {
 		return st
 	}
 	if oc, newIsLeft, ok := orderPartner(vp, chosen, orders); ok && !vp.info.isRel && vp.access.index == "" && outer*s.orderFanout(vp, oc, newIsLeft) <= float64(vp.access.est) {
-		st.method, st.oc, st.newIsLeft, st.cond = joinFetch, oc, newIsLeft, oc.desc
+		st.method, st.index, st.oc, st.newIsLeft, st.cond = joinFetch, "by_ref", oc, newIsLeft, oc.desc
 		s.pm.joinProbe.Inc()
+		return st
+	}
+	if kf, ok := s.indexPartner(vp, chosen, equis); ok && outer*kf.fan <= float64(vp.access.est) {
+		st.method, st.index, st.cond = joinIndex, kf.index, kf.desc
+		st.build, st.probe = []joinKey{kf.mine}, []joinKey{kf.theirs}
+		s.pm.joinIndex.Inc()
 		return st
 	}
 	var parts []string
 	for _, ec := range equis {
-		var b, p joinKey
-		switch {
-		case ec.l.v == vp.name && chosen[ec.r.v]:
-			b, p = ec.l, ec.r
-		case ec.r.v == vp.name && chosen[ec.l.v]:
-			b, p = ec.r, ec.l
-		default:
+		mine, theirs, ok := equiSides(ec, vp.name)
+		if !ok || !chosen[theirs.v] {
 			continue
 		}
-		st.build = append(st.build, b)
-		st.probe = append(st.probe, p)
+		st.build = append(st.build, mine)
+		st.probe = append(st.probe, theirs)
 		parts = append(parts, ec.desc)
 	}
 	if len(st.build) > 0 {
@@ -787,7 +864,7 @@ func (s *Session) probeRefs(st *joinStep, other binding) ([]value.Ref, error) {
 
 // stepRun drives the left-deep join: rec(k) binds steps[k] against the
 // current environment and recurses.  All mutable state — environment,
-// per-step counts, combination counter, hash-probe key buffer — lives on
+// per-step counts, combination counter, probe key and fetch buffers — lives on
 // the run, so parallel workers can drive disjoint driver morsels over the
 // same (read-only after planning) steps with a stepRun each, race-free.
 type stepRun struct {
@@ -800,6 +877,7 @@ type stepRun struct {
 	combos int
 	work   int
 	key    []byte
+	bufs   [][]binding // per fetch step: one probe's partners
 }
 
 func (r *stepRun) rec(k int) error {
@@ -833,23 +911,12 @@ func (r *stepRun) rec(k int) error {
 				return err
 			}
 		}
-	case joinFetch:
-		other := r.e[st.oc.l]
-		if st.newIsLeft {
-			other = r.e[st.oc.r]
-		}
-		refs, err := s.probeRefs(st, other)
+	case joinFetch, joinIndex:
+		batch, err := r.partners(k)
 		if err != nil {
 			return err
 		}
-		for _, ref := range refs {
-			b, ok, err := s.fetch(vp.info, ref)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
+		for _, b := range batch {
 			r.counts[k].fetched++
 			if !sargMatches(vp.sargs, b.fields, b.attrs) {
 				continue
@@ -870,6 +937,68 @@ func (r *stepRun) rec(k int) error {
 		}
 	}
 	return nil
+}
+
+// partners reads the rows of fetch step k's variable that its conjunct
+// ties to the bound environment into the step's buffer: by key from the
+// ordering's range (OrderFetch), or from the lookup index's equality
+// range on the bound value (IndexFetch; a by_ref point read for
+// identity).  A probe's rows are all collected before rec recurses: a
+// locking index range calls back under the relation latch, which a
+// deeper step's read of the same relation would re-enter.
+func (r *stepRun) partners(k int) ([]binding, error) {
+	if r.bufs == nil {
+		r.bufs = make([][]binding, len(r.steps))
+	}
+	s, st := r.s, r.steps[k]
+	info := st.vp.info
+	dst := r.bufs[k][:0]
+	defer func() { r.bufs[k] = dst }()
+	if st.method == joinFetch {
+		other := r.e[st.oc.l]
+		if st.newIsLeft {
+			other = r.e[st.oc.r]
+		}
+		refs, err := s.probeRefs(st, other)
+		if err != nil {
+			return dst, err
+		}
+		for _, ref := range refs {
+			b, ok, err := s.fetch(info, ref)
+			if err != nil {
+				return dst, err
+			}
+			if ok {
+				dst = append(dst, b)
+			}
+		}
+		return dst, nil
+	}
+	p := st.probe[0]
+	v := p.value(r.e[p.v])
+	if st.build[0].idx < 0 {
+		b, ok, err := s.fetch(info, v.AsRef())
+		if ok {
+			dst = append(dst, b)
+		}
+		return dst, err
+	}
+	r.key = value.AppendKey(r.key[:0], v)
+	n := len(r.key)
+	r.key = storage.AppendKeyUpper(r.key)
+	lo, hi := r.key[:n], r.key
+	if info.isRel {
+		err := s.rd.RelationshipRange(info.typ, st.index, lo, hi, func(t value.Tuple) bool {
+			dst = append(dst, binding{attrs: t, fields: info.fields, typ: info.typ})
+			return true
+		})
+		return dst, err
+	}
+	err := s.rd.InstancesRange(info.typ, st.index, lo, hi, false, func(ref value.Ref, attrs value.Tuple) bool {
+		dst = append(dst, binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
+		return true
+	})
+	return dst, err
 }
 
 // bindAllPlanned is the cost-based executor behind bindAll.
@@ -917,7 +1046,7 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	stream := s.snap != nil && s.parWorkers <= 1
 	scanned := make([]bool, len(steps))
 	for k, st := range steps {
-		if st.method == joinFetch || (k == 0 && stream) {
+		if st.index != "" || (k == 0 && stream) {
 			continue
 		}
 		scanned[k] = true
@@ -977,11 +1106,11 @@ func (s *Session) finishJoin(steps []*joinStep, counts []stepCount, combos int) 
 			continue
 		}
 		s.ps.Steps = append(s.ps.Steps, joinStat{Var: st.vp.name, Method: st.method.String(),
-			Cond: st.cond, Est: st.est, Build: len(st.vp.list),
+			Cond: st.cond, Index: st.index, Est: st.est, Build: len(st.vp.list),
 			Probes: counts[k].probes, Fetched: counts[k].fetched, Hits: counts[k].hits})
-		if st.method == joinFetch {
+		if st.index != "" {
 			s.ps.Scans = append(s.ps.Scans, scanStats{Var: st.vp.name, Rel: st.vp.info.typ,
-				Est: st.vp.access.est, Fetch: true, Sargs: sargStrings(st.vp)})
+				Est: st.vp.access.est, Index: st.index, Fetch: true, Sargs: sargStrings(st.vp)})
 		}
 	}
 }

@@ -193,10 +193,11 @@ range of c is CHORD`)
 	mustExec(t, s, `retrieve (NOTE.name) where NOTE.pitch = 62`)
 	mustExec(t, s, `retrieve (n.name) where n.chord = c.name`)
 	mustExec(t, s, `retrieve (n.name) where n under c in note_in_chord`)
+	mustExec(t, s, `retrieve (n.name) where n.pitch = c.name`)
 	reg := db.Store().Obs()
 	for _, name := range []string{
 		"quel.plan.scan.index", "quel.plan.scan.full",
-		"quel.plan.join.hash", "quel.plan.join.probe",
+		"quel.plan.join.hash", "quel.plan.join.probe", "quel.plan.join.index",
 		"quel.plan.hash.probes", "quel.plan.hash.hits",
 	} {
 		if reg.Counter(name).Value() == 0 {

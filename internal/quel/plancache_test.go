@@ -134,3 +134,40 @@ func TestPlanCacheCapBounded(t *testing.T) {
 		t.Fatalf("cache holds %d entries after overflow, want exactly %d", got, planCacheCap)
 	}
 }
+
+// TestPlanCacheReplaysIndexFetch: a cached strategy keeps the join
+// order, and each replay recomputes the join method from the live
+// estimates.  A narrow writer range fetches its works by key; the same
+// shape over every writer reads more wrote rows than WORK holds, so the
+// replay hash-joins the works instead — and both answer as the naive
+// executor does.
+func TestPlanCacheReplaysIndexFetch(t *testing.T) {
+	db, s := newSession(t)
+	setupWriters(t, db)
+	naive := NewSession(db)
+	naive.naive = true
+	s.SetPlanCache(NewPlanCache(db.Store().Obs()))
+	decls := "range of e is WORK\nrange of w is WROTE"
+	mustExec(t, s, decls)
+	mustExec(t, naive, decls)
+	q := `retrieve (w.role, e.title) where w.writer >= %d and w.writer < %d and e.number = w.work`
+	for _, tc := range []struct {
+		lo, hi int
+		hit    bool
+		method string
+	}{
+		{2, 3, false, "IndexFetch (e.number = w.work) using ix_work_number"},
+		{1, 4, true, "HashJoin (e.number = w.work)"},
+		{3, 4, true, "IndexFetch (e.number = w.work) using ix_work_number"},
+	} {
+		src := fmt.Sprintf(q, tc.lo, tc.hi)
+		plan := strings.Join(planLines(t, s, "explain "+src), "\n")
+		if strings.Contains(plan, "PlanCache: hit") != tc.hit || !strings.Contains(plan, tc.method) ||
+			!strings.Contains(plan, "IndexScan w on WROTE") {
+			t.Fatalf("writers [%d, %d): want cache hit %v and %s after an IndexScan of w:\n%s", tc.lo, tc.hi, tc.hit, tc.method, plan)
+		}
+		if got, want := canonRows(mustExec(t, s, src)), canonRows(mustExec(t, naive, src)); got != want {
+			t.Fatalf("writers [%d, %d): planner\n%s\nnaive\n%s", tc.lo, tc.hi, got, want)
+		}
+	}
+}

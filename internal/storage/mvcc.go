@@ -195,7 +195,8 @@ func (r *Relation) snapScan(at uint64, fn func(id RowID, t value.Tuple) bool) ui
 }
 
 // snapCand is one candidate row of a snapshot index scan: the sort key
-// (as the live tree orders it), the row, and its visible tuple.
+// (as the history tree orders it; nil when candidates arrive in order),
+// the row, and its visible tuple.
 type snapCand struct {
 	key []byte
 	id  RowID
@@ -204,10 +205,12 @@ type snapCand struct {
 
 // snapRange iterates rows visible at CSN at whose index key falls in
 // [lo, hi), in key order (descending with reverse).  Bounds have the
-// same semantics as ScanRange on the same index.  It merges the live
-// tree with the key history, verifying every candidate against the
-// visible version, then emits the deduplicated, sorted result outside
-// the lock.
+// same semantics as ScanRange on the same index.  Every candidate is
+// verified against its visible version's key, and the result is emitted
+// outside the lock.  When the key history holds no key in the range,
+// every visible row sits in the live tree under its visible key, so the
+// live tree alone yields each row once and in key order; otherwise the
+// two trees are merged, deduplicated and sorted.
 func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) (uint64, error) {
 	r.mu.RLock()
 	ix := r.findIndex(indexName)
@@ -221,14 +224,30 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 		// existed.  Derive the range from the version store instead.
 		cands := r.snapRangeFallbackLocked(ix, at, lo, hi)
 		r.mu.RUnlock()
+		sortCands(cands)
 		return emitCands(cands, reverse, fn), nil
 	}
 	var cands []snapCand
+	var kb [64]byte
+	buf := kb[:0]
+	if !ix.histHas(lo, hi) {
+		ix.tree.Ascend(lo, hi, func(key []byte, id uint64) bool {
+			if t := r.snapVisibleLocked(id, at); t != nil {
+				if buf = ix.appendKey(buf[:0], id, t); bytes.Equal(buf, key) {
+					cands = append(cands, snapCand{id: id, t: t})
+				}
+			}
+			return true
+		})
+		r.mu.RUnlock()
+		return emitCands(cands, reverse, fn), nil
+	}
 	// A row can surface from both the live tree and the key history, but
 	// only under its visible version's key — so one admitted candidate
-	// per id, and the dedup is a set lookup, not a slice scan.
+	// per id, and the dedup is a set lookup, not a slice scan.  History
+	// keys always carry the row id; the sort key does too.
 	seen := make(map[RowID]struct{})
-	consider := func(key []byte, id RowID) {
+	consider := func(key []byte, id RowID, hist bool) {
 		if _, dup := seen[id]; dup {
 			return
 		}
@@ -236,29 +255,44 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 		if t == nil {
 			return
 		}
-		want := ix.snapKey(id, t)
-		if !bytes.Equal(want, key) {
+		if buf = ix.appendKey(buf[:0], id, t); hist && ix.spec.Unique {
+			buf = appendRowID(buf, id)
+		}
+		if !bytes.Equal(buf, key) {
 			return
 		}
 		seen[id] = struct{}{}
+		switch {
+		case hist:
+			key = append([]byte(nil), key...)
+		case ix.spec.Unique:
+			key = appendRowID(append([]byte(nil), key...), id)
+		}
 		cands = append(cands, snapCand{key: key, id: id, t: t})
 	}
 	ix.tree.Ascend(lo, hi, func(key []byte, id uint64) bool {
-		k := key
-		if ix.spec.Unique {
-			k = appendRowID(append([]byte(nil), key...), id)
-		}
-		consider(k, id)
+		consider(key, id, false)
 		return true
 	})
+	ix.hist.Ascend(lo, hi, func(key []byte, id uint64) bool {
+		consider(key, id, true)
+		return true
+	})
+	r.mu.RUnlock()
+	sortCands(cands)
+	return emitCands(cands, reverse, fn), nil
+}
+
+// histHas reports whether the key history holds a key in [lo, hi).
+func (ix *index) histHas(lo, hi []byte) bool {
+	found := false
 	if ix.hist != nil {
-		ix.hist.Ascend(lo, hi, func(key []byte, id uint64) bool {
-			consider(append([]byte(nil), key...), id)
-			return true
+		ix.hist.Ascend(lo, hi, func([]byte, uint64) bool {
+			found = true
+			return false
 		})
 	}
-	r.mu.RUnlock()
-	return emitCands(cands, reverse, fn), nil
+	return found
 }
 
 // snapRangeFallbackLocked computes a snapshot index range purely from
@@ -287,8 +321,13 @@ func (r *Relation) snapRangeFallbackLocked(ix *index, at uint64, lo, hi []byte) 
 	return cands
 }
 
-func emitCands(cands []snapCand, reverse bool, fn func(id RowID, t value.Tuple) bool) uint64 {
+func sortCands(cands []snapCand) {
 	sort.Slice(cands, func(i, j int) bool { return bytes.Compare(cands[i].key, cands[j].key) < 0 })
+}
+
+// emitCands calls fn for the candidates, in order or in reverse, and
+// returns how many it saw.
+func emitCands(cands []snapCand, reverse bool, fn func(id RowID, t value.Tuple) bool) uint64 {
 	var n uint64
 	if reverse {
 		for i := len(cands) - 1; i >= 0; i-- {
@@ -398,7 +437,7 @@ func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Tup
 	}
 	r.mu.RUnlock()
 	if t == nil {
-		hi := append(append(make([]byte, 0, len(key)+9), key...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+		hi := AppendKeyUpper(key[:len(key):len(key)])
 		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(rid RowID, tu value.Tuple) bool {
 			id, t = rid, tu
 			return false

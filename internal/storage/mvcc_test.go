@@ -196,6 +196,116 @@ func TestSnapshotIndexRange(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndexRangeMergesHistory: while a writer moves rows between
+// keys, deletes and inserts, a pinned snapshot's range reads keep
+// returning exactly its own rows, in key order, both where the range
+// holds retired keys (the live and history trees are merged) and where
+// it holds none (the live tree alone answers).
+func TestSnapshotIndexRangeMergesHistory(t *testing.T) {
+	for _, unique := range []bool{false, true} {
+		t.Run(fmt.Sprintf("unique=%v", unique), func(t *testing.T) {
+			db := memDB(t)
+			db.CreateRelation("NOTE", noteSchema())
+			if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}, Unique: unique}); err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]RowID, 40)
+			mustTx(t, db, func(tx *Tx) {
+				for i := range ids {
+					ids[i], _ = tx.Insert("NOTE", value.Tuple{value.Int(int64(i)), value.Int(int64(i)), value.Str("n")})
+				}
+			})
+			old, err := db.BeginSnapshot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer old.Close()
+			scan := func(s *Snap, lo, hi int64, reverse bool) []int64 {
+				lb, ub := pitchRange(lo, hi)
+				var names []int64
+				if err := s.IndexRange("NOTE", "by_pitch", lb, ub, reverse, func(_ RowID, tu value.Tuple) bool {
+					names = append(names, tu[0].AsInt())
+					return true
+				}); err != nil {
+					t.Error(err)
+				}
+				return names
+			}
+			// The pinned state: name i at pitch i.
+			check := func(lo, hi int64) {
+				got, rev := scan(old, lo, hi, false), scan(old, lo, hi, true)
+				if len(got) != int(hi-lo) || len(rev) != len(got) {
+					t.Errorf("[%d, %d): got %v, reverse %v", lo, hi, got, rev)
+					return
+				}
+				for i, n := range got {
+					if n != lo+int64(i) || rev[len(rev)-1-i] != n {
+						t.Errorf("[%d, %d): got %v, reverse %v", lo, hi, got, rev)
+						return
+					}
+				}
+			}
+
+			// The writer moves names 10..19 to pitches 110..119, deletes
+			// 20..24, and inserts one row at 210..224 per step; keys 0..9
+			// and 25..39 are never touched.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 10; i < 25; i++ {
+					tx := db.Begin()
+					var err error
+					if i < 20 {
+						err = tx.Update("NOTE", ids[i], value.Tuple{value.Int(int64(i)), value.Int(int64(100 + i)), value.Str("n")})
+					} else {
+						err = tx.Delete("NOTE", ids[i])
+					}
+					if err == nil {
+						_, err = tx.Insert("NOTE", value.Tuple{value.Int(int64(200 + i)), value.Int(int64(200 + i)), value.Str("n")})
+					}
+					if err == nil {
+						err = tx.Commit()
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				check(0, 40)
+				check(10, 25)
+			}
+			ix := db.Relation("NOTE").findIndex("by_pitch")
+			if lb, ub := pitchRange(10, 25); !ix.histHas(lb, ub) {
+				t.Fatal("no retired key in [10, 25): the merge path was not exercised")
+			}
+			if lb, ub := pitchRange(0, 10); ix.histHas(lb, ub) {
+				t.Fatal("retired key in [0, 10): the live-tree path was not exercised")
+			}
+			check(0, 10)
+			check(25, 40)
+
+			fresh, err := db.BeginSnapshot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if got := scan(fresh, 0, 1000, false); len(got) != 50 || got[9] != 9 || got[10] != 25 || got[25] != 10 || got[35] != 210 || got[49] != 224 {
+				t.Fatalf("fresh snapshot range = %v", got)
+			}
+			if got := scan(fresh, 10, 25, false); len(got) != 0 {
+				t.Fatalf("fresh snapshot sees retired keys: %v", got)
+			}
+		})
+	}
+}
+
 // TestSnapshotIndexCreatedAfterPin: an index created after the snapshot
 // was pinned cannot serve it from its trees; the scan falls back to the
 // version store and still returns the right rows in key order.

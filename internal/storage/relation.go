@@ -238,6 +238,15 @@ func (ix *index) appendKey(dst []byte, id RowID, t value.Tuple) []byte {
 	return dst
 }
 
+// AppendKeyUpper appends nine 0xFF bytes to the encoded value enc.  The
+// result sorts above every index key whose value part is enc, the 8-byte
+// row-id suffix of a non-unique index included, and, because no encoded
+// value is a prefix of another, below every key of a larger value:
+// [enc, AppendKeyUpper(enc)) is the key range of an equality lookup.
+func AppendKeyUpper(enc []byte) []byte {
+	return append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+}
+
 func appendRowID(k []byte, id RowID) []byte {
 	return append(k, byte(id>>56), byte(id>>48), byte(id>>40), byte(id>>32),
 		byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
