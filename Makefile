@@ -44,13 +44,15 @@ torture-repl:
 	$(GO) test -count=1 -run 'ReplicationTorture' ./internal/repl/
 
 # Short coverage-guided fuzz runs over every decoder that takes bytes
-# off the wire or out of a file: the network frame codec, the DARMS
-# parser, the SMF reader, and the ingest stream scanner; and over the
+# off the wire or out of a file: the network frame codec, the tuple
+# codec of segments and the log, the DARMS parser, the SMF reader, and
+# the ingest stream scanner; and over the
 # QUEL parser and planner, whose results must match the naive executor.
 # New crashers land in the package's testdata/fuzz/ corpus; CI uploads
 # them.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
+	$(GO) test -fuzz='^FuzzDecodeTuple$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzDARMS$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/darms/
 	$(GO) test -fuzz='^FuzzSMF$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/midi/

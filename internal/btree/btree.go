@@ -504,9 +504,6 @@ func (t *Tree) Seek(key []byte) *Iter {
 	return it
 }
 
-// Min returns an iterator at the smallest entry.
-func (t *Tree) Min() *Iter { return t.Seek(nil) }
-
 // Max returns an iterator at the largest entry (invalid if empty).
 func (t *Tree) Max() *Iter {
 	n := t.root
@@ -624,20 +621,6 @@ func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
 		prev = cp
 	}
 	return bounds
-}
-
-// AscendPrefix calls fn for each entry whose key begins with prefix.
-func (t *Tree) AscendPrefix(prefix []byte, fn func(key []byte, val uint64) bool) {
-	it := t.Seek(prefix)
-	for it.Valid() {
-		if !bytes.HasPrefix(it.Key(), prefix) {
-			return
-		}
-		if !fn(it.Key(), it.Val()) {
-			return
-		}
-		it.Next()
-	}
 }
 
 // CheckInvariants verifies structural invariants (sortedness, counts,

@@ -240,10 +240,6 @@ func TestSeekAndIterate(t *testing.T) {
 	if it.Valid() {
 		t.Fatal("iterator should exhaust")
 	}
-	// Min on empty tree.
-	if New().Min().Valid() {
-		t.Fatal("min of empty")
-	}
 }
 
 func TestAscendRange(t *testing.T) {
@@ -352,28 +348,6 @@ func TestCountRange(t *testing.T) {
 		if got := tr.CountRange(lo, hi); got != n {
 			t.Fatalf("CountRange(%x, %x) = %d, scan says %d", lo, hi, got, n)
 		}
-	}
-}
-
-func TestAscendPrefix(t *testing.T) {
-	tr := New()
-	names := []string{"bach/578", "bach/579", "bach/1080", "beethoven/5", "brahms/4"}
-	for i, n := range names {
-		tr.Set([]byte(n), uint64(i))
-	}
-	var got []string
-	tr.AscendPrefix([]byte("bach/"), func(k []byte, v uint64) bool {
-		got = append(got, string(k))
-		return true
-	})
-	sort.Strings(got)
-	if len(got) != 3 || got[0] != "bach/1080" {
-		t.Fatalf("prefix scan: %v", got)
-	}
-	count := 0
-	tr.AscendPrefix([]byte("bach/"), func(k []byte, v uint64) bool { count++; return false })
-	if count != 1 {
-		t.Fatal("prefix early stop")
 	}
 }
 

@@ -47,6 +47,39 @@ func (t Tx) LockType(typeName string) error {
 	return t.tx.LockExclusive(et.rel)
 }
 
+// LockDelete takes the locks a delete of typeName instances needs, in
+// Delete's order: the instance relation X, then the orderings and the
+// relationships the type takes part in (partsOf), X in name order.  A
+// statement that reads before it deletes takes them first, so a
+// qualification reading one of those orderings never upgrades S to X.
+func (t Tx) LockDelete(typeName string) error {
+	et, err := t.db.entityType(typeName)
+	if err != nil {
+		return err
+	}
+	_, _, err = t.lockDelete(et)
+	return err
+}
+
+// lockDelete is LockDelete for a resolved type; it returns partsOf.
+func (t Tx) lockDelete(et *EntityType) ([]*Ordering, []*RelationshipType, error) {
+	if err := t.tx.LockExclusive(et.rel); err != nil {
+		return nil, nil, err
+	}
+	orders, rels := t.db.partsOf(et.Name)
+	for _, o := range orders {
+		if err := t.tx.LockExclusive(o.rel); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, rt := range rels {
+		if err := t.tx.LockExclusive(rt.rel); err != nil {
+			return nil, nil, err
+		}
+	}
+	return orders, rels, nil
+}
+
 // lockedType resolves the type of ref for a write and X-locks its
 // instance relation before any read of it.  The live-tree hint names
 // the type; the caller's own point read under the lock confirms it.
@@ -151,16 +184,9 @@ func (t Tx) delete(et *EntityType, ref value.Ref) error {
 	if !ok {
 		return fmt.Errorf("%w: %s @%d", ErrNoEntity, et.Name, ref)
 	}
-	orders, rels := t.db.partsOf(et.Name)
-	for _, o := range orders {
-		if err := t.tx.LockExclusive(o.rel); err != nil {
-			return err
-		}
-	}
-	for _, rt := range rels {
-		if err := t.tx.LockExclusive(rt.rel); err != nil {
-			return err
-		}
+	orders, rels, err := t.lockDelete(et)
+	if err != nil {
+		return err
 	}
 	for _, o := range orders {
 		if o.Parent == et.Name {

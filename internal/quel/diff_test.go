@@ -16,9 +16,10 @@ import (
 // diffFixture builds the differential test's database: two plain
 // entity types (one indexed), notes ordered under chords, writers with a
 // unique index on their number, a many-to-many wrote table indexed on
-// its writer, and a relationship between A and NOTE.  The data is a pure
-// function of the fixed seed, so two fixtures are row-for-row (and
-// surrogate-for-surrogate) identical.
+// its writer, and a relationship between A and NOTE.  A few A, B and
+// NOTE rows have NULL join attributes (NULL = NULL holds in QUEL).  The
+// data is a pure function of the fixed seed, so two fixtures are
+// row-for-row (and surrogate-for-surrogate) identical.
 func diffFixture(t testing.TB) *model.Database {
 	t.Helper()
 	db, _ := newSession(t)
@@ -94,6 +95,13 @@ define index on WR (writer)
 		if err := db.Relate("PLAYS", roles, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 3; i++ {
+		newEntity("A", model.Attrs{"x": value.Null, "y": value.Int(int64(i)), "w": value.Null})
+		newEntity("B", model.Attrs{"x": value.Null, "z": value.Int(int64(i))})
+	}
+	for i := 40; i < 42; i++ {
+		newEntity("NOTE", model.Attrs{"name": value.Int(int64(i)), "pitch": value.Int(60), "chord": value.Null})
 	}
 	return db
 }
@@ -263,6 +271,38 @@ func diffTemplates(rng diffLits) []func() string {
 		},
 		func() string {
 			return fmt.Sprintf(`retrieve (a.x, n.pitch) where PLAYS.part is n and PLAYS.player is a and n.name = %d`, rng.Int63n(40))
+		},
+		// Constant sargs carried across equi-joins: a range on either
+		// side, a chain a = b = n, an index fetch whose key repeats the
+		// carried range, != (which NULL keys pass), and an int attribute
+		// equated with a float one (never carried: Compare is not
+		// transitive across int and float).
+		func() string {
+			return fmt.Sprintf(`retrieve (a.y, b.z) where a.x = b.x and a.x >= %d and a.x < %d`, lit(), lit())
+		},
+		func() string { return fmt.Sprintf(`retrieve (a.y, b.z) where a.x = b.x and b.x %s %d`, op(), lit()) },
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, c.name) where n.chord = c.name and n.chord >= %d and n.chord < %d`, 1+rng.Int63n(4), 1+rng.Int63n(5))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (a.y, b.z, n.name) where a.x = b.x and b.x = n.chord and a.x %s %d`, op(), 1+rng.Int63n(4))
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (b.z, n.name) where n.chord = b.x and b.x = a.x and a.y = %d and n.pitch %s %d`, rng.Int63n(5), op(), pitch())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (w.name, r.role) where r.writer = w.num and w.num >= %d and w.num < %d`, 1+rng.Int63n(9), 1+rng.Int63n(10))
+		},
+		func() string { return fmt.Sprintf(`retrieve (a.y, b.z) where a.x = b.x and b.x != %d`, lit()) },
+		func() string { return fmt.Sprintf(`retrieve (a.w, b.z) where a.w = b.x and b.x %s %d`, op(), lit()) },
+		func() string {
+			return fmt.Sprintf(`retrieve (a.w, b.x) where b.x = a.w and a.w >= %d.0 and a.w < %d`, lit(), lit())
+		},
+		func() string {
+			return fmt.Sprintf(`replace b (z = %d) where a.x = b.x and a.x >= %d and a.x < %d`, rng.Int63n(6), lit(), lit())
+		},
+		func() string {
+			return fmt.Sprintf(`delete n where n.chord = c.name and c.name > %d and n.pitch %s %d`, rng.Int63n(4), op(), pitch())
 		},
 		// Writes.  Assigned values never depend on which of several
 		// qualifying combinations is visited, so the post-state is

@@ -356,13 +356,48 @@ func collectVars(e Expr, out map[string]bool) {
 	_ = e
 }
 
-// sarg is a pushed-down single-variable predicate used to filter a range
-// variable's instances during the scan (a rudimentary optimizer: it keeps
-// the nested-loop join from materializing obviously-excluded bindings).
+// sarg is a pushed-down single-variable predicate var.attr op literal
+// used to filter a range variable's rows as they are read, before they
+// reach the join.  compileSargs resolves it once per statement: col is
+// the attribute's position in the variable's tuples (-1 when there is
+// none; full evaluation reports it), and accept has bit c+1 set for each
+// value.Compare result c that satisfies op.  A derived sarg was inferred
+// across an equi-join (plan.go); it only prunes.
 type sarg struct {
-	attr string
-	op   string
-	v    value.Value
+	attr    string
+	op      string
+	v       value.Value
+	col     int
+	accept  uint8
+	derived bool
+}
+
+// compileSargs resolves each sarg against the variable's fields.
+func compileSargs(ss []sarg, fields []value.Field) {
+	for i := range ss {
+		sg := &ss[i]
+		sg.col = -1
+		if c, ok := fieldIndex(fields, sg.attr); ok {
+			sg.col = c
+		}
+		sg.accept = 0b111
+		if a, ok := sargAccept[sg.op]; ok {
+			sg.accept = a
+		}
+	}
+}
+
+// sargAccept maps each comparison operator to its accept bits.
+var sargAccept = map[string]uint8{"=": 0b010, "!=": 0b101, "<": 0b001, "<=": 0b011, ">": 0b100, ">=": 0b110}
+
+// sargsMatch reports whether attrs satisfies every compiled sarg.
+func sargsMatch(ss []sarg, attrs value.Tuple) bool {
+	for i := range ss {
+		if sg := &ss[i]; sg.col >= 0 && sg.accept>>(value.Compare(attrs[sg.col], sg.v)+1)&1 == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // extractSargs pulls var.attr OP literal conjuncts out of the
@@ -432,43 +467,6 @@ func flip(op string) string {
 	return op
 }
 
-func sargMatches(ss []sarg, fields []value.Field, attrs value.Tuple) bool {
-	for _, sg := range ss {
-		i, ok := fieldIndex(fields, sg.attr)
-		if !ok {
-			return true // let full evaluation report the error
-		}
-		c := value.Compare(attrs[i], sg.v)
-		switch sg.op {
-		case "=":
-			if c != 0 {
-				return false
-			}
-		case "!=":
-			if c == 0 {
-				return false
-			}
-		case "<":
-			if c >= 0 {
-				return false
-			}
-		case "<=":
-			if c > 0 {
-				return false
-			}
-		case ">":
-			if c <= 0 {
-				return false
-			}
-		case ">=":
-			if c < 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // bindAll binds the instances of each variable and invokes fn for
 // every surviving combination.  It plans access and join order
 // (plan.go); in-package tests flip s.naive to run the nested-loop
@@ -489,6 +487,9 @@ func (s *Session) bindAll(ctx context.Context, vars []string, where Expr, fn fun
 	sargs := map[string][]sarg{}
 	if where != nil {
 		extractSargs(where, sargs)
+	}
+	for v, ss := range sargs {
+		compileSargs(ss, infos[v].fields)
 	}
 	if s.naive {
 		return s.bindAllNaive(ctx, vars, infos, sargs, fn)
@@ -520,7 +521,7 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 		var list []binding
 		err := s.scanVar(info, func(b binding) bool {
 			st.Scanned++
-			if !sargMatches(sargs[v], b.fields, b.attrs) {
+			if !sargsMatch(sargs[v], b.attrs) {
 				return true
 			}
 			st.Kept++
@@ -792,12 +793,13 @@ func (s *Session) appendStmt(ctx context.Context, q Append) (*Result, error) {
 // write is one row's change, prepared while binding and applied after.
 type write func(t model.Tx, typ string) error
 
-// writeRows runs a replace or delete as one transaction that X-locks
-// the target's relation before reading anything.  prepare runs once per
-// distinct qualifying target instance while the join binds, so every
+// writeRows runs a replace or delete as one transaction that takes
+// every X lock its writes need (lock: model.Tx.LockType for a replace,
+// LockDelete for a delete) before reading anything.  prepare runs once
+// per distinct qualifying target instance while the join binds, so every
 // read precedes every write; the prepared writes then apply in order.
 // It returns the number of instances changed.
-func (s *Session) writeRows(ctx context.Context, target string, vars []string, where Expr, prepare func(ref value.Ref, e env) (write, error)) (int, error) {
+func (s *Session) writeRows(ctx context.Context, target string, vars []string, where Expr, lock func(t model.Tx, typ string) error, prepare func(ref value.Ref, e env) (write, error)) (int, error) {
 	info, err := s.varInfo(target)
 	if err != nil {
 		return 0, err
@@ -805,7 +807,7 @@ func (s *Session) writeRows(ctx context.Context, target string, vars []string, w
 	var writes []write
 	err = s.inTx(ctx, func(t model.Tx) error {
 		if !info.isRel {
-			if err := t.LockType(info.typ); err != nil {
+			if err := lock(t, info.typ); err != nil {
 				return err
 			}
 		}
@@ -845,7 +847,7 @@ func (s *Session) replace(ctx context.Context, q Replace) (*Result, error) {
 	for _, a := range q.Assigns {
 		collectVars(a.Expr, varSet)
 	}
-	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, func(ref value.Ref, e env) (write, error) {
+	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, model.Tx.LockType, func(ref value.Ref, e env) (write, error) {
 		attrs := model.Attrs{}
 		for _, a := range q.Assigns {
 			v, err := s.eval(a.Expr, e)
@@ -867,7 +869,7 @@ func (s *Session) delete(ctx context.Context, q Delete) (*Result, error) {
 	if q.Where != nil {
 		collectVars(q.Where, varSet)
 	}
-	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, func(ref value.Ref, _ env) (write, error) {
+	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, model.Tx.LockDelete, func(ref value.Ref, _ env) (write, error) {
 		return func(t model.Tx, typ string) error { return t.Delete(typ, ref) }, nil
 	})
 	if err != nil {

@@ -140,8 +140,9 @@ func TestExplainScoreQueryShapes(t *testing.T) {
 		[]string{
 			`Retrieve (rows=8) (time=X)`,
 			`  Filter: (((n.score = s.name) and (s.name >= 0)) and (s.name < 2)) (in=8, out=8)`,
-			`    HashJoin (n.score = s.name) (est=12, build=2, probes=12, hits=8)`,
-			`      Scan n on NOTE (est=12, scanned=12, kept=12, streamed) (time=X)`,
+			`    HashJoin (n.score = s.name) (est=12, build=2, probes=8, hits=8)`,
+			`      Scan n on NOTE (est=12, scanned=12, kept=8, streamed) (time=X)`,
+			`        Sarg: n.score >= 0 (derived) and n.score < 2 (derived)`,
 			`      IndexScan s on SCORE using ix_score_name [name >= 0 and name < 2] (est=2, scanned=2, kept=2) (time=X)`,
 			`        Sarg: s.name >= 0 and s.name < 2`,
 		},
@@ -295,7 +296,8 @@ define relationship COMPOSER (composer = PERSON, composition = COMPOSITION)
 // TestExplainScoreQueryJoinStaysHash: the score-query join has no index
 // on NOTE(score), and fetching a SCORE per NOTE row would cost one probe
 // per note against a two-row range, so it stays a hash join over the
-// streamed NOTE heap.
+// streamed NOTE heap — which the range on s.name, carried across the
+// join, filters before any note reaches the probe.
 func TestExplainScoreQueryJoinStaysHash(t *testing.T) {
 	db, s := newSession(t)
 	buildScores(t, db, 40, 50)
@@ -305,8 +307,9 @@ func TestExplainScoreQueryJoinStaysHash(t *testing.T) {
 	mustExec(t, s, "range of n is NOTE\nrange of s is SCORE")
 	got := planLines(t, s, `explain retrieve (n.name, s.name) where n.score = s.name and s.name >= 10 and s.name < 12`)
 	assertPlan(t, got[2:], []string{
-		`    HashJoin (n.score = s.name) (est=20, build=2, probes=2000, hits=100)`,
-		`      Scan n on NOTE (est=2000, scanned=2000, kept=2000, streamed) (time=X)`,
+		`    HashJoin (n.score = s.name) (est=20, build=2, probes=100, hits=100)`,
+		`      Scan n on NOTE (est=2000, scanned=2000, kept=100, streamed) (time=X)`,
+		`        Sarg: n.score >= 10 (derived) and n.score < 12 (derived)`,
 		`      IndexScan s on SCORE using ix_score_name [name >= 10 and name < 12] (est=2, scanned=2, kept=2) (time=X)`,
 		`        Sarg: s.name >= 10 and s.name < 12`,
 	})

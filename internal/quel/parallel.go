@@ -193,7 +193,7 @@ func (s *Session) scanIndexParallel(ctx context.Context, vp *varPlan, st *scanSt
 			func(ref value.Ref, attrs value.Tuple) bool {
 				po.scanned++
 				b := binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ}
-				if !sargMatches(vp.sargs, b.fields, b.attrs) {
+				if !sargsMatch(vp.sargs, b.attrs) {
 					return true
 				}
 				po.kept++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,11 +92,13 @@ type varPlan struct {
 // estRows guesses how many of vp's rows survive its sargs: the access
 // path's estimate, scaled for every sarg the path does not already bound
 // by the classic selectivity guesses (1/10 for =, 1/3 for a range).
+// Derived sargs are left out: the join they were derived across already
+// divides by its own selectivity.
 func estRows(vp *varPlan) float64 {
 	n := float64(vp.access.est)
 	for _, sg := range vp.sargs {
 		switch {
-		case strings.EqualFold(sg.attr, vp.access.attr), sg.op == "!=":
+		case sg.derived, strings.EqualFold(sg.attr, vp.access.attr), sg.op == "!=":
 		case sg.op == "=":
 			n /= 10
 		default:
@@ -244,11 +247,11 @@ func withMaxSuffix(enc []byte) []byte {
 }
 
 // indexRange matches attr against a secondary index and converts the
-// variable's sargs on it into encoded key bounds.  Only literals whose
-// kind equals the declared attribute kind contribute bounds (mixed-kind
-// comparisons like int vs. float don't share key space); every sarg
-// stays a residual filter regardless, so bounds only need to be sound
-// supersets.
+// variable's own sargs on it into encoded key bounds.  Only literals
+// whose kind equals the declared attribute kind contribute bounds
+// (mixed-kind comparisons like int vs. float don't share key space);
+// every sarg stays a residual filter regardless, so bounds only need to
+// be sound supersets.  Derived sargs do not choose access paths.
 func (s *Session) indexRange(rel *storage.Relation, info varInfo, attr string, sargs []sarg) (accessPath, bool) {
 	i, ok := fieldIndex(info.fields, attr)
 	if !ok {
@@ -262,7 +265,7 @@ func (s *Session) indexRange(rel *storage.Relation, info varInfo, attr string, s
 	var lo, hi []byte
 	var parts []string
 	for _, sg := range sargs {
-		if !strings.EqualFold(sg.attr, f.Name) || sg.v.Kind() != f.Kind {
+		if sg.derived || sg.col != i || sg.v.Kind() != f.Kind {
 			continue
 		}
 		enc := value.AppendKey(nil, sg.v)
@@ -368,9 +371,44 @@ func (s *Session) chooseAccess(varName string, info varInfo, sargs []sarg, incip
 func sargStrings(vp *varPlan) []string {
 	var out []string
 	for _, sg := range vp.sargs {
-		out = append(out, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
+		str := fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v)
+		if sg.derived {
+			str += " (derived)"
+		}
+		out = append(out, str)
 	}
 	return out
+}
+
+// deriveSargs transfers constant sargs across the equi-joins
+// (transitive predicate inference): with a.x = b.y a top-level conjunct,
+// every sarg on a.x holds for b.y in each qualifying combination, so it
+// can reject b's rows where they are read.  extractJoinConds only pairs
+// attributes of one declared kind, within which Compare == 0 makes two
+// values interchangeable in every comparison; across int and float
+// above 2^53 it would not.  Chains (a = b = c) run to a fixpoint.  The
+// derived sargs are appended to each variable's own in out.
+func deriveSargs(equis []equiCond, out map[string][]sarg) {
+	for changed := true; changed; {
+		changed = false
+		for _, ec := range equis {
+			for _, d := range [2][2]joinKey{{ec.l, ec.r}, {ec.r, ec.l}} {
+				from, to := d[0], d[1]
+				if from.idx < 0 || to.idx < 0 {
+					continue
+				}
+				for _, sg := range out[from.v] {
+					if sg.col != from.idx || slices.ContainsFunc(out[to.v], func(t sarg) bool {
+						return t.col == to.idx && t.accept == sg.accept && t.v.Kind() == sg.v.Kind() && value.Compare(t.v, sg.v) == 0
+					}) {
+						continue
+					}
+					out[to.v] = append(out[to.v], sarg{attr: to.attr, op: sg.op, v: sg.v, col: to.idx, accept: sg.accept, derived: true})
+					changed = true
+				}
+			}
+		}
+	}
 }
 
 // scanPlan reads one variable's bindings through its chosen access path,
@@ -390,7 +428,7 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 	start := time.Now()
 	collect := func(b binding) bool {
 		st.Scanned++
-		if !sargMatches(vp.sargs, b.fields, b.attrs) {
+		if !sargsMatch(vp.sargs, b.attrs) {
 			return true
 		}
 		st.Kept++
@@ -918,7 +956,7 @@ func (r *stepRun) rec(k int) error {
 		}
 		for _, b := range batch {
 			r.counts[k].fetched++
-			if !sargMatches(vp.sargs, b.fields, b.attrs) {
+			if !sargsMatch(vp.sargs, b.attrs) {
 				continue
 			}
 			r.counts[k].hits++
@@ -1010,6 +1048,7 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		s.extractJoinConds(where, infos, &equis, &orders)
 		extractIncipits(where, incipits)
 	}
+	deriveSargs(equis, sargs)
 	cached, key := s.lookupPlan(vars, infos, where)
 	plans := make([]*varPlan, len(vars))
 	for i, v := range vars {
@@ -1032,6 +1071,15 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	steps := s.orderJoins(plans, equis, orders, forced)
 	if cached == nil && key != "" {
 		s.storePlan(key, plans, steps)
+	}
+	for _, st := range steps {
+		// An index fetch's key equals a value bound earlier, which has
+		// passed the same sargs: a derived sarg on the key repeats them.
+		if st.method == joinIndex && st.build[0].idx >= 0 {
+			st.vp.sargs = slices.DeleteFunc(st.vp.sargs, func(sg sarg) bool {
+				return sg.derived && sg.col == st.build[0].idx
+			})
+		}
 	}
 	if len(steps) == 0 {
 		return fn(env{})

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ddl"
 	"repro/internal/fault"
 	"repro/internal/fault/torture"
 	"repro/internal/model"
@@ -183,4 +184,76 @@ func TestTortureStatementReplace(t *testing.T) {
 		t.Fatalf("only %d crash cycles", r.Cycles)
 	}
 	t.Log(fmt.Sprintf("%d crash cycles, final generation %d", r.Cycles, acked))
+}
+
+// TestConcurrentOrderedDeletesNoDeadlock: deletes of two child types of
+// one ordering, each qualified through that ordering, run concurrently.
+// Each statement takes its target and the ordering X before its
+// qualification reads the ordering, so neither upgrades S to X and they
+// wait for each other instead of deadlocking.
+func TestConcurrentOrderedDeletesNoDeadlock(t *testing.T) {
+	db, _ := newSession(t)
+	if _, err := ddl.Exec(db, `
+define entity SCORE (name = integer)
+define entity NOTE (name = integer)
+define entity REST (name = integer)
+define ordering item_in_score (NOTE, REST) under SCORE
+`); err != nil {
+		t.Fatal(err)
+	}
+	// Each score holds NOTE 2i, REST 2i, NOTE 2i+1, REST 2i+1.  A
+	// statement deletes, for `per` scores, the NOTE (or REST) before the
+	// one named 2i+1: one ordering probe per score, so both statements
+	// spend most of their time reading the ordering.
+	const scores, per = 400, 50
+	for i := 0; i < scores; i++ {
+		sc, err := db.NewEntity("SCORE", model.Attrs{"name": value.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			for _, typ := range []string{"NOTE", "REST"} {
+				ref, err := db.NewEntity(typ, model.Attrs{"name": value.Int(int64(2*i + k))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.InsertChild("item_in_score", sc, ref, model.Last()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	deadlocks := db.Store().Obs().Counter("txn.deadlock")
+	start := make(chan struct{})
+	errs := make(chan error, 2)
+	for _, typ := range []string{"NOTE", "REST"} {
+		s := NewSession(db)
+		mustExec(t, s, fmt.Sprintf("range of a, b is %s", typ))
+		go func() {
+			<-start
+			for lo := 0; lo < 2*scores; lo += 2 * per {
+				res, err := s.Exec(fmt.Sprintf(`delete a where a before b in item_in_score and b.name >= %d and b.name < %d`, lo, lo+2*per))
+				if err == nil && res.Affected != per {
+					err = fmt.Errorf("delete from %d: %d rows, want %d", lo, res.Affected, per)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	close(start)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := deadlocks.Value(); n != 0 {
+		t.Fatalf("%d deadlock victims, want 0", n)
+	}
+	if db.Count("NOTE") != scores || db.Count("REST") != scores {
+		t.Fatalf("left %d notes and %d rests, want %d each", db.Count("NOTE"), db.Count("REST"), scores)
+	}
 }

@@ -101,14 +101,14 @@ func (db *DB) publish(vops []verOp) {
 func (r *Relation) applyVersion(c uint64, op *verOp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.vers[op.id]
+	s := r.slotLocked(op.id)
+	old := s.ver
 	if old != nil && old.end == liveCSN {
 		old.end = c
 	}
 	switch op.op {
 	case verAdd, verSet:
-		r.noteIDLocked(op.id)
-		r.vers[op.id] = &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old}
+		s.ver = &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old}
 	case verDel:
 		// The closed-off old version stays reachable until vacuumed.
 	}
@@ -130,11 +130,13 @@ func (db *DB) seedVersions() {
 func (r *Relation) seedVersions() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.vers = make(map[RowID]*rowVersion, len(r.rows))
-	for id, t := range r.rows {
-		r.vers[id] = &rowVersion{begin: 0, end: liveCSN, tuple: t}
+	for i := range r.slots {
+		if s := &r.slots[i]; s.t != nil {
+			s.ver = &rowVersion{begin: 0, end: liveCSN, tuple: s.t}
+		} else {
+			s.ver = nil
+		}
 	}
-	r.compactIDsLocked()
 	r.verDirty = make(map[RowID]struct{})
 	for _, ix := range r.indexes {
 		ix.hist = nil
@@ -178,7 +180,15 @@ func (r *Relation) setIndexFloor(name string, csn uint64) {
 // snapVisibleLocked returns the tuple of row id visible at CSN at, or
 // nil.  Caller holds r.mu (either mode).
 func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
-	v := r.vers[id]
+	if id >= RowID(len(r.slots)) {
+		return nil
+	}
+	return r.slots[id].visible(at)
+}
+
+// visible returns the slot's tuple visible at CSN at, or nil.
+func (s *slot) visible(at uint64) value.Tuple {
+	v := s.ver
 	for v != nil && v.begin > at {
 		v = v.prev
 	}
@@ -191,7 +201,7 @@ func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
 // snapScan iterates the rows visible at CSN at in row-id order,
 // returning the number of rows seen; fn runs with no lock held.
 func (r *Relation) snapScan(at uint64, fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walkIDs(func(id RowID) value.Tuple { return r.snapVisibleLocked(id, at) }, fn)
+	return r.walk(func(s *slot) value.Tuple { return s.visible(at) }, fn)
 }
 
 // snapCand is one candidate row of a snapshot index scan: the sort key
@@ -222,8 +232,8 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 		// The index postdates the snapshot (or maintenance is deferred for
 		// a bulk load): its trees cannot cover keys retired before it
 		// existed.  Derive the range from the version store instead.
-		cands := r.snapRangeFallbackLocked(ix, at, lo, hi)
 		r.mu.RUnlock()
+		cands := r.snapRangeFallback(ix, at, lo, hi)
 		sortCands(cands)
 		return emitCands(cands, reverse, fn), nil
 	}
@@ -295,29 +305,23 @@ func (ix *index) histHas(lo, hi []byte) bool {
 	return found
 }
 
-// snapRangeFallbackLocked computes a snapshot index range purely from
-// version chains (used when the index is newer than the snapshot).  The
-// sort/bound key mirrors what the live tree would hold: the encoded
-// columns, row-id-suffixed only for non-unique indexes.
-func (r *Relation) snapRangeFallbackLocked(ix *index, at uint64, lo, hi []byte) []snapCand {
+// snapRangeFallback computes a snapshot index range purely from version
+// chains (used when the index is newer than the snapshot), walking the
+// slots like a snapshot scan.  The sort/bound key mirrors what the live
+// tree would hold: the encoded columns, row-id-suffixed only for
+// non-unique indexes.
+func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte) []snapCand {
 	var cands []snapCand
-	for _, id := range r.ids {
-		t := r.snapVisibleLocked(id, at)
-		if t == nil {
-			continue
-		}
+	r.snapScan(at, func(id RowID, t value.Tuple) bool {
 		key := ix.key(id, t)
-		if lo != nil && bytes.Compare(key, lo) < 0 {
-			continue
+		if (lo == nil || bytes.Compare(key, lo) >= 0) && (hi == nil || bytes.Compare(key, hi) < 0) {
+			if ix.spec.Unique {
+				key = appendRowID(key, id)
+			}
+			cands = append(cands, snapCand{key: key, id: id, t: t})
 		}
-		if hi != nil && bytes.Compare(key, hi) >= 0 {
-			continue
-		}
-		if ix.spec.Unique {
-			key = appendRowID(key, id)
-		}
-		cands = append(cands, snapCand{key: key, id: id, t: t})
-	}
+		return true
+	})
 	return cands
 }
 
@@ -514,7 +518,8 @@ func (r *Relation) vacuum(w uint64) int {
 	defer r.mu.Unlock()
 	reclaimed := 0
 	for id := range r.verDirty {
-		head := r.vers[id]
+		s := &r.slots[id]
+		head := s.ver
 		if head == nil {
 			delete(r.verDirty, id)
 			continue
@@ -534,21 +539,16 @@ func (r *Relation) vacuum(w uint64) int {
 			if n.end <= w {
 				// Dead at the watermark: drop it from the chain.
 				if parent == nil {
-					delete(r.vers, id)
+					s.ver = nil
 				} else {
 					parent.prev = nil
 				}
 				reclaimed++
 			}
 		}
-		if h := r.vers[id]; h == nil || (h.prev == nil && h.end == liveCSN) {
+		if h := s.ver; h == nil || (h.prev == nil && h.end == liveCSN) {
 			delete(r.verDirty, id)
 		}
-	}
-	// Ids of vacuumed rows stay (scans skip them) until they are over a
-	// fifth of r.ids: compacting per delete is O(rows) under r.mu.
-	if 4*len(r.ids) > 5*max(len(r.rows), len(r.vers)) {
-		r.compactIDsLocked()
 	}
 	for _, ix := range r.indexes {
 		if ix.hist == nil || ix.hist.Len() == 0 {
@@ -573,7 +573,10 @@ func (r *Relation) vacuum(w uint64) int {
 // bearing: some version in the row's chain encodes k, and the live tree
 // does not already carry it for the same row.
 func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
-	v := r.vers[id]
+	if id >= RowID(len(r.slots)) {
+		return false
+	}
+	v := r.slots[id].ver
 	if v == nil {
 		return false
 	}
@@ -600,7 +603,11 @@ func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
 func (r *Relation) VersionStats() (chains, oldVersions, histEntries int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, v := range r.vers {
+	for _, s := range r.slots {
+		v := s.ver
+		if v == nil {
+			continue
+		}
 		chains++
 		for p := v.prev; p != nil; p = p.prev {
 			oldVersions++

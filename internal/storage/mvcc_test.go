@@ -504,18 +504,9 @@ func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
 	return snap, locking
 }
 
-// ascending reports whether ids are strictly increasing.
-func ascending(ids []RowID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRowOrderOutOfOrderPublish: versions published out of row-id order
-// (commits racing, replay) still scan in row-id order, with no sort.
+// (commits racing, replay) land in their own slots and still scan in
+// row-id order, with no sort.
 func TestRowOrderOutOfOrderPublish(t *testing.T) {
 	db := memDB(t)
 	db.CreateRelation("NOTE", noteSchema())
@@ -527,15 +518,20 @@ func TestRowOrderOutOfOrderPublish(t *testing.T) {
 	if want := []RowID{1, 3, 4, 5, 9}; fmt.Sprint(snap) != fmt.Sprint(want) {
 		t.Fatalf("snapshot scan order %v, want %v", snap, want)
 	}
-	if r := db.Relation("NOTE"); !ascending(r.ids) {
-		t.Fatalf("ids not in row-id order: %v", r.ids)
+	r := db.Relation("NOTE")
+	if len(r.slots) != 10 {
+		t.Fatalf("%d slots, want 10 (ids 0..9)", len(r.slots))
+	}
+	for id, s := range r.slots {
+		if got := s.ver != nil && s.ver.tuple[0].AsInt() == int64(id); got != (id == 1 || id == 3 || id == 4 || id == 5 || id == 9) {
+			t.Fatalf("slot %d holds %v", id, s.ver)
+		}
 	}
 }
 
-// TestRowOrderDeletesAndVacuum: deleted rows leave their ids behind;
-// vacuum compacts them only once they exceed a fifth of the list (a
-// removal is O(1) amortized), scans skip them meanwhile, and a quiesced
-// vacuum leaves no old versions or history.
+// TestRowOrderDeletesAndVacuum: deleted and vacuumed rows leave empty
+// slots that scans, Len, the content hash and a checkpoint skip, and a
+// quiesced vacuum leaves no old versions or history.
 func TestRowOrderDeletesAndVacuum(t *testing.T) {
 	db := memDB(t)
 	db.CreateRelation("NOTE", noteSchema())
@@ -569,21 +565,26 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 		if chains, old, hist := r.VersionStats(); chains != len(live) || old != 0 || hist != 0 {
 			t.Fatalf("after a quiesced vacuum: chains=%d old=%d hist=%d, want %d/0/0", chains, old, hist, len(live))
 		}
+		if r.Len() != len(live) {
+			t.Fatalf("Len %d, want %d", r.Len(), len(live))
+		}
+		for _, id := range ids[:n-len(live)] {
+			if s := r.slots[id]; s.t != nil || s.ver != nil {
+				t.Fatalf("deleted and vacuumed row %d still holds %v / %v", id, s.t, s.ver)
+			}
+		}
 	}
 
-	del(0, 10) // 10 % stale: kept in place
+	del(0, 10)
 	check(ids[10:])
-	if len(r.ids) != n {
-		t.Fatalf("after 10 deletes: %d ids, want %d (no compaction yet)", len(r.ids), n)
-	}
-	del(10, 40) // past a fifth: compacted
+	del(10, 40)
 	check(ids[40:])
-	if len(r.ids) != n-40 {
-		t.Fatalf("after 40 deletes: %d ids, want %d", len(r.ids), n-40)
+	if len(r.slots) != n+1 {
+		t.Fatalf("%d slots, want %d: row ids are not reused", len(r.slots), n+1)
 	}
 
 	// The fallback index range (a snapshot older than its index) and
-	// point read walk the same ordered ids, stale ones included.
+	// point read walk the same slots, empty ones included.
 	old, err := db.BeginSnapshot(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -609,8 +610,8 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 	}
 }
 
-// TestRowOrderReopen: a reopened store rebuilds the ordered ids from its
-// image and log (seedVersions), stale ids dropped.
+// TestRowOrderReopen: a reopened store rebuilds its slots from its image
+// and log (seedVersions): a hole from a logged delete stays empty.
 func TestRowOrderReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
@@ -649,8 +650,9 @@ func TestRowOrderReopen(t *testing.T) {
 	if fmt.Sprint(snap) != fmt.Sprint(live) || fmt.Sprint(locking) != fmt.Sprint(live) {
 		t.Fatalf("after reopen: scans %v / %v, want %v", snap, locking, live)
 	}
-	if r := db.Relation("NOTE"); fmt.Sprint(r.ids) != fmt.Sprint(live) {
-		t.Fatalf("after reopen: ids %v, want %v", r.ids, live)
+	r := db.Relation("NOTE")
+	if s := r.slots[ids[3]]; s.t != nil || s.ver != nil || r.Len() != len(live) {
+		t.Fatalf("after reopen: slot %d holds %v / %v, Len %d; want empty, %d", ids[3], s.t, s.ver, r.Len(), len(live))
 	}
 }
 

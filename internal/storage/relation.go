@@ -61,18 +61,20 @@ type Relation struct {
 	name    string
 	schema  *value.Schema
 	mu      sync.RWMutex
-	rows    map[RowID]value.Tuple
 	nextRow RowID
 	indexes []*index
 
-	// Snapshot-read version store (mvcc.go): committed version chains
-	// per row, and the rows whose chains the vacuum should revisit.
-	vers     map[RowID]*rowVersion
-	verDirty map[RowID]struct{}
+	// slots is indexed by RowID (slot 0 is never used): each holds the
+	// row's live tuple and the head of its committed version chain
+	// (mvcc.go), or nothing.  Row ids are never reused, so a scan in
+	// slot order is a scan in row-id order.  live counts the slots with
+	// a live tuple.  Guarded by mu.
+	slots []slot
+	live  int
 
-	// ids holds, ascending, every row id in rows or vers (and stale ones
-	// until vacuum compacts them), so scans need no sort.  Guarded by mu.
-	ids []RowID
+	// verDirty holds the rows whose version chains the vacuum should
+	// revisit.
+	verDirty map[RowID]struct{}
 
 	// Planner-statistics bookkeeping (stats.go): mutations since open,
 	// guarded by mu, and the counter the owning DB reports rebuilds to.
@@ -86,15 +88,39 @@ type Relation struct {
 	deferred bool
 }
 
+// slot is one row id's place in a relation: the live tuple, uncommitted
+// writes included (nil when there is no live row), and the newest
+// committed version (nil when no snapshot can see the row).
+type slot struct {
+	t   value.Tuple
+	ver *rowVersion
+}
+
 func newRelation(name string, schema *value.Schema) *Relation {
 	return &Relation{
 		name:     name,
 		schema:   schema,
-		rows:     make(map[RowID]value.Tuple),
 		nextRow:  1,
-		vers:     make(map[RowID]*rowVersion),
 		verDirty: make(map[RowID]struct{}),
 	}
+}
+
+// liveLocked returns the live tuple of row id, or nil.  Caller holds mu.
+func (r *Relation) liveLocked(id RowID) value.Tuple {
+	if id < RowID(len(r.slots)) {
+		return r.slots[id].t
+	}
+	return nil
+}
+
+// slotLocked returns row id's slot, growing the array to reach it.
+// Caller holds mu exclusively.
+func (r *Relation) slotLocked(id RowID) *slot {
+	if n := len(r.slots); id >= RowID(n) {
+		r.slots = slices.Grow(r.slots, int(id)+1-n)[:id+1]
+		clear(r.slots[n:])
+	}
+	return &r.slots[id]
 }
 
 // Name returns the relation name.
@@ -107,7 +133,7 @@ func (r *Relation) Schema() *value.Schema { return r.schema }
 func (r *Relation) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.rows)
+	return r.live
 }
 
 // addIndex creates and backfills a secondary index.
@@ -148,9 +174,11 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 		key []byte
 		id  RowID
 	}
-	runs := make([]run, 0, len(r.rows))
-	for id, t := range r.rows {
-		runs = append(runs, run{key: ix.key(id, t), id: id})
+	runs := make([]run, 0, r.live)
+	for id, s := range r.slots {
+		if s.t != nil {
+			runs = append(runs, run{key: ix.key(RowID(id), s.t), id: RowID(id)})
+		}
 	}
 	sort.Slice(runs, func(a, b int) bool {
 		if c := bytes.Compare(runs[a].key, runs[b].key); c != 0 {
@@ -165,7 +193,7 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 			// Only unique indexes can collide: non-unique keys carry a
 			// row-id suffix.
 			return nil, fmt.Errorf("%w: index %q, key %s",
-				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.rows[rn.id]))
+				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.slots[rn.id].t))
 		}
 		keys[j] = rn.key
 		vals[j] = rn.id
@@ -283,7 +311,7 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 	if id == 0 {
 		id = r.nextRow
 	}
-	if _, exists := r.rows[id]; exists {
+	if r.liveLocked(id) != nil {
 		return 0, fmt.Errorf("storage: %s: row %d already exists", r.name, id)
 	}
 	if !r.deferred {
@@ -296,8 +324,8 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 			}
 		}
 	}
-	r.noteIDLocked(id)
-	r.rows[id] = t
+	r.slotLocked(id).t = t
+	r.live++
 	if id >= r.nextRow {
 		r.nextRow = id + 1
 	}
@@ -309,8 +337,8 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.rows[id]
-	if !ok {
+	old := r.liveLocked(id)
+	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
 	if !r.deferred {
@@ -319,7 +347,8 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 			ix.remove(id, old)
 		}
 	}
-	delete(r.rows, id)
+	r.slots[id].t = nil
+	r.live--
 	r.modCount++
 	return old, nil
 }
@@ -328,8 +357,8 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.rows[id]
-	if !ok {
+	old := r.liveLocked(id)
+	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
 	if !r.deferred {
@@ -350,7 +379,7 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 			}
 		}
 	}
-	r.rows[id] = t
+	r.slots[id].t = t
 	r.modCount++
 	return old, nil
 }
@@ -359,36 +388,35 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 func (r *Relation) get(id RowID) (value.Tuple, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t, ok := r.rows[id]
-	return t, ok
+	t := r.liveLocked(id)
+	return t, t != nil
 }
 
 // scan invokes fn for every row in ascending row-id order, returning the
 // number of rows seen.  Iteration stops if fn returns false.
 func (r *Relation) scan(fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walkIDs(func(id RowID) value.Tuple { return r.rows[id] }, fn)
+	return r.walk(func(s *slot) value.Tuple { return s.t }, fn)
 }
 
-// walkIDs calls fn in row-id order with each id of r.ids that pick maps
-// to a tuple until fn returns false, and returns the number of calls.
-// pick runs under the read lock 128 ids at a time, fn with no lock held;
-// each chunk resumes after the last id visited.
-func (r *Relation) walkIDs(pick func(id RowID) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
-	const chunk = 128
+// walk calls fn in row-id order with each row that pick maps to a tuple
+// until fn returns false, and returns the number of calls.  pick runs
+// under the read lock over 256 slots at a time, fn with no lock held;
+// each chunk resumes at the slot after the last one picked from.
+func (r *Relation) walk(pick func(s *slot) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
+	const chunk = 256
 	ids, ts := make([]RowID, 0, chunk), make([]value.Tuple, 0, chunk)
-	for next, more := RowID(0), true; more; {
+	for next, more := RowID(1), true; more; {
 		ids, ts = ids[:0], ts[:0]
 		r.mu.RLock()
-		i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= next })
-		end := min(i+chunk, len(r.ids))
-		for _, id := range r.ids[i:end] {
-			if t := pick(id); t != nil {
+		end := min(next+chunk, RowID(len(r.slots)))
+		for id := next; id < end; id++ {
+			if t := pick(&r.slots[id]); t != nil {
 				ids, ts = append(ids, id), append(ts, t)
 			}
-			next = id + 1
 		}
-		more = end < len(r.ids)
+		more = end < RowID(len(r.slots))
 		r.mu.RUnlock()
+		next = end
 		for k, id := range ids {
 			if n++; !fn(id, ts[k]) {
 				return n
@@ -396,27 +424,6 @@ func (r *Relation) walkIDs(pick func(id RowID) value.Tuple, fn func(id RowID, t 
 		}
 	}
 	return n
-}
-
-// noteIDLocked adds id to r.ids unless present: almost always an append,
-// as new rows take ever-larger ids; one arriving out of order (replay, a
-// rolled-back delete) is placed by binary search.  Caller holds r.mu.
-func (r *Relation) noteIDLocked(id RowID) {
-	n := len(r.ids)
-	if n == 0 || r.ids[n-1] < id {
-		r.ids = append(r.ids, id)
-	} else if i := sort.Search(n, func(i int) bool { return r.ids[i] >= id }); r.ids[i] != id {
-		r.ids = slices.Insert(r.ids, i, id)
-	}
-}
-
-// compactIDsLocked drops the ids in neither rows nor vers.
-func (r *Relation) compactIDsLocked() {
-	r.ids = slices.DeleteFunc(r.ids, func(id RowID) bool {
-		_, live := r.rows[id]
-		_, kept := r.vers[id]
-		return !live && !kept
-	})
 }
 
 // Indexes returns the specs of the relation's secondary indexes, in
@@ -510,8 +517,8 @@ func (r *Relation) ScanRange(indexName string, lo, hi []byte, reverse bool, fn f
 		return fmt.Errorf("storage: index %q on %s is deferred for bulk load", indexName, r.name)
 	}
 	visit := func(_ []byte, id uint64) bool {
-		t, ok := r.rows[id]
-		if !ok {
+		t := r.liveLocked(id)
+		if t == nil {
 			return true
 		}
 		return fn(id, t)
@@ -551,13 +558,13 @@ func (r *Relation) CheckIndexes() error {
 		if err := ix.tree.CheckInvariants(); err != nil {
 			return fmt.Errorf("storage: %s index %q: %w", r.name, ix.spec.Name, err)
 		}
-		if got, want := ix.tree.Len(), len(r.rows); got != want {
+		if got, want := ix.tree.Len(), r.live; got != want {
 			return fmt.Errorf("storage: %s index %q: %d entries for %d rows", r.name, ix.spec.Name, got, want)
 		}
 		var bad error
 		ix.tree.Ascend(nil, nil, func(key []byte, id uint64) bool {
-			t, ok := r.rows[id]
-			if !ok {
+			t := r.liveLocked(id)
+			if t == nil {
 				bad = fmt.Errorf("storage: %s index %q: entry for dead row %d", r.name, ix.spec.Name, id)
 				return false
 			}

@@ -227,12 +227,12 @@ func (db *DB) ContentHash() string {
 				buf = appendString(buf, c)
 			}
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.rows)))
+		buf = binary.AppendUvarint(buf, uint64(r.live))
 		h.Write(buf)
-		for _, id := range r.ids {
-			if t, ok := r.rows[id]; ok {
-				buf = binary.AppendUvarint(buf[:0], id)
-				buf = value.AppendTuple(buf, t)
+		for id, s := range r.slots {
+			if s.t != nil {
+				buf = binary.AppendUvarint(buf[:0], uint64(id))
+				buf = value.AppendTuple(buf, s.t)
 				h.Write(buf)
 			}
 		}

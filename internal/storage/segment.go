@@ -179,15 +179,11 @@ func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) 
 	}
 	rel.mu.RUnlock()
 
-	type segRow struct {
-		id RowID
-		t  value.Tuple
-	}
-	var rows []segRow
-	rel.snapScan(at, func(id RowID, t value.Tuple) bool {
-		rows = append(rows, segRow{id, t})
-		return true
-	})
+	// The row count precedes the rows, so the rows visible at at are
+	// walked twice, to count them and to write them, and never
+	// collected.  at is pinned (or commits are held off): both walks
+	// see the same rows.
+	nrows := rel.snapScan(at, func(RowID, value.Tuple) bool { return true })
 
 	base := SegmentFileName(rel.name)
 	path := filepath.Join(db.opts.Dir, base)
@@ -247,18 +243,23 @@ func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) 
 			}
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	if err := emit(buf); err != nil {
+	buf = binary.AppendUvarint(buf, nrows)
+	if err = emit(buf); err == nil {
+		var written uint64
+		rel.snapScan(at, func(id RowID, t value.Tuple) bool {
+			buf = binary.AppendUvarint(buf[:0], id)
+			buf = value.AppendTuple(buf, t)
+			written++
+			err = emit(buf)
+			return err == nil
+		})
+		if err == nil && written != nrows {
+			err = fmt.Errorf("storage: segment %s: %d rows counted at CSN %d, %d written", rel.name, nrows, at, written)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return manifestEntry{}, err
-	}
-	for _, r := range rows {
-		buf = binary.AppendUvarint(buf[:0], r.id)
-		buf = value.AppendTuple(buf, r.t)
-		if err := emit(buf); err != nil {
-			f.Close()
-			return manifestEntry{}, err
-		}
 	}
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
@@ -581,18 +582,24 @@ func (db *DB) loadSegment(e manifestEntry) error {
 	if err != nil {
 		return err
 	}
+	rel.slots = make([]slot, 0, min(nextRow, uint64(len(r.body))))
 	for j := uint64(0); j < nrows; j++ {
 		id, err := r.uvarint()
 		if err != nil {
 			return err
+		}
+		if id == 0 {
+			return fmt.Errorf("storage: %s: row id 0", ctx)
 		}
 		t, n, err := value.DecodeTuple(r.body[r.pos:])
 		if err != nil {
 			return fmt.Errorf("storage: %s row %d: %w", ctx, id, err)
 		}
 		r.pos += n
-		rel.noteIDLocked(id)
-		rel.rows[id] = t
+		if rel.liveLocked(id) == nil {
+			rel.live++
+		}
+		rel.slotLocked(id).t = t
 		if id >= rel.nextRow {
 			rel.nextRow = id + 1
 		}

@@ -48,7 +48,7 @@ func (r *Relation) Stats(indexName string) (IndexStats, bool) {
 		r.mu.RUnlock()
 		return IndexStats{}, false
 	}
-	if ix.stats != nil && r.modCount-ix.statsAt <= staleAfter(len(r.rows)) {
+	if ix.stats != nil && r.modCount-ix.statsAt <= staleAfter(r.live) {
 		st := *ix.stats
 		r.mu.RUnlock()
 		return st, true
@@ -61,7 +61,7 @@ func (r *Relation) Stats(indexName string) (IndexStats, bool) {
 	if ix == nil {
 		return IndexStats{}, false
 	}
-	if ix.stats == nil || r.modCount-ix.statsAt > staleAfter(len(r.rows)) {
+	if ix.stats == nil || r.modCount-ix.statsAt > staleAfter(r.live) {
 		r.rebuildStatsLocked(ix)
 	}
 	return *ix.stats, true

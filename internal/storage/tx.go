@@ -357,10 +357,10 @@ func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Tupl
 	id, ok := ix.tree.Get(key)
 	var t value.Tuple
 	if ok {
-		t, ok = r.rows[id]
+		t = r.liveLocked(id)
 	}
 	r.mu.RUnlock()
-	if !ok {
+	if t == nil {
 		return 0, nil, false, nil
 	}
 	tx.db.m.rowsRead.Inc()

@@ -52,7 +52,7 @@ func Decode(buf []byte) (Value, int, error) {
 		return Null, pos, nil
 	case KindInt, KindBool, KindRef:
 		i, n := binary.Varint(buf[pos:])
-		if n <= 0 {
+		if n <= 0 || overlong(buf[pos:], n) {
 			return Null, 0, fmt.Errorf("value: decode: bad varint")
 		}
 		return Value{kind: k, i: i}, pos + n, nil
@@ -64,7 +64,7 @@ func Decode(buf []byte) (Value, int, error) {
 		return Float(f), pos + 8, nil
 	case KindString, KindBytes:
 		ln, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
+		if n <= 0 || overlong(buf[pos:], n) {
 			return Null, 0, fmt.Errorf("value: decode: bad length")
 		}
 		pos += n
@@ -83,6 +83,11 @@ func Decode(buf []byte) (Value, int, error) {
 	return Null, 0, fmt.Errorf("value: decode: unknown kind tag %d", buf[0])
 }
 
+// overlong reports whether the n-byte varint at the front of buf has a
+// zero final group: a padded encoding that Append never writes, and
+// that would not re-encode to the bytes it was read from.
+func overlong(buf []byte, n int) bool { return n > 1 && buf[n-1] == 0 }
+
 // AppendTuple appends the storage encoding of a tuple: a uvarint field
 // count followed by each value.
 func AppendTuple(dst []byte, t Tuple) []byte {
@@ -97,7 +102,7 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 // and the number of bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
 	n, hn := binary.Uvarint(buf)
-	if hn <= 0 {
+	if hn <= 0 || overlong(buf, hn) {
 		return nil, 0, fmt.Errorf("value: decode tuple: bad field count")
 	}
 	// Every encoded field costs at least one byte, so a count beyond the
