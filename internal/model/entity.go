@@ -47,21 +47,72 @@ func (t Tx) LockType(typeName string) error {
 	return t.tx.LockExclusive(et.rel)
 }
 
-// LockDelete takes the locks a delete of typeName instances needs, in
-// Delete's order: the instance relation X, then the orderings and the
-// relationships the type takes part in (partsOf), X in name order.  A
-// statement that reads before it deletes takes them first, so a
-// qualification reading one of those orderings never upgrades S to X.
-func (t Tx) LockDelete(typeName string) error {
+// LockDelete takes, before a statement reads anything, the locks a
+// delete of typeName instances qualified by reads of the named entity
+// types, orderings and relationship types needs, in the order every
+// typed mutation keeps: the instance relation X; the entity types read,
+// S; then the orderings, then the relationships — X those typeName takes
+// part in (partsOf, as Delete locks them), S the others read — each class
+// in name order.  A qualification reading one of typeName's orderings
+// thus never upgrades S to X, and no read of an entity type follows an
+// ordering or relationship lock.
+func (t Tx) LockDelete(typeName string, reads ...string) error {
 	et, err := t.db.entityType(typeName)
 	if err != nil {
 		return err
 	}
-	_, _, err = t.lockDelete(et)
-	return err
+	if err := t.tx.LockExclusive(et.rel); err != nil {
+		return err
+	}
+	type lock struct {
+		name, rel string
+		x         bool
+	}
+	var ents, ords, rels []lock
+	orders, rts := t.db.partsOf(typeName)
+	for _, o := range orders {
+		ords = append(ords, lock{o.Name, o.rel, true})
+	}
+	for _, rt := range rts {
+		rels = append(rels, lock{rt.Name, rt.rel, true})
+	}
+	for _, n := range reads {
+		if e, ok := t.db.EntityType(n); ok {
+			ents = append(ents, lock{n, e.rel, false})
+		} else if o, ok := t.db.OrderingByName(n); ok {
+			ords = append(ords, lock{n, o.rel, false})
+		} else if rt, ok := t.db.RelationshipType(n); ok {
+			rels = append(rels, lock{n, rt.rel, false})
+		}
+	}
+	for _, class := range [][]lock{ents, ords, rels} {
+		// Name order, X before S on one name: S after X is a no-op.
+		slices.SortFunc(class, func(a, b lock) int {
+			if c := strings.Compare(a.name, b.name); c != 0 || a.x == b.x {
+				return c
+			}
+			if a.x {
+				return -1
+			}
+			return 1
+		})
+		for _, l := range class {
+			if l.x {
+				err = t.tx.LockExclusive(l.rel)
+			} else {
+				err = t.tx.LockShared(l.rel)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// lockDelete is LockDelete for a resolved type; it returns partsOf.
+// lockDelete takes Delete's locks for a resolved type — its instance
+// relation, then the orderings and relationships it takes part in, X in
+// name order — and returns partsOf.
 func (t Tx) lockDelete(et *EntityType) ([]*Ordering, []*RelationshipType, error) {
 	if err := t.tx.LockExclusive(et.rel); err != nil {
 		return nil, nil, err

@@ -795,7 +795,8 @@ type write func(t model.Tx, typ string) error
 
 // writeRows runs a replace or delete as one transaction that takes
 // every X lock its writes need (lock: model.Tx.LockType for a replace,
-// LockDelete for a delete) before reading anything.  prepare runs once
+// LockDelete for a delete, which also takes the S locks its reads need
+// in the mutation lock order) before reading anything.  prepare runs once
 // per distinct qualifying target instance while the join binds, so every
 // read precedes every write; the prepared writes then apply in order.
 // It returns the number of instances changed.
@@ -864,12 +865,65 @@ func (s *Session) replace(ctx context.Context, q Replace) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
+// readSet names the schema objects a write statement's qualification
+// reads besides its target: the types of the other range variables and
+// of aggregate variables, and the orderings of its order operators.  A
+// name that does not resolve is left out; binding reports it.
+func (s *Session) readSet(target string, vars []string, where Expr) []string {
+	var names []string
+	typeOf := func(v string) string {
+		if info, err := s.varInfo(v); err == nil {
+			return info.typ
+		}
+		return ""
+	}
+	for _, v := range vars {
+		if v != target {
+			names = append(names, typeOf(v))
+		}
+	}
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case Binary:
+			walk(x.L)
+			walk(x.R)
+		case Unary:
+			walk(x.X)
+		case OrderOp:
+			l, lok := x.L.(VarRef)
+			r, rok := x.R.(VarRef)
+			if lok && rok {
+				if o, err := s.resolveOrdering(x, typeOf(l.Var), typeOf(r.Var)); err == nil {
+					names = append(names, o.Name)
+				}
+			}
+		case Agg:
+			inner := map[string]bool{x.Var: true}
+			if x.Where != nil {
+				collectVars(x.Where, inner)
+				walk(x.Where)
+			}
+			for v := range inner {
+				names = append(names, typeOf(v))
+			}
+		}
+	}
+	if where != nil {
+		walk(where)
+	}
+	return names
+}
+
 func (s *Session) delete(ctx context.Context, q Delete) (*Result, error) {
 	varSet := map[string]bool{q.Var: true}
 	if q.Where != nil {
 		collectVars(q.Where, varSet)
 	}
-	n, err := s.writeRows(ctx, q.Var, sortedKeys(varSet), q.Where, model.Tx.LockDelete, func(ref value.Ref, _ env) (write, error) {
+	vars := sortedKeys(varSet)
+	reads := s.readSet(q.Var, vars, q.Where)
+	lock := func(t model.Tx, typ string) error { return t.LockDelete(typ, reads...) }
+	n, err := s.writeRows(ctx, q.Var, vars, q.Where, lock, func(ref value.Ref, _ env) (write, error) {
 		return func(t model.Tx, typ string) error { return t.Delete(typ, ref) }, nil
 	})
 	if err != nil {

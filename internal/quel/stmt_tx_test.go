@@ -257,3 +257,88 @@ define ordering item_in_score (NOTE, REST) under SCORE
 		t.Fatalf("left %d notes and %d rests, want %d each", db.Count("NOTE"), db.Count("REST"), scores)
 	}
 }
+
+// TestQualifiedDeleteRacesDeleteEntity: a QUEL delete of notes whose
+// qualification reads CHORD races DeleteEntity of childless chords.
+// DeleteEntity X-locks CHORD and then note_in_chord; the statement takes
+// CHORD S before it X-locks note_in_chord (entity relations before
+// orderings), so the two wait for each other instead of deadlocking.
+func TestQualifiedDeleteRacesDeleteEntity(t *testing.T) {
+	db, s := newSession(t)
+	if _, err := ddl.Exec(db, `
+define entity CHORD (name = integer, tag = integer)
+define entity NOTE (name = integer, chord = integer)
+define ordering note_in_chord (NOTE) under CHORD
+`); err != nil {
+		t.Fatal(err)
+	}
+	const kept, notes, spares, per = 20, 2000, 400, 50
+	var chords, spare []value.Ref
+	for i := 0; i < kept+spares; i++ {
+		tag := int64(1)
+		if i >= kept {
+			tag = 0
+		}
+		ref, err := db.NewEntity("CHORD", model.Attrs{"name": value.Int(int64(i)), "tag": value.Int(tag)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < kept {
+			chords = append(chords, ref)
+		} else {
+			spare = append(spare, ref)
+		}
+	}
+	for i := 0; i < notes; i++ {
+		ref, err := db.NewEntity("NOTE", model.Attrs{"name": value.Int(int64(i)), "chord": value.Int(int64(i % kept))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := db.InsertChild("note_in_chord", chords[i%kept], ref, model.Last()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustExec(t, s, "range of n is NOTE")
+	mustExec(t, s, "range of c is CHORD")
+	deadlocks := db.Store().Obs().Counter("txn.deadlock")
+	start := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		<-start
+		for lo := 0; lo < notes; lo += per {
+			res, err := s.Exec(fmt.Sprintf(`delete n where n.chord = c.name and c.tag = 1 and n.name >= %d and n.name < %d`, lo, lo+per))
+			if err == nil && res.Affected != per {
+				err = fmt.Errorf("delete from %d: %d rows, want %d", lo, res.Affected, per)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go func() {
+		<-start
+		for _, ref := range spare {
+			if err := db.DeleteEntity(ref); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	close(start)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := deadlocks.Value(); n != 0 {
+		t.Fatalf("%d deadlock victims, want 0", n)
+	}
+	if db.Count("NOTE") != 0 || db.Count("CHORD") != kept {
+		t.Fatalf("left %d notes and %d chords, want 0 and %d", db.Count("NOTE"), db.Count("CHORD"), kept)
+	}
+}

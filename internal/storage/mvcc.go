@@ -108,7 +108,7 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	}
 	switch op.op {
 	case verAdd, verSet:
-		s.ver = &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old}
+		r.setLocked(op.id, s.t, &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old})
 	case verDel:
 		// The closed-off old version stays reachable until vacuumed.
 	}
@@ -130,13 +130,13 @@ func (db *DB) seedVersions() {
 func (r *Relation) seedVersions() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.slots {
-		if s := &r.slots[i]; s.t != nil {
-			s.ver = &rowVersion{begin: 0, end: liveCSN, tuple: s.t}
-		} else {
-			s.ver = nil
+	r.eachLocked(func(id RowID, s *slot) {
+		var v *rowVersion
+		if s.t != nil {
+			v = &rowVersion{begin: 0, end: liveCSN, tuple: s.t}
 		}
-	}
+		r.setLocked(id, s.t, v)
+	})
 	r.verDirty = make(map[RowID]struct{})
 	for _, ix := range r.indexes {
 		ix.hist = nil
@@ -180,10 +180,8 @@ func (r *Relation) setIndexFloor(name string, csn uint64) {
 // snapVisibleLocked returns the tuple of row id visible at CSN at, or
 // nil.  Caller holds r.mu (either mode).
 func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
-	if id >= RowID(len(r.slots)) {
-		return nil
-	}
-	return r.slots[id].visible(at)
+	s := r.slotLocked(id)
+	return s.visible(at)
 }
 
 // visible returns the slot's tuple visible at CSN at, or nil.
@@ -518,7 +516,7 @@ func (r *Relation) vacuum(w uint64) int {
 	defer r.mu.Unlock()
 	reclaimed := 0
 	for id := range r.verDirty {
-		s := &r.slots[id]
+		s := r.slotLocked(id)
 		head := s.ver
 		if head == nil {
 			delete(r.verDirty, id)
@@ -539,14 +537,15 @@ func (r *Relation) vacuum(w uint64) int {
 			if n.end <= w {
 				// Dead at the watermark: drop it from the chain.
 				if parent == nil {
-					s.ver = nil
+					r.setLocked(id, s.t, nil) // may drop the slot's page
+					head = nil
 				} else {
 					parent.prev = nil
 				}
 				reclaimed++
 			}
 		}
-		if h := s.ver; h == nil || (h.prev == nil && h.end == liveCSN) {
+		if head == nil || (head.prev == nil && head.end == liveCSN) {
 			delete(r.verDirty, id)
 		}
 	}
@@ -573,10 +572,7 @@ func (r *Relation) vacuum(w uint64) int {
 // bearing: some version in the row's chain encodes k, and the live tree
 // does not already carry it for the same row.
 func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
-	if id >= RowID(len(r.slots)) {
-		return false
-	}
-	v := r.slots[id].ver
+	v := r.slotLocked(id).ver
 	if v == nil {
 		return false
 	}
@@ -603,10 +599,10 @@ func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
 func (r *Relation) VersionStats() (chains, oldVersions, histEntries int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, s := range r.slots {
+	r.eachLocked(func(_ RowID, s *slot) {
 		v := s.ver
 		if v == nil {
-			continue
+			return
 		}
 		chains++
 		for p := v.prev; p != nil; p = p.prev {
@@ -615,7 +611,7 @@ func (r *Relation) VersionStats() (chains, oldVersions, histEntries int) {
 		if v.end != liveCSN {
 			oldVersions++
 		}
-	}
+	})
 	for _, ix := range r.indexes {
 		if ix.hist != nil {
 			histEntries += ix.hist.Len()

@@ -519,10 +519,11 @@ func TestRowOrderOutOfOrderPublish(t *testing.T) {
 		t.Fatalf("snapshot scan order %v, want %v", snap, want)
 	}
 	r := db.Relation("NOTE")
-	if len(r.slots) != 10 {
-		t.Fatalf("%d slots, want 10 (ids 0..9)", len(r.slots))
+	if len(r.pages) != 1 || r.pages[0].used != 5 {
+		t.Fatalf("%d pages, want one holding 5 slots", len(r.pages))
 	}
-	for id, s := range r.slots {
+	for id := RowID(0); id < pageSize; id++ {
+		s := r.slotLocked(id)
 		if got := s.ver != nil && s.ver.tuple[0].AsInt() == int64(id); got != (id == 1 || id == 3 || id == 4 || id == 5 || id == 9) {
 			t.Fatalf("slot %d holds %v", id, s.ver)
 		}
@@ -569,7 +570,7 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 			t.Fatalf("Len %d, want %d", r.Len(), len(live))
 		}
 		for _, id := range ids[:n-len(live)] {
-			if s := r.slots[id]; s.t != nil || s.ver != nil {
+			if s := r.slotLocked(id); s.t != nil || s.ver != nil {
 				t.Fatalf("deleted and vacuumed row %d still holds %v / %v", id, s.t, s.ver)
 			}
 		}
@@ -579,8 +580,8 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 	check(ids[10:])
 	del(10, 40)
 	check(ids[40:])
-	if len(r.slots) != n+1 {
-		t.Fatalf("%d slots, want %d: row ids are not reused", len(r.slots), n+1)
+	if r.nextRow != n+1 {
+		t.Fatalf("next row id %d, want %d: row ids are not reused", r.nextRow, n+1)
 	}
 
 	// The fallback index range (a snapshot older than its index) and
@@ -651,7 +652,7 @@ func TestRowOrderReopen(t *testing.T) {
 		t.Fatalf("after reopen: scans %v / %v, want %v", snap, locking, live)
 	}
 	r := db.Relation("NOTE")
-	if s := r.slots[ids[3]]; s.t != nil || s.ver != nil || r.Len() != len(live) {
+	if s := r.slotLocked(ids[3]); s.t != nil || s.ver != nil || r.Len() != len(live) {
 		t.Fatalf("after reopen: slot %d holds %v / %v, Len %d; want empty, %d", ids[3], s.t, s.ver, r.Len(), len(live))
 	}
 }

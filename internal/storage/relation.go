@@ -64,12 +64,16 @@ type Relation struct {
 	nextRow RowID
 	indexes []*index
 
-	// slots is indexed by RowID (slot 0 is never used): each holds the
+	// pages holds one slot per row id, pageSize ids to a page
+	// (pages[id>>pageBits]; row id 0 is never used).  A slot holds the
 	// row's live tuple and the head of its committed version chain
-	// (mvcc.go), or nothing.  Row ids are never reused, so a scan in
-	// slot order is a scan in row-id order.  live counts the slots with
+	// (mvcc.go), or nothing.  A page is allocated when one of its slots
+	// gains content and dropped when its last one empties (setLocked),
+	// so the slots held follow the rows and versions still held, not
+	// every row id ever issued.  Row ids are never reused, so a walk in
+	// page order is a walk in row-id order.  live counts the slots with
 	// a live tuple.  Guarded by mu.
-	slots []slot
+	pages []page
 	live  int
 
 	// verDirty holds the rows whose version chains the vacuum should
@@ -96,6 +100,21 @@ type slot struct {
 	ver *rowVersion
 }
 
+// pageBits sizes a page of slots: 256 row ids, one read-lock hold of a
+// walk.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+// page is the directory entry of pageSize consecutive row ids: their
+// slots (nil while none holds anything) and how many hold a tuple or a
+// version.  The slots are allocated apart so each takes exactly 8 KiB.
+type page struct {
+	slots *[pageSize]slot
+	used  int
+}
+
 func newRelation(name string, schema *value.Schema) *Relation {
 	return &Relation{
 		name:     name,
@@ -105,22 +124,69 @@ func newRelation(name string, schema *value.Schema) *Relation {
 	}
 }
 
-// liveLocked returns the live tuple of row id, or nil.  Caller holds mu.
-func (r *Relation) liveLocked(id RowID) value.Tuple {
-	if id < RowID(len(r.slots)) {
-		return r.slots[id].t
+// slotLocked returns row id's slot, empty when its page is absent.
+// Caller holds mu.
+func (r *Relation) slotLocked(id RowID) slot {
+	if pi := id >> pageBits; pi < RowID(len(r.pages)) && r.pages[pi].slots != nil {
+		return r.pages[pi].slots[id&(pageSize-1)]
 	}
-	return nil
+	return slot{}
 }
 
-// slotLocked returns row id's slot, growing the array to reach it.
-// Caller holds mu exclusively.
-func (r *Relation) slotLocked(id RowID) *slot {
-	if n := len(r.slots); id >= RowID(n) {
-		r.slots = slices.Grow(r.slots, int(id)+1-n)[:id+1]
-		clear(r.slots[n:])
+// liveLocked returns the live tuple of row id, or nil.  Caller holds mu.
+func (r *Relation) liveLocked(id RowID) value.Tuple {
+	return r.slotLocked(id).t
+}
+
+// setLocked stores row id's live tuple t and version-chain head v.  The
+// slot's page is allocated when the slot gains content and dropped when
+// its last occupied slot empties.  Caller holds mu exclusively.
+func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
+	pi, now := id>>pageBits, t != nil || v != nil
+	if n := RowID(len(r.pages)); pi >= n {
+		if !now {
+			return
+		}
+		r.pages = slices.Grow(r.pages, int(pi+1-n))[:pi+1]
+		clear(r.pages[n:])
 	}
-	return &r.slots[id]
+	p := &r.pages[pi]
+	if p.slots == nil {
+		if !now {
+			return
+		}
+		p.slots = new([pageSize]slot)
+	}
+	s := &p.slots[id&(pageSize-1)]
+	if (s.t != nil) != (t != nil) {
+		if t != nil {
+			r.live++
+		} else {
+			r.live--
+		}
+	}
+	if was := s.t != nil || s.ver != nil; was != now {
+		if now {
+			p.used++
+		} else if p.used--; p.used == 0 {
+			p.slots = nil
+			return
+		}
+	}
+	s.t, s.ver = t, v
+}
+
+// eachLocked calls fn with every slot of every allocated page, in
+// row-id order.  fn may call setLocked.  Caller holds mu.
+func (r *Relation) eachLocked(fn func(id RowID, s *slot)) {
+	for pi := range r.pages {
+		if p := r.pages[pi].slots; p != nil {
+			base := RowID(pi) << pageBits
+			for i := range p {
+				fn(base+RowID(i), &p[i])
+			}
+		}
+	}
 }
 
 // Name returns the relation name.
@@ -175,11 +241,11 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 		id  RowID
 	}
 	runs := make([]run, 0, r.live)
-	for id, s := range r.slots {
+	r.eachLocked(func(id RowID, s *slot) {
 		if s.t != nil {
-			runs = append(runs, run{key: ix.key(RowID(id), s.t), id: RowID(id)})
+			runs = append(runs, run{key: ix.key(id, s.t), id: id})
 		}
-	}
+	})
 	sort.Slice(runs, func(a, b int) bool {
 		if c := bytes.Compare(runs[a].key, runs[b].key); c != 0 {
 			return c < 0
@@ -193,7 +259,7 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 			// Only unique indexes can collide: non-unique keys carry a
 			// row-id suffix.
 			return nil, fmt.Errorf("%w: index %q, key %s",
-				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.slots[rn.id].t))
+				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.liveLocked(rn.id)))
 		}
 		keys[j] = rn.key
 		vals[j] = rn.id
@@ -311,7 +377,8 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 	if id == 0 {
 		id = r.nextRow
 	}
-	if r.liveLocked(id) != nil {
+	s := r.slotLocked(id)
+	if s.t != nil {
 		return 0, fmt.Errorf("storage: %s: row %d already exists", r.name, id)
 	}
 	if !r.deferred {
@@ -324,8 +391,7 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 			}
 		}
 	}
-	r.slotLocked(id).t = t
-	r.live++
+	r.setLocked(id, t, s.ver)
 	if id >= r.nextRow {
 		r.nextRow = id + 1
 	}
@@ -337,7 +403,8 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.liveLocked(id)
+	s := r.slotLocked(id)
+	old := s.t
 	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
@@ -347,8 +414,7 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 			ix.remove(id, old)
 		}
 	}
-	r.slots[id].t = nil
-	r.live--
+	r.setLocked(id, nil, s.ver)
 	r.modCount++
 	return old, nil
 }
@@ -357,7 +423,8 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.liveLocked(id)
+	s := r.slotLocked(id)
+	old := s.t
 	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
@@ -379,7 +446,7 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 			}
 		}
 	}
-	r.slots[id].t = t
+	r.setLocked(id, t, s.ver)
 	r.modCount++
 	return old, nil
 }
@@ -400,30 +467,33 @@ func (r *Relation) scan(fn func(id RowID, t value.Tuple) bool) uint64 {
 
 // walk calls fn in row-id order with each row that pick maps to a tuple
 // until fn returns false, and returns the number of calls.  pick runs
-// under the read lock over 256 slots at a time, fn with no lock held;
-// each chunk resumes at the slot after the last one picked from.
+// under the read lock over one allocated page at a time, fn with no lock
+// held; each hold resumes at the page after the last one picked from.
 func (r *Relation) walk(pick func(s *slot) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
-	const chunk = 256
-	ids, ts := make([]RowID, 0, chunk), make([]value.Tuple, 0, chunk)
-	for next, more := RowID(1), true; more; {
+	ids, ts := make([]RowID, 0, pageSize), make([]value.Tuple, 0, pageSize)
+	for pi := 0; ; pi++ {
 		ids, ts = ids[:0], ts[:0]
 		r.mu.RLock()
-		end := min(next+chunk, RowID(len(r.slots)))
-		for id := next; id < end; id++ {
-			if t := pick(&r.slots[id]); t != nil {
-				ids, ts = append(ids, id), append(ts, t)
+		for pi < len(r.pages) && r.pages[pi].slots == nil {
+			pi++
+		}
+		if pi == len(r.pages) {
+			r.mu.RUnlock()
+			return n
+		}
+		p, base := r.pages[pi].slots, RowID(pi)<<pageBits
+		for i := range p {
+			if t := pick(&p[i]); t != nil {
+				ids, ts = append(ids, base+RowID(i)), append(ts, t)
 			}
 		}
-		more = end < RowID(len(r.slots))
 		r.mu.RUnlock()
-		next = end
 		for k, id := range ids {
 			if n++; !fn(id, ts[k]) {
 				return n
 			}
 		}
 	}
-	return n
 }
 
 // Indexes returns the specs of the relation's secondary indexes, in

@@ -229,13 +229,13 @@ func (db *DB) ContentHash() string {
 		}
 		buf = binary.AppendUvarint(buf, uint64(r.live))
 		h.Write(buf)
-		for id, s := range r.slots {
+		r.eachLocked(func(id RowID, s *slot) {
 			if s.t != nil {
-				buf = binary.AppendUvarint(buf[:0], uint64(id))
+				buf = binary.AppendUvarint(buf[:0], id)
 				buf = value.AppendTuple(buf, s.t)
 				h.Write(buf)
 			}
-		}
+		})
 		r.mu.RUnlock()
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -582,7 +582,6 @@ func (db *DB) loadSegment(e manifestEntry) error {
 	if err != nil {
 		return err
 	}
-	rel.slots = make([]slot, 0, min(nextRow, uint64(len(r.body))))
 	for j := uint64(0); j < nrows; j++ {
 		id, err := r.uvarint()
 		if err != nil {
@@ -596,10 +595,7 @@ func (db *DB) loadSegment(e manifestEntry) error {
 			return fmt.Errorf("storage: %s row %d: %w", ctx, id, err)
 		}
 		r.pos += n
-		if rel.liveLocked(id) == nil {
-			rel.live++
-		}
-		rel.slotLocked(id).t = t
+		rel.setLocked(id, t, nil)
 		if id >= rel.nextRow {
 			rel.nextRow = id + 1
 		}

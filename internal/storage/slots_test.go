@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,11 +77,7 @@ func TestSlotHoles(t *testing.T) {
 	}
 	r := db.Relation("NOTE")
 	for i, id := range ids {
-		var s slot
-		if id < RowID(len(r.slots)) { // trailing holes need no slot at all
-			s = r.slots[id]
-		}
-		if (s.t == nil) != (i%3 == 0) || (s.ver == nil) != (i%3 == 0) {
+		if s := r.slotLocked(id); (s.t == nil) != (i%3 == 0) || (s.ver == nil) != (i%3 == 0) {
 			t.Fatalf("after reopen: slot %d holds %v / %v", id, s.t, s.ver)
 		}
 	}
@@ -90,6 +87,105 @@ func TestSlotHoles(t *testing.T) {
 	})
 	if fresh != ids[len(ids)-1]+1 {
 		t.Fatalf("new row took id %d, want %d: ids are never reused", fresh, ids[len(ids)-1]+1)
+	}
+}
+
+// TestSlotPagesFollowLiveRows: churn that issues fifty times as many
+// row ids as it keeps live (inserts, deletes of random live rows, aborted
+// inserts, vacuums) leaves allocated only the pages that still hold a
+// row, before and after a checkpoint → reopen, and walks skip the rest.
+func TestSlotPagesFollowLiveRows(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateRelation("NOTE", noteSchema())
+	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}}); err != nil {
+		t.Fatal(err)
+	}
+	const live, rounds, batch = 1000, 500, 100
+	rng := rand.New(rand.NewSource(1))
+	var ids []RowID
+	name := int64(0)
+	insert := func(tx *Tx) RowID {
+		name++
+		id, err := tx.Insert("NOTE", value.Tuple{value.Int(name), value.Int(name % 12), value.Str("n")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	mustTx(t, db, func(tx *Tx) {
+		for range live {
+			ids = append(ids, insert(tx))
+		}
+	})
+	for range rounds {
+		mustTx(t, db, func(tx *Tx) {
+			for range batch {
+				k := rng.Intn(len(ids))
+				if err := tx.Delete("NOTE", ids[k]); err != nil {
+					t.Fatal(err)
+				}
+				ids[k] = insert(tx)
+			}
+		})
+		tx := db.Begin()
+		insert(tx)
+		tx.Abort()
+		db.Vacuum()
+	}
+	r := db.Relation("NOTE")
+	// Random deletes leave a geometric tail of survivors: about
+	// H(256) ≈ 6 live rows' worth of pages per page of live rows.
+	bound := 10*live/pageSize + 1
+	check := func(when string) {
+		t.Helper()
+		r.mu.RLock()
+		pages, used := 0, 0
+		for _, p := range r.pages {
+			if p.slots != nil {
+				pages++
+				used += p.used
+			}
+		}
+		issued := int(r.nextRow)
+		r.mu.RUnlock()
+		if pages > bound || used != live {
+			t.Fatalf("%s: %d pages holding %d slots for %d live rows (%d ids issued), want ≤ %d pages, %d slots",
+				when, pages, used, live, issued, bound, live)
+		}
+		if issued < 40*live {
+			t.Fatalf("%s: only %d ids issued", when, issued)
+		}
+		snap, locking := scanIDs(t, db, "NOTE")
+		if len(snap) != live || len(locking) != live || r.Len() != live {
+			t.Fatalf("%s: scans %d / %d rows, Len %d, want %d", when, len(snap), len(locking), r.Len(), live)
+		}
+		if err := r.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after churn")
+	if chains, old, _ := r.VersionStats(); chains != live || old != 0 {
+		t.Fatalf("after a quiesced vacuum: %d chains, %d old versions", chains, old)
+	}
+	hash := db.ContentHash()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r = db.Relation("NOTE")
+	check("after reopen")
+	if db.ContentHash() != hash {
+		t.Fatal("checkpoint → reopen changed the content hash")
 	}
 }
 

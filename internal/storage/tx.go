@@ -157,6 +157,18 @@ func (tx *Tx) LockExclusive(relName string) error {
 	return tx.lock(relName, txn.Exclusive)
 }
 
+// LockShared takes the shared relation lock ahead of a read, so a
+// transaction can take its locks in a fixed order before it reads.
+func (tx *Tx) LockShared(relName string) error {
+	if err := tx.check(); err != nil {
+		return err
+	}
+	if _, err := tx.rel(relName); err != nil {
+		return err
+	}
+	return tx.lock(relName, txn.Shared)
+}
+
 // rel resolves a relation by name.
 func (tx *Tx) rel(name string) (*Relation, error) {
 	r := tx.db.Relation(name)
