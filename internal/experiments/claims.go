@@ -49,7 +49,7 @@ func q1SortedSelection(sz Sizes) []caseDef {
 	}
 	scan := func(keep func(value.Tuple) bool) func(b *testing.B) {
 		return run(func(tx *storage.Tx) error {
-			return tx.Scan("N", func(_ storage.RowID, t value.Tuple) bool { keep(t); return true })
+			return tx.Scan("N", nil, func(_ storage.RowID, t value.Tuple) bool { keep(t); return true })
 		})
 	}
 	idx := caseDef{ID: "Q1", Name: "range selection via matching sort key", Config: cfg, Unit: "ns/query",

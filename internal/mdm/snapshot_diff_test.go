@@ -309,7 +309,7 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 // sequence relation.
 func checkPrefix(s *model.Snap, w int) error {
 	var seqs []int64
-	if err := s.Instances(fmt.Sprintf("W%d", w), func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances(fmt.Sprintf("W%d", w), nil, func(_ value.Ref, attrs value.Tuple) bool {
 		seqs = append(seqs, attrs[0].AsInt())
 		return true
 	}); err != nil {
@@ -325,7 +325,7 @@ func checkPrefix(s *model.Snap, w int) error {
 // generation: no multi-row replace statement half applied.
 func checkGeneration(s *model.Snap) error {
 	var rows []value.Tuple
-	if err := s.Instances("G", func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances("G", nil, func(_ value.Ref, attrs value.Tuple) bool {
 		rows = append(rows, attrs)
 		return true
 	}); err != nil {
@@ -355,7 +355,7 @@ func oneGeneration(rows []value.Tuple) error {
 // entirely or not at all.
 func checkBatches(s *model.Snap, w int) error {
 	counts := map[int64]int{}
-	if err := s.Instances(fmt.Sprintf("B%d", w), func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances(fmt.Sprintf("B%d", w), nil, func(_ value.Ref, attrs value.Tuple) bool {
 		counts[attrs[0].AsInt()]++
 		return true
 	}); err != nil {

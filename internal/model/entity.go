@@ -512,7 +512,7 @@ func (db *Database) DeleteSubtree(ref value.Ref) error {
 // creation order, passing the surrogate and the attribute tuple
 // (excluding the surrogate).  Iteration stops if fn returns false.
 func (db *Database) Instances(typeName string, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	return db.read(context.Background(), func(v View) error { return v.Instances(typeName, fn) })
+	return db.read(context.Background(), func(v View) error { return v.Instances(typeName, nil, fn) })
 }
 
 // AttrIndexName returns the name of a secondary index on typeName whose

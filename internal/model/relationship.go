@@ -57,7 +57,7 @@ func (t Tx) Unrelate(relationship string, roles map[string]value.Ref) (int, erro
 		return 0, err
 	}
 	var doomed []storage.RowID
-	err = t.r.Scan(rt.rel, func(id storage.RowID, row value.Tuple) bool {
+	err = t.r.Scan(rt.rel, nil, func(id storage.RowID, row value.Tuple) bool {
 		for name, ref := range roles {
 			i, ok := rt.RoleIndex(name)
 			if !ok || row[i].AsRef() != ref {
@@ -150,7 +150,7 @@ func (rt *RelationshipType) Fields() []value.Field {
 // RelationshipTuples calls fn with the raw tuple (role refs then
 // attributes) of every instance of the relationship.
 func (db *Database) RelationshipTuples(name string, fn func(t value.Tuple) bool) error {
-	return db.read(context.Background(), func(v View) error { return v.RelationshipTuples(name, fn) })
+	return db.read(context.Background(), func(v View) error { return v.RelationshipTuples(name, nil, fn) })
 }
 
 // RelationshipCount returns the number of instances of the named

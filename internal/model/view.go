@@ -18,7 +18,7 @@ const ixByParentRank = "by_parent_rank"
 // against.  A *storage.Tx provides it under shared locks and sees its
 // own writes; a *storage.Snap provides it lock-free at a pinned CSN.
 type reader interface {
-	Scan(relName string, fn func(id storage.RowID, t value.Tuple) bool) error
+	Scan(relName string, b *storage.Bounds, fn func(id storage.RowID, t value.Tuple) bool) error
 	IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id storage.RowID, t value.Tuple) bool) error
 	IndexGet(relName, indexName string, key []byte) (storage.RowID, value.Tuple, bool, error)
 }
@@ -132,15 +132,36 @@ func (s *Snap) Close() {
 
 // Instances calls fn for every instance of the named entity type, in
 // creation order, with the surrogate and the attribute tuple (excluding
-// the surrogate).  Iteration stops if fn returns false.
-func (v View) Instances(typeName string, fn func(ref value.Ref, attrs value.Tuple) bool) error {
+// the surrogate).  Iteration stops if fn returns false.  A non-nil b
+// lets the scan skip pages (storage.Bounds); its columns count
+// attributes, as attrs does.
+func (v View) Instances(typeName string, b *storage.Bounds, fn func(ref value.Ref, attrs value.Tuple) bool) error {
 	et, err := v.db.entityType(typeName)
 	if err != nil {
 		return err
 	}
-	return v.r.Scan(et.rel, func(_ storage.RowID, t value.Tuple) bool {
+	sb := pastRef(b)
+	err = v.r.Scan(et.rel, sb, func(_ storage.RowID, t value.Tuple) bool {
 		return fn(t[0].AsRef(), t[1:])
 	})
+	if b != nil {
+		b.Walked, b.Pages = sb.Walked, sb.Pages
+	}
+	return err
+}
+
+// pastRef returns b with its columns shifted past the surrogate that
+// leads every stored entity tuple.
+func pastRef(b *storage.Bounds) *storage.Bounds {
+	if b == nil {
+		return nil
+	}
+	sb := &storage.Bounds{Ints: make([]storage.Bound, len(b.Ints))}
+	for i, bd := range b.Ints {
+		bd.Col++
+		sb.Ints[i] = bd
+	}
+	return sb
 }
 
 // InstancesRange calls fn for the instances of the named entity type
@@ -230,13 +251,14 @@ func (v View) AttrTuple(ref value.Ref) (value.Tuple, error) {
 }
 
 // RelationshipTuples calls fn with the raw tuple (role refs then
-// attributes) of every instance of the named relationship.
-func (v View) RelationshipTuples(name string, fn func(t value.Tuple) bool) error {
+// attributes) of every instance of the named relationship, skipping the
+// pages b prunes (none when b is nil); b's columns index the raw tuple.
+func (v View) RelationshipTuples(name string, b *storage.Bounds, fn func(t value.Tuple) bool) error {
 	rt, err := v.db.relationship(name)
 	if err != nil {
 		return err
 	}
-	return v.r.Scan(rt.rel, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
+	return v.r.Scan(rt.rel, b, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
 }
 
 // RelationshipRange calls fn with the raw tuple of every instance of
@@ -271,7 +293,7 @@ func (v View) Related(relationship, role string, ref value.Ref) ([]RelInstance, 
 		})
 		return out, err
 	}
-	err = v.r.Scan(rt.rel, func(_ storage.RowID, t value.Tuple) bool {
+	err = v.r.Scan(rt.rel, nil, func(_ storage.RowID, t value.Tuple) bool {
 		for i := range rt.Roles {
 			if t[i].AsRef() == ref {
 				out = append(out, rt.instance(t))
@@ -506,5 +528,5 @@ func (v View) FindByAttr(typeName, attr string, val value.Value) ([]value.Ref, e
 		hi := storage.AppendKeyUpper(lo[:len(lo):len(lo)])
 		return out, v.InstancesRange(typeName, ix, lo, hi, false, keep)
 	}
-	return out, v.Instances(typeName, keep)
+	return out, v.Instances(typeName, nil, keep)
 }

@@ -340,7 +340,7 @@ func (s *Session) evalAgg(x Agg) (value.Value, error) {
 	var minV, maxV value.Value
 	inner := make(env, 1)
 	errOut := error(nil)
-	err = s.scanVar(info, func(b binding) bool {
+	err = s.scanVar(info, nil, func(b binding) bool {
 		attrs := b.attrs
 		if x.Where != nil {
 			inner[x.Var] = b

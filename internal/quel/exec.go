@@ -297,14 +297,14 @@ func (s *Session) varInfo(v string) (varInfo, error) {
 }
 
 // scanVar iterates the instances the variable ranges over, through the
-// statement's reader.
-func (s *Session) scanVar(info varInfo, fn func(b binding) bool) error {
+// statement's reader, skipping the pages pb prunes (none when nil).
+func (s *Session) scanVar(info varInfo, pb *storage.Bounds, fn func(b binding) bool) error {
 	if info.isRel {
-		return s.rd.RelationshipTuples(info.typ, func(t value.Tuple) bool {
+		return s.rd.RelationshipTuples(info.typ, pb, func(t value.Tuple) bool {
 			return fn(binding{attrs: t, fields: info.fields, typ: info.typ})
 		})
 	}
-	return s.rd.Instances(info.typ, func(ref value.Ref, attrs value.Tuple) bool {
+	return s.rd.Instances(info.typ, pb, func(ref value.Ref, attrs value.Tuple) bool {
 		return fn(binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
 	})
 }
@@ -389,6 +389,19 @@ func compileSargs(ss []sarg, fields []value.Field) {
 
 // sargAccept maps each comparison operator to its accept bits.
 var sargAccept = map[string]uint8{"=": 0b010, "!=": 0b101, "<": 0b001, "<=": 0b011, ">": 0b100, ">=": 0b110}
+
+// pruneBounds hands the compiled sargs with an integer constant to a
+// full scan, which skips the pages where one of them can accept no
+// value (storage.Bounds).  sargsMatch still filters every row read.
+func pruneBounds(ss []sarg) *storage.Bounds {
+	pb := &storage.Bounds{}
+	for _, sg := range ss {
+		if sg.col >= 0 && sg.v.Kind() == value.KindInt {
+			pb.Ints = append(pb.Ints, storage.Bound{Col: sg.col, V: sg.v.AsInt(), Accept: sg.accept})
+		}
+	}
+	return pb
+}
 
 // sargsMatch reports whether attrs satisfies every compiled sarg.
 func sargsMatch(ss []sarg, attrs value.Tuple) bool {
@@ -519,7 +532,7 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 		}
 		start := time.Now()
 		var list []binding
-		err := s.scanVar(info, func(b binding) bool {
+		err := s.scanVar(info, nil, func(b binding) bool {
 			st.Scanned++
 			if !sargsMatch(sargs[v], b.attrs) {
 				return true

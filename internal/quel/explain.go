@@ -57,6 +57,8 @@ type scanStats struct {
 	Streamed bool   // iterated straight into the join, never collected
 	Fetch    bool   // read by key per joined partner (OrderFetch, IndexFetch), not scanned
 	Parts    int    // sub-ranges scanned in parallel; 0 = serial scan
+	Walked   int    // heap pages a full scan read
+	Pages    int    // heap pages allocated; above Walked when sargs pruned
 	Sargs    []string
 	Dur      time.Duration
 }
@@ -210,6 +212,9 @@ func scanFor(ps *planStats, v string) scanStats {
 // renderScan renders one access-path leaf, marking a join's streamed driver.
 func renderScan(add func(int, string, ...any), depth int, sc scanStats, driver bool) {
 	counts := fmt.Sprintf("est=%d, scanned=%d, kept=%d", sc.Est, sc.Scanned, sc.Kept)
+	if sc.Walked < sc.Pages {
+		counts += fmt.Sprintf(", pages=%d/%d", sc.Walked, sc.Pages)
+	}
 	if driver {
 		counts += ", streamed"
 	}

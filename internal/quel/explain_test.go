@@ -308,7 +308,7 @@ func TestExplainScoreQueryJoinStaysHash(t *testing.T) {
 	got := planLines(t, s, `explain retrieve (n.name, s.name) where n.score = s.name and s.name >= 10 and s.name < 12`)
 	assertPlan(t, got[2:], []string{
 		`    HashJoin (n.score = s.name) (est=20, build=2, probes=100, hits=100)`,
-		`      Scan n on NOTE (est=2000, scanned=2000, kept=100, streamed) (time=X)`,
+		`      Scan n on NOTE (est=2000, scanned=512, kept=100, pages=2/8, streamed) (time=X)`,
 		`        Sarg: n.score >= 10 (derived) and n.score < 12 (derived)`,
 		`      IndexScan s on SCORE using ix_score_name [name >= 10 and name < 12] (est=2, scanned=2, kept=2) (time=X)`,
 		`        Sarg: s.name >= 10 and s.name < 12`,

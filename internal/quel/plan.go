@@ -452,7 +452,9 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 		}
 	} else {
 		s.pm.scanFull.Inc()
-		err = s.scanVar(vp.info, collect)
+		pb := pruneBounds(vp.sargs)
+		err = s.scanVar(vp.info, pb, collect)
+		st.Walked, st.Pages = pb.Walked, pb.Pages
 	}
 	st.Dur = time.Since(start)
 	s.m.scanRows.Add(uint64(st.Scanned))

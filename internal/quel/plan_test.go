@@ -113,7 +113,7 @@ range of c is CHORD`)
 		`Retrieve (rows=0) (time=X)`,
 		`  Filter: ((n.chord = c.name) and (c.name = 99)) (in=0, out=0)`,
 		`    NestedLoopJoin (est=12, actual=0)`,
-		`      Scan c on CHORD (est=2, scanned=2, kept=0) (time=X)`,
+		`      Scan c on CHORD (est=2, scanned=0, kept=0, pages=0/1) (time=X)`,
 		`        Sarg: c.name = 99`,
 		`      Scan n on NOTE (est=6, skipped: earlier variable empty)`,
 	}

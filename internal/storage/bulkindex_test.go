@@ -134,7 +134,7 @@ func TestDeferredUniqueViolationSurfacesAtBuild(t *testing.T) {
 	var dupID RowID
 	db.Run(func(tx *Tx) error { //nolint:errcheck
 		seen := map[int64]bool{}
-		return tx.Scan("W", func(id RowID, tu value.Tuple) bool {
+		return tx.Scan("W", nil, func(id RowID, tu value.Tuple) bool {
 			v := tu[0].AsInt()
 			if seen[v] {
 				dupID = id

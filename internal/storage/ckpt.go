@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"context"
 	"path/filepath"
 	"sort"
@@ -47,6 +48,7 @@ type ckptPlan struct {
 	fresh    map[string]bool // rewritten this checkpoint
 	bytes    int64
 	attach   func(checkpointPath string) error
+	seg      *bufio.Writer // the segment files' buffer, allocated at the first rewrite
 }
 
 // newCkptPlan starts a plan from the installed manifest.  Caller holds
@@ -91,7 +93,10 @@ func (db *DB) dirtyStamp(name string) uint64 {
 // is rewritten again (catch-up, or the next checkpoint).
 func (db *DB) planWrite(p *ckptPlan, rel *Relation, at uint64) error {
 	stamp := db.dirtyStamp(rel.name)
-	e, err := db.writeSegmentFile(rel, at)
+	if p.seg == nil {
+		p.seg = bufio.NewWriterSize(nil, 1<<20)
+	}
+	e, err := db.writeSegmentFile(p.seg, rel, at)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 	// Reads still work.
 	count := 0
 	if err := db.Run(func(tx *Tx) error {
-		return tx.Scan("R", func(RowID, value.Tuple) bool { count++; return true })
+		return tx.Scan("R", nil, func(RowID, value.Tuple) bool { count++; return true })
 	}); err != nil {
 		t.Fatalf("read on degraded db: %v", err)
 	}

@@ -196,10 +196,11 @@ func (s *slot) visible(at uint64) value.Tuple {
 	return nil
 }
 
-// snapScan iterates the rows visible at CSN at in row-id order,
-// returning the number of rows seen; fn runs with no lock held.
-func (r *Relation) snapScan(at uint64, fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walk(func(s *slot) value.Tuple { return s.visible(at) }, fn)
+// snapScan iterates the rows visible at CSN at on the pages b admits,
+// in row-id order, returning the number of rows seen; fn runs with no
+// lock held.
+func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Tuple) bool) uint64 {
+	return r.walk(b, func(s *slot) value.Tuple { return s.visible(at) }, fn)
 }
 
 // snapCand is one candidate row of a snapshot index scan: the sort key
@@ -310,7 +311,7 @@ func (ix *index) histHas(lo, hi []byte) bool {
 // non-unique indexes.
 func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte) []snapCand {
 	var cands []snapCand
-	r.snapScan(at, func(id RowID, t value.Tuple) bool {
+	r.snapScan(at, nil, func(id RowID, t value.Tuple) bool {
 		key := ix.key(id, t)
 		if (lo == nil || bytes.Compare(key, lo) >= 0) && (hi == nil || bytes.Compare(key, hi) < 0) {
 			if ix.spec.Unique {
@@ -391,13 +392,13 @@ func (s *Snap) Close() {
 }
 
 // Scan iterates the relation's rows visible in the snapshot, in row-id
-// order.
-func (s *Snap) Scan(relName string, fn func(id RowID, t value.Tuple) bool) error {
+// order, skipping the pages b prunes (none when b is nil).
+func (s *Snap) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) bool) error {
 	r := s.db.Relation(relName)
 	if r == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
 	}
-	n := r.snapScan(s.csn, fn)
+	n := r.snapScan(s.csn, b, fn)
 	s.db.m.snapReads.Add(n)
 	s.db.m.rowsRead.Add(n)
 	return nil

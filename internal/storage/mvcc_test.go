@@ -20,7 +20,7 @@ func mustTx(t *testing.T, db *DB, fn func(tx *Tx)) {
 func snapRows(t *testing.T, s *Snap, rel string) map[RowID]int64 {
 	t.Helper()
 	out := map[RowID]int64{}
-	if err := s.Scan(rel, func(id RowID, tu value.Tuple) bool {
+	if err := s.Scan(rel, nil, func(id RowID, tu value.Tuple) bool {
 		out[id] = tu[1].AsInt()
 		return true
 	}); err != nil {
@@ -461,7 +461,7 @@ func TestSnapshotMultiRowAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[int64]int{}
-		s.Scan("NOTE", func(_ RowID, tu value.Tuple) bool {
+		s.Scan("NOTE", nil, func(_ RowID, tu value.Tuple) bool {
 			seen[tu[1].AsInt()]++
 			return true
 		})
@@ -487,7 +487,7 @@ func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Scan(rel, func(id RowID, _ value.Tuple) bool {
+	if err := s.Scan(rel, nil, func(id RowID, _ value.Tuple) bool {
 		snap = append(snap, id)
 		return true
 	}); err != nil {
@@ -495,7 +495,7 @@ func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
 	}
 	tx := db.Begin()
 	defer tx.Abort()
-	if err := tx.Scan(rel, func(id RowID, _ value.Tuple) bool {
+	if err := tx.Scan(rel, nil, func(id RowID, _ value.Tuple) bool {
 		locking = append(locking, id)
 		return true
 	}); err != nil {

@@ -108,11 +108,100 @@ const (
 )
 
 // page is the directory entry of pageSize consecutive row ids: their
-// slots (nil while none holds anything) and how many hold a tuple or a
-// version.  The slots are allocated apart so each takes exactly 8 KiB.
+// slots (nil while none holds anything), how many hold a tuple or a
+// version, and the integer summary of every tuple the page has held.
+// The slots are allocated apart so each takes exactly 8 KiB.
 type page struct {
 	slots *[pageSize]slot
 	used  int
+	sum   []span // per column; nil while the page is dropped
+}
+
+// span is one column's summary on a page: every value the page's live
+// tuples and version-chain heads have held in that column lies in
+// [lo, hi].  lo > hi marks a column that has held a value of another
+// kind: value.Compare orders kinds apart, so a range says nothing.
+type span struct{ lo, hi int64 }
+
+// unsummarized is the span of a column that has held a non-integer.
+var unsummarized = span{1, 0}
+
+// widen extends the page's summary over tuple t.  Summaries only ever
+// widen — a tuple that leaves the page leaves its values in the range —
+// so a snapshot at any CSN sees a superset of the values it can read,
+// and the summary resets only when the page is dropped.
+func (p *page) widen(t value.Tuple) {
+	if p.sum == nil {
+		p.sum = make([]span, len(t))
+		for c, v := range t {
+			if v.Kind() == value.KindInt {
+				p.sum[c] = span{v.AsInt(), v.AsInt()}
+			} else {
+				p.sum[c] = unsummarized
+			}
+		}
+		return
+	}
+	for c := range p.sum {
+		sp := &p.sum[c]
+		switch {
+		case sp.lo > sp.hi:
+		case c >= len(t) || t[c].Kind() != value.KindInt:
+			*sp = unsummarized
+		case t[c].AsInt() < sp.lo:
+			sp.lo = t[c].AsInt()
+		case t[c].AsInt() > sp.hi:
+			sp.hi = t[c].AsInt()
+		}
+	}
+}
+
+// Bound is one integer column condition a full scan can skip pages by:
+// a row satisfies it only if value.Compare(t[Col], value.Int(V)) is a
+// result c with bit c+1 of Accept set (bit 0 less, bit 1 equal, bit 2
+// greater).
+type Bound struct {
+	Col    int
+	V      int64
+	Accept uint8
+}
+
+// Bounds prunes a full scan: the scan skips every page on which some
+// bound accepts no value of the page's summary, so it yields a superset
+// of the rows satisfying every bound and the caller still filters each
+// row.  A nil *Bounds scans every page.  Walked and Pages are set by
+// the scan: the pages it read and the pages allocated when it began.
+type Bounds struct {
+	Ints          []Bound
+	Walked, Pages int
+}
+
+// admits reports whether a row the page has held can satisfy every
+// bound.
+func (p *page) admits(b *Bounds) bool {
+	for _, bd := range b.Ints {
+		if bd.Col >= len(p.sum) {
+			continue
+		}
+		sp := p.sum[bd.Col]
+		if sp.lo > sp.hi {
+			continue
+		}
+		var can uint8
+		if sp.lo < bd.V {
+			can |= 0b001
+		}
+		if sp.lo <= bd.V && bd.V <= sp.hi {
+			can |= 0b010
+		}
+		if sp.hi > bd.V {
+			can |= 0b100
+		}
+		if can&bd.Accept == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func newRelation(name string, schema *value.Schema) *Relation {
@@ -140,7 +229,8 @@ func (r *Relation) liveLocked(id RowID) value.Tuple {
 
 // setLocked stores row id's live tuple t and version-chain head v.  The
 // slot's page is allocated when the slot gains content and dropped when
-// its last occupied slot empties.  Caller holds mu exclusively.
+// its last occupied slot empties; its summary widens over t and v.
+// Caller holds mu exclusively.
 func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
 	pi, now := id>>pageBits, t != nil || v != nil
 	if n := RowID(len(r.pages)); pi >= n {
@@ -169,9 +259,15 @@ func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
 		if now {
 			p.used++
 		} else if p.used--; p.used == 0 {
-			p.slots = nil
+			p.slots, p.sum = nil, nil
 			return
 		}
+	}
+	if t != nil {
+		p.widen(t)
+	}
+	if v != nil && v != s.ver {
+		p.widen(v.tuple)
 	}
 	s.t, s.ver = t, v
 }
@@ -459,27 +555,42 @@ func (r *Relation) get(id RowID) (value.Tuple, bool) {
 	return t, t != nil
 }
 
-// scan invokes fn for every row in ascending row-id order, returning the
-// number of rows seen.  Iteration stops if fn returns false.
-func (r *Relation) scan(fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walk(func(s *slot) value.Tuple { return s.t }, fn)
+// scan invokes fn for every live row on the pages b admits, in
+// ascending row-id order, returning the number of rows seen.  Iteration
+// stops if fn returns false.
+func (r *Relation) scan(b *Bounds, fn func(id RowID, t value.Tuple) bool) uint64 {
+	return r.walk(b, func(s *slot) value.Tuple { return s.t }, fn)
 }
 
 // walk calls fn in row-id order with each row that pick maps to a tuple
-// until fn returns false, and returns the number of calls.  pick runs
-// under the read lock over one allocated page at a time, fn with no lock
-// held; each hold resumes at the page after the last one picked from.
-func (r *Relation) walk(pick func(s *slot) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
+// on the pages b admits (every allocated page when b is nil) until fn
+// returns false, and returns the number of calls.  pick runs under the
+// read lock over one walked page at a time, fn with no lock held; each
+// hold resumes at the page after the last one picked from.
+func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
+	if b != nil {
+		b.Walked, b.Pages = 0, 0
+		r.mu.RLock()
+		for pi := range r.pages {
+			if r.pages[pi].slots != nil {
+				b.Pages++
+			}
+		}
+		r.mu.RUnlock()
+	}
 	ids, ts := make([]RowID, 0, pageSize), make([]value.Tuple, 0, pageSize)
 	for pi := 0; ; pi++ {
 		ids, ts = ids[:0], ts[:0]
 		r.mu.RLock()
-		for pi < len(r.pages) && r.pages[pi].slots == nil {
+		for pi < len(r.pages) && (r.pages[pi].slots == nil || b != nil && !r.pages[pi].admits(b)) {
 			pi++
 		}
 		if pi == len(r.pages) {
 			r.mu.RUnlock()
 			return n
+		}
+		if b != nil {
+			b.Walked++
 		}
 		p, base := r.pages[pi].slots, RowID(pi)<<pageBits
 		for i := range p {

@@ -164,8 +164,10 @@ func ManifestSegments(data []byte) ([]string, error) {
 // directory fsync, which the checkpoint issues before installing the
 // manifest that references the file.  The scan takes only brief shared
 // holds of the relation latch, never transaction locks: writers proceed
-// concurrently, which is what makes the checkpoint fuzzy.
-func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) {
+// concurrently, which is what makes the checkpoint fuzzy.  w buffers
+// the file: Reset onto it here, so one checkpoint's segments share a
+// single buffer.
+func (db *DB) writeSegmentFile(w *bufio.Writer, rel *Relation, at uint64) (manifestEntry, error) {
 	type segIndex struct {
 		spec  IndexSpec
 		stats *IndexStats
@@ -183,7 +185,7 @@ func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) 
 	// walked twice, to count them and to write them, and never
 	// collected.  at is pinned (or commits are held off): both walks
 	// see the same rows.
-	nrows := rel.snapScan(at, func(RowID, value.Tuple) bool { return true })
+	nrows := rel.snapScan(at, nil, func(RowID, value.Tuple) bool { return true })
 
 	base := SegmentFileName(rel.name)
 	path := filepath.Join(db.opts.Dir, base)
@@ -193,7 +195,7 @@ func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) 
 		return manifestEntry{}, fmt.Errorf("storage: segment %s: %w", rel.name, err)
 	}
 	defer db.fs.Remove(tmp)
-	w := bufio.NewWriterSize(f, 1<<20)
+	w.Reset(f)
 	if _, err := w.WriteString(segmentMagic); err != nil {
 		f.Close()
 		return manifestEntry{}, err
@@ -246,7 +248,7 @@ func (db *DB) writeSegmentFile(rel *Relation, at uint64) (manifestEntry, error) 
 	buf = binary.AppendUvarint(buf, nrows)
 	if err = emit(buf); err == nil {
 		var written uint64
-		rel.snapScan(at, func(id RowID, t value.Tuple) bool {
+		rel.snapScan(at, nil, func(id RowID, t value.Tuple) bool {
 			buf = binary.AppendUvarint(buf[:0], id)
 			buf = value.AppendTuple(buf, t)
 			written++

@@ -154,7 +154,7 @@ func TestAbortRollsBack(t *testing.T) {
 		t.Fatalf("update not rolled back: %v", got)
 	}
 	count := 0
-	tx2.Scan("NOTE", func(id RowID, _ value.Tuple) bool { count++; return true })
+	tx2.Scan("NOTE", nil, func(id RowID, _ value.Tuple) bool { count++; return true })
 	if count != 1 {
 		t.Fatalf("abort left %d rows, want 1", count)
 	}
@@ -171,7 +171,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	})
 	var ids []RowID
 	db.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", func(id RowID, _ value.Tuple) bool {
+		return tx.Scan("NOTE", nil, func(id RowID, _ value.Tuple) bool {
 			ids = append(ids, id)
 			return len(ids) < 5
 		})
@@ -214,7 +214,7 @@ func TestUniqueIndex(t *testing.T) {
 	// The failed Run aborted; nothing should remain.
 	db.Run(func(tx *Tx) error {
 		count := 0
-		tx.Scan("NOTE", func(RowID, value.Tuple) bool { count++; return true })
+		tx.Scan("NOTE", nil, func(RowID, value.Tuple) bool { count++; return true })
 		if count != 0 {
 			t.Errorf("rows after aborted run: %d", count)
 		}
@@ -415,7 +415,7 @@ func fullState(t *testing.T, db *DB) map[string][]string {
 	for _, name := range db.Relations() {
 		var rows []string
 		err := db.Run(func(tx *Tx) error {
-			return tx.Scan(name, func(id RowID, tp value.Tuple) bool {
+			return tx.Scan(name, nil, func(id RowID, tp value.Tuple) bool {
 				rows = append(rows, fmt.Sprintf("%d:%s", id, tp))
 				return true
 			})
@@ -500,7 +500,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 	defer db2.Close()
 	var labels []string
 	db2.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", func(_ RowID, tp value.Tuple) bool {
+		return tx.Scan("NOTE", nil, func(_ RowID, tp value.Tuple) bool {
 			labels = append(labels, tp[2].AsString())
 			return true
 		})
@@ -535,7 +535,7 @@ func TestAutomaticCheckpoint(t *testing.T) {
 	defer db2.Close()
 	count := 0
 	db2.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", func(RowID, value.Tuple) bool { count++; return true })
+		return tx.Scan("NOTE", nil, func(RowID, value.Tuple) bool { count++; return true })
 	})
 	if count != 200 {
 		t.Fatalf("rows after checkpointed reopen: %d", count)

@@ -260,7 +260,7 @@ func tortureVerify(t *testing.T, dir string, fs fault.FS, st *tortureState, poin
 
 	observed := make(map[RowID]string)
 	if rel := db.Relation("T"); rel != nil {
-		rel.scan(func(id RowID, tu value.Tuple) bool {
+		rel.scan(nil, func(id RowID, tu value.Tuple) bool {
 			observed[id] = encTuple(tu)
 			return true
 		})

@@ -304,8 +304,9 @@ func (tx *Tx) Get(relName string, id RowID) (value.Tuple, error) {
 	return t, nil
 }
 
-// Scan iterates all rows of the relation in row-id order.
-func (tx *Tx) Scan(relName string, fn func(id RowID, t value.Tuple) bool) error {
+// Scan iterates the rows of the relation in row-id order, skipping the
+// pages b prunes (none when b is nil).
+func (tx *Tx) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
@@ -316,7 +317,7 @@ func (tx *Tx) Scan(relName string, fn func(id RowID, t value.Tuple) bool) error 
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return err
 	}
-	tx.db.m.rowsRead.Add(r.scan(fn))
+	tx.db.m.rowsRead.Add(r.scan(b, fn))
 	return nil
 }
 

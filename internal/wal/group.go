@@ -288,8 +288,10 @@ func (g *GroupCommitter) Drain() error {
 // Exclusive drains the pipeline, then runs fn while holding the flush
 // baton, so fn observes a log with no in-flight appends (checkpoints
 // snapshot and reset the log inside fn).  Batches enqueued while fn
-// runs wait and are flushed — into the post-fn log — before the baton
-// is released.
+// runs wait and are flushed — into the post-fn log, and fsynced before
+// any of them completes — before the baton is released: every batch
+// acknowledged before Exclusive returns is durable, whether or not it
+// asked to be.
 func (g *GroupCommitter) Exclusive(fn func() error) error {
 	if err := g.Drain(); err != nil {
 		return err
@@ -311,14 +313,14 @@ func (g *GroupCommitter) Exclusive(fn func() error) error {
 		}
 		g.crashUnwind(nil) // a crash unwound fn or a flush: wake everyone
 	}()
-	g.flushQueueLocked() // late arrivals between the Drain and the freeze
+	g.flushQueueLocked(false) // late arrivals between the Drain and the freeze
 	err := g.log.Err()
 	g.mu.Unlock()
 	if err == nil {
 		err = fn()
 	}
 	g.mu.Lock()
-	g.flushQueueLocked() // batches that arrived while frozen land in the post-fn log
+	g.flushQueueLocked(true) // batches that arrived while frozen land in the post-fn log
 	g.frozen = false
 	g.cond.Broadcast()
 	g.mu.Unlock()
@@ -326,14 +328,15 @@ func (g *GroupCommitter) Exclusive(fn func() error) error {
 	return err
 }
 
-// flushQueueLocked flushes the queue to empty.  Caller holds g.mu with
-// the baton (leading or frozen); g.mu is held again on return.
-func (g *GroupCommitter) flushQueueLocked() {
+// flushQueueLocked flushes the queue to empty, fsyncing every round
+// when sync is set.  Caller holds g.mu with the baton (leading or
+// frozen); g.mu is held again on return.
+func (g *GroupCommitter) flushQueueLocked(sync bool) {
 	for len(g.queue) > 0 {
 		round := g.queue
 		g.queue = nil
 		g.mu.Unlock()
-		g.flushAll(round)
+		g.flushAll(round, sync)
 		g.mu.Lock()
 	}
 }
@@ -359,7 +362,7 @@ func (g *GroupCommitter) lead() {
 		round := g.queue
 		g.queue = nil
 		g.mu.Unlock()
-		g.flushAll(round)
+		g.flushAll(round, false)
 		g.mu.Lock()
 	}
 	g.leading = false
@@ -377,7 +380,7 @@ func (g *GroupCommitter) flushAsLeader(round []*Batch) {
 		}
 		g.crashUnwind(round)
 	}()
-	g.flushAll(round)
+	g.flushAll(round, false)
 	g.mu.Lock()
 	g.leading = false
 	g.cond.Broadcast()
@@ -412,8 +415,9 @@ func (g *GroupCommitter) crashUnwind(inFlight []*Batch) {
 }
 
 // flushAll flushes round in sub-rounds bounded by MaxBytes, completing
-// every batch.  Runs on the flush goroutine, outside g.mu.
-func (g *GroupCommitter) flushAll(round []*Batch) {
+// every batch; sync fsyncs every sub-round.  Runs on the flush
+// goroutine, outside g.mu.
+func (g *GroupCommitter) flushAll(round []*Batch, sync bool) {
 	crashGuard := round
 	defer func() {
 		// Complete this round's stragglers if a crash panic unwinds a
@@ -426,19 +430,20 @@ func (g *GroupCommitter) flushAll(round []*Batch) {
 		}
 	}()
 	for len(round) > 0 {
-		n := g.flushRound(round)
+		n := g.flushRound(round, sync)
 		round = round[n:]
 	}
 	crashGuard = nil
 }
 
-// flushRound appends and (if requested) fsyncs one sub-round: batches
-// from the front of round until MaxBytes of log have been appended.  It
-// completes every batch it consumed and returns how many that was.
-func (g *GroupCommitter) flushRound(round []*Batch) int {
+// flushRound appends and (if sync is set or a batch requests it) fsyncs
+// one sub-round: batches from the front of round until MaxBytes of log
+// have been appended.  It completes every batch it consumed and returns
+// how many that was.
+func (g *GroupCommitter) flushRound(round []*Batch, sync bool) int {
 	base := g.log.Size()
 	var ioErr error
-	needSync := false
+	needSync := sync
 	n := 0
 	for _, b := range round {
 		if n > 0 && g.log.Size()-base >= g.opts.MaxBytes {

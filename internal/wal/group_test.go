@@ -287,6 +287,38 @@ func TestExclusiveSerializesWithCommits(t *testing.T) {
 	l.Close()
 }
 
+// TestExclusiveSyncsWhatItAcknowledges: a buffered batch enqueued while
+// Exclusive's fn runs is flushed after fn and acknowledged before
+// Exclusive returns, so that flush fsyncs — a checkpoint's caller may
+// rely on every commit acknowledged before it returned being durable.
+func TestExclusiveSyncsWhatItAcknowledges(t *testing.T) {
+	g, l, _, _ := openGroup(t, GroupOptions{Group: true})
+	reg := obs.NewRegistry()
+	l.SetObserver(reg)
+	fsyncs := reg.Histogram("wal.fsync.ns")
+	committed := make(chan error, 1)
+	var inFn uint64
+	if err := g.Exclusive(func() error {
+		inFn = fsyncs.Count()
+		go func() { committed <- g.Commit(context.Background(), &Batch{Records: commitRecord(7)}) }()
+		for queued := 0; queued == 0; time.Sleep(time.Millisecond) {
+			g.mu.Lock()
+			queued = len(g.queue)
+			g.mu.Unlock()
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("exclusive: %v", err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatalf("commit during exclusive: %v", err)
+	}
+	if got := fsyncs.Count(); got <= inFn {
+		t.Fatalf("buffered batch acknowledged by Exclusive without an fsync (%d fsyncs before and after the flush)", got)
+	}
+	l.Close()
+}
+
 // TestExclusivePropagatesFnError: fn's error comes back and the
 // pipeline stays usable.
 func TestExclusivePropagatesFnError(t *testing.T) {
