@@ -46,15 +46,16 @@ torture-repl:
 # Short coverage-guided fuzz runs over every decoder that takes bytes
 # off the wire or out of a file: the network frame codec, the tuple
 # codec of segments and the log, the DARMS parser, the SMF reader, and
-# the ingest stream scanner; over the
-# QUEL parser and planner, whose results must match the naive executor;
-# and over the page pruning of full scans, which must keep every row the
-# sargs accept.
+# the ingest stream scanner; over the key encoding, whose byte order
+# must agree with value.Compare; over the QUEL parser and planner, whose
+# results must match the naive executor; and over the page pruning of
+# full scans, which must keep every row the sargs accept.
 # New crashers land in the package's testdata/fuzz/ corpus; CI uploads
 # them.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz='^FuzzDecodeTuple$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
+	$(GO) test -fuzz='^FuzzKeyOrder$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzScanPrune$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzDARMS$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/darms/

@@ -26,6 +26,14 @@ import (
 //     holds its exclusive relation locks.  Aborted transactions never
 //     publish, so chains contain only committed versions.
 //
+//   - A row no snapshot can see differently carries no record of its
+//     own: its head is the shared settled version, meaning the live
+//     tuple is its only committed state and every CSN sees it.  Recovery
+//     settles every row; the vacuum re-settles a row once its single
+//     version is visible at the watermark and is still the live tuple.
+//     A write turns a settled head back into a real base version before
+//     it changes the live tuple.
+//
 //   - Secondary indexes keep a companion history tree (index.hist) of
 //     retired keys: updateRow/deleteRow record the outgoing tuple's key
 //     at operation time.  A snapshot index scan merges the live tree
@@ -49,6 +57,30 @@ type rowVersion struct {
 	begin, end uint64
 	tuple      value.Tuple
 	prev       *rowVersion // next older version
+}
+
+// settled is the version-chain head of every row whose live tuple is
+// its only committed state, visible at every CSN.  It is shared and
+// never written; its tuple is the slot's live tuple, so it holds none.
+var settled = &rowVersion{end: liveCSN}
+
+// unsettleLocked turns row id's settled head into a real base version of
+// its live tuple, so a write can replace or remove the live tuple while
+// snapshots keep reading the committed one.  The vacuum revisits the
+// row to settle it again.  s is the slot as read, and is updated too.
+// Caller holds r.mu exclusively.
+func (r *Relation) unsettleLocked(id RowID, s *slot) {
+	if s.ver == settled {
+		s.ver = &rowVersion{end: liveCSN, tuple: s.t}
+		r.setLocked(id, s.t, s.ver)
+		r.verDirty[id] = struct{}{}
+	}
+}
+
+// sameTuple reports whether a and b share one backing array: the same
+// tuple, not merely equal values.
+func sameTuple(a, b value.Tuple) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // verOpKind says how a committed write changes a row's version chain.
@@ -103,6 +135,11 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	defer r.mu.Unlock()
 	s := r.slotLocked(op.id)
 	old := s.ver
+	if old == settled {
+		// The write went through insertRow, updateRow or deleteRow,
+		// which unsettle the head before they touch the live tuple.
+		panic(fmt.Sprintf("storage: %s: commit of row %d meets a settled head", r.name, op.id))
+	}
 	if old != nil && old.end == liveCSN {
 		old.end = c
 	}
@@ -115,10 +152,10 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	r.verDirty[op.id] = struct{}{}
 }
 
-// seedVersions rebuilds the version store from the recovered heap: one
-// base version per row at CSN 0, empty history trees.  Recovery replay
-// goes through the ordinary row mutators, which leave behind history
-// entries and no chains; this resets both.
+// seedVersions rebuilds the version store from the recovered heap: every
+// row settled, empty history trees.  Recovery replay goes through the
+// ordinary row mutators, which leave behind history entries and no
+// chains; this resets both.
 func (db *DB) seedVersions() {
 	for _, name := range db.Relations() {
 		if r := db.Relation(name); r != nil {
@@ -133,7 +170,7 @@ func (r *Relation) seedVersions() {
 	r.eachLocked(func(id RowID, s *slot) {
 		var v *rowVersion
 		if s.t != nil {
-			v = &rowVersion{begin: 0, end: liveCSN, tuple: s.t}
+			v = settled
 		}
 		r.setLocked(id, s.t, v)
 	})
@@ -148,11 +185,12 @@ func (r *Relation) seedVersions() {
 // always suffixed with the row id, so versions of distinct rows that
 // shared a unique key over time remain distinct entries.
 func (ix *index) snapKey(id RowID, t value.Tuple) []byte {
-	var k []byte
+	var kb [64]byte
+	k := kb[:0]
 	for _, c := range ix.cols {
 		k = value.AppendKey(k, t[c])
 	}
-	return appendRowID(k, id)
+	return bytes.Clone(appendRowID(k, id))
 }
 
 // retire records the outgoing tuple's key in the index history so
@@ -187,6 +225,9 @@ func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
 // visible returns the slot's tuple visible at CSN at, or nil.
 func (s *slot) visible(at uint64) value.Tuple {
 	v := s.ver
+	if v == settled {
+		return s.t
+	}
 	for v != nil && v.begin > at {
 		v = v.prev
 	}
@@ -511,7 +552,9 @@ func (db *DB) vacuum() int {
 // vacuum trims the relation's version chains and history trees against
 // watermark w.  A version dead at w (end <= w) can never be read again:
 // every open snapshot is pinned at or after w, and new snapshots pin at
-// or after it too.
+// or after it too.  A row left with one live version visible at w, whose
+// tuple is still the live tuple (no uncommitted write pending), is
+// settled; a row is revisited until it is settled or gone.
 func (r *Relation) vacuum(w uint64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -519,7 +562,7 @@ func (r *Relation) vacuum(w uint64) int {
 	for id := range r.verDirty {
 		s := r.slotLocked(id)
 		head := s.ver
-		if head == nil {
+		if head == nil || head == settled {
 			delete(r.verDirty, id)
 			continue
 		}
@@ -546,7 +589,11 @@ func (r *Relation) vacuum(w uint64) int {
 				reclaimed++
 			}
 		}
-		if head == nil || (head.prev == nil && head.end == liveCSN) {
+		switch {
+		case head == nil:
+			delete(r.verDirty, id)
+		case head.prev == nil && head.end == liveCSN && head.begin <= w && sameTuple(head.tuple, s.t):
+			r.setLocked(id, s.t, settled)
 			delete(r.verDirty, id)
 		}
 	}
@@ -573,15 +620,20 @@ func (r *Relation) vacuum(w uint64) int {
 // bearing: some version in the row's chain encodes k, and the live tree
 // does not already carry it for the same row.
 func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
-	v := r.slotLocked(id).ver
+	s := r.slotLocked(id)
+	v := s.ver
 	if v == nil {
 		return false
 	}
-	if bytes.Equal(ix.snapKey(id, v.tuple), k) {
+	t := v.tuple
+	if v == settled {
+		t = s.t
+	}
+	if bytes.Equal(ix.snapKey(id, t), k) {
 		// The newest version encodes it; the entry is redundant only if
 		// the live tree serves the same key for the same row (an abort
 		// restored the key, or an update kept it).
-		if tv, ok := ix.tree.Get(ix.key(id, v.tuple)); ok && tv == id {
+		if tv, ok := ix.tree.Get(ix.key(id, t)); ok && tv == id {
 			return false
 		}
 		return true
@@ -595,8 +647,9 @@ func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
 }
 
 // VersionStats reports the version-store footprint of one relation:
-// chains with more than one version or a dead head, and history-tree
-// entries.  Tests use it to prove the GC watermark reclaims.
+// chains (a settled row is a chain of one version), versions beyond the
+// newest or a dead head, and history-tree entries.  Tests use it to
+// prove the GC watermark reclaims.
 func (r *Relation) VersionStats() (chains, oldVersions, histEntries int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

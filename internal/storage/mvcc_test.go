@@ -710,3 +710,150 @@ func TestSnapshotIndexGet(t *testing.T) {
 		t.Fatal("IndexGet on a missing index: no error")
 	}
 }
+
+// TestSettledRows: recovery leaves every row settled — no version record
+// of its own — and snapshots still read each row's committed state
+// across an uncommitted write, a vacuum during it, its commit, and a
+// delete.  The vacuum must not settle a row while a write is pending:
+// the live tuple is then not the committed one.
+func TestSettledRows(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateRelation("NOTE", noteSchema())
+	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []RowID
+	mustTx(t, db, func(tx *Tx) {
+		for i := 0; i < 10; i++ {
+			id, _ := tx.Insert("NOTE", value.Tuple{value.Int(int64(i)), value.Int(60 + int64(i)), value.Str("n")})
+			ids = append(ids, id)
+		}
+	})
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r := db.Relation("NOTE")
+	heads := func() (n int) {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		r.eachLocked(func(_ RowID, s *slot) {
+			if s.t != nil && s.ver == settled {
+				n++
+			}
+		})
+		return n
+	}
+	if n := heads(); n != len(ids) || r.Len() != len(ids) {
+		t.Fatalf("after reopen: %d of %d live rows settled", n, r.Len())
+	}
+	pin := func() *Snap {
+		t.Helper()
+		s, err := db.BeginSnapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pitch := func(s *Snap, id RowID) int64 {
+		t.Helper()
+		tu, ok := s.Get("NOTE", id)
+		if !ok {
+			return -1
+		}
+		return tu[1].AsInt()
+	}
+	byPitch := func(s *Snap, p int64) []RowID {
+		t.Helper()
+		var got []RowID
+		lo := value.AppendKey(nil, value.Int(p))
+		if err := s.IndexRange("NOTE", "by_pitch", lo, AppendKeyUpper(lo), false, func(id RowID, _ value.Tuple) bool {
+			got = append(got, id)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	a, d := ids[0], ids[1]
+
+	// An uncommitted update, then a vacuum with no snapshot open: the
+	// row's one version is visible at the watermark, but it is not the
+	// live tuple, so the row stays unsettled and snapshots read it.
+	tx := db.Begin()
+	if err := tx.Update("NOTE", a, value.Tuple{value.Int(0), value.Int(99), value.Str("n")}); err != nil {
+		t.Fatal(err)
+	}
+	db.Vacuum()
+	mid := pin()
+	if p := pitch(mid, a); p != 60 {
+		t.Fatalf("snapshot during an uncommitted update reads pitch %d, want 60", p)
+	}
+	if got := byPitch(mid, 60); len(got) != 1 || got[0] != a {
+		t.Fatalf("snapshot index read of pitch 60 during an uncommitted update: %v", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := pin()
+	if p, q := pitch(mid, a), pitch(after, a); p != 60 || q != 99 {
+		t.Fatalf("after commit: pinned before reads %d, after reads %d; want 60, 99", p, q)
+	}
+	if got := byPitch(after, 99); len(got) != 1 || got[0] != a {
+		t.Fatalf("snapshot index read of pitch 99 after commit: %v", got)
+	}
+	db.Vacuum() // mid holds the watermark below the new version
+	if p := pitch(mid, a); p != 60 {
+		t.Fatalf("vacuum under a pin: pinned before reads %d, want 60", p)
+	}
+	mid.Close()
+	after.Close()
+
+	// An aborted update leaves the committed tuple live again.
+	tx = db.Begin()
+	if err := tx.Update("NOTE", d, value.Tuple{value.Int(1), value.Int(7), value.Str("n")}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+
+	// With no pin left, the vacuum settles both rows again.
+	db.Vacuum()
+	if n := heads(); n != len(ids) {
+		t.Fatalf("after a quiesced vacuum %d of %d rows settled", n, len(ids))
+	}
+	if chains, old, hist := r.VersionStats(); chains != len(ids) || old != 0 || hist != 0 {
+		t.Fatalf("after a quiesced vacuum: chains=%d old=%d hist=%d, want %d/0/0", chains, old, hist, len(ids))
+	}
+
+	// A delete of a settled row is not seen by a snapshot pinned before
+	// it, even across a vacuum that snapshot holds back.
+	old := pin()
+	defer old.Close()
+	mustTx(t, db, func(tx *Tx) {
+		if err := tx.Delete("NOTE", d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	db.Vacuum()
+	now := pin()
+	defer now.Close()
+	if p, q := pitch(old, d), pitch(now, d); p != 61 || q != -1 {
+		t.Fatalf("delete: pinned before reads %d, after reads %d; want 61, none", p, q)
+	}
+	if got := byPitch(old, 61); len(got) != 1 || got[0] != d {
+		t.Fatalf("snapshot index read of a deleted row's pitch: %v", got)
+	}
+	if p := pitch(old, a); p != 99 {
+		t.Fatalf("settled row reads %d under an old pin, want 99", p)
+	}
+}

@@ -94,7 +94,8 @@ type Relation struct {
 
 // slot is one row id's place in a relation: the live tuple, uncommitted
 // writes included (nil when there is no live row), and the newest
-// committed version (nil when no snapshot can see the row).
+// committed version (nil when no snapshot can see the row; settled when
+// the live tuple is the row's only committed state, see mvcc.go).
 type slot struct {
 	t   value.Tuple
 	ver *rowVersion
@@ -266,7 +267,7 @@ func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
 	if t != nil {
 		p.widen(t)
 	}
-	if v != nil && v != s.ver {
+	if v != nil && v != s.ver && v != settled {
 		p.widen(v.tuple)
 	}
 	s.t, s.ver = t, v
@@ -412,9 +413,11 @@ func (r *Relation) buildIndexes() error {
 // key builds the index key for tuple t with row id: the order-preserving
 // encoding of the indexed columns, suffixed with the row id for
 // non-unique indexes so that duplicate attribute values remain distinct
-// tree keys.
+// tree keys.  The key is built on the stack and copied out once, so a
+// tree key is one allocation of its own size.
 func (ix *index) key(id RowID, t value.Tuple) []byte {
-	return ix.appendKey(nil, id, t)
+	var kb [64]byte
+	return bytes.Clone(ix.appendKey(kb[:0], id, t))
 }
 
 // appendKey appends ix.key(id, t) to dst.
@@ -504,6 +507,7 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
+	r.unsettleLocked(id, &s)
 	if !r.deferred {
 		for _, ix := range r.indexes {
 			ix.retire(id, old)
@@ -524,6 +528,7 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 	if old == nil {
 		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
+	r.unsettleLocked(id, &s)
 	if !r.deferred {
 		for _, ix := range r.indexes {
 			ix.retire(id, old)

@@ -28,13 +28,10 @@ func Append(dst []byte, v Value) []byte {
 	case KindInt, KindBool, KindRef:
 		dst = binary.AppendVarint(dst, v.i)
 	case KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
-	case KindString:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.i))
+	case KindString, KindBytes:
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
-	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-		dst = append(dst, v.b...)
 	}
 	return dst
 }
@@ -60,8 +57,7 @@ func Decode(buf []byte) (Value, int, error) {
 		if len(buf) < pos+8 {
 			return Null, 0, fmt.Errorf("value: decode: short float")
 		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(buf[pos:]))
-		return Float(f), pos + 8, nil
+		return Value{kind: KindFloat, i: int64(binary.BigEndian.Uint64(buf[pos:]))}, pos + 8, nil
 	case KindString, KindBytes:
 		ln, n := binary.Uvarint(buf[pos:])
 		if n <= 0 || overlong(buf[pos:], n) {
@@ -73,12 +69,7 @@ func Decode(buf []byte) (Value, int, error) {
 		}
 		payload := buf[pos : pos+int(ln)]
 		pos += int(ln)
-		if k == KindString {
-			return Str(string(payload)), pos, nil
-		}
-		b := make([]byte, ln)
-		copy(b, payload)
-		return Bytes(b), pos, nil
+		return Value{kind: k, s: string(payload)}, pos, nil
 	}
 	return Null, 0, fmt.Errorf("value: decode: unknown kind tag %d", buf[0])
 }
@@ -146,16 +137,14 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, keyNumber)
 		return appendKeyFloat(dst, float64(v.i), v.i)
 	case KindFloat:
-		return appendKeyFloat(append(dst, keyNumber), v.f, 0)
+		return appendKeyFloat(append(dst, keyNumber), v.float(), 0)
 	case KindBool:
 		dst = append(dst, keyBool)
 		return append(dst, byte(v.i))
 	case KindString:
-		dst = append(dst, keyString)
-		return appendKeyBytes(dst, []byte(v.s))
+		return appendKeyBytes(append(dst, keyString), v.s)
 	case KindBytes:
-		dst = append(dst, keyBytes)
-		return appendKeyBytes(dst, v.b)
+		return appendKeyBytes(append(dst, keyBytes), v.s)
 	case KindRef:
 		dst = append(dst, keyRef)
 		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
@@ -199,8 +188,9 @@ func appendKeyFloat(dst []byte, f float64, exact int64) []byte {
 // appendKeyBytes encodes bytes with 0x00 escaping and a 0x00 0x01
 // terminator so that prefixes sort before extensions and embedded zero
 // bytes do not confuse ordering.
-func appendKeyBytes(dst []byte, b []byte) []byte {
-	for _, c := range b {
+func appendKeyBytes(dst []byte, b string) []byte {
+	for i := 0; i < len(b); i++ {
+		c := b[i]
 		if c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {

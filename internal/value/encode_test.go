@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -160,6 +161,51 @@ func TestKeyOrderFloatSpecials(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFloatBitsExact: a float keeps its exact IEEE-754 bits through the
+// storage encoding — NaN payloads, -0, subnormals, ±Inf — and its key is
+// the documented one: sign-flipped bits, every NaN on the all-zero
+// prefix, -0 on +0's, and a zero tiebreaker.
+func TestFloatBitsExact(t *testing.T) {
+	for _, bits := range []uint64{
+		0x7FF8_0000_0000_0000, // the quiet NaN
+		0x7FF8_0000_0000_0001, // quiet NaN with a payload
+		0xFFF8_0000_0000_00FF, // negative quiet NaN with a payload
+		0x7FF0_0000_0000_0001, // signalling NaN
+		0x8000_0000_0000_0000, // -0
+		0x0000_0000_0000_0000, // +0
+		0x0000_0000_0000_0001, // smallest subnormal
+		0x800F_FFFF_FFFF_FFFF, // largest negative subnormal
+		0x7FF0_0000_0000_0000, // +Inf
+		0xFFF0_0000_0000_0000, // -Inf
+		0x3FF8_0000_0000_0000, // 1.5
+	} {
+		f := math.Float64frombits(bits)
+		v := Float(f)
+		enc := Append(nil, v)
+		got, n, err := Decode(enc)
+		if err != nil || n != len(enc) || got.Kind() != KindFloat {
+			t.Fatalf("%016x: decode %v, %d of %d bytes, %v", bits, got, n, len(enc), err)
+		}
+		if gb := math.Float64bits(got.AsFloat()); gb != bits {
+			t.Errorf("%016x: round trip gives %016x", bits, gb)
+		}
+		var want uint64
+		switch {
+		case math.IsNaN(f):
+		case f == 0:
+			want = 1 << 63
+		case bits>>63 == 1:
+			want = ^bits
+		default:
+			want = bits | 1<<63
+		}
+		wantKey := binary.BigEndian.AppendUint64(append([]byte{keyNumber}, binary.BigEndian.AppendUint64(nil, want)...), 1<<63)
+		if key := AppendKey(nil, v); !bytes.Equal(key, wantKey) || !bytes.Equal(AppendKey(nil, got), key) {
+			t.Errorf("%016x: key %x (decoded %x), want %x", bits, key, AppendKey(nil, got), wantKey)
 		}
 	}
 }

@@ -7,6 +7,15 @@
 // Value is a single typed datum, a Tuple is an ordered sequence of values
 // conforming to a Schema, and both have a compact, self-describing binary
 // encoding used by the page format and the write-ahead log.
+//
+// A Value is 32 bytes on 64-bit platforms: a kind tag, one int64 and one
+// string header.  Integers, booleans and references sit in the int64,
+// and so does a float, as its IEEE-754 bits (every NaN payload and the
+// sign of zero survive a round trip).  Strings and raw bytes share the
+// string: a bytes value holds its content as an immutable string, so
+// Bytes copies its argument once and AsBytes returns a fresh copy.
+// Every loaded tuple is a slice of these, so the layout sets the
+// resident size of every row the engine holds.
 package value
 
 import (
@@ -92,10 +101,8 @@ const NilRef Ref = 0
 // inner loops.
 type Value struct {
 	kind Kind
-	i    int64   // int, bool (0/1), ref
-	f    float64 // float
-	s    string  // string
-	b    []byte  // bytes
+	i    int64  // int, bool (0/1), ref, float bits
+	s    string // string, bytes
 }
 
 // Null is the null value.
@@ -105,7 +112,7 @@ var Null = Value{}
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // String_ returns a string value.  (Named with a trailing underscore to
 // avoid colliding with the fmt.Stringer method on Value.)
@@ -123,8 +130,9 @@ func Bool(v bool) Value {
 	return Value{kind: KindBool, i: i}
 }
 
-// Bytes returns a raw-bytes value.  The slice is retained, not copied.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, b: v} }
+// Bytes returns a raw-bytes value holding a copy of v: the caller may
+// reuse v afterwards.
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // RefVal returns an entity-reference value.
 func RefVal(r Ref) Value { return Value{kind: KindRef, i: int64(r)} }
@@ -144,8 +152,11 @@ func (v Value) AsFloat() float64 {
 	if v.kind == KindInt {
 		return float64(v.i)
 	}
-	return v.f
+	return v.float()
 }
+
+// float returns the float content of a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // AsString returns the string content.
 func (v Value) AsString() string { return v.s }
@@ -153,8 +164,8 @@ func (v Value) AsString() string { return v.s }
 // AsBool returns the boolean content.
 func (v Value) AsBool() bool { return v.i != 0 }
 
-// AsBytes returns the byte content.
-func (v Value) AsBytes() []byte { return v.b }
+// AsBytes returns a copy of the byte content.
+func (v Value) AsBytes() []byte { return []byte(v.s) }
 
 // AsRef returns the entity-reference content.
 func (v Value) AsRef() Ref { return Ref(v.i) }
@@ -167,7 +178,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -176,7 +187,7 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.b))
+		return fmt.Sprintf("bytes[%d]", len(v.s))
 	case KindRef:
 		return fmt.Sprintf("@%d", v.i)
 	}
@@ -226,11 +237,9 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case KindFloat:
-		return cmpFloat(a.f, b.f)
-	case KindString:
+		return cmpFloat(a.float(), b.float())
+	case KindString, KindBytes:
 		return strings.Compare(a.s, b.s)
-	case KindBytes:
-		return cmpBytes(a.b, b.b)
 	}
 	return 0
 }
@@ -259,22 +268,6 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpInt(int64(len(a)), int64(len(b)))
-}
-
 // Coerce converts v to the target kind if a lossless, conventional
 // conversion exists (int↔float, int→ref, anything→null is not allowed).
 // It reports whether the conversion succeeded.
@@ -287,8 +280,8 @@ func Coerce(v Value, to Kind) (Value, bool) {
 		return Null, true // null is assignable to any kind
 	case v.kind == KindInt && to == KindFloat:
 		return Float(float64(v.i)), true
-	case v.kind == KindFloat && to == KindInt && v.f == math.Trunc(v.f):
-		return Int(int64(v.f)), true
+	case v.kind == KindFloat && to == KindInt && v.float() == math.Trunc(v.float()):
+		return Int(int64(v.float())), true
 	case v.kind == KindInt && to == KindRef:
 		return RefVal(Ref(v.i)), true
 	case v.kind == KindRef && to == KindInt:

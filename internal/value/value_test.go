@@ -3,7 +3,39 @@ package value
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
+
+// TestValueSize pins the 32-byte layout on 64-bit platforms: a tag, one
+// int64 and one string header.  Every loaded tuple is a slice of
+// Values, so a wider Value widens every row the engine holds.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestBytesCopies: Bytes keeps its own copy of the argument, and
+// AsBytes hands out a copy, so neither side can change the value.
+func TestBytesCopies(t *testing.T) {
+	b := []byte{1, 0, 2}
+	v := Bytes(b)
+	b[0] = 9
+	got := v.AsBytes()
+	if string(got) != "\x01\x00\x02" {
+		t.Fatalf("Bytes retained its argument: %x", got)
+	}
+	got[1] = 9
+	if again := v.AsBytes(); string(again) != "\x01\x00\x02" {
+		t.Fatalf("AsBytes shares the value's content: %x", again)
+	}
+	if !Bytes(nil).Equal(Bytes([]byte{})) || Bytes(nil).Kind() != KindBytes {
+		t.Fatal("empty bytes values differ")
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
