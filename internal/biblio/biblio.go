@@ -264,7 +264,7 @@ func (ix *Index) Lookup(abbreviation string, number int) (value.Ref, error) {
 // entryReader is what an entry is read through: the database, or the
 // model.View of the statement that is matching an incipit predicate.
 type entryReader interface {
-	Instance(typeName string, ref value.Ref) (value.Tuple, bool, error)
+	InstanceRow(typeName string, ref value.Ref) (value.Row, bool, error)
 	Children(ordering string, parent value.Ref) ([]value.Ref, error)
 }
 
@@ -272,13 +272,15 @@ type entryReader interface {
 func (ix *Index) Get(entry value.Ref) (*Entry, error) { return getEntry(ix.db, entry) }
 
 func getEntry(r entryReader, entry value.Ref) (*Entry, error) {
-	t, ok, err := r.Instance("CATALOG_ENTRY", entry)
+	row, ok, err := r.InstanceRow("CATALOG_ENTRY", entry)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("biblio: %w: catalogue entry @%d", model.ErrNoEntity, entry)
 	}
+	buf := row.Decode(nil)
+	t := model.AttrsOf(buf)
 	e := &Entry{
 		Number: int(t[0].AsInt()), Title: t[1].AsString(), Setting: t[2].AsString(),
 		ComposedWhen: t[3].AsString(), ComposedWhere: t[4].AsString(),
@@ -289,14 +291,19 @@ func getEntry(r entryReader, entry value.Ref) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(notes) > 0 {
+		e.Incipit = make([]IncipitNote, 0, len(notes))
+	}
 	for _, n := range notes {
-		nt, ok, err := r.Instance("INCIPIT_NOTE", n)
+		row, ok, err := r.InstanceRow("INCIPIT_NOTE", n)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return nil, fmt.Errorf("biblio: %w: incipit note @%d", model.ErrNoEntity, n)
 		}
+		buf = row.Decode(buf)
+		nt := model.AttrsOf(buf)
 		e.Incipit = append(e.Incipit, IncipitNote{
 			MIDIPitch: int(nt[0].AsInt()), DurNum: nt[1].AsInt(), DurDen: nt[2].AsInt(),
 		})

@@ -49,12 +49,17 @@ func q1SortedSelection(sz Sizes) []caseDef {
 	}
 	scan := func(keep func(value.Tuple) bool) func(b *testing.B) {
 		return run(func(tx *storage.Tx) error {
-			return tx.Scan("N", nil, func(_ storage.RowID, t value.Tuple) bool { keep(t); return true })
+			var buf value.Tuple
+			return tx.Scan("N", nil, func(_ storage.RowID, t value.Row) bool {
+				buf = t.Decode(buf)
+				keep(buf)
+				return true
+			})
 		})
 	}
 	idx := caseDef{ID: "Q1", Name: "range selection via matching sort key", Config: cfg, Unit: "ns/query",
 		Bench: run(func(tx *storage.Tx) error {
-			return tx.IndexRange("N", "by_pitch", lo, hi, false, func(storage.RowID, value.Tuple) bool { return true })
+			return tx.IndexRange("N", "by_pitch", lo, hi, false, func(storage.RowID, value.Row) bool { return true })
 		})}
 	heap := caseDef{ID: "Q1", Name: "range selection via heap scan", Config: cfg, Unit: "ns/query",
 		Bench: scan(func(t value.Tuple) bool { return t[0].AsInt() >= 60 && t[0].AsInt() < 64 })}

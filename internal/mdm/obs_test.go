@@ -132,7 +132,7 @@ func TestCancellationAbortsLockWait(t *testing.T) {
 	// work relation, so the session's append (exclusive) must wait.
 	holder := m.Store.Begin()
 	rel := m.Model.InstanceRelation("work")
-	if err := holder.Scan(rel, nil, func(_ storage.RowID, _ value.Tuple) bool { return false }); err != nil {
+	if err := holder.Scan(rel, nil, func(_ storage.RowID, _ value.Row) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Abort()

@@ -65,7 +65,8 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 				var id storage.RowID
 				var tuple value.Tuple
 				err := func() error {
-					if err := tx.Scan(rel, nil, func(i storage.RowID, tu value.Tuple) bool {
+					if err := tx.Scan(rel, nil, func(i storage.RowID, tuRow value.Row) bool {
+						tu := tuRow.Tuple()
 						id, tuple = i, tu.Clone()
 						return false
 					}); err != nil {

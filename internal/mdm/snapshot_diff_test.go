@@ -309,7 +309,8 @@ func TestConcurrentSnapshotDifferential(t *testing.T) {
 // sequence relation.
 func checkPrefix(s *model.Snap, w int) error {
 	var seqs []int64
-	if err := s.Instances(fmt.Sprintf("W%d", w), nil, func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances(fmt.Sprintf("W%d", w), nil, func(_ value.Ref, row value.Row) bool {
+		attrs := model.AttrsOf(row.Tuple())
 		seqs = append(seqs, attrs[0].AsInt())
 		return true
 	}); err != nil {
@@ -325,7 +326,8 @@ func checkPrefix(s *model.Snap, w int) error {
 // generation: no multi-row replace statement half applied.
 func checkGeneration(s *model.Snap) error {
 	var rows []value.Tuple
-	if err := s.Instances("G", nil, func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances("G", nil, func(_ value.Ref, row value.Row) bool {
+		attrs := model.AttrsOf(row.Tuple())
 		rows = append(rows, attrs)
 		return true
 	}); err != nil {
@@ -355,7 +357,8 @@ func oneGeneration(rows []value.Tuple) error {
 // entirely or not at all.
 func checkBatches(s *model.Snap, w int) error {
 	counts := map[int64]int{}
-	if err := s.Instances(fmt.Sprintf("B%d", w), nil, func(_ value.Ref, attrs value.Tuple) bool {
+	if err := s.Instances(fmt.Sprintf("B%d", w), nil, func(_ value.Ref, row value.Row) bool {
+		attrs := model.AttrsOf(row.Tuple())
 		counts[attrs[0].AsInt()]++
 		return true
 	}); err != nil {

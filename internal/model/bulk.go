@@ -149,8 +149,8 @@ func (db *Database) BulkInsert(entities []BulkEntity, edges []BulkEdge) ([]value
 				lo, hi := refRange(parent)
 				if last, err := t.first(o, lo, hi, true); err != nil {
 					return err
-				} else if last != nil {
-					rank = last[2].AsInt() + rankGap
+				} else if !last.IsZero() {
+					rank = last.Col(2).AsInt() + rankGap
 				}
 			}
 			lastRank[key] = rank

@@ -198,7 +198,7 @@ func (t Tx) update(et *EntityType, ref value.Ref, attrs Attrs) error {
 	if !ok {
 		return fmt.Errorf("%w: %s @%d", ErrNoEntity, et.Name, ref)
 	}
-	nt := row.Clone()
+	nt := row.Tuple()
 	for name, v := range attrs {
 		i, ok := et.AttrIndex(name)
 		if !ok {
@@ -244,7 +244,7 @@ func (t Tx) delete(et *EntityType, ref value.Ref) error {
 			lo, hi := refRange(ref)
 			if kid, err := t.first(o, lo, hi, false); err != nil {
 				return err
-			} else if kid != nil {
+			} else if !kid.IsZero() {
 				return fmt.Errorf("%w: @%d in ordering %q", ErrHasChildren, ref, o.Name)
 			}
 		}
@@ -266,7 +266,7 @@ func (t Tx) delete(et *EntityType, ref value.Ref) error {
 			if r.EntityType != et.Name {
 				continue
 			}
-			if err := t.r.IndexRange(rt.rel, "by_"+r.Name, lo, hi, false, func(rid storage.RowID, _ value.Tuple) bool {
+			if err := t.r.IndexRange(rt.rel, "by_"+r.Name, lo, hi, false, func(rid storage.RowID, _ value.Row) bool {
 				if !slices.Contains(doomed, rid) {
 					doomed = append(doomed, rid)
 				}
@@ -447,10 +447,21 @@ func (db *Database) Instance(typeName string, ref value.Ref) (value.Tuple, bool,
 	return t, ok, err
 }
 
+// InstanceRow is Instance's stored row: the surrogate, then the
+// attributes (AttrsOf splits a decoded one).
+func (db *Database) InstanceRow(typeName string, ref value.Ref) (value.Row, bool, error) {
+	var row value.Row
+	ok, err := read1(db, func(v View) (ok bool, err error) {
+		row, ok, err = v.InstanceRow(typeName, ref)
+		return ok, err
+	})
+	return row, ok, err
+}
+
 // Is reports whether ref is an instance of typeName: one by_ref point
 // read.
 func (db *Database) Is(ref value.Ref, typeName string) bool {
-	_, ok, _ := db.Instance(typeName, ref)
+	_, ok, _ := db.InstanceRow(typeName, ref)
 	return ok
 }
 
@@ -511,8 +522,10 @@ func (db *Database) DeleteSubtree(ref value.Ref) error {
 // Instances calls fn for every instance of the named entity type, in
 // creation order, passing the surrogate and the attribute tuple
 // (excluding the surrogate).  Iteration stops if fn returns false.
+// attrs is decoded into one buffer the scan reuses: it is valid until
+// fn returns, though its values, strings included, may be kept.
 func (db *Database) Instances(typeName string, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	return db.read(context.Background(), func(v View) error { return v.Instances(typeName, nil, fn) })
+	return db.read(context.Background(), func(v View) error { return v.Instances(typeName, nil, decoded(fn)) })
 }
 
 // AttrIndexName returns the name of a secondary index on typeName whose
@@ -562,9 +575,12 @@ func (db *Database) SplitInstancesRange(typeName, indexName string, lo, hi []byt
 // InstancesRange calls fn for instances of the named entity type whose
 // index key falls in [lo, hi), in index key order (descending when
 // reverse is set).  Like Instances it passes the surrogate and the
-// attribute tuple; iteration stops if fn returns false.
+// attribute tuple, valid until fn returns; iteration stops if fn
+// returns false.
 func (db *Database) InstancesRange(typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, attrs value.Tuple) bool) error {
-	return db.read(context.Background(), func(v View) error { return v.InstancesRange(typeName, indexName, lo, hi, reverse, fn) })
+	return db.read(context.Background(), func(v View) error {
+		return v.InstancesRange(typeName, indexName, lo, hi, reverse, decoded(fn))
+	})
 }
 
 // Count returns the number of instances of the named entity type.

@@ -120,8 +120,8 @@ func (db *Database) InstanceGraph(root value.Ref, labelAttr string, names ...str
 				return err
 			}
 			label := et.Name
-			if i, ok := et.AttrIndex(labelAttr); ok && !row[i+1].IsNull() {
-				label = row[i+1].String()
+			if i, ok := et.AttrIndex(labelAttr); ok && !row.Col(i+1).IsNull() {
+				label = row.Col(i + 1).String()
 			}
 			g.Nodes = append(g.Nodes, InstanceNode{Ref: ref, Type: et.Name, Label: label})
 			for _, o := range orders {

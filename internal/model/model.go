@@ -269,14 +269,16 @@ func (db *Database) load() error {
 	}
 	attrs := map[string][]attrRow{} // "kind/owner" → rows
 	err := db.store.Run(func(tx *storage.Tx) error {
-		if err := tx.Scan(catAttribute, nil, func(_ storage.RowID, t value.Tuple) bool {
+		if err := tx.Scan(catAttribute, nil, func(_ storage.RowID, row value.Row) bool {
+			t := row.Tuple()
 			key := t[1].AsString() + "/" + t[0].AsString()
 			attrs[key] = append(attrs[key], attrRow{t[2].AsString(), t[3].AsString(), t[4].AsString(), t[5].AsInt()})
 			return true
 		}); err != nil {
 			return err
 		}
-		if err := tx.Scan(catEntity, nil, func(_ storage.RowID, t value.Tuple) bool {
+		if err := tx.Scan(catEntity, nil, func(_ storage.RowID, row value.Row) bool {
+			t := row.Tuple()
 			name := t[0].AsString()
 			rows := attrs["entity/"+name]
 			sort.Slice(rows, func(i, j int) bool { return rows[i].pos < rows[j].pos })
@@ -290,7 +292,8 @@ func (db *Database) load() error {
 		}); err != nil {
 			return err
 		}
-		if err := tx.Scan(catRelationship, nil, func(_ storage.RowID, t value.Tuple) bool {
+		if err := tx.Scan(catRelationship, nil, func(_ storage.RowID, row value.Row) bool {
+			t := row.Tuple()
 			name := t[0].AsString()
 			rows := attrs["relationship/"+name]
 			sort.Slice(rows, func(i, j int) bool { return rows[i].pos < rows[j].pos })
@@ -312,7 +315,8 @@ func (db *Database) load() error {
 			child string
 			pos   int64
 		}{}
-		if err := tx.Scan(catOrderChild, nil, func(_ storage.RowID, t value.Tuple) bool {
+		if err := tx.Scan(catOrderChild, nil, func(_ storage.RowID, row value.Row) bool {
+			t := row.Tuple()
 			children[t[0].AsString()] = append(children[t[0].AsString()], struct {
 				child string
 				pos   int64
@@ -321,7 +325,8 @@ func (db *Database) load() error {
 		}); err != nil {
 			return err
 		}
-		return tx.Scan(catOrdering, nil, func(_ storage.RowID, t value.Tuple) bool {
+		return tx.Scan(catOrdering, nil, func(_ storage.RowID, row value.Row) bool {
+			t := row.Tuple()
 			name := t[0].AsString()
 			kids := children[name]
 			sort.Slice(kids, func(i, j int) bool { return kids[i].pos < kids[j].pos })

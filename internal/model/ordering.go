@@ -107,7 +107,7 @@ func (t Tx) checkTypes(o *Ordering, parent, child value.Ref) error {
 		return err
 	}
 	for _, c := range o.Children {
-		if _, ok, err := t.Instance(c, child); ok || err != nil {
+		if _, ok, err := t.InstanceRow(c, child); ok || err != nil {
 			return err
 		}
 	}
@@ -118,7 +118,7 @@ func (t Tx) checkTypes(o *Ordering, parent, child value.Ref) error {
 
 // checkParent verifies that parent is an instance of o's parent type.
 func (t Tx) checkParent(o *Ordering, parent value.Ref) error {
-	if _, ok, err := t.Instance(o.Parent, parent); ok || err != nil {
+	if _, ok, err := t.InstanceRow(o.Parent, parent); ok || err != nil {
 		return err
 	}
 	return t.mistyped(parent, func(typ string) error {
@@ -160,42 +160,52 @@ func (t Tx) chooseRank(o *Ordering, parent value.Ref, pos Position) (rank int64,
 		}
 		pos = Before(at) // past the end at is 0, no sibling: append
 	}
-	var lo, hi value.Tuple // neighbour edges; nil when absent
+	// The neighbour ranks, each valid when its ok is set.
+	var lo, hi int64
+	var loOK, hiOK bool
+	edge := func(rank *int64, ok *bool, row value.Row, rerr error) {
+		if err = rerr; !row.IsZero() {
+			*rank, *ok = row.Col(2).AsInt(), true
+		}
+	}
 	plo, phi := refRange(parent)
 	switch pos.kind {
 	case posFirst:
-		hi, err = t.first(o, plo, phi, false)
+		row, rerr := t.first(o, plo, phi, false)
+		edge(&hi, &hiOK, row, rerr)
 	case posBefore, posAfter:
 		_, sp, srank, ok, perr := t.position(o, pos.sibling)
 		if perr != nil || !ok || sp != parent {
 			// Not a sibling: append; callers validate siblings beforehand.
 			if err = perr; err == nil {
-				lo, err = t.first(o, plo, phi, true)
+				row, rerr := t.first(o, plo, phi, true)
+				edge(&lo, &loOK, row, rerr)
 			}
 			break
 		}
-		sib := value.Tuple{value.RefVal(parent), value.RefVal(pos.sibling), value.Int(srank)}
 		nlo, nhi := siblingRange(parent, srank, pos.kind == posBefore)
 		if pos.kind == posBefore {
-			hi = sib
-			lo, err = t.first(o, nlo, nhi, true)
+			hi, hiOK = srank, true
+			row, rerr := t.first(o, nlo, nhi, true)
+			edge(&lo, &loOK, row, rerr)
 		} else {
-			lo = sib
-			hi, err = t.first(o, nlo, nhi, false)
+			lo, loOK = srank, true
+			row, rerr := t.first(o, nlo, nhi, false)
+			edge(&hi, &hiOK, row, rerr)
 		}
 	default: // posLast
-		lo, err = t.first(o, plo, phi, true)
+		row, rerr := t.first(o, plo, phi, true)
+		edge(&lo, &loOK, row, rerr)
 	}
 	switch {
 	case err != nil:
 		return 0, false, err
-	case lo != nil && hi != nil:
-		l, h := lo[2].AsInt(), hi[2].AsInt()
-		return l + (h-l)/2, h-l < 2, nil
-	case lo != nil:
-		return lo[2].AsInt() + rankGap, false, nil
-	case hi != nil:
-		return hi[2].AsInt() - rankGap, false, nil
+	case loOK && hiOK:
+		return lo + (hi-lo)/2, hi-lo < 2, nil
+	case loOK:
+		return lo + rankGap, false, nil
+	case hiOK:
+		return hi - rankGap, false, nil
 	}
 	return 0, false, nil
 }
@@ -208,16 +218,16 @@ func (v View) childAt(o *Ordering, parent value.Ref, i int) (value.Ref, int, err
 	if !v.live() {
 		var kid value.Ref
 		n := 0
-		err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool {
+		err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(_ storage.RowID, t value.Row) bool {
 			if n == i {
-				kid = t[1].AsRef()
+				kid = t.Col(1).AsRef()
 			}
 			n++
 			return true
 		})
 		return kid, n, err
 	}
-	if kid, err := v.first(o, lo, hi, false); kid == nil || err != nil {
+	if kid, err := v.first(o, lo, hi, false); kid.IsZero() || err != nil {
 		return 0, 0, err
 	}
 	base, _ := v.count(o, nil, lo)
@@ -227,10 +237,10 @@ func (v View) childAt(o *Ordering, parent value.Ref, i int) (value.Ref, int, err
 	}
 	key, _ := v.db.store.Relation(o.rel).IndexAt(ixByParentRank, base+i)
 	row, err := v.first(o, key, hi, false)
-	if row == nil {
+	if row.IsZero() {
 		return 0, n, err
 	}
-	return row[1].AsRef(), n, nil
+	return row.Col(1).AsRef(), n, nil
 }
 
 // renumber rewrites the ranks of all children under parent with fresh
@@ -238,18 +248,19 @@ func (v View) childAt(o *Ordering, parent value.Ref, i int) (value.Ref, int, err
 func (t Tx) renumber(o *Ordering, parent value.Ref) error {
 	type edge struct {
 		id storage.RowID
-		t  value.Tuple
+		t  value.Row
 	}
 	var edges []edge
 	lo, hi := refRange(parent)
-	if err := t.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(id storage.RowID, row value.Tuple) bool {
+	if err := t.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(id storage.RowID, row value.Row) bool {
 		edges = append(edges, edge{id, row})
 		return true
 	}); err != nil {
 		return err
 	}
+	var nt value.Tuple
 	for i, e := range edges {
-		nt := e.t.Clone()
+		nt = e.t.Decode(nt)
 		nt[2] = value.Int(int64(i) * rankGap)
 		if err := t.tx.Update(o.rel, e.id, nt); err != nil {
 			return err

@@ -23,7 +23,7 @@ func (t Tx) Relate(relationship string, roles map[string]value.Ref, attrs Attrs)
 		if !ok {
 			return fmt.Errorf("model: relate %s: missing role %q", relationship, role.Name)
 		}
-		if _, ok, err := t.Instance(role.EntityType, ref); err != nil {
+		if _, ok, err := t.InstanceRow(role.EntityType, ref); err != nil {
 			return err
 		} else if !ok {
 			return t.mistyped(ref, func(typ string) error {
@@ -57,10 +57,10 @@ func (t Tx) Unrelate(relationship string, roles map[string]value.Ref) (int, erro
 		return 0, err
 	}
 	var doomed []storage.RowID
-	err = t.r.Scan(rt.rel, nil, func(id storage.RowID, row value.Tuple) bool {
+	err = t.r.Scan(rt.rel, nil, func(id storage.RowID, row value.Row) bool {
 		for name, ref := range roles {
 			i, ok := rt.RoleIndex(name)
-			if !ok || row[i].AsRef() != ref {
+			if !ok || row.Col(i).AsRef() != ref {
 				return true
 			}
 		}
@@ -148,9 +148,16 @@ func (rt *RelationshipType) Fields() []value.Field {
 }
 
 // RelationshipTuples calls fn with the raw tuple (role refs then
-// attributes) of every instance of the relationship.
+// attributes) of every instance of the relationship, decoded into one
+// buffer the scan reuses: t is valid until fn returns.
 func (db *Database) RelationshipTuples(name string, fn func(t value.Tuple) bool) error {
-	return db.read(context.Background(), func(v View) error { return v.RelationshipTuples(name, nil, fn) })
+	var buf value.Tuple
+	return db.read(context.Background(), func(v View) error {
+		return v.RelationshipTuples(name, nil, func(row value.Row) bool {
+			buf = row.Decode(buf)
+			return fn(buf)
+		})
+	})
 }
 
 // RelationshipCount returns the number of instances of the named

@@ -151,8 +151,8 @@ func TestSnapshotInstancesAndAttrs(t *testing.T) {
 
 	pitches := func(s *Snap) []int64 {
 		var out []int64
-		if err := s.Instances("NOTE", nil, func(_ value.Ref, attrs value.Tuple) bool {
-			out = append(out, attrs[1].AsInt())
+		if err := s.Instances("NOTE", nil, func(_ value.Ref, row value.Row) bool {
+			out = append(out, AttrsOf(row.Tuple())[1].AsInt())
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestSnapshotInstancesAndAttrs(t *testing.T) {
 	if _, err := old.Children("no_such_ordering", n); err == nil {
 		t.Fatal("unknown ordering accepted")
 	}
-	if err := old.Instances("NOPE", nil, func(value.Ref, value.Tuple) bool { return true }); err == nil {
+	if err := old.Instances("NOPE", nil, func(value.Ref, value.Row) bool { return true }); err == nil {
 		t.Fatal("unknown entity type accepted")
 	}
 }

@@ -17,16 +17,24 @@ const ixByParentRank = "by_parent_rank"
 // reader is the storage read surface the model's reads are written
 // against.  A *storage.Tx provides it under shared locks and sees its
 // own writes; a *storage.Snap provides it lock-free at a pinned CSN.
+// Both hand out stored rows (value.Row): immutable, free to keep, and
+// decoded by whoever reads them into a buffer of their own.
 type reader interface {
-	Scan(relName string, b *storage.Bounds, fn func(id storage.RowID, t value.Tuple) bool) error
-	IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id storage.RowID, t value.Tuple) bool) error
-	IndexGet(relName, indexName string, key []byte) (storage.RowID, value.Tuple, bool, error)
+	Scan(relName string, b *storage.Bounds, fn func(id storage.RowID, t value.Row) bool) error
+	IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id storage.RowID, t value.Row) bool) error
+	IndexGet(relName, indexName string, key []byte) (storage.RowID, value.Row, bool, error)
 }
 
 // View is the model's read API bound to one storage reader: a
 // transaction (Database.In) or a snapshot (Database.BeginSnapshot).
 // Every Database read method is a View method run in a short read-only
 // transaction, so there is one implementation of each read.
+//
+// A View's scans pass each instance as its stored row.  A stored entity
+// row is the surrogate followed by the attributes (AttrsOf splits a
+// decoded one); a relationship row is its role refs followed by its
+// attributes.  Rows may be kept; the caller decodes them (value.Row.Decode)
+// into a tuple it owns and reuses.
 //
 // The schema is not versioned: a View resolves entity types, orderings
 // and index names against the current catalog.  Data reads — instances,
@@ -70,7 +78,7 @@ func (v View) count(o *Ordering, lo, hi []byte) (int, error) {
 		return n, nil
 	}
 	n := 0
-	err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(storage.RowID, value.Tuple) bool {
+	err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(storage.RowID, value.Row) bool {
 		n++
 		return true
 	})
@@ -131,18 +139,17 @@ func (s *Snap) Close() {
 }
 
 // Instances calls fn for every instance of the named entity type, in
-// creation order, with the surrogate and the attribute tuple (excluding
-// the surrogate).  Iteration stops if fn returns false.  A non-nil b
-// lets the scan skip pages (storage.Bounds); its columns count
-// attributes, as attrs does.
-func (v View) Instances(typeName string, b *storage.Bounds, fn func(ref value.Ref, attrs value.Tuple) bool) error {
+// creation order, with the surrogate and the stored row (see View).
+// Iteration stops if fn returns false.  A non-nil b lets the scan skip
+// pages (storage.Bounds); its columns count attributes, as AttrsOf does.
+func (v View) Instances(typeName string, b *storage.Bounds, fn func(ref value.Ref, row value.Row) bool) error {
 	et, err := v.db.entityType(typeName)
 	if err != nil {
 		return err
 	}
 	sb := pastRef(b)
-	err = v.r.Scan(et.rel, sb, func(_ storage.RowID, t value.Tuple) bool {
-		return fn(t[0].AsRef(), t[1:])
+	err = v.r.Scan(et.rel, sb, func(_ storage.RowID, t value.Row) bool {
+		return fn(t.Col(0).AsRef(), t)
 	})
 	if b != nil {
 		b.Walked, b.Pages = sb.Walked, sb.Pages
@@ -166,32 +173,55 @@ func pastRef(b *storage.Bounds) *storage.Bounds {
 
 // InstancesRange calls fn for the instances of the named entity type
 // whose key in the named index falls in [lo, hi), in key order
-// (descending when reverse is set).
-func (v View) InstancesRange(typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, attrs value.Tuple) bool) error {
+// (descending when reverse is set), with the surrogate and the stored
+// row.
+func (v View) InstancesRange(typeName, indexName string, lo, hi []byte, reverse bool, fn func(ref value.Ref, row value.Row) bool) error {
 	et, err := v.db.entityType(typeName)
 	if err != nil {
 		return err
 	}
-	return v.r.IndexRange(et.rel, indexName, lo, hi, reverse, func(_ storage.RowID, t value.Tuple) bool {
-		return fn(t[0].AsRef(), t[1:])
+	return v.r.IndexRange(et.rel, indexName, lo, hi, reverse, func(_ storage.RowID, t value.Row) bool {
+		return fn(t.Col(0).AsRef(), t)
 	})
 }
 
-// Instance returns entity ref's attributes, ok false unless ref is an
-// instance of typeName: one by_ref point read.
-func (v View) Instance(typeName string, ref value.Ref) (value.Tuple, bool, error) {
-	et, err := v.db.entityType(typeName)
-	if err != nil {
-		return nil, false, err
+// AttrsOf returns the attributes of a decoded entity row: the columns
+// after the surrogate.
+func AttrsOf(t value.Tuple) value.Tuple { return t[1:] }
+
+// decoded adapts fn to a View scan's rows: each row is decoded into one
+// buffer, reused, so attrs is valid until fn returns (its values,
+// strings included, may be kept).
+func decoded(fn func(ref value.Ref, attrs value.Tuple) bool) func(value.Ref, value.Row) bool {
+	var buf value.Tuple
+	return func(ref value.Ref, row value.Row) bool {
+		buf = row.Decode(buf)
+		return fn(ref, AttrsOf(buf))
 	}
-	_, t, ok, err := v.instance(et, ref)
+}
+
+// Instance returns entity ref's attributes, in a tuple of the caller's
+// own, ok false unless ref is an instance of typeName: one by_ref point
+// read.
+func (v View) Instance(typeName string, ref value.Ref) (value.Tuple, bool, error) {
+	row, ok, err := v.InstanceRow(typeName, ref)
 	if !ok {
 		return nil, false, err
 	}
-	return t[1:], true, nil
+	return AttrsOf(row.Tuple()), true, nil
 }
 
-func (v View) instance(et *EntityType, ref value.Ref) (storage.RowID, value.Tuple, bool, error) {
+// InstanceRow is Instance's stored row, decoded by the caller.
+func (v View) InstanceRow(typeName string, ref value.Ref) (value.Row, bool, error) {
+	et, err := v.db.entityType(typeName)
+	if err != nil {
+		return value.Row{}, false, err
+	}
+	_, t, ok, err := v.instance(et, ref)
+	return t, ok, err
+}
+
+func (v View) instance(et *EntityType, ref value.Ref) (storage.RowID, value.Row, bool, error) {
 	var kb [16]byte
 	return v.r.IndexGet(et.rel, "by_ref", refKey(kb[:0], ref))
 }
@@ -199,7 +229,7 @@ func (v View) instance(et *EntityType, ref value.Ref) (storage.RowID, value.Tupl
 // locate finds ref's type and row.  Refs carry no type, so it probes
 // the type whose live by_ref tree holds ref first and confirms through
 // the reader; only when that misses does it ask every type.
-func (v View) locate(ref value.Ref) (*EntityType, storage.RowID, value.Tuple, error) {
+func (v View) locate(ref value.Ref) (*EntityType, storage.RowID, value.Row, error) {
 	hint := v.db.liveType(ref)
 	if hint != nil {
 		if id, t, ok, err := v.instance(hint, ref); ok || err != nil {
@@ -214,7 +244,7 @@ func (v View) locate(ref value.Ref) (*EntityType, storage.RowID, value.Tuple, er
 			return et, id, t, err
 		}
 	}
-	return nil, 0, nil, fmt.Errorf("%w: @%d", ErrNoEntity, ref)
+	return nil, 0, value.Row{}, fmt.Errorf("%w: @%d", ErrNoEntity, ref)
 }
 
 // mistyped is the error for ref failing a typed check: ErrNoEntity if
@@ -237,7 +267,7 @@ func (v View) Attr(ref value.Ref, attr string) (value.Value, error) {
 	if !ok {
 		return value.Null, fmt.Errorf("%w: %s.%s", ErrNoAttribute, et.Name, attr)
 	}
-	return t[i+1], nil
+	return t.Col(i + 1), nil
 }
 
 // AttrTuple returns all attribute values of an entity, in schema order
@@ -247,29 +277,29 @@ func (v View) AttrTuple(ref value.Ref) (value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t[1:].Clone(), nil
+	return AttrsOf(t.Tuple()), nil
 }
 
-// RelationshipTuples calls fn with the raw tuple (role refs then
+// RelationshipTuples calls fn with the stored row (role refs then
 // attributes) of every instance of the named relationship, skipping the
-// pages b prunes (none when b is nil); b's columns index the raw tuple.
-func (v View) RelationshipTuples(name string, b *storage.Bounds, fn func(t value.Tuple) bool) error {
+// pages b prunes (none when b is nil); b's columns index the row.
+func (v View) RelationshipTuples(name string, b *storage.Bounds, fn func(row value.Row) bool) error {
 	rt, err := v.db.relationship(name)
 	if err != nil {
 		return err
 	}
-	return v.r.Scan(rt.rel, b, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
+	return v.r.Scan(rt.rel, b, func(_ storage.RowID, t value.Row) bool { return fn(t) })
 }
 
-// RelationshipRange calls fn with the raw tuple of every instance of
+// RelationshipRange calls fn with the stored row of every instance of
 // the named relationship whose key in the named index falls in [lo, hi),
 // in key order.
-func (v View) RelationshipRange(name, indexName string, lo, hi []byte, fn func(t value.Tuple) bool) error {
+func (v View) RelationshipRange(name, indexName string, lo, hi []byte, fn func(row value.Row) bool) error {
 	rt, err := v.db.relationship(name)
 	if err != nil {
 		return err
 	}
-	return v.r.IndexRange(rt.rel, indexName, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool { return fn(t) })
+	return v.r.IndexRange(rt.rel, indexName, lo, hi, false, func(_ storage.RowID, t value.Row) bool { return fn(t) })
 }
 
 // Related returns the instances of the relationship in which role is
@@ -281,22 +311,25 @@ func (v View) Related(relationship, role string, ref value.Ref) ([]RelInstance, 
 		return nil, err
 	}
 	var out []RelInstance
+	var buf value.Tuple
 	if role != "" {
 		// The role's index holds exactly the rows binding it to ref.
 		if _, ok := rt.RoleIndex(role); !ok {
 			return nil, fmt.Errorf("model: relationship %s has no role %q", relationship, role)
 		}
 		lo, hi := refRange(ref)
-		err := v.r.IndexRange(rt.rel, "by_"+role, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool {
-			out = append(out, rt.instance(t))
+		err := v.r.IndexRange(rt.rel, "by_"+role, lo, hi, false, func(_ storage.RowID, t value.Row) bool {
+			buf = t.Decode(buf)
+			out = append(out, rt.instance(buf))
 			return true
 		})
 		return out, err
 	}
-	err = v.r.Scan(rt.rel, nil, func(_ storage.RowID, t value.Tuple) bool {
+	err = v.r.Scan(rt.rel, nil, func(_ storage.RowID, t value.Row) bool {
+		buf = t.Decode(buf)
 		for i := range rt.Roles {
-			if t[i].AsRef() == ref {
-				out = append(out, rt.instance(t))
+			if buf[i].AsRef() == ref {
+				out = append(out, rt.instance(buf))
 				break
 			}
 		}
@@ -313,7 +346,7 @@ func (v View) position(o *Ordering, child value.Ref) (id storage.RowID, parent v
 	if !ok {
 		return 0, 0, 0, false, err
 	}
-	return id, t[0].AsRef(), t[2].AsInt(), true, nil
+	return id, t.Col(0).AsRef(), t.Col(2).AsInt(), true, nil
 }
 
 // ChildPosition returns child's P-edge parent and rank in the named
@@ -332,8 +365,8 @@ func (v View) ChildPosition(ordering string, child value.Ref) (parent value.Ref,
 // of the (parent, rank) index, in key (sibling) order.
 func (v View) childRefs(o *Ordering, lo, hi []byte) ([]value.Ref, error) {
 	var out []value.Ref
-	err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(_ storage.RowID, t value.Tuple) bool {
-		out = append(out, t[1].AsRef())
+	err := v.r.IndexRange(o.rel, ixByParentRank, lo, hi, false, func(_ storage.RowID, t value.Row) bool {
+		out = append(out, t.Col(1).AsRef())
 		return true
 	})
 	return out, err
@@ -404,16 +437,16 @@ func (v View) adjacent(ordering string, child value.Ref, before bool) (value.Ref
 	}
 	lo, hi := siblingRange(parent, rank, before)
 	t, err := v.first(o, lo, hi, before)
-	if t == nil {
+	if t.IsZero() {
 		return 0, err
 	}
-	return t[1].AsRef(), nil
+	return t.Col(1).AsRef(), nil
 }
 
 // first returns the ordering edge with the smallest (largest, when last
-// is set) key in [lo, hi), or nil if the range is empty.
-func (v View) first(o *Ordering, lo, hi []byte, last bool) (t value.Tuple, err error) {
-	err = v.r.IndexRange(o.rel, ixByParentRank, lo, hi, last, func(_ storage.RowID, row value.Tuple) bool {
+// is set) key in [lo, hi), or the zero row if the range is empty.
+func (v View) first(o *Ordering, lo, hi []byte, last bool) (t value.Row, err error) {
+	err = v.r.IndexRange(o.rel, ixByParentRank, lo, hi, last, func(_ storage.RowID, row value.Row) bool {
 		t = row
 		return false
 	})
@@ -486,10 +519,10 @@ func (v View) Roots(ordering string) ([]value.Ref, error) {
 	var lo []byte
 	for {
 		t, err := v.first(o, lo, nil, false)
-		if t == nil || err != nil {
+		if t.IsZero() || err != nil {
 			return roots, err
 		}
-		p := t[0].AsRef()
+		p := t.Col(0).AsRef()
 		if recursive {
 			if _, _, _, isChild, err := v.position(o, p); err != nil {
 				return nil, err
@@ -517,8 +550,8 @@ func (v View) FindByAttr(typeName, attr string, val value.Value) ([]value.Ref, e
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoAttribute, typeName, attr)
 	}
 	var out []value.Ref
-	keep := func(ref value.Ref, attrs value.Tuple) bool {
-		if attrs[i].Equal(val) {
+	keep := func(ref value.Ref, row value.Row) bool {
+		if row.Col(i + 1).Equal(val) {
 			out = append(out, ref)
 		}
 		return true

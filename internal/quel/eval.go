@@ -21,9 +21,9 @@ func (s *Session) eval(e Expr, en env) (value.Value, error) {
 		if !ok {
 			return value.Null, fmt.Errorf("quel: unbound variable %q", x.Var)
 		}
-		i, ok := fieldIndex(b.fields, x.Attr)
+		i, ok := fieldIndex(b.info.fields, x.Attr)
 		if !ok {
-			return value.Null, fmt.Errorf("quel: %s has no attribute %q", b.typ, x.Attr)
+			return value.Null, fmt.Errorf("quel: %s has no attribute %q", b.info.typ, x.Attr)
 		}
 		return b.attrs[i], nil
 
@@ -247,7 +247,7 @@ func (s *Session) evalOrderOp(x OrderOp, en env) (value.Value, error) {
 	if !ok {
 		return value.Null, fmt.Errorf("quel: unbound variable %q", rv.Var)
 	}
-	o, err := s.resolveOrdering(x, lb.typ, rb.typ)
+	o, err := s.resolveOrdering(x, lb.info.typ, rb.info.typ)
 	if err != nil {
 		return value.Null, fmt.Errorf("quel: %s: %w", x.Op, err)
 	}
@@ -309,9 +309,9 @@ func (s *Session) evalIncipitOp(x IncipitOp, en env) (value.Value, error) {
 	if pv.Kind() != value.KindString {
 		return value.Null, fmt.Errorf("quel: incipit pattern must be a string, got %s", pv.Kind())
 	}
-	spec, ok := s.db.IncipitIndexFor(lb.typ)
+	spec, ok := s.db.IncipitIndexFor(lb.info.typ)
 	if !ok {
-		return value.Null, fmt.Errorf("quel: no incipit index registered for %s", lb.typ)
+		return value.Null, fmt.Errorf("quel: no incipit index registered for %s", lb.info.typ)
 	}
 	m, err := spec.Match(s.rd, lb.ref, pv.AsString())
 	if err != nil {
@@ -340,7 +340,7 @@ func (s *Session) evalAgg(x Agg) (value.Value, error) {
 	var minV, maxV value.Value
 	inner := make(env, 1)
 	errOut := error(nil)
-	err = s.scanVar(info, nil, func(b binding) bool {
+	err = s.scanVar(&info, nil, func(b binding) bool {
 		attrs := b.attrs
 		if x.Where != nil {
 			inner[x.Var] = b

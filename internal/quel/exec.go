@@ -84,6 +84,31 @@ type Session struct {
 	parWorkers int // worker pool size; <= 1 = serial
 	parMin     int // minimum driver rows before the pool engages
 	plans      *PlanCache
+	// Decode buffers, kept across statements: free holds those no scan
+	// is using, steps one per join step (stepRun.bind).
+	free  []*value.Tuple
+	steps []value.Tuple
+}
+
+// tuple takes a decode buffer for one scan; the scan gives it back
+// with untuple when it is done.
+func (s *Session) tuple() *value.Tuple {
+	if n := len(s.free); n > 0 {
+		t := s.free[n-1]
+		s.free = s.free[:n-1]
+		return t
+	}
+	return new(value.Tuple)
+}
+
+func (s *Session) untuple(t *value.Tuple) { s.free = append(s.free, t) }
+
+// stepTuples returns the decode buffers of an n-step join.
+func (s *Session) stepTuples(n int) []value.Tuple {
+	if len(s.steps) < n {
+		s.steps = append(s.steps, make([]value.Tuple, n-len(s.steps))...)
+	}
+	return s.steps[:n]
 }
 
 // SetParallel sets the worker-pool size for read statements.  With n > 1
@@ -263,11 +288,33 @@ func (s *Session) execOne(ctx context.Context, st Stmt) (*Result, error) {
 
 // binding associates a range variable with a concrete instance: an
 // entity (ref != 0) or a relationship tuple (ref == 0, no identity).
+// attrs is the instance's decoded attributes, valid while the binding
+// is bound: it aliases a buffer its reader decodes the next row into.
+// A binding kept past its read (a join input, a fetched partner) keeps
+// only its stored row, which is immutable, and is decoded again into
+// the binding step's own buffer when it is bound.
 type binding struct {
-	ref    value.Ref
-	attrs  value.Tuple
-	fields []value.Field
-	typ    string
+	ref   value.Ref
+	row   value.Row
+	attrs value.Tuple
+	info  *varInfo
+}
+
+// kept returns b as a join input keeps it: its row, without the attrs
+// its reader will overwrite.
+func (b binding) kept() binding {
+	b.attrs = nil
+	return b
+}
+
+// decode sets b.attrs from b's row decoded into buf, and returns buf
+// for reuse.
+func (b *binding) decode(buf value.Tuple) value.Tuple {
+	buf = b.row.Decode(buf)
+	if b.attrs = buf; !b.info.isRel {
+		b.attrs = model.AttrsOf(buf)
+	}
+	return buf
 }
 
 type env map[string]binding
@@ -298,14 +345,21 @@ func (s *Session) varInfo(v string) (varInfo, error) {
 
 // scanVar iterates the instances the variable ranges over, through the
 // statement's reader, skipping the pages pb prunes (none when nil).
-func (s *Session) scanVar(info varInfo, pb *storage.Bounds, fn func(b binding) bool) error {
+// Each binding is decoded into one buffer the scan reuses.
+func (s *Session) scanVar(info *varInfo, pb *storage.Bounds, fn func(b binding) bool) error {
+	buf := s.tuple()
+	defer s.untuple(buf)
 	if info.isRel {
-		return s.rd.RelationshipTuples(info.typ, pb, func(t value.Tuple) bool {
-			return fn(binding{attrs: t, fields: info.fields, typ: info.typ})
+		return s.rd.RelationshipTuples(info.typ, pb, func(row value.Row) bool {
+			b := binding{row: row, info: info}
+			*buf = b.decode(*buf)
+			return fn(b)
 		})
 	}
-	return s.rd.Instances(info.typ, pb, func(ref value.Ref, attrs value.Tuple) bool {
-		return fn(binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
+	return s.rd.Instances(info.typ, pb, func(ref value.Ref, row value.Row) bool {
+		b := binding{ref: ref, row: row, info: info}
+		*buf = b.decode(*buf)
+		return fn(b)
 	})
 }
 
@@ -511,9 +565,8 @@ func (s *Session) bindAll(ctx context.Context, vars []string, where Expr, fn fun
 }
 
 // bindAllNaive is the pre-planner executor: heap scans in alphabetical
-// variable order, sarg filtering, nested-loop cross product.  Bindings
-// alias the stored tuples; the storage layer never mutates tuples in
-// place, so no copies are needed.
+// variable order, sarg filtering, nested-loop cross product.  The lists
+// keep rows, decoded per variable as the loop binds them.
 func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[string]varInfo, sargs map[string][]sarg, fn func(env) error) error {
 	lists := make([][]binding, len(vars))
 	empty := false
@@ -532,13 +585,13 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 		}
 		start := time.Now()
 		var list []binding
-		err := s.scanVar(info, nil, func(b binding) bool {
+		err := s.scanVar(&info, nil, func(b binding) bool {
 			st.Scanned++
 			if !sargsMatch(sargs[v], b.attrs) {
 				return true
 			}
 			st.Kept++
-			list = append(list, b)
+			list = append(list, b.kept())
 			return true
 		})
 		st.Dur = time.Since(start)
@@ -561,6 +614,7 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 		return nil
 	}
 	e := make(env, len(vars))
+	bufs := make([]value.Tuple, len(vars))
 	combos := 0
 	var rec func(i int) error
 	rec = func(i int) error {
@@ -574,6 +628,7 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 			return fn(e)
 		}
 		for _, b := range lists[i] {
+			bufs[i] = b.decode(bufs[i])
 			e[vars[i]] = b
 			if err := rec(i + 1); err != nil {
 				return err

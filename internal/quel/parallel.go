@@ -102,9 +102,9 @@ func (s *Session) runParallelJoin(ctx context.Context, steps []*joinStep) error 
 		partEst[m] = hi - lo
 		ws.em.rows = nil
 		run := &stepRun{s: ws.w, ctx: ctx, steps: steps, counts: ws.counts,
-			e: make(env, len(steps)), fn: ws.em.emit}
+			e: make(env, len(steps)), fn: ws.em.emit, tups: ws.w.stepTuples(len(steps))}
 		for li := lo; li < hi; li++ {
-			run.e[steps[0].vp.name] = driver[li]
+			run.e[steps[0].vp.name] = run.bind(0, driver[li])
 			if err := run.rec(1); err != nil {
 				return err
 			}
@@ -189,15 +189,16 @@ func (s *Session) scanIndexParallel(ctx context.Context, vp *varPlan, st *scanSt
 	outs := make([]partOut, parts)
 	err := exec.Run(ctx, s.parWorkers, parts, func(_ context.Context, _, p int) error {
 		po := &outs[p]
+		var buf value.Tuple
 		return snap.InstancesRange(vp.info.typ, vp.access.index, edges[p], edges[p+1], false,
-			func(ref value.Ref, attrs value.Tuple) bool {
+			func(ref value.Ref, row value.Row) bool {
 				po.scanned++
-				b := binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ}
-				if !sargsMatch(vp.sargs, b.attrs) {
+				b := binding{ref: ref, row: row, info: &vp.info}
+				if buf = b.decode(buf); !sargsMatch(vp.sargs, b.attrs) {
 					return true
 				}
 				po.kept++
-				po.list = append(po.list, b)
+				po.list = append(po.list, b.kept())
 				return true
 			})
 	})
@@ -234,10 +235,13 @@ func (s *Session) buildHashTableParallel(vp *varPlan, build []joinKey) map[strin
 		}
 		h := make(map[string][]int, hi-lo)
 		var buf []byte
+		var t value.Tuple
 		for li := lo; li < hi; li++ {
+			b := vp.list[li]
+			t = b.decode(t)
 			buf = buf[:0]
 			for _, k := range build {
-				buf = appendHashKey(buf, k.value(vp.list[li]))
+				buf = appendHashKey(buf, k.value(b))
 			}
 			h[string(buf)] = append(h[string(buf)], li)
 		}

@@ -413,15 +413,15 @@ func deriveSargs(equis []equiCond, out map[string][]sarg) {
 
 // scanPlan reads one variable's bindings through its chosen access path,
 // applying the residual sargs, into keep (false stops the scan) or, with
-// keep nil, into vp.list.  Tuples are not cloned: the storage layer never
-// mutates stored tuples in place, so bindings may alias them.
+// keep nil, into vp.list.  keep sees each binding decoded, valid until
+// it returns; vp.list keeps the rows (binding.kept).
 func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) bool) error {
 	st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
 		Index: vp.access.index, Range: vp.access.rng, Incipit: vp.access.incipit,
 		Streamed: keep != nil, Sargs: sargStrings(vp)}
 	if keep == nil {
 		keep = func(b binding) bool {
-			vp.list = append(vp.list, b)
+			vp.list = append(vp.list, b.kept())
 			return true
 		}
 	}
@@ -440,8 +440,12 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 		err = s.incipitScan(ctx, vp, collect)
 	} else if vp.access.index != "" {
 		s.pm.scanIndex.Inc()
-		emit := func(ref value.Ref, attrs value.Tuple) bool {
-			return collect(binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ})
+		buf := s.tuple()
+		defer s.untuple(buf)
+		emit := func(ref value.Ref, row value.Row) bool {
+			b := binding{ref: ref, row: row, info: &vp.info}
+			*buf = b.decode(*buf)
+			return collect(b)
 		}
 		// Streamed scans run only on serial sessions, where the parallel
 		// range split never engages.
@@ -453,7 +457,7 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 	} else {
 		s.pm.scanFull.Inc()
 		pb := pruneBounds(vp.sargs)
-		err = s.scanVar(vp.info, pb, collect)
+		err = s.scanVar(&vp.info, pb, collect)
 		st.Walked, st.Pages = pb.Walked, pb.Pages
 	}
 	st.Dur = time.Since(start)
@@ -486,8 +490,8 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 	}
 	seen := make(map[value.Ref]bool)
 	var cands []value.Ref
-	emitGram := func(_ value.Ref, attrs value.Tuple) bool {
-		r := attrs[ei].AsRef()
+	emitGram := func(_ value.Ref, row value.Row) bool {
+		r := row.Col(ei + 1).AsRef() // past the gram's surrogate
 		if !seen[r] {
 			seen[r] = true
 			cands = append(cands, r)
@@ -497,12 +501,17 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 	if err := s.rd.InstancesRange(spec.GramType, vp.access.index, vp.access.lo, vp.access.hi, false, emitGram); err != nil {
 		return err
 	}
+	buf := s.tuple()
+	defer s.untuple(buf)
 	for _, ref := range cands {
-		b, ok, err := s.fetch(vp.info, ref)
+		b, ok, err := s.fetch(&vp.info, ref)
 		if err != nil {
 			return err
 		}
-		if ok && !collect(b) {
+		if !ok {
+			continue
+		}
+		if *buf = b.decode(*buf); !collect(b) {
 			return nil
 		}
 	}
@@ -510,11 +519,12 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 }
 
 // fetch reads ref's instance of info's type by its unique by_ref key
-// through the statement's reader; ok is false when ref is of another
-// type (an ordering may hold several child types).
-func (s *Session) fetch(info varInfo, ref value.Ref) (b binding, ok bool, err error) {
-	b = binding{ref: ref, fields: info.fields, typ: info.typ}
-	b.attrs, ok, err = s.rd.Instance(info.typ, ref)
+// through the statement's reader, as a kept binding (its row, not yet
+// decoded); ok is false when ref is of another type (an ordering may
+// hold several child types).
+func (s *Session) fetch(info *varInfo, ref value.Ref) (b binding, ok bool, err error) {
+	b = binding{ref: ref, info: info}
+	b.row, ok, err = s.rd.InstanceRow(info.typ, ref)
 	return b, ok, err
 }
 
@@ -575,13 +585,17 @@ func appendHashKey(dst []byte, v value.Value) []byte {
 	return value.AppendKey(dst, v)
 }
 
-func buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
+func (s *Session) buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
 	h := make(map[string][]int, len(vp.list))
 	var buf []byte
+	t := s.tuple()
+	defer s.untuple(t)
 	for li := range vp.list {
+		b := vp.list[li]
+		*t = b.decode(*t)
 		buf = buf[:0]
 		for _, k := range build {
-			buf = appendHashKey(buf, k.value(vp.list[li]))
+			buf = appendHashKey(buf, k.value(b))
 		}
 		h[string(buf)] = append(h[string(buf)], li)
 	}
@@ -917,7 +931,15 @@ type stepRun struct {
 	combos int
 	work   int
 	key    []byte
-	bufs   [][]binding // per fetch step: one probe's partners
+	bufs   [][]binding   // per fetch step: one probe's partners
+	tups   []value.Tuple // per step: the bound row, decoded (Session.stepTuples)
+}
+
+// bind decodes b's row into step k's buffer, for as long as step k
+// binds it.
+func (r *stepRun) bind(k int, b binding) binding {
+	r.tups[k] = b.decode(r.tups[k])
+	return b
 }
 
 func (r *stepRun) rec(k int) error {
@@ -946,7 +968,7 @@ func (r *stepRun) rec(k int) error {
 		for _, li := range st.table[string(r.key)] {
 			r.counts[k].hits++
 			s.pm.hashHits.Inc()
-			r.e[vp.name] = vp.list[li]
+			r.e[vp.name] = r.bind(k, vp.list[li])
 			if err := r.rec(k + 1); err != nil {
 				return err
 			}
@@ -958,7 +980,7 @@ func (r *stepRun) rec(k int) error {
 		}
 		for _, b := range batch {
 			r.counts[k].fetched++
-			if !sargsMatch(vp.sargs, b.attrs) {
+			if b = r.bind(k, b); !sargsMatch(vp.sargs, b.attrs) {
 				continue
 			}
 			r.counts[k].hits++
@@ -970,7 +992,7 @@ func (r *stepRun) rec(k int) error {
 	default:
 		for li := range vp.list {
 			r.counts[k].hits++
-			r.e[vp.name] = vp.list[li]
+			r.e[vp.name] = r.bind(k, vp.list[li])
 			if err := r.rec(k + 1); err != nil {
 				return err
 			}
@@ -991,7 +1013,7 @@ func (r *stepRun) partners(k int) ([]binding, error) {
 		r.bufs = make([][]binding, len(r.steps))
 	}
 	s, st := r.s, r.steps[k]
-	info := st.vp.info
+	info := &st.vp.info
 	dst := r.bufs[k][:0]
 	defer func() { r.bufs[k] = dst }()
 	if st.method == joinFetch {
@@ -1004,7 +1026,7 @@ func (r *stepRun) partners(k int) ([]binding, error) {
 			return dst, err
 		}
 		for _, ref := range refs {
-			b, ok, err := s.fetch(info, ref)
+			b, ok, err := s.fetch(&st.vp.info, ref)
 			if err != nil {
 				return dst, err
 			}
@@ -1017,7 +1039,7 @@ func (r *stepRun) partners(k int) ([]binding, error) {
 	p := st.probe[0]
 	v := p.value(r.e[p.v])
 	if st.build[0].idx < 0 {
-		b, ok, err := s.fetch(info, v.AsRef())
+		b, ok, err := s.fetch(&st.vp.info, v.AsRef())
 		if ok {
 			dst = append(dst, b)
 		}
@@ -1028,14 +1050,14 @@ func (r *stepRun) partners(k int) ([]binding, error) {
 	r.key = storage.AppendKeyUpper(r.key)
 	lo, hi := r.key[:n], r.key
 	if info.isRel {
-		err := s.rd.RelationshipRange(info.typ, st.index, lo, hi, func(t value.Tuple) bool {
-			dst = append(dst, binding{attrs: t, fields: info.fields, typ: info.typ})
+		err := s.rd.RelationshipRange(info.typ, st.index, lo, hi, func(row value.Row) bool {
+			dst = append(dst, binding{row: row, info: info})
 			return true
 		})
 		return dst, err
 	}
-	err := s.rd.InstancesRange(info.typ, st.index, lo, hi, false, func(ref value.Ref, attrs value.Tuple) bool {
-		dst = append(dst, binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ})
+	err := s.rd.InstancesRange(info.typ, st.index, lo, hi, false, func(ref value.Ref, row value.Row) bool {
+		dst = append(dst, binding{ref: ref, row: row, info: info})
 		return true
 	})
 	return dst, err
@@ -1116,14 +1138,14 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		case s.parWorkers > 1 && len(st.vp.list) >= s.parMin:
 			st.table = s.buildHashTableParallel(st.vp, st.build)
 		default:
-			st.table = buildHashTable(st.vp, st.build)
+			st.table = s.buildHashTable(st.vp, st.build)
 		}
 	}
 	if s.parallelOK(steps) {
 		return s.runParallelJoin(ctx, steps)
 	}
 	run := &stepRun{s: s, ctx: ctx, steps: steps,
-		counts: make([]stepCount, len(steps)), e: make(env, len(plans)), fn: fn}
+		counts: make([]stepCount, len(steps)), e: make(env, len(plans)), fn: fn, tups: s.stepTuples(len(steps))}
 	run.counts[0].probes = 1
 	bind := func(b binding) error { run.counts[0].hits++; run.e[steps[0].vp.name] = b; return run.rec(1) }
 	var err error
@@ -1133,7 +1155,7 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		}
 	} else {
 		for _, b := range steps[0].vp.list {
-			if err = bind(b); err != nil {
+			if err = bind(run.bind(0, b)); err != nil {
 				break
 			}
 		}

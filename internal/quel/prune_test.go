@@ -89,10 +89,11 @@ func (p *pruneBytes) sargs() []sarg {
 }
 
 // pruneScan returns the ids of the rows scan yields that satisfy ss.
-func pruneScan(t *testing.T, ss []sarg, pb *storage.Bounds, scan func(*storage.Bounds, func(storage.RowID, value.Tuple) bool) error) []storage.RowID {
+func pruneScan(t *testing.T, ss []sarg, pb *storage.Bounds, scan func(*storage.Bounds, func(storage.RowID, value.Row) bool) error) []storage.RowID {
 	t.Helper()
 	var ids []storage.RowID
-	if err := scan(pb, func(id storage.RowID, tu value.Tuple) bool {
+	if err := scan(pb, func(id storage.RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		if sargsMatch(ss, tu) {
 			ids = append(ids, id)
 		}
@@ -233,7 +234,7 @@ func scanPrune(t *testing.T, data []byte) (pruned int) {
 			}
 		}
 	}
-	check := func(what string, ss []sarg, scan func(*storage.Bounds, func(storage.RowID, value.Tuple) bool) error) {
+	check := func(what string, ss []sarg, scan func(*storage.Bounds, func(storage.RowID, value.Row) bool) error) {
 		t.Helper()
 		want := pruneScan(t, ss, nil, scan)
 		pb := pruneBounds(ss)
@@ -247,12 +248,12 @@ func scanPrune(t *testing.T, data []byte) (pruned int) {
 	for q := 0; q < 12; q++ {
 		ss := p.sargs()
 		for _, s := range snaps {
-			check("snapshot", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Tuple) bool) error {
+			check("snapshot", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Row) bool) error {
 				return s.Scan("R", pb, fn)
 			})
 		}
 		if err := db.Run(func(tx *storage.Tx) error {
-			check("locking scan", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Tuple) bool) error {
+			check("locking scan", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Row) bool) error {
 				return tx.Scan("R", pb, fn)
 			})
 			return nil
@@ -264,7 +265,7 @@ func scanPrune(t *testing.T, data []byte) (pruned int) {
 		if err := write(tx, 1+p.next()%32, &ins, map[storage.RowID]bool{}); err != nil {
 			t.Fatal(err)
 		}
-		check("locking scan over own writes", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Tuple) bool) error {
+		check("locking scan over own writes", ss, func(pb *storage.Bounds, fn func(storage.RowID, value.Row) bool) error {
 			return tx.Scan("R", pb, fn)
 		})
 		tx.Abort()

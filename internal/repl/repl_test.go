@@ -159,7 +159,7 @@ func snapCount(t *testing.T, rep *Replica, rel string) int {
 	}
 	defer snap.Close()
 	n := 0
-	if err := snap.Scan(rel, nil, func(_ storage.RowID, _ value.Tuple) bool {
+	if err := snap.Scan(rel, nil, func(_ storage.RowID, _ value.Row) bool {
 		n++
 		return true
 	}); err != nil {

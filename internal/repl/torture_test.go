@@ -140,7 +140,8 @@ func startAtomicityReader(rep *Replica) (stop chan struct{}, result chan error) 
 			}
 			for w := 0; w < tortureWriters; w++ {
 				counts := map[int64]int{}
-				if err := snap.Scan(tortureRel(w), nil, func(_ storage.RowID, row value.Tuple) bool {
+				if err := snap.Scan(tortureRel(w), nil, func(_ storage.RowID, rowRow value.Row) bool {
+					row := rowRow.Tuple()
 					counts[row[0].AsInt()]++
 					return true
 				}); err != nil {
@@ -176,7 +177,8 @@ func verifyPromoted(t *testing.T, db *storage.DB, acked [][]int64, attempted []i
 		rel := tortureRel(w)
 		got := map[int64]int{}
 		if err := db.Run(func(tx *storage.Tx) error {
-			return tx.Scan(rel, nil, func(_ storage.RowID, row value.Tuple) bool {
+			return tx.Scan(rel, nil, func(_ storage.RowID, rowRow value.Row) bool {
+				row := rowRow.Tuple()
 				got[row[0].AsInt()]++
 				return true
 			})
@@ -430,7 +432,8 @@ func verifyPrefix(t *testing.T, db *storage.DB, acked [][]int64, label string) {
 		rel := tortureRel(w)
 		got := map[int64]int{}
 		if err := db.Run(func(tx *storage.Tx) error {
-			return tx.Scan(rel, nil, func(_ storage.RowID, row value.Tuple) bool {
+			return tx.Scan(rel, nil, func(_ storage.RowID, rowRow value.Row) bool {
+				row := rowRow.Tuple()
 				got[row[0].AsInt()]++
 				return true
 			})

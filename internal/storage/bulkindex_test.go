@@ -54,7 +54,7 @@ func TestDeferredIndexBuild(t *testing.T) {
 	if _, ok := rel.IndexRangeCount("by_id", nil, nil); ok {
 		t.Fatal("IndexRangeCount should miss while deferred")
 	}
-	if err := rel.ScanRange("by_id", nil, nil, false, func(RowID, value.Tuple) bool { return true }); err == nil {
+	if err := rel.ScanRange("by_id", nil, nil, false, func(RowID, value.Row) bool { return true }); err == nil {
 		t.Fatal("ScanRange should fail while deferred")
 	}
 	if err := rel.CheckIndexes(); err != nil {
@@ -77,7 +77,8 @@ func TestDeferredIndexBuild(t *testing.T) {
 	lo := value.AppendKey(nil, value.Int(3))
 	hi := append(append([]byte(nil), lo...), 0xFF)
 	seen := 0
-	err = rel.ScanRange("by_grp", lo, hi, false, func(_ RowID, tu value.Tuple) bool {
+	err = rel.ScanRange("by_grp", lo, hi, false, func(_ RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		if tu[1].AsInt() != 3 {
 			t.Fatalf("wrong group %d", tu[1].AsInt())
 		}
@@ -134,7 +135,8 @@ func TestDeferredUniqueViolationSurfacesAtBuild(t *testing.T) {
 	var dupID RowID
 	db.Run(func(tx *Tx) error { //nolint:errcheck
 		seen := map[int64]bool{}
-		return tx.Scan("W", nil, func(id RowID, tu value.Tuple) bool {
+		return tx.Scan("W", nil, func(id RowID, tuRow value.Row) bool {
+			tu := tuRow.Tuple()
 			v := tu[0].AsInt()
 			if seen[v] {
 				dupID = id
@@ -181,7 +183,7 @@ func TestDeferredSnapshotFallback(t *testing.T) {
 	// A snapshot range over the deferred index must not trust the stale
 	// tree: the version-store fallback sees all 11 rows.
 	rel := db.Relation("W")
-	n, err := rel.snapRange("by_id", db.snaps.Last(), nil, nil, false, func(RowID, value.Tuple) bool { return true })
+	n, err := rel.snapRange("by_id", db.snaps.Last(), nil, nil, false, func(RowID, value.Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

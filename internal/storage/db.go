@@ -378,18 +378,24 @@ func (db *DB) applyRecord(r *wal.Record) (*verOp, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("storage: replay: data for unknown relation %q", r.Relation)
 	}
+	// A shipped record may still hold the image as the leader's row;
+	// one read from the log holds the decoded tuple.
+	row := r.NewRow
+	if row.IsZero() && r.New != nil {
+		row = value.RowOf(r.New)
+	}
 	switch r.Type {
 	case wal.RecInsert:
 		if _, ok := rel.get(r.RowID); ok {
-			if _, err := rel.updateRow(r.RowID, r.New); err != nil {
+			if _, err := rel.updateRow(r.RowID, row); err != nil {
 				return nil, err
 			}
-			return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: r.New}, nil
+			return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: row}, nil
 		}
-		if _, err := rel.insertRow(r.RowID, r.New); err != nil {
+		if _, err := rel.insertRow(r.RowID, row); err != nil {
 			return nil, err
 		}
-		return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: r.New}, nil
+		return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: row}, nil
 	case wal.RecDelete:
 		if _, ok := rel.get(r.RowID); !ok {
 			return nil, nil
@@ -400,15 +406,15 @@ func (db *DB) applyRecord(r *wal.Record) (*verOp, error) {
 		return &verOp{op: verDel, rel: r.Relation, id: r.RowID}, nil
 	case wal.RecUpdate:
 		if _, ok := rel.get(r.RowID); !ok {
-			if _, err := rel.insertRow(r.RowID, r.New); err != nil {
+			if _, err := rel.insertRow(r.RowID, row); err != nil {
 				return nil, err
 			}
-			return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: r.New}, nil
+			return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: row}, nil
 		}
-		if _, err := rel.updateRow(r.RowID, r.New); err != nil {
+		if _, err := rel.updateRow(r.RowID, row); err != nil {
 			return nil, err
 		}
-		return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: r.New}, nil
+		return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: row}, nil
 	}
 	return nil, nil
 }

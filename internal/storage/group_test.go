@@ -43,7 +43,8 @@ func seqSet(t *testing.T, db *DB, rel string) map[int64]int {
 	t.Helper()
 	out := map[int64]int{}
 	if err := db.Run(func(tx *Tx) error {
-		return tx.Scan(rel, nil, func(_ RowID, row value.Tuple) bool {
+		return tx.Scan(rel, nil, func(_ RowID, rowRow value.Row) bool {
+			row := rowRow.Tuple()
 			out[row[0].AsInt()]++
 			return true
 		})

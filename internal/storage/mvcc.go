@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/value"
@@ -28,11 +29,11 @@ import (
 //
 //   - A row no snapshot can see differently carries no record of its
 //     own: its head is the shared settled version, meaning the live
-//     tuple is its only committed state and every CSN sees it.  Recovery
+//     row is its only committed state and every CSN sees it.  Recovery
 //     settles every row; the vacuum re-settles a row once its single
-//     version is visible at the watermark and is still the live tuple.
+//     version is visible at the watermark and is still the live row.
 //     A write turns a settled head back into a real base version before
-//     it changes the live tuple.
+//     it changes the live row.
 //
 //   - Secondary indexes keep a companion history tree (index.hist) of
 //     retired keys: updateRow/deleteRow record the outgoing tuple's key
@@ -52,35 +53,31 @@ const liveCSN = ^uint64(0)
 const vacuumEvery = 256
 
 // rowVersion is one committed state of a row, visible to snapshots in
-// [begin, end).  end == liveCSN while the version is current.
+// [begin, end).  end == liveCSN while the version is current.  Its row
+// is usually the very row the slot held live when it committed, so a
+// version shares the live row's bytes instead of copying them.
 type rowVersion struct {
 	begin, end uint64
-	tuple      value.Tuple
+	row        value.Row
 	prev       *rowVersion // next older version
 }
 
-// settled is the version-chain head of every row whose live tuple is
-// its only committed state, visible at every CSN.  It is shared and
-// never written; its tuple is the slot's live tuple, so it holds none.
+// settled is the version-chain head of every row whose live row is its
+// only committed state, visible at every CSN.  It is shared and never
+// written; its row is the slot's live row, so it holds none.
 var settled = &rowVersion{end: liveCSN}
 
 // unsettleLocked turns row id's settled head into a real base version of
-// its live tuple, so a write can replace or remove the live tuple while
+// its live row, so a write can replace or remove the live row while
 // snapshots keep reading the committed one.  The vacuum revisits the
 // row to settle it again.  s is the slot as read, and is updated too.
 // Caller holds r.mu exclusively.
 func (r *Relation) unsettleLocked(id RowID, s *slot) {
 	if s.ver == settled {
-		s.ver = &rowVersion{end: liveCSN, tuple: s.t}
+		s.ver = &rowVersion{end: liveCSN, row: s.t}
 		r.setLocked(id, s.t, s.ver)
 		r.verDirty[id] = struct{}{}
 	}
-}
-
-// sameTuple reports whether a and b share one backing array: the same
-// tuple, not merely equal values.
-func sameTuple(a, b value.Tuple) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // verOpKind says how a committed write changes a row's version chain.
@@ -98,7 +95,7 @@ type verOp struct {
 	op  verOpKind
 	rel string
 	id  RowID
-	t   value.Tuple // committed tuple for add/set; nil for del
+	t   value.Row // committed row for add/set; zero for del
 }
 
 // publish stamps a committed transaction's writes with the next CSN.
@@ -137,7 +134,7 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	old := s.ver
 	if old == settled {
 		// The write went through insertRow, updateRow or deleteRow,
-		// which unsettle the head before they touch the live tuple.
+		// which unsettle the head before they touch the live row.
 		panic(fmt.Sprintf("storage: %s: commit of row %d meets a settled head", r.name, op.id))
 	}
 	if old != nil && old.end == liveCSN {
@@ -145,7 +142,7 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	}
 	switch op.op {
 	case verAdd, verSet:
-		r.setLocked(op.id, s.t, &rowVersion{begin: c, end: liveCSN, tuple: op.t, prev: old})
+		r.setLocked(op.id, s.t, &rowVersion{begin: c, end: liveCSN, row: op.t, prev: old})
 	case verDel:
 		// The closed-off old version stays reachable until vacuumed.
 	}
@@ -169,7 +166,7 @@ func (r *Relation) seedVersions() {
 	defer r.mu.Unlock()
 	r.eachLocked(func(id RowID, s *slot) {
 		var v *rowVersion
-		if s.t != nil {
+		if !s.t.IsZero() {
 			v = settled
 		}
 		r.setLocked(id, s.t, v)
@@ -181,28 +178,30 @@ func (r *Relation) seedVersions() {
 	}
 }
 
-// snapKey is the history-tree key for tuple t of row id: the index key
-// always suffixed with the row id, so versions of distinct rows that
-// shared a unique key over time remain distinct entries.
-func (ix *index) snapKey(id RowID, t value.Tuple) []byte {
-	var kb [64]byte
-	k := kb[:0]
-	for _, c := range ix.cols {
-		k = value.AppendKey(k, t[c])
+// appendSnapKey appends the history-tree key for row t of row id to
+// dst: the index key always suffixed with the row id, so versions of
+// distinct rows that shared a unique key over time remain distinct
+// entries.
+func (ix *index) appendSnapKey(dst []byte, id RowID, t value.Row) []byte {
+	dst = ix.appendKey(dst, id, t)
+	if ix.spec.Unique {
+		dst = appendRowID(dst, id)
 	}
-	return bytes.Clone(appendRowID(k, id))
+	return dst
 }
 
-// retire records the outgoing tuple's key in the index history so
+// retire records the outgoing row's key in the index history so
 // snapshot scans can still find the row under its old key.  Called from
 // deleteRow/updateRow under r.mu; entries that never correspond to a
 // committed version (aborted writes, rollback compensation) are inert —
 // candidate verification rejects them — and the vacuum sweeps them out.
-func (ix *index) retire(id RowID, old value.Tuple) {
+// The key is built on the stack; btree.Set makes the tree's copy.
+func (ix *index) retire(id RowID, old value.Row) {
 	if ix.hist == nil {
 		ix.hist = btree.New()
 	}
-	ix.hist.Set(ix.snapKey(id, old), id)
+	var kb [64]byte
+	ix.hist.Set(ix.appendSnapKey(kb[:0], id, old), id)
 }
 
 // setIndexFloor records the first CSN the named index can serve (set by
@@ -215,15 +214,15 @@ func (r *Relation) setIndexFloor(name string, csn uint64) {
 	}
 }
 
-// snapVisibleLocked returns the tuple of row id visible at CSN at, or
-// nil.  Caller holds r.mu (either mode).
-func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Tuple {
+// snapVisibleLocked returns the row of row id visible at CSN at, zero
+// if none.  Caller holds r.mu (either mode).
+func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Row {
 	s := r.slotLocked(id)
 	return s.visible(at)
 }
 
-// visible returns the slot's tuple visible at CSN at, or nil.
-func (s *slot) visible(at uint64) value.Tuple {
+// visible returns the slot's row visible at CSN at, zero if none.
+func (s *slot) visible(at uint64) value.Row {
 	v := s.ver
 	if v == settled {
 		return s.t
@@ -232,25 +231,25 @@ func (s *slot) visible(at uint64) value.Tuple {
 		v = v.prev
 	}
 	if v != nil && v.end > at {
-		return v.tuple
+		return v.row
 	}
-	return nil
+	return value.Row{}
 }
 
 // snapScan iterates the rows visible at CSN at on the pages b admits,
 // in row-id order, returning the number of rows seen; fn runs with no
 // lock held.
-func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walk(b, func(s *slot) value.Tuple { return s.visible(at) }, fn)
+func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Row) bool) uint64 {
+	return r.walk(b, func(s *slot) value.Row { return s.visible(at) }, fn)
 }
 
 // snapCand is one candidate row of a snapshot index scan: the sort key
 // (as the history tree orders it; nil when candidates arrive in order),
-// the row, and its visible tuple.
+// the row id, and its visible row, kept as the immutable row it is.
 type snapCand struct {
 	key []byte
 	id  RowID
-	t   value.Tuple
+	t   value.Row
 }
 
 // snapRange iterates rows visible at CSN at whose index key falls in
@@ -260,8 +259,9 @@ type snapCand struct {
 // outside the lock.  When the key history holds no key in the range,
 // every visible row sits in the live tree under its visible key, so the
 // live tree alone yields each row once and in key order; otherwise the
-// two trees are merged, deduplicated and sorted.
-func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) (uint64, error) {
+// two trees are merged, deduplicated and sorted.  The candidates are
+// collected into a slice from candPool.
+func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) (uint64, error) {
 	r.mu.RLock()
 	ix := r.findIndex(indexName)
 	if ix == nil {
@@ -277,12 +277,13 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 		sortCands(cands)
 		return emitCands(cands, reverse, fn), nil
 	}
-	var cands []snapCand
 	var kb [64]byte
 	buf := kb[:0]
+	cp := candPool.Get().(*[]snapCand)
+	cands := (*cp)[:0]
 	if !ix.histHas(lo, hi) {
 		ix.tree.Ascend(lo, hi, func(key []byte, id uint64) bool {
-			if t := r.snapVisibleLocked(id, at); t != nil {
+			if t := r.snapVisibleLocked(id, at); !t.IsZero() {
 				if buf = ix.appendKey(buf[:0], id, t); bytes.Equal(buf, key) {
 					cands = append(cands, snapCand{id: id, t: t})
 				}
@@ -290,7 +291,7 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 			return true
 		})
 		r.mu.RUnlock()
-		return emitCands(cands, reverse, fn), nil
+		return emitPooled(cp, cands, reverse, fn), nil
 	}
 	// A row can surface from both the live tree and the key history, but
 	// only under its visible version's key — so one admitted candidate
@@ -302,7 +303,7 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 			return
 		}
 		t := r.snapVisibleLocked(id, at)
-		if t == nil {
+		if t.IsZero() {
 			return
 		}
 		if buf = ix.appendKey(buf[:0], id, t); hist && ix.spec.Unique {
@@ -330,7 +331,21 @@ func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse
 	})
 	r.mu.RUnlock()
 	sortCands(cands)
-	return emitCands(cands, reverse, fn), nil
+	return emitPooled(cp, cands, reverse, fn), nil
+}
+
+// candPool recycles snapRange's candidate slices: once warm, a range
+// read allocates nothing for its candidates, however many it holds.
+var candPool = sync.Pool{New: func() any { return new([]snapCand) }}
+
+// emitPooled emits cands, then clears them, so the pool keeps no row
+// alive, and returns them to candPool in cp.
+func emitPooled(cp *[]snapCand, cands []snapCand, reverse bool, fn func(id RowID, t value.Row) bool) uint64 {
+	n := emitCands(cands, reverse, fn)
+	clear(cands)
+	*cp = cands[:0]
+	candPool.Put(cp)
+	return n
 }
 
 // histHas reports whether the key history holds a key in [lo, hi).
@@ -352,7 +367,7 @@ func (ix *index) histHas(lo, hi []byte) bool {
 // non-unique indexes.
 func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte) []snapCand {
 	var cands []snapCand
-	r.snapScan(at, nil, func(id RowID, t value.Tuple) bool {
+	r.snapScan(at, nil, func(id RowID, t value.Row) bool {
 		key := ix.key(id, t)
 		if (lo == nil || bytes.Compare(key, lo) >= 0) && (hi == nil || bytes.Compare(key, hi) < 0) {
 			if ix.spec.Unique {
@@ -371,7 +386,7 @@ func sortCands(cands []snapCand) {
 
 // emitCands calls fn for the candidates, in order or in reverse, and
 // returns how many it saw.
-func emitCands(cands []snapCand, reverse bool, fn func(id RowID, t value.Tuple) bool) uint64 {
+func emitCands(cands []snapCand, reverse bool, fn func(id RowID, t value.Row) bool) uint64 {
 	var n uint64
 	if reverse {
 		for i := len(cands) - 1; i >= 0; i-- {
@@ -434,7 +449,7 @@ func (s *Snap) Close() {
 
 // Scan iterates the relation's rows visible in the snapshot, in row-id
 // order, skipping the pages b prunes (none when b is nil).
-func (s *Snap) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) bool) error {
+func (s *Snap) Scan(relName string, b *Bounds, fn func(id RowID, t value.Row) bool) error {
 	r := s.db.Relation(relName)
 	if r == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
@@ -448,7 +463,7 @@ func (s *Snap) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) 
 // IndexRange iterates visible rows of the named index in key order over
 // [lo, hi) of encoded keys (descending with reverse); nil bounds mean
 // unbounded.  Bound semantics match Tx.IndexRange.
-func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) error {
+func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) error {
 	r := s.db.Relation(relName)
 	if r == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
@@ -463,30 +478,30 @@ func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool
 // (the encoded columns) as visible in the snapshot, ok false if none: a
 // live-tree probe, or — when the row has since left the tree under that
 // key, or the tree postdates the pin — the range read over the key.
-func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Tuple, bool, error) {
+func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Row, bool, error) {
 	r := s.db.Relation(relName)
 	if r == nil {
-		return 0, nil, false, fmt.Errorf("storage: no relation %q", relName)
+		return 0, value.Row{}, false, fmt.Errorf("storage: no relation %q", relName)
 	}
 	var id RowID
-	var t value.Tuple
+	var t value.Row
 	var kb [64]byte
 	r.mu.RLock()
 	if ix := r.findIndex(indexName); ix != nil && s.csn >= ix.createdAt && !r.deferred {
 		if id, _ = ix.tree.Get(key); id != 0 {
-			if t = r.snapVisibleLocked(id, s.csn); t != nil && !bytes.Equal(ix.appendKey(kb[:0], id, t), key) {
-				t = nil
+			if t = r.snapVisibleLocked(id, s.csn); !t.IsZero() && !bytes.Equal(ix.appendKey(kb[:0], id, t), key) {
+				t = value.Row{}
 			}
 		}
 	}
 	r.mu.RUnlock()
-	if t == nil {
+	if t.IsZero() {
 		hi := AppendKeyUpper(key[:len(key):len(key)])
-		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(rid RowID, tu value.Tuple) bool {
+		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(rid RowID, tu value.Row) bool {
 			id, t = rid, tu
 			return false
-		}); err != nil || t == nil {
-			return 0, nil, false, err
+		}); err != nil || t.IsZero() {
+			return 0, value.Row{}, false, err
 		}
 	}
 	s.db.m.snapReads.Inc()
@@ -494,17 +509,17 @@ func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Tup
 	return id, t, true, nil
 }
 
-// Get returns the tuple of row id visible in the snapshot.
-func (s *Snap) Get(relName string, id RowID) (value.Tuple, bool) {
+// Get returns the row of row id visible in the snapshot.
+func (s *Snap) Get(relName string, id RowID) (value.Row, bool) {
 	r := s.db.Relation(relName)
 	if r == nil {
-		return nil, false
+		return value.Row{}, false
 	}
 	r.mu.RLock()
 	t := r.snapVisibleLocked(id, s.csn)
 	r.mu.RUnlock()
-	if t == nil {
-		return nil, false
+	if t.IsZero() {
+		return value.Row{}, false
 	}
 	s.db.m.snapReads.Inc()
 	s.db.m.rowsRead.Inc()
@@ -553,7 +568,7 @@ func (db *DB) vacuum() int {
 // watermark w.  A version dead at w (end <= w) can never be read again:
 // every open snapshot is pinned at or after w, and new snapshots pin at
 // or after it too.  A row left with one live version visible at w, whose
-// tuple is still the live tuple (no uncommitted write pending), is
+// row is still the live row (no uncommitted write pending), is
 // settled; a row is revisited until it is settled or gone.
 func (r *Relation) vacuum(w uint64) int {
 	r.mu.Lock()
@@ -592,7 +607,7 @@ func (r *Relation) vacuum(w uint64) int {
 		switch {
 		case head == nil:
 			delete(r.verDirty, id)
-		case head.prev == nil && head.end == liveCSN && head.begin <= w && sameTuple(head.tuple, s.t):
+		case head.prev == nil && head.end == liveCSN && head.begin <= w && head.row.Same(s.t):
 			r.setLocked(id, s.t, settled)
 			delete(r.verDirty, id)
 		}
@@ -601,10 +616,12 @@ func (r *Relation) vacuum(w uint64) int {
 		if ix.hist == nil || ix.hist.Len() == 0 {
 			continue
 		}
+		// The tree never writes a key's bytes after Set copied them in,
+		// so the doomed keys are the tree's own, held until deleted.
 		var doomed [][]byte
 		ix.hist.Ascend(nil, nil, func(k []byte, id uint64) bool {
 			if !r.histNeededLocked(ix, k, id) {
-				doomed = append(doomed, append([]byte(nil), k...))
+				doomed = append(doomed, k)
 			}
 			return true
 		})
@@ -619,27 +636,29 @@ func (r *Relation) vacuum(w uint64) int {
 // histNeededLocked reports whether history entry (k, id) is still load-
 // bearing: some version in the row's chain encodes k, and the live tree
 // does not already carry it for the same row.
+// The keys it compares are built on the stack.
 func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
 	s := r.slotLocked(id)
 	v := s.ver
 	if v == nil {
 		return false
 	}
-	t := v.tuple
+	t := v.row
 	if v == settled {
 		t = s.t
 	}
-	if bytes.Equal(ix.snapKey(id, t), k) {
+	var kb [64]byte
+	if bytes.Equal(ix.appendSnapKey(kb[:0], id, t), k) {
 		// The newest version encodes it; the entry is redundant only if
 		// the live tree serves the same key for the same row (an abort
 		// restored the key, or an update kept it).
-		if tv, ok := ix.tree.Get(ix.key(id, t)); ok && tv == id {
+		if tv, ok := ix.tree.Get(ix.appendKey(kb[:0], id, t)); ok && tv == id {
 			return false
 		}
 		return true
 	}
 	for v = v.prev; v != nil; v = v.prev {
-		if bytes.Equal(ix.snapKey(id, v.tuple), k) {
+		if bytes.Equal(ix.appendSnapKey(kb[:0], id, v.row), k) {
 			return true
 		}
 	}

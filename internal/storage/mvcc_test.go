@@ -20,7 +20,8 @@ func mustTx(t *testing.T, db *DB, fn func(tx *Tx)) {
 func snapRows(t *testing.T, s *Snap, rel string) map[RowID]int64 {
 	t.Helper()
 	out := map[RowID]int64{}
-	if err := s.Scan(rel, nil, func(id RowID, tu value.Tuple) bool {
+	if err := s.Scan(rel, nil, func(id RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		out[id] = tu[1].AsInt()
 		return true
 	}); err != nil {
@@ -63,7 +64,7 @@ func TestSnapshotScanIsolation(t *testing.T) {
 	if len(got) != 2 || got[id1] != 60 || got[id2] != 62 {
 		t.Fatalf("old snapshot rows = %v", got)
 	}
-	if tu, ok := old.Get("NOTE", id2); !ok || tu[1].AsInt() != 62 {
+	if tu, ok := old.Get("NOTE", id2); !ok || tu.Col(1).AsInt() != 62 {
 		t.Fatalf("old snapshot Get deleted row = %v %v", tu, ok)
 	}
 
@@ -158,7 +159,8 @@ func TestSnapshotIndexRange(t *testing.T) {
 			scan := func(s *Snap, lo, hi int64) []int64 {
 				lb, ub := pitchRange(lo, hi)
 				var pitches []int64
-				if err := s.IndexRange("NOTE", "by_pitch", lb, ub, false, func(_ RowID, tu value.Tuple) bool {
+				if err := s.IndexRange("NOTE", "by_pitch", lb, ub, false, func(_ RowID, tuRow value.Row) bool {
+					tu := tuRow.Tuple()
 					pitches = append(pitches, tu[1].AsInt())
 					return true
 				}); err != nil {
@@ -183,7 +185,8 @@ func TestSnapshotIndexRange(t *testing.T) {
 			// Reverse order too.
 			lb, ub := pitchRange(0, 128)
 			var rev []int64
-			if err := fresh.IndexRange("NOTE", "by_pitch", lb, ub, true, func(_ RowID, tu value.Tuple) bool {
+			if err := fresh.IndexRange("NOTE", "by_pitch", lb, ub, true, func(_ RowID, tuRow value.Row) bool {
+				tu := tuRow.Tuple()
 				rev = append(rev, tu[1].AsInt())
 				return true
 			}); err != nil {
@@ -223,7 +226,8 @@ func TestSnapshotIndexRangeMergesHistory(t *testing.T) {
 			scan := func(s *Snap, lo, hi int64, reverse bool) []int64 {
 				lb, ub := pitchRange(lo, hi)
 				var names []int64
-				if err := s.IndexRange("NOTE", "by_pitch", lb, ub, reverse, func(_ RowID, tu value.Tuple) bool {
+				if err := s.IndexRange("NOTE", "by_pitch", lb, ub, reverse, func(_ RowID, tuRow value.Row) bool {
+					tu := tuRow.Tuple()
 					names = append(names, tu[0].AsInt())
 					return true
 				}); err != nil {
@@ -329,7 +333,8 @@ func TestSnapshotIndexCreatedAfterPin(t *testing.T) {
 	}
 	lb, ub := pitchRange(0, 128)
 	var pitches []int64
-	if err := old.IndexRange("NOTE", "by_pitch", lb, ub, false, func(_ RowID, tu value.Tuple) bool {
+	if err := old.IndexRange("NOTE", "by_pitch", lb, ub, false, func(_ RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		pitches = append(pitches, tu[1].AsInt())
 		return true
 	}); err != nil {
@@ -371,12 +376,12 @@ func TestVacuumWatermark(t *testing.T) {
 
 	// Pinned snapshot: the version it reads must survive any vacuum.
 	db.Vacuum()
-	if tu, ok := snap.Get("NOTE", id); !ok || tu[1].AsInt() != 60 {
+	if tu, ok := snap.Get("NOTE", id); !ok || tu.Col(1).AsInt() != 60 {
 		t.Fatalf("pinned snapshot lost its version after vacuum: %v %v", tu, ok)
 	}
 	lb, ub := pitchRange(60, 61)
 	n := 0
-	if err := snap.IndexRange("NOTE", "by_pitch", lb, ub, false, func(RowID, value.Tuple) bool {
+	if err := snap.IndexRange("NOTE", "by_pitch", lb, ub, false, func(RowID, value.Row) bool {
 		n++
 		return true
 	}); err != nil {
@@ -400,7 +405,7 @@ func TestVacuumWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if tu, ok := fresh.Get("NOTE", id); !ok || tu[1].AsInt() != 65 {
+	if tu, ok := fresh.Get("NOTE", id); !ok || tu.Col(1).AsInt() != 65 {
 		t.Fatalf("live row after vacuum: %v %v", tu, ok)
 	}
 }
@@ -461,7 +466,8 @@ func TestSnapshotMultiRowAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[int64]int{}
-		s.Scan("NOTE", nil, func(_ RowID, tu value.Tuple) bool {
+		s.Scan("NOTE", nil, func(_ RowID, tuRow value.Row) bool {
+			tu := tuRow.Tuple()
 			seen[tu[1].AsInt()]++
 			return true
 		})
@@ -487,7 +493,7 @@ func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Scan(rel, nil, func(id RowID, _ value.Tuple) bool {
+	if err := s.Scan(rel, nil, func(id RowID, _ value.Row) bool {
 		snap = append(snap, id)
 		return true
 	}); err != nil {
@@ -495,7 +501,7 @@ func scanIDs(t *testing.T, db *DB, rel string) (snap, locking []RowID) {
 	}
 	tx := db.Begin()
 	defer tx.Abort()
-	if err := tx.Scan(rel, nil, func(id RowID, _ value.Tuple) bool {
+	if err := tx.Scan(rel, nil, func(id RowID, _ value.Row) bool {
 		locking = append(locking, id)
 		return true
 	}); err != nil {
@@ -512,7 +518,7 @@ func TestRowOrderOutOfOrderPublish(t *testing.T) {
 	db.CreateRelation("NOTE", noteSchema())
 	for _, id := range []RowID{5, 3, 9, 4, 1} {
 		db.publish([]verOp{{op: verAdd, rel: "NOTE", id: id,
-			t: value.Tuple{value.Int(int64(id)), value.Int(60), value.Str("n")}}})
+			t: value.RowOf(value.Tuple{value.Int(int64(id)), value.Int(60), value.Str("n")})}})
 	}
 	snap, _ := scanIDs(t, db, "NOTE")
 	if want := []RowID{1, 3, 4, 5, 9}; fmt.Sprint(snap) != fmt.Sprint(want) {
@@ -524,7 +530,7 @@ func TestRowOrderOutOfOrderPublish(t *testing.T) {
 	}
 	for id := RowID(0); id < pageSize; id++ {
 		s := r.slotLocked(id)
-		if got := s.ver != nil && s.ver.tuple[0].AsInt() == int64(id); got != (id == 1 || id == 3 || id == 4 || id == 5 || id == 9) {
+		if got := s.ver != nil && s.ver.row.Col(0).AsInt() == int64(id); got != (id == 1 || id == 3 || id == 4 || id == 5 || id == 9) {
 			t.Fatalf("slot %d holds %v", id, s.ver)
 		}
 	}
@@ -570,7 +576,7 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 			t.Fatalf("Len %d, want %d", r.Len(), len(live))
 		}
 		for _, id := range ids[:n-len(live)] {
-			if s := r.slotLocked(id); s.t != nil || s.ver != nil {
+			if s := r.slotLocked(id); !s.t.IsZero() || s.ver != nil {
 				t.Fatalf("deleted and vacuumed row %d still holds %v / %v", id, s.t, s.ver)
 			}
 		}
@@ -595,7 +601,8 @@ func TestRowOrderDeletesAndVacuum(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []int64
-	if err := old.IndexRange("NOTE", "by_name", nil, nil, false, func(_ RowID, tu value.Tuple) bool {
+	if err := old.IndexRange("NOTE", "by_name", nil, nil, false, func(_ RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		names = append(names, tu[0].AsInt())
 		return true
 	}); err != nil {
@@ -652,7 +659,7 @@ func TestRowOrderReopen(t *testing.T) {
 		t.Fatalf("after reopen: scans %v / %v, want %v", snap, locking, live)
 	}
 	r := db.Relation("NOTE")
-	if s := r.slotLocked(ids[3]); s.t != nil || s.ver != nil || r.Len() != len(live) {
+	if s := r.slotLocked(ids[3]); !s.t.IsZero() || s.ver != nil || r.Len() != len(live) {
 		t.Fatalf("after reopen: slot %d holds %v / %v, Len %d; want empty, %d", ids[3], s.t, s.ver, r.Len(), len(live))
 	}
 }
@@ -693,7 +700,7 @@ func TestSnapshotIndexGet(t *testing.T) {
 		if !ok {
 			return "-"
 		}
-		return tu[2].AsString()
+		return tu.Col(2).AsString()
 	}
 	if got := get(old, 1) + get(old, 2) + get(old, 3); got != "ab-" {
 		t.Fatalf("old snapshot reads names 1,2,3 as %q, want \"ab-\"", got)
@@ -748,7 +755,7 @@ func TestSettledRows(t *testing.T) {
 		r.mu.RLock()
 		defer r.mu.RUnlock()
 		r.eachLocked(func(_ RowID, s *slot) {
-			if s.t != nil && s.ver == settled {
+			if !s.t.IsZero() && s.ver == settled {
 				n++
 			}
 		})
@@ -771,13 +778,13 @@ func TestSettledRows(t *testing.T) {
 		if !ok {
 			return -1
 		}
-		return tu[1].AsInt()
+		return tu.Col(1).AsInt()
 	}
 	byPitch := func(s *Snap, p int64) []RowID {
 		t.Helper()
 		var got []RowID
 		lo := value.AppendKey(nil, value.Int(p))
-		if err := s.IndexRange("NOTE", "by_pitch", lo, AppendKeyUpper(lo), false, func(id RowID, _ value.Tuple) bool {
+		if err := s.IndexRange("NOTE", "by_pitch", lo, AppendKeyUpper(lo), false, func(id RowID, _ value.Row) bool {
 			got = append(got, id)
 			return true
 		}); err != nil {

@@ -50,7 +50,7 @@ func TestSchemaCrashRecovery(t *testing.T) {
 	count := 0
 	db2.Run(func(tx *Tx) error {
 		return prefixScan(tx, "LATE", "by_v", value.Tuple{value.Int(5)},
-			func(RowID, value.Tuple) bool { count++; return true })
+			func(RowID, value.Row) bool { count++; return true })
 	})
 	if count != 1 {
 		t.Fatalf("index after crash: %d hits", count)

@@ -66,13 +66,13 @@ type Relation struct {
 
 	// pages holds one slot per row id, pageSize ids to a page
 	// (pages[id>>pageBits]; row id 0 is never used).  A slot holds the
-	// row's live tuple and the head of its committed version chain
+	// row's live row and the head of its committed version chain
 	// (mvcc.go), or nothing.  A page is allocated when one of its slots
 	// gains content and dropped when its last one empties (setLocked),
 	// so the slots held follow the rows and versions still held, not
 	// every row id ever issued.  Row ids are never reused, so a walk in
 	// page order is a walk in row-id order.  live counts the slots with
-	// a live tuple.  Guarded by mu.
+	// a live row.  Guarded by mu.
 	pages []page
 	live  int
 
@@ -90,14 +90,20 @@ type Relation struct {
 	// exist, and buildIndexes reconstructs every tree bottom-up from a
 	// sorted run.  Guarded by mu.
 	deferred bool
+
+	// scratch is the tuple setLocked decodes rows into to widen page
+	// summaries.  Guarded by mu held exclusively.
+	scratch value.Tuple
 }
 
-// slot is one row id's place in a relation: the live tuple, uncommitted
-// writes included (nil when there is no live row), and the newest
+// slot is one row id's place in a relation: the live row, uncommitted
+// writes included (zero when there is no live row), and the newest
 // committed version (nil when no snapshot can see the row; settled when
-// the live tuple is the row's only committed state, see mvcc.go).
+// the live row is the row's only committed state, see mvcc.go).  A slot
+// is 24 bytes: a row is its encoded bytes, immutable, so a slot never
+// holds a decoded tuple.
 type slot struct {
-	t   value.Tuple
+	t   value.Row
 	ver *rowVersion
 }
 
@@ -223,17 +229,18 @@ func (r *Relation) slotLocked(id RowID) slot {
 	return slot{}
 }
 
-// liveLocked returns the live tuple of row id, or nil.  Caller holds mu.
-func (r *Relation) liveLocked(id RowID) value.Tuple {
+// liveLocked returns the live row of row id, zero if none.  Caller
+// holds mu.
+func (r *Relation) liveLocked(id RowID) value.Row {
 	return r.slotLocked(id).t
 }
 
-// setLocked stores row id's live tuple t and version-chain head v.  The
+// setLocked stores row id's live row t and version-chain head v.  The
 // slot's page is allocated when the slot gains content and dropped when
 // its last occupied slot empties; its summary widens over t and v.
 // Caller holds mu exclusively.
-func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
-	pi, now := id>>pageBits, t != nil || v != nil
+func (r *Relation) setLocked(id RowID, t value.Row, v *rowVersion) {
+	pi, now := id>>pageBits, !t.IsZero() || v != nil
 	if n := RowID(len(r.pages)); pi >= n {
 		if !now {
 			return
@@ -249,14 +256,14 @@ func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
 		p.slots = new([pageSize]slot)
 	}
 	s := &p.slots[id&(pageSize-1)]
-	if (s.t != nil) != (t != nil) {
-		if t != nil {
+	if s.t.IsZero() != t.IsZero() {
+		if !t.IsZero() {
 			r.live++
 		} else {
 			r.live--
 		}
 	}
-	if was := s.t != nil || s.ver != nil; was != now {
+	if was := !s.t.IsZero() || s.ver != nil; was != now {
 		if now {
 			p.used++
 		} else if p.used--; p.used == 0 {
@@ -264,11 +271,13 @@ func (r *Relation) setLocked(id RowID, t value.Tuple, v *rowVersion) {
 			return
 		}
 	}
-	if t != nil {
-		p.widen(t)
+	if !t.IsZero() && !t.Same(s.t) {
+		r.scratch = t.Decode(r.scratch)
+		p.widen(r.scratch)
 	}
-	if v != nil && v != s.ver && v != settled {
-		p.widen(v.tuple)
+	if v != nil && v != s.ver && v != settled && !v.row.Same(t) {
+		r.scratch = v.row.Decode(r.scratch)
+		p.widen(r.scratch)
 	}
 	s.t, s.ver = t, v
 }
@@ -339,7 +348,7 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 	}
 	runs := make([]run, 0, r.live)
 	r.eachLocked(func(id RowID, s *slot) {
-		if s.t != nil {
+		if !s.t.IsZero() {
 			runs = append(runs, run{key: ix.key(id, s.t), id: id})
 		}
 	})
@@ -410,20 +419,23 @@ func (r *Relation) buildIndexes() error {
 	return nil
 }
 
-// key builds the index key for tuple t with row id: the order-preserving
+// key builds the index key for row t with row id: the order-preserving
 // encoding of the indexed columns, suffixed with the row id for
 // non-unique indexes so that duplicate attribute values remain distinct
-// tree keys.  The key is built on the stack and copied out once, so a
-// tree key is one allocation of its own size.
-func (ix *index) key(id RowID, t value.Tuple) []byte {
+// tree keys.  It is for keys a caller keeps (a bulk build's run): the
+// key is built on the stack and copied out once.  Keys handed to
+// btree.Set, which copies them, or only looked up are built with
+// appendKey on a stack buffer and allocate nothing.
+func (ix *index) key(id RowID, t value.Row) []byte {
 	var kb [64]byte
 	return bytes.Clone(ix.appendKey(kb[:0], id, t))
 }
 
-// appendKey appends ix.key(id, t) to dst.
-func (ix *index) appendKey(dst []byte, id RowID, t value.Tuple) []byte {
+// appendKey appends ix.key(id, t) to dst, reading the indexed columns
+// from the row.
+func (ix *index) appendKey(dst []byte, id RowID, t value.Row) []byte {
 	for _, c := range ix.cols {
-		dst = value.AppendKey(dst, t[c])
+		dst = value.AppendKey(dst, t.Col(c))
 	}
 	if !ix.spec.Unique {
 		dst = appendRowID(dst, id)
@@ -445,8 +457,11 @@ func appendRowID(k []byte, id RowID) []byte {
 		byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 }
 
-func (ix *index) insert(id RowID, t value.Tuple) error {
-	k := ix.key(id, t)
+// insert adds row t's key.  The key is built on the stack: btree.Set
+// makes the tree's one copy.
+func (ix *index) insert(id RowID, t value.Row) error {
+	var kb [64]byte
+	k := ix.appendKey(kb[:0], id, t)
 	if ix.spec.Unique {
 		if _, exists := ix.tree.Get(k); exists {
 			return fmt.Errorf("%w: index %q, key %s", ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, t))
@@ -456,28 +471,30 @@ func (ix *index) insert(id RowID, t value.Tuple) error {
 	return nil
 }
 
-func (ix *index) remove(id RowID, t value.Tuple) {
-	ix.tree.Delete(ix.key(id, t))
+// remove deletes row t's key, built on the stack.
+func (ix *index) remove(id RowID, t value.Row) {
+	var kb [64]byte
+	ix.tree.Delete(ix.appendKey(kb[:0], id, t))
 }
 
-func tupleKeyString(ix *index, t value.Tuple) string {
+func tupleKeyString(ix *index, t value.Row) string {
 	parts := make([]string, len(ix.cols))
 	for i, c := range ix.cols {
-		parts[i] = t[c].Quoted()
+		parts[i] = t.Col(c).Quoted()
 	}
 	return fmt.Sprint(parts)
 }
 
 // insertRow stores t (already validated) under a fresh row id, updating
 // indexes.  If id is non-zero, that specific id is used (recovery path).
-func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
+func (r *Relation) insertRow(id RowID, t value.Row) (RowID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id == 0 {
 		id = r.nextRow
 	}
 	s := r.slotLocked(id)
-	if s.t != nil {
+	if !s.t.IsZero() {
 		return 0, fmt.Errorf("storage: %s: row %d already exists", r.name, id)
 	}
 	if !r.deferred {
@@ -498,14 +515,14 @@ func (r *Relation) insertRow(id RowID, t value.Tuple) (RowID, error) {
 	return id, nil
 }
 
-// deleteRow removes row id, returning the old tuple.
-func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
+// deleteRow removes row id, returning the old row.
+func (r *Relation) deleteRow(id RowID) (value.Row, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.slotLocked(id)
 	old := s.t
-	if old == nil {
-		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
+	if old.IsZero() {
+		return value.Row{}, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
 	r.unsettleLocked(id, &s)
 	if !r.deferred {
@@ -514,19 +531,19 @@ func (r *Relation) deleteRow(id RowID) (value.Tuple, error) {
 			ix.remove(id, old)
 		}
 	}
-	r.setLocked(id, nil, s.ver)
+	r.setLocked(id, value.Row{}, s.ver)
 	r.modCount++
 	return old, nil
 }
 
-// updateRow replaces row id with t, returning the old tuple.
-func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
+// updateRow replaces row id with t, returning the old row.
+func (r *Relation) updateRow(id RowID, t value.Row) (value.Row, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.slotLocked(id)
 	old := s.t
-	if old == nil {
-		return nil, fmt.Errorf("storage: %s: no row %d", r.name, id)
+	if old.IsZero() {
+		return value.Row{}, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
 	r.unsettleLocked(id, &s)
 	if !r.deferred {
@@ -543,7 +560,7 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 				for _, redo := range r.indexes {
 					redo.insert(id, old) //nolint:errcheck // restoring prior state
 				}
-				return nil, fmt.Errorf("storage: %s: %w", r.name, err)
+				return value.Row{}, fmt.Errorf("storage: %s: %w", r.name, err)
 			}
 		}
 	}
@@ -552,27 +569,29 @@ func (r *Relation) updateRow(id RowID, t value.Tuple) (value.Tuple, error) {
 	return old, nil
 }
 
-// get returns the tuple stored under id.
-func (r *Relation) get(id RowID) (value.Tuple, bool) {
+// get returns the row stored under id.
+func (r *Relation) get(id RowID) (value.Row, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t := r.liveLocked(id)
-	return t, t != nil
+	return t, !t.IsZero()
 }
 
 // scan invokes fn for every live row on the pages b admits, in
 // ascending row-id order, returning the number of rows seen.  Iteration
 // stops if fn returns false.
-func (r *Relation) scan(b *Bounds, fn func(id RowID, t value.Tuple) bool) uint64 {
-	return r.walk(b, func(s *slot) value.Tuple { return s.t }, fn)
+func (r *Relation) scan(b *Bounds, fn func(id RowID, t value.Row) bool) uint64 {
+	return r.walk(b, func(s *slot) value.Row { return s.t }, fn)
 }
 
-// walk calls fn in row-id order with each row that pick maps to a tuple
-// on the pages b admits (every allocated page when b is nil) until fn
-// returns false, and returns the number of calls.  pick runs under the
-// read lock over one walked page at a time, fn with no lock held; each
-// hold resumes at the page after the last one picked from.
-func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Tuple, fn func(id RowID, t value.Tuple) bool) (n uint64) {
+// walk calls fn in row-id order with each row that pick maps to a
+// non-zero row on the pages b admits (every allocated page when b is
+// nil) until fn returns false, and returns the number of calls.  pick
+// runs under the read lock over one walked page at a time, fn with no
+// lock held; each hold resumes at the page after the last one picked
+// from.  Rows are immutable, so a page's picks are collected as they
+// are, 16 bytes each, and never decoded here.
+func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Row, fn func(id RowID, t value.Row) bool) (n uint64) {
 	if b != nil {
 		b.Walked, b.Pages = 0, 0
 		r.mu.RLock()
@@ -583,7 +602,7 @@ func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Tuple, fn func(id Ro
 		}
 		r.mu.RUnlock()
 	}
-	ids, ts := make([]RowID, 0, pageSize), make([]value.Tuple, 0, pageSize)
+	ids, ts := make([]RowID, 0, pageSize), make([]value.Row, 0, pageSize)
 	for pi := 0; ; pi++ {
 		ids, ts = ids[:0], ts[:0]
 		r.mu.RLock()
@@ -599,7 +618,7 @@ func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Tuple, fn func(id Ro
 		}
 		p, base := r.pages[pi].slots, RowID(pi)<<pageBits
 		for i := range p {
-			if t := pick(&p[i]); t != nil {
+			if t := pick(&p[i]); !t.IsZero() {
 				ids, ts = append(ids, base+RowID(i)), append(ts, t)
 			}
 		}
@@ -692,7 +711,7 @@ func (r *Relation) IndexAt(indexName string, i int) (key []byte, ok bool) {
 // the same range is visited in descending key order.  Iteration stops if
 // fn returns false.  The relation lock is held for the duration; callers
 // go through Tx.IndexRange for transactional isolation.
-func (r *Relation) ScanRange(indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) error {
+func (r *Relation) ScanRange(indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	ix := r.findIndex(indexName)
@@ -704,7 +723,7 @@ func (r *Relation) ScanRange(indexName string, lo, hi []byte, reverse bool, fn f
 	}
 	visit := func(_ []byte, id uint64) bool {
 		t := r.liveLocked(id)
-		if t == nil {
+		if t.IsZero() {
 			return true
 		}
 		return fn(id, t)
@@ -748,13 +767,14 @@ func (r *Relation) CheckIndexes() error {
 			return fmt.Errorf("storage: %s index %q: %d entries for %d rows", r.name, ix.spec.Name, got, want)
 		}
 		var bad error
+		var kb [64]byte
 		ix.tree.Ascend(nil, nil, func(key []byte, id uint64) bool {
 			t := r.liveLocked(id)
-			if t == nil {
+			if t.IsZero() {
 				bad = fmt.Errorf("storage: %s index %q: entry for dead row %d", r.name, ix.spec.Name, id)
 				return false
 			}
-			if want := ix.key(id, t); !bytes.Equal(key, want) {
+			if want := ix.appendKey(kb[:0], id, t); !bytes.Equal(key, want) {
 				bad = fmt.Errorf("storage: %s index %q: stale key for row %d", r.name, ix.spec.Name, id)
 				return false
 			}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -230,9 +229,9 @@ func (db *DB) ContentHash() string {
 		buf = binary.AppendUvarint(buf, uint64(r.live))
 		h.Write(buf)
 		r.eachLocked(func(id RowID, s *slot) {
-			if s.t != nil {
+			if !s.t.IsZero() {
 				buf = binary.AppendUvarint(buf[:0], id)
-				buf = value.AppendTuple(buf, s.t)
+				buf = s.t.AppendTo(buf)
 				h.Write(buf)
 			}
 		})

@@ -185,7 +185,7 @@ func (db *DB) writeSegmentFile(w *bufio.Writer, rel *Relation, at uint64) (manif
 	// walked twice, to count them and to write them, and never
 	// collected.  at is pinned (or commits are held off): both walks
 	// see the same rows.
-	nrows := rel.snapScan(at, nil, func(RowID, value.Tuple) bool { return true })
+	nrows := rel.snapScan(at, nil, func(RowID, value.Row) bool { return true })
 
 	base := SegmentFileName(rel.name)
 	path := filepath.Join(db.opts.Dir, base)
@@ -248,9 +248,9 @@ func (db *DB) writeSegmentFile(w *bufio.Writer, rel *Relation, at uint64) (manif
 	buf = binary.AppendUvarint(buf, nrows)
 	if err = emit(buf); err == nil {
 		var written uint64
-		rel.snapScan(at, nil, func(id RowID, t value.Tuple) bool {
+		rel.snapScan(at, nil, func(id RowID, t value.Row) bool {
 			buf = binary.AppendUvarint(buf[:0], id)
-			buf = value.AppendTuple(buf, t)
+			buf = t.AppendTo(buf)
 			written++
 			err = emit(buf)
 			return err == nil
@@ -592,7 +592,7 @@ func (db *DB) loadSegment(e manifestEntry) error {
 		if id == 0 {
 			return fmt.Errorf("storage: %s: row id 0", ctx)
 		}
-		t, n, err := value.DecodeTuple(r.body[r.pos:])
+		t, n, err := value.ParseRow(r.body[r.pos:])
 		if err != nil {
 			return fmt.Errorf("storage: %s row %d: %w", ctx, id, err)
 		}

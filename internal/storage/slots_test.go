@@ -78,7 +78,7 @@ func TestSlotHoles(t *testing.T) {
 	}
 	r := db.Relation("NOTE")
 	for i, id := range ids {
-		if s := r.slotLocked(id); (s.t == nil) != (i%3 == 0) || (s.ver == nil) != (i%3 == 0) {
+		if s := r.slotLocked(id); s.t.IsZero() != (i%3 == 0) || (s.ver == nil) != (i%3 == 0) {
 			t.Fatalf("after reopen: slot %d holds %v / %v", id, s.t, s.ver)
 		}
 	}
@@ -210,7 +210,7 @@ func TestSlotReplayOutOfOrder(t *testing.T) {
 	}
 	r := db.Relation("NOTE")
 	for _, id := range []RowID{2, 5, 7, 12} {
-		if t0, ok := r.get(id); !ok || t0[0].AsInt() != int64(id) {
+		if t0, ok := r.get(id); !ok || t0.Col(0).AsInt() != int64(id) {
 			t.Fatalf("row %d: %v %v", id, t0, ok)
 		}
 	}
@@ -286,7 +286,7 @@ func TestSegmentFormatUnchanged(t *testing.T) {
 	if _, tu, ok, err := s.IndexGet("NOTE", "by_name", value.AppendKey(nil, value.Int(1000))); err != nil || !ok {
 		t.Fatalf("updated row: ok=%v err=%v", ok, err)
 	} else {
-		moved = tu[2].AsString()
+		moved = tu.Col(2).AsString()
 	}
 	if moved != "moved" {
 		t.Fatalf("updated row reads %q", moved)

@@ -85,7 +85,8 @@ func TestSnapshotTortureCrashRecovery(t *testing.T) {
 // single version and returns it.
 func snapTortureCheck(s *Snap, want int64) (int64, error) {
 	versions := map[int64]int{}
-	if err := s.Scan("S", nil, func(_ RowID, tu value.Tuple) bool {
+	if err := s.Scan("S", nil, func(_ RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		versions[tu[0].AsInt()]++
 		return true
 	}); err != nil {
@@ -177,7 +178,7 @@ func snapTortureLifetime(dir string, fs fault.FS, seed int64) error {
 		tx := db.Begin()
 		werr := func() error {
 			var ids []RowID
-			if err := tx.Scan("S", nil, func(id RowID, _ value.Tuple) bool {
+			if err := tx.Scan("S", nil, func(id RowID, _ value.Row) bool {
 				ids = append(ids, id)
 				return true
 			}); err != nil {
@@ -249,7 +250,8 @@ func snapTortureVerify(t *testing.T, dir string, fs fault.FS, point string, nth 
 	}
 	locked := map[RowID]string{}
 	tx := db.Begin()
-	if err := tx.Scan("S", nil, func(id RowID, tu value.Tuple) bool {
+	if err := tx.Scan("S", nil, func(id RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		locked[id] = encTuple(tu)
 		return true
 	}); err != nil {
@@ -263,7 +265,8 @@ func snapTortureVerify(t *testing.T, dir string, fs fault.FS, point string, nth 
 	}
 	defer s.Close()
 	snapped := map[RowID]string{}
-	if err := s.Scan("S", nil, func(id RowID, tu value.Tuple) bool {
+	if err := s.Scan("S", nil, func(id RowID, tuRow value.Row) bool {
+		tu := tuRow.Tuple()
 		snapped[id] = encTuple(tu)
 		return true
 	}); err != nil {
@@ -280,7 +283,8 @@ func snapTortureVerify(t *testing.T, dir string, fs fault.FS, point string, nth 
 	}
 	if rel.findIndex("S_v") != nil {
 		viaIndex := map[RowID]string{}
-		if err := s.IndexRange("S", "S_v", nil, nil, false, func(id RowID, tu value.Tuple) bool {
+		if err := s.IndexRange("S", "S_v", nil, nil, false, func(id RowID, tuRow value.Row) bool {
+			tu := tuRow.Tuple()
 			viaIndex[id] = encTuple(tu)
 			return true
 		}); err != nil {

@@ -62,7 +62,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := tx.Get("NOTE", id)
-	if err != nil || got[1].AsInt() != 60 {
+	if err != nil || got.Col(1).AsInt() != 60 {
 		t.Fatalf("get: %v %v", got, err)
 	}
 	if err := tx.Update("NOTE", id, value.Tuple{value.Int(1), value.Int(62), value.Str("d4")}); err != nil {
@@ -72,7 +72,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = tx.Get("NOTE", id)
-	if got[1].AsInt() != 64 || got[2].AsString() != "d4" {
+	if got.Col(1).AsInt() != 64 || got.Col(2).AsString() != "d4" {
 		t.Fatalf("after updates: %v", got)
 	}
 	if err := tx.Delete("NOTE", id); err != nil {
@@ -150,11 +150,11 @@ func TestAbortRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal("baseline row lost after abort")
 	}
-	if got[1].AsInt() != 60 {
+	if got.Col(1).AsInt() != 60 {
 		t.Fatalf("update not rolled back: %v", got)
 	}
 	count := 0
-	tx2.Scan("NOTE", nil, func(id RowID, _ value.Tuple) bool { count++; return true })
+	tx2.Scan("NOTE", nil, func(id RowID, _ value.Row) bool { count++; return true })
 	if count != 1 {
 		t.Fatalf("abort left %d rows, want 1", count)
 	}
@@ -171,7 +171,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	})
 	var ids []RowID
 	db.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", nil, func(id RowID, _ value.Tuple) bool {
+		return tx.Scan("NOTE", nil, func(id RowID, _ value.Row) bool {
 			ids = append(ids, id)
 			return len(ids) < 5
 		})
@@ -214,7 +214,7 @@ func TestUniqueIndex(t *testing.T) {
 	// The failed Run aborted; nothing should remain.
 	db.Run(func(tx *Tx) error {
 		count := 0
-		tx.Scan("NOTE", nil, func(RowID, value.Tuple) bool { count++; return true })
+		tx.Scan("NOTE", nil, func(RowID, value.Row) bool { count++; return true })
 		if count != 0 {
 			t.Errorf("rows after aborted run: %d", count)
 		}
@@ -239,7 +239,7 @@ func TestUniqueIndexUpdateConflictRestoresOld(t *testing.T) {
 	}
 	// Old index entry must be restored: lookup by name=2 still finds id2.
 	found := 0
-	prefixScan(tx, "NOTE", "by_name", value.Tuple{value.Int(2)}, func(id RowID, _ value.Tuple) bool {
+	prefixScan(tx, "NOTE", "by_name", value.Tuple{value.Int(2)}, func(id RowID, _ value.Row) bool {
 		if id != id2 {
 			t.Errorf("wrong row %d", id)
 		}
@@ -266,7 +266,8 @@ func TestIndexScanRangeAndPrefix(t *testing.T) {
 	db.Run(func(tx *Tx) error {
 		// Prefix scan: pitch == 5 should find ~8-9 rows.
 		count := 0
-		prefixScan(tx, "NOTE", "by_pitch", value.Tuple{value.Int(5)}, func(_ RowID, tp value.Tuple) bool {
+		prefixScan(tx, "NOTE", "by_pitch", value.Tuple{value.Int(5)}, func(_ RowID, tpRow value.Row) bool {
+			tp := tpRow.Tuple()
 			if tp[1].AsInt() != 5 {
 				t.Errorf("wrong pitch %d", tp[1].AsInt())
 			}
@@ -281,7 +282,8 @@ func TestIndexScanRangeAndPrefix(t *testing.T) {
 		hi := value.AppendKey(nil, value.Int(6))
 		last := int64(-1)
 		n := 0
-		tx.IndexRange("NOTE", "by_pitch", lo, hi, false, func(_ RowID, tp value.Tuple) bool {
+		tx.IndexRange("NOTE", "by_pitch", lo, hi, false, func(_ RowID, tpRow value.Row) bool {
+			tp := tpRow.Tuple()
 			p := tp[1].AsInt()
 			if p < 3 || p >= 6 || p < last {
 				t.Errorf("range scan out of order or range: %d", p)
@@ -314,7 +316,7 @@ func TestIndexBackfill(t *testing.T) {
 	}
 	count := 0
 	db.Run(func(tx *Tx) error {
-		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Tuple) bool { count++; return true })
+		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Row) bool { count++; return true })
 	})
 	if count != 50 {
 		t.Fatalf("backfilled index sees %d rows", count)
@@ -349,14 +351,14 @@ func TestConcurrentTransfers(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					if err := tx.UpdateField(src, sid, "balance", value.Int(s[0].AsInt()-1)); err != nil {
+					if err := tx.UpdateField(src, sid, "balance", value.Int(s.Col(0).AsInt()-1)); err != nil {
 						return err
 					}
 					d, err := tx.Get(dst, did)
 					if err != nil {
 						return err
 					}
-					return tx.UpdateField(dst, did, "balance", value.Int(d[0].AsInt()+1))
+					return tx.UpdateField(dst, did, "balance", value.Int(d.Col(0).AsInt()+1))
 				})
 				if err != nil {
 					// Deadlock retries exhausted is acceptable; any
@@ -370,8 +372,8 @@ func TestConcurrentTransfers(t *testing.T) {
 	db.Run(func(tx *Tx) error {
 		a, _ := tx.Get("A", aID)
 		b, _ := tx.Get("B", bID)
-		if a[0].AsInt()+b[0].AsInt() != 2000 {
-			t.Errorf("total corrupted: %d + %d", a[0].AsInt(), b[0].AsInt())
+		if a.Col(0).AsInt()+b.Col(0).AsInt() != 2000 {
+			t.Errorf("total corrupted: %d + %d", a.Col(0).AsInt(), b.Col(0).AsInt())
 		}
 		return nil
 	})
@@ -415,7 +417,8 @@ func fullState(t *testing.T, db *DB) map[string][]string {
 	for _, name := range db.Relations() {
 		var rows []string
 		err := db.Run(func(tx *Tx) error {
-			return tx.Scan(name, nil, func(id RowID, tp value.Tuple) bool {
+			return tx.Scan(name, nil, func(id RowID, tpRow value.Row) bool {
+				tp := tpRow.Tuple()
 				rows = append(rows, fmt.Sprintf("%d:%s", id, tp))
 				return true
 			})
@@ -464,7 +467,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	// Index survived: range scan works.
 	count := 0
 	db2.Run(func(tx *Tx) error {
-		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Tuple) bool { count++; return true })
+		return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, func(RowID, value.Row) bool { count++; return true })
 	})
 	if count != 20 {
 		t.Fatalf("index after reopen: %d", count)
@@ -500,7 +503,8 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 	defer db2.Close()
 	var labels []string
 	db2.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", nil, func(_ RowID, tp value.Tuple) bool {
+		return tx.Scan("NOTE", nil, func(_ RowID, tpRow value.Row) bool {
+			tp := tpRow.Tuple()
 			labels = append(labels, tp[2].AsString())
 			return true
 		})
@@ -535,7 +539,7 @@ func TestAutomaticCheckpoint(t *testing.T) {
 	defer db2.Close()
 	count := 0
 	db2.Run(func(tx *Tx) error {
-		return tx.Scan("NOTE", nil, func(RowID, value.Tuple) bool { count++; return true })
+		return tx.Scan("NOTE", nil, func(RowID, value.Row) bool { count++; return true })
 	})
 	if count != 200 {
 		t.Fatalf("rows after checkpointed reopen: %d", count)
@@ -591,7 +595,7 @@ func TestNoDirtyReads(t *testing.T) {
 			got <- "error: " + err.Error()
 			return
 		}
-		got <- tup[2].AsString()
+		got <- tup.Col(2).AsString()
 	}()
 	select {
 	case v := <-got:
@@ -613,7 +617,7 @@ func TestNoDirtyReads(t *testing.T) {
 // prefixScan visits the rows whose key in the named index starts with
 // the encoding of vals (a leading-column equality lookup): the range
 // from that prefix to past any row-id suffix.
-func prefixScan(tx *Tx, rel, ix string, vals value.Tuple, fn func(RowID, value.Tuple) bool) error {
+func prefixScan(tx *Tx, rel, ix string, vals value.Tuple, fn func(RowID, value.Row) bool) error {
 	lo := value.AppendKeyTuple(nil, vals)
 	hi := append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	return tx.IndexRange(rel, ix, lo, hi, false, fn)

@@ -260,7 +260,8 @@ func tortureVerify(t *testing.T, dir string, fs fault.FS, st *tortureState, poin
 
 	observed := make(map[RowID]string)
 	if rel := db.Relation("T"); rel != nil {
-		rel.scan(nil, func(id RowID, tu value.Tuple) bool {
+		rel.scan(nil, func(id RowID, tuRow value.Row) bool {
+			tu := tuRow.Tuple()
 			observed[id] = encTuple(tu)
 			return true
 		})

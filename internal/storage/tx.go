@@ -46,7 +46,7 @@ type undoRec struct {
 	op  undoOp
 	rel string
 	id  RowID
-	old value.Tuple
+	old value.Row
 }
 
 // ErrTxDone is returned by operations on a committed or aborted Tx.
@@ -188,7 +188,7 @@ func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	vt, err := t.Validate(r.schema)
+	row, err := t.ValidRow(r.schema)
 	if err != nil {
 		return 0, fmt.Errorf("storage: insert into %s: %w", relName, err)
 	}
@@ -198,13 +198,13 @@ func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
 	if err := tx.lock(relName, txn.Exclusive); err != nil {
 		return 0, err
 	}
-	id, err := r.insertRow(0, vt)
+	id, err := r.insertRow(0, row)
 	if err != nil {
 		return 0, err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecInsert, TxID: tx.id, Relation: relName, RowID: id, New: vt})
+	tx.logRecord(&wal.Record{Type: wal.RecInsert, TxID: tx.id, Relation: relName, RowID: id, NewRow: row})
 	tx.undo = append(tx.undo, undoRec{op: undoInsert, rel: relName, id: id})
-	tx.vops = append(tx.vops, verOp{op: verAdd, rel: relName, id: id, t: vt})
+	tx.vops = append(tx.vops, verOp{op: verAdd, rel: relName, id: id, t: row})
 	tx.db.m.rowsWritten.Inc()
 	return id, nil
 }
@@ -228,7 +228,7 @@ func (tx *Tx) Delete(relName string, id RowID) error {
 	if err != nil {
 		return err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecDelete, TxID: tx.id, Relation: relName, RowID: id, Old: old})
+	tx.logRecord(&wal.Record{Type: wal.RecDelete, TxID: tx.id, Relation: relName, RowID: id, OldRow: old})
 	tx.undo = append(tx.undo, undoRec{op: undoDelete, rel: relName, id: id, old: old})
 	tx.vops = append(tx.vops, verOp{op: verDel, rel: relName, id: id})
 	tx.db.m.rowsWritten.Inc()
@@ -244,7 +244,7 @@ func (tx *Tx) Update(relName string, id RowID, t value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	vt, err := t.Validate(r.schema)
+	row, err := t.ValidRow(r.schema)
 	if err != nil {
 		return fmt.Errorf("storage: update %s: %w", relName, err)
 	}
@@ -254,13 +254,13 @@ func (tx *Tx) Update(relName string, id RowID, t value.Tuple) error {
 	if err := tx.lock(relName, txn.Exclusive); err != nil {
 		return err
 	}
-	old, err := r.updateRow(id, vt)
+	old, err := r.updateRow(id, row)
 	if err != nil {
 		return err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecUpdate, TxID: tx.id, Relation: relName, RowID: id, Old: old, New: vt})
+	tx.logRecord(&wal.Record{Type: wal.RecUpdate, TxID: tx.id, Relation: relName, RowID: id, OldRow: old, NewRow: row})
 	tx.undo = append(tx.undo, undoRec{op: undoUpdate, rel: relName, id: id, old: old})
-	tx.vops = append(tx.vops, verOp{op: verSet, rel: relName, id: id, t: vt})
+	tx.vops = append(tx.vops, verOp{op: verSet, rel: relName, id: id, t: row})
 	tx.db.m.rowsWritten.Inc()
 	return nil
 }
@@ -279,26 +279,26 @@ func (tx *Tx) UpdateField(relName string, id RowID, field string, v value.Value)
 	if err != nil {
 		return err
 	}
-	nt := t.Clone()
+	nt := t.Tuple()
 	nt[pos] = v
 	return tx.Update(relName, id, nt)
 }
 
-// Get returns the tuple stored under id.
-func (tx *Tx) Get(relName string, id RowID) (value.Tuple, error) {
+// Get returns the row stored under id.
+func (tx *Tx) Get(relName string, id RowID) (value.Row, error) {
 	if err := tx.check(); err != nil {
-		return nil, err
+		return value.Row{}, err
 	}
 	r, err := tx.rel(relName)
 	if err != nil {
-		return nil, err
+		return value.Row{}, err
 	}
 	if err := tx.lock(relName, txn.Shared); err != nil {
-		return nil, err
+		return value.Row{}, err
 	}
 	t, ok := r.get(id)
 	if !ok {
-		return nil, fmt.Errorf("storage: %s: no row %d", relName, id)
+		return value.Row{}, fmt.Errorf("storage: %s: no row %d", relName, id)
 	}
 	tx.db.m.rowsRead.Inc()
 	return t, nil
@@ -306,7 +306,7 @@ func (tx *Tx) Get(relName string, id RowID) (value.Tuple, error) {
 
 // Scan iterates the rows of the relation in row-id order, skipping the
 // pages b prunes (none when b is nil).
-func (tx *Tx) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) bool) error {
+func (tx *Tx) Scan(relName string, b *Bounds, fn func(id RowID, t value.Row) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
@@ -327,7 +327,7 @@ func (tx *Tx) Scan(relName string, b *Bounds, fn func(id RowID, t value.Tuple) b
 // reverse set the range is visited in descending key order (a backward
 // B-tree walk, used by the query planner to satisfy `sort by ... desc`
 // from index order).
-func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Tuple) bool) error {
+func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
@@ -339,7 +339,7 @@ func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool,
 		return err
 	}
 	var n uint64
-	err = r.ScanRange(indexName, lo, hi, reverse, func(id RowID, t value.Tuple) bool {
+	err = r.ScanRange(indexName, lo, hi, reverse, func(id RowID, t value.Row) bool {
 		n++
 		return fn(id, t)
 	})
@@ -350,31 +350,31 @@ func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool,
 // IndexGet returns the row whose key in the named unique index is key
 // (the encoded columns), ok false if there is none: a point read under
 // the shared relation lock, the locking twin of Snap.IndexGet.
-func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Tuple, bool, error) {
+func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Row, bool, error) {
 	if err := tx.check(); err != nil {
-		return 0, nil, false, err
+		return 0, value.Row{}, false, err
 	}
 	r, err := tx.rel(relName)
 	if err != nil {
-		return 0, nil, false, err
+		return 0, value.Row{}, false, err
 	}
 	if err := tx.lock(relName, txn.Shared); err != nil {
-		return 0, nil, false, err
+		return 0, value.Row{}, false, err
 	}
 	r.mu.RLock()
 	ix := r.findIndex(indexName)
 	if ix == nil || r.deferred {
 		r.mu.RUnlock()
-		return 0, nil, false, fmt.Errorf("storage: no usable index %q on %s", indexName, relName)
+		return 0, value.Row{}, false, fmt.Errorf("storage: no usable index %q on %s", indexName, relName)
 	}
 	id, ok := ix.tree.Get(key)
-	var t value.Tuple
+	var t value.Row
 	if ok {
 		t = r.liveLocked(id)
 	}
 	r.mu.RUnlock()
-	if t == nil {
-		return 0, nil, false, nil
+	if t.IsZero() {
+		return 0, value.Row{}, false, nil
 	}
 	tx.db.m.rowsRead.Inc()
 	return id, t, true, nil

@@ -2,7 +2,6 @@ package value
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -37,41 +36,15 @@ func Append(dst []byte, v Value) []byte {
 }
 
 // Decode decodes one value from the front of buf, returning the value and
-// the number of bytes consumed.
+// the number of bytes consumed.  A string or bytes value holds a copy of
+// its payload.
 func Decode(buf []byte) (Value, int, error) {
-	if len(buf) == 0 {
-		return Null, 0, fmt.Errorf("value: decode: empty buffer")
+	n, err := skip(buf)
+	if err != nil {
+		return Null, 0, err
 	}
-	k := Kind(buf[0])
-	pos := 1
-	switch k {
-	case KindNull:
-		return Null, pos, nil
-	case KindInt, KindBool, KindRef:
-		i, n := binary.Varint(buf[pos:])
-		if n <= 0 || overlong(buf[pos:], n) {
-			return Null, 0, fmt.Errorf("value: decode: bad varint")
-		}
-		return Value{kind: k, i: i}, pos + n, nil
-	case KindFloat:
-		if len(buf) < pos+8 {
-			return Null, 0, fmt.Errorf("value: decode: short float")
-		}
-		return Value{kind: KindFloat, i: int64(binary.BigEndian.Uint64(buf[pos:]))}, pos + 8, nil
-	case KindString, KindBytes:
-		ln, n := binary.Uvarint(buf[pos:])
-		if n <= 0 || overlong(buf[pos:], n) {
-			return Null, 0, fmt.Errorf("value: decode: bad length")
-		}
-		pos += n
-		if uint64(len(buf)-pos) < ln {
-			return Null, 0, fmt.Errorf("value: decode: short payload (want %d, have %d)", ln, len(buf)-pos)
-		}
-		payload := buf[pos : pos+int(ln)]
-		pos += int(ln)
-		return Value{kind: k, s: string(payload)}, pos, nil
-	}
-	return Null, 0, fmt.Errorf("value: decode: unknown kind tag %d", buf[0])
+	v, _ := Row{own(buf[:n])}.at(0)
+	return v, n, nil
 }
 
 // overlong reports whether the n-byte varint at the front of buf has a
@@ -90,28 +63,14 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 }
 
 // DecodeTuple decodes one tuple from the front of buf, returning the tuple
-// and the number of bytes consumed.
+// and the number of bytes consumed.  Its string and bytes values share
+// one copy of the tuple's bytes.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
-	n, hn := binary.Uvarint(buf)
-	if hn <= 0 || overlong(buf, hn) {
-		return nil, 0, fmt.Errorf("value: decode tuple: bad field count")
+	r, n, err := ParseRow(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	// Every encoded field costs at least one byte, so a count beyond the
-	// remaining buffer is corruption — reject it before allocating.
-	if n > uint64(len(buf)-hn) {
-		return nil, 0, fmt.Errorf("value: decode tuple: implausible field count %d", n)
-	}
-	pos := hn
-	t := make(Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, vn, err := Decode(buf[pos:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: decode tuple field %d: %w", i, err)
-		}
-		t = append(t, v)
-		pos += vn
-	}
-	return t, pos, nil
+	return r.Tuple(), n, nil
 }
 
 // Key-encoding tags.  Tags are chosen so that byte comparison of encoded

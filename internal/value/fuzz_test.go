@@ -6,21 +6,24 @@ import (
 	"testing"
 )
 
-// FuzzDecodeTuple asserts DecodeTuple never panics on arbitrary bytes
-// and fails closed: a tuple it accepts re-encodes to exactly the bytes
-// it consumed.
-func FuzzDecodeTuple(f *testing.F) {
-	for _, t := range []Tuple{
-		{},
-		{Null},
-		{Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64)},
-		{Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.NaN()), Float(-2.5)},
-		{Str(""), Str("Ode to Joy"), Str("\xff\x00")},
-		{Bool(true), Bool(false)},
-		{Bytes(nil), Bytes([]byte{0, 1, 2, 0xff})},
-		{RefVal(0), RefVal(1 << 40), RefVal(math.MaxUint64)},
-		{Int(7), Null, Str("mixed"), Float(1.5), Bool(true), Bytes([]byte("b")), RefVal(3)},
-	} {
+// tupleSeeds are the tuples whose encodings seed the tuple fuzzers:
+// every kind, its edge values, and a mixed row.
+var tupleSeeds = []Tuple{
+	{},
+	{Null},
+	{Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64)},
+	{Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.NaN()), Float(-2.5)},
+	{Str(""), Str("Ode to Joy"), Str("\xff\x00")},
+	{Bool(true), Bool(false)},
+	{Bytes(nil), Bytes([]byte{0, 1, 2, 0xff})},
+	{RefVal(0), RefVal(1 << 40), RefVal(math.MaxUint64)},
+	{Int(7), Null, Str("mixed"), Float(1.5), Bool(true), Bytes([]byte("b")), RefVal(3)},
+}
+
+// addTupleSeeds seeds f with each seed tuple's encoding, the encoding
+// with a trailing byte, and the encoding cut one byte short.
+func addTupleSeeds(f *testing.F) {
+	for _, t := range tupleSeeds {
 		enc := AppendTuple(nil, t)
 		f.Add(enc)
 		f.Add(append(enc, 0xAA)) // trailing bytes stay unconsumed
@@ -28,6 +31,13 @@ func FuzzDecodeTuple(f *testing.F) {
 			f.Add(enc[:len(enc)-1])
 		}
 	}
+}
+
+// FuzzDecodeTuple asserts DecodeTuple never panics on arbitrary bytes
+// and fails closed: a tuple it accepts re-encodes to exactly the bytes
+// it consumed.
+func FuzzDecodeTuple(f *testing.F) {
+	addTupleSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tu, n, err := DecodeTuple(data)
 		if err != nil {
@@ -38,6 +48,50 @@ func FuzzDecodeTuple(f *testing.F) {
 		}
 		if re := AppendTuple(nil, tu); !bytes.Equal(re, data[:n]) {
 			t.Fatalf("decoded %v from %x, re-encodes to %x", tu, data[:n], re)
+		}
+	})
+}
+
+// FuzzRow asserts a Row reads as DecodeTuple does.  ParseRow accepts
+// exactly the bytes DecodeTuple accepts and consumes as many.  The row
+// decodes into a reused, dirty buffer to the same tuple — the same
+// kind and Compare == 0 in every column, floats bit for bit — which
+// re-encodes to the bytes read, and Col and AppendTo agree with that
+// decode.
+func FuzzRow(f *testing.F) {
+	addTupleSeeds(f)
+	dst := Tuple{Str("dirty"), Int(-7), Float(math.NaN())}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tu, n, err := DecodeTuple(data)
+		r, rn, rerr := ParseRow(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%x: DecodeTuple err %v, ParseRow err %v", data, err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if rn != n || r.IsZero() {
+			t.Fatalf("%x: ParseRow consumed %d, DecodeTuple %d", data, rn, n)
+		}
+		if enc := r.AppendTo(nil); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("row bytes %x, read from %x", enc, data[:n])
+		}
+		dst = r.Decode(dst)
+		if len(dst) != len(tu) {
+			t.Fatalf("%x: row decodes %d columns, DecodeTuple %d", data, len(dst), len(tu))
+		}
+		if re := AppendTuple(nil, dst); !bytes.Equal(re, data[:n]) {
+			t.Fatalf("row decodes %v from %x, re-encodes to %x", dst, data[:n], re)
+		}
+		for i, want := range tu {
+			for _, got := range []Value{dst[i], r.Col(i)} {
+				if got.Kind() != want.Kind() || Compare(got, want) != 0 || got.i != want.i {
+					t.Fatalf("%x column %d: row reads %v %v, DecodeTuple %v %v", data, i, got.Kind(), got, want.Kind(), want)
+				}
+			}
+		}
+		if !r.Same(r) || len(tu) > 0 && dst.String() != r.String() {
+			t.Fatalf("%x: row renders %s, decodes to %s", data, r, dst)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -93,19 +94,53 @@ func (t Tuple) Clone() Tuple {
 // and each value coercible to the field kind.  On success it returns the
 // coerced tuple.
 func (t Tuple) Validate(s *Schema) (Tuple, error) {
-	if len(t) != s.Len() {
-		return nil, fmt.Errorf("value: tuple has %d values, schema %s has %d fields", len(t), s, s.Len())
+	if err := t.checkArity(s); err != nil {
+		return nil, err
 	}
 	out := make(Tuple, len(t))
 	for i, v := range t {
-		cv, ok := Coerce(v, s.Field(i).Kind)
-		if !ok {
-			return nil, fmt.Errorf("value: field %s: cannot coerce %s value %s to %s",
-				s.Field(i).Name, v.Kind(), v.Quoted(), s.Field(i).Kind)
+		cv, err := s.coerce(i, v)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = cv
 	}
 	return out, nil
+}
+
+// ValidRow validates t against s as Validate does and returns the
+// coerced tuple encoded as a Row, without building the coerced tuple.
+func (t Tuple) ValidRow(s *Schema) (Row, error) {
+	if err := t.checkArity(s); err != nil {
+		return Row{}, err
+	}
+	var b [128]byte
+	buf := binary.AppendUvarint(b[:0], uint64(len(t)))
+	for i, v := range t {
+		cv, err := s.coerce(i, v)
+		if err != nil {
+			return Row{}, err
+		}
+		buf = Append(buf, cv)
+	}
+	return Row{own(buf)}, nil
+}
+
+func (t Tuple) checkArity(s *Schema) error {
+	if len(t) != s.Len() {
+		return fmt.Errorf("value: tuple has %d values, schema %s has %d fields", len(t), s, s.Len())
+	}
+	return nil
+}
+
+// coerce converts v to the kind of field i.
+func (s *Schema) coerce(i int, v Value) (Value, error) {
+	cv, ok := Coerce(v, s.fields[i].Kind)
+	if !ok {
+		return Null, fmt.Errorf("value: field %s: cannot coerce %s value %s to %s",
+			s.fields[i].Name, v.Kind(), v.Quoted(), s.fields[i].Kind)
+	}
+	return cv, nil
 }
 
 // String renders the tuple for display.

@@ -14,8 +14,17 @@
 // sign of zero survive a round trip).  Strings and raw bytes share the
 // string: a bytes value holds its content as an immutable string, so
 // Bytes copies its argument once and AsBytes returns a fresh copy.
-// Every loaded tuple is a slice of these, so the layout sets the
-// resident size of every row the engine holds.
+//
+// A stored row is not a Tuple but a Row: one immutable string holding
+// the row's storage encoding, 16 bytes plus the encoded size, which is
+// what the engine keeps resident for every row.  The aliasing rule:
+// a Row never changes, so anyone may keep it, copy it, and read it
+// from any goroutine.  Readers decode it into a Tuple they own and
+// reuse (Row.Decode); its string and bytes values are substrings of
+// the row and may be kept as well, but a Tuple decoded into a reused
+// buffer is the reader's alone and holds only until its next decode —
+// whoever keeps a row past its read keeps the Row, or a Tuple of its
+// own (Row.Tuple).
 package value
 
 import (

@@ -81,6 +81,11 @@ func (rt RecordType) String() string {
 // Record is one log record.  Which fields are meaningful depends on Type:
 // data-change records carry the relation name, row id, and before/after
 // tuple images.
+//
+// A writer that holds an image already encoded — a stored value.Row —
+// sets OldRow or NewRow instead of Old or New: the row's bytes are the
+// bytes AppendTuple writes for its tuple, so the log is the same either
+// way.  Decoded records carry Old and New only.
 type Record struct {
 	Type     RecordType
 	TxID     uint64
@@ -88,6 +93,8 @@ type Record struct {
 	RowID    uint64
 	Old      value.Tuple // DELETE, UPDATE
 	New      value.Tuple // INSERT, UPDATE
+
+	OldRow, NewRow value.Row // Old and New as encoded rows; zero when unused
 }
 
 // encode appends the record payload (excluding framing) to dst.
@@ -97,13 +104,18 @@ func (r *Record) encode(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r.Relation)))
 	dst = append(dst, r.Relation...)
 	dst = binary.AppendUvarint(dst, r.RowID)
-	dst = appendMaybeTuple(dst, r.Old)
-	dst = appendMaybeTuple(dst, r.New)
+	dst = appendImage(dst, r.Old, r.OldRow)
+	dst = appendImage(dst, r.New, r.NewRow)
 	return dst
 }
 
-func appendMaybeTuple(dst []byte, t value.Tuple) []byte {
-	if t == nil {
+// appendImage appends a presence flag and then the image: the row's
+// bytes when it is set, else the tuple's encoding.
+func appendImage(dst []byte, t value.Tuple, row value.Row) []byte {
+	switch {
+	case !row.IsZero():
+		return row.AppendTo(append(dst, 1))
+	case t == nil:
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
