@@ -51,9 +51,11 @@ torture-repl:
 # codec of segments and the log, the DARMS parser, the SMF reader, and
 # the ingest stream scanner; over stored rows, which must read as the
 # tuples the codec decodes; over the key encoding, whose byte order
-# must agree with value.Compare; over the QUEL parser and planner, whose
-# results must match the naive executor; and over the page pruning of
-# full scans, which must keep every row the sargs accept.
+# must agree with value.Compare; over the B-tree, which must answer as a
+# sorted slice does and never rewrite a key it handed out; over the QUEL
+# parser and planner, whose results must match the naive executor; and
+# over the page pruning of full scans, which must keep every row the
+# sargs accept.
 # New crashers land in the package's testdata/fuzz/ corpus; CI uploads
 # them.
 fuzz-smoke:
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeTuple$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzRow$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzKeyOrder$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
+	$(GO) test -fuzz='^FuzzBTree$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/btree/
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzScanPrune$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzDARMS$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/darms/

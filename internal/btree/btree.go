@@ -18,18 +18,35 @@
 // Keys are arbitrary byte strings compared with bytes.Compare; callers use
 // the order-preserving encoding in package value to index typed tuples.
 // Keys are unique; non-unique indexes append a row identifier to the key.
+//
+// Every node keeps its keys in one pointer-free byte block, each key
+// behind its uvarint length, and one 32-bit offset per key, so an entry
+// costs its key bytes plus 13 bytes (the length, for keys under 128
+// bytes, the offset and the value) and the garbage collector has no key
+// pointers to trace.  A block is append-only: Set copies a key into the
+// block's spare capacity, Delete leaves the key's bytes where they are,
+// and a block without room is replaced by a new one holding the live
+// keys, never overwritten.  So every key slice the tree hands out
+// (Iter.Key, At, the keys passed to Ascend and Descend) reads the same
+// bytes for as long as its holder keeps it, whatever is set, deleted,
+// split or merged afterwards.  Internal nodes copy their separators into
+// blocks of their own, so no separator holds on to a replaced leaf block.
 package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
 // degree is the maximum number of children of an internal node.  Leaves
-// hold up to degree-1 entries.  The value 32 keeps nodes around two cache
-// lines of key pointers while bounding height at ~4 for a million keys.
-const degree = 32
+// hold up to degree-1 entries.  The value 64 spreads a node's fixed cost
+// (its header and its blocks' size-class rounding) over many entries
+// while bounding height at ~4 for a million keys.
+const degree = 64
 
 const (
 	maxEntries = degree - 1
@@ -44,19 +61,125 @@ type Tree struct {
 	size int
 }
 
-// node is either a leaf (children == nil) or an internal node.  In an
-// internal node, keys[i] is the smallest key in children[i+1]'s subtree,
-// and counts[i] caches the number of entries in children[i]'s subtree.
+// node is either a leaf (no branch) or an internal node.  Key i of a
+// node is the length-prefixed key at block[offs[i]:].  A leaf's keys are
+// its entries, vals[i] being key i's value.  An internal node's keys are
+// separators: every key in children[i]'s subtree sorts below key i, and
+// every key in children[i+1]'s sorts at or above it.  The internal-only
+// fields sit behind a pointer, so a node header is 96 bytes on 64-bit
+// platforms.
 type node struct {
-	keys     [][]byte
-	vals     []uint64 // leaf only
-	children []*node  // internal only
-	counts   []int    // internal only; len == len(children)
-	next     *node    // leaf chain for range scans
-	prev     *node
+	block   []byte   // append-only; see the package comment
+	offs    []uint32 // one per key, in key order
+	vals    []uint64 // leaf only
+	*branch          // internal only
+	next    *node    // leaf chain for range scans
+	prev    *node
 }
 
-func (n *node) leaf() bool { return n.children == nil }
+// branch holds an internal node's children, and in counts[i] the number
+// of entries in children[i]'s subtree.
+type branch struct {
+	children []*node
+	counts   []int // len == len(children)
+}
+
+func (n *node) leaf() bool { return n.branch == nil }
+
+// key returns key i of n.  Its capacity ends with the key, so a holder's
+// append reallocates instead of writing into the block.
+func (n *node) key(i int) []byte { return keyAt(n.block, n.offs[i]) }
+
+// keyAt returns the key whose uvarint length prefix is at b[off].  It
+// inlines, and a key under 128 bytes costs one branch.
+func keyAt(b []byte, off uint32) []byte {
+	i, ln := int(off)+1, int(b[off])
+	if ln >= 0x80 {
+		ln &= 0x7f
+		for s := 7; b[i-1] >= 0x80; s += 7 {
+			ln |= int(b[i]&0x7f) << s
+			i++
+		}
+	}
+	return b[i : i+ln : i+ln]
+}
+
+// encSize returns the bytes a key takes in a block, its prefix included.
+func encSize(key []byte) int {
+	w := 1
+	for u := len(key); u >= 0x80; u >>= 7 {
+		w++
+	}
+	return w + len(key)
+}
+
+// live returns the bytes n's keys [from, to) take in its block.
+func (n *node) live(from, to int) int {
+	total := 0
+	for i := from; i < to; i++ {
+		total += encSize(n.key(i))
+	}
+	return total
+}
+
+// newBlock returns an empty block with room for size bytes, rounded up
+// to the allocator's size class (the rounding is free room for Set).
+func newBlock(size int) []byte {
+	if size > math.MaxUint32 {
+		panic("btree: node keys exceed 4 GiB")
+	}
+	return slices.Grow([]byte(nil), size)
+}
+
+// room returns the size of a new block for cnt keys taking live bytes:
+// room for keys of their average size up to a full node, but never more
+// than twice live, so a block grows as a slice does and a few huge keys
+// do not reserve a node's worth of them.
+func room(live, cnt int) int {
+	return min(live*(maxEntries+1)/cnt, 2*live)
+}
+
+// put copies key, behind its length, into n's block and returns its
+// offset.  The bytes go into the block's spare capacity, which no key
+// handed out has ever covered; a block without room is replaced first
+// (compact).
+func (n *node) put(key []byte) uint32 {
+	if encSize(key) > cap(n.block)-len(n.block) {
+		n.compact(encSize(key))
+	}
+	off := uint32(len(n.block))
+	n.block = binary.AppendUvarint(n.block, uint64(len(key)))
+	n.block = append(n.block, key...)
+	return off
+}
+
+// compact replaces n's block by a new one holding only its live keys,
+// with room for extra more bytes and then some (room).  The old block is
+// dropped, not cleared: keys handed out from it keep reading the same
+// bytes.
+func (n *node) compact(extra int) {
+	live := n.live(0, len(n.offs)) + extra
+	b := newBlock(room(live, len(n.offs)+1))
+	for i := range n.offs {
+		k := n.key(i)
+		off := uint32(len(b))
+		b = append(binary.AppendUvarint(b, uint64(len(k))), k...)
+		n.offs[i] = off
+	}
+	n.block = b
+}
+
+// setKey replaces key i of internal node n by a copy of key.
+func (n *node) setKey(i int, key []byte) {
+	off := n.put(key)
+	n.offs[i] = off
+}
+
+// insertKey inserts a copy of key as key i of n.
+func (n *node) insertKey(i int, key []byte) {
+	off := n.put(key)
+	n.offs = slices.Insert(n.offs, i, off)
+}
 
 // New returns an empty tree.
 func New() *Tree {
@@ -82,10 +205,11 @@ func (t *Tree) Get(key []byte) (uint64, bool) {
 // childIndex returns the index of the child of n whose subtree may
 // contain key.
 func childIndex(n *node, key []byte) int {
-	lo, hi := 0, len(n.keys)
+	b, offs := n.block, n.offs
+	lo, hi := 0, len(offs)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(key, n.keys[mid]) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(key, keyAt(b, offs[mid])) < 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -97,10 +221,11 @@ func childIndex(n *node, key []byte) int {
 // leafIndex returns the position of key in leaf n, or the insertion point
 // and false.
 func leafIndex(n *node, key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
+	b, offs := n.block, n.offs
+	lo, hi := 0, len(offs)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(key, n.keys[mid]) {
+		mid := int(uint(lo+hi) >> 1)
+		switch bytes.Compare(key, keyAt(b, offs[mid])) {
 		case 0:
 			return mid, true
 		case -1:
@@ -113,56 +238,60 @@ func leafIndex(n *node, key []byte) (int, bool) {
 }
 
 // Set inserts or updates the value under key.  It reports whether the key
-// was newly inserted.
+// was newly inserted.  The tree keeps a copy of key.
 func (t *Tree) Set(key []byte, val uint64) bool {
-	k := make([]byte, len(key))
-	copy(k, key)
-	inserted, split, sepKey, right := t.root.set(k, val)
+	inserted, split, sepKey, right := t.root.set(key, val)
 	if inserted {
 		t.size++
 	}
 	if split {
 		old := t.root
-		t.root = &node{
-			keys:     [][]byte{sepKey},
+		root := &node{branch: &branch{
 			children: []*node{old, right},
 			counts:   []int{old.count(), right.count()},
-		}
+		}}
+		root.insertKey(0, sepKey)
+		t.root = root
 	}
 	return inserted
 }
 
-// NewFromSorted builds a tree from pre-sorted, strictly increasing
-// (key, value) pairs by packing full leaves left to right and
-// constructing the internal levels bottom-up — O(n) instead of the
-// O(n log n) of repeated Set, with no node splits.  Bulk index builds
-// use it: collect keys into a sorted run, then build the tree in one
-// pass.  The key slices are taken over, not copied; callers must not
-// modify them afterwards.
-func NewFromSorted(keys [][]byte, vals []uint64) (*Tree, error) {
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("btree: %d keys but %d values", len(keys), len(vals))
-	}
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
-			return nil, fmt.Errorf("btree: keys not strictly increasing at position %d", i)
-		}
+// NewFromSorted builds a tree of n entries from entry(0) … entry(n-1),
+// whose keys must be strictly increasing, by packing full leaves left to
+// right and building the internal levels bottom-up — O(n) instead of the
+// O(n log n) of repeated Set, with no node splits.  Bulk index builds use
+// it.  entry is called once per position, in order; each leaf copies its
+// keys into one block of exactly their size, so a key need only stay
+// unchanged until NewFromSorted returns.
+func NewFromSorted(n int, entry func(i int) (key []byte, val uint64)) (*Tree, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("btree: negative entry count %d", n)
 	}
 	t := New()
-	if len(keys) == 0 {
+	if n == 0 {
 		return t, nil
 	}
-	t.size = len(keys)
-	// Pack leaves full; the trailing leaf keeps whatever remains.  Full
-	// slice expressions cap each leaf at its own region, so a later Set
-	// reallocates instead of scribbling on a neighbor's entries.
+	t.size = n
+	// Pack leaves full; the trailing leaf keeps whatever remains.
 	var level []*node
-	for i := 0; i < len(keys); i += maxEntries {
-		j := i + maxEntries
-		if j > len(keys) {
-			j = len(keys)
+	var keys [maxEntries][]byte
+	var last []byte // the previous entry's key, as the tree holds it
+	for i := 0; i < n; i += maxEntries {
+		m := min(maxEntries, n-i)
+		leaf := &node{offs: make([]uint32, m), vals: make([]uint64, m)}
+		live := 0
+		for j := range keys[:m] {
+			keys[j], leaf.vals[j] = entry(i + j)
+			live += encSize(keys[j])
 		}
-		leaf := &node{keys: keys[i:j:j], vals: vals[i:j:j]}
+		leaf.block = newBlock(live)
+		for j, k := range keys[:m] {
+			if i+j > 0 && bytes.Compare(last, k) >= 0 {
+				return nil, fmt.Errorf("btree: keys not strictly increasing at position %d", i+j)
+			}
+			leaf.offs[j] = leaf.put(k)
+			last = leaf.key(j)
+		}
 		if len(level) > 0 {
 			prev := level[len(level)-1]
 			prev.next = leaf
@@ -184,15 +313,22 @@ func NewFromSorted(keys [][]byte, vals []uint64) (*Tree, error) {
 			}
 			kids := level[i:j]
 			n := &node{
-				children: append([]*node(nil), kids...),
-				counts:   make([]int, 0, len(kids)),
-				keys:     make([][]byte, 0, len(kids)-1),
+				offs: make([]uint32, len(kids)-1),
+				branch: &branch{
+					children: slices.Clone(kids),
+					counts:   make([]int, len(kids)),
+				},
 			}
-			for _, c := range kids {
-				n.counts = append(n.counts, c.count())
+			live := 0
+			for k, c := range kids {
+				n.counts[k] = c.count()
+				if k > 0 {
+					live += encSize(leftmostKey(c))
+				}
 			}
-			for k := 1; k < len(kids); k++ {
-				n.keys = append(n.keys, leftmostKey(kids[k]))
+			n.block = newBlock(live)
+			for k, c := range kids[1:] {
+				n.offs[k] = n.put(leftmostKey(c))
 			}
 			up = append(up, n)
 			i = j
@@ -208,13 +344,13 @@ func leftmostKey(n *node) []byte {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.keys[0]
+	return n.key(0)
 }
 
 // count returns the number of entries in n's subtree.
 func (n *node) count() int {
 	if n.leaf() {
-		return len(n.keys)
+		return len(n.offs)
 	}
 	total := 0
 	for _, c := range n.counts {
@@ -228,21 +364,16 @@ func (n *node) count() int {
 func (n *node) set(key []byte, val uint64) (inserted, split bool, sepKey []byte, right *node) {
 	if n.leaf() {
 		i, found := leafIndex(n, key)
-		if found {
+		switch {
+		case found:
 			n.vals[i] = val
 			return false, false, nil, nil
+		case len(n.offs) < maxEntries:
+			n.insertEntry(i, key, val)
+			return true, false, nil, nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, 0)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
-		if len(n.keys) > maxEntries {
-			sepKey, right = n.splitLeaf()
-			return true, true, sepKey, right
-		}
-		return true, false, nil, nil
+		right = n.splitLeaf(i, key, val)
+		return true, true, right.key(0), right
 	}
 	ci := childIndex(n, key)
 	ins, sp, sk, r := n.children[ci].set(key, val)
@@ -251,15 +382,9 @@ func (n *node) set(key []byte, val uint64) (inserted, split bool, sepKey []byte,
 	}
 	if sp {
 		n.counts[ci] = n.children[ci].count()
-		n.keys = append(n.keys, nil)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = sk
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = r
-		n.counts = append(n.counts, 0)
-		copy(n.counts[ci+2:], n.counts[ci+1:])
-		n.counts[ci+1] = r.count()
+		n.insertKey(ci, sk)
+		n.children = slices.Insert(n.children, ci+1, r)
+		n.counts = slices.Insert(n.counts, ci+1, r.count())
 		if len(n.children) > degree {
 			sepKey, right = n.splitInternal()
 			return ins, true, sepKey, right
@@ -268,34 +393,72 @@ func (n *node) set(key []byte, val uint64) (inserted, split bool, sepKey []byte,
 	return ins, false, nil, nil
 }
 
-func (n *node) splitLeaf() (sepKey []byte, right *node) {
-	mid := len(n.keys) / 2
-	right = &node{
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		vals: append([]uint64(nil), n.vals[mid:]...),
-		next: n.next,
-		prev: n,
+// insertEntry inserts (key, val) as entry i of leaf n.
+func (n *node) insertEntry(i int, key []byte, val uint64) {
+	n.insertKey(i, key)
+	n.vals = slices.Insert(n.vals, i, val)
+}
+
+// splitLeaf splits the full leaf n around the new entry (key, val),
+// whose position is i, into two halves: n keeps the lower, and the upper
+// moves to a new right sibling with a block and arrays of its own, sized
+// for a full leaf.  n keeps its block; the moved keys' bytes stay in it,
+// dead, until n next needs room.
+func (n *node) splitLeaf(i int, key []byte, val uint64) *node {
+	s := (maxEntries + 1) / 2 // n keeps entries [0, s) of its own
+	if i < s {
+		s--
+	}
+	live, cnt := n.live(s, len(n.offs)), len(n.offs)-s
+	if i >= s {
+		live, cnt = live+encSize(key), cnt+1
+	}
+	right := &node{
+		block: newBlock(room(live, cnt)),
+		offs:  make([]uint32, 0, maxEntries),
+		vals:  append(make([]uint64, 0, maxEntries), n.vals[s:]...),
+		next:  n.next,
+		prev:  n,
+	}
+	for j := s; j < len(n.offs); j++ {
+		right.offs = append(right.offs, right.put(n.key(j)))
+	}
+	n.offs, n.vals = n.offs[:s], n.vals[:s]
+	if i >= s {
+		right.insertEntry(i-s, key, val)
+	} else {
+		n.insertEntry(i, key, val)
 	}
 	if n.next != nil {
 		n.next.prev = right
 	}
 	n.next = right
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
-	return right.keys[0], right
+	return right
 }
 
+// splitInternal moves the upper half of n's children to a new right
+// sibling, whose separators go into a block of its own, and returns the
+// separator between the halves (still a key of n's block: the caller
+// copies it).
 func (n *node) splitInternal() (sepKey []byte, right *node) {
 	mid := len(n.children) / 2
-	sepKey = n.keys[mid-1]
+	sepKey = n.key(mid - 1)
 	right = &node{
-		keys:     append([][]byte(nil), n.keys[mid:]...),
-		children: append([]*node(nil), n.children[mid:]...),
-		counts:   append([]int(nil), n.counts[mid:]...),
+		offs: make([]uint32, 0, len(n.offs)-mid),
+		branch: &branch{
+			children: slices.Clone(n.children[mid:]),
+			counts:   slices.Clone(n.counts[mid:]),
+		},
 	}
-	n.keys = n.keys[: mid-1 : mid-1]
-	n.children = n.children[:mid:mid]
-	n.counts = n.counts[:mid:mid]
+	live := n.live(mid, len(n.offs))
+	right.block = newBlock(room(live, len(n.offs)-mid))
+	for j := mid; j < len(n.offs); j++ {
+		right.offs = append(right.offs, right.put(n.key(j)))
+	}
+	clear(n.children[mid:])
+	n.offs = n.offs[:mid-1]
+	n.children = n.children[:mid]
+	n.counts = n.counts[:mid]
 	return sepKey, right
 }
 
@@ -317,8 +480,8 @@ func (n *node) delete(key []byte) bool {
 		if !found {
 			return false
 		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.offs = slices.Delete(n.offs, i, i+1)
+		n.vals = slices.Delete(n.vals, i, i+1)
 		return true
 	}
 	ci := childIndex(n, key)
@@ -332,7 +495,8 @@ func (n *node) delete(key []byte) bool {
 }
 
 // rebalance restores the minimum-occupancy invariant of child ci by
-// borrowing from or merging with a sibling.
+// borrowing from or merging with a sibling.  Keys that move are copied
+// into the receiving node's block; the giver's bytes stay where they are.
 func (n *node) rebalance(ci int) {
 	c := n.children[ci]
 	if c.occupancy() >= minEntries {
@@ -342,19 +506,18 @@ func (n *node) rebalance(ci int) {
 	if ci > 0 && n.children[ci-1].occupancy() > minEntries {
 		left := n.children[ci-1]
 		if c.leaf() {
-			last := len(left.keys) - 1
-			c.keys = append([][]byte{left.keys[last]}, c.keys...)
-			c.vals = append([]uint64{left.vals[last]}, c.vals...)
-			left.keys = left.keys[:last]
-			left.vals = left.vals[:last]
-			n.keys[ci-1] = c.keys[0]
+			last := len(left.offs) - 1
+			c.insertEntry(0, left.key(last), left.vals[last])
+			left.offs, left.vals = left.offs[:last], left.vals[:last]
+			n.setKey(ci-1, c.key(0))
 		} else {
 			last := len(left.children) - 1
-			c.keys = append([][]byte{n.keys[ci-1]}, c.keys...)
-			c.children = append([]*node{left.children[last]}, c.children...)
-			c.counts = append([]int{left.counts[last]}, c.counts...)
-			n.keys[ci-1] = left.keys[last-1]
-			left.keys = left.keys[:last-1]
+			c.insertKey(0, n.key(ci-1))
+			c.children = slices.Insert(c.children, 0, left.children[last])
+			c.counts = slices.Insert(c.counts, 0, left.counts[last])
+			n.setKey(ci-1, left.key(last-1))
+			left.offs = left.offs[:last-1]
+			left.children[last] = nil
 			left.children = left.children[:last]
 			left.counts = left.counts[:last]
 		}
@@ -366,19 +529,18 @@ func (n *node) rebalance(ci int) {
 	if ci < len(n.children)-1 && n.children[ci+1].occupancy() > minEntries {
 		right := n.children[ci+1]
 		if c.leaf() {
-			c.keys = append(c.keys, right.keys[0])
-			c.vals = append(c.vals, right.vals[0])
-			right.keys = right.keys[1:]
-			right.vals = right.vals[1:]
-			n.keys[ci] = right.keys[0]
+			c.insertEntry(len(c.offs), right.key(0), right.vals[0])
+			right.offs = slices.Delete(right.offs, 0, 1)
+			right.vals = slices.Delete(right.vals, 0, 1)
+			n.setKey(ci, right.key(0))
 		} else {
-			c.keys = append(c.keys, n.keys[ci])
+			c.insertKey(len(c.offs), n.key(ci))
 			c.children = append(c.children, right.children[0])
 			c.counts = append(c.counts, right.counts[0])
-			n.keys[ci] = right.keys[0]
-			right.keys = right.keys[1:]
-			right.children = right.children[1:]
-			right.counts = right.counts[1:]
+			n.setKey(ci, right.key(0))
+			right.offs = slices.Delete(right.offs, 0, 1)
+			right.children = slices.Delete(right.children, 0, 1)
+			right.counts = slices.Delete(right.counts, 0, 1)
 		}
 		n.counts[ci] = c.count()
 		n.counts[ci+1] = right.count()
@@ -393,21 +555,22 @@ func (n *node) rebalance(ci int) {
 	}
 	left, right := n.children[ci], n.children[ci+1]
 	if left.leaf() {
-		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
 		if right.next != nil {
 			right.next.prev = left
 		}
 	} else {
-		left.keys = append(left.keys, n.keys[ci])
-		left.keys = append(left.keys, right.keys...)
+		left.insertKey(len(left.offs), n.key(ci))
 		left.children = append(left.children, right.children...)
 		left.counts = append(left.counts, right.counts...)
 	}
-	n.keys = append(n.keys[:ci], n.keys[ci+1:]...)
-	n.children = append(n.children[:ci+1], n.children[ci+2:]...)
-	n.counts = append(n.counts[:ci+1], n.counts[ci+2:]...)
+	for j := range right.offs {
+		left.insertKey(len(left.offs), right.key(j))
+	}
+	n.offs = slices.Delete(n.offs, ci, ci+1)
+	n.children = slices.Delete(n.children, ci+1, ci+2)
+	n.counts = slices.Delete(n.counts, ci+1, ci+2)
 	n.counts[ci] = left.count()
 }
 
@@ -415,13 +578,13 @@ func (n *node) rebalance(ci int) {
 // leaves, children for internal nodes.
 func (n *node) occupancy() int {
 	if n.leaf() {
-		return len(n.keys)
+		return len(n.offs)
 	}
 	return len(n.children)
 }
 
 // At returns the i'th smallest entry (0-based) using the order-statistics
-// counts, in O(log n).
+// counts, in O(log n).  The key must not be modified.
 func (t *Tree) At(i int) (key []byte, val uint64, ok bool) {
 	if i < 0 || i >= t.size {
 		return nil, 0, false
@@ -436,7 +599,7 @@ func (t *Tree) At(i int) (key []byte, val uint64, ok bool) {
 			i -= n.counts[ci]
 		}
 	}
-	return n.keys[i], n.vals[i], true
+	return n.key(i), n.vals[i], true
 }
 
 // Rank returns the number of entries strictly less than key.
@@ -454,17 +617,18 @@ func (t *Tree) Rank(key []byte) int {
 	return rank + i
 }
 
-// Iter is a forward iterator positioned at a leaf entry.
+// Iter is a position at a leaf entry.  It is a plain value: seeking and
+// walking allocate nothing.
 type Iter struct {
 	n *node
 	i int
 }
 
 // Valid reports whether the iterator points at an entry.
-func (it *Iter) Valid() bool { return it.n != nil && it.i < len(it.n.keys) }
+func (it *Iter) Valid() bool { return it.n != nil && it.i >= 0 && it.i < len(it.n.offs) }
 
 // Key returns the current key.  The slice must not be modified.
-func (it *Iter) Key() []byte { return it.n.keys[it.i] }
+func (it *Iter) Key() []byte { return it.n.key(it.i) }
 
 // Val returns the current value.
 func (it *Iter) Val() uint64 { return it.n.vals[it.i] }
@@ -472,7 +636,7 @@ func (it *Iter) Val() uint64 { return it.n.vals[it.i] }
 // Next advances the iterator.
 func (it *Iter) Next() {
 	it.i++
-	for it.n != nil && it.i >= len(it.n.keys) {
+	for it.n != nil && it.i >= len(it.n.offs) {
 		it.n = it.n.next
 		it.i = 0
 	}
@@ -484,73 +648,100 @@ func (it *Iter) Prev() {
 	for it.n != nil && it.i < 0 {
 		it.n = it.n.prev
 		if it.n != nil {
-			it.i = len(it.n.keys) - 1
+			it.i = len(it.n.offs) - 1
 		}
 	}
 }
 
-// Seek returns an iterator positioned at the first entry with key >= key.
-func (t *Tree) Seek(key []byte) *Iter {
+// find returns the leaf whose key range holds key and the position of
+// the first of its entries >= key (len of its entries if none is).
+// Every entry in the leaves before it sorts below key.
+func (t *Tree) find(key []byte) (*node, int) {
 	n := t.root
 	for !n.leaf() {
 		n = n.children[childIndex(n, key)]
 	}
 	i, _ := leafIndex(n, key)
-	it := &Iter{n: n, i: i}
-	if i >= len(n.keys) {
+	return n, i
+}
+
+// Seek returns an iterator positioned at the first entry with key >= key.
+func (t *Tree) Seek(key []byte) Iter {
+	n, i := t.find(key)
+	it := Iter{n: n, i: i}
+	if i >= len(n.offs) {
 		it.i = i - 1
 		it.Next()
 	}
 	return it
 }
 
-// Max returns an iterator at the largest entry (invalid if empty).
-func (t *Tree) Max() *Iter {
+// lastLeaf returns the rightmost leaf.
+func (t *Tree) lastLeaf() *node {
 	n := t.root
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
-	return &Iter{n: n, i: len(n.keys) - 1}
+	return n
+}
+
+// Max returns an iterator at the largest entry (invalid if empty).
+func (t *Tree) Max() Iter {
+	n := t.lastLeaf()
+	return Iter{n: n, i: len(n.offs) - 1}
 }
 
 // Ascend calls fn for each entry with lo <= key < hi in order.  A nil lo
 // means from the start; a nil hi means to the end.  Iteration stops if fn
-// returns false.
+// returns false.  The bound hi is compared once per leaf, not per key:
+// a leaf whose last key sorts below hi is walked whole.
 func (t *Tree) Ascend(lo, hi []byte, fn func(key []byte, val uint64) bool) {
-	it := t.Seek(lo)
-	for it.Valid() {
-		if hi != nil && bytes.Compare(it.Key(), hi) >= 0 {
+	for n, i := t.find(lo); n != nil; n, i = n.next, 0 {
+		end := len(n.offs)
+		if hi != nil && end > 0 && bytes.Compare(n.key(end-1), hi) >= 0 {
+			end, _ = leafIndex(n, hi)
+		}
+		for ; i < end; i++ {
+			if !fn(n.key(i), n.vals[i]) {
+				return
+			}
+		}
+		if end < len(n.offs) {
 			return
 		}
-		if !fn(it.Key(), it.Val()) {
-			return
-		}
-		it.Next()
 	}
 }
 
 // Descend calls fn for each entry with lo <= key < hi in descending key
 // order.  A nil hi means from the largest entry; a nil lo means down to
 // the smallest.  Iteration stops if fn returns false.  This is the
-// reverse companion of Ascend, used for descending index range scans.
+// reverse companion of Ascend, used for descending index range scans;
+// it compares lo once per leaf.
 func (t *Tree) Descend(hi, lo []byte, fn func(key []byte, val uint64) bool) {
-	it := t.Max()
-	if hi != nil {
-		it = t.Seek(hi) // first entry >= hi
-		if it.Valid() {
-			it.Prev() // last entry < hi
-		} else {
-			it = t.Max()
-		}
+	var n *node
+	var i int // entries [0, i) of n are below hi
+	if hi == nil {
+		n = t.lastLeaf()
+		i = len(n.offs)
+	} else {
+		n, i = t.find(hi)
 	}
-	for it.n != nil && it.i >= 0 && it.i < len(it.n.keys) {
-		if lo != nil && bytes.Compare(it.Key(), lo) < 0 {
+	for n != nil {
+		stop := 0
+		if lo != nil && i > 0 && bytes.Compare(n.key(0), lo) < 0 {
+			stop, _ = leafIndex(n, lo)
+		}
+		for i--; i >= stop; i-- {
+			if !fn(n.key(i), n.vals[i]) {
+				return
+			}
+		}
+		if stop > 0 {
 			return
 		}
-		if !fn(it.Key(), it.Val()) {
-			return
+		if n = n.prev; n != nil {
+			i = len(n.offs)
 		}
-		it.Prev()
 	}
 }
 
@@ -623,32 +814,55 @@ func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
 	return bounds
 }
 
-// CheckInvariants verifies structural invariants (sortedness, counts,
-// occupancy, leaf chaining) and returns an error describing the first
-// violation.  It is used by tests and by the storage engine's consistency
-// checker.
+// CheckInvariants verifies structural invariants (key order, separators
+// bounding their subtrees, counts, balance, the leaf chain, every key
+// inside the written part of its block) and returns an error describing
+// the first violation.  It is used by tests and by the storage engine's
+// consistency checker.
 func (t *Tree) CheckInvariants() error {
-	var prevKey []byte
-	var checkNode func(n *node, depth int) (count, height int, err error)
-	checkNode = func(n *node, depth int) (int, int, error) {
+	var prevLeaf *node
+	// check verifies n's subtree, whose keys must lie in [lo, hi); a nil
+	// bound (hasLo or hasHi false) is open.
+	var check func(n *node, lo, hi []byte, hasLo, hasHi bool, depth int) (count, height int, err error)
+	check = func(n *node, lo, hi []byte, hasLo, hasHi bool, depth int) (int, int, error) {
+		for i, off := range n.offs {
+			if int(off) >= len(n.block) {
+				return 0, 0, fmt.Errorf("key %d at depth %d outside its block", i, depth)
+			}
+			if ln, w := binary.Uvarint(n.block[off:]); w <= 0 || uint64(len(n.block)-int(off)-w) < ln {
+				return 0, 0, fmt.Errorf("key %d at depth %d runs past its block", i, depth)
+			}
+			k := n.key(i)
+			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
+				return 0, 0, fmt.Errorf("keys out of order at depth %d: %x >= %x", depth, n.key(i-1), k)
+			}
+			if hasLo && bytes.Compare(k, lo) < 0 || hasHi && bytes.Compare(k, hi) >= 0 {
+				return 0, 0, fmt.Errorf("key %x at depth %d outside its separators", k, depth)
+			}
+		}
 		if n.leaf() {
-			if len(n.keys) != len(n.vals) {
+			if len(n.offs) != len(n.vals) {
 				return 0, 0, fmt.Errorf("leaf keys/vals mismatch")
 			}
-			for _, k := range n.keys {
-				if prevKey != nil && bytes.Compare(prevKey, k) >= 0 {
-					return 0, 0, fmt.Errorf("keys out of order: %x >= %x", prevKey, k)
-				}
-				prevKey = k
+			if n.prev != prevLeaf || prevLeaf != nil && prevLeaf.next != n {
+				return 0, 0, fmt.Errorf("leaf chain broken at depth %d", depth)
 			}
-			return len(n.keys), 1, nil
+			prevLeaf = n
+			return len(n.offs), 1, nil
 		}
-		if len(n.children) != len(n.counts) || len(n.keys) != len(n.children)-1 {
+		if len(n.children) != len(n.counts) || len(n.offs) != len(n.children)-1 {
 			return 0, 0, fmt.Errorf("internal node shape invalid")
 		}
 		total, h0 := 0, -1
 		for ci, c := range n.children {
-			cnt, h, err := checkNode(c, depth+1)
+			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
+			if ci > 0 {
+				clo, cHasLo = n.key(ci-1), true
+			}
+			if ci < len(n.offs) {
+				chi, cHasHi = n.key(ci), true
+			}
+			cnt, h, err := check(c, clo, chi, cHasLo, cHasHi, depth+1)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -664,9 +878,12 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return total, h0 + 1, nil
 	}
-	total, _, err := checkNode(t.root, 0)
+	total, _, err := check(t.root, nil, nil, false, false, 0)
 	if err != nil {
 		return err
+	}
+	if prevLeaf.next != nil {
+		return fmt.Errorf("leaf chain runs past the last leaf")
 	}
 	if total != t.size {
 		return fmt.Errorf("size %d != counted %d", t.size, total)

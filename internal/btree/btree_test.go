@@ -563,7 +563,7 @@ func TestNewFromSorted(t *testing.T) {
 			keys[i] = key(i * 3)
 			vals[i] = uint64(i * 7)
 		}
-		tr, err := NewFromSorted(keys, vals)
+		tr, err := fromSlices(keys, vals)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -604,14 +604,14 @@ func TestNewFromSorted(t *testing.T) {
 
 func TestNewFromSortedMutable(t *testing.T) {
 	// A bulk-built tree must accept subsequent Set/Delete without
-	// corrupting neighbors (leaves share a backing array at build time).
+	// corrupting neighbors.
 	keys := make([][]byte, 500)
 	vals := make([]uint64, 500)
 	for i := range keys {
 		keys[i] = key(i * 2)
 		vals[i] = uint64(i)
 	}
-	tr, err := NewFromSorted(keys, vals)
+	tr, err := fromSlices(keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,13 +635,27 @@ func TestNewFromSortedMutable(t *testing.T) {
 }
 
 func TestNewFromSortedRejectsBadInput(t *testing.T) {
-	if _, err := NewFromSorted([][]byte{key(1)}, nil); err == nil {
-		t.Fatal("length mismatch accepted")
+	if _, err := NewFromSorted(-1, nil); err == nil {
+		t.Fatal("negative count accepted")
 	}
-	if _, err := NewFromSorted([][]byte{key(2), key(1)}, []uint64{0, 0}); err == nil {
+	if _, err := fromSlices([][]byte{key(2), key(1)}, []uint64{0, 0}); err == nil {
 		t.Fatal("out-of-order keys accepted")
 	}
-	if _, err := NewFromSorted([][]byte{key(1), key(1)}, []uint64{0, 0}); err == nil {
+	if _, err := fromSlices([][]byte{key(1), key(1)}, []uint64{0, 0}); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
+	// Order is checked across leaf boundaries too.
+	keys := make([][]byte, 3*maxEntries)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	keys[maxEntries] = key(maxEntries - 1)
+	if _, err := fromSlices(keys, make([]uint64, len(keys))); err == nil {
+		t.Fatal("duplicate keys across a leaf boundary accepted")
+	}
+}
+
+// fromSlices bulk-builds a tree from parallel key and value slices.
+func fromSlices(keys [][]byte, vals []uint64) (*Tree, error) {
+	return NewFromSorted(len(keys), func(i int) ([]byte, uint64) { return keys[i], vals[i] })
 }

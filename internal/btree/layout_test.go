@@ -1,0 +1,194 @@
+package btree
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// varKey returns a key of 8 to 20 bytes that sorts as i does.
+func varKey(i int) []byte {
+	return append(key(i), bytes.Repeat([]byte{'k'}, i%13)...)
+}
+
+// footprint sums the capacities the tree's nodes hold, in bytes: each
+// leaf's block, offsets and values, and each internal node's block,
+// offsets, child pointers and counts.
+func footprint(t *Tree) (leaves, internal int) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		b := cap(n.block) + 4*cap(n.offs)
+		if n.leaf() {
+			leaves += b + 8*cap(n.vals)
+			return
+		}
+		internal += b + 8*cap(n.children) + 8*cap(n.counts)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return leaves, internal
+}
+
+// TestNodeSize: a node header is three slices and three pointers
+// (96 bytes on 64-bit platforms); the internal-only fields sit behind
+// one of the pointers.
+func TestNodeSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(node{}), 12*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("node is %d bytes, want %d", got, want)
+	}
+}
+
+// sizeClass returns the capacity the allocator gives a byte slice of n.
+func sizeClass(n int) int { return cap(slices.Grow([]byte(nil), n)) }
+
+// TestBulkFootprint: a bulk-built leaf costs its key bytes plus 16 bytes
+// an entry (two offsets and a value), plus its block's size-class
+// rounding; the internal levels add a small fraction on top.
+func TestBulkFootprint(t *testing.T) {
+	const n = 100_000
+	keyBytes := 0
+	tr, err := NewFromSorted(n, func(i int) ([]byte, uint64) {
+		k := varKey(i)
+		keyBytes += len(k)
+		return k, uint64(i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	rounding := 0
+	for l := tr.Seek(nil).n; l != nil; l = l.next {
+		rounding += sizeClass(len(l.block)) - len(l.block)
+	}
+	leaves, internal := footprint(tr)
+	if budget := keyBytes + 16*n + rounding; leaves > budget {
+		t.Errorf("leaves hold %d bytes, budget %d (%d key bytes, %d entries, %d rounding)",
+			leaves, budget, keyBytes, n, rounding)
+	}
+	if internal > leaves/16 {
+		t.Errorf("internal nodes hold %d bytes against %d in leaves", internal, leaves)
+	}
+	t.Logf("%d entries, %d key bytes: leaves %d B (%.1f B/entry), internal %d B",
+		n, keyBytes, leaves, float64(leaves)/n, internal)
+}
+
+// TestChurnFootprint: after many random sets and deletes the tree holds
+// at most twice the live budget (key bytes plus 16 bytes an entry), so
+// no replaced block and no dead room outlives its use.
+func TestChurnFootprint(t *testing.T) {
+	const universe = 20_000
+	tr := New()
+	rng := rand.New(rand.NewSource(35))
+	live := map[int]bool{}
+	for len(live) < 10_000 {
+		i := rng.Intn(universe)
+		tr.Set(varKey(i), uint64(i))
+		live[i] = true
+	}
+	for op := 0; op < 200_000; op++ {
+		i := rng.Intn(universe)
+		if rng.Intn(2) == 0 {
+			tr.Set(varKey(i), uint64(op))
+			live[i] = true
+		} else {
+			tr.Delete(varKey(i))
+			delete(live, i)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(live) {
+		t.Fatalf("len %d, want %d", tr.Len(), len(live))
+	}
+	budget := 0
+	for i := range live {
+		budget += len(varKey(i)) + 16
+	}
+	leaves, internal := footprint(tr)
+	if leaves+internal > 2*budget {
+		t.Errorf("tree holds %d bytes (%d leaves, %d internal), more than twice the live budget %d",
+			leaves+internal, leaves, internal, budget)
+	}
+	t.Logf("%d live entries: %d B held against a live budget of %d B (%.2fx)",
+		len(live), leaves+internal, budget, float64(leaves+internal)/float64(budget))
+}
+
+// TestRangeReadAllocs: range reads walk from a by-value position, so
+// neither Ascend nor a bounded Descend allocates.
+func TestRangeReadAllocs(t *testing.T) {
+	tr := New()
+	for i := 0; i < 5000; i++ {
+		tr.Set(key(i), uint64(i))
+	}
+	lo, hi := key(1000), key(1500)
+	var sum uint64
+	visit := func(_ []byte, v uint64) bool { sum += v; return true }
+	if got := testing.AllocsPerRun(100, func() { tr.Ascend(lo, hi, visit) }); got != 0 {
+		t.Errorf("Ascend over a range: %v allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { tr.Descend(hi, lo, visit) }); got != 0 {
+		t.Errorf("Descend over a range: %v allocations, want 0", got)
+	}
+	if sum == 0 {
+		t.Fatal("ranges visited nothing")
+	}
+}
+
+// TestSetReusesBlockRoom: inserting into a leaf with room in its block
+// allocates nothing; the tree's copies of the keys cost less than one
+// allocation per key on average.
+func TestSetReusesBlockRoom(t *testing.T) {
+	tr := New()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		tr.Set(key(rng.Intn(1<<30)), 0)
+	}
+	next := 0
+	keys := make([][]byte, 2000)
+	for i := range keys {
+		keys[i] = key(rng.Intn(1 << 30))
+	}
+	if got := testing.AllocsPerRun(len(keys)-1, func() {
+		tr.Set(keys[next], 1)
+		next++
+	}); got >= 1 {
+		t.Errorf("random Set: %v allocations per key, want fewer than 1", got)
+	}
+}
+
+// TestLongKeys: keys whose length prefix takes one, two and three bytes
+// read back whole, through Set and through NewFromSorted.
+func TestLongKeys(t *testing.T) {
+	var keys [][]byte
+	for i, n := range []int{0, 1, 127, 128, 200, 16383, 16384, 20000} {
+		keys = append(keys, append([]byte{byte(i)}, bytes.Repeat([]byte{byte(n)}, n)...))
+	}
+	tr := New()
+	for i := len(keys) - 1; i >= 0; i-- {
+		tr.Set(keys[i], uint64(i))
+	}
+	bulk, err := NewFromSorted(len(keys), func(i int) ([]byte, uint64) { return keys[i], uint64(i) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{tr, bulk} {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if v, ok := tr.Get(k); !ok || v != uint64(i) {
+				t.Fatalf("Get(key %d) = %d, %v", i, v, ok)
+			}
+			if got, _, _ := tr.At(i); !bytes.Equal(got, k) {
+				t.Fatalf("At(%d) reads %d bytes, want %d", i, len(got), len(k))
+			}
+		}
+	}
+}

@@ -195,7 +195,7 @@ func (ix *index) appendSnapKey(dst []byte, id RowID, t value.Row) []byte {
 // deleteRow/updateRow under r.mu; entries that never correspond to a
 // committed version (aborted writes, rollback compensation) are inert —
 // candidate verification rejects them — and the vacuum sweeps them out.
-// The key is built on the stack; btree.Set makes the tree's copy.
+// The key is built on the stack; btree.Set copies it into a leaf block.
 func (ix *index) retire(id RowID, old value.Row) {
 	if ix.hist == nil {
 		ix.hist = btree.New()
@@ -616,8 +616,9 @@ func (r *Relation) vacuum(w uint64) int {
 		if ix.hist == nil || ix.hist.Len() == 0 {
 			continue
 		}
-		// The tree never writes a key's bytes after Set copied them in,
-		// so the doomed keys are the tree's own, held until deleted.
+		// The tree never rewrites a key's bytes (a leaf block is only
+		// appended to or replaced), so the doomed keys are slices of the
+		// tree's own blocks and read the same through the deletes.
 		var doomed [][]byte
 		ix.hist.Ascend(nil, nil, func(k []byte, id uint64) bool {
 			if !r.histNeededLocked(ix, k, id) {

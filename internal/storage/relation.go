@@ -12,9 +12,9 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -338,39 +338,43 @@ func (r *Relation) addIndex(spec IndexSpec) error {
 }
 
 // buildTreeLocked bulk-builds ix's tree bottom-up from a sorted run over
-// the heap: collect every row's key, sort once, pack the B-tree in O(n).
-// Caller holds r.mu.  Unique violations surface as adjacent equal keys
-// in the run.
+// the heap: append every row's key to one buffer, sort the run of
+// (offset, row id) pairs once, and feed the keys in order to
+// btree.NewFromSorted, which copies them into its leaf blocks.  Caller
+// holds r.mu.  Unique violations surface as adjacent equal keys in the
+// run.
 func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 	type run struct {
-		key []byte
-		id  RowID
+		lo, hi int // the key is buf[lo:hi]
+		id     RowID
 	}
+	var buf []byte
 	runs := make([]run, 0, r.live)
 	r.eachLocked(func(id RowID, s *slot) {
 		if !s.t.IsZero() {
-			runs = append(runs, run{key: ix.key(id, s.t), id: id})
+			lo := len(buf)
+			buf = ix.appendKey(buf, id, s.t)
+			runs = append(runs, run{lo: lo, hi: len(buf), id: id})
 		}
 	})
-	sort.Slice(runs, func(a, b int) bool {
-		if c := bytes.Compare(runs[a].key, runs[b].key); c != 0 {
-			return c < 0
+	slices.SortFunc(runs, func(a, b run) int {
+		if c := bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]); c != 0 {
+			return c
 		}
-		return runs[a].id < runs[b].id
+		return cmp.Compare(a.id, b.id)
 	})
-	keys := make([][]byte, len(runs))
-	vals := make([]uint64, len(runs))
-	for j, rn := range runs {
-		if j > 0 && bytes.Equal(runs[j-1].key, rn.key) {
+	for j := 1; j < len(runs); j++ {
+		if a, b := runs[j-1], runs[j]; bytes.Equal(buf[a.lo:a.hi], buf[b.lo:b.hi]) {
 			// Only unique indexes can collide: non-unique keys carry a
 			// row-id suffix.
 			return nil, fmt.Errorf("%w: index %q, key %s",
-				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.liveLocked(rn.id)))
+				ErrDuplicateKey, ix.spec.Name, tupleKeyString(ix, r.liveLocked(b.id)))
 		}
-		keys[j] = rn.key
-		vals[j] = rn.id
 	}
-	return btree.NewFromSorted(keys, vals)
+	return btree.NewFromSorted(len(runs), func(j int) ([]byte, uint64) {
+		rn := runs[j]
+		return buf[rn.lo:rn.hi], rn.id
+	})
 }
 
 // deferIndexes suspends secondary-index maintenance for bulk loading:
@@ -422,10 +426,11 @@ func (r *Relation) buildIndexes() error {
 // key builds the index key for row t with row id: the order-preserving
 // encoding of the indexed columns, suffixed with the row id for
 // non-unique indexes so that duplicate attribute values remain distinct
-// tree keys.  It is for keys a caller keeps (a bulk build's run): the
-// key is built on the stack and copied out once.  Keys handed to
-// btree.Set, which copies them, or only looked up are built with
-// appendKey on a stack buffer and allocate nothing.
+// tree keys.  It is for keys a caller keeps (a snapshot range's
+// fallback candidates): the key is built on the stack and copied out
+// once.  Keys handed to btree.Set, which copies them into a leaf block,
+// or only looked up are built with appendKey on a stack buffer and
+// allocate nothing.
 func (ix *index) key(id RowID, t value.Row) []byte {
 	var kb [64]byte
 	return bytes.Clone(ix.appendKey(kb[:0], id, t))
@@ -458,7 +463,7 @@ func appendRowID(k []byte, id RowID) []byte {
 }
 
 // insert adds row t's key.  The key is built on the stack: btree.Set
-// makes the tree's one copy.
+// copies it into a leaf block, usually into room the block already has.
 func (ix *index) insert(id RowID, t value.Row) error {
 	var kb [64]byte
 	k := ix.appendKey(kb[:0], id, t)

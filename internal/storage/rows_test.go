@@ -144,8 +144,10 @@ func TestKeptRowsOutliveWrites(t *testing.T) {
 }
 
 // TestIndexKeyAllocs: index maintenance builds its keys on the stack.
-// Adding a key allocates once (the tree's copy), removing one or
-// checking a history entry allocates nothing.
+// Adding a key allocates at most once (the tree copies it into a leaf
+// block, usually into room the block already has, so the average is
+// often below one), removing one or checking a history entry allocates
+// nothing.
 func TestIndexKeyAllocs(t *testing.T) {
 	db := notesDB(t, 1)
 	defer db.Close()
@@ -162,8 +164,8 @@ func TestIndexKeyAllocs(t *testing.T) {
 		if err := ix.insert(next, rows[next-100]); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Errorf("index insert: %v allocations per key, want 1", got)
+	}); got > 1 {
+		t.Errorf("index insert: %v allocations per key, want at most 1", got)
 	}
 	next = 100
 	if got := testing.AllocsPerRun(n, func() {
@@ -202,7 +204,7 @@ func TestIndexKeyAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		next++
 		ix.retire(next, rows[1])
-	}); got != 1 {
-		t.Errorf("retire: %v allocations per key, want 1", got)
+	}); got > 1 {
+		t.Errorf("retire: %v allocations per key, want at most 1", got)
 	}
 }

@@ -30,22 +30,32 @@ func RowOf(t Tuple) Row {
 // overlong varint, a short payload, an unknown kind), so a Row re-encodes
 // to the bytes it was read from.  DecodeTuple is ParseRow and Tuple.
 func ParseRow(buf []byte) (Row, int, error) {
+	n, err := SkipTuple(buf)
+	if err != nil {
+		return Row{}, 0, err
+	}
+	return Row{own(buf[:n])}, n, nil
+}
+
+// SkipTuple validates the encoded tuple at the front of buf as ParseRow
+// does and returns its length, building nothing.
+func SkipTuple(buf []byte) (int, error) {
 	n, hn := uvarint(buf, 0)
 	if hn <= 0 || overlong(buf, hn) {
-		return Row{}, 0, fmt.Errorf("value: decode tuple: bad field count")
+		return 0, fmt.Errorf("value: decode tuple: bad field count")
 	}
 	if n > uint64(len(buf)-hn) {
-		return Row{}, 0, fmt.Errorf("value: decode tuple: implausible field count %d", n)
+		return 0, fmt.Errorf("value: decode tuple: implausible field count %d", n)
 	}
 	pos := hn
 	for i := uint64(0); i < n; i++ {
 		vn, err := skip(buf[pos:])
 		if err != nil {
-			return Row{}, 0, fmt.Errorf("value: decode tuple field %d: %w", i, err)
+			return 0, fmt.Errorf("value: decode tuple field %d: %w", i, err)
 		}
 		pos += vn
 	}
-	return Row{own(buf[:pos])}, pos, nil
+	return pos, nil
 }
 
 // own returns a copy of b as a string of its own: a fresh allocation
@@ -112,6 +122,23 @@ func uvarint[B ~string | ~[]byte](buf B, pos int) (x uint64, n int) {
 
 const binaryMaxVarintLen64 = 10
 
+// uvLong reads the varint of two bytes or more at pos of the row, which
+// is well formed, and returns it with the offset after it.  Readers
+// decide the one-byte case (field counts, most lengths and small
+// integers) inline and call it, kept out of line so they stay small,
+// for the rest:
+//
+//	x, end := uint64(r.s[pos]), pos+1
+//	if x >= 0x80 {
+//		x, end = r.uvLong(pos)
+//	}
+//
+//go:noinline
+func (r Row) uvLong(pos int) (uint64, int) {
+	x, n := uvarint(r.s, pos)
+	return x, pos + n
+}
+
 // IsZero reports whether r is the zero Row, which holds no tuple.
 func (r Row) IsZero() bool { return r.s == "" }
 
@@ -130,7 +157,10 @@ func (r Row) AppendTo(dst []byte) []byte { return append(dst, r.s...) }
 // before it, so reading a few leading columns is cheap and reading
 // every column is Decode's job.
 func (r Row) Col(i int) Value {
-	_, pos := uvarint(r.s, 0)
+	pos := 1
+	if r.s[0] >= 0x80 {
+		_, pos = r.uvLong(0)
+	}
 	for ; i > 0; i-- {
 		pos = r.next(pos)
 	}
@@ -143,15 +173,19 @@ func (r Row) Col(i int) Value {
 // are substrings of the row.  A caller that reuses dst across rows
 // reads without allocating.
 func (r Row) Decode(dst Tuple) Tuple {
-	n, pos := uvarint(r.s, 0)
-	dst = dst[:0]
-	if cap(dst) < int(n) {
-		dst = make(Tuple, 0, n)
+	if r.IsZero() {
+		return dst[:0]
 	}
-	for i := uint64(0); i < n; i++ {
-		var v Value
-		v, pos = r.at(pos)
-		dst = append(dst, v)
+	n, pos := uint64(r.s[0]), 1
+	if n >= 0x80 {
+		n, pos = r.uvLong(0)
+	}
+	if cap(dst) < int(n) {
+		dst = make(Tuple, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i], pos = r.at(pos)
 	}
 	return dst
 }
@@ -174,12 +208,15 @@ func (r Row) at(pos int) (Value, int) {
 	pos++
 	switch k {
 	case KindInt, KindBool, KindRef:
-		u, n := uvarint(r.s, pos)
+		u, end := uint64(r.s[pos]), pos+1
+		if u >= 0x80 {
+			u, end = r.uvLong(pos)
+		}
 		i := int64(u >> 1)
 		if u&1 != 0 {
 			i = ^i
 		}
-		return Value{kind: k, i: i}, pos + n
+		return Value{kind: k, i: i}, end
 	case KindFloat:
 		var u uint64
 		for j := pos; j < pos+8; j++ {
@@ -187,9 +224,11 @@ func (r Row) at(pos int) (Value, int) {
 		}
 		return Value{kind: k, i: int64(u)}, pos + 8
 	case KindString, KindBytes:
-		ln, n := uvarint(r.s, pos)
-		pos += n
-		return Value{kind: k, s: r.s[pos : pos+int(ln)]}, pos + int(ln)
+		ln, end := uint64(r.s[pos]), pos+1
+		if ln >= 0x80 {
+			ln, end = r.uvLong(pos)
+		}
+		return Value{kind: k, s: r.s[end : end+int(ln)]}, end + int(ln)
 	}
 	return Null, pos
 }
@@ -207,8 +246,11 @@ func (r Row) next(pos int) int {
 	case KindFloat:
 		return pos + 8
 	case KindString, KindBytes:
-		ln, n := uvarint(r.s, pos)
-		return pos + n + int(ln)
+		ln, end := uint64(r.s[pos]), pos+1
+		if ln >= 0x80 {
+			ln, end = r.uvLong(pos)
+		}
+		return end + int(ln)
 	}
 	return pos
 }

@@ -85,3 +85,30 @@ func TestValidRow(t *testing.T) {
 		}
 	}
 }
+
+// noteRow is a stored note as the score workloads hold it: seven
+// columns, small integers and a short string.
+func noteRow() Row {
+	return RowOf(Tuple{RefVal(70123), RefVal(412), Int(3), Int(64), Int(480), Str("q"), Int(1)})
+}
+
+var (
+	sinkValue Value
+	sinkTuple Tuple
+)
+
+func BenchmarkRowCol(b *testing.B) {
+	r := noteRow()
+	for i := 0; i < b.N; i++ {
+		sinkValue = r.Col(2)
+	}
+}
+
+func BenchmarkRowDecode(b *testing.B) {
+	r := noteRow()
+	buf := make(Tuple, 0, 8)
+	for i := 0; i < b.N; i++ {
+		buf = r.Decode(buf)
+	}
+	sinkTuple = buf
+}

@@ -85,13 +85,16 @@ func (rt RecordType) String() string {
 // A writer that holds an image already encoded — a stored value.Row —
 // sets OldRow or NewRow instead of Old or New: the row's bytes are the
 // bytes AppendTuple writes for its tuple, so the log is the same either
-// way.  Decoded records carry Old and New only.
+// way.  Decoded records carry New only: neither log replay nor replica
+// apply reads a before image, so decoding validates Old's bytes and
+// skips them.  A decoded record re-encoded (a shipped record a replica
+// logs) therefore has no before image.
 type Record struct {
 	Type     RecordType
 	TxID     uint64
 	Relation string
 	RowID    uint64
-	Old      value.Tuple // DELETE, UPDATE
+	Old      value.Tuple // DELETE, UPDATE; never set by decoding
 	New      value.Tuple // INSERT, UPDATE
 
 	OldRow, NewRow value.Row // Old and New as encoded rows; zero when unused
@@ -149,16 +152,13 @@ func decodeRecord(buf []byte) (*Record, error) {
 	}
 	r.RowID = u
 	pos += n
-	var err error
-	r.Old, pos, err = decodeMaybeTuple(buf, pos)
+	pos, err := skipImage(buf, pos) // Old: validated, never built
 	if err != nil {
 		return nil, err
 	}
-	r.New, pos, err = decodeMaybeTuple(buf, pos)
-	if err != nil {
+	if r.New, _, err = decodeMaybeTuple(buf, pos); err != nil {
 		return nil, err
 	}
-	_ = pos
 	return r, nil
 }
 
@@ -176,6 +176,24 @@ func decodeMaybeTuple(buf []byte, pos int) (value.Tuple, int, error) {
 		return nil, 0, err
 	}
 	return t, pos + n, nil
+}
+
+// skipImage validates the image at buf[pos:] as decodeMaybeTuple does,
+// building nothing, and returns the offset after it.
+func skipImage(buf []byte, pos int) (int, error) {
+	if pos >= len(buf) {
+		return 0, errors.New("wal: truncated tuple flag")
+	}
+	flag := buf[pos]
+	pos++
+	if flag == 0 {
+		return pos, nil
+	}
+	n, err := value.SkipTuple(buf[pos:])
+	if err != nil {
+		return 0, err
+	}
+	return pos + n, nil
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
