@@ -403,13 +403,20 @@ func (n *node) insertEntry(i int, key []byte, val uint64) {
 // whose position is i, into two halves: n keeps the lower, and the upper
 // moves to a new right sibling with a block and arrays of its own, sized
 // for a full leaf.  n keeps its block; the moved keys' bytes stay in it,
-// dead, until n next needs room.
+// dead, until n next needs room.  An entry past the last key of the
+// last leaf, as ascending sets make, splits nothing off: n stays full
+// and the new leaf starts with the new entry alone, so a tree grown in
+// key order packs every leaf but its last.
 func (n *node) splitLeaf(i int, key []byte, val uint64) *node {
 	s := (maxEntries + 1) / 2 // n keeps entries [0, s) of its own
 	if i < s {
 		s--
 	}
-	live, cnt := n.live(s, len(n.offs)), len(n.offs)-s
+	sized := s // the new block has room for keys the size of [sized, len)
+	if n.next == nil && i == len(n.offs) {
+		s, sized = len(n.offs), 0
+	}
+	live, cnt := n.live(sized, len(n.offs)), len(n.offs)-sized
 	if i >= s {
 		live, cnt = live+encSize(key), cnt+1
 	}
@@ -769,7 +776,7 @@ func (t *Tree) CountRange(lo, hi []byte) int {
 // order-statistics counts (O(parts log n)).  Nil bounds are unbounded.
 // The returned keys are copies, strictly increasing, and all inside
 // (lo, hi), so [lo, b0), [b0, b1), ... [bk, hi) partition the range.
-// Parallel executors use this to carve an index range into morsels.
+// Index statistics use it for their equi-depth histogram boundaries.
 func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
 	if parts <= 1 {
 		return nil

@@ -120,6 +120,38 @@ func TestChurnFootprint(t *testing.T) {
 		len(live), leaves+internal, budget, float64(leaves+internal)/float64(budget))
 }
 
+// TestAscendingFootprint: a tree grown by ascending sets, as an index
+// over appended refs is, packs its leaves: every leaf but the last holds
+// at least 60 of its 63 entries, and the tree stays within a quarter of
+// the live budget (key bytes plus 16 bytes an entry).
+func TestAscendingFootprint(t *testing.T) {
+	const n = 100_000
+	tr := New()
+	budget := 0
+	for i := 0; i < n; i++ {
+		k := varKey(i)
+		tr.Set(k, uint64(i))
+		budget += len(k) + 16
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	leafCount := 0
+	for l := tr.Seek(nil).n; l != nil; l = l.next {
+		leafCount++
+		if l.next != nil && len(l.offs) < 60 {
+			t.Fatalf("leaf %d holds %d entries, want at least 60", leafCount, len(l.offs))
+		}
+	}
+	leaves, internal := footprint(tr)
+	if leaves+internal > budget*5/4 {
+		t.Errorf("tree holds %d bytes (%d leaves, %d internal), more than 1.25x the live budget %d",
+			leaves+internal, leaves, internal, budget)
+	}
+	t.Logf("%d entries in %d leaves: %d B held against a live budget of %d B (%.2fx)",
+		n, leafCount, leaves+internal, budget, float64(leaves+internal)/float64(budget))
+}
+
 // TestRangeReadAllocs: range reads walk from a by-value position, so
 // neither Ascend nor a bounded Descend allocates.
 func TestRangeReadAllocs(t *testing.T) {

@@ -4,9 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/model"
-	"repro/internal/value"
 )
 
 // TestStmtCacheInvalidatedByDDL is the manager-level regression test for
@@ -111,48 +108,5 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	}
 	if !strings.Contains(er.Text(), "PlanCache: hit") {
 		t.Fatalf("second session missed the shared plan cache:\n%s", er.Text())
-	}
-}
-
-// TestParallelWorkersOption asserts Options.ParallelWorkers reaches the
-// QUEL executor: a snapshot retrieve over a corpus past the morsel
-// threshold takes the parallel path and agrees with the serial baseline.
-func TestParallelWorkersOption(t *testing.T) {
-	m, err := Open(Options{SkipCMN: true, ParallelWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	const rows = 2200 // past the executor's default morsel threshold
-	if _, err := m.Model.DefineEntity("NOTE", value.Field{Name: "pitch", Kind: value.KindInt}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		if _, err := m.Model.NewEntity("NOTE", model.Attrs{"pitch": value.Int(int64(36 + i%48))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	par := m.NewSession()
-	serial := m.NewSession()
-	serial.SetParallelWorkers(1)
-	for _, s := range []*Session{par, serial} {
-		if _, err := s.ExecContext(ctx, `range of n is NOTE`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pres, err := par.QueryContext(ctx, `retrieve (n.pitch)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := serial.QueryContext(ctx, `retrieve (n.pitch)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pres.Rows) == 0 || len(pres.Rows) != len(sres.Rows) {
-		t.Fatalf("parallel %d rows, serial %d rows", len(pres.Rows), len(sres.Rows))
-	}
-	if got := m.Obs().Counter("quel.par.queries").Value(); got == 0 {
-		t.Fatal("quel.par.queries never incremented: ParallelWorkers not wired")
 	}
 }

@@ -39,11 +39,6 @@ type Options struct {
 	// SkipCMN leaves the CMN and bibliographic schemas undefined (for
 	// clients that define their own domain from scratch).
 	SkipCMN bool
-	// ParallelWorkers sets the worker fan-out for snapshot retrieves:
-	// full scans, index range scans, hash-join builds, and ordering
-	// probes partition across this many workers on a shared morsel
-	// pool.  Zero or one keeps every statement on the serial executor.
-	ParallelWorkers int
 	// CheckpointBytes triggers a background checkpoint when the log
 	// outgrows this size.  Zero means 64 MiB; negative disables
 	// automatic checkpoints.
@@ -58,9 +53,8 @@ type MDM struct {
 	Music   *cmn.Music
 	Biblio  *biblio.Index
 
-	parWorkers int
-	stmts      *stmtCache
-	plans      *quel.PlanCache
+	stmts *stmtCache
+	plans *quel.PlanCache
 }
 
 // Open builds (or reopens) a music data manager.
@@ -87,11 +81,10 @@ func Open(opts Options) (*MDM, error) {
 		return nil, err
 	}
 	mgr := &MDM{
-		Store:      store,
-		Model:      m,
-		parWorkers: opts.ParallelWorkers,
-		stmts:      newStmtCache(stmtCacheMax),
-		plans:      quel.NewPlanCache(store.Obs()),
+		Store: store,
+		Model: m,
+		stmts: newStmtCache(stmtCacheMax),
+		plans: quel.NewPlanCache(store.Obs()),
 	}
 	if !opts.SkipCMN {
 		if mgr.Music, err = cmn.Open(m); err != nil {
@@ -156,9 +149,6 @@ type sessionObs struct {
 func (m *MDM) NewSession() *Session {
 	s := &Session{mdm: m, quel: quel.NewSession(m.Model), policy: DefaultRetryPolicy}
 	s.quel.SetPlanCache(m.plans)
-	if m.parWorkers > 1 {
-		s.quel.SetParallel(m.parWorkers)
-	}
 	if reg := m.Obs(); reg != nil {
 		s.obs = sessionObs{
 			statements:      reg.Counter("mdm.statements"),
@@ -195,17 +185,6 @@ func (r ExecResult) Text() string {
 	}
 	return r.Output
 }
-
-// SetParallelWorkers overrides the manager-wide Options.ParallelWorkers
-// for this session.  Benchmarks use it to sweep worker counts over one
-// corpus; n <= 1 restores the serial executor.
-func (s *Session) SetParallelWorkers(n int) { s.quel.SetParallel(n) }
-
-// SetParallelMinRows tunes the driver-row threshold below which a
-// retrieve stays serial.  The default favors OLTP point queries;
-// score-grained analytics whose driver list is one row per score — but
-// whose per-row probe work is heavy — lower it to fan out anyway.
-func (s *Session) SetParallelMinRows(n int) { s.quel.SetParallelMinRows(n) }
 
 // ExecContext executes DDL or QUEL source, dispatching on the first
 // keyword.  After DDL, the meta-catalog is refreshed so the new schema

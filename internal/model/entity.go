@@ -560,18 +560,6 @@ func (db *Database) InstancesRangeCount(typeName, indexName string, lo, hi []byt
 	return n
 }
 
-// SplitInstancesRange returns up to parts-1 boundary keys dividing the
-// named index's entries within [lo, hi) into roughly equal runs, for
-// fanning one logical scan across parallel workers.  It reports false
-// if the type or index does not exist.
-func (db *Database) SplitInstancesRange(typeName, indexName string, lo, hi []byte, parts int) ([][]byte, bool) {
-	rel := db.store.Relation(entPrefix + typeName)
-	if rel == nil {
-		return nil, false
-	}
-	return rel.SplitIndexRange(indexName, lo, hi, parts)
-}
-
 // InstancesRange calls fn for instances of the named entity type whose
 // index key falls in [lo, hi), in index key order (descending when
 // reverse is set).  Like Instances it passes the surrogate and the

@@ -47,8 +47,8 @@ func (r *Registry) Handler() http.Handler {
 // bucket counts consistent with the total count, and coherent query
 // planner (quel.plan.*), group-commit (wal.group.*), snapshot-read
 // (snap.*), replication (repl.*), and checkpoint (storage.ckpt.*) metric
-// sets.  mdm's workload-metrics test and the mdmbench -par/-repl sweeps
-// apply it to a live registry's snapshot.
+// sets.  mdm's workload-metrics test applies it to a live registry's
+// snapshot.
 func ValidateDoc(d SnapshotDoc) error {
 	if d.SchemaVersion != SnapshotSchemaVersion {
 		return &ValidationError{Reason: "unsupported schema_version"}

@@ -9,7 +9,7 @@
 // counts, lock-wait and fsync latencies, checkpoint durations — instead
 // of guessed at.  The instrumentation points threaded through the engine
 // are the fixed seams against which later performance work (caching,
-// parallel scan, sort-order maintenance) is judged.
+// sort-order maintenance) is judged.
 //
 // Metric naming convention: dot-separated "layer.object.measure", e.g.
 // "wal.fsync.ns" or "txn.lock.wait.ns".  Histograms of durations are

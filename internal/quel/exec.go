@@ -79,11 +79,8 @@ type Session struct {
 	rd       model.View  // the statement's reader: its snapshot or its transaction
 	snap     *model.Snap // pinned snapshot of a read statement; nil otherwise
 	emit     *emitter    // live row collector; non-nil only inside a retrieve
-	// Parallel execution (parallel.go) and the shared plan cache
-	// (plancache.go) are opt-in per session.
-	parWorkers int // worker pool size; <= 1 = serial
-	parMin     int // minimum driver rows before the pool engages
-	plans      *PlanCache
+	// The shared plan cache (plancache.go) is opt-in per session.
+	plans *PlanCache
 	// Decode buffers, kept across statements: free holds those no scan
 	// is using, steps one per join step (stepRun.bind).
 	free  []*value.Tuple
@@ -109,22 +106,6 @@ func (s *Session) stepTuples(n int) []value.Tuple {
 		s.steps = append(s.steps, make([]value.Tuple, n-len(s.steps))...)
 	}
 	return s.steps[:n]
-}
-
-// SetParallel sets the worker-pool size for read statements.  With n > 1
-// and a pinned snapshot, index-scan materialization, hash-table builds,
-// and the join pipeline itself fan out across n workers (parallel.go);
-// n <= 1 restores the serial executor.  Write statements never
-// parallelize: they run under two-phase locking, not a snapshot.
-func (s *Session) SetParallel(n int) { s.parWorkers = n }
-
-// SetParallelMinRows overrides the driver-row threshold below which
-// parallel execution is skipped (the fork/merge overhead would dominate).
-// Tests use small values to force the parallel path on tiny fixtures.
-func (s *Session) SetParallelMinRows(n int) {
-	if n > 0 {
-		s.parMin = n
-	}
 }
 
 // SetPlanCache attaches a shared plan cache: join orders and access-path
@@ -176,7 +157,7 @@ type sessMetrics struct {
 
 // NewSession returns a session over the model database.
 func NewSession(db *model.Database) *Session {
-	s := &Session{db: db, ranges: make(map[string]string), parMin: defaultParMinRows}
+	s := &Session{db: db, ranges: make(map[string]string)}
 	if reg := db.Store().Obs(); reg != nil {
 		s.m = sessMetrics{
 			stmt:      reg.Histogram("quel.stmt.ns"),
@@ -198,8 +179,6 @@ func NewSession(db *model.Database) *Session {
 			joinIndex:   reg.Counter("quel.plan.join.index"),
 			hashProbes:  reg.Counter("quel.plan.hash.probes"),
 			hashHits:    reg.Counter("quel.plan.hash.hits"),
-			parQueries:  reg.Counter("quel.par.queries"),
-			parMorsels:  reg.Counter("quel.par.morsels"),
 		}
 	}
 	return s
@@ -645,22 +624,17 @@ func (s *Session) bindAllNaive(ctx context.Context, vars []string, infos map[str
 }
 
 // emitter evaluates the qualification and target list for one join
-// combination and collects the resulting row.  It is the unit the
-// parallel executor clones per worker: each worker gets its own emitter
-// over its own session clone, so the only shared state on the emit path
-// is the snapshot (safe for concurrent reads) and the atomic counters.
-// Unique dedup deliberately does NOT happen here — retrieveStats applies
-// it after the (merge-ordered) rows are assembled.
+// combination and collects the resulting row.  Unique dedup does not
+// happen here: retrieveStats applies it once the rows are assembled.
 type emitter struct {
 	s    *Session
 	q    Retrieve
-	ps   *planStats
 	rows []value.Tuple
 }
 
 func (em *emitter) emit(e env) error {
 	if em.q.Where != nil {
-		em.ps.FilterIn++
+		em.s.ps.FilterIn++
 		ok, err := em.s.evalBool(em.q.Where, e)
 		if err != nil {
 			return err
@@ -668,7 +642,7 @@ func (em *emitter) emit(e env) error {
 		if !ok {
 			return nil
 		}
-		em.ps.FilterOut++
+		em.s.ps.FilterOut++
 	}
 	var row value.Tuple
 	for _, t := range em.q.Targets {
@@ -734,7 +708,7 @@ func (s *Session) retrieveStats(ctx context.Context, q Retrieve) (*Result, *plan
 		res.Columns = append(res.Columns, t.Label)
 	}
 
-	em := &emitter{s: s, q: q, ps: ps}
+	em := &emitter{s: s, q: q}
 	s.emit = em
 	err := s.bindAll(ctx, vars, q.Where, em.emit)
 	s.emit = nil
@@ -743,9 +717,8 @@ func (s *Session) retrieveStats(ctx context.Context, q Retrieve) (*Result, *plan
 	}
 	rows := em.rows
 	if q.Unique {
-		// Dedup runs after the join (and after any parallel merge, which
-		// reproduces the serial emit order), so first-occurrence-wins is
-		// identical in every execution mode.
+		// Dedup runs after the join in emit order: the first occurrence
+		// of a row wins.
 		seen := make(map[string]bool, len(rows))
 		kept := rows[:0]
 		for _, row := range rows {

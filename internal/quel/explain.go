@@ -29,18 +29,7 @@ type planStats struct {
 	SortDur       time.Duration
 	Emitted       int
 	Total         time.Duration
-	CacheHit      bool      // plan strategy came from the shared plan cache
-	Par           *parStats // set when the join ran on the worker pool
-}
-
-// parStats records the parallel executor's shape for one statement:
-// worker fan-out, morsel count, and per-morsel driver rows (est) vs.
-// emitted rows (actual) — the skew picture.
-type parStats struct {
-	Workers  int
-	Morsels  int
-	PartEst  []int // driver rows handed to each morsel
-	PartRows []int // rows emitted by each morsel
+	CacheHit      bool // plan strategy came from the shared plan cache
 }
 
 // scanStats describes one range variable's scan.
@@ -56,7 +45,6 @@ type scanStats struct {
 	Skipped  bool   // not scanned: another variable had no bindings
 	Streamed bool   // iterated straight into the join, never collected
 	Fetch    bool   // read by key per joined partner (OrderFetch, IndexFetch), not scanned
-	Parts    int    // sub-ranges scanned in parallel; 0 = serial scan
 	Walked   int    // heap pages a full scan read
 	Pages    int    // heap pages allocated; above Walked when sargs pruned
 	Sargs    []string
@@ -154,13 +142,6 @@ func renderPlan(q Retrieve, ps *planStats) []string {
 			add(depth, "IncipitOps: %d evals (time=%s)", ps.IncipitEvals, ps.IncipitDur)
 		}
 	}
-	if ps.Par != nil {
-		add(depth, "Parallel (workers=%d, morsels=%d)", ps.Par.Workers, ps.Par.Morsels)
-		for m := range ps.Par.PartEst {
-			add(depth+1, "morsel %d: est=%d rows=%d", m, ps.Par.PartEst[m], ps.Par.PartRows[m])
-		}
-		depth++
-	}
 	if len(ps.Steps) > 1 {
 		renderSteps(add, depth, ps, len(ps.Steps)-1)
 		return lines
@@ -234,9 +215,6 @@ func renderScan(add func(int, string, ...any), depth int, sc scanStats, driver b
 			sc.Var, sc.Rel, sc.Index, counts, sc.Dur)
 	default:
 		add(depth, "Scan %s on %s (%s) (time=%s)", sc.Var, sc.Rel, counts, sc.Dur)
-	}
-	if sc.Parts > 0 {
-		add(depth+1, "Parallel: %d sub-ranges", sc.Parts)
 	}
 	if !sc.Skipped && len(sc.Sargs) > 0 {
 		add(depth+1, "Sarg: %s", strings.Join(sc.Sargs, " and "))

@@ -50,8 +50,6 @@ type planMetrics struct {
 	joinIndex   *obs.Counter // quel.plan.join.index
 	hashProbes  *obs.Counter // quel.plan.hash.probes
 	hashHits    *obs.Counter // quel.plan.hash.hits
-	parQueries  *obs.Counter // quel.par.queries
-	parMorsels  *obs.Counter // quel.par.morsels
 }
 
 // accessPath describes how one variable's bindings are produced: a heap
@@ -447,13 +445,7 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan, keep func(binding) 
 			*buf = b.decode(*buf)
 			return collect(b)
 		}
-		// Streamed scans run only on serial sessions, where the parallel
-		// range split never engages.
-		if did, perr := s.scanIndexParallel(ctx, vp, &st); did {
-			err = perr
-		} else {
-			err = s.rd.InstancesRange(vp.info.typ, vp.access.index, vp.access.lo, vp.access.hi, vp.access.reverse, emit)
-		}
+		err = s.rd.InstancesRange(vp.info.typ, vp.access.index, vp.access.lo, vp.access.hi, vp.access.reverse, emit)
 	} else {
 		s.pm.scanFull.Inc()
 		pb := pruneBounds(vp.sargs)
@@ -570,9 +562,7 @@ type joinStep struct {
 	est int // estimated combinations after this step joins
 }
 
-// stepCount accumulates one driver's probe/fetch/hit counts for a step.
-// The counts live outside joinStep so parallel workers driving disjoint
-// morsels over the same (read-only) steps never write shared memory.
+// stepCount accumulates a join run's probe/fetch/hit counts for a step.
 type stepCount struct{ probes, fetched, hits int }
 
 // appendHashKey encodes v for hash-join key equality.  Within one
@@ -918,9 +908,8 @@ func (s *Session) probeRefs(st *joinStep, other binding) ([]value.Ref, error) {
 
 // stepRun drives the left-deep join: rec(k) binds steps[k] against the
 // current environment and recurses.  All mutable state — environment,
-// per-step counts, combination counter, probe key and fetch buffers — lives on
-// the run, so parallel workers can drive disjoint driver morsels over the
-// same (read-only after planning) steps with a stepRun each, race-free.
+// per-step counts, combination counter, probe key and fetch buffers —
+// lives on the run; the steps are read-only after planning.
 type stepRun struct {
 	s      *Session
 	ctx    context.Context
@@ -1113,9 +1102,8 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	// one skips every remaining scan.  The driver streams from its scan
 	// under a snapshot.  A locking index scan calls back under the
 	// relation latch, which a fetch from the callback would re-enter, so
-	// the locking path materializes the driver, as does the parallel
-	// executor, which splits it into morsels.
-	stream := s.snap != nil && s.parWorkers <= 1
+	// the locking path materializes the driver.
+	stream := s.snap != nil
 	scanned := make([]bool, len(steps))
 	for k, st := range steps {
 		if st.index != "" || (k == 0 && stream) {
@@ -1134,15 +1122,9 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 				}
 			}
 			return nil
-		case st.method != joinHash:
-		case s.parWorkers > 1 && len(st.vp.list) >= s.parMin:
-			st.table = s.buildHashTableParallel(st.vp, st.build)
-		default:
+		case st.method == joinHash:
 			st.table = s.buildHashTable(st.vp, st.build)
 		}
-	}
-	if s.parallelOK(steps) {
-		return s.runParallelJoin(ctx, steps)
 	}
 	run := &stepRun{s: s, ctx: ctx, steps: steps,
 		counts: make([]stepCount, len(steps)), e: make(env, len(plans)), fn: fn, tups: s.stepTuples(len(steps))}
@@ -1160,31 +1142,29 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 			}
 		}
 	}
-	s.finishJoin(steps, run.counts, run.combos)
-	return err
-}
 
-// finishJoin publishes a finished join's counters — fetched rows count
-// as scanned — and, when plan statistics are live, its steps for
-// explain (with a leaf for each fetched variable, which has no scan).
-func (s *Session) finishJoin(steps []*joinStep, counts []stepCount, combos int) {
-	s.m.combos.Add(uint64(combos))
+	// Publish the join's counters — fetched rows count as scanned — and,
+	// when plan statistics are live, its steps for explain (with a leaf
+	// for each fetched variable, which has no scan).
+	s.m.combos.Add(uint64(run.combos))
 	if s.ps != nil {
-		s.ps.Combos = combos
+		s.ps.Combos = run.combos
 	}
 	for k, st := range steps {
-		s.m.scanRows.Add(uint64(counts[k].fetched))
+		c := run.counts[k]
+		s.m.scanRows.Add(uint64(c.fetched))
 		if s.ps == nil {
 			continue
 		}
 		s.ps.Steps = append(s.ps.Steps, joinStat{Var: st.vp.name, Method: st.method.String(),
 			Cond: st.cond, Index: st.index, Est: st.est, Build: len(st.vp.list),
-			Probes: counts[k].probes, Fetched: counts[k].fetched, Hits: counts[k].hits})
+			Probes: c.probes, Fetched: c.fetched, Hits: c.hits})
 		if st.index != "" {
 			s.ps.Scans = append(s.ps.Scans, scanStats{Var: st.vp.name, Rel: st.vp.info.typ,
 				Est: st.vp.access.est, Index: st.index, Fetch: true, Sargs: sargStrings(st.vp)})
 		}
 	}
+	return err
 }
 
 // stmtCache memoizes ordering resolution and child positions for the

@@ -1,8 +1,7 @@
 // Planner statistics: per-index equi-depth histograms and distinct
 // counts, maintained lazily against a per-relation modification counter
 // and rebuilt wholesale at checkpoint.  The query planner reads them to
-// estimate join selectivities (1/max(distinct) for an equi-join) and to
-// carve index ranges into balanced morsels for parallel execution.
+// estimate join selectivities (1/max(distinct) for an equi-join).
 package storage
 
 import "bytes"
@@ -108,21 +107,6 @@ func (r *Relation) rebuildStatsLocked(ix *index) {
 	if r.statsRebuilds != nil {
 		r.statsRebuilds.Inc()
 	}
-}
-
-// SplitIndexRange returns up to parts-1 boundary keys dividing the live
-// entries of the named index within [lo, hi) into roughly equal runs
-// (order-statistics exact, not histogram-approximate).  It reports false
-// if the index does not exist.  Parallel scans use the boundaries to
-// fan one index range out across workers.
-func (r *Relation) SplitIndexRange(indexName string, lo, hi []byte, parts int) ([][]byte, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ix := r.findIndex(indexName)
-	if ix == nil {
-		return nil, false
-	}
-	return ix.tree.SplitRange(lo, hi, parts), true
 }
 
 // removeIndex detaches and returns the named index, or nil.  The caller

@@ -108,33 +108,6 @@ func TestIndexStats(t *testing.T) {
 	}
 }
 
-func TestSplitIndexRange(t *testing.T) {
-	db := statsTestDB(t, t.TempDir())
-	rel := fillNotes(t, db, 600)
-
-	bounds, ok := rel.SplitIndexRange("ix_pitch", nil, nil, 8)
-	if !ok {
-		t.Fatal("no such index")
-	}
-	if len(bounds) == 0 || len(bounds) > 7 {
-		t.Fatalf("bounds = %d", len(bounds))
-	}
-	// Sub-ranges must cover the index exactly.
-	total := 0
-	prev := []byte(nil)
-	for _, b := range append(bounds, nil) {
-		n, _ := rel.IndexRangeCount("ix_pitch", prev, b)
-		total += n
-		prev = b
-	}
-	if total != 600 {
-		t.Fatalf("sub-ranges cover %d entries, want 600", total)
-	}
-	if _, ok := rel.SplitIndexRange("nope", nil, nil, 4); ok {
-		t.Fatal("split on missing index")
-	}
-}
-
 func TestDropIndex(t *testing.T) {
 	dir := t.TempDir()
 	db := statsTestDB(t, dir)
