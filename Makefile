@@ -53,9 +53,11 @@ torture-repl:
 # tuples the codec decodes; over the key encoding, whose byte order
 # must agree with value.Compare; over the B-tree, which must answer as a
 # sorted slice does and never rewrite a key it handed out; over the QUEL
-# parser and planner, whose results must match the naive executor; and
+# parser and planner, whose results must match the naive executor;
 # over the page pruning of full scans, which must keep every row the
-# sargs accept.
+# sargs accept; and over snapshot index ranges, which must return the
+# snapshot's rows in key order wherever the reader stops and whatever
+# commits between the rows it is handed.
 # New crashers land in the package's testdata/fuzz/ corpus; CI uploads
 # them.
 fuzz-smoke:
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzBTree$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/btree/
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzScanPrune$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
+	$(GO) test -fuzz='^FuzzSnapRange$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage/
 	$(GO) test -fuzz='^FuzzDARMS$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/darms/
 	$(GO) test -fuzz='^FuzzSMF$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/midi/
 	$(GO) test -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/ingest/

@@ -27,7 +27,7 @@
 // block's spare capacity, Delete leaves the key's bytes where they are,
 // and a block without room is replaced by a new one holding the live
 // keys, never overwritten.  So every key slice the tree hands out
-// (Iter.Key, At, the keys passed to Ascend and Descend) reads the same
+// (Iter.Key, At, the keys passed to Ascend) reads the same
 // bytes for as long as its holder keeps it, whatever is set, deleted,
 // split or merged afterwards.  Internal nodes copy their separators into
 // blocks of their own, so no separator holds on to a replaced leaf block.
@@ -715,39 +715,6 @@ func (t *Tree) Ascend(lo, hi []byte, fn func(key []byte, val uint64) bool) {
 		}
 		if end < len(n.offs) {
 			return
-		}
-	}
-}
-
-// Descend calls fn for each entry with lo <= key < hi in descending key
-// order.  A nil hi means from the largest entry; a nil lo means down to
-// the smallest.  Iteration stops if fn returns false.  This is the
-// reverse companion of Ascend, used for descending index range scans;
-// it compares lo once per leaf.
-func (t *Tree) Descend(hi, lo []byte, fn func(key []byte, val uint64) bool) {
-	var n *node
-	var i int // entries [0, i) of n are below hi
-	if hi == nil {
-		n = t.lastLeaf()
-		i = len(n.offs)
-	} else {
-		n, i = t.find(hi)
-	}
-	for n != nil {
-		stop := 0
-		if lo != nil && i > 0 && bytes.Compare(n.key(0), lo) < 0 {
-			stop, _ = leafIndex(n, lo)
-		}
-		for i--; i >= stop; i-- {
-			if !fn(n.key(i), n.vals[i]) {
-				return
-			}
-		}
-		if stop > 0 {
-			return
-		}
-		if n = n.prev; n != nil {
-			i = len(n.offs)
 		}
 	}
 }

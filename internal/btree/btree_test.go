@@ -266,13 +266,36 @@ func TestAscendRange(t *testing.T) {
 	}
 }
 
+// descend calls fn for each entry with lo <= key < hi in descending
+// key order, walking as a reverse index range does: from the entry
+// below Seek(hi), or from Max when hi is nil or past the end, back with
+// Prev.
+func descend(tr *Tree, hi, lo []byte, fn func(key []byte, val uint64) bool) {
+	it := tr.Max()
+	if hi != nil {
+		if it = tr.Seek(hi); it.Valid() {
+			it.Prev()
+		} else {
+			it = tr.Max()
+		}
+	}
+	for ; it.Valid() && (lo == nil || bytes.Compare(it.Key(), lo) >= 0); it.Prev() {
+		if !fn(it.Key(), it.Val()) {
+			return
+		}
+	}
+}
+
+// TestDescendRange: the reverse walk of an index range (Seek or Max,
+// then Prev) visits a bounded range, the whole tree, a range whose hi is
+// past the end, stops early, and visits nothing in an empty tree.
 func TestDescendRange(t *testing.T) {
 	tr := New()
 	for i := 0; i < 1000; i++ {
 		tr.Set(key(i), uint64(i))
 	}
 	var got []uint64
-	tr.Descend(key(110), key(100), func(k []byte, v uint64) bool {
+	descend(tr, key(110), key(100), func(k []byte, v uint64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -281,7 +304,7 @@ func TestDescendRange(t *testing.T) {
 	}
 	// Open bounds: full reverse iteration.
 	got = got[:0]
-	tr.Descend(nil, nil, func(k []byte, v uint64) bool {
+	descend(tr, nil, nil, func(k []byte, v uint64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -290,7 +313,7 @@ func TestDescendRange(t *testing.T) {
 	}
 	// hi beyond the largest key starts at the maximum.
 	got = got[:0]
-	tr.Descend(key(5000), key(997), func(k []byte, v uint64) bool {
+	descend(tr, key(5000), key(997), func(k []byte, v uint64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -299,7 +322,7 @@ func TestDescendRange(t *testing.T) {
 	}
 	// Early termination.
 	calls := 0
-	tr.Descend(nil, nil, func(k []byte, v uint64) bool {
+	descend(tr, nil, nil, func(k []byte, v uint64) bool {
 		calls++
 		return calls < 5
 	})
@@ -308,7 +331,7 @@ func TestDescendRange(t *testing.T) {
 	}
 	// Empty tree is a no-op.
 	empty := New()
-	empty.Descend(nil, nil, func(k []byte, v uint64) bool {
+	descend(empty, nil, nil, func(k []byte, v uint64) bool {
 		t.Fatal("callback on empty tree")
 		return false
 	})

@@ -44,10 +44,11 @@ func fuzzKey(i int) []byte {
 const maxOps = 400
 
 // FuzzBTree runs a byte-coded sequence of operations — Set, Delete,
-// Get, Seek, Ascend, Descend, At, Rank, CountRange, runs of sets and
-// deletes, and rebuilds through NewFromSorted — against the tree and a
-// sorted slice, checking every answer, CheckInvariants after every step,
-// and that every key slice the tree handed out still reads its bytes.
+// Get, Seek, Ascend, the reverse walk (Seek, Max, Prev), At, Rank,
+// CountRange, runs of sets and deletes, and rebuilds through
+// NewFromSorted — against the tree and a sorted slice, checking every
+// answer, CheckInvariants after every step, and that every key slice
+// the tree handed out still reads its bytes.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 4, 1, 2, 8, 0, 0, 2, 255})
 	rng := rand.New(rand.NewSource(35))
@@ -119,7 +120,7 @@ func FuzzBTree(f *testing.F) {
 					}
 					hold(it.Key())
 				}
-			case 7, 8: // Ascend or Descend over [lo, hi), with an early stop
+			case 7, 8: // Ascend or the reverse walk over [lo, hi), with an early stop
 				hi := fuzzKey(int(b)<<8 | int(a))
 				lo := k
 				if bytes.Compare(lo, hi) > 0 {
@@ -136,7 +137,7 @@ func FuzzBTree(f *testing.F) {
 				if op == 7 {
 					tr.Ascend(lo, hi, visit)
 				} else {
-					tr.Descend(hi, lo, visit)
+					descend(tr, hi, lo, visit)
 					want = slices.Clone(want)
 					slices.Reverse(want)
 				}

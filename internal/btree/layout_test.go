@@ -153,7 +153,7 @@ func TestAscendingFootprint(t *testing.T) {
 }
 
 // TestRangeReadAllocs: range reads walk from a by-value position, so
-// neither Ascend nor a bounded Descend allocates.
+// neither Ascend nor a bounded reverse walk allocates.
 func TestRangeReadAllocs(t *testing.T) {
 	tr := New()
 	for i := 0; i < 5000; i++ {
@@ -165,8 +165,8 @@ func TestRangeReadAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { tr.Ascend(lo, hi, visit) }); got != 0 {
 		t.Errorf("Ascend over a range: %v allocations, want 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { tr.Descend(hi, lo, visit) }); got != 0 {
-		t.Errorf("Descend over a range: %v allocations, want 0", got)
+	if got := testing.AllocsPerRun(100, func() { descend(tr, hi, lo, visit) }); got != 0 {
+		t.Errorf("reverse walk over a range: %v allocations, want 0", got)
 	}
 	if sum == 0 {
 		t.Fatal("ranges visited nothing")

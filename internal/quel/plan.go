@@ -994,9 +994,7 @@ func (r *stepRun) rec(k int) error {
 // ties to the bound environment into the step's buffer: by key from the
 // ordering's range (OrderFetch), or from the lookup index's equality
 // range on the bound value (IndexFetch; a by_ref point read for
-// identity).  A probe's rows are all collected before rec recurses: a
-// locking index range calls back under the relation latch, which a
-// deeper step's read of the same relation would re-enter.
+// identity).  A probe's rows are all collected before rec recurses.
 func (r *stepRun) partners(k int) ([]binding, error) {
 	if r.bufs == nil {
 		r.bufs = make([][]binding, len(r.steps))
@@ -1099,14 +1097,12 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	}
 
 	// Hash build sides and loop inners are materialized first: an empty
-	// one skips every remaining scan.  The driver streams from its scan
-	// under a snapshot.  A locking index scan calls back under the
-	// relation latch, which a fetch from the callback would re-enter, so
-	// the locking path materializes the driver.
-	stream := s.snap != nil
+	// one skips every remaining scan.  The driver streams from its scan,
+	// which calls back with no relation latch held, under a snapshot or
+	// a transaction alike.
 	scanned := make([]bool, len(steps))
 	for k, st := range steps {
-		if st.index != "" || (k == 0 && stream) {
+		if st.index != "" || k == 0 {
 			continue
 		}
 		scanned[k] = true
@@ -1131,16 +1127,8 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	run.counts[0].probes = 1
 	bind := func(b binding) error { run.counts[0].hits++; run.e[steps[0].vp.name] = b; return run.rec(1) }
 	var err error
-	if stream {
-		if serr := s.scanPlan(ctx, steps[0].vp, func(b binding) bool { err = bind(b); return err == nil }); err == nil {
-			err = serr
-		}
-	} else {
-		for _, b := range steps[0].vp.list {
-			if err = bind(run.bind(0, b)); err != nil {
-				break
-			}
-		}
+	if serr := s.scanPlan(ctx, steps[0].vp, func(b binding) bool { err = bind(b); return err == nil }); err == nil {
+		err = serr
 	}
 
 	// Publish the join's counters — fetched rows count as scanned — and,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,8 +55,10 @@ func TestDeferredIndexBuild(t *testing.T) {
 	if _, ok := rel.IndexRangeCount("by_id", nil, nil); ok {
 		t.Fatal("IndexRangeCount should miss while deferred")
 	}
-	if err := rel.ScanRange("by_id", nil, nil, false, func(RowID, value.Row) bool { return true }); err == nil {
-		t.Fatal("ScanRange should fail while deferred")
+	if err := db.Run(func(tx *Tx) error {
+		return tx.IndexRange("W", "by_id", nil, nil, false, func(RowID, value.Row) bool { return true })
+	}); err == nil {
+		t.Fatal("IndexRange should fail while deferred")
 	}
 	if err := rel.CheckIndexes(); err != nil {
 		t.Fatalf("CheckIndexes while deferred: %v", err)
@@ -77,13 +80,15 @@ func TestDeferredIndexBuild(t *testing.T) {
 	lo := value.AppendKey(nil, value.Int(3))
 	hi := append(append([]byte(nil), lo...), 0xFF)
 	seen := 0
-	err = rel.ScanRange("by_grp", lo, hi, false, func(_ RowID, tuRow value.Row) bool {
-		tu := tuRow.Tuple()
-		if tu[1].AsInt() != 3 {
-			t.Fatalf("wrong group %d", tu[1].AsInt())
-		}
-		seen++
-		return true
+	err = db.Run(func(tx *Tx) error {
+		return tx.IndexRange("W", "by_grp", lo, hi, false, func(_ RowID, tuRow value.Row) bool {
+			tu := tuRow.Tuple()
+			if tu[1].AsInt() != 3 {
+				t.Fatalf("wrong group %d", tu[1].AsInt())
+			}
+			seen++
+			return true
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +187,13 @@ func TestDeferredSnapshotFallback(t *testing.T) {
 	}
 	// A snapshot range over the deferred index must not trust the stale
 	// tree: the version-store fallback sees all 11 rows.
-	rel := db.Relation("W")
-	n, err := rel.snapRange("by_id", db.snaps.Last(), nil, nil, false, func(RowID, value.Row) bool { return true })
+	s, err := db.BeginSnapshot(context.Background())
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	n := 0
+	if err := s.IndexRange("W", "by_id", nil, nil, false, func(RowID, value.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 11 {

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/value"
@@ -37,10 +36,16 @@ import (
 //
 //   - Secondary indexes keep a companion history tree (index.hist) of
 //     retired keys: updateRow/deleteRow record the outgoing tuple's key
-//     at operation time.  A snapshot index scan merges the live tree
-//     with the history over the requested range and verifies each
-//     candidate by re-deriving the visible version's key, which filters
-//     uncommitted inserts, superseded keys, and abort debris alike.
+//     at operation time, and the vacuum drops a key only once no
+//     version a pinned snapshot can see encodes it, or the live tree
+//     holds it for the same row.  So while a snapshot is pinned, every
+//     key it can see stays in the live tree or in the history.  A
+//     snapshot index range is the transaction's iterator
+//     (Relation.indexRange) with the history merged in and a pick that
+//     verifies each entry by re-deriving the visible version's key,
+//     which filters uncommitted inserts, superseded keys, and abort
+//     debris alike; the invariant lets it release the read lock between
+//     batches and re-seek past the last key it considered.
 //
 //   - Old versions are reclaimed by a vacuum whose horizon is the
 //     registry watermark (the oldest pinned CSN): amortized every
@@ -214,15 +219,8 @@ func (r *Relation) setIndexFloor(name string, csn uint64) {
 	}
 }
 
-// snapVisibleLocked returns the row of row id visible at CSN at, zero
-// if none.  Caller holds r.mu (either mode).
-func (r *Relation) snapVisibleLocked(id RowID, at uint64) value.Row {
-	s := r.slotLocked(id)
-	return s.visible(at)
-}
-
 // visible returns the slot's row visible at CSN at, zero if none.
-func (s *slot) visible(at uint64) value.Row {
+func (s slot) visible(at uint64) value.Row {
 	v := s.ver
 	if v == settled {
 		return s.t
@@ -243,163 +241,53 @@ func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Row)
 	return r.walk(b, func(s *slot) value.Row { return s.visible(at) }, fn)
 }
 
-// snapCand is one candidate row of a snapshot index scan: the sort key
-// (as the history tree orders it; nil when candidates arrive in order),
-// the row id, and its visible row, kept as the immutable row it is.
-type snapCand struct {
-	key []byte
-	id  RowID
-	t   value.Row
-}
-
-// snapRange iterates rows visible at CSN at whose index key falls in
-// [lo, hi), in key order (descending with reverse).  Bounds have the
-// same semantics as ScanRange on the same index.  Every candidate is
-// verified against its visible version's key, and the result is emitted
-// outside the lock.  When the key history holds no key in the range,
-// every visible row sits in the live tree under its visible key, so the
-// live tree alone yields each row once and in key order; otherwise the
-// two trees are merged, deduplicated and sorted.  The candidates are
-// collected into a slice from candPool.
-func (r *Relation) snapRange(indexName string, at uint64, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) (uint64, error) {
-	r.mu.RLock()
-	ix := r.findIndex(indexName)
-	if ix == nil {
-		r.mu.RUnlock()
-		return 0, fmt.Errorf("storage: no index %q on %s", indexName, r.name)
-	}
-	if at < ix.createdAt || r.deferred {
-		// The index postdates the snapshot (or maintenance is deferred for
-		// a bulk load): its trees cannot cover keys retired before it
-		// existed.  Derive the range from the version store instead.
-		r.mu.RUnlock()
-		cands := r.snapRangeFallback(ix, at, lo, hi)
-		sortCands(cands)
-		return emitCands(cands, reverse, fn), nil
+// pickVisible is a snapshot's pick: the row visible at CSN at, if that
+// version's key is e's.  The check filters uncommitted inserts, keys the
+// row has left since the pin, and abort debris alike.  The key it
+// compares is built on the stack.
+func pickVisible(r *Relation, ix *index, at uint64, e entry) value.Row {
+	t := r.slotLocked(e.id).visible(at)
+	if t.IsZero() {
+		return t
 	}
 	var kb [64]byte
-	buf := kb[:0]
-	cp := candPool.Get().(*[]snapCand)
-	cands := (*cp)[:0]
-	if !ix.histHas(lo, hi) {
-		ix.tree.Ascend(lo, hi, func(key []byte, id uint64) bool {
-			if t := r.snapVisibleLocked(id, at); !t.IsZero() {
-				if buf = ix.appendKey(buf[:0], id, t); bytes.Equal(buf, key) {
-					cands = append(cands, snapCand{id: id, t: t})
-				}
-			}
-			return true
-		})
-		r.mu.RUnlock()
-		return emitPooled(cp, cands, reverse, fn), nil
+	k := ix.appendKey(kb[:0], e.id, t)
+	if ix.spec.Unique && !e.ext { // a unique index's history key
+		k = appendRowID(k, e.id)
 	}
-	// A row can surface from both the live tree and the key history, but
-	// only under its visible version's key — so one admitted candidate
-	// per id, and the dedup is a set lookup, not a slice scan.  History
-	// keys always carry the row id; the sort key does too.
-	seen := make(map[RowID]struct{})
-	consider := func(key []byte, id RowID, hist bool) {
-		if _, dup := seen[id]; dup {
-			return
-		}
-		t := r.snapVisibleLocked(id, at)
-		if t.IsZero() {
-			return
-		}
-		if buf = ix.appendKey(buf[:0], id, t); hist && ix.spec.Unique {
-			buf = appendRowID(buf, id)
-		}
-		if !bytes.Equal(buf, key) {
-			return
-		}
-		seen[id] = struct{}{}
-		switch {
-		case hist:
-			key = append([]byte(nil), key...)
-		case ix.spec.Unique:
-			key = appendRowID(append([]byte(nil), key...), id)
-		}
-		cands = append(cands, snapCand{key: key, id: id, t: t})
+	if !bytes.Equal(k, e.key) {
+		return value.Row{}
 	}
-	ix.tree.Ascend(lo, hi, func(key []byte, id uint64) bool {
-		consider(key, id, false)
-		return true
-	})
-	ix.hist.Ascend(lo, hi, func(key []byte, id uint64) bool {
-		consider(key, id, true)
-		return true
-	})
-	r.mu.RUnlock()
-	sortCands(cands)
-	return emitPooled(cp, cands, reverse, fn), nil
+	return t
 }
 
-// candPool recycles snapRange's candidate slices: once warm, a range
-// read allocates nothing for its candidates, however many it holds.
-var candPool = sync.Pool{New: func() any { return new([]snapCand) }}
-
-// emitPooled emits cands, then clears them, so the pool keeps no row
-// alive, and returns them to candPool in cp.
-func emitPooled(cp *[]snapCand, cands []snapCand, reverse bool, fn func(id RowID, t value.Row) bool) uint64 {
-	n := emitCands(cands, reverse, fn)
-	clear(cands)
-	*cp = cands[:0]
-	candPool.Put(cp)
-	return n
-}
-
-// histHas reports whether the key history holds a key in [lo, hi).
-func (ix *index) histHas(lo, hi []byte) bool {
-	found := false
-	if ix.hist != nil {
-		ix.hist.Ascend(lo, hi, func([]byte, uint64) bool {
-			found = true
-			return false
-		})
+// snapRangeFallback serves a snapshot index range from the version
+// store, for an index that postdates the pin or is deferred for a bulk
+// load: its trees cannot cover the keys the snapshot sees.  It keeps the
+// rows visible at CSN at whose key falls in [lo, hi), sorts them by
+// extended key, and calls fn with those past after (the last entry
+// indexRange considered, if any) in direction dir until fn returns
+// false.  It returns the number of calls.
+func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte, dir int, after *entry, fn func(id RowID, t value.Row) bool) uint64 {
+	type cand struct {
+		e entry
+		t value.Row
 	}
-	return found
-}
-
-// snapRangeFallback computes a snapshot index range purely from version
-// chains (used when the index is newer than the snapshot), walking the
-// slots like a snapshot scan.  The sort/bound key mirrors what the live
-// tree would hold: the encoded columns, row-id-suffixed only for
-// non-unique indexes.
-func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte) []snapCand {
-	var cands []snapCand
+	var cands []cand
 	r.snapScan(at, nil, func(id RowID, t value.Row) bool {
-		key := ix.key(id, t)
+		key := ix.appendKey(nil, id, t)
 		if (lo == nil || bytes.Compare(key, lo) >= 0) && (hi == nil || bytes.Compare(key, hi) < 0) {
-			if ix.spec.Unique {
-				key = appendRowID(key, id)
-			}
-			cands = append(cands, snapCand{key: key, id: id, t: t})
+			cands = append(cands, cand{entry{key, id, ix.spec.Unique}, t})
 		}
 		return true
 	})
-	return cands
-}
-
-func sortCands(cands []snapCand) {
-	sort.Slice(cands, func(i, j int) bool { return bytes.Compare(cands[i].key, cands[j].key) < 0 })
-}
-
-// emitCands calls fn for the candidates, in order or in reverse, and
-// returns how many it saw.
-func emitCands(cands []snapCand, reverse bool, fn func(id RowID, t value.Row) bool) uint64 {
+	slices.SortFunc(cands, func(a, b cand) int { return dir * a.e.compare(b.e) })
 	var n uint64
-	if reverse {
-		for i := len(cands) - 1; i >= 0; i-- {
-			n++
-			if !fn(cands[i].id, cands[i].t) {
-				break
-			}
-		}
-		return n
-	}
 	for _, c := range cands {
-		n++
-		if !fn(c.id, c.t) {
+		if after != nil && dir*c.e.compare(*after) <= 0 {
+			continue
+		}
+		if n++; !fn(c.e.id, c.t) {
 			break
 		}
 	}
@@ -468,41 +356,22 @@ func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool
 	if r == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
 	}
-	n, err := r.snapRange(indexName, s.csn, lo, hi, reverse, fn)
+	n, err := r.indexRange(indexName, s.csn, lo, hi, reverse, pickVisible, fn)
 	s.db.m.snapReads.Add(n)
 	s.db.m.rowsRead.Add(n)
 	return err
 }
 
 // IndexGet returns the row whose key in the named unique index is key
-// (the encoded columns) as visible in the snapshot, ok false if none: a
-// live-tree probe, or — when the row has since left the tree under that
-// key, or the tree postdates the pin — the range read over the key.
+// (the encoded columns) as visible in the snapshot, ok false if none.
 func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Row, bool, error) {
 	r := s.db.Relation(relName)
 	if r == nil {
 		return 0, value.Row{}, false, fmt.Errorf("storage: no relation %q", relName)
 	}
-	var id RowID
-	var t value.Row
-	var kb [64]byte
-	r.mu.RLock()
-	if ix := r.findIndex(indexName); ix != nil && s.csn >= ix.createdAt && !r.deferred {
-		if id, _ = ix.tree.Get(key); id != 0 {
-			if t = r.snapVisibleLocked(id, s.csn); !t.IsZero() && !bytes.Equal(ix.appendKey(kb[:0], id, t), key) {
-				t = value.Row{}
-			}
-		}
-	}
-	r.mu.RUnlock()
-	if t.IsZero() {
-		hi := AppendKeyUpper(key[:len(key):len(key)])
-		if _, err := r.snapRange(indexName, s.csn, key, hi, false, func(rid RowID, tu value.Row) bool {
-			id, t = rid, tu
-			return false
-		}); err != nil || t.IsZero() {
-			return 0, value.Row{}, false, err
-		}
+	id, t, err := r.indexGet(indexName, s.csn, key, pickVisible)
+	if err != nil || t.IsZero() {
+		return 0, value.Row{}, false, err
 	}
 	s.db.m.snapReads.Inc()
 	s.db.m.rowsRead.Inc()
@@ -516,7 +385,7 @@ func (s *Snap) Get(relName string, id RowID) (value.Row, bool) {
 		return value.Row{}, false
 	}
 	r.mu.RLock()
-	t := r.snapVisibleLocked(id, s.csn)
+	t := r.slotLocked(id).visible(s.csn)
 	r.mu.RUnlock()
 	if t.IsZero() {
 		return value.Row{}, false

@@ -423,21 +423,12 @@ func (r *Relation) buildIndexes() error {
 	return nil
 }
 
-// key builds the index key for row t with row id: the order-preserving
-// encoding of the indexed columns, suffixed with the row id for
-// non-unique indexes so that duplicate attribute values remain distinct
-// tree keys.  It is for keys a caller keeps (a snapshot range's
-// fallback candidates): the key is built on the stack and copied out
-// once.  Keys handed to btree.Set, which copies them into a leaf block,
-// or only looked up are built with appendKey on a stack buffer and
-// allocate nothing.
-func (ix *index) key(id RowID, t value.Row) []byte {
-	var kb [64]byte
-	return bytes.Clone(ix.appendKey(kb[:0], id, t))
-}
-
-// appendKey appends ix.key(id, t) to dst, reading the indexed columns
-// from the row.
+// appendKey appends the index key for row t with row id to dst: the
+// order-preserving encoding of the indexed columns, read from the row,
+// suffixed with the row id for non-unique indexes so that duplicate
+// attribute values remain distinct tree keys.  Keys handed to btree.Set,
+// which copies them into a leaf block, or only looked up are built on a
+// stack buffer and allocate nothing.
 func (ix *index) appendKey(dst []byte, id RowID, t value.Row) []byte {
 	for _, c := range ix.cols {
 		dst = value.AppendKey(dst, t.Col(c))
@@ -711,34 +702,224 @@ func (r *Relation) IndexAt(indexName string, i int) (key []byte, ok bool) {
 	return key, ok
 }
 
-// ScanRange iterates rows of the named index in key order over the range
-// [lo, hi) of encoded keys; nil bounds mean unbounded.  With reverse set,
-// the same range is visited in descending key order.  Iteration stops if
-// fn returns false.  The relation lock is held for the duration; callers
-// go through Tx.IndexRange for transactional isolation.
-func (r *Relation) ScanRange(indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ix := r.findIndex(indexName)
-	if ix == nil {
-		return fmt.Errorf("storage: no index %q on %s", indexName, r.name)
+// rangeBatch is the most index entries one read-lock hold of
+// indexRange examines: a B-tree leaf's worth.
+const rangeBatch = 63
+
+// entry is an index entry as indexRange merges the live tree and the
+// key history: ordered by its key extended with its row id when ext is
+// set (a unique index's live keys lack the id; every other key carries
+// it).  key is a slice of a tree block, which is never rewritten, so an
+// entry stays valid with no lock held.
+type entry struct {
+	key []byte
+	id  RowID
+	ext bool
+}
+
+// appendTo appends e's extended key to dst.
+func (e entry) appendTo(dst []byte) []byte {
+	if dst = append(dst, e.key...); e.ext {
+		dst = appendRowID(dst, e.id)
 	}
-	if r.deferred {
-		return fmt.Errorf("storage: index %q on %s is deferred for bulk load", indexName, r.name)
+	return dst
+}
+
+// compare orders a and b by their extended keys, built on the stack.
+func (a entry) compare(b entry) int {
+	if !a.ext && !b.ext {
+		return bytes.Compare(a.key, b.key)
 	}
-	visit := func(_ []byte, id uint64) bool {
-		t := r.liveLocked(id)
-		if t.IsZero() {
-			return true
+	var ab, bb [64]byte
+	return bytes.Compare(a.appendTo(ab[:0]), b.appendTo(bb[:0]))
+}
+
+// pickFunc maps index entry e to the row its reader sees under e's key,
+// zero if none; at is the reader's CSN.  It runs under r.mu's read
+// lock.  The two read paths differ only in their pick: pickLive for a
+// transaction, pickVisible (mvcc.go) for a snapshot.
+type pickFunc func(r *Relation, ix *index, at uint64, e entry) value.Row
+
+// pickLive is a transaction's pick: the live row, its own uncommitted
+// writes included.  The live tree holds exactly the live rows' keys, so
+// no key check is needed.
+func pickLive(r *Relation, _ *index, _ uint64, e entry) value.Row { return r.liveLocked(e.id) }
+
+// rangeCursor walks one tree of an index range in the reader's
+// direction (dir 1 forward, -1 in reverse); e is its entry while ok.
+// The range's far end, bound (hi forward, lo in reverse; nil for none),
+// is passed to each step instead of kept: a cursor's entries reach the
+// pick, so a bound kept beside them would move a caller's stack-built
+// bounds to the heap.
+type rangeCursor struct {
+	it  btree.Iter
+	e   entry
+	ok  bool
+	dir int
+}
+
+// seekRange returns a cursor over t at the first entry at or past from
+// (the near end of the range, or a key to resume at); in reverse,
+// strictly below from, and at the largest key when from is nil.
+func seekRange(t *btree.Tree, ext bool, from, bound []byte, dir int) rangeCursor {
+	c := rangeCursor{it: t.Seek(from), e: entry{ext: ext}, dir: dir}
+	if dir < 0 {
+		if from == nil || !c.it.Valid() {
+			c.it = t.Max()
+		} else {
+			c.it.Prev()
 		}
-		return fn(id, t)
 	}
-	if reverse {
-		ix.tree.Descend(hi, lo, visit)
+	c.load(bound)
+	return c
+}
+
+// load reads the entry under the iterator; ok is false past bound.
+func (c *rangeCursor) load(bound []byte) {
+	if c.ok = c.it.Valid(); c.ok {
+		c.e.key, c.e.id = c.it.Key(), c.it.Val()
+		c.ok = bound == nil || (bytes.Compare(c.e.key, bound) < 0) == (c.dir > 0)
+	}
+}
+
+// next steps the cursor in the reader's direction.
+func (c *rangeCursor) next(bound []byte) {
+	if c.dir > 0 {
+		c.it.Next()
 	} else {
-		ix.tree.Ascend(lo, hi, visit)
+		c.it.Prev()
 	}
-	return nil
+	c.load(bound)
+}
+
+// indexRange calls fn in key order over [lo, hi) of the named index's
+// encoded keys (descending with reverse; nil bounds mean unbounded) with
+// each entry that pick maps to a row, until fn returns false, and
+// returns the number of calls.  at is a snapshot's CSN, whose range also
+// reads the key history, or liveCSN for a transaction, which reads the
+// live tree alone.
+//
+// Like walk, it works in batches.  Each read-lock hold seeks the live
+// tree (and the history) strictly past the last entry considered,
+// merges the two by extended key and runs pick over a batch of entries,
+// collecting the rows on the stack; fn then runs over them with no lock
+// held.  The first batch is one entry, the rest rangeBatch: a reader
+// that stops at its first row (a point read, a neighbour) pays for one
+// entry, a long range for one seek per leaf.  A row can be in
+// both trees only under the same extended key, so the merge drops the
+// history's twin of the live entry it takes.  A snapshot whose index
+// postdates its pin, or is deferred for a bulk load, continues from the
+// version store (snapRangeFallback).
+func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse bool, pick pickFunc, fn func(id RowID, t value.Row) bool) (n uint64, err error) {
+	var ids [rangeBatch]RowID
+	var ts [rangeBatch]value.Row
+	var kb, lb [64]byte
+	var last entry // the last entry considered, once started
+	started, from, bound, dir := false, lo, hi, 1
+	if reverse {
+		from, bound, dir = hi, lo, -1
+	}
+	for batch := 1; ; batch = rangeBatch {
+		r.mu.RLock()
+		ix := r.findIndex(name)
+		switch {
+		case ix == nil:
+			r.mu.RUnlock()
+			return n, fmt.Errorf("storage: no index %q on %s", name, r.name)
+		case at == liveCSN && r.deferred:
+			r.mu.RUnlock()
+			return n, fmt.Errorf("storage: index %q on %s is deferred for bulk load", name, r.name)
+		case at != liveCSN && (at < ix.createdAt || r.deferred):
+			r.mu.RUnlock()
+			var after *entry
+			if started {
+				after = &last
+			}
+			return n + r.snapRangeFallback(ix, at, lo, hi, dir, after, fn), nil
+		}
+		liveFrom := from
+		if started {
+			from = last.appendTo(kb[:0])
+			if liveFrom = from; ix.spec.Unique {
+				// A unique index's live keys lack the row id: resume at
+				// last's key (just above it in reverse), whose live entry
+				// may extend past last with another row id.
+				liveFrom = append(lb[:0], from[:len(from)-8]...)
+				if dir < 0 {
+					liveFrom = AppendKeyUpper(liveFrom)
+				}
+			}
+		}
+		var hist rangeCursor
+		live := seekRange(ix.tree, ix.spec.Unique, liveFrom, bound, dir)
+		if at != liveCSN && ix.hist != nil {
+			hist = seekRange(ix.hist, false, from, bound, dir)
+		}
+		// After the seeks, at most one entry of each tree lies at or
+		// before last.
+		for _, c := range []*rangeCursor{&live, &hist} {
+			for started && c.ok && dir*c.e.compare(last) <= 0 {
+				c.next(bound)
+			}
+		}
+		k, examined := 0, 0
+		for ; examined < batch; examined++ {
+			c := &live
+			if hist.ok {
+				switch d := dir * hist.e.compare(live.e); {
+				case !live.ok || d < 0:
+					c = &hist
+				case d == 0:
+					hist.next(bound)
+				}
+			}
+			if !c.ok {
+				break
+			}
+			last, started = c.e, true
+			c.next(bound)
+			if t := pick(r, ix, at, last); !t.IsZero() {
+				ids[k], ts[k] = last.id, t
+				k++
+			}
+		}
+		r.mu.RUnlock()
+		for i := range k {
+			if n++; !fn(ids[i], ts[i]) {
+				return n, nil
+			}
+		}
+		if examined < batch {
+			return n, nil
+		}
+	}
+}
+
+// indexGet returns the row under key in the named unique index as pick
+// sees it at at, zero if none: a probe of the live tree, then, if that
+// finds nothing for a snapshot (its row may have left the tree under
+// key) or the index cannot serve the probe, the range read over the key
+// stopped at its first row.  The range's upper bound is built on the
+// stack.
+func (r *Relation) indexGet(name string, at uint64, key []byte, pick pickFunc) (id RowID, t value.Row, err error) {
+	r.mu.RLock()
+	ix := r.findIndex(name)
+	probe := ix != nil && !r.deferred && (at == liveCSN || at >= ix.createdAt)
+	if probe {
+		if id, _ = ix.tree.Get(key); id != 0 {
+			t = pick(r, ix, at, entry{key, id, true})
+		}
+	}
+	r.mu.RUnlock()
+	if !t.IsZero() || probe && at == liveCSN {
+		return id, t, nil
+	}
+	var hb [64]byte
+	_, err = r.indexRange(name, at, key, AppendKeyUpper(append(hb[:0], key...)), false, pick, func(rid RowID, row value.Row) bool {
+		id, t = rid, row
+		return false
+	})
+	return id, t, err
 }
 
 // dropIndex removes the named index (used to back out an index whose

@@ -16,15 +16,17 @@ func TestSlotSize(t *testing.T) {
 }
 
 // notesDB returns a store whose NOTE relation holds n rows, indexed by
-// pitch, every row's pitch its row id.
-func notesDB(t testing.TB, n int) *DB {
+// pitch and by the extra indexes, every row's name and pitch its row id.
+func notesDB(t testing.TB, n int, extra ...IndexSpec) *DB {
 	t.Helper()
 	db := memDB(t)
 	if _, err := db.CreateRelation("NOTE", noteSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CreateIndex("NOTE", IndexSpec{Name: "by_pitch", Columns: []string{"pitch"}}); err != nil {
-		t.Fatal(err)
+	for _, spec := range append([]IndexSpec{{Name: "by_pitch", Columns: []string{"pitch"}}}, extra...) {
+		if err := db.CreateIndex("NOTE", spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Run(func(tx *Tx) error {
 		for i := 1; i <= n; i++ {
@@ -39,12 +41,15 @@ func notesDB(t testing.TB, n int) *DB {
 	return db
 }
 
-// TestReadAllocsFlat: a full Snap.Scan, Tx.Scan and Snap.IndexRange
-// allocate the same whether they pass 1 000 rows or 4 000, each row
-// decoded into the reader's one buffer: no read allocates per row, and
-// a warm snapshot range allocates nothing for its candidates.
+// TestReadAllocsFlat: full scans and index ranges allocate the same
+// whether they pass 1 000 rows or 4 000, each row decoded into the
+// reader's one buffer: no read allocates per row or per batch.  The
+// snapshot's ranges run over the half of the rows no write has touched
+// since its pin and over all of them, where the key history holds the
+// old keys of rows that swapped pitches.
 func TestReadAllocsFlat(t *testing.T) {
-	passes := func(n int) [3]float64 {
+	names := []string{"Snap.Scan", "Tx.Scan", "Snap.IndexRange", "Tx.IndexRange", "Snap.IndexRange/history"}
+	passes := func(n int) []float64 {
 		db := notesDB(t, n)
 		defer db.Close()
 		var buf value.Tuple
@@ -59,31 +64,49 @@ func TestReadAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		// Swap the pitches of neighbouring rows in the upper half: the
+		// sums stay, and the key history gains keys there.
+		mustTx(t, db, func(tx *Tx) {
+			for id := RowID(n/2 + 1); id+1 <= RowID(n); id += 8 {
+				for _, sw := range [][2]RowID{{id, id + 1}, {id + 1, id}} {
+					if err := tx.UpdateField("NOTE", sw[0], "pitch", value.Int(int64(sw[1]))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		if lo, hi := pitchRange(int64(n/2+1), int64(n+1)); !db.Relation("NOTE").findIndex("by_pitch").histHas(lo, hi) {
+			t.Fatal("no history key in the upper half")
+		}
 		tx := db.Begin()
 		defer tx.Abort()
-		var got [3]float64
-		for i, pass := range []func() error{
-			func() error { return s.Scan("NOTE", nil, read) },
-			func() error { return tx.Scan("NOTE", nil, read) },
-			func() error { return s.IndexRange("NOTE", "by_pitch", nil, nil, false, read) },
+		lower, mid := pitchRange(1, int64(n/2+1))
+		total, half := int64(n)*int64(n+1)/2, int64(n/2)*int64(n/2+1)/2
+		got := make([]float64, len(names))
+		for i, pass := range []struct {
+			read func() error
+			want int64
+		}{
+			{func() error { return s.Scan("NOTE", nil, read) }, total},
+			{func() error { return tx.Scan("NOTE", nil, read) }, total},
+			{func() error { return s.IndexRange("NOTE", "by_pitch", lower, mid, false, read) }, half},
+			{func() error { return tx.IndexRange("NOTE", "by_pitch", nil, nil, false, read) }, total},
+			{func() error { return s.IndexRange("NOTE", "by_pitch", nil, nil, false, read) }, total},
 		} {
-			if err := pass(); err != nil {
+			if err := pass.read(); err != nil {
 				t.Fatal(err)
 			}
 			sum = 0
-			got[i] = testing.AllocsPerRun(5, func() { pass() })
+			got[i] = testing.AllocsPerRun(5, func() { pass.read() })
 			// AllocsPerRun adds one warm-up call to its five.
-			if want := int64(n) * int64(n+1) / 2; sum != 6*want {
-				t.Fatalf("pass %d read pitch sum %d, want %d", i, sum, 6*want)
+			if sum != 6*pass.want {
+				t.Fatalf("%s read pitch sum %d, want %d", names[i], sum, 6*pass.want)
 			}
 		}
 		return got
 	}
 	small, large := passes(1000), passes(4000)
-	for i, name := range []string{"Snap.Scan", "Tx.Scan", "Snap.IndexRange"} {
-		if raceEnabled && name == "Snap.IndexRange" {
-			continue // its candidates come from a sync.Pool
-		}
+	for i, name := range names {
 		if small[i] != large[i] {
 			t.Errorf("%s: %v allocations over 1000 rows, %v over 4000", name, small[i], large[i])
 		}

@@ -326,7 +326,12 @@ func (tx *Tx) Scan(relName string, b *Bounds, fn func(id RowID, t value.Row) boo
 // the "ordering as a performance optimization" path of §5.2.  With
 // reverse set the range is visited in descending key order (a backward
 // B-tree walk, used by the query planner to satisfy `sort by ... desc`
-// from index order).
+// from index order).  Iteration stops if fn returns false.
+//
+// fn runs with no relation latch held: the range is read a leaf's worth
+// at a time (Relation.indexRange), so fn may write.  A transaction that
+// rewrites rows of the range it is reading may meet a row again under
+// the key it moved to, if that key lies ahead in the walk.
 func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) error {
 	if err := tx.check(); err != nil {
 		return err
@@ -338,11 +343,7 @@ func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool,
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return err
 	}
-	var n uint64
-	err = r.ScanRange(indexName, lo, hi, reverse, func(id RowID, t value.Row) bool {
-		n++
-		return fn(id, t)
-	})
+	n, err := r.indexRange(indexName, liveCSN, lo, hi, reverse, pickLive, fn)
 	tx.db.m.rowsRead.Add(n)
 	return err
 }
@@ -361,20 +362,9 @@ func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Row,
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return 0, value.Row{}, false, err
 	}
-	r.mu.RLock()
-	ix := r.findIndex(indexName)
-	if ix == nil || r.deferred {
-		r.mu.RUnlock()
-		return 0, value.Row{}, false, fmt.Errorf("storage: no usable index %q on %s", indexName, relName)
-	}
-	id, ok := ix.tree.Get(key)
-	var t value.Row
-	if ok {
-		t = r.liveLocked(id)
-	}
-	r.mu.RUnlock()
-	if t.IsZero() {
-		return 0, value.Row{}, false, nil
+	id, t, err := r.indexGet(indexName, liveCSN, key, pickLive)
+	if err != nil || t.IsZero() {
+		return 0, value.Row{}, false, err
 	}
 	tx.db.m.rowsRead.Inc()
 	return id, t, true, nil
