@@ -55,9 +55,11 @@ torture-repl:
 # sorted slice does and never rewrite a key it handed out; over the QUEL
 # parser and planner, whose results must match the naive executor;
 # over the page pruning of full scans, which must keep every row the
-# sargs accept; and over snapshot index ranges, which must return the
+# sargs accept; over snapshot index ranges, which must return the
 # snapshot's rows in key order wherever the reader stops and whatever
-# commits between the rows it is handed.
+# commits between the rows it is handed; and over the heap, whose rows
+# must match a map of the committed ones and never change under a
+# reader that kept them.
 # New crashers land in the package's testdata/fuzz/ corpus; CI uploads
 # them.
 fuzz-smoke:
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzScanPrune$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzSnapRange$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage/
+	$(GO) test -fuzz='^FuzzHeapRows$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage/
 	$(GO) test -fuzz='^FuzzDARMS$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/darms/
 	$(GO) test -fuzz='^FuzzSMF$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/midi/
 	$(GO) test -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/ingest/

@@ -2,7 +2,9 @@ package quel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -512,6 +514,62 @@ define index on NOTE (name)
 					t.Fatalf("query %q: row %d differs: %v vs %v", q, i, pres.Rows[i], nres.Rows[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSignedZeroJoin: an equi-join on float columns matches -0.0 with
+// +0.0, which compare equal, the same way in the planner and the naive
+// executor: once as a hash join, whose table is keyed by the values'
+// key encoding, and once as an index fetch into an index on the
+// probed column.
+func TestSignedZeroJoin(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fixture := func(indexed bool) *model.Database {
+		db, _ := newSession(t)
+		src := "define entity P (f = float, tag = integer)\ndefine entity Q (g = float, tag = integer)\n"
+		if indexed {
+			src += "define index on Q (g)\n"
+		}
+		if _, err := ddl.Exec(db, src); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range []float64{negZero, 0, 1.5, negZero} {
+			if _, err := db.NewEntity("P", model.Attrs{"f": value.Float(f), "tag": value.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Q is large beside P, so an index on Q.g is worth probing.
+		gs := []float64{0, negZero, -1.5, 1.5, 0}
+		for i := range 200 {
+			gs = append(gs, float64(i+2))
+		}
+		for i, g := range gs {
+			if _, err := db.NewEntity("Q", model.Attrs{"g": value.Float(g), "tag": value.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	for _, c := range []struct {
+		indexed bool
+		method  string
+	}{{false, "hash"}, {true, "index"}} {
+		planned, naive := NewSession(fixture(c.indexed)), NewSession(fixture(c.indexed))
+		naive.naive = true
+		for _, s := range []*Session{planned, naive} {
+			mustExec(t, s, "range of p is P range of q is Q")
+		}
+		const q = `retrieve (p.tag, q.tag) where p.f = q.g`
+		if got := joinMethods(planLines(t, planned, "explain "+q)); !slices.Contains(got, c.method) {
+			t.Fatalf("indexed %v: plan joins by %v, want %s", c.indexed, got, c.method)
+		}
+		// Three zeros on each side (one P zero is -0.0 twice) and 1.5 once.
+		if n := diffExec(t, q, planned, naive); n != 0 {
+			t.Fatalf("retrieve affected %d rows", n)
+		}
+		if got := len(mustExec(t, planned, q).Rows); got != 3*3+1 {
+			t.Fatalf("indexed %v: %d joined rows, want 10", c.indexed, got)
 		}
 	}
 }

@@ -565,16 +565,11 @@ type joinStep struct {
 // stepCount accumulates a join run's probe/fetch/hit counts for a step.
 type stepCount struct{ probes, fetched, hits int }
 
-// appendHashKey encodes v for hash-join key equality.  Within one
-// declared kind the order-preserving encoding is bijective, except that
-// -0.0 and +0.0 compare equal with distinct encodings; fold them.
-func appendHashKey(dst []byte, v value.Value) []byte {
-	if v.Kind() == value.KindFloat && v.AsFloat() == 0 {
-		v = value.Float(0)
-	}
-	return value.AppendKey(dst, v)
-}
-
+// buildHashTable maps the build side's join keys, encoded with
+// value.AppendKey, to their rows.  Within one declared kind the key
+// encoding is equal exactly for values that compare equal (-0.0 and
+// +0.0 share one key, as every NaN does), so equal keys are equal
+// bytes and a probe finds its bucket by its own encoding.
 func (s *Session) buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
 	h := make(map[string][]int, len(vp.list))
 	var buf []byte
@@ -585,7 +580,7 @@ func (s *Session) buildHashTable(vp *varPlan, build []joinKey) map[string][]int 
 		*t = b.decode(*t)
 		buf = buf[:0]
 		for _, k := range build {
-			buf = appendHashKey(buf, k.value(b))
+			buf = value.AppendKey(buf, k.value(b))
 		}
 		h[string(buf)] = append(h[string(buf)], li)
 	}
@@ -951,7 +946,7 @@ func (r *stepRun) rec(k int) error {
 		// The bucket is looked up before the deeper steps reuse r.key.
 		r.key = r.key[:0]
 		for _, p := range st.probe {
-			r.key = appendHashKey(r.key, p.value(r.e[p.v]))
+			r.key = value.AppendKey(r.key, p.value(r.e[p.v]))
 		}
 		s.pm.hashProbes.Inc()
 		for _, li := range st.table[string(r.key)] {

@@ -385,17 +385,22 @@ func (db *DB) applyRecord(r *wal.Record) (*verOp, error) {
 		row = value.RowOf(r.New)
 	}
 	switch r.Type {
-	case wal.RecInsert:
+	case wal.RecInsert, wal.RecUpdate:
+		// An image lands as an update of a row that exists and as an
+		// insert of one that does not, whichever record carries it.
+		op := verSet
+		var stored value.Row
+		var err error
 		if _, ok := rel.get(r.RowID); ok {
-			if _, err := rel.updateRow(r.RowID, row); err != nil {
-				return nil, err
-			}
-			return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: row}, nil
+			_, stored, err = rel.updateRow(r.RowID, row)
+		} else {
+			op = verAdd
+			_, stored, err = rel.insertRow(r.RowID, row)
 		}
-		if _, err := rel.insertRow(r.RowID, row); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: row}, nil
+		return &verOp{op: op, rel: r.Relation, id: r.RowID, t: stored}, nil
 	case wal.RecDelete:
 		if _, ok := rel.get(r.RowID); !ok {
 			return nil, nil
@@ -404,17 +409,6 @@ func (db *DB) applyRecord(r *wal.Record) (*verOp, error) {
 			return nil, err
 		}
 		return &verOp{op: verDel, rel: r.Relation, id: r.RowID}, nil
-	case wal.RecUpdate:
-		if _, ok := rel.get(r.RowID); !ok {
-			if _, err := rel.insertRow(r.RowID, row); err != nil {
-				return nil, err
-			}
-			return &verOp{op: verAdd, rel: r.Relation, id: r.RowID, t: row}, nil
-		}
-		if _, err := rel.updateRow(r.RowID, row); err != nil {
-			return nil, err
-		}
-		return &verOp{op: verSet, rel: r.Relation, id: r.RowID, t: row}, nil
 	}
 	return nil, nil
 }
@@ -588,7 +582,8 @@ func (db *DB) DeferIndexes(relName string) error {
 // maintenance.  Unique violations accumulated during the deferred load
 // surface here, before any tree is replaced.  Snapshots pinned before
 // the build fall back to version-store scans (the rebuilt trees carry
-// no key history).
+// no key history): the floor that says so is taken before the build and
+// set with the trees, so no snapshot ever sees the trees without it.
 func (db *DB) BuildIndexes(relName string) error {
 	if err := db.writable(); err != nil {
 		return err
@@ -597,16 +592,7 @@ func (db *DB) BuildIndexes(relName string) error {
 	if rel == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
 	}
-	if err := rel.buildIndexes(); err != nil {
-		return err
-	}
-	floor := db.snaps.Last() + 1
-	rel.mu.Lock()
-	for _, ix := range rel.indexes {
-		ix.createdAt = floor
-	}
-	rel.mu.Unlock()
-	return nil
+	return rel.buildIndexes(db.snaps.Last() + 1)
 }
 
 // DropIndex removes a secondary index from a relation.  The drop is

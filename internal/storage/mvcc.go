@@ -28,7 +28,9 @@ import (
 //
 //   - A row no snapshot can see differently carries no record of its
 //     own: its head is the shared settled version, meaning the live
-//     row is its only committed state and every CSN sees it.  Recovery
+//     row is its only committed state and every CSN sees it.  Its page
+//     stores that as one bit; a real chain's head sits in the page's
+//     heads array, which exists only while the page has one.  Recovery
 //     settles every row; the vacuum re-settles a row once its single
 //     version is visible at the watermark and is still the live row.
 //     A write turns a settled head back into a real base version before
@@ -60,7 +62,8 @@ const vacuumEvery = 256
 // rowVersion is one committed state of a row, visible to snapshots in
 // [begin, end).  end == liveCSN while the version is current.  Its row
 // is usually the very row the slot held live when it committed, so a
-// version shares the live row's bytes instead of copying them.
+// version shares the live row's bytes in the page block instead of
+// copying them.
 type rowVersion struct {
 	begin, end uint64
 	row        value.Row
@@ -75,13 +78,12 @@ var settled = &rowVersion{end: liveCSN}
 // unsettleLocked turns row id's settled head into a real base version of
 // its live row, so a write can replace or remove the live row while
 // snapshots keep reading the committed one.  The vacuum revisits the
-// row to settle it again.  s is the slot as read, and is updated too.
-// Caller holds r.mu exclusively.
-func (r *Relation) unsettleLocked(id RowID, s *slot) {
+// row to settle it again.  s is the row's state as read, and is updated
+// too.  Caller holds r.mu exclusively.
+func (r *Relation) unsettleLocked(id RowID, s *rowState) {
 	if s.ver == settled {
 		s.ver = &rowVersion{end: liveCSN, row: s.t}
 		r.setLocked(id, s.t, s.ver)
-		r.verDirty[id] = struct{}{}
 	}
 }
 
@@ -147,11 +149,17 @@ func (r *Relation) applyVersion(c uint64, op *verOp) {
 	}
 	switch op.op {
 	case verAdd, verSet:
-		r.setLocked(op.id, s.t, &rowVersion{begin: c, end: liveCSN, row: op.t, prev: old})
+		// The committed row is usually the live row; if a compaction
+		// of the page has moved the live row since the write, the
+		// version takes the live copy, so the vacuum can settle it.
+		row := op.t
+		if row.Equal(s.t) {
+			row = s.t
+		}
+		r.setLocked(op.id, s.t, &rowVersion{begin: c, end: liveCSN, row: row, prev: old})
 	case verDel:
 		// The closed-off old version stays reachable until vacuumed.
 	}
-	r.verDirty[op.id] = struct{}{}
 }
 
 // seedVersions rebuilds the version store from the recovered heap: every
@@ -169,14 +177,13 @@ func (db *DB) seedVersions() {
 func (r *Relation) seedVersions() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.eachLocked(func(id RowID, s *slot) {
+	r.eachLocked(func(id RowID, s rowState) {
 		var v *rowVersion
 		if !s.t.IsZero() {
 			v = settled
 		}
 		r.setLocked(id, s.t, v)
 	})
-	r.verDirty = make(map[RowID]struct{})
 	for _, ix := range r.indexes {
 		ix.hist = nil
 		ix.createdAt = 0
@@ -219,8 +226,8 @@ func (r *Relation) setIndexFloor(name string, csn uint64) {
 	}
 }
 
-// visible returns the slot's row visible at CSN at, zero if none.
-func (s slot) visible(at uint64) value.Row {
+// visible returns the row visible at CSN at, zero if none.
+func (s rowState) visible(at uint64) value.Row {
 	v := s.ver
 	if v == settled {
 		return s.t
@@ -238,7 +245,7 @@ func (s slot) visible(at uint64) value.Row {
 // in row-id order, returning the number of rows seen; fn runs with no
 // lock held.
 func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Row) bool) uint64 {
-	return r.walk(b, func(s *slot) value.Row { return s.visible(at) }, fn)
+	return r.walk(b, func(p *page, i int) value.Row { return p.state(i).visible(at) }, fn)
 }
 
 // pickVisible is a snapshot's pick: the row visible at CSN at, if that
@@ -438,47 +445,52 @@ func (db *DB) vacuum() int {
 // every open snapshot is pinned at or after w, and new snapshots pin at
 // or after it too.  A row left with one live version visible at w, whose
 // row is still the live row (no uncommitted write pending), is
-// settled; a row is revisited until it is settled or gone.
+// settled; a row is revisited until it is settled or gone.  A page
+// whose block holds more than twice its live rows' bytes, after
+// deletes or aborted writes, is compacted.
 func (r *Relation) vacuum(w uint64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	reclaimed := 0
-	for id := range r.verDirty {
-		s := r.slotLocked(id)
-		head := s.ver
-		if head == nil || head == settled {
-			delete(r.verDirty, id)
-			continue
-		}
-		// Find the newest version visible at the watermark; everything
-		// older is unreachable by any snapshot at or after w.
-		var parent *rowVersion
-		n := head
-		for n != nil && n.begin > w {
-			parent, n = n, n.prev
-		}
-		if n != nil {
-			for p := n.prev; p != nil; p = p.prev {
-				reclaimed++
+	for pi := range r.pages {
+		// A setLocked below may drop the page, heads and all.
+		for i := 0; i < pageSize && r.pages[pi].chains > 0; i++ {
+			p := &r.pages[pi]
+			head := p.heads[i]
+			if head == nil {
+				continue
 			}
-			n.prev = nil
-			if n.end <= w {
-				// Dead at the watermark: drop it from the chain.
-				if parent == nil {
-					r.setLocked(id, s.t, nil) // may drop the slot's page
-					head = nil
-				} else {
-					parent.prev = nil
+			id, t := RowID(pi)<<pageBits|RowID(i), p.row(i)
+			// Find the newest version visible at the watermark;
+			// everything older is unreachable by any snapshot at or
+			// after w.
+			var parent *rowVersion
+			n := head
+			for n != nil && n.begin > w {
+				parent, n = n, n.prev
+			}
+			if n != nil {
+				for o := n.prev; o != nil; o = o.prev {
+					reclaimed++
 				}
-				reclaimed++
+				n.prev = nil
+				if n.end <= w {
+					// Dead at the watermark: drop it from the chain.
+					if parent == nil {
+						r.setLocked(id, t, nil) // may drop the page
+						head = nil
+					} else {
+						parent.prev = nil
+					}
+					reclaimed++
+				}
+			}
+			if head != nil && head.prev == nil && head.end == liveCSN && head.begin <= w && head.row.Same(t) {
+				r.setLocked(id, t, settled)
 			}
 		}
-		switch {
-		case head == nil:
-			delete(r.verDirty, id)
-		case head.prev == nil && head.end == liveCSN && head.begin <= w && head.row.Same(s.t):
-			r.setLocked(id, s.t, settled)
-			delete(r.verDirty, id)
+		if p := &r.pages[pi]; cap(p.block) > 2*p.bytes {
+			p.compact(0)
 		}
 	}
 	for _, ix := range r.indexes {
@@ -542,7 +554,7 @@ func (r *Relation) histNeededLocked(ix *index, k []byte, id RowID) bool {
 func (r *Relation) VersionStats() (chains, oldVersions, histEntries int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	r.eachLocked(func(_ RowID, s *slot) {
+	r.eachLocked(func(_ RowID, s rowState) {
 		v := s.ver
 		if v == nil {
 			return

@@ -754,7 +754,7 @@ func TestSettledRows(t *testing.T) {
 	heads := func() (n int) {
 		r.mu.RLock()
 		defer r.mu.RUnlock()
-		r.eachLocked(func(_ RowID, s *slot) {
+		r.eachLocked(func(_ RowID, s rowState) {
 			if !s.t.IsZero() && s.ver == settled {
 				n++
 			}

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -65,20 +66,16 @@ type Relation struct {
 	indexes []*index
 
 	// pages holds one slot per row id, pageSize ids to a page
-	// (pages[id>>pageBits]; row id 0 is never used).  A slot holds the
-	// row's live row and the head of its committed version chain
-	// (mvcc.go), or nothing.  A page is allocated when one of its slots
-	// gains content and dropped when its last one empties (setLocked),
-	// so the slots held follow the rows and versions still held, not
-	// every row id ever issued.  Row ids are never reused, so a walk in
-	// page order is a walk in row-id order.  live counts the slots with
-	// a live row.  Guarded by mu.
+	// (pages[id>>pageBits]; row id 0 is never used).  A page packs its
+	// slots' live rows into one append-only block and holds the heads
+	// of their committed version chains (mvcc.go).  A page is allocated
+	// when one of its slots gains content and dropped when its last one
+	// empties (setLocked), so the pages held follow the rows and
+	// versions still held, not every row id ever issued.  Row ids are
+	// never reused, so a walk in page order is a walk in row-id order.
+	// live counts the slots with a live row.  Guarded by mu.
 	pages []page
 	live  int
-
-	// verDirty holds the rows whose version chains the vacuum should
-	// revisit.
-	verDirty map[RowID]struct{}
 
 	// Planner-statistics bookkeeping (stats.go): mutations since open,
 	// guarded by mu, and the counter the owning DB reports rebuilds to.
@@ -96,16 +93,11 @@ type Relation struct {
 	scratch value.Tuple
 }
 
-// slot is one row id's place in a relation: the live row, uncommitted
-// writes included (zero when there is no live row), and the newest
-// committed version (nil when no snapshot can see the row; settled when
-// the live row is the row's only committed state, see mvcc.go).  A slot
-// is 24 bytes: a row is its encoded bytes, immutable, so a slot never
-// holds a decoded tuple.
-type slot struct {
-	t   value.Row
-	ver *rowVersion
-}
+// slot is one row id's place in its page: the live row, uncommitted
+// writes included, as the n bytes at off in the page's block (n is 0
+// when there is no live row; an encoded tuple is never empty).  A slot
+// is 8 bytes and holds no pointer.
+type slot struct{ off, n uint32 }
 
 // pageBits sizes a page of slots: 256 row ids, one read-lock hold of a
 // walk.
@@ -114,14 +106,94 @@ const (
 	pageSize = 1 << pageBits
 )
 
-// page is the directory entry of pageSize consecutive row ids: their
-// slots (nil while none holds anything), how many hold a tuple or a
-// version, and the integer summary of every tuple the page has held.
-// The slots are allocated apart so each takes exactly 8 KiB.
+// page is the directory entry of pageSize consecutive row ids.  It
+// holds their slots (nil while none holds anything) and the block their
+// live rows' bytes are packed in.  A slot's version-chain head is
+// settled when its bit in settled is set, else heads[i]; heads exists
+// only while some slot has a real chain (chains counts them).  used
+// counts the slots holding a live row or a version, bytes the live
+// rows' bytes, and sum summarizes every row the page has held.
+//
+// The block follows the B-tree's rule for key blocks: it is only ever
+// appended to (put), and a block without room is replaced by a new one
+// holding the live rows (compact), never overwritten.  So every Row the
+// page hands out, a string over block bytes, reads the same bytes for
+// as long as its holder keeps it, whatever is written, deleted or
+// compacted afterwards.
 type page struct {
-	slots *[pageSize]slot
-	used  int
-	sum   []span // per column; nil while the page is dropped
+	slots   *[pageSize]slot
+	block   []byte
+	heads   *[pageSize]*rowVersion
+	settled [pageSize / 64]uint64
+	used    int
+	chains  int
+	bytes   int
+	sum     []span // per column; nil while the page is dropped
+}
+
+// headsPool recycles the heads arrays of pages whose last chain was
+// settled or reclaimed, all nil again: a page written between two
+// vacuum passes takes one back instead of allocating 2 KiB.
+var headsPool = sync.Pool{New: func() any { return new([pageSize]*rowVersion) }}
+
+// rowState is a row id's state as its page holds it: the live row
+// (zero when none) and the head of its committed version chain (nil
+// when no snapshot can see the row; settled when the live row is the
+// row's only committed state, see mvcc.go).
+type rowState struct {
+	t   value.Row
+	ver *rowVersion
+}
+
+// row returns slot i's live row, a string over its block bytes; zero
+// if none.
+func (p *page) row(i int) value.Row {
+	s := p.slots[i]
+	if s.n == 0 {
+		return value.Row{}
+	}
+	return value.RowIn(p.block[s.off : s.off+s.n])
+}
+
+// head returns slot i's version-chain head.
+func (p *page) head(i int) *rowVersion {
+	if p.settled[i>>6]&(1<<(i&63)) != 0 {
+		return settled
+	}
+	if p.heads != nil {
+		return p.heads[i]
+	}
+	return nil
+}
+
+// state returns slot i's live row and version-chain head.
+func (p *page) state(i int) rowState { return rowState{p.row(i), p.head(i)} }
+
+// setHead makes v slot i's version-chain head, taking a heads array for
+// the page's first real chain and giving it back with the last.
+func (p *page) setHead(i int, v *rowVersion) {
+	if bit := uint64(1) << (i & 63); v == settled {
+		p.settled[i>>6] |= bit
+		v = nil
+	} else {
+		p.settled[i>>6] &^= bit
+	}
+	switch was := p.heads != nil && p.heads[i] != nil; {
+	case v != nil && !was:
+		if p.chains++; p.heads == nil {
+			p.heads = headsPool.Get().(*[pageSize]*rowVersion)
+		}
+	case v == nil && was:
+		p.heads[i] = nil
+		if p.chains--; p.chains == 0 {
+			headsPool.Put(p.heads)
+			p.heads = nil
+		}
+		return
+	case v == nil:
+		return
+	}
+	p.heads[i] = v
 }
 
 // span is one column's summary on a page: every value the page's live
@@ -213,20 +285,19 @@ func (p *page) admits(b *Bounds) bool {
 
 func newRelation(name string, schema *value.Schema) *Relation {
 	return &Relation{
-		name:     name,
-		schema:   schema,
-		nextRow:  1,
-		verDirty: make(map[RowID]struct{}),
+		name:    name,
+		schema:  schema,
+		nextRow: 1,
 	}
 }
 
-// slotLocked returns row id's slot, empty when its page is absent.
-// Caller holds mu.
-func (r *Relation) slotLocked(id RowID) slot {
+// slotLocked returns row id's live row and version-chain head, empty
+// when its page is absent.  Caller holds mu.
+func (r *Relation) slotLocked(id RowID) rowState {
 	if pi := id >> pageBits; pi < RowID(len(r.pages)) && r.pages[pi].slots != nil {
-		return r.pages[pi].slots[id&(pageSize-1)]
+		return r.pages[pi].state(int(id & (pageSize - 1)))
 	}
-	return slot{}
+	return rowState{}
 }
 
 // liveLocked returns the live row of row id, zero if none.  Caller
@@ -235,61 +306,139 @@ func (r *Relation) liveLocked(id RowID) value.Row {
 	return r.slotLocked(id).t
 }
 
-// setLocked stores row id's live row t and version-chain head v.  The
+// setLocked stores row id's live row t and version-chain head v, and
+// returns the live row as stored: t itself when it is already the
+// slot's row (Same), else a copy of t's bytes in the page's block.  The
 // slot's page is allocated when the slot gains content and dropped when
 // its last occupied slot empties; its summary widens over t and v.
 // Caller holds mu exclusively.
-func (r *Relation) setLocked(id RowID, t value.Row, v *rowVersion) {
+func (r *Relation) setLocked(id RowID, t value.Row, v *rowVersion) value.Row {
 	pi, now := id>>pageBits, !t.IsZero() || v != nil
-	if n := RowID(len(r.pages)); pi >= n {
-		if !now {
-			return
-		}
-		r.pages = slices.Grow(r.pages, int(pi+1-n))[:pi+1]
-		clear(r.pages[n:])
+	if !now && (pi >= RowID(len(r.pages)) || r.pages[pi].slots == nil) {
+		return t
 	}
-	p := &r.pages[pi]
-	if p.slots == nil {
-		if !now {
-			return
-		}
-		p.slots = new([pageSize]slot)
-	}
-	s := &p.slots[id&(pageSize-1)]
-	if s.t.IsZero() != t.IsZero() {
+	p := r.pageLocked(pi)
+	i := int(id & (pageSize - 1))
+	was := p.state(i)
+	if was.t.IsZero() != t.IsZero() {
 		if !t.IsZero() {
 			r.live++
 		} else {
 			r.live--
 		}
 	}
-	if was := !s.t.IsZero() || s.ver != nil; was != now {
+	if v != was.ver {
+		p.setHead(i, v)
+	}
+	if had := !was.t.IsZero() || was.ver != nil; had != now {
 		if now {
 			p.used++
 		} else if p.used--; p.used == 0 {
-			p.slots, p.sum = nil, nil
-			return
+			*p = page{}
+			return t
 		}
 	}
-	if !t.IsZero() && !t.Same(s.t) {
-		r.scratch = t.Decode(r.scratch)
-		p.widen(r.scratch)
+	if !t.Same(was.t) {
+		p.bytes -= int(p.slots[i].n)
+		p.slots[i] = slot{}
+		if !t.IsZero() {
+			t = p.put(i, t)
+			r.scratch = t.Decode(r.scratch)
+			p.widen(r.scratch)
+		}
 	}
-	if v != nil && v != s.ver && v != settled && !v.row.Same(t) {
+	if v != nil && v != was.ver && v != settled && !v.row.Same(t) {
 		r.scratch = v.row.Decode(r.scratch)
 		p.widen(r.scratch)
 	}
-	s.t, s.ver = t, v
+	return t
 }
 
-// eachLocked calls fn with every slot of every allocated page, in
-// row-id order.  fn may call setLocked.  Caller holds mu.
-func (r *Relation) eachLocked(fn func(id RowID, s *slot)) {
+// pageLocked returns page pi, growing the directory and allocating the
+// page's slots as needed.  Caller holds mu exclusively.
+func (r *Relation) pageLocked(pi RowID) *page {
+	if n := RowID(len(r.pages)); pi >= n {
+		r.pages = slices.Grow(r.pages, int(pi+1-n))[:pi+1]
+		clear(r.pages[n:])
+	}
+	p := &r.pages[pi]
+	if p.slots == nil {
+		p.slots = new([pageSize]slot)
+	}
+	return p
+}
+
+// put copies t into the page's block as slot i's live row, which slot i
+// must not hold, and returns the stored row.  The bytes go into the
+// block's spare capacity, which no row handed out has ever covered; a
+// block without room is replaced first (compact).
+func (p *page) put(i int, t value.Row) value.Row {
+	n := t.Len()
+	if n > cap(p.block)-len(p.block) {
+		p.compact(n)
+	}
+	p.slots[i] = slot{uint32(len(p.block)), uint32(n)}
+	p.block = t.AppendTo(p.block)
+	p.bytes += n
+	return p.row(i)
+}
+
+// compact replaces the page's block by a new one holding only its live
+// rows, with room for extra more bytes: one and a half times the bytes
+// of both.  So a page's writes copy each live byte about twice, and a
+// page stays within twice its live bytes until deletes take a quarter
+// of them (the vacuum compacts it then).  The old block is dropped, not
+// cleared: rows handed out from it, and versions holding rows no slot
+// holds live any more, keep reading the same bytes.  A version that
+// held a live row moves to its copy, so the vacuum still finds the
+// version Same as the live row (mvcc.go).
+func (p *page) compact(extra int) {
+	size := (p.bytes + extra) * 3 / 2
+	if size > math.MaxUint32 {
+		panic("storage: page rows exceed 4 GiB")
+	}
+	var b []byte
+	if size > 0 {
+		b = make([]byte, 0, size)
+	}
+	for i := range p.slots {
+		old := p.row(i)
+		if old.IsZero() {
+			continue
+		}
+		off := len(b)
+		b = old.AppendTo(b)
+		p.slots[i].off = uint32(off)
+		if p.heads != nil {
+			moved := value.RowIn(b[off:])
+			for v := p.heads[i]; v != nil; v = v.prev {
+				if v.row.Same(old) {
+					v.row = moved
+				}
+			}
+		}
+	}
+	p.block = b
+}
+
+// reserveLocked gives the empty page of row id a block with room for
+// size bytes, so a segment load copies the page's rows into one
+// allocation of their exact size.  Caller holds mu exclusively.
+func (r *Relation) reserveLocked(id RowID, size int) {
+	if p := r.pageLocked(id >> pageBits); p.used == 0 && size > 0 {
+		p.block = make([]byte, 0, size)
+	}
+}
+
+// eachLocked calls fn with the state of every occupied slot, in row-id
+// order.  fn may call setLocked for the row it is given.  Caller holds
+// mu.
+func (r *Relation) eachLocked(fn func(id RowID, s rowState)) {
 	for pi := range r.pages {
-		if p := r.pages[pi].slots; p != nil {
-			base := RowID(pi) << pageBits
-			for i := range p {
-				fn(base+RowID(i), &p[i])
+		base := RowID(pi) << pageBits
+		for i := 0; i < pageSize && r.pages[pi].slots != nil; i++ {
+			if s := r.pages[pi].state(i); !s.t.IsZero() || s.ver != nil {
+				fn(base+RowID(i), s)
 			}
 		}
 	}
@@ -350,7 +499,7 @@ func (r *Relation) buildTreeLocked(ix *index) (*btree.Tree, error) {
 	}
 	var buf []byte
 	runs := make([]run, 0, r.live)
-	r.eachLocked(func(id RowID, s *slot) {
+	r.eachLocked(func(id RowID, s rowState) {
 		if !s.t.IsZero() {
 			lo := len(buf)
 			buf = ix.appendKey(buf, id, s.t)
@@ -395,10 +544,11 @@ func (r *Relation) Deferred() bool {
 }
 
 // buildIndexes reconstructs every secondary index from a sorted run over
-// the heap and resumes inline maintenance.  On error (a unique violation
-// surfaced by the sorted pass) the relation stays deferred and no tree
-// is replaced.
-func (r *Relation) buildIndexes() error {
+// the heap and resumes inline maintenance.  The rebuilt trees serve
+// snapshots from CSN floor on, set in the same lock hold that installs
+// them.  On error (a unique violation surfaced by the sorted pass) the
+// relation stays deferred and no tree is replaced.
+func (r *Relation) buildIndexes(floor uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.deferred {
@@ -415,6 +565,7 @@ func (r *Relation) buildIndexes() error {
 	for i, ix := range r.indexes {
 		ix.tree = rebuilt[i]
 		ix.hist = nil // retired keys predate the rebuild; the floor covers them
+		ix.createdAt = floor
 		ix.stats = nil
 		ix.statsAt = 0
 	}
@@ -482,8 +633,10 @@ func tupleKeyString(ix *index, t value.Row) string {
 }
 
 // insertRow stores t (already validated) under a fresh row id, updating
-// indexes.  If id is non-zero, that specific id is used (recovery path).
-func (r *Relation) insertRow(id RowID, t value.Row) (RowID, error) {
+// indexes, and returns the id and the row as stored (a copy in the
+// page's block).  If id is non-zero, that specific id is used (recovery
+// path).
+func (r *Relation) insertRow(id RowID, t value.Row) (RowID, value.Row, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id == 0 {
@@ -491,7 +644,7 @@ func (r *Relation) insertRow(id RowID, t value.Row) (RowID, error) {
 	}
 	s := r.slotLocked(id)
 	if !s.t.IsZero() {
-		return 0, fmt.Errorf("storage: %s: row %d already exists", r.name, id)
+		return 0, value.Row{}, fmt.Errorf("storage: %s: row %d already exists", r.name, id)
 	}
 	if !r.deferred {
 		for i, ix := range r.indexes {
@@ -499,16 +652,16 @@ func (r *Relation) insertRow(id RowID, t value.Row) (RowID, error) {
 				for _, undo := range r.indexes[:i] {
 					undo.remove(id, t)
 				}
-				return 0, fmt.Errorf("storage: %s: %w", r.name, err)
+				return 0, value.Row{}, fmt.Errorf("storage: %s: %w", r.name, err)
 			}
 		}
 	}
-	r.setLocked(id, t, s.ver)
+	t = r.setLocked(id, t, s.ver)
 	if id >= r.nextRow {
 		r.nextRow = id + 1
 	}
 	r.modCount++
-	return id, nil
+	return id, t, nil
 }
 
 // deleteRow removes row id, returning the old row.
@@ -532,14 +685,15 @@ func (r *Relation) deleteRow(id RowID) (value.Row, error) {
 	return old, nil
 }
 
-// updateRow replaces row id with t, returning the old row.
-func (r *Relation) updateRow(id RowID, t value.Row) (value.Row, error) {
+// updateRow replaces row id with t, returning the old row and the new
+// one as stored (a copy in the page's block).
+func (r *Relation) updateRow(id RowID, t value.Row) (old, stored value.Row, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.slotLocked(id)
-	old := s.t
+	old = s.t
 	if old.IsZero() {
-		return value.Row{}, fmt.Errorf("storage: %s: no row %d", r.name, id)
+		return value.Row{}, value.Row{}, fmt.Errorf("storage: %s: no row %d", r.name, id)
 	}
 	r.unsettleLocked(id, &s)
 	if !r.deferred {
@@ -556,13 +710,31 @@ func (r *Relation) updateRow(id RowID, t value.Row) (value.Row, error) {
 				for _, redo := range r.indexes {
 					redo.insert(id, old) //nolint:errcheck // restoring prior state
 				}
-				return value.Row{}, fmt.Errorf("storage: %s: %w", r.name, err)
+				return value.Row{}, value.Row{}, fmt.Errorf("storage: %s: %w", r.name, err)
 			}
 		}
 	}
-	r.setLocked(id, t, s.ver)
+	stored = r.setLocked(id, t, s.ver)
 	r.modCount++
-	return old, nil
+	return old, stored, nil
+}
+
+// restoreRow puts old back as row id's live row for an aborted write:
+// insertRow for an undone delete, updateRow for an undone update.  The
+// live row is a copy of old in the page's block; the row's current
+// committed version, which old restores, moves to the copy, so the
+// vacuum finds the two Same and settles the row again.
+func (r *Relation) restoreRow(id RowID, old value.Row, deleted bool) {
+	if deleted {
+		r.insertRow(id, old) //nolint:errcheck // compensations cannot fail
+	} else {
+		r.updateRow(id, old) //nolint:errcheck
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.slotLocked(id); s.ver != nil && s.ver != settled && s.ver.end == liveCSN && s.ver.row.Equal(s.t) {
+		s.ver.row = s.t
+	}
 }
 
 // get returns the row stored under id.
@@ -577,7 +749,7 @@ func (r *Relation) get(id RowID) (value.Row, bool) {
 // ascending row-id order, returning the number of rows seen.  Iteration
 // stops if fn returns false.
 func (r *Relation) scan(b *Bounds, fn func(id RowID, t value.Row) bool) uint64 {
-	return r.walk(b, func(s *slot) value.Row { return s.t }, fn)
+	return r.walk(b, (*page).row, fn)
 }
 
 // walk calls fn in row-id order with each row that pick maps to a
@@ -587,7 +759,7 @@ func (r *Relation) scan(b *Bounds, fn func(id RowID, t value.Row) bool) uint64 {
 // lock held; each hold resumes at the page after the last one picked
 // from.  Rows are immutable, so a page's picks are collected as they
 // are, 16 bytes each, and never decoded here.
-func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Row, fn func(id RowID, t value.Row) bool) (n uint64) {
+func (r *Relation) walk(b *Bounds, pick func(p *page, i int) value.Row, fn func(id RowID, t value.Row) bool) (n uint64) {
 	if b != nil {
 		b.Walked, b.Pages = 0, 0
 		r.mu.RLock()
@@ -612,9 +784,9 @@ func (r *Relation) walk(b *Bounds, pick func(s *slot) value.Row, fn func(id RowI
 		if b != nil {
 			b.Walked++
 		}
-		p, base := r.pages[pi].slots, RowID(pi)<<pageBits
-		for i := range p {
-			if t := pick(&p[i]); !t.IsZero() {
+		p, base := &r.pages[pi], RowID(pi)<<pageBits
+		for i := range pageSize {
+			if t := pick(p, i); !t.IsZero() {
 				ids, ts = append(ids, base+RowID(i)), append(ts, t)
 			}
 		}

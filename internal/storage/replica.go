@@ -228,7 +228,7 @@ func (db *DB) ContentHash() string {
 		}
 		buf = binary.AppendUvarint(buf, uint64(r.live))
 		h.Write(buf)
-		r.eachLocked(func(id RowID, s *slot) {
+		r.eachLocked(func(id RowID, s rowState) {
 			if !s.t.IsZero() {
 				buf = binary.AppendUvarint(buf[:0], id)
 				buf = s.t.AppendTo(buf)

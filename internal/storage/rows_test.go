@@ -8,10 +8,11 @@ import (
 	"repro/internal/value"
 )
 
-// TestSlotSize: a slot is a 16-byte row and a version pointer.
+// TestSlotSize: a slot is its row's offset and length in the page's
+// block, and holds no pointer.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 24 {
-		t.Fatalf("slot is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(slot{}); got != 8 {
+		t.Fatalf("slot is %d bytes, want 8", got)
 	}
 }
 

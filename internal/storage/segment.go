@@ -584,6 +584,24 @@ func (db *DB) loadSegment(e manifestEntry) error {
 	if err != nil {
 		return err
 	}
+	// Rows come in row-id order, so a page's rows are validated first
+	// and then copied into one block of their exact size.
+	type at struct {
+		id     RowID
+		lo, hi int
+	}
+	var pend []at // the validated rows of one page
+	fill := func() {
+		size := 0
+		for _, a := range pend {
+			size += a.hi - a.lo
+		}
+		rel.reserveLocked(pend[0].id, size)
+		for _, a := range pend {
+			rel.setLocked(a.id, value.RowIn(r.body[a.lo:a.hi]), nil)
+		}
+		pend = pend[:0]
+	}
 	for j := uint64(0); j < nrows; j++ {
 		id, err := r.uvarint()
 		if err != nil {
@@ -592,15 +610,21 @@ func (db *DB) loadSegment(e manifestEntry) error {
 		if id == 0 {
 			return fmt.Errorf("storage: %s: row id 0", ctx)
 		}
-		t, n, err := value.ParseRow(r.body[r.pos:])
+		n, err := value.SkipTuple(r.body[r.pos:])
 		if err != nil {
 			return fmt.Errorf("storage: %s row %d: %w", ctx, id, err)
 		}
+		if len(pend) > 0 && pend[0].id>>pageBits != id>>pageBits {
+			fill()
+		}
+		pend = append(pend, at{id, r.pos, r.pos + n})
 		r.pos += n
-		rel.setLocked(id, t, nil)
 		if id >= rel.nextRow {
 			rel.nextRow = id + 1
 		}
+	}
+	if len(pend) > 0 {
+		fill()
 	}
 	for j, spec := range specs {
 		if err := rel.addIndex(spec); err != nil {

@@ -198,7 +198,7 @@ func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
 	if err := tx.lock(relName, txn.Exclusive); err != nil {
 		return 0, err
 	}
-	id, err := r.insertRow(0, row)
+	id, row, err := r.insertRow(0, row)
 	if err != nil {
 		return 0, err
 	}
@@ -254,7 +254,7 @@ func (tx *Tx) Update(relName string, id RowID, t value.Tuple) error {
 	if err := tx.lock(relName, txn.Exclusive); err != nil {
 		return err
 	}
-	old, err := r.updateRow(id, row)
+	old, row, err := r.updateRow(id, row)
 	if err != nil {
 		return err
 	}
@@ -476,10 +476,8 @@ func rollbackUndo(db *DB, undo []undoRec) {
 		switch u.op {
 		case undoInsert:
 			r.deleteRow(u.id) //nolint:errcheck // compensations cannot fail
-		case undoDelete:
-			r.insertRow(u.id, u.old) //nolint:errcheck
-		case undoUpdate:
-			r.updateRow(u.id, u.old) //nolint:errcheck
+		case undoDelete, undoUpdate:
+			r.restoreRow(u.id, u.old, u.op == undoDelete)
 		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 // however wide the tuple, and its columns cost their encoded size
 // (one to three bytes for most integers) instead of a Value each.
 //
-// A Row is well formed by construction — RowOf encodes it and ParseRow
-// validates it — so its readers never fail.  Decode reads it into a
+// A Row is well formed by construction — RowOf encodes it, ParseRow
+// validates it, and RowIn takes bytes one of the two has vouched for —
+// so its readers never fail.  Decode reads it into a
 // tuple the caller owns and reuses; string and bytes values come out
 // as substrings of the row, with no copy, which is safe because the
 // row never changes.  The zero Row holds no tuple.
@@ -36,6 +37,14 @@ func ParseRow(buf []byte) (Row, int, error) {
 	}
 	return Row{own(buf[:n])}, n, nil
 }
+
+// RowIn returns the encoded tuple b as a Row over b's own bytes, with
+// no copy.  b must hold exactly one tuple as AppendTuple writes it (or
+// as SkipTuple has validated it), and no one may write b's bytes again:
+// the storage engine hands out rows over its append-only page blocks
+// this way.  A Row over the copy of a row holds the same tuple and is
+// not Same as the row.
+func RowIn(b []byte) Row { return Row{unsafe.String(unsafe.SliceData(b), len(b))} }
 
 // SkipTuple validates the encoded tuple at the front of buf as ParseRow
 // does and returns its length, building nothing.
@@ -144,10 +153,17 @@ func (r Row) IsZero() bool { return r.s == "" }
 
 // Same reports whether r and o are one row: the same bytes in memory,
 // not merely equal ones.  RowOf and ParseRow never share bytes between
-// rows, so only copies of one Row value are Same.
+// rows, nor does a page block, so only copies of one Row value are Same.
 func (r Row) Same(o Row) bool {
 	return len(r.s) == len(o.s) && unsafe.StringData(r.s) == unsafe.StringData(o.s)
 }
+
+// Equal reports whether r and o hold the same encoded tuple, in the
+// same bytes or in a copy.
+func (r Row) Equal(o Row) bool { return r.s == o.s }
+
+// Len returns the length of the row's encoding, 0 for the zero Row.
+func (r Row) Len() int { return len(r.s) }
 
 // AppendTo appends the row's encoding — AppendTuple's bytes for the
 // tuple it holds — to dst.

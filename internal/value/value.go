@@ -17,7 +17,10 @@
 //
 // A stored row is not a Tuple but a Row: one immutable string holding
 // the row's storage encoding, 16 bytes plus the encoded size, which is
-// what the engine keeps resident for every row.  The aliasing rule:
+// what the engine keeps resident for every row.  A stored Row may alias
+// its page's row block in the storage engine (RowIn): the block is
+// append-only and never written under a row, so the Row is immutable
+// all the same, and keeping it keeps the block.  The aliasing rule:
 // a Row never changes, so anyone may keep it, copy it, and read it
 // from any goroutine.  Readers decode it into a Tuple they own and
 // reuse (Row.Decode); its string and bytes values are substrings of
