@@ -13,8 +13,8 @@
 // As an implementation extension, `define index on ENTITY ( attr {, attr} )`
 // creates a secondary index (the §5.2 relational ordering optimization),
 // and `drop index on ENTITY ( attr {, attr} )` removes the index the
-// matching define created.  Both route through the model layer so the
-// schema epoch advances and cached query plans invalidate.
+// matching define created.  Both route through the model layer; every
+// statement is planned when it runs, so the next one sees the change.
 package ddl
 
 import (

@@ -52,9 +52,6 @@ type MDM struct {
 	Catalog *meta.Catalog
 	Music   *cmn.Music
 	Biblio  *biblio.Index
-
-	stmts *stmtCache
-	plans *quel.PlanCache
 }
 
 // Open builds (or reopens) a music data manager.
@@ -80,12 +77,7 @@ func Open(opts Options) (*MDM, error) {
 		store.Close()
 		return nil, err
 	}
-	mgr := &MDM{
-		Store: store,
-		Model: m,
-		stmts: newStmtCache(stmtCacheMax),
-		plans: quel.NewPlanCache(store.Obs()),
-	}
+	mgr := &MDM{Store: store, Model: m}
 	if !opts.SkipCMN {
 		if mgr.Music, err = cmn.Open(m); err != nil {
 			store.Close()
@@ -130,33 +122,24 @@ type Session struct {
 	canceled   uint64
 }
 
-// stmtCacheMax bounds the manager-wide statement cache (FIFO eviction;
-// a served workload's hot statement set is far smaller than this).
-const stmtCacheMax = 256
-
 // sessionObs mirrors the per-session counters into the manager-wide
 // registry (all handles nil-safe).
 type sessionObs struct {
-	statements      *obs.Counter // mdm.statements
-	retries         *obs.Counter // mdm.retries
-	exhausted       *obs.Counter // mdm.exhausted
-	canceled        *obs.Counter // mdm.canceled
-	stmtCacheHits   *obs.Counter // mdm.stmt.cache.hits
-	stmtCacheMisses *obs.Counter // mdm.stmt.cache.misses
+	statements *obs.Counter // mdm.statements
+	retries    *obs.Counter // mdm.retries
+	exhausted  *obs.Counter // mdm.exhausted
+	canceled   *obs.Counter // mdm.canceled
 }
 
 // NewSession opens a client session with the default retry policy.
 func (m *MDM) NewSession() *Session {
 	s := &Session{mdm: m, quel: quel.NewSession(m.Model), policy: DefaultRetryPolicy}
-	s.quel.SetPlanCache(m.plans)
 	if reg := m.Obs(); reg != nil {
 		s.obs = sessionObs{
-			statements:      reg.Counter("mdm.statements"),
-			retries:         reg.Counter("mdm.retries"),
-			exhausted:       reg.Counter("mdm.exhausted"),
-			canceled:        reg.Counter("mdm.canceled"),
-			stmtCacheHits:   reg.Counter("mdm.stmt.cache.hits"),
-			stmtCacheMisses: reg.Counter("mdm.stmt.cache.misses"),
+			statements: reg.Counter("mdm.statements"),
+			retries:    reg.Counter("mdm.retries"),
+			exhausted:  reg.Counter("mdm.exhausted"),
+			canceled:   reg.Counter("mdm.canceled"),
 		}
 	}
 	return s

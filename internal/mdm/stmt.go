@@ -15,70 +15,14 @@ import (
 // ... and are replaced at execution time by literal values, so a bound
 // argument drives index selection exactly as an inline literal would —
 // there is no string splicing anywhere on the path.  A Stmt is bound to
-// the session that prepared it; the parsed form behind it is shared
-// through the manager-wide statement cache.
+// the session that prepared it and owns its parse; each execution plans
+// afresh on its bound literals.
 type Stmt struct {
 	sess *Session
 	prep *quel.Prepared
 
 	mu     sync.Mutex
 	closed bool
-}
-
-// stmtCache is the manager-wide cache of parsed statements, keyed by
-// source text.  Parsed statements are session-independent (binding
-// copies the tree), so every session — and every server connection —
-// preparing the same source shares one parse.  The cache remembers the
-// schema epoch it was filled under and flushes wholesale when DDL
-// advances it, so a statement prepared before a `drop index` never
-// replays a plan over the dropped index.
-type stmtCache struct {
-	mu    sync.Mutex
-	max   int
-	epoch uint64
-	bySrc map[string]*quel.Prepared
-	order []string // FIFO eviction order
-}
-
-func newStmtCache(max int) *stmtCache {
-	return &stmtCache{max: max, bySrc: make(map[string]*quel.Prepared)}
-}
-
-// get returns the cached parse of src, or parses and caches it.  epoch
-// is the model's current schema epoch; a mismatch with the cache's
-// recorded epoch empties it before lookup.
-func (c *stmtCache) get(src string, epoch uint64) (*quel.Prepared, bool, error) {
-	c.mu.Lock()
-	if c.epoch != epoch {
-		c.bySrc = make(map[string]*quel.Prepared)
-		c.order = nil
-		c.epoch = epoch
-	}
-	p, ok := c.bySrc[src]
-	c.mu.Unlock()
-	if ok {
-		return p, true, nil
-	}
-	p, err := quel.Prepare(src)
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	if c.epoch == epoch {
-		if existing, ok := c.bySrc[src]; ok {
-			p = existing // another session raced us; share its parse
-		} else {
-			if len(c.order) >= c.max {
-				oldest := c.order[0]
-				c.order = c.order[1:]
-				delete(c.bySrc, oldest)
-			}
-			c.bySrc[src] = p
-			c.order = append(c.order, src)
-		}
-	}
-	c.mu.Unlock()
-	return p, false, nil
 }
 
 // PrepareContext parses src into a reusable parameterized statement.
@@ -97,14 +41,9 @@ func (s *Session) PrepareContext(ctx context.Context, src string) (*Stmt, error)
 			return nil, fmt.Errorf("%w: cannot prepare DDL (%q); execute it directly", ErrParse, first)
 		}
 	}
-	p, hit, err := s.mdm.stmts.get(trimmed, s.mdm.Model.SchemaEpoch())
+	p, err := quel.Prepare(trimmed)
 	if err != nil {
 		return nil, classify(err)
-	}
-	if hit {
-		s.obs.stmtCacheHits.Inc()
-	} else {
-		s.obs.stmtCacheMisses.Inc()
 	}
 	return &Stmt{sess: s, prep: p}, nil
 }
@@ -115,9 +54,8 @@ func (st *Stmt) NumParams() int { return st.prep.NumParams() }
 // Src returns the source text the statement was prepared from.
 func (st *Stmt) Src() string { return st.prep.Src() }
 
-// Close releases the statement handle.  The underlying parse stays in
-// the manager-wide cache for other sessions; using the handle after
-// Close fails with ErrBadStmt.  Close is idempotent.
+// Close releases the statement handle; using it after Close fails with
+// ErrBadStmt.  Close is idempotent.
 func (st *Stmt) Close() error {
 	st.mu.Lock()
 	st.closed = true

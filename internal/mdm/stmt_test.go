@@ -112,9 +112,9 @@ func TestStmtParseErrorIsErrParse(t *testing.T) {
 	}
 }
 
-// TestStmtCacheShared: preparing the same source twice (even from
-// different sessions) parses once; the manager-wide cache serves the
-// second prepare.
+// TestStmtCacheShared: the same source prepared in two sessions gives
+// two statements, each owning its parse and executing with its own
+// bindings.
 func TestStmtCacheShared(t *testing.T) {
 	m, s1 := stmtTestMDM(t)
 	ctx := context.Background()
@@ -133,14 +133,6 @@ func TestStmtCacheShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if st1.prep != st2.prep {
-		t.Fatal("second prepare did not hit the shared statement cache")
-	}
-	hits := m.Obs().Counter("mdm.stmt.cache.hits").Value()
-	if hits == 0 {
-		t.Fatal("cache hit not counted")
-	}
-	// Both handles execute independently with their own bindings.
 	r1, err := st1.QueryContext(ctx, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,8 @@ type IncipitIndex struct {
 	Match func(v View, entity value.Ref, pattern string) (bool, error)
 }
 
-// RegisterIncipitIndex publishes an incipit index for an entity type.
-// It bumps the schema epoch so cached plans built without the index are
-// discarded.
+// RegisterIncipitIndex publishes an incipit index for an entity type;
+// statements planned from then on can probe it.
 func (db *Database) RegisterIncipitIndex(ix IncipitIndex) error {
 	if ix.EntityType == "" || ix.Gram == nil || ix.Match == nil {
 		return fmt.Errorf("model: incomplete incipit index registration for %q", ix.EntityType)
@@ -57,7 +56,6 @@ func (db *Database) RegisterIncipitIndex(ix IncipitIndex) error {
 		db.incipits = make(map[string]IncipitIndex)
 	}
 	db.incipits[ix.EntityType] = ix
-	db.schemaEpoch.Add(1)
 	return nil
 }
 

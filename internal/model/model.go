@@ -42,7 +42,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -177,12 +176,6 @@ type Database struct {
 	incipits      map[string]IncipitIndex
 
 	autoOrder int // counter for auto-generated ordering names
-
-	// schemaEpoch counts schema changes (entity/relationship/ordering
-	// definitions, index creation and drops).  Plan and statement caches
-	// key on it: a cached plan from an older epoch is replanned, so it
-	// can never reference a dropped index.
-	schemaEpoch atomic.Uint64
 }
 
 // Open loads (or initializes) a model database on top of a storage DB.
@@ -429,7 +422,6 @@ func (db *Database) DefineEntity(name string, attrs ...value.Field) (*EntityType
 	}
 	et := &EntityType{Name: name, Attrs: attrs}
 	db.addEntityType(et)
-	db.schemaEpoch.Add(1)
 	return et, nil
 }
 
@@ -494,7 +486,6 @@ func (db *Database) DefineRelationship(name string, roles []Role, attrs ...value
 	}
 	rt := &RelationshipType{Name: name, Roles: roles, Attrs: attrs, rel: relPrefix + name}
 	db.relationships[name] = rt
-	db.schemaEpoch.Add(1)
 	return rt, nil
 }
 
@@ -564,19 +555,12 @@ func (db *Database) DefineOrdering(name string, children []string, parent string
 	}
 	o := &Ordering{Name: name, Parent: parent, Children: append([]string(nil), children...), rel: ordPrefix + name}
 	db.orderings[name] = o
-	db.schemaEpoch.Add(1)
 	return o, nil
 }
 
-// SchemaEpoch returns the current schema epoch: a counter bumped by
-// every schema change (type definitions, index creation, index drops).
-// Plan and prepared-statement caches compare epochs to decide whether a
-// cached plan is still trustworthy.
-func (db *Database) SchemaEpoch() uint64 { return db.schemaEpoch.Load() }
-
 // DefineIndex adds a secondary index over attributes of an entity type's
-// instance relation and bumps the schema epoch.  DDL (define index on
-// ...) routes through here so caches observe the change.
+// instance relation.  DDL (define index on ...) routes through here; the
+// next statement planned can range the new index.
 func (db *Database) DefineIndex(typeName string, spec storage.IndexSpec) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -586,14 +570,13 @@ func (db *Database) DefineIndex(typeName string, spec storage.IndexSpec) error {
 	if err := db.store.CreateIndex(entPrefix+typeName, spec); err != nil {
 		return err
 	}
-	db.schemaEpoch.Add(1)
 	return nil
 }
 
 // DropIndex removes a secondary index from an entity type's instance
-// relation and bumps the schema epoch, so cached plans referencing the
-// index are invalidated before they can run again.  The built-in by_ref
-// surrogate index cannot be dropped.
+// relation; every statement plans afresh, so none planned after the drop
+// can name the index.  The built-in by_ref surrogate index cannot be
+// dropped.
 func (db *Database) DropIndex(typeName, indexName string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -606,7 +589,6 @@ func (db *Database) DropIndex(typeName, indexName string) error {
 	if err := db.store.DropIndex(entPrefix+typeName, indexName); err != nil {
 		return err
 	}
-	db.schemaEpoch.Add(1)
 	return nil
 }
 

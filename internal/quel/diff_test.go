@@ -415,7 +415,6 @@ func joinMethods(lines []string) []string {
 func TestPlannerNaiveDifferential(t *testing.T) {
 	plannedDB, naiveDB := diffFixture(t), diffFixture(t)
 	planned, naive := NewSession(plannedDB), NewSession(naiveDB)
-	planned.SetPlanCache(NewPlanCache(plannedDB.Store().Obs()))
 	naive.naive = true
 	if got, want := diffState(t, plannedDB), diffState(t, naiveDB); got != want {
 		t.Fatalf("fixtures differ before any statement:\n%s\nvs\n%s", got, want)
@@ -425,8 +424,8 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 
 	templates := diffTemplates(rand.New(rand.NewSource(43)))
 	methods := map[string]int{}
-	// Every statement runs twice: the planner's second run of a retrieve
-	// replays its strategy from the plan cache.
+	// Every statement runs twice: a write's second run meets the rows its
+	// first run changed.
 	indexJoins := plannedDB.Store().Obs().Counter("quel.plan.join.index")
 	var writes, affected, writeFetches int
 	for i := 0; i < 600; i++ {
@@ -447,9 +446,6 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 	}
 	if writes == 0 || affected == 0 {
 		t.Fatalf("write statements did no work (%d statements, %d rows affected): the differential is vacuous", writes, affected)
-	}
-	if hits := plannedDB.Store().Obs().Counter("quel.plan.cache.hits").Value(); hits == 0 {
-		t.Fatal("no retrieve replayed from the plan cache")
 	}
 	for _, m := range []string{"scan", "hash", "loop", "fetch", "index"} {
 		if methods[m] == 0 {

@@ -79,8 +79,6 @@ type Session struct {
 	rd       model.View  // the statement's reader: its snapshot or its transaction
 	snap     *model.Snap // pinned snapshot of a read statement; nil otherwise
 	emit     *emitter    // live row collector; non-nil only inside a retrieve
-	// The shared plan cache (plancache.go) is opt-in per session.
-	plans *PlanCache
 	// Decode buffers, kept across statements: free holds those no scan
 	// is using, steps one per join step (stepRun.bind).
 	free  []*value.Tuple
@@ -107,11 +105,6 @@ func (s *Session) stepTuples(n int) []value.Tuple {
 	}
 	return s.steps[:n]
 }
-
-// SetPlanCache attaches a shared plan cache: join orders and access-path
-// choices are reused across statements (and sessions) with the same
-// normalized shape, until a schema change invalidates them.
-func (s *Session) SetPlanCache(c *PlanCache) { s.plans = c }
 
 // readStmt runs a read-only statement against a pinned snapshot, with
 // no lock acquisition.  A snapshot fails to pin only under a canceled

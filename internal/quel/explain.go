@@ -29,7 +29,6 @@ type planStats struct {
 	SortDur       time.Duration
 	Emitted       int
 	Total         time.Duration
-	CacheHit      bool // plan strategy came from the shared plan cache
 }
 
 // scanStats describes one range variable's scan.
@@ -110,9 +109,6 @@ func renderPlan(q Retrieve, ps *planStats) []string {
 	}
 	add(0, "%s (rows=%d) (time=%s)", root, ps.Emitted, ps.Total)
 	depth := 1
-	if ps.CacheHit {
-		add(depth, "PlanCache: hit")
-	}
 	if len(q.SortBy) > 0 {
 		keys := make([]string, len(q.SortBy))
 		for i, k := range q.SortBy {

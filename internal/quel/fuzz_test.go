@@ -71,7 +71,6 @@ func FuzzPlannerDifferential(f *testing.F) {
 		}
 		plannedDB, naiveDB := diffFixture(t), diffFixture(t)
 		planned, naive := NewSession(plannedDB), NewSession(naiveDB)
-		planned.SetPlanCache(NewPlanCache(nil))
 		naive.naive = true
 		mustExec(t, planned, diffDecls)
 		mustExec(t, naive, diffDecls)

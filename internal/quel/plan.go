@@ -56,7 +56,7 @@ type planMetrics struct {
 // scan, or a range of a secondary index.
 type accessPath struct {
 	index         string // secondary index name; empty = heap scan
-	attr          string // attribute the index covers (plan-cache replay)
+	attr          string // attribute the index covers; its sargs need no selectivity guess
 	lo, hi        []byte // encoded key bounds, nil = open
 	rng           string // bound description for explain
 	est           int    // row estimate (order-statistics count for ranges)
@@ -740,28 +740,13 @@ func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[
 // (estFanout; for the first variable that is its estimated row count, so
 // a small partner joins before the variable it can fetch), ties broken
 // on estimated rows then name so plans stay deterministic for golden
-// tests — except that bigDriver, when there is one, goes first.  A
-// non-nil forced order (plan-cache replay) skips the ranking but still
-// computes each step's estimate for explain.
-func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderCond, forced []string) []*joinStep {
+// tests — except that bigDriver, when there is one, goes first.
+func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderCond) []*joinStep {
 	byName := make(map[string]*varPlan, len(plans))
 	for _, vp := range plans {
 		byName[vp.name] = vp
 	}
-	if len(forced) == len(plans) {
-		for _, name := range forced {
-			if byName[name] == nil {
-				forced = nil
-				break
-			}
-		}
-	} else {
-		forced = nil
-	}
-	var driver *varPlan
-	if forced == nil {
-		driver = s.bigDriver(plans, equis, orders)
-	}
+	driver := s.bigDriver(plans, equis, orders)
 	chosen := make(map[string]bool, len(plans))
 	steps := make([]*joinStep, 0, len(plans))
 	combos := 1.0
@@ -769,8 +754,6 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 		var best *varPlan
 		var bestFan float64
 		switch {
-		case forced != nil:
-			best = byName[forced[len(steps)]]
 		case len(steps) == 0 && driver != nil:
 			best = driver
 		default:
@@ -1055,29 +1038,17 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		extractIncipits(where, incipits)
 	}
 	deriveSargs(equis, sargs)
-	cached, key := s.lookupPlan(vars, infos, where)
 	plans := make([]*varPlan, len(vars))
 	for i, v := range vars {
 		vp := &varPlan{name: v, info: infos[v], sargs: sargs[v]}
-		if cached != nil {
-			vp.access = s.cachedAccessPath(cached, vp, incipits)
-		} else {
-			vp.access = s.chooseAccess(v, vp.info, vp.sargs, incipits)
-		}
+		vp.access = s.chooseAccess(v, vp.info, vp.sargs, incipits)
 		plans[i] = vp
 	}
 	if s.ps != nil && len(plans) == 1 && plans[0].access.satisfiesSort {
 		s.ps.SortElided = true
 		s.ps.SortIndex = plans[0].access.index
 	}
-	var forced []string
-	if cached != nil {
-		forced = cached.order
-	}
-	steps := s.orderJoins(plans, equis, orders, forced)
-	if cached == nil && key != "" {
-		s.storePlan(key, plans, steps)
-	}
+	steps := s.orderJoins(plans, equis, orders)
 	for _, st := range steps {
 		// An index fetch's key equals a value bound earlier, which has
 		// passed the same sargs: a derived sarg on the key repeats them.

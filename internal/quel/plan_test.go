@@ -2,6 +2,7 @@ package quel
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,6 +239,70 @@ func TestExplainDerivedSargs(t *testing.T) {
 	} {
 		if plan := strings.Join(planLines(t, s, q), "\n"); strings.Contains(plan, "(derived)") {
 			t.Errorf("%s: a sarg was carried\n%s", q, plan)
+		}
+	}
+}
+
+// TestDropIndexReplans: a statement that ranges an index plans again
+// after the index is dropped; the new plan never names the index and
+// answers as before.
+func TestDropIndexReplans(t *testing.T) {
+	db, s := newSession(t)
+	buildScores(t, db, 3, 10)
+	mustExec(t, s, "range of n is NOTE")
+
+	q := `retrieve (nm = n.name) where n.pitch >= 40 and n.pitch < 70`
+	want := canonRows(mustExec(t, s, q))
+	eq := "explain " + q
+	ixName, ok := db.AttrIndexName("NOTE", "pitch")
+	if !ok {
+		t.Fatal("no index on NOTE(pitch)")
+	}
+	if before := strings.Join(planLines(t, s, eq), "\n"); !strings.Contains(before, ixName) {
+		t.Fatalf("expected a plan over %s:\n%s", ixName, before)
+	}
+	if err := db.DropIndex("NOTE", ixName); err != nil {
+		t.Fatal(err)
+	}
+	// The new plan may pick another index; it must just never name the
+	// dropped one.
+	if after := strings.Join(planLines(t, s, eq), "\n"); strings.Contains(after, ixName) {
+		t.Fatalf("plan still names the dropped index %s:\n%s", ixName, after)
+	}
+	if got := canonRows(mustExec(t, s, q)); got != want {
+		t.Fatalf("result changed after index drop:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestPlanCacheReplaysIndexFetch: the join method follows each
+// execution's literals.  A narrow writer range fetches its works by key;
+// the same statement over every writer reads more wrote rows than WORK
+// holds, so it hash-joins the works instead — and both answer as the
+// naive executor does.
+func TestPlanCacheReplaysIndexFetch(t *testing.T) {
+	db, s := newSession(t)
+	setupWriters(t, db)
+	naive := NewSession(db)
+	naive.naive = true
+	decls := "range of e is WORK\nrange of w is WROTE"
+	mustExec(t, s, decls)
+	mustExec(t, naive, decls)
+	q := `retrieve (w.role, e.title) where w.writer >= %d and w.writer < %d and e.number = w.work`
+	for _, tc := range []struct {
+		lo, hi int
+		method string
+	}{
+		{2, 3, "IndexFetch (e.number = w.work) using ix_work_number"},
+		{1, 4, "HashJoin (e.number = w.work)"},
+		{3, 4, "IndexFetch (e.number = w.work) using ix_work_number"},
+	} {
+		src := fmt.Sprintf(q, tc.lo, tc.hi)
+		plan := strings.Join(planLines(t, s, "explain "+src), "\n")
+		if !strings.Contains(plan, tc.method) || !strings.Contains(plan, "IndexScan w on WROTE") {
+			t.Fatalf("writers [%d, %d): want %s after an IndexScan of w:\n%s", tc.lo, tc.hi, tc.method, plan)
+		}
+		if got, want := canonRows(mustExec(t, s, src)), canonRows(mustExec(t, naive, src)); got != want {
+			t.Fatalf("writers [%d, %d): planner\n%s\nnaive\n%s", tc.lo, tc.hi, got, want)
 		}
 	}
 }

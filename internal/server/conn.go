@@ -41,8 +41,7 @@ type conn struct {
 	sess *mdm.Session
 
 	// stmts is the per-connection prepared-statement table (worker
-	// goroutine only).  The parses behind the handles are shared through
-	// the manager-wide statement cache.
+	// goroutine only); each handle owns its parse.
 	stmts    map[uint64]*mdm.Stmt
 	nextStmt uint64
 

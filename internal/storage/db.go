@@ -597,8 +597,7 @@ func (db *DB) BuildIndexes(relName string) error {
 
 // DropIndex removes a secondary index from a relation.  The drop is
 // logged (RecDropIndex) so indexes dropped after the last checkpoint
-// stay dropped across a crash.  Callers (the model layer) serialize DDL
-// and bump the schema epoch so cached plans stop referencing the index.
+// stay dropped across a crash.  Callers (the model layer) serialize DDL.
 func (db *DB) DropIndex(relName, indexName string) error {
 	if err := db.writable(); err != nil {
 		return err

@@ -232,3 +232,40 @@ func TestIndexKeyAllocs(t *testing.T) {
 		t.Errorf("retire: %v allocations per key, want at most 1", got)
 	}
 }
+
+// TestUpdateAllocs: Tx.Update encodes the new row into the
+// transaction's reused buffer, which updateRow copies into the page, so
+// an update inside a running transaction allocates only its log record
+// (built even when the database keeps no log).  Encoding each row into
+// an allocation of its own made it two.
+func TestUpdateAllocs(t *testing.T) {
+	const n = 2000
+	db := notesDB(t, n)
+	defer db.Close()
+	tx := db.Begin()
+	defer tx.Abort()
+	tu := value.Tuple{value.Int(1), value.Int(2), value.Str("n")}
+	want := make([]int64, n+1) // pitch by row id
+	i := 0
+	if got := testing.AllocsPerRun(n, func() {
+		i++
+		id := RowID(i%n + 1)
+		want[id] = int64(i % 97)
+		tu[1] = value.Int(want[id])
+		if err := tx.Update("NOTE", id, tu); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("Tx.Update: %v allocations per update, want 1", got)
+	}
+	// Every row holds its own update, not the buffer's last contents.
+	for id := RowID(1); id <= n; id++ {
+		row, err := tx.Get("NOTE", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := row.Col(1).AsInt(); got != want[id] {
+			t.Fatalf("row %d pitch %d, want %d", id, got, want[id])
+		}
+	}
+}

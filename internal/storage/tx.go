@@ -32,6 +32,7 @@ type Tx struct {
 	undo    []undoRec
 	records []*wal.Record // buffered redo records; nil on an unlogged or read-only tx
 	vops    []verOp       // buffered version-chain mutations, published at commit (mvcc.go)
+	row     []byte        // Insert and Update encode each row here (validRow)
 }
 
 type undoOp uint8
@@ -178,6 +179,21 @@ func (tx *Tx) rel(name string) (*Relation, error) {
 	return r, nil
 }
 
+// validRow validates t against r's schema and encodes it into the
+// transaction's row buffer, whose capacity the next write reuses.
+// insertRow and updateRow only copy from the row, into the page's block,
+// and return that copy, which is what the transaction logs and
+// publishes.
+func (tx *Tx) validRow(r *Relation, t value.Tuple) (value.Row, error) {
+	var b [128]byte
+	enc, err := t.AppendValidRow(b[:0], r.schema)
+	if err != nil {
+		return value.Row{}, err
+	}
+	tx.row = append(tx.row[:0], enc...)
+	return value.RowIn(tx.row), nil
+}
+
 // Insert validates t against the relation schema and inserts it,
 // returning the new row id.
 func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
@@ -188,7 +204,7 @@ func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	row, err := t.ValidRow(r.schema)
+	row, err := tx.validRow(r, t)
 	if err != nil {
 		return 0, fmt.Errorf("storage: insert into %s: %w", relName, err)
 	}
@@ -244,7 +260,7 @@ func (tx *Tx) Update(relName string, id RowID, t value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	row, err := t.ValidRow(r.schema)
+	row, err := tx.validRow(r, t)
 	if err != nil {
 		return fmt.Errorf("storage: update %s: %w", relName, err)
 	}

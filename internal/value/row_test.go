@@ -63,8 +63,9 @@ func containsData(row, s string) bool {
 	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(row))
 }
 
-// TestValidRow: ValidRow encodes exactly the tuple Validate returns,
-// and fails as Validate does.
+// TestValidRow: AppendValidRow encodes exactly the tuple Validate
+// returns, after what dst held, and fails as Validate does, leaving dst
+// as it was.
 func TestValidRow(t *testing.T) {
 	s := NewSchema(Field{Name: "n", Kind: KindInt}, Field{Name: "f", Kind: KindFloat}, Field{Name: "r", Kind: KindRef})
 	for _, tu := range []Tuple{
@@ -76,12 +77,14 @@ func TestValidRow(t *testing.T) {
 		{Float(1.5), Float(1), RefVal(1)},
 	} {
 		want, werr := tu.Validate(s)
-		got, gerr := tu.ValidRow(s)
+		got, gerr := tu.AppendValidRow([]byte("pre"), s)
 		switch {
 		case (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error():
-			t.Fatalf("%v: Validate err %v, ValidRow err %v", tu, werr, gerr)
-		case werr == nil && string(got.AppendTo(nil)) != string(AppendTuple(nil, want)):
-			t.Fatalf("%v: ValidRow %s, Validate %v", tu, got, want)
+			t.Fatalf("%v: Validate err %v, AppendValidRow err %v", tu, werr, gerr)
+		case werr != nil && string(got) != "pre":
+			t.Fatalf("%v: failed AppendValidRow returned %q, want dst", tu, got)
+		case werr == nil && string(got) != "pre"+string(AppendTuple(nil, want)):
+			t.Fatalf("%v: AppendValidRow %q, Validate %v", tu, got, want)
 		}
 	}
 }

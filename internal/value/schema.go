@@ -108,22 +108,22 @@ func (t Tuple) Validate(s *Schema) (Tuple, error) {
 	return out, nil
 }
 
-// ValidRow validates t against s as Validate does and returns the
-// coerced tuple encoded as a Row, without building the coerced tuple.
-func (t Tuple) ValidRow(s *Schema) (Row, error) {
+// AppendValidRow validates t against s as Validate does and appends the
+// coerced tuple's encoding (AppendTuple's bytes) to dst, without
+// building the coerced tuple.  On failure it returns dst as it was.
+func (t Tuple) AppendValidRow(dst []byte, s *Schema) ([]byte, error) {
 	if err := t.checkArity(s); err != nil {
-		return Row{}, err
+		return dst, err
 	}
-	var b [128]byte
-	buf := binary.AppendUvarint(b[:0], uint64(len(t)))
+	buf := binary.AppendUvarint(dst, uint64(len(t)))
 	for i, v := range t {
 		cv, err := s.coerce(i, v)
 		if err != nil {
-			return Row{}, err
+			return dst, err
 		}
 		buf = Append(buf, cv)
 	}
-	return Row{own(buf)}, nil
+	return buf, nil
 }
 
 func (t Tuple) checkArity(s *Schema) error {
