@@ -52,7 +52,8 @@ torture-repl:
 # the ingest stream scanner; over stored rows, which must read as the
 # tuples the codec decodes; over the key encoding, whose byte order
 # must agree with value.Compare; over the B-tree, which must answer as a
-# sorted slice does and never rewrite a key it handed out; over the QUEL
+# sorted slice does and copy out the keys the slice holds, however its
+# nodes' shared prefixes shrink and regrow; over the QUEL
 # parser and planner, whose results must match the naive executor;
 # over the page pruning of full scans, which must keep every row the
 # sargs accept; over snapshot index ranges, which must return the

@@ -19,18 +19,27 @@
 // the order-preserving encoding in package value to index typed tuples.
 // Keys are unique; non-unique indexes append a row identifier to the key.
 //
-// Every node keeps its keys in one pointer-free byte block, each key
-// behind its uvarint length, and one 32-bit offset per key, so an entry
-// costs its key bytes plus 13 bytes (the length, for keys under 128
-// bytes, the offset and the value) and the garbage collector has no key
-// pointers to trace.  A block is append-only: Set copies a key into the
-// block's spare capacity, Delete leaves the key's bytes where they are,
-// and a block without room is replaced by a new one holding the live
-// keys, never overwritten.  So every key slice the tree hands out
-// (Iter.Key, At, the keys passed to Ascend) reads the same
-// bytes for as long as its holder keeps it, whatever is set, deleted,
-// split or merged afterwards.  Internal nodes copy their separators into
-// blocks of their own, so no separator holds on to a replaced leaf block.
+// Every node keeps its keys in one pointer-free byte block, front-
+// compressed as in Bayer and Unterauer's prefix B-trees: the block
+// begins with the leading bytes all the node's keys share (its prefix),
+// behind their uvarint length, followed by each key's remaining bytes
+// (its suffix) behind theirs, and the node holds one 32-bit offset per
+// suffix.  So an entry costs the bytes of its suffix plus 13 (the
+// length, for suffixes under 128 bytes, the offset and the value), and
+// the garbage collector has no key pointers to trace.  A search compares
+// the probe with the prefix once and then only the suffixes.  A key that
+// does not begin with a node's prefix, put there by a Set at either end
+// of a leaf or by a split, borrow or merge, rebuilds the node's block
+// behind the shorter prefix; splits, borrows and merges recompute the
+// prefix of every node they touch.
+//
+// A block is append-only: Set copies a suffix into its spare capacity,
+// Delete leaves the suffix's bytes where they are, and a block without
+// room or with the wrong prefix is replaced by a new one holding the
+// live keys, never rewritten.  The tree itself relies on that while it
+// moves keys between nodes; callers cannot, because no key is one slice
+// of a block: Iter.Key and At append a key to the caller's buffer, and
+// the key Ascend passes its callback is valid only during the call.
 package btree
 
 import (
@@ -40,6 +49,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // degree is the maximum number of children of an internal node.  Leaves
@@ -55,19 +65,27 @@ const (
 
 // Tree is an order-statistics B+tree.  The zero value is not usable; call
 // New.  Tree is not safe for concurrent mutation; the storage layer
-// serializes access through its lock manager.
+// serializes access through its lock manager.  Reads may run
+// concurrently with each other.
 type Tree struct {
 	root *node
 	size int
+	// scratch is Ascend's key buffer, kept between calls so that a walk
+	// allocates nothing.  An Ascend takes it by setting busy; one that
+	// finds it taken (a concurrent or nested walk) uses its own.
+	busy    atomic.Bool
+	scratch []byte
 }
 
-// node is either a leaf (no branch) or an internal node.  Key i of a
-// node is the length-prefixed key at block[offs[i]:].  A leaf's keys are
-// its entries, vals[i] being key i's value.  An internal node's keys are
-// separators: every key in children[i]'s subtree sorts below key i, and
-// every key in children[i+1]'s sorts at or above it.  The internal-only
-// fields sit behind a pointer, so a node header is 96 bytes on 64-bit
-// platforms.
+// node is either a leaf (no branch) or an internal node.  Its block
+// holds, behind their uvarint lengths, first its prefix and then its
+// keys' suffixes; key i is the prefix followed by the suffix at
+// block[offs[i]:].  A node with no block has an empty prefix.  A leaf's
+// keys are its entries, vals[i] being key i's value.  An internal node's
+// keys are separators: every key in children[i]'s subtree sorts below
+// key i, and every key in children[i+1]'s sorts at or above it.  The
+// internal-only fields sit behind a pointer, so a node header is 96
+// bytes on 64-bit platforms.
 type node struct {
 	block   []byte   // append-only; see the package comment
 	offs    []uint32 // one per key, in key order
@@ -86,12 +104,10 @@ type branch struct {
 
 func (n *node) leaf() bool { return n.branch == nil }
 
-// key returns key i of n.  Its capacity ends with the key, so a holder's
-// append reallocates instead of writing into the block.
-func (n *node) key(i int) []byte { return keyAt(n.block, n.offs[i]) }
-
-// keyAt returns the key whose uvarint length prefix is at b[off].  It
-// inlines, and a key under 128 bytes costs one branch.
+// keyAt returns the byte string whose uvarint length is at b[off].  It
+// inlines, and a string under 128 bytes costs one branch.  Its capacity
+// ends with the string, so an append reallocates instead of writing
+// into the block.
 func keyAt(b []byte, off uint32) []byte {
 	i, ln := int(off)+1, int(b[off])
 	if ln >= 0x80 {
@@ -104,22 +120,134 @@ func keyAt(b []byte, off uint32) []byte {
 	return b[i : i+ln : i+ln]
 }
 
-// encSize returns the bytes a key takes in a block, its prefix included.
-func encSize(key []byte) int {
-	w := 1
-	for u := len(key); u >= 0x80; u >>= 7 {
-		w++
+// prefix returns the bytes every key of n begins with.
+func (n *node) prefix() []byte {
+	if len(n.block) == 0 {
+		return nil
 	}
-	return w + len(key)
+	return keyAt(n.block, 0)
 }
 
-// live returns the bytes n's keys [from, to) take in its block.
-func (n *node) live(from, to int) int {
-	total := 0
-	for i := from; i < to; i++ {
-		total += encSize(n.key(i))
+// suffix returns the bytes of key i of n past n's prefix.
+func (n *node) suffix(i int) []byte { return keyAt(n.block, n.offs[i]) }
+
+// part returns key i of n as its two pieces.
+func (n *node) part(i int) skey { return skey{n.prefix(), n.suffix(i)} }
+
+// appendKey appends key i of n to dst.
+func (n *node) appendKey(dst []byte, i int) []byte {
+	return append(append(dst, n.prefix()...), n.suffix(i)...)
+}
+
+// strip compares key with n's prefix.  If key begins with it, strip
+// returns the rest of key and 0; otherwise nil and -1 or 1, as key sorts
+// below or above every key n can hold.
+func (n *node) strip(key []byte) ([]byte, int) {
+	p := n.prefix()
+	if len(key) < len(p) {
+		return nil, bytes.Compare(key, p) // never 0: the lengths differ
 	}
-	return total
+	if string(key[:len(p)]) != string(p) { // cheaper than Compare when equal
+		return nil, bytes.Compare(key[:len(p)], p)
+	}
+	return key[len(p):], 0
+}
+
+// compareKey compares key with key i of n.
+func (n *node) compareKey(key []byte, i int) int {
+	rest, c := n.strip(key)
+	if c != 0 {
+		return c
+	}
+	return bytes.Compare(rest, n.suffix(i))
+}
+
+// skey is a key held as two pieces, pre followed by suf: a node's
+// prefix and one of its suffixes, or a caller's key whole in suf.  The
+// pieces point into blocks, which are never rewritten, so an skey stays
+// valid while the tree moves keys between nodes.
+type skey struct{ pre, suf []byte }
+
+func whole(key []byte) skey { return skey{suf: key} }
+
+func (k skey) len() int { return len(k.pre) + len(k.suf) }
+
+// at returns byte i of k.
+func (k skey) at(i int) byte {
+	if i < len(k.pre) {
+		return k.pre[i]
+	}
+	return k.suf[i-len(k.pre)]
+}
+
+// appendRange appends bytes [from, to) of k to dst.
+func (k skey) appendRange(dst []byte, from, to int) []byte {
+	if from < len(k.pre) {
+		dst = append(dst, k.pre[from:min(to, len(k.pre))]...)
+	}
+	if to > len(k.pre) {
+		dst = append(dst, k.suf[max(from-len(k.pre), 0):to-len(k.pre)]...)
+	}
+	return dst
+}
+
+// hasPrefix reports whether k begins with p.
+func (k skey) hasPrefix(p []byte) bool {
+	if len(p) <= len(k.pre) {
+		return bytes.HasPrefix(k.pre, p)
+	}
+	return bytes.Equal(k.pre, p[:len(k.pre)]) && bytes.HasPrefix(k.suf, p[len(k.pre):])
+}
+
+// from returns k's bytes from i to the end of the piece holding byte i.
+func (k skey) from(i int) []byte {
+	if i < len(k.pre) {
+		return k.pre[i:]
+	}
+	return k.suf[i-len(k.pre):]
+}
+
+// common returns the length of the longest prefix a and b share.
+func (a skey) common(b skey) int {
+	n, m := 0, min(a.len(), b.len())
+	for n < m {
+		x, y := a.from(n), b.from(n)
+		l := min(len(x), len(y))
+		c := 0
+		for c < l && x[c] == y[c] {
+			c++
+		}
+		if n += c; c < l {
+			break
+		}
+	}
+	return n
+}
+
+// order compares a with b.
+func (a skey) order(b skey) int {
+	c := a.common(b)
+	switch {
+	case c == a.len() && c == b.len():
+		return 0
+	case c == a.len():
+		return -1
+	case c == b.len():
+		return 1
+	case a.at(c) < b.at(c):
+		return -1
+	}
+	return 1
+}
+
+// encSize returns the bytes a string of ln bytes takes in a block, its
+// length included.
+func encSize(ln int) int {
+	w := 1
+	for u := ln; u >= 0x80; u >>= 7 {
+		w++
+	}
+	return w + ln
 }
 
 // newBlock returns an empty block with room for size bytes, rounded up
@@ -139,46 +267,107 @@ func room(live, cnt int) int {
 	return min(live*(maxEntries+1)/cnt, 2*live)
 }
 
-// put copies key, behind its length, into n's block and returns its
-// offset.  The bytes go into the block's spare capacity, which no key
-// handed out has ever covered; a block without room is replaced first
-// (compact).
-func (n *node) put(key []byte) uint32 {
-	if encSize(key) > cap(n.block)-len(n.block) {
-		n.compact(encSize(key))
+// layout returns the length p of the prefix the keys ks, in order,
+// share (that of the first and the last) and the bytes a block holding
+// them behind it takes.
+func layout(ks []skey) (p, live int) {
+	if len(ks) > 0 {
+		p = ks[0].common(ks[len(ks)-1])
 	}
-	off := uint32(len(n.block))
-	n.block = binary.AppendUvarint(n.block, uint64(len(key)))
-	n.block = append(n.block, key...)
-	return off
+	live = encSize(p)
+	for _, k := range ks {
+		live += encSize(k.len() - p)
+	}
+	return p, live
 }
 
-// compact replaces n's block by a new one holding only its live keys,
-// with room for extra more bytes and then some (room).  The old block is
-// dropped, not cleared: keys handed out from it keep reading the same
-// bytes.
-func (n *node) compact(extra int) {
-	live := n.live(0, len(n.offs)) + extra
-	b := newBlock(room(live, len(n.offs)+1))
-	for i := range n.offs {
-		k := n.key(i)
-		off := uint32(len(b))
-		b = append(binary.AppendUvarint(b, uint64(len(k))), k...)
-		n.offs[i] = off
+// fill replaces n's block by a new one with room for size bytes holding
+// the keys ks, in order, behind their first p bytes, and points n's
+// offsets at them.  The old block is dropped, not cleared, so ks may
+// point into it.
+func (n *node) fill(ks []skey, p, size int) {
+	b := binary.AppendUvarint(newBlock(size), uint64(p))
+	if len(ks) > 0 {
+		b = ks[0].appendRange(b, 0, p)
+	}
+	n.offs = n.offs[:0]
+	for _, k := range ks {
+		n.offs = append(n.offs, uint32(len(b)))
+		b = k.appendRange(binary.AppendUvarint(b, uint64(k.len()-p)), p, k.len())
 	}
 	n.block = b
 }
 
-// setKey replaces key i of internal node n by a copy of key.
-func (n *node) setKey(i int, key []byte) {
-	off := n.put(key)
-	n.offs[i] = off
+// refill rebuilds n's block around the keys ks, in order, behind the
+// prefix they share, with room for more keys of their size (room).
+func (n *node) refill(ks []skey) {
+	p, live := layout(ks)
+	n.fill(ks, p, room(live, len(ks)))
 }
 
-// insertKey inserts a copy of key as key i of n.
-func (n *node) insertKey(i int, key []byte) {
-	off := n.put(key)
-	n.offs = slices.Insert(n.offs, i, off)
+// parts fills dst with n's keys from key from on and returns it.  The
+// callers put a key of their own into the same array by a direct store
+// to the array: a store through a slice (or an append) would move that
+// key, which its caller may have built on the stack, to the heap.
+func (n *node) parts(dst []skey, from int) []skey {
+	p := n.prefix()
+	for j := range dst {
+		dst[j] = skey{p, n.suffix(from + j)}
+	}
+	return dst
+}
+
+// refit recomputes n's prefix as the one its first and last keys share
+// and, if that is longer than the prefix n's block holds (n lost a key
+// at an end), rebuilds the block behind it.
+func (n *node) refit() {
+	if last := len(n.offs) - 1; last >= 0 && n.part(0).common(n.part(last)) > len(n.prefix()) {
+		var buf [degree + 1]skey
+		n.refill(n.parts(buf[:len(n.offs)], 0))
+	}
+}
+
+// put copies k's suffix, behind its length, into n's block and returns
+// its offset, if k begins with n's prefix and its suffix fits the
+// block's spare room; otherwise it reports false.
+func (n *node) put(k skey) (uint32, bool) {
+	if len(n.block) == 0 {
+		return 0, false
+	}
+	p := n.prefix()
+	ln := k.len() - len(p)
+	if !k.hasPrefix(p) || encSize(ln) > cap(n.block)-len(n.block) {
+		return 0, false
+	}
+	off := uint32(len(n.block))
+	n.block = k.appendRange(binary.AppendUvarint(n.block, uint64(ln)), len(p), k.len())
+	return off, true
+}
+
+// setKey replaces key i of internal node n by a copy of k.
+func (n *node) setKey(i int, k skey) {
+	if off, ok := n.put(k); ok {
+		n.offs[i] = off
+		return
+	}
+	var buf [degree + 1]skey
+	n.parts(buf[:len(n.offs)], 0)
+	buf[i] = k
+	n.refill(buf[:len(n.offs)])
+}
+
+// insertKey inserts a copy of k as key i of n.
+func (n *node) insertKey(i int, k skey) {
+	if off, ok := n.put(k); ok {
+		n.offs = slices.Insert(n.offs, i, off)
+		return
+	}
+	var buf [degree + 1]skey
+	m := len(n.offs)
+	n.parts(buf[:i], 0)
+	buf[i] = k
+	n.parts(buf[i+1:m+1], i)
+	n.refill(buf[:m+1])
 }
 
 // New returns an empty tree.
@@ -205,11 +394,18 @@ func (t *Tree) Get(key []byte) (uint64, bool) {
 // childIndex returns the index of the child of n whose subtree may
 // contain key.
 func childIndex(n *node, key []byte) int {
+	rest, c := n.strip(key)
+	switch {
+	case c < 0:
+		return 0
+	case c > 0:
+		return len(n.offs)
+	}
 	b, offs := n.block, n.offs
 	lo, hi := 0, len(offs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if bytes.Compare(key, keyAt(b, offs[mid])) < 0 {
+		if bytes.Compare(rest, keyAt(b, offs[mid])) < 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -221,11 +417,18 @@ func childIndex(n *node, key []byte) int {
 // leafIndex returns the position of key in leaf n, or the insertion point
 // and false.
 func leafIndex(n *node, key []byte) (int, bool) {
+	rest, c := n.strip(key)
+	switch {
+	case c < 0:
+		return 0, false
+	case c > 0:
+		return len(n.offs), false
+	}
 	b, offs := n.block, n.offs
 	lo, hi := 0, len(offs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch bytes.Compare(key, keyAt(b, offs[mid])) {
+		switch bytes.Compare(rest, keyAt(b, offs[mid])) {
 		case 0:
 			return mid, true
 		case -1:
@@ -240,7 +443,7 @@ func leafIndex(n *node, key []byte) (int, bool) {
 // Set inserts or updates the value under key.  It reports whether the key
 // was newly inserted.  The tree keeps a copy of key.
 func (t *Tree) Set(key []byte, val uint64) bool {
-	inserted, split, sepKey, right := t.root.set(key, val)
+	inserted, split, sep, right := t.root.set(key, val)
 	if inserted {
 		t.size++
 	}
@@ -250,7 +453,7 @@ func (t *Tree) Set(key []byte, val uint64) bool {
 			children: []*node{old, right},
 			counts:   []int{old.count(), right.count()},
 		}}
-		root.insertKey(0, sepKey)
+		root.insertKey(0, sep)
 		t.root = root
 	}
 	return inserted
@@ -261,8 +464,9 @@ func (t *Tree) Set(key []byte, val uint64) bool {
 // right and building the internal levels bottom-up — O(n) instead of the
 // O(n log n) of repeated Set, with no node splits.  Bulk index builds use
 // it.  entry is called once per position, in order; each leaf copies its
-// keys into one block of exactly their size, so a key need only stay
-// unchanged until NewFromSorted returns.
+// keys, behind the prefix its first and last key share, into one block
+// of exactly their size, so a key need only stay unchanged until
+// NewFromSorted returns.
 func NewFromSorted(n int, entry func(i int) (key []byte, val uint64)) (*Tree, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("btree: negative entry count %d", n)
@@ -274,24 +478,21 @@ func NewFromSorted(n int, entry func(i int) (key []byte, val uint64)) (*Tree, er
 	t.size = n
 	// Pack leaves full; the trailing leaf keeps whatever remains.
 	var level []*node
-	var keys [maxEntries][]byte
-	var last []byte // the previous entry's key, as the tree holds it
+	var ks [degree]skey
 	for i := 0; i < n; i += maxEntries {
 		m := min(maxEntries, n-i)
-		leaf := &node{offs: make([]uint32, m), vals: make([]uint64, m)}
-		live := 0
-		for j := range keys[:m] {
-			keys[j], leaf.vals[j] = entry(i + j)
-			live += encSize(keys[j])
-		}
-		leaf.block = newBlock(live)
-		for j, k := range keys[:m] {
-			if i+j > 0 && bytes.Compare(last, k) >= 0 {
+		leaf := &node{offs: make([]uint32, 0, m), vals: make([]uint64, m)}
+		for j := range ks[:m] {
+			var k []byte
+			k, leaf.vals[j] = entry(i + j)
+			ks[j] = whole(k)
+			if j > 0 && bytes.Compare(ks[j-1].suf, k) >= 0 ||
+				j == 0 && i > 0 && level[len(level)-1].part(maxEntries-1).order(ks[0]) >= 0 {
 				return nil, fmt.Errorf("btree: keys not strictly increasing at position %d", i+j)
 			}
-			leaf.offs[j] = leaf.put(k)
-			last = leaf.key(j)
 		}
+		p, live := layout(ks[:m])
+		leaf.fill(ks[:m], p, live)
 		if len(level) > 0 {
 			prev := level[len(level)-1]
 			prev.next = leaf
@@ -313,23 +514,20 @@ func NewFromSorted(n int, entry func(i int) (key []byte, val uint64)) (*Tree, er
 			}
 			kids := level[i:j]
 			n := &node{
-				offs: make([]uint32, len(kids)-1),
+				offs: make([]uint32, 0, len(kids)-1),
 				branch: &branch{
 					children: slices.Clone(kids),
 					counts:   make([]int, len(kids)),
 				},
 			}
-			live := 0
 			for k, c := range kids {
 				n.counts[k] = c.count()
 				if k > 0 {
-					live += encSize(leftmostKey(c))
+					ks[k-1] = leftmostKey(c)
 				}
 			}
-			n.block = newBlock(live)
-			for k, c := range kids[1:] {
-				n.offs[k] = n.put(leftmostKey(c))
-			}
+			p, live := layout(ks[:len(kids)-1])
+			n.fill(ks[:len(kids)-1], p, live)
 			up = append(up, n)
 			i = j
 		}
@@ -340,11 +538,11 @@ func NewFromSorted(n int, entry func(i int) (key []byte, val uint64)) (*Tree, er
 }
 
 // leftmostKey returns the smallest key in n's subtree.
-func leftmostKey(n *node) []byte {
+func leftmostKey(n *node) skey {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.key(0)
+	return n.part(0)
 }
 
 // count returns the number of entries in n's subtree.
@@ -361,19 +559,20 @@ func (n *node) count() int {
 
 // set inserts into n's subtree.  It returns whether a new entry was
 // created and, if n split, the separator key and new right sibling.
-func (n *node) set(key []byte, val uint64) (inserted, split bool, sepKey []byte, right *node) {
+func (n *node) set(key []byte, val uint64) (inserted, split bool, sep skey, right *node) {
 	if n.leaf() {
 		i, found := leafIndex(n, key)
 		switch {
 		case found:
 			n.vals[i] = val
-			return false, false, nil, nil
+			return false, false, skey{}, nil
 		case len(n.offs) < maxEntries:
-			n.insertEntry(i, key, val)
-			return true, false, nil, nil
+			n.insertKey(i, whole(key))
+			n.vals = slices.Insert(n.vals, i, val)
+			return true, false, skey{}, nil
 		}
 		right = n.splitLeaf(i, key, val)
-		return true, true, right.key(0), right
+		return true, true, right.part(0), right
 	}
 	ci := childIndex(n, key)
 	ins, sp, sk, r := n.children[ci].set(key, val)
@@ -386,55 +585,57 @@ func (n *node) set(key []byte, val uint64) (inserted, split bool, sepKey []byte,
 		n.children = slices.Insert(n.children, ci+1, r)
 		n.counts = slices.Insert(n.counts, ci+1, r.count())
 		if len(n.children) > degree {
-			sepKey, right = n.splitInternal()
-			return ins, true, sepKey, right
+			sep, right = n.splitInternal()
+			return ins, true, sep, right
 		}
 	}
-	return ins, false, nil, nil
-}
-
-// insertEntry inserts (key, val) as entry i of leaf n.
-func (n *node) insertEntry(i int, key []byte, val uint64) {
-	n.insertKey(i, key)
-	n.vals = slices.Insert(n.vals, i, val)
+	return ins, false, skey{}, nil
 }
 
 // splitLeaf splits the full leaf n around the new entry (key, val),
 // whose position is i, into two halves: n keeps the lower, and the upper
-// moves to a new right sibling with a block and arrays of its own, sized
-// for a full leaf.  n keeps its block; the moved keys' bytes stay in it,
-// dead, until n next needs room.  An entry past the last key of the
-// last leaf, as ascending sets make, splits nothing off: n stays full
-// and the new leaf starts with the new entry alone, so a tree grown in
-// key order packs every leaf but its last.
+// moves to a new right sibling with arrays of its own, sized for a full
+// leaf.  Both get a new block behind the prefix of their own keys.  An
+// entry past the last key of the last leaf, as ascending sets make,
+// splits nothing off: n stays full and as it is, and the new leaf starts
+// with the new entry alone, so a tree grown in key order packs every
+// leaf but its last.  That leaf's block is sized, and its prefix cut,
+// for keys like all of n's: the prefix n's first key shares with the
+// new one, which the keys set after it are likely to share too.
 func (n *node) splitLeaf(i int, key []byte, val uint64) *node {
+	var buf [degree]skey
+	n.parts(buf[:i], 0)
+	buf[i] = whole(key)
+	n.parts(buf[i+1:], i)
+	ks := buf[:]
 	s := (maxEntries + 1) / 2 // n keeps entries [0, s) of its own
 	if i < s {
 		s--
 	}
-	sized := s // the new block has room for keys the size of [sized, len)
-	if n.next == nil && i == len(n.offs) {
-		s, sized = len(n.offs), 0
+	cut := s // n keeps ks[:cut]
+	if i < s {
+		cut++
 	}
-	live, cnt := n.live(sized, len(n.offs)), len(n.offs)-sized
-	if i >= s {
-		live, cnt = live+encSize(key), cnt+1
+	sized := cut // the new block has room and a prefix for keys like ks[sized:]
+	if n.next == nil && i == len(n.offs) {
+		s, cut, sized = len(n.offs), len(n.offs), 0
 	}
 	right := &node{
-		block: newBlock(room(live, cnt)),
-		offs:  make([]uint32, 0, maxEntries),
-		vals:  append(make([]uint64, 0, maxEntries), n.vals[s:]...),
-		next:  n.next,
-		prev:  n,
+		offs: make([]uint32, 0, maxEntries),
+		vals: append(make([]uint64, 0, maxEntries), n.vals[s:]...),
+		next: n.next,
+		prev: n,
 	}
-	for j := s; j < len(n.offs); j++ {
-		right.offs = append(right.offs, right.put(n.key(j)))
-	}
-	n.offs, n.vals = n.offs[:s], n.vals[:s]
+	p, live := layout(ks[sized:])
+	right.fill(ks[cut:], p, room(live, len(ks)-sized))
+	n.vals = n.vals[:s]
 	if i >= s {
-		right.insertEntry(i-s, key, val)
+		right.vals = slices.Insert(right.vals, i-s, val)
 	} else {
-		n.insertEntry(i, key, val)
+		n.vals = slices.Insert(n.vals, i, val)
+	}
+	if sized > 0 {
+		n.refill(ks[:cut])
 	}
 	if n.next != nil {
 		n.next.prev = right
@@ -444,29 +645,27 @@ func (n *node) splitLeaf(i int, key []byte, val uint64) *node {
 }
 
 // splitInternal moves the upper half of n's children to a new right
-// sibling, whose separators go into a block of its own, and returns the
-// separator between the halves (still a key of n's block: the caller
-// copies it).
-func (n *node) splitInternal() (sepKey []byte, right *node) {
+// sibling, rebuilds both blocks behind their own separators' prefix, and
+// returns the separator between the halves (a key of n's old block,
+// which the caller copies).
+func (n *node) splitInternal() (sep skey, right *node) {
 	mid := len(n.children) / 2
-	sepKey = n.key(mid - 1)
+	var buf [degree + 1]skey
+	ks := n.parts(buf[:len(n.offs)], 0)
+	sep = ks[mid-1]
 	right = &node{
-		offs: make([]uint32, 0, len(n.offs)-mid),
+		offs: make([]uint32, 0, len(ks)-mid),
 		branch: &branch{
 			children: slices.Clone(n.children[mid:]),
 			counts:   slices.Clone(n.counts[mid:]),
 		},
 	}
-	live := n.live(mid, len(n.offs))
-	right.block = newBlock(room(live, len(n.offs)-mid))
-	for j := mid; j < len(n.offs); j++ {
-		right.offs = append(right.offs, right.put(n.key(j)))
-	}
+	right.refill(ks[mid:])
+	n.refill(ks[:mid-1])
 	clear(n.children[mid:])
-	n.offs = n.offs[:mid-1]
 	n.children = n.children[:mid]
 	n.counts = n.counts[:mid]
-	return sepKey, right
+	return sep, right
 }
 
 // Delete removes key and reports whether it was present.
@@ -503,7 +702,8 @@ func (n *node) delete(key []byte) bool {
 
 // rebalance restores the minimum-occupancy invariant of child ci by
 // borrowing from or merging with a sibling.  Keys that move are copied
-// into the receiving node's block; the giver's bytes stay where they are.
+// into the receiving node's block, and every node that gains or loses a
+// key at an end recomputes its prefix (refit).
 func (n *node) rebalance(ci int) {
 	c := n.children[ci]
 	if c.occupancy() >= minEntries {
@@ -514,15 +714,16 @@ func (n *node) rebalance(ci int) {
 		left := n.children[ci-1]
 		if c.leaf() {
 			last := len(left.offs) - 1
-			c.insertEntry(0, left.key(last), left.vals[last])
+			c.insertKey(0, left.part(last))
+			c.vals = slices.Insert(c.vals, 0, left.vals[last])
 			left.offs, left.vals = left.offs[:last], left.vals[:last]
-			n.setKey(ci-1, c.key(0))
+			n.setKey(ci-1, c.part(0))
 		} else {
 			last := len(left.children) - 1
-			c.insertKey(0, n.key(ci-1))
+			c.insertKey(0, n.part(ci-1))
 			c.children = slices.Insert(c.children, 0, left.children[last])
 			c.counts = slices.Insert(c.counts, 0, left.counts[last])
-			n.setKey(ci-1, left.key(last-1))
+			n.setKey(ci-1, left.part(last-1))
 			left.offs = left.offs[:last-1]
 			left.children[last] = nil
 			left.children = left.children[:last]
@@ -530,27 +731,34 @@ func (n *node) rebalance(ci int) {
 		}
 		n.counts[ci-1] = left.count()
 		n.counts[ci] = c.count()
+		left.refit()
+		c.refit()
+		n.refit()
 		return
 	}
 	// Try to borrow from the right sibling.
 	if ci < len(n.children)-1 && n.children[ci+1].occupancy() > minEntries {
 		right := n.children[ci+1]
 		if c.leaf() {
-			c.insertEntry(len(c.offs), right.key(0), right.vals[0])
+			c.insertKey(len(c.offs), right.part(0))
+			c.vals = append(c.vals, right.vals[0])
 			right.offs = slices.Delete(right.offs, 0, 1)
 			right.vals = slices.Delete(right.vals, 0, 1)
-			n.setKey(ci, right.key(0))
+			n.setKey(ci, right.part(0))
 		} else {
-			c.insertKey(len(c.offs), n.key(ci))
+			c.insertKey(len(c.offs), n.part(ci))
 			c.children = append(c.children, right.children[0])
 			c.counts = append(c.counts, right.counts[0])
-			n.setKey(ci, right.key(0))
+			n.setKey(ci, right.part(0))
 			right.offs = slices.Delete(right.offs, 0, 1)
 			right.children = slices.Delete(right.children, 0, 1)
 			right.counts = slices.Delete(right.counts, 0, 1)
 		}
 		n.counts[ci] = c.count()
 		n.counts[ci+1] = right.count()
+		right.refit()
+		c.refit()
+		n.refit()
 		return
 	}
 	// Merge with a sibling.
@@ -561,6 +769,9 @@ func (n *node) rebalance(ci int) {
 		return // root with a single child; handled by caller
 	}
 	left, right := n.children[ci], n.children[ci+1]
+	var buf [degree + 1]skey
+	l := len(left.offs)
+	left.parts(buf[:l], 0)
 	if left.leaf() {
 		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
@@ -568,17 +779,18 @@ func (n *node) rebalance(ci int) {
 			right.next.prev = left
 		}
 	} else {
-		left.insertKey(len(left.offs), n.key(ci))
+		buf[l] = n.part(ci)
+		l++
 		left.children = append(left.children, right.children...)
 		left.counts = append(left.counts, right.counts...)
 	}
-	for j := range right.offs {
-		left.insertKey(len(left.offs), right.key(j))
-	}
+	right.parts(buf[l:l+len(right.offs)], 0)
+	left.refill(buf[:l+len(right.offs)])
 	n.offs = slices.Delete(n.offs, ci, ci+1)
 	n.children = slices.Delete(n.children, ci+1, ci+2)
 	n.counts = slices.Delete(n.counts, ci+1, ci+2)
 	n.counts[ci] = left.count()
+	n.refit()
 }
 
 // occupancy returns the fill metric used by rebalancing: entries for
@@ -590,11 +802,11 @@ func (n *node) occupancy() int {
 	return len(n.children)
 }
 
-// At returns the i'th smallest entry (0-based) using the order-statistics
-// counts, in O(log n).  The key must not be modified.
-func (t *Tree) At(i int) (key []byte, val uint64, ok bool) {
+// At appends the i'th smallest key (0-based) to dst and returns it with
+// its value, using the order-statistics counts, in O(log n).
+func (t *Tree) At(dst []byte, i int) (key []byte, val uint64, ok bool) {
 	if i < 0 || i >= t.size {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	n := t.root
 	for !n.leaf() {
@@ -606,7 +818,7 @@ func (t *Tree) At(i int) (key []byte, val uint64, ok bool) {
 			i -= n.counts[ci]
 		}
 	}
-	return n.key(i), n.vals[i], true
+	return n.appendKey(dst, i), n.vals[i], true
 }
 
 // Rank returns the number of entries strictly less than key.
@@ -634,11 +846,31 @@ type Iter struct {
 // Valid reports whether the iterator points at an entry.
 func (it *Iter) Valid() bool { return it.n != nil && it.i >= 0 && it.i < len(it.n.offs) }
 
-// Key returns the current key.  The slice must not be modified.
-func (it *Iter) Key() []byte { return it.n.key(it.i) }
+// Key appends the current key to dst and returns the result.
+func (it *Iter) Key(dst []byte) []byte { return it.n.appendKey(dst, it.i) }
 
 // Val returns the current value.
 func (it *Iter) Val() uint64 { return it.n.vals[it.i] }
+
+// Span returns how many entries of the current leaf, from the current
+// one on in the walk's direction (backward with reverse), lie inside
+// bound: below it going forward, at or above it going backward; a nil
+// bound holds every key.  One compare with the leaf's far key settles
+// every leaf but the one that holds bound, which is searched.
+func (it *Iter) Span(bound []byte, reverse bool) int {
+	n, i := it.n, it.i
+	switch {
+	case !reverse && (bound == nil || n.compareKey(bound, len(n.offs)-1) > 0):
+		return len(n.offs) - i
+	case reverse && (bound == nil || n.compareKey(bound, 0) <= 0):
+		return i + 1
+	}
+	j, _ := leafIndex(n, bound)
+	if reverse {
+		return max(i-j+1, 0)
+	}
+	return max(j-i, 0)
+}
 
 // Next advances the iterator.
 func (it *Iter) Next() {
@@ -700,16 +932,25 @@ func (t *Tree) Max() Iter {
 
 // Ascend calls fn for each entry with lo <= key < hi in order.  A nil lo
 // means from the start; a nil hi means to the end.  Iteration stops if fn
-// returns false.  The bound hi is compared once per leaf, not per key:
-// a leaf whose last key sorts below hi is walked whole.
+// returns false.  The key fn is passed is valid only during the call and
+// must not be modified.  The bound hi is compared once per leaf, not per
+// key: a leaf whose last key sorts below hi is walked whole.
 func (t *Tree) Ascend(lo, hi []byte, fn func(key []byte, val uint64) bool) {
+	var buf []byte
+	if t.busy.CompareAndSwap(false, true) {
+		buf = t.scratch
+		defer func() { t.scratch = buf; t.busy.Store(false) }()
+	}
 	for n, i := t.find(lo); n != nil; n, i = n.next, 0 {
 		end := len(n.offs)
-		if hi != nil && end > 0 && bytes.Compare(n.key(end-1), hi) >= 0 {
+		if hi != nil && end > 0 && n.compareKey(hi, end-1) <= 0 {
 			end, _ = leafIndex(n, hi)
 		}
+		buf = append(buf[:0], n.prefix()...)
+		p := len(buf)
 		for ; i < end; i++ {
-			if !fn(n.key(i), n.vals[i]) {
+			buf = append(buf[:p], n.suffix(i)...)
+			if !fn(buf[:len(buf):len(buf)], n.vals[i]) {
 				return
 			}
 		}
@@ -741,7 +982,7 @@ func (t *Tree) CountRange(lo, hi []byte) int {
 // SplitRange returns up to parts-1 interior boundary keys that divide
 // the entries with lo <= key < hi into roughly equal runs, using the
 // order-statistics counts (O(parts log n)).  Nil bounds are unbounded.
-// The returned keys are copies, strictly increasing, and all inside
+// The returned keys are the caller's, strictly increasing, and all inside
 // (lo, hi), so [lo, b0), [b0, b1), ... [bk, hi) partition the range.
 // Index statistics use it for their equi-depth histogram boundaries.
 func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
@@ -766,7 +1007,7 @@ func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
 	var bounds [][]byte
 	var prev []byte
 	for p := 1; p < parts; p++ {
-		key, _, ok := t.At(lower + p*n/parts)
+		key, _, ok := t.At(nil, lower+p*n/parts)
 		if !ok {
 			break
 		}
@@ -781,37 +1022,44 @@ func (t *Tree) SplitRange(lo, hi []byte, parts int) [][]byte {
 		if hi != nil && bytes.Compare(key, hi) >= 0 {
 			break
 		}
-		cp := append([]byte(nil), key...)
-		bounds = append(bounds, cp)
-		prev = cp
+		bounds = append(bounds, key)
+		prev = key
 	}
 	return bounds
 }
 
-// CheckInvariants verifies structural invariants (key order, separators
-// bounding their subtrees, counts, balance, the leaf chain, every key
-// inside the written part of its block) and returns an error describing
-// the first violation.  It is used by tests and by the storage engine's
-// consistency checker.
+// CheckInvariants verifies structural invariants (every key and the
+// prefix inside the written part of its block, key order, separators
+// bounding their subtrees, counts, balance, the leaf chain) and returns
+// an error describing the first violation.  It is used by tests and by
+// the storage engine's consistency checker.
 func (t *Tree) CheckInvariants() error {
 	var prevLeaf *node
 	// check verifies n's subtree, whose keys must lie in [lo, hi); a nil
 	// bound (hasLo or hasHi false) is open.
-	var check func(n *node, lo, hi []byte, hasLo, hasHi bool, depth int) (count, height int, err error)
-	check = func(n *node, lo, hi []byte, hasLo, hasHi bool, depth int) (int, int, error) {
+	var check func(n *node, lo, hi skey, hasLo, hasHi bool, depth int) (count, height int, err error)
+	check = func(n *node, lo, hi skey, hasLo, hasHi bool, depth int) (int, int, error) {
+		if len(n.offs) > 0 {
+			if len(n.block) == 0 {
+				return 0, 0, fmt.Errorf("keys at depth %d without a block", depth)
+			}
+			if ln, w := binary.Uvarint(n.block); w <= 0 || uint64(len(n.block)-w) < ln {
+				return 0, 0, fmt.Errorf("prefix at depth %d runs past its block", depth)
+			}
+		}
 		for i, off := range n.offs {
-			if int(off) >= len(n.block) {
-				return 0, 0, fmt.Errorf("key %d at depth %d outside its block", i, depth)
+			if start := encSize(len(n.prefix())); int(off) < start || int(off) >= len(n.block) {
+				return 0, 0, fmt.Errorf("key %d at depth %d outside its block's suffixes", i, depth)
 			}
 			if ln, w := binary.Uvarint(n.block[off:]); w <= 0 || uint64(len(n.block)-int(off)-w) < ln {
 				return 0, 0, fmt.Errorf("key %d at depth %d runs past its block", i, depth)
 			}
-			k := n.key(i)
-			if i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
-				return 0, 0, fmt.Errorf("keys out of order at depth %d: %x >= %x", depth, n.key(i-1), k)
+			k := n.part(i)
+			if i > 0 && n.part(i-1).order(k) >= 0 {
+				return 0, 0, fmt.Errorf("keys out of order at depth %d: %x >= %x", depth, n.appendKey(nil, i-1), n.appendKey(nil, i))
 			}
-			if hasLo && bytes.Compare(k, lo) < 0 || hasHi && bytes.Compare(k, hi) >= 0 {
-				return 0, 0, fmt.Errorf("key %x at depth %d outside its separators", k, depth)
+			if hasLo && k.order(lo) < 0 || hasHi && k.order(hi) >= 0 {
+				return 0, 0, fmt.Errorf("key %x at depth %d outside its separators", n.appendKey(nil, i), depth)
 			}
 		}
 		if n.leaf() {
@@ -831,10 +1079,10 @@ func (t *Tree) CheckInvariants() error {
 		for ci, c := range n.children {
 			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
 			if ci > 0 {
-				clo, cHasLo = n.key(ci-1), true
+				clo, cHasLo = n.part(ci-1), true
 			}
 			if ci < len(n.offs) {
-				chi, cHasHi = n.key(ci), true
+				chi, cHasHi = n.part(ci), true
 			}
 			cnt, h, err := check(c, clo, chi, cHasLo, cHasHi, depth+1)
 			if err != nil {
@@ -852,7 +1100,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return total, h0 + 1, nil
 	}
-	total, _, err := check(t.root, nil, nil, false, false, 0)
+	total, _, err := check(t.root, skey{}, skey{}, false, false, 0)
 	if err != nil {
 		return err
 	}

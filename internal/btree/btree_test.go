@@ -162,7 +162,7 @@ func TestAtAndRank(t *testing.T) {
 		tr.Set(key(i*2), uint64(i)) // even keys only
 	}
 	for i := 0; i < n; i++ {
-		k, v, ok := tr.At(i)
+		k, v, ok := tr.At(nil, i)
 		if !ok || !bytes.Equal(k, key(i*2)) || v != uint64(i) {
 			t.Fatalf("At(%d) = %x,%d,%v", i, k, v, ok)
 		}
@@ -174,10 +174,10 @@ func TestAtAndRank(t *testing.T) {
 			t.Fatalf("Rank(odd %d) = %d", i, r)
 		}
 	}
-	if _, _, ok := tr.At(-1); ok {
+	if _, _, ok := tr.At(nil, -1); ok {
 		t.Fatal("At(-1)")
 	}
-	if _, _, ok := tr.At(n); ok {
+	if _, _, ok := tr.At(nil, n); ok {
 		t.Fatal("At(n)")
 	}
 }
@@ -202,7 +202,7 @@ func TestAtRankAfterDeletes(t *testing.T) {
 		}
 	}
 	for pos, i := range want {
-		k, _, ok := tr.At(pos)
+		k, _, ok := tr.At(nil, pos)
 		if !ok || !bytes.Equal(k, key(i)) {
 			t.Fatalf("At(%d) after deletes", pos)
 		}
@@ -218,11 +218,11 @@ func TestSeekAndIterate(t *testing.T) {
 		tr.Set(key(i*10), uint64(i))
 	}
 	it := tr.Seek(key(45)) // between 40 and 50
-	if !it.Valid() || !bytes.Equal(it.Key(), key(50)) {
+	if !it.Valid() || !bytes.Equal(it.Key(nil), key(50)) {
 		t.Fatal("seek between keys")
 	}
 	it = tr.Seek(key(50))
-	if !it.Valid() || !bytes.Equal(it.Key(), key(50)) {
+	if !it.Valid() || !bytes.Equal(it.Key(nil), key(50)) {
 		t.Fatal("seek exact")
 	}
 	it = tr.Seek(key(99999))
@@ -269,7 +269,8 @@ func TestAscendRange(t *testing.T) {
 // descend calls fn for each entry with lo <= key < hi in descending
 // key order, walking as a reverse index range does: from the entry
 // below Seek(hi), or from Max when hi is nil or past the end, back with
-// Prev.
+// Prev, a leaf's Span at a time.  The key fn is passed is the tree's
+// scratch buffer, as in Ascend (the tests walk one tree at a time).
 func descend(tr *Tree, hi, lo []byte, fn func(key []byte, val uint64) bool) {
 	it := tr.Max()
 	if hi != nil {
@@ -279,8 +280,40 @@ func descend(tr *Tree, hi, lo []byte, fn func(key []byte, val uint64) bool) {
 			it = tr.Max()
 		}
 	}
-	for ; it.Valid() && (lo == nil || bytes.Compare(it.Key(), lo) >= 0); it.Prev() {
-		if !fn(it.Key(), it.Val()) {
+	buf := tr.scratch
+	defer func() { tr.scratch = buf }()
+	for it.Valid() {
+		n := it.Span(lo, true)
+		whole := n == it.i+1
+		for ; n > 0; n-- {
+			buf = it.Key(buf[:0])
+			if !fn(buf, it.Val()) {
+				return
+			}
+			it.Prev()
+		}
+		if !whole {
+			return
+		}
+	}
+}
+
+// ascendIter is Ascend as a forward index range walks: Seek(lo), then
+// Next, a leaf's Span at a time.
+func ascendIter(tr *Tree, lo, hi []byte, fn func(key []byte, val uint64) bool) {
+	buf := tr.scratch
+	defer func() { tr.scratch = buf }()
+	for it := tr.Seek(lo); it.Valid(); {
+		n := it.Span(hi, false)
+		whole := n == len(it.n.offs)-it.i
+		for ; n > 0; n-- {
+			buf = it.Key(buf[:0])
+			if !fn(buf, it.Val()) {
+				return
+			}
+			it.Next()
+		}
+		if !whole {
 			return
 		}
 	}
@@ -434,9 +467,10 @@ func BenchmarkAt(b *testing.B) {
 	for i := 0; i < n; i++ {
 		tr.Set(key(i), uint64(i))
 	}
+	var buf [8]byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.At(i % n)
+		tr.At(buf[:0], i%n)
 	}
 }
 
@@ -492,7 +526,7 @@ func TestQuickRandomKeys(t *testing.T) {
 			if tr.Rank([]byte(k)) != i {
 				return false
 			}
-			gk, gv, ok := tr.At(i)
+			gk, gv, ok := tr.At(nil, i)
 			if !ok || string(gk) != k || gv != ref[k] {
 				return false
 			}
@@ -604,7 +638,7 @@ func TestNewFromSorted(t *testing.T) {
 			if v, ok := tr.Get(key(i * 3)); !ok || v != uint64(i*7) {
 				t.Fatalf("n=%d: get(%d) = %d, %v", n, i, v, ok)
 			}
-			if k, v, ok := tr.At(i); !ok || !bytes.Equal(k, key(i*3)) || v != uint64(i*7) {
+			if k, v, ok := tr.At(nil, i); !ok || !bytes.Equal(k, key(i*3)) || v != uint64(i*7) {
 				t.Fatalf("n=%d: at(%d) wrong", n, i)
 			}
 			if r := tr.Rank(key(i * 3)); r != i {

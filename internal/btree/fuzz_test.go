@@ -23,20 +23,32 @@ func (r refTree) search(k []byte) int {
 	return sort.Search(len(r), func(i int) bool { return bytes.Compare(r[i].key, k) >= 0 })
 }
 
-// handedOut is a key slice the tree returned, with a copy of the bytes
-// it read then: it must read the same bytes for as long as it is held.
-type handedOut struct{ got, want []byte }
-
 // keySpace is the number of distinct keys FuzzBTree uses: few enough
 // that operations collide, enough for runs of sets to grow the tree
 // past one internal level, so that internal nodes split and merge too.
 const keySpace = 1 << 12
 
-// fuzzKey returns key i of keySpace: 2 to 11 bytes, in the order of i.
+// longShared is the bytes the keys of fuzzKey's upper half share: more
+// than a node prefix's one-byte length can say.
+var longShared = bytes.Repeat([]byte{0xc0}, 130)
+
+// fuzzKey returns key i of keySpace.  Key 0 is the empty key.  The rest
+// of the lower half are 2 to 11 bytes, in the order of i.  The upper
+// half share their first 130 bytes and come in groups of 64 whose
+// shortest key is a prefix of the others; a leaf of them holds a long
+// prefix, which a lower key set at its front, or a merge with a leaf of
+// the lower half, shortens and a later split or merge regrows.
 func fuzzKey(i int) []byte {
 	i %= keySpace
-	k := []byte{byte(i >> 8), byte(i)}
-	return append(k, bytes.Repeat([]byte{byte(i)}, i%10)...)
+	switch {
+	case i == 0:
+		return []byte{}
+	case i < keySpace/2:
+		k := []byte{byte(i >> 8), byte(i)}
+		return append(k, bytes.Repeat([]byte{byte(i)}, i%10)...)
+	}
+	k := append(slices.Clip(longShared), byte(i>>6))
+	return append(k, bytes.Repeat([]byte{byte(i)}, i%3)...)
 }
 
 // maxOps bounds the operations one FuzzBTree input runs, so each input
@@ -44,11 +56,13 @@ func fuzzKey(i int) []byte {
 const maxOps = 400
 
 // FuzzBTree runs a byte-coded sequence of operations — Set, Delete,
-// Get, Seek, Ascend, the reverse walk (Seek, Max, Prev), At, Rank,
-// CountRange, runs of sets and deletes, and rebuilds through
-// NewFromSorted — against the tree and a sorted slice, checking every
-// answer, CheckInvariants after every step, and that every key slice
-// the tree handed out still reads its bytes.
+// Get, Seek, Ascend, the forward and reverse walks of an index range
+// (Seek or Max, Next or Prev, Span), At, Rank, CountRange, runs of sets
+// and deletes, and rebuilds through NewFromSorted — against the tree and
+// a sorted slice, checking every answer, CheckInvariants after every
+// step, and that every key the tree copies out (Iter.Key and At, into a
+// buffer already holding bytes, and the keys of the walks) equals the
+// slice's.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 4, 1, 2, 8, 0, 0, 2, 255})
 	rng := rand.New(rand.NewSource(35))
@@ -68,16 +82,29 @@ func FuzzBTree(f *testing.F) {
 		runs = append(runs, 14, byte(i>>8), 200, 15, byte(i>>8)+8, 100, 6, byte(i>>8), 7)
 	}
 	f.Add(runs)
+	// Keys at both ends of leaves of the long-prefix half, the empty key
+	// and the keys of the lower half set at their front, then deletes
+	// that merge the leaves and a rebuild: prefixes shrink and regrow.
+	var ends []byte
+	for i := keySpace / 2; i < keySpace; i += 256 {
+		ends = append(ends, 13, byte(i>>8), 0)
+	}
+	ends = append(ends, 0, 0, 0, 1, 0, 1, 0, 7, 255, 13, 0, 255, 6, 0, 0, 9, 8, 0)
+	for i := keySpace / 2; i < keySpace; i += 512 {
+		ends = append(ends, 14, byte(i>>8), 255, 15, byte(i>>8)+1, 90, 6, byte(i>>8), 64, 7, 1, byte(i>>8))
+	}
+	ends = append(ends, 12, 0, 0, 3, 0, 0, 8, 255, 0, 10, 8, 0)
+	f.Add(ends)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), maxOps*3)]
 		tr := New()
 		var ref refTree
-		var held []handedOut
-		hold := func(k []byte) {
-			if len(held) == 64 {
-				held = held[1:]
+		// copied checks a key the tree appended to a buffer holding
+		// "x": the buffer must read "x" and then the model's key.
+		copied := func(step int, got, want []byte) {
+			if len(got) == 0 || got[0] != 'x' || !bytes.Equal(got[1:], want) {
+				t.Fatalf("step %d: a key copied out reads %x, want x%x", step, got, want)
 			}
-			held = append(held, handedOut{k, bytes.Clone(k)})
 		}
 		for step := 0; len(ops) >= 3; step++ {
 			op, a, b := ops[0]%16, ops[1], ops[2]
@@ -115,10 +142,10 @@ func FuzzBTree(f *testing.F) {
 					t.Fatalf("step %d: Seek(%x) valid=%v, model has %d at or above", step, k, it.Valid(), len(ref)-at)
 				}
 				if it.Valid() {
-					if !bytes.Equal(it.Key(), ref[at].key) || it.Val() != ref[at].val {
-						t.Fatalf("step %d: Seek(%x) at %x", step, k, it.Key())
+					if it.Val() != ref[at].val {
+						t.Fatalf("step %d: Seek(%x) at value %d, want %d", step, k, it.Val(), ref[at].val)
 					}
-					hold(it.Key())
+					copied(step, it.Key([]byte{'x'}), ref[at].key)
 				}
 			case 7, 8: // Ascend or the reverse walk over [lo, hi), with an early stop
 				hi := fuzzKey(int(b)<<8 | int(a))
@@ -130,13 +157,15 @@ func FuzzBTree(f *testing.F) {
 				limit := int(a%40) * 8
 				var got []refEntry
 				visit := func(key []byte, val uint64) bool {
-					hold(key)
-					got = append(got, refEntry{key, val})
+					got = append(got, refEntry{bytes.Clone(key), val})
 					return len(got) < limit
 				}
-				if op == 7 {
+				switch {
+				case op == 7 && step%2 == 0:
 					tr.Ascend(lo, hi, visit)
-				} else {
+				case op == 7:
+					ascendIter(tr, lo, hi, visit)
+				default:
 					descend(tr, hi, lo, visit)
 					want = slices.Clone(want)
 					slices.Reverse(want)
@@ -150,12 +179,12 @@ func FuzzBTree(f *testing.F) {
 				if len(ref) > 0 {
 					i %= len(ref) + 1
 				}
-				key, val, ok := tr.At(i)
-				if ok != (i < len(ref)) || ok && (!bytes.Equal(key, ref[i].key) || val != ref[i].val) {
+				key, val, ok := tr.At([]byte{'x'}, i)
+				if ok != (i < len(ref)) || ok && val != ref[i].val {
 					t.Fatalf("step %d: At(%d) = %x,%d,%v", step, i, key, val, ok)
 				}
 				if ok {
-					hold(key)
+					copied(step, key, ref[i].key)
 				}
 			case 10: // Rank
 				if got := tr.Rank(k); got != at {
@@ -198,11 +227,6 @@ func FuzzBTree(f *testing.F) {
 			}
 			if tr.Len() != len(ref) {
 				t.Fatalf("step %d: Len %d, want %d", step, tr.Len(), len(ref))
-			}
-			for _, h := range held {
-				if !bytes.Equal(h.got, h.want) {
-					t.Fatalf("step %d: a key handed out as %x now reads %x", step, h.want, h.got)
-				}
 			}
 		}
 		// The whole tree matches the model.

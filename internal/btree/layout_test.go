@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -45,37 +46,104 @@ func TestNodeSize(t *testing.T) {
 // sizeClass returns the capacity the allocator gives a byte slice of n.
 func sizeClass(n int) int { return cap(slices.Grow([]byte(nil), n)) }
 
-// TestBulkFootprint: a bulk-built leaf costs its key bytes plus 16 bytes
-// an entry (two offsets and a value), plus its block's size-class
-// rounding; the internal levels add a small fraction on top.
+// sharedLen returns the length of the longest common prefix of a and b.
+func sharedLen(a, b []byte) int {
+	n := 0
+	for n < min(len(a), len(b)) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// bulkLeafBudget returns the bytes NewFromSorted's leaves may hold for
+// keys, in order: per leaf of maxEntries consecutive keys, the prefix
+// its first and last key share, stored once behind its length, and each
+// key's suffix; 16 bytes an entry (the suffix's length, its offset and
+// its value, with room to spare); and each block's size-class rounding.
+// It also returns the bytes the blocks would take holding every key
+// whole, rounding included.
+func bulkLeafBudget(keys [][]byte) (budget, wholeBlocks int) {
+	for i := 0; i < len(keys); i += maxEntries {
+		leaf := keys[i:min(i+maxEntries, len(keys))]
+		p := sharedLen(leaf[0], leaf[len(leaf)-1])
+		block, unprefixed := encSize(p), 0
+		for _, k := range leaf {
+			block += encSize(len(k) - p)
+			unprefixed += encSize(len(k))
+		}
+		budget += sizeClass(block) + 16*len(leaf)
+		wholeBlocks += sizeClass(unprefixed)
+	}
+	return budget, wholeBlocks
+}
+
+// TestBulkFootprint: a bulk-built leaf costs its keys' suffixes, one
+// prefix, 16 bytes an entry (two offsets and a value) and its block's
+// size-class rounding; the internal levels add a small fraction on top.
 func TestBulkFootprint(t *testing.T) {
 	const n = 100_000
-	keyBytes := 0
-	tr, err := NewFromSorted(n, func(i int) ([]byte, uint64) {
-		k := varKey(i)
-		keyBytes += len(k)
-		return k, uint64(i)
-	})
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = varKey(i)
+	}
+	tr, err := NewFromSorted(n, func(i int) ([]byte, uint64) { return keys[i], uint64(i) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	rounding := 0
-	for l := tr.Seek(nil).n; l != nil; l = l.next {
-		rounding += sizeClass(len(l.block)) - len(l.block)
-	}
 	leaves, internal := footprint(tr)
-	if budget := keyBytes + 16*n + rounding; leaves > budget {
-		t.Errorf("leaves hold %d bytes, budget %d (%d key bytes, %d entries, %d rounding)",
-			leaves, budget, keyBytes, n, rounding)
+	budget, _ := bulkLeafBudget(keys)
+	if leaves > budget {
+		t.Errorf("leaves hold %d bytes, budget %d", leaves, budget)
 	}
 	if internal > leaves/16 {
 		t.Errorf("internal nodes hold %d bytes against %d in leaves", internal, leaves)
 	}
-	t.Logf("%d entries, %d key bytes: leaves %d B (%.1f B/entry), internal %d B",
-		n, keyBytes, leaves, float64(leaves)/n, internal)
+	t.Logf("%d entries: leaves %d B (%.1f B/entry, budget %d B), internal %d B",
+		n, leaves, float64(leaves)/n, budget, internal)
+}
+
+// TestParentRankFootprint: keys shaped as a (parent, rank) ordering
+// index's are (a 9-byte parent ref, a 17-byte rank and an 8-byte row
+// id), whose leaves each hold one parent's children, share most of
+// their bytes within a leaf: storing the leaf's prefix once saves at
+// least a fifth of the leaf blocks that hold the keys whole.
+func TestParentRankFootprint(t *testing.T) {
+	const parents, children = 500, maxEntries
+	var keys [][]byte
+	for p := 1; p <= parents; p++ {
+		for c := 1; c <= children; c++ {
+			k := binary.BigEndian.AppendUint64([]byte{0x0b}, uint64(p))
+			k = binary.BigEndian.AppendUint64(append(k, 0x05), uint64(c)<<20)
+			k = binary.BigEndian.AppendUint64(k, 0)
+			k = binary.BigEndian.AppendUint64(k, uint64(len(keys)+1))
+			keys = append(keys, k)
+		}
+	}
+	tr, err := NewFromSorted(len(keys), func(i int) ([]byte, uint64) { return keys[i], uint64(i + 1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for l := tr.Seek(nil).n; l != nil; l = l.next {
+		blocks += cap(l.block)
+	}
+	budget, whole := bulkLeafBudget(keys)
+	if blocks > whole*4/5 {
+		t.Errorf("leaf blocks hold %d bytes, want at most 80%% of the %d they take holding each key whole", blocks, whole)
+	}
+	if leaves, _ := footprint(tr); leaves > budget {
+		t.Errorf("leaves hold %d bytes, budget %d", leaves, budget)
+	}
+	for i, k := range keys {
+		if v, ok := tr.Get(k); !ok || v != uint64(i+1) {
+			t.Fatalf("Get(key %d) = %d, %v", i, v, ok)
+		}
+	}
+	t.Logf("%d keys of %d bytes: leaf blocks %d B against %d B holding each key whole (%.0f%% saved)",
+		len(keys), len(keys[0]), blocks, whole, 100-100*float64(blocks)/float64(whole))
 }
 
 // TestChurnFootprint: after many random sets and deletes the tree holds
@@ -218,7 +286,7 @@ func TestLongKeys(t *testing.T) {
 			if v, ok := tr.Get(k); !ok || v != uint64(i) {
 				t.Fatalf("Get(key %d) = %d, %v", i, v, ok)
 			}
-			if got, _, _ := tr.At(i); !bytes.Equal(got, k) {
+			if got, _, _ := tr.At(nil, i); !bytes.Equal(got, k) {
 				t.Fatalf("At(%d) reads %d bytes, want %d", i, len(got), len(k))
 			}
 		}

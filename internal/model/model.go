@@ -342,7 +342,8 @@ func (db *Database) load() error {
 			return fmt.Errorf("model: entity type %s has no instance relation", et.Name)
 		}
 		if n, ok := et.live.IndexRangeCount("by_ref", nil, nil); ok && n > 0 {
-			k, _ := et.live.IndexAt("by_ref", n-1)
+			var kb [64]byte
+			k, _ := et.live.IndexAt(kb[:0], "by_ref", n-1)
 			if ref, ok := value.KeyRef(k); ok && ref > maxRef {
 				maxRef = ref
 			}

@@ -235,7 +235,8 @@ func (v View) childAt(o *Ordering, parent value.Ref, i int) (value.Ref, int, err
 	if i < 0 || i >= n {
 		return 0, n, nil
 	}
-	key, _ := v.db.store.Relation(o.rel).IndexAt(ixByParentRank, base+i)
+	var kb [64]byte
+	key, _ := v.db.store.Relation(o.rel).IndexAt(kb[:0], ixByParentRank, base+i)
 	row, err := v.first(o, key, hi, false)
 	if row.IsZero() {
 		return 0, n, err

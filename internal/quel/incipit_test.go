@@ -1,6 +1,7 @@
 package quel
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -157,7 +158,7 @@ func TestIncipitPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecPreparedCtx(t.Context(), p, value.Str("60 62 64 65"))
+	res, err := s.ExecPreparedCtx(context.Background(), p, value.Str("60 62 64 65"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func pickVisible(r *Relation, ix *index, at uint64, e entry) value.Row {
 	if ix.spec.Unique && !e.ext { // a unique index's history key
 		k = appendRowID(k, e.id)
 	}
-	if !bytes.Equal(k, e.key) {
+	if !bytes.Equal(k, e.key()) {
 		return value.Row{}
 	}
 	return t
@@ -282,16 +282,20 @@ func (r *Relation) snapRangeFallback(ix *index, at uint64, lo, hi []byte, dir in
 	}
 	var cands []cand
 	r.snapScan(at, nil, func(id RowID, t value.Row) bool {
-		key := ix.appendKey(nil, id, t)
+		var kb [64]byte
+		key := ix.appendKey(kb[:0], id, t)
 		if (lo == nil || bytes.Compare(key, lo) >= 0) && (hi == nil || bytes.Compare(key, hi) < 0) {
-			cands = append(cands, cand{entry{key, id, ix.spec.Unique}, t})
+			c := cand{entry{id: id, ext: ix.spec.Unique}, t}
+			c.e.setKey(key)
+			cands = append(cands, c)
 		}
 		return true
 	})
-	slices.SortFunc(cands, func(a, b cand) int { return dir * a.e.compare(b.e) })
+	slices.SortFunc(cands, func(a, b cand) int { return dir * a.e.compare(&b.e) })
 	var n uint64
-	for _, c := range cands {
-		if after != nil && dir*c.e.compare(*after) <= 0 {
+	for i := range cands {
+		c := &cands[i]
+		if after != nil && dir*c.e.compare(after) <= 0 {
 			continue
 		}
 		if n++; !fn(c.e.id, c.t) {
@@ -497,18 +501,21 @@ func (r *Relation) vacuum(w uint64) int {
 		if ix.hist == nil || ix.hist.Len() == 0 {
 			continue
 		}
-		// The tree never rewrites a key's bytes (a leaf block is only
-		// appended to or replaced), so the doomed keys are slices of the
-		// tree's own blocks and read the same through the deletes.
-		var doomed [][]byte
+		// A key Ascend passes is valid only during the call, so the
+		// doomed keys are copied, end to end into one buffer.
+		var doomed []byte
+		var ends []int
 		ix.hist.Ascend(nil, nil, func(k []byte, id uint64) bool {
 			if !r.histNeededLocked(ix, k, id) {
-				doomed = append(doomed, k)
+				doomed = append(doomed, k...)
+				ends = append(ends, len(doomed))
 			}
 			return true
 		})
-		for _, k := range doomed {
-			ix.hist.Delete(k)
+		start := 0
+		for _, end := range ends {
+			ix.hist.Delete(doomed[start:end])
+			start = end
 			reclaimed++
 		}
 	}

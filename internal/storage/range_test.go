@@ -25,20 +25,26 @@ func (ix *index) histHas(lo, hi []byte) bool {
 }
 
 // TestEntryCompare: entries order as their extended keys do, built out
-// in full, for keys of any lengths and either extension.
+// in full, for keys of any lengths (held in the entry or, past 64
+// bytes, beside it) and either extension.
 func TestEntryCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	draw := func() entry {
-		k := make([]byte, rng.Intn(24))
+		k := make([]byte, rng.Intn(24)+50*rng.Intn(2))
 		for i := range k {
 			k[i] = byte(rng.Intn(2))
 		}
-		return entry{k, RowID(rng.Intn(2)) << (8 * rng.Intn(8)), rng.Intn(2) == 0}
+		e := entry{id: RowID(rng.Intn(2)) << (8 * rng.Intn(8)), ext: rng.Intn(2) == 0}
+		e.setKey(k)
+		if !bytes.Equal(e.key(), k) {
+			t.Fatalf("entry holds %x, want %x", e.key(), k)
+		}
+		return e
 	}
 	for range 20000 {
 		a, b := draw(), draw()
-		if got, want := a.compare(b), bytes.Compare(a.appendTo(nil), b.appendTo(nil)); got != want {
-			t.Fatalf("%x ext=%v id %d vs %x ext=%v id %d: %d, want %d", a.key, a.ext, a.id, b.key, b.ext, b.id, got, want)
+		if got, want := a.compare(&b), bytes.Compare(a.appendTo(nil), b.appendTo(nil)); got != want {
+			t.Fatalf("%x ext=%v id %d vs %x ext=%v id %d: %d, want %d", a.key(), a.ext, a.id, b.key(), b.ext, b.id, got, want)
 		}
 	}
 }
@@ -354,4 +360,114 @@ func FuzzSnapRange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCopiedKeysOutliveWrites: the B-tree hands out copies of its keys,
+// never its blocks, so a key IndexAt appended to a caller's buffer (a
+// stack array or a new one) and the last key a snapshot range read
+// keeps between its batches read the same after later writes rebuild
+// the leaves that held them: rows set below and above every key (which
+// shortens the leaves' prefixes), rows deleted and moved, and vacuums of
+// the key history.
+func TestCopiedKeysOutliveWrites(t *testing.T) {
+	const n = 1000
+	db := notesDB(t, n)
+	defer db.Close()
+	r := db.Relation("NOTE")
+	s, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var kb [64]byte
+	stackKey, ok := r.IndexAt(kb[:0], "by_pitch", n/2)
+	if !ok {
+		t.Fatal("IndexAt found no middle key")
+	}
+	var keys, copies [][]byte
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		k, ok := r.IndexAt(nil, "by_pitch", i)
+		if !ok {
+			t.Fatalf("IndexAt(%d) found no key", i)
+		}
+		keys, copies = append(keys, k), append(copies, bytes.Clone(k))
+	}
+	stackCopy := bytes.Clone(stackKey)
+
+	// The snapshot reads every row in pitch order while each row it is
+	// handed commits writes all over the index and vacuums.
+	var got []RowID
+	next := int64(n)
+	if err := s.IndexRange("NOTE", "by_pitch", nil, nil, false, func(id RowID, _ value.Row) bool {
+		got = append(got, id)
+		mustTx(t, db, func(tx *Tx) {
+			next++
+			for _, pitch := range []int64{-next, next} {
+				if _, err := tx.Insert("NOTE", value.Tuple{value.Int(next), value.Int(pitch), value.Str("new")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ahead := id + 3; ahead <= n {
+				if err := tx.UpdateField("NOTE", ahead, "pitch", value.Int(-next)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if behind := id - 2; behind >= 1 && behind%2 == 0 {
+				if err := tx.Delete("NOTE", behind); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if id%50 == 0 {
+			db.Vacuum()
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("snapshot range read %d rows, want %d", len(got), n)
+	}
+	for i, id := range got {
+		if id != RowID(i+1) {
+			t.Fatalf("snapshot range read row %d at position %d, want row %d", id, i, i+1)
+		}
+	}
+	if err := r.CheckIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if !bytes.Equal(k, copies[i]) {
+			t.Fatalf("key %d reads %x after the writes, was %x", i, k, copies[i])
+		}
+	}
+	if !bytes.Equal(stackKey, stackCopy) {
+		t.Fatalf("stack-held key reads %x after the writes, was %x", stackKey, stackCopy)
+	}
+}
+
+// BenchmarkSnapIndexRange100 times a snapshot's 100-row range read over
+// a 20 000-row index, each row decoded.
+func BenchmarkSnapIndexRange100(b *testing.B) {
+	const n = 20_000
+	db := notesDB(b, n)
+	defer db.Close()
+	s, err := db.BeginSnapshot(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	var buf value.Tuple
+	rows := 0
+	read := func(_ RowID, r value.Row) bool { buf = r.Decode(buf); rows++; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i*37%(n-100)) + 1
+		lb, ub := pitchRange(lo, lo+100)
+		rows = 0
+		if err := s.IndexRange("NOTE", "by_pitch", lb, ub, false, read); err != nil || rows != 100 {
+			b.Fatalf("read %d rows, %v", rows, err)
+		}
+	}
 }

@@ -858,19 +858,19 @@ func (r *Relation) IndexHas(indexName string, key []byte) bool {
 	return ok
 }
 
-// IndexAt returns the i'th smallest key (0-based) of the named index,
-// from the B-tree's order statistics in O(log n); ok is false when i is
-// out of range or the index does not exist.  It reads the live tree: a
-// transactional caller holds the relation's lock.  The key must not be
-// modified.
-func (r *Relation) IndexAt(indexName string, i int) (key []byte, ok bool) {
+// IndexAt appends the i'th smallest key (0-based) of the named index to
+// dst and returns the result, from the B-tree's order statistics in
+// O(log n); ok is false when i is out of range or the index does not
+// exist.  It reads the live tree: a transactional caller holds the
+// relation's lock.
+func (r *Relation) IndexAt(dst []byte, indexName string, i int) (key []byte, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	ix := r.findIndex(indexName)
 	if ix == nil || r.deferred {
-		return nil, false
+		return dst, false
 	}
-	key, _, ok = ix.tree.At(i)
+	key, _, ok = ix.tree.At(dst, i)
 	return key, ok
 }
 
@@ -881,28 +881,60 @@ const rangeBatch = 63
 // entry is an index entry as indexRange merges the live tree and the
 // key history: ordered by its key extended with its row id when ext is
 // set (a unique index's live keys lack the id; every other key carries
-// it).  key is a slice of a tree block, which is never rewritten, so an
-// entry stays valid with no lock held.
+// it).  Its key is a copy, held in the entry itself up to len(kb) bytes
+// and in an allocation of its own beyond, so an entry stays valid with
+// no lock held and points at nothing on its holder's stack.
 type entry struct {
-	key []byte
-	id  RowID
-	ext bool
+	id   RowID
+	ext  bool
+	n    int      // the key's length
+	kb   [64]byte // the key, if it fits
+	long []byte   // the key, if it does not
+}
+
+// key returns e's key.
+func (e *entry) key() []byte {
+	if e.n > len(e.kb) {
+		return e.long
+	}
+	return e.kb[:e.n]
+}
+
+// setKey copies key into e.
+func (e *entry) setKey(key []byte) {
+	if e.n = len(key); e.n > len(e.kb) {
+		e.long = bytes.Clone(key)
+	} else {
+		copy(e.kb[:], key)
+	}
+}
+
+// load copies the key under it into e.  A long key gets a new
+// allocation: a copy of e may still hold the last one.  (Copying it
+// out of kb's overflow, rather than keeping that, keeps e on its
+// holder's stack: the escape analysis cannot tell the two apart.)
+func (e *entry) load(it *btree.Iter) {
+	if k := it.Key(e.kb[:0]); len(k) > len(e.kb) {
+		e.n, e.long = len(k), append([]byte(nil), k...)
+	} else {
+		e.n = len(k)
+	}
 }
 
 // appendTo appends e's extended key to dst.
-func (e entry) appendTo(dst []byte) []byte {
-	if dst = append(dst, e.key...); e.ext {
+func (e *entry) appendTo(dst []byte) []byte {
+	if dst = append(dst, e.key()...); e.ext {
 		dst = appendRowID(dst, e.id)
 	}
 	return dst
 }
 
 // compare orders a and b by their extended keys, built on the stack.
-func (a entry) compare(b entry) int {
+func (a *entry) compare(b *entry) int {
 	if !a.ext && !b.ext {
-		return bytes.Compare(a.key, b.key)
+		return bytes.Compare(a.key(), b.key())
 	}
-	var ab, bb [64]byte
+	var ab, bb [72]byte
 	return bytes.Compare(a.appendTo(ab[:0]), b.appendTo(bb[:0]))
 }
 
@@ -924,10 +956,11 @@ func pickLive(r *Relation, _ *index, _ uint64, e entry) value.Row { return r.liv
 // pick, so a bound kept beside them would move a caller's stack-built
 // bounds to the heap.
 type rangeCursor struct {
-	it  btree.Iter
-	e   entry
-	ok  bool
-	dir int
+	it   btree.Iter
+	e    entry
+	ok   bool
+	dir  int
+	span int // entries from it on in its leaf known to lie inside the bound
 }
 
 // seekRange returns a cursor over t at the first entry at or past from
@@ -946,12 +979,22 @@ func seekRange(t *btree.Tree, ext bool, from, bound []byte, dir int) rangeCursor
 	return c
 }
 
-// load reads the entry under the iterator; ok is false past bound.
+// load reads the entry under the iterator; ok is false past bound.  The
+// bound is compared once per leaf, when the walk enters it (Span): only
+// the leaf that holds the bound is searched for it.
 func (c *rangeCursor) load(bound []byte) {
-	if c.ok = c.it.Valid(); c.ok {
-		c.e.key, c.e.id = c.it.Key(), c.it.Val()
-		c.ok = bound == nil || (bytes.Compare(c.e.key, bound) < 0) == (c.dir > 0)
+	if c.ok = c.it.Valid(); !c.ok {
+		return
 	}
+	if c.span == 0 {
+		if c.span = c.it.Span(bound, c.dir < 0); c.span == 0 {
+			c.ok = false
+			return
+		}
+	}
+	c.span--
+	c.e.load(&c.it)
+	c.e.id = c.it.Val()
 }
 
 // next steps the cursor in the reader's direction.
@@ -1030,15 +1073,22 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 		// After the seeks, at most one entry of each tree lies at or
 		// before last.
 		for _, c := range []*rangeCursor{&live, &hist} {
-			for started && c.ok && dir*c.e.compare(last) <= 0 {
+			for started && c.ok && dir*c.e.compare(&last) <= 0 {
 				c.next(bound)
 			}
 		}
+		// took is the cursor of the entry considered last, stepped past
+		// it only when the next one is needed, so that the batch's last
+		// entry is copied into last once, not every entry.
+		var took *rangeCursor
 		k, examined := 0, 0
 		for ; examined < batch; examined++ {
+			if took != nil {
+				took.next(bound)
+			}
 			c := &live
 			if hist.ok {
-				switch d := dir * hist.e.compare(live.e); {
+				switch d := dir * hist.e.compare(&live.e); {
 				case !live.ok || d < 0:
 					c = &hist
 				case d == 0:
@@ -1048,12 +1098,14 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 			if !c.ok {
 				break
 			}
-			last, started = c.e, true
-			c.next(bound)
-			if t := pick(r, ix, at, last); !t.IsZero() {
-				ids[k], ts[k] = last.id, t
+			took = c
+			if t := pick(r, ix, at, c.e); !t.IsZero() {
+				ids[k], ts[k] = c.e.id, t
 				k++
 			}
+		}
+		if examined == batch {
+			last, started = took.e, true
 		}
 		r.mu.RUnlock()
 		for i := range k {
@@ -1079,7 +1131,9 @@ func (r *Relation) indexGet(name string, at uint64, key []byte, pick pickFunc) (
 	probe := ix != nil && !r.deferred && (at == liveCSN || at >= ix.createdAt)
 	if probe {
 		if id, _ = ix.tree.Get(key); id != 0 {
-			t = pick(r, ix, at, entry{key, id, true})
+			e := entry{id: id, ext: true}
+			e.setKey(key)
+			t = pick(r, ix, at, e)
 		}
 	}
 	r.mu.RUnlock()

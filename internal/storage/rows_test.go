@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"unsafe"
@@ -20,7 +21,12 @@ func TestSlotSize(t *testing.T) {
 // pitch and by the extra indexes, every row's name and pitch its row id.
 func notesDB(t testing.TB, n int, extra ...IndexSpec) *DB {
 	t.Helper()
-	db := memDB(t)
+	return notesIn(t, memDB(t), n, extra...)
+}
+
+// notesIn is notesDB on the database db.
+func notesIn(t testing.TB, db *DB, n int, extra ...IndexSpec) *DB {
+	t.Helper()
 	if _, err := db.CreateRelation("NOTE", noteSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,7 @@ func TestIndexKeyAllocs(t *testing.T) {
 	})
 	var hk []byte
 	var hid RowID
-	ix.hist.Ascend(nil, nil, func(k []byte, id uint64) bool { hk, hid = k, id; return false })
+	ix.hist.Ascend(nil, nil, func(k []byte, id uint64) bool { hk, hid = bytes.Clone(k), id; return false })
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.histNeededLocked(ix, hk, hid) {
@@ -234,38 +240,50 @@ func TestIndexKeyAllocs(t *testing.T) {
 }
 
 // TestUpdateAllocs: Tx.Update encodes the new row into the
-// transaction's reused buffer, which updateRow copies into the page, so
-// an update inside a running transaction allocates only its log record
-// (built even when the database keeps no log).  Encoding each row into
-// an allocation of its own made it two.
+// transaction's reused buffer, which updateRow copies into the page, and
+// builds a log record only when the database keeps a log: an update
+// inside a running transaction allocates nothing on an in-memory
+// database and only its log record on a logged one.
 func TestUpdateAllocs(t *testing.T) {
 	const n = 2000
-	db := notesDB(t, n)
-	defer db.Close()
-	tx := db.Begin()
-	defer tx.Abort()
-	tu := value.Tuple{value.Int(1), value.Int(2), value.Str("n")}
-	want := make([]int64, n+1) // pitch by row id
-	i := 0
-	if got := testing.AllocsPerRun(n, func() {
-		i++
-		id := RowID(i%n + 1)
-		want[id] = int64(i % 97)
-		tu[1] = value.Int(want[id])
-		if err := tx.Update("NOTE", id, tu); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 1 {
-		t.Errorf("Tx.Update: %v allocations per update, want 1", got)
+	logged, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every row holds its own update, not the buffer's last contents.
-	for id := RowID(1); id <= n; id++ {
-		row, err := tx.Get("NOTE", id)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		db   *DB
+		max  float64
+	}{
+		{"in-memory", notesDB(t, n), 0},
+		{"logged", notesIn(t, logged, n), 1},
+	} {
+		tx := c.db.Begin()
+		tu := value.Tuple{value.Int(1), value.Int(2), value.Str("n")}
+		want := make([]int64, n+1) // pitch by row id
+		i := 0
+		if got := testing.AllocsPerRun(n, func() {
+			i++
+			id := RowID(i%n + 1)
+			want[id] = int64(i % 97)
+			tu[1] = value.Int(want[id])
+			if err := tx.Update("NOTE", id, tu); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.max {
+			t.Errorf("%s: Tx.Update: %v allocations per update, want at most %v", c.name, got, c.max)
 		}
-		if got := row.Col(1).AsInt(); got != want[id] {
-			t.Fatalf("row %d pitch %d, want %d", id, got, want[id])
+		// Every row holds its own update, not the buffer's last contents.
+		for id := RowID(1); id <= n; id++ {
+			row, err := tx.Get("NOTE", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := row.Col(1).AsInt(); got != want[id] {
+				t.Fatalf("%s: row %d pitch %d, want %d", c.name, id, got, want[id])
+			}
 		}
+		tx.Abort()
+		c.db.Close()
 	}
 }

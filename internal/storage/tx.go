@@ -108,11 +108,10 @@ func (db *DB) appendLog(r *wal.Record) error {
 }
 
 // logRecord buffers a redo record in the transaction (prefixed by its
-// BEGIN on first use).  No I/O happens until commit.
+// BEGIN on first use).  No I/O happens until commit.  Callers build the
+// record only when the database keeps a log (db.committer), so a write
+// to an in-memory database allocates none.
 func (tx *Tx) logRecord(r *wal.Record) {
-	if tx.db.committer == nil {
-		return
-	}
 	if len(tx.records) == 0 {
 		tx.records = append(tx.records, &wal.Record{Type: wal.RecBegin, TxID: tx.id})
 	}
@@ -218,7 +217,9 @@ func (tx *Tx) Insert(relName string, t value.Tuple) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecInsert, TxID: tx.id, Relation: relName, RowID: id, NewRow: row})
+	if tx.db.committer != nil {
+		tx.logRecord(&wal.Record{Type: wal.RecInsert, TxID: tx.id, Relation: relName, RowID: id, NewRow: row})
+	}
 	tx.undo = append(tx.undo, undoRec{op: undoInsert, rel: relName, id: id})
 	tx.vops = append(tx.vops, verOp{op: verAdd, rel: relName, id: id, t: row})
 	tx.db.m.rowsWritten.Inc()
@@ -244,7 +245,9 @@ func (tx *Tx) Delete(relName string, id RowID) error {
 	if err != nil {
 		return err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecDelete, TxID: tx.id, Relation: relName, RowID: id, OldRow: old})
+	if tx.db.committer != nil {
+		tx.logRecord(&wal.Record{Type: wal.RecDelete, TxID: tx.id, Relation: relName, RowID: id, OldRow: old})
+	}
 	tx.undo = append(tx.undo, undoRec{op: undoDelete, rel: relName, id: id, old: old})
 	tx.vops = append(tx.vops, verOp{op: verDel, rel: relName, id: id})
 	tx.db.m.rowsWritten.Inc()
@@ -274,7 +277,9 @@ func (tx *Tx) Update(relName string, id RowID, t value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	tx.logRecord(&wal.Record{Type: wal.RecUpdate, TxID: tx.id, Relation: relName, RowID: id, OldRow: old, NewRow: row})
+	if tx.db.committer != nil {
+		tx.logRecord(&wal.Record{Type: wal.RecUpdate, TxID: tx.id, Relation: relName, RowID: id, OldRow: old, NewRow: row})
+	}
 	tx.undo = append(tx.undo, undoRec{op: undoUpdate, rel: relName, id: id, old: old})
 	tx.vops = append(tx.vops, verOp{op: verSet, rel: relName, id: id, t: row})
 	tx.db.m.rowsWritten.Inc()
