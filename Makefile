@@ -53,8 +53,10 @@ torture-repl:
 # tuples the codec decodes; over the key encoding, whose byte order
 # must agree with value.Compare; over the B-tree, which must answer as a
 # sorted slice does and copy out the keys the slice holds, however its
-# nodes' shared prefixes shrink and regrow; over the QUEL
-# parser and planner, whose results must match the naive executor;
+# nodes' shared prefixes shrink and regrow; over the one parser of the
+# language, definitions and QUEL, whose errors must wrap ErrParse and
+# whose trees must repeat; over the QUEL planner, whose results must
+# match the naive executor;
 # over the page pruning of full scans, which must keep every row the
 # sargs accept; over snapshot index ranges, which must return the
 # snapshot's rows in key order wherever the reader stops and whatever
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzRow$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzKeyOrder$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/value/
 	$(GO) test -fuzz='^FuzzBTree$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/btree/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzPlannerDifferential$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzScanPrune$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/quel/
 	$(GO) test -fuzz='^FuzzSnapRange$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage/

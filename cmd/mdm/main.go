@@ -1,6 +1,8 @@
 // Command mdm is an interactive shell for the music data manager: a
-// client of figure 1 speaking the DDL of §5.4 and the extended QUEL of
-// §5.6.
+// client of figure 1 speaking its one language, the DDL of §5.4 (define
+// entity / relationship / ordering / index, drop index) and the
+// extended QUEL of §5.6 (range, retrieve, append, replace, delete,
+// explain).
 //
 // Usage:
 //
@@ -8,7 +10,12 @@
 //
 // With -e the statements are executed and the program exits; otherwise
 // an interactive prompt reads statements terminated by \g (go) on a
-// line of their own or by a blank line, in the INGRES tradition.
+// line of their own or by a blank line, in the INGRES tradition.  One
+// input may mix definitions and QUEL, with -- comments anywhere: a
+// statement sees the types defined before it, and a statement that
+// loses a lock wait is retried on its own, never with the ones before
+// it.  The output is the last QUEL statement's result, or the
+// definitions' confirmations when there is no QUEL statement.
 // Ctrl-C cancels the statement currently executing (including one
 // blocked on a lock) without leaving the shell.  With -metrics the
 // observability snapshot is served as JSON on ADDR (e.g. :6060).
@@ -116,7 +123,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("music data manager — define / retrieve / append / replace / delete / explain")
+	fmt.Println("music data manager — define / drop index / range / retrieve / append / replace / delete / explain")
 	fmt.Println(`end statements with a blank line; \schema, \status, \stats, \trace on|off, \figure N, \quit`)
 	sc := bufio.NewScanner(os.Stdin)
 	var buf strings.Builder

@@ -19,8 +19,8 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/value"
 )
 
@@ -46,13 +46,13 @@ type Index struct {
 // incipits on record.
 func Open(db *model.Database) (*Index, error) {
 	if _, ok := db.EntityType("CATALOG"); !ok {
-		if _, err := ddl.Exec(db, SchemaDDL); err != nil {
+		if _, err := quel.NewSession(db).Exec(SchemaDDL); err != nil {
 			return nil, fmt.Errorf("biblio: defining schema: %w", err)
 		}
 	}
 	ix := &Index{db: db}
 	if _, ok := db.EntityType("INCIPIT_GRAM"); !ok {
-		if _, err := ddl.Exec(db, GramDDL); err != nil {
+		if _, err := quel.NewSession(db).Exec(GramDDL); err != nil {
 			return nil, fmt.Errorf("biblio: defining gram schema: %w", err)
 		}
 		if db.Count("CATALOG_ENTRY") > 0 {

@@ -3,8 +3,8 @@ package cmn
 import (
 	"fmt"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/quel"
 )
 
 // SchemaDDL is the data definition for the CMN database: the entity
@@ -94,7 +94,7 @@ func DefineSchema(db *model.Database) error {
 	if _, ok := db.EntityType("SCORE"); ok {
 		return nil
 	}
-	if _, err := ddl.Exec(db, SchemaDDL); err != nil {
+	if _, err := quel.NewSession(db).Exec(SchemaDDL); err != nil {
 		return fmt.Errorf("cmn: defining schema: %w", err)
 	}
 	return nil

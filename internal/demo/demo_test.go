@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cmn"
-	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -77,7 +77,7 @@ func TestFugueSequence(t *testing.T) {
 func TestBuildBeamFigure(t *testing.T) {
 	store, _ := storage.Open(storage.Options{})
 	db, _ := model.Open(store)
-	if _, err := ddl.Exec(db, BeamSchemaDDL); err != nil {
+	if _, err := quel.NewSession(db).Exec(BeamSchemaDDL); err != nil {
 		t.Fatal(err)
 	}
 	g1, err := BuildBeamFigure(db)

@@ -143,13 +143,6 @@ func (r *Registry) Disarm(point string) {
 	delete(r.armed, point)
 }
 
-// DisarmAll removes every armed outcome.
-func (r *Registry) DisarmAll() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.armed = make(map[string]*armedPoint)
-}
-
 // Hit records one pass through the point and reports whether an armed
 // outcome fires now.  A nil registry never fires.
 func (r *Registry) Hit(point string) (Outcome, bool) {
@@ -184,12 +177,4 @@ func (r *Registry) Fired(point string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.fired[point]
-}
-
-// ResetCounters clears hit and fire counts (armed points are kept).
-func (r *Registry) ResetCounters() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hits = make(map[string]int)
-	r.fired = make(map[string]int)
 }

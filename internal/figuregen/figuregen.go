@@ -17,7 +17,6 @@ import (
 	"repro/internal/biblio"
 	"repro/internal/cmn"
 	"repro/internal/darms"
-	"repro/internal/ddl"
 	"repro/internal/demo"
 	"repro/internal/mdm"
 	"repro/internal/meta"
@@ -204,7 +203,7 @@ func Figure5() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity DATE (day = integer, month = integer, year = integer)
 define entity COMPOSITION (title = string, composition_date = DATE)
 define entity PERSON (name = string)
@@ -242,7 +241,7 @@ func Figure6() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity CHORD (name = string)
 define entity NOTE (name = string)
 define ordering note_in_chord (NOTE) under CHORD
@@ -277,7 +276,7 @@ func Figure7() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer)
 define ordering note_in_chord (NOTE) under CHORD
@@ -294,7 +293,7 @@ func Figure8() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := ddl.Exec(db, demo.BeamSchemaDDL); err != nil {
+	if _, err := quel.NewSession(db).Exec(demo.BeamSchemaDDL); err != nil {
 		return "", err
 	}
 	g1, err := demo.BuildBeamFigure(db)
@@ -355,7 +354,7 @@ func Figure10() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)
 `); err != nil {
 		return "", err

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cmn"
-	"repro/internal/ddl"
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/value"
 )
 
@@ -21,7 +21,7 @@ func newDB(t testing.TB) *model.Database {
 
 func TestRenderERFigure5(t *testing.T) {
 	db := newDB(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity DATE (day = integer, month = integer, year = integer)
 define entity COMPOSITION (title = string, composition_date = DATE)
 define entity PERSON (name = string)
@@ -47,7 +47,7 @@ define relationship COMPOSER (person = PERSON, composition = COMPOSITION)
 
 func TestRenderHO(t *testing.T) {
 	db := newDB(t)
-	ddl.Exec(db, `
+	quel.NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer)
 define ordering note_in_chord (NOTE) under CHORD
@@ -62,7 +62,7 @@ define ordering note_in_chord (NOTE) under CHORD
 
 func TestRenderInstanceFigure6(t *testing.T) {
 	db := newDB(t)
-	ddl.Exec(db, `
+	quel.NewSession(db).Exec(`
 define entity CHORD (name = string)
 define entity NOTE (name = string)
 define ordering note_in_chord (NOTE) under CHORD

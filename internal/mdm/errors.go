@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/quel"
 	"repro/internal/storage"
@@ -75,7 +74,7 @@ func classify(err error) error {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
-	case errors.Is(err, quel.ErrParse), errors.Is(err, ddl.ErrParse):
+	case errors.Is(err, quel.ErrParse):
 		return fmt.Errorf("%w: %w", ErrParse, err)
 	case errors.Is(err, model.ErrNoEntityType),
 		errors.Is(err, model.ErrNoRelationship),

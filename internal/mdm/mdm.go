@@ -6,8 +6,9 @@
 // logging), the entity-relationship model with hierarchical ordering,
 // the self-describing catalog (§6), the CMN schema (§7), and the
 // bibliographic layer (§4.2).  Clients connect through sessions and
-// speak the DDL of §5.4 and the extended QUEL of §5.6, or use the typed
-// Go APIs of the underlying layers directly.
+// speak one language, the DDL of §5.4 and the extended QUEL of §5.6
+// (both parsed by internal/quel), or use the typed Go APIs of the
+// underlying layers directly.
 package mdm
 
 import (
@@ -17,7 +18,6 @@ import (
 
 	"repro/internal/biblio"
 	"repro/internal/cmn"
-	"repro/internal/ddl"
 	"repro/internal/meta"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -145,18 +145,16 @@ func (m *MDM) NewSession() *Session {
 	return s
 }
 
-// ddlKeywords begin DDL statements.
-var ddlKeywords = []string{"define", "drop"}
-
 // ExecResult is the outcome of one ExecContext call.
 type ExecResult struct {
-	// Output holds the schema messages of DDL; it is empty for QUEL,
-	// whose printable form Text renders on demand.
+	// Output holds the confirmations of the source's definitions, one
+	// line each; it is empty for QUEL, whose printable form Text renders
+	// on demand.
 	Output string
-	// Result holds the structured rows when the source was QUEL (nil
-	// after DDL).
+	// Result holds the result of the source's last QUEL statement (nil
+	// when the source holds only definitions).
 	Result *quel.Result
-	// DDL reports that the statement was schema definition.
+	// DDL reports that every statement was a definition.
 	DDL bool
 }
 
@@ -169,65 +167,89 @@ func (r ExecResult) Text() string {
 	return r.Output
 }
 
-// ExecContext executes DDL or QUEL source, dispatching on the first
-// keyword.  After DDL, the meta-catalog is refreshed so the new schema
-// is immediately queryable (§6).  Canceling ctx aborts the statement —
-// including any lock wait it is blocked in — with an error matching
-// errors.Is(err, ErrCanceled); errors are classified per errors.go.
+// ExecContext parses src once and executes its statements in order,
+// definitions and QUEL alike (see run).  Canceling ctx aborts the
+// statement — including any lock wait it is blocked in — with an error
+// matching errors.Is(err, ErrCanceled); errors are classified per
+// errors.go.
 func (s *Session) ExecContext(ctx context.Context, src string) (ExecResult, error) {
-	trimmed := strings.TrimSpace(src)
-	if trimmed == "" {
-		return ExecResult{}, nil
-	}
-	var out ExecResult
-	err := s.withRetry(ctx, func() error {
-		var err error
-		out, err = s.execOnce(ctx, trimmed)
-		return err
-	})
-	return out, err
-}
-
-func (s *Session) execOnce(ctx context.Context, trimmed string) (ExecResult, error) {
-	first := strings.ToLower(firstWord(trimmed))
-	for _, kw := range ddlKeywords {
-		if first == kw {
-			msgs, err := ddl.Exec(s.mdm.Model, trimmed)
-			if err != nil {
-				return ExecResult{Output: strings.Join(msgs, "\n"), DDL: true}, err
-			}
-			if err := s.mdm.Catalog.Refresh(); err != nil {
-				return ExecResult{DDL: true}, fmt.Errorf("mdm: refreshing catalog: %w", err)
-			}
-			return ExecResult{Output: strings.Join(msgs, "\n"), DDL: true}, nil
-		}
-	}
-	res, err := s.quel.ExecCtx(ctx, trimmed)
+	stmts, err := quel.Parse(src)
 	if err != nil {
-		return ExecResult{}, err
+		return ExecResult{}, classify(err)
 	}
-	return ExecResult{Result: res}, nil
+	return s.run(ctx, stmts)
 }
 
-// QueryContext executes QUEL and returns the structured result (for
-// clients that process rows programmatically rather than as text).
-// Like ExecContext, transient transaction failures are retried per the
-// session policy and ctx cancellation aborts lock waits.
+// QueryContext executes src like ExecContext and returns the structured
+// result of its last QUEL statement (for clients that process rows
+// programmatically rather than as text).
 func (s *Session) QueryContext(ctx context.Context, src string) (*quel.Result, error) {
-	var res *quel.Result
-	err := s.withRetry(ctx, func() error {
-		var err error
-		res, err = s.quel.ExecCtx(ctx, src)
-		return err
-	})
-	return res, err
+	return query(s.ExecContext(ctx, src))
 }
 
-func firstWord(s string) string {
-	for i, r := range s {
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' {
-			return s[:i]
+// query returns the QUEL result of a run, empty when the source had
+// none, or nil and the run's error.
+func query(out ExecResult, err error) (*quel.Result, error) {
+	switch {
+	case err != nil:
+		return nil, err
+	case out.Result == nil:
+		return &quel.Result{}, nil
+	}
+	return out.Result, nil
+}
+
+// run executes parsed statements in order: the one statement loop of
+// ad-hoc sources, prepared statements and the cluster's routed reads.
+// Each statement runs under its own withRetry, so a transient failure
+// re-runs that statement alone, never one before it.  After a
+// definition the meta-catalog is refreshed (§6) before the next QUEL
+// statement runs and before run returns, so the new schema is
+// queryable at once.  The result is the last QUEL statement's, or the
+// definitions' confirmations when there is no QUEL statement.
+func (s *Session) run(ctx context.Context, stmts []quel.Stmt) (out ExecResult, err error) {
+	var msgs []string
+	stale := false // a definition ran since the last refresh
+	defer func() {
+		if stale {
+			if rerr := s.refreshCatalog(); err == nil {
+				err = rerr
+			}
+		}
+	}()
+	for _, st := range stmts {
+		ddl := quel.IsDDL(st)
+		if stale && !ddl {
+			if stale, err = false, s.refreshCatalog(); err != nil {
+				return ExecResult{}, err
+			}
+		}
+		var r *quel.Result
+		if err = s.withRetry(ctx, func() (err error) {
+			r, err = s.quel.ExecStmt(ctx, st)
+			return err
+		}); err != nil {
+			return ExecResult{}, err
+		}
+		if ddl {
+			msgs, stale = append(msgs, r.Message), true
+		} else if r != nil {
+			out.Result = r
 		}
 	}
-	return s
+	switch {
+	case len(msgs) == len(stmts):
+		out.DDL = len(msgs) > 0
+	case out.Result == nil:
+		out.Result = &quel.Result{}
+	}
+	out.Output = strings.Join(msgs, "\n")
+	return out, nil
+}
+
+func (s *Session) refreshCatalog() error {
+	if err := s.mdm.Catalog.Refresh(); err != nil {
+		return fmt.Errorf("mdm: refreshing catalog: %w", err)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package mdm
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -87,6 +88,38 @@ retrieve (e.entity_name) where e.entity_name = "COMPOSITION"`)
 	}
 	if out, err := s.ExecContext(context.Background(), "   "); err != nil || out.Output != "" {
 		t.Fatal("blank input")
+	}
+}
+
+// TestSessionMixedSource: one source may hold definitions and QUEL in
+// any order, with comments anywhere.  A QUEL statement after a
+// definition sees the new type and its §6.1 meta-entity; the result is
+// the last QUEL statement's, and a source of definitions alone returns
+// their confirmations.
+func TestSessionMixedSource(t *testing.T) {
+	m, err := Open(Options{SkipCMN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s := m.NewSession()
+	ctx := context.Background()
+	out, err := s.ExecContext(ctx, "define entity X (a = integer)\nappend to X (a = 1)")
+	if err != nil || out.DDL || out.Result == nil || out.Result.Affected != 1 || out.Output != "defined entity X with 1 attributes" {
+		t.Errorf("define then append: %+v, %v", out, err)
+	}
+	out, err = s.ExecContext(ctx, "-- schema\ndefine entity Y (b = integer)\n-- and an index\ndefine index on Y (b)")
+	if err != nil || !out.DDL || out.Result != nil || out.Text() != "defined entity Y with 1 attributes\ndefined index ix_y_b on Y" {
+		t.Errorf("definitions after a comment: %+v, %v", out, err)
+	}
+	res, err := s.QueryContext(ctx, `define entity Z (c = string)
+range of e is ENTITY
+retrieve (e.entity_name) where e.entity_name = "Z"`)
+	if err != nil || len(res.Rows) != 1 {
+		t.Errorf("ENTITY rows for a type defined earlier in the source: %v, %v", res, err)
+	}
+	if _, err := s.PrepareContext(ctx, "retrieve (X.a)\ndefine entity W (d = integer)"); !errors.Is(err, ErrParse) {
+		t.Errorf("prepared a source holding a definition: %v", err)
 	}
 }
 

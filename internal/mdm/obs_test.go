@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/quel"
@@ -217,8 +216,8 @@ func TestErrorClassification(t *testing.T) {
 	}
 
 	_, err = s.ExecContext(ctx, `define entity`)
-	if !errors.Is(err, ErrParse) || !errors.Is(err, ddl.ErrParse) {
-		t.Errorf("ddl syntax: err = %v, want ErrParse wrapping ddl.ErrParse", err)
+	if !errors.Is(err, ErrParse) || !errors.Is(err, quel.ErrParse) {
+		t.Errorf("ddl syntax: err = %v, want ErrParse wrapping quel.ErrParse", err)
 	}
 
 	_, err = s.ExecContext(ctx, `append to nosuch (a = 1)`)

@@ -2,27 +2,27 @@
 // workload (§1-2) is read-dominated — browsing scores, thematic-index
 // lookups, analysis passes — so the manager scales reads by shipping
 // the leader's WAL to replicas (internal/repl) and routing read-only
-// QUEL statements to whichever replica is within its lag bound.
+// QUEL sources to whichever replica is within its lag bound.
 package mdm
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/repl"
 	"repro/internal/storage"
 )
 
 // Cluster is one leader MDM plus its attached read replicas.  Writes
-// (and any statement that is not read-only) always execute on the
-// leader; retrieve/explain statements round-robin across the replicas
-// that are currently within their configured lag bound, falling back to
-// the leader when none is.
+// (and any source with a statement that is not read-only) always
+// execute on the leader; range/retrieve/explain sources round-robin
+// across the replicas that are currently within their configured lag
+// bound, falling back to the leader when none is.
 type Cluster struct {
 	Leader *MDM
 
@@ -124,22 +124,17 @@ func (c *Cluster) readTarget() *ReadReplica {
 	return nil
 }
 
-// readOnlyStatement reports whether a statement can be served by a
-// replica: retrieve and explain never write.
-func readOnlyStatement(src string) bool {
-	switch strings.ToLower(firstWord(strings.TrimSpace(src))) {
-	case "retrieve", "explain":
-		return true
-	}
-	return false
-}
-
-// ExecContext routes one statement: read-only statements to a
-// caught-up replica (leader fallback), everything else to the leader.
+// ExecContext parses src once and routes it: a source of range,
+// retrieve and explain statements alone runs on a caught-up replica
+// (leader fallback), any other on the leader.
 func (c *Cluster) ExecContext(ctx context.Context, src string) (ExecResult, error) {
-	if readOnlyStatement(src) {
+	stmts, err := quel.Parse(src)
+	if err != nil {
+		return ExecResult{}, classify(err)
+	}
+	if readOnly(stmts) {
 		if r := c.readTarget(); r != nil {
-			res, err := r.NewSession().ExecContext(ctx, src)
+			res, err := r.NewSession().run(ctx, stmts)
 			// A replica that cannot serve the read (stopped mid-flight,
 			// degraded) must not fail the client: retry on the leader.
 			if err == nil || !errors.Is(err, storage.ErrReplica) {
@@ -147,7 +142,17 @@ func (c *Cluster) ExecContext(ctx context.Context, src string) (ExecResult, erro
 			}
 		}
 	}
-	return c.Leader.NewSession().ExecContext(ctx, src)
+	return c.Leader.NewSession().run(ctx, stmts)
+}
+
+// readOnly reports whether a replica can serve every statement.
+func readOnly(stmts []quel.Stmt) bool {
+	for _, st := range stmts {
+		if !quel.ReadOnly(st) {
+			return false
+		}
+	}
+	return true
 }
 
 // Exec is ExecContext with a background context, returning the

@@ -9,16 +9,19 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/repl"
 	"repro/internal/value"
 )
 
 // TestClusterReadRouting stands up a leader with two read replicas in
 // SyncShip mode (a commit returns only after every live replica
-// applied it), checks that retrieve/explain statements are served by
-// the replicas, that writes land on the leader and become visible on
+// applied it), checks that range/retrieve/explain sources are served
+// by the replicas, that writes land on the leader and become visible on
 // replica reads immediately, and that a cluster with no usable replica
-// falls back to the leader.
+// falls back to the leader.  A replica whose link is stopped keeps its
+// applied state, so a routed read that misses the leader's next commit
+// ran on a replica.
 func TestClusterReadRouting(t *testing.T) {
 	base := t.TempDir()
 	leader, err := Open(Options{
@@ -100,11 +103,43 @@ func TestClusterReadRouting(t *testing.T) {
 	}
 
 	// Write statements must not be routed to replicas.
-	if readOnlyStatement(`append to COMPOSITION (title = "x", year = 1)`) {
-		t.Fatal("append misclassified as read-only")
+	for src, want := range map[string]bool{
+		`append to COMPOSITION (title = "x", year = 1)`:               false,
+		"range of c is COMPOSITION\nretrieve (c.title)":               true,
+		"-- a comment\nEXPLAIN retrieve (COMPOSITION.title)":          true,
+		"range of c is COMPOSITION\ndelete c where c.year = 1":        false,
+		"retrieve (COMPOSITION.title)\ndefine entity X (a = integer)": false,
+	} {
+		stmts, err := quel.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readOnly(stmts) != want {
+			t.Errorf("readOnly(%q) = %v, want %v", src, !want, want)
+		}
 	}
-	if !readOnlyStatement("  retrieve (c.title)") || !readOnlyStatement("EXPLAIN (c.title)") {
-		t.Fatal("retrieve/explain misclassified")
+
+	// The route itself: with both replicas' links stopped, a row the
+	// leader commits afterwards reaches neither, so only a read that
+	// ran on a replica misses it.
+	for _, r := range c.Replicas() {
+		r.Rep.Stop()
+	}
+	if _, err := c.Exec(`append to COMPOSITION (title = "late", year = 1800)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		out, err := c.Exec("range of c is COMPOSITION\nretrieve (c.title) where c.year = 1800")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out, "late") || strings.Count(out, "post") != 1 {
+			t.Fatalf("routed read %d ran on the leader:\n%s", i, out)
+		}
+	}
+	res, err = leader.NewSession().QueryContext(context.Background(), "range of c is COMPOSITION\nretrieve (c.title) where c.year = 1800")
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("leader read: %v rows, err %v", res, err)
 	}
 }
 

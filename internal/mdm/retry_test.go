@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/meta"
+	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -209,5 +211,51 @@ func TestExhaustedRetriesSurfaceError(t *testing.T) {
 	}
 	if st.Exhausted != 0 {
 		t.Fatalf("non-transient error counted as exhausted")
+	}
+}
+
+// TestRetryRerunsOnlyTheFailedStatement: a transient failure retries
+// the statement that failed, never one before it in the same source.
+// With B's relation X-locked elsewhere, the source's second statement
+// times out on every attempt; its first commits once.
+func TestRetryRerunsOnlyTheFailedStatement(t *testing.T) {
+	store, err := storage.Open(storage.Options{LockWaitTimeout: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	mdl, err := model.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := meta.Bootstrap(mdl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &MDM{Store: store, Model: mdl, Catalog: cat}
+	s := m.NewSession()
+	ctx := context.Background()
+	if _, err := s.ExecContext(ctx, "define entity A (a = integer)\ndefine entity B (b = integer)"); err != nil {
+		t.Fatal(err)
+	}
+	holder := store.Begin()
+	if err := holder.LockExclusive(mdl.InstanceRelation("B")); err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Abort()
+	before := s.Stats()
+	_, err = s.ExecContext(ctx, "append to A (a = 1)\nappend to B (b = 1)")
+	if !errors.Is(err, txn.ErrTimeout) {
+		t.Fatalf("err = %v, want the lock wait timeout", err)
+	}
+	if n := mdl.Count("A"); n != 1 {
+		t.Fatalf("A holds %d rows, want 1: a retry re-ran the statement before the one that failed", n)
+	}
+	st := s.Stats()
+	if got := st.Retries - before.Retries; got != uint64(DefaultRetryPolicy.MaxAttempts-1) {
+		t.Errorf("retries = %d, want %d", got, DefaultRetryPolicy.MaxAttempts-1)
+	}
+	if st.Exhausted-before.Exhausted != 1 || st.Statements-before.Statements != 2 {
+		t.Errorf("stats %+v after %+v: want 2 statements, 1 exhausted", st, before)
 	}
 }

@@ -3,7 +3,6 @@ package mdm
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/quel"
@@ -26,22 +25,16 @@ type Stmt struct {
 }
 
 // PrepareContext parses src into a reusable parameterized statement.
-// Only QUEL can be prepared; DDL has no placeholders and goes through
-// ExecContext.  Parse errors classify as ErrParse.
+// Only QUEL can be prepared: a definition has no placeholders and goes
+// through ExecContext.  Parse errors, and a source that holds a
+// definition, classify as ErrParse.
 func (s *Session) PrepareContext(ctx context.Context, src string) (*Stmt, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, classify(err)
 		}
 	}
-	trimmed := strings.TrimSpace(src)
-	first := strings.ToLower(firstWord(trimmed))
-	for _, kw := range ddlKeywords {
-		if first == kw {
-			return nil, fmt.Errorf("%w: cannot prepare DDL (%q); execute it directly", ErrParse, first)
-		}
-	}
-	p, err := quel.Prepare(trimmed)
+	p, err := quel.Prepare(src)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -107,11 +100,9 @@ func (st *Stmt) QueryContext(ctx context.Context, args ...any) (*quel.Result, er
 	if err != nil {
 		return nil, err
 	}
-	var res *quel.Result
-	err = st.sess.withRetry(ctx, func() error {
-		var err error
-		res, err = st.sess.quel.ExecPreparedCtx(ctx, st.prep, vals...)
-		return err
-	})
-	return res, err
+	stmts, err := st.prep.Bind(vals...)
+	if err != nil {
+		return nil, classify(err)
+	}
+	return query(st.sess.run(ctx, stmts))
 }

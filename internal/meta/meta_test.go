@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/quel"
 	"repro/internal/storage"
@@ -64,7 +63,7 @@ func TestRefreshAfterDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ddl.Exec(db, `
+	if _, err := quel.NewSession(db).Exec(`
 define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)
 `); err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestSchemaQueryableViaQUEL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddl.Exec(db, `define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)`)
+	quel.NewSession(db).Exec(`define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)`)
 	c.Refresh()
 
 	s := quel.NewSession(db)
@@ -132,7 +131,7 @@ func TestGraphDef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddl.Exec(db, `define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)`)
+	quel.NewSession(db).Exec(`define entity STEM (xpos = integer, ypos = integer, length = integer, direction = integer)`)
 	c.Refresh()
 
 	const fn = "newpath xpos ypos moveto 0 length direction mul rlineto stroke"
@@ -177,7 +176,7 @@ func TestBootstrapIdempotentAcrossReopen(t *testing.T) {
 	if _, err := Bootstrap(db); err != nil {
 		t.Fatal(err)
 	}
-	ddl.Exec(db, `define entity NOTE (pitch = integer)`)
+	quel.NewSession(db).Exec(`define entity NOTE (pitch = integer)`)
 	store.Close()
 
 	store2, _ := storage.Open(storage.Options{Dir: dir})
@@ -206,7 +205,7 @@ func TestBootstrapIdempotentAcrossReopen(t *testing.T) {
 func TestOrderChildRelationship(t *testing.T) {
 	db := newDB(t)
 	c, _ := Bootstrap(db)
-	ddl.Exec(db, `
+	quel.NewSession(db).Exec(`
 define entity VOICE (name = string)
 define entity CHORD (name = integer)
 define entity REST (name = integer)

@@ -1,16 +1,32 @@
-// Package quel implements the data manipulation language of the music
-// data manager: a QUEL dialect (after INGRES) extended, per §5.6 of the
-// paper, with three operators over hierarchically ordered entities —
-// before, after, and under — plus the GEM-style entity equivalence
-// operator is.
+// Package quel implements the language of the music data manager: the
+// data definition statements of §5.4 and a QUEL dialect (after INGRES)
+// extended, per §5.6 of the paper, with three operators over
+// hierarchically ordered entities — before, after, and under — plus the
+// GEM-style entity equivalence operator is.  One parser reads both, so
+// one source may mix them.
 //
 // Statements:
 //
+//	define entity NAME ( attr = type {, attr = type} )
+//	define relationship NAME ( attr = type {, attr = type} )
+//	define ordering [ name ] ( child {, child} ) [ under parent ]
+//	define index on ENTITY ( attr {, attr} )
+//	drop index on ENTITY ( attr {, attr} )
 //	range of var {, var} is ENTITY
 //	retrieve [unique] ( target {, target} ) [ where qual ]
 //	append to ENTITY ( attr = expr {, attr = expr} )
 //	replace var ( attr = expr {, attr = expr} ) [ where qual ]
 //	delete var [ where qual ]
+//	explain retrieve ...
+//
+// The define statements follow the BNF of §5.4.  An attribute whose type
+// names an entity type is a reference attribute — the implicit
+// representation of a "1 to n" relationship (§5.1, composition_date =
+// DATE); in a define relationship, reference attributes are the
+// relationship's roles.  define index and drop index are an extension:
+// a secondary index (the §5.2 relational ordering optimization) and its
+// removal.  Every statement is planned when it runs, so the next one
+// sees a schema change.
 //
 // Targets are attribute projections (var.attr, optionally labelled
 // `label = var.attr`), whole-entity projections (var.all), or aggregates
@@ -22,8 +38,45 @@ package quel
 
 import "repro/internal/value"
 
-// Stmt is one parsed QUEL statement.
+// Stmt is one parsed statement.
 type Stmt interface{ quelStmt() }
+
+// AttrDef is one "name = type" attribute definition.
+type AttrDef struct {
+	Name     string
+	TypeName string
+}
+
+// DefineEntity is a define entity statement.
+type DefineEntity struct {
+	Name  string
+	Attrs []AttrDef
+}
+
+// DefineRelationship is a define relationship statement.
+type DefineRelationship struct {
+	Name  string
+	Attrs []AttrDef
+}
+
+// DefineOrdering is a define ordering statement.
+type DefineOrdering struct {
+	Name     string // optional
+	Children []string
+	Parent   string // optional in the grammar; required for execution
+}
+
+// DefineIndex is the index-creation extension.
+type DefineIndex struct {
+	Entity string
+	Attrs  []string
+}
+
+// DropIndex removes the index a matching DefineIndex created.
+type DropIndex struct {
+	Entity string
+	Attrs  []string
+}
 
 // RangeStmt declares range variables over an entity type.
 type RangeStmt struct {
@@ -89,12 +142,36 @@ type Assign struct {
 	Expr Expr
 }
 
-func (RangeStmt) quelStmt() {}
-func (Retrieve) quelStmt()  {}
-func (Append) quelStmt()    {}
-func (Replace) quelStmt()   {}
-func (Delete) quelStmt()    {}
-func (Explain) quelStmt()   {}
+func (DefineEntity) quelStmt()       {}
+func (DefineRelationship) quelStmt() {}
+func (DefineOrdering) quelStmt()     {}
+func (DefineIndex) quelStmt()        {}
+func (DropIndex) quelStmt()          {}
+func (RangeStmt) quelStmt()          {}
+func (Retrieve) quelStmt()           {}
+func (Append) quelStmt()             {}
+func (Replace) quelStmt()            {}
+func (Delete) quelStmt()             {}
+func (Explain) quelStmt()            {}
+
+// IsDDL reports whether st defines or drops schema.
+func IsDDL(st Stmt) bool {
+	switch st.(type) {
+	case DefineEntity, DefineRelationship, DefineOrdering, DefineIndex, DropIndex:
+		return true
+	}
+	return false
+}
+
+// ReadOnly reports whether st can never write: range, retrieve and
+// explain.
+func ReadOnly(st Stmt) bool {
+	switch st.(type) {
+	case RangeStmt, Retrieve, Explain:
+		return true
+	}
+	return false
+}
 
 // Expr is an expression node.
 type Expr interface{ quelExpr() }

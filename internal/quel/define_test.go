@@ -1,26 +1,12 @@
-package ddl
+package quel
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/model"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-func memModel(t testing.TB) *model.Database {
-	t.Helper()
-	store, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := model.Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
 
 // paperSchema is the exact DDL from §5.1 and §5.4 of the paper.
 const paperSchema = `
@@ -54,6 +40,11 @@ func TestParsePaperSchema(t *testing.T) {
 	if !ok || do.Name != "note_in_chord" || do.Parent != "CHORD" || len(do.Children) != 1 {
 		t.Fatalf("ordering parse: %+v", stmts[6])
 	}
+	for _, st := range stmts {
+		if !IsDDL(st) || ReadOnly(st) {
+			t.Fatalf("%T misclassified", st)
+		}
+	}
 }
 
 func TestParseOrderingVariants(t *testing.T) {
@@ -85,16 +76,17 @@ func TestParseOrderingVariants(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
+func TestParseDefineErrors(t *testing.T) {
 	bad := []string{
-		"retrieve (x.all)",            // not DDL
 		"define widget FOO ()",        // unknown define kind
 		"define entity (a = integer)", // missing name
 		"define entity X a = integer", // missing paren
 		"define entity X (a integer)", // missing =
 		"define entity X (a = 3)",     // non-identifier type
+		"define entity X (a = integer,)",
 		"define ordering (NOTE under CHORD",
 		"define index NOTE (a)", // missing on
+		"drop NOTE (a)",         // missing index
 		`define entity X (a = "unterminated)`,
 	}
 	for _, src := range bad {
@@ -104,13 +96,54 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestExecPaperSchema(t *testing.T) {
-	db := memModel(t)
-	msgs, err := Exec(db, paperSchema)
+// TestParseMixedSource: definitions and QUEL share one parser, so one
+// source may hold both, with comments anywhere.
+func TestParseMixedSource(t *testing.T) {
+	stmts, err := Parse(`-- schema first
+define entity X (a = integer)
+append to X (a = 1)
+drop index on X (a)
+range of x is X retrieve (x.a)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 7 {
+	want := []string{"define entity", "append", "drop index", "range", "retrieve"}
+	if len(stmts) != len(want) {
+		t.Fatalf("statements = %d, want %d", len(stmts), len(want))
+	}
+	for i, st := range stmts {
+		if stmtKind(st) != want[i] {
+			t.Errorf("statement %d is %s, want %s", i, stmtKind(st), want[i])
+		}
+	}
+}
+
+// execEach runs src statement by statement and returns the
+// definitions' confirmations.
+func execEach(t *testing.T, s *Session, src string) ([]string, error) {
+	t.Helper()
+	stmts, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	var msgs []string
+	for _, st := range stmts {
+		r, err := s.ExecStmt(context.Background(), st)
+		if err != nil {
+			return msgs, err
+		}
+		msgs = append(msgs, r.Message)
+	}
+	return msgs, nil
+}
+
+func TestExecPaperSchema(t *testing.T) {
+	db, s := newSession(t)
+	msgs, err := execEach(t, s, paperSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 7 || msgs[0] != "defined entity DATE with 3 attributes" {
 		t.Fatalf("messages: %v", msgs)
 	}
 	// COMPOSITION.composition_date is a reference attribute to DATE
@@ -134,80 +167,86 @@ func TestExecPaperSchema(t *testing.T) {
 	}
 }
 
-func TestExecErrors(t *testing.T) {
-	db := memModel(t)
-	if _, err := Exec(db, "define entity X (a = wibbletype)"); err == nil {
+func TestExecDefineErrors(t *testing.T) {
+	_, s := newSession(t)
+	if _, err := s.Exec("define entity X (a = wibbletype)"); err == nil {
 		t.Fatal("unknown attr type accepted")
 	}
-	if _, err := Exec(db, "define ordering o (NOTE)"); err == nil || !strings.Contains(err.Error(), "under clause") {
+	if _, err := s.Exec("define ordering o (NOTE)"); err == nil || !strings.Contains(err.Error(), "under clause") {
 		t.Fatalf("parentless ordering: %v", err)
 	}
-	if _, err := Exec(db, "define relationship R (a = wibbletype, b = alsobad)"); err == nil {
+	if _, err := s.Exec("define relationship R (a = wibbletype, b = alsobad)"); err == nil {
 		t.Fatal("unknown role type accepted")
 	}
-	if _, err := Exec(db, "define index on NOPE (a)"); err == nil {
+	if _, err := s.Exec("define index on NOPE (a)"); err == nil {
 		t.Fatal("index on missing entity accepted")
+	}
+	if _, err := s.Exec("explain define entity Y (a = integer)"); err == nil || !strings.Contains(err.Error(), "not define entity") {
+		t.Fatalf("explained definition: %v", err)
+	}
+	if _, err := Prepare("define entity Y (a = integer)"); err == nil {
+		t.Fatal("definition prepared")
 	}
 }
 
 func TestExecIndex(t *testing.T) {
-	db := memModel(t)
-	if _, err := Exec(db, "define entity NOTE (pitch = integer)"); err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := Exec(db, "define index on NOTE (pitch)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msgs[0], "ix_note_pitch") {
-		t.Fatalf("msg: %v", msgs)
+	_, s := newSession(t)
+	mustExec(t, s, "define entity NOTE (pitch = integer)")
+	res := mustExec(t, s, "define index on NOTE (pitch)")
+	if !strings.Contains(res.Message, "ix_note_pitch") || res.String() != res.Message {
+		t.Fatalf("msg: %q", res.Message)
 	}
 	// Duplicate index fails cleanly.
-	if _, err := Exec(db, "define index on NOTE (pitch)"); err == nil {
+	if _, err := s.Exec("define index on NOTE (pitch)"); err == nil {
 		t.Fatal("duplicate index accepted")
 	}
 }
 
 func TestExecDropIndex(t *testing.T) {
-	db := memModel(t)
-	if _, err := Exec(db, "define entity NOTE (pitch = integer)\ndefine index on NOTE (pitch)"); err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := Exec(db, "drop index on NOTE (pitch)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(msgs[0], "dropped index ix_note_pitch") {
-		t.Fatalf("msg: %v", msgs)
+	db, s := newSession(t)
+	mustExec(t, s, "define entity NOTE (pitch = integer)\ndefine index on NOTE (pitch)")
+	res := mustExec(t, s, "drop index on NOTE (pitch)")
+	if !strings.Contains(res.Message, "dropped index ix_note_pitch") {
+		t.Fatalf("msg: %q", res.Message)
 	}
 	if _, ok := db.AttrIndexName("NOTE", "pitch"); ok {
 		t.Fatal("index still resolvable after drop")
 	}
 	// Dropping again (or on a missing entity) fails cleanly.
-	if _, err := Exec(db, "drop index on NOTE (pitch)"); err == nil {
+	if _, err := s.Exec("drop index on NOTE (pitch)"); err == nil {
 		t.Fatal("double drop accepted")
 	}
-	if _, err := Exec(db, "drop index on NOPE (pitch)"); err == nil {
+	if _, err := s.Exec("drop index on NOPE (pitch)"); err == nil {
 		t.Fatal("drop on missing entity accepted")
 	}
 	// The define can be replayed after the drop.
-	if _, err := Exec(db, "define index on NOTE (pitch)"); err != nil {
-		t.Fatalf("redefine after drop: %v", err)
-	}
+	mustExec(t, s, "define index on NOTE (pitch)")
 }
 
 func TestExecRelationshipWithAttrs(t *testing.T) {
-	db := memModel(t)
-	src := `
+	db, s := newSession(t)
+	mustExec(t, s, `
 define entity PERSON (name = string)
 define entity COMPOSITION (title = string)
 define relationship COMPOSER (person = PERSON, composition = COMPOSITION, share = float)
-`
-	if _, err := Exec(db, src); err != nil {
-		t.Fatal(err)
-	}
+`)
 	rt, _ := db.RelationshipType("COMPOSER")
 	if len(rt.Roles) != 2 || len(rt.Attrs) != 1 || rt.Attrs[0].Name != "share" {
 		t.Fatalf("relationship attrs: %+v", rt)
+	}
+}
+
+// TestExecMixedSource: a QUEL statement after a definition in the same
+// source sees the new type, and the source's result is its last
+// statement's.
+func TestExecMixedSource(t *testing.T) {
+	_, s := newSession(t)
+	res := mustExec(t, s, `define entity X (a = integer)
+append to X (a = 1)
+append to X (a = 2)
+range of x is X
+retrieve (x.a) sort by a`)
+	if len(res.Rows) != 2 || res.Rows[1][0].AsInt() != 2 {
+		t.Fatalf("rows: %v", res.Rows)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -25,7 +24,7 @@ import (
 func diffFixture(t testing.TB) *model.Database {
 	t.Helper()
 	db, _ := newSession(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity A (x = integer, y = integer, w = float)
 define entity B (x = integer, z = integer)
 define entity CHORD (name = integer)
@@ -480,7 +479,7 @@ func TestPlannerSortedOrderAgreement(t *testing.T) {
 	db, planned := newSession(t)
 	naive := NewSession(db)
 	naive.naive = true
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity NOTE (name = integer, pitch = integer)
 define index on NOTE (name)
 `); err != nil {
@@ -527,7 +526,7 @@ func TestSignedZeroJoin(t *testing.T) {
 		if indexed {
 			src += "define index on Q (g)\n"
 		}
-		if _, err := ddl.Exec(db, src); err != nil {
+		if _, err := NewSession(db).Exec(src); err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range []float64{negZero, 0, 1.5, negZero} {

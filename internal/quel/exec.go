@@ -20,10 +20,16 @@ type Result struct {
 	Rows    []value.Tuple
 	// Affected counts modified entities for append/replace/delete.
 	Affected int
+	// Message is a definition's confirmation ("defined entity ...").
+	Message string
 }
 
-// String renders the result as an aligned text table.
+// String renders the result as an aligned text table, or a
+// definition's confirmation.
 func (r *Result) String() string {
+	if r.Message != "" {
+		return r.Message
+	}
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("(%d affected)", r.Affected)
 	}
@@ -177,9 +183,10 @@ func NewSession(db *model.Database) *Session {
 	return s
 }
 
-// Exec parses and executes QUEL statements.  It returns the result of the
-// last retrieve (or a Result with Affected set for updates); range
-// statements persist in the session.
+// Exec parses and executes statements.  It returns the result of the
+// last statement that has one: a retrieve's rows, an update's affected
+// count, or a definition's confirmation; range statements persist in
+// the session.
 func (s *Session) Exec(src string) (*Result, error) {
 	return s.ExecCtx(context.Background(), src)
 }
@@ -192,12 +199,14 @@ func (s *Session) ExecCtx(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.run(ctx, stmts)
+}
+
+// run executes parsed statements in order and returns Exec's result.
+func (s *Session) run(ctx context.Context, stmts []Stmt) (*Result, error) {
 	var last *Result
 	for _, st := range stmts {
-		start := time.Now()
-		r, err := s.execOne(ctx, st)
-		s.m.stmt.ObserveSince(start)
-		s.m.trace.Emit("quel.stmt", stmtKind(st), start, time.Since(start))
+		r, err := s.ExecStmt(ctx, st)
 		if err != nil {
 			return nil, err
 		}
@@ -211,9 +220,29 @@ func (s *Session) ExecCtx(ctx context.Context, src string) (*Result, error) {
 	return last, nil
 }
 
+// ExecStmt executes one parsed statement.  A range statement returns a
+// nil Result; a definition returns its confirmation in Message.
+func (s *Session) ExecStmt(ctx context.Context, st Stmt) (*Result, error) {
+	start := time.Now()
+	r, err := s.execOne(ctx, st)
+	s.m.stmt.ObserveSince(start)
+	s.m.trace.Emit("quel.stmt", stmtKind(st), start, time.Since(start))
+	return r, err
+}
+
 // stmtKind names a statement for trace events.
 func stmtKind(st Stmt) string {
 	switch st.(type) {
+	case DefineEntity:
+		return "define entity"
+	case DefineRelationship:
+		return "define relationship"
+	case DefineOrdering:
+		return "define ordering"
+	case DefineIndex:
+		return "define index"
+	case DropIndex:
+		return "drop index"
 	case RangeStmt:
 		return "range"
 	case Retrieve:
@@ -231,6 +260,13 @@ func stmtKind(st Stmt) string {
 }
 
 func (s *Session) execOne(ctx context.Context, st Stmt) (*Result, error) {
+	if IsDDL(st) {
+		msg, err := s.define(st)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Message: msg}, nil
+	}
 	s.cache = newStmtCache()
 	defer func() { s.cache = nil }()
 	switch q := st.(type) {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -95,7 +94,7 @@ func TestExplainUnderUniqueSort(t *testing.T) {
 func TestExplainScoreQueryShapes(t *testing.T) {
 	db, s := newSession(t)
 	buildScores(t, db, 3, 4)
-	if _, err := ddl.Exec(db, `define index on SCORE (name)`); err != nil {
+	if _, err := NewSession(db).Exec(`define index on SCORE (name)`); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s, "range of n, n1, n2 is NOTE\nrange of s is SCORE")
@@ -207,7 +206,7 @@ func TestExplainRunsQuery(t *testing.T) {
 // every work has a composer and an arranger.
 func setupWriters(t *testing.T, db *model.Database) {
 	t.Helper()
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity WORK (number = integer, title = string)
 define entity WRITER (number = integer, name = string)
 define entity WROTE (writer = integer, work = integer, role = string)
@@ -261,7 +260,7 @@ func TestExplainIndexFetch(t *testing.T) {
 // each composer by identity through by_ref.
 func TestExplainIndexFetchRolesAndIdentity(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity PERSON (name = string)
 define entity COMPOSITION (title = string)
 define relationship COMPOSER (composer = PERSON, composition = COMPOSITION)
@@ -301,7 +300,7 @@ define relationship COMPOSER (composer = PERSON, composition = COMPOSITION)
 func TestExplainScoreQueryJoinStaysHash(t *testing.T) {
 	db, s := newSession(t)
 	buildScores(t, db, 40, 50)
-	if _, err := ddl.Exec(db, `define index on SCORE (name)`); err != nil {
+	if _, err := NewSession(db).Exec(`define index on SCORE (name)`); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s, "range of n is NOTE\nrange of s is SCORE")

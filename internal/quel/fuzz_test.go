@@ -86,7 +86,7 @@ func FuzzPlannerDifferential(f *testing.F) {
 		run := func(s *Session) (*Result, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), fuzzStmtTimeout)
 			defer cancel()
-			return s.ExecPreparedCtx(ctx, stmt, args...)
+			return execPrepared(ctx, s, stmt, args...)
 		}
 		pres, perr := run(planned)
 		nres, nerr := run(naive)

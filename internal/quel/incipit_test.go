@@ -1,4 +1,4 @@
-package quel
+package quel_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/biblio"
 	"repro/internal/model"
+	"repro/internal/quel"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -20,7 +21,7 @@ import (
 //	#1  60 62 64 65     intervals [2 2 1]      gram "2,2,1"
 //	#2  60 64 67 72     intervals [4 3 5]      gram "4,3,5"
 //	#3  60 62 64 65 67  intervals [2 2 1 2]    grams "2,2,1" "2,1,2"
-func setupBiblio(t testing.TB) (*model.Database, *Session) {
+func setupBiblio(t testing.TB) (*model.Database, *quel.Session) {
 	t.Helper()
 	store, err := storage.Open(storage.Options{})
 	if err != nil {
@@ -54,10 +55,10 @@ func setupBiblio(t testing.TB) (*model.Database, *Session) {
 			t.Fatal(err)
 		}
 	}
-	return db, NewSession(db)
+	return db, quel.NewSession(db)
 }
 
-func entryNumbers(t *testing.T, res *Result) []int {
+func entryNumbers(t *testing.T, res *quel.Result) []int {
 	t.Helper()
 	var out []int
 	for _, row := range res.Rows {
@@ -69,16 +70,16 @@ func entryNumbers(t *testing.T, res *Result) []int {
 
 func TestIncipitQueryIndexed(t *testing.T) {
 	_, s := setupBiblio(t)
-	mustExec(t, s, `range of e is CATALOG_ENTRY`)
+	quel.MustExec(t, s, `range of e is CATALOG_ENTRY`)
 	const q = `retrieve (e.number) where e incipit "60 62 64 65"`
-	got := entryNumbers(t, mustExec(t, s, q))
+	got := entryNumbers(t, quel.MustExec(t, s, q))
 	if want := []int{1, 3}; strings.Join(strings.Fields(sprintInts(got)), " ") != sprintInts(want) {
 		t.Fatalf("planned = %v, want %v", got, want)
 	}
 	// Differential: the naive executor (full scan + residual predicate)
 	// must agree with the gram-probe plan.
-	s.naive = true
-	naive := entryNumbers(t, mustExec(t, s, q))
+	quel.SetNaive(s)
+	naive := entryNumbers(t, quel.MustExec(t, s, q))
 	if sprintInts(naive) != sprintInts(got) {
 		t.Fatalf("naive = %v, planned = %v", naive, got)
 	}
@@ -94,8 +95,8 @@ func sprintInts(xs []int) string {
 
 func TestExplainIncipitScan(t *testing.T) {
 	_, s := setupBiblio(t)
-	mustExec(t, s, `range of e is CATALOG_ENTRY`)
-	got := planLines(t, s, `explain retrieve (e.number) where e incipit "60 62 64 65"`)
+	quel.MustExec(t, s, `range of e is CATALOG_ENTRY`)
+	got := quel.PlanLines(t, s, `explain retrieve (e.number) where e incipit "60 62 64 65"`)
 	want := []string{
 		`Retrieve (rows=2) (time=X)`,
 		`  Filter: (e incipit 60 62 64 65) (in=2, out=2)`,
@@ -112,8 +113,8 @@ func TestExplainIncipitScan(t *testing.T) {
 // the predicate alone decides membership.
 func TestIncipitShortPatternFallsBack(t *testing.T) {
 	_, s := setupBiblio(t)
-	mustExec(t, s, `range of e is CATALOG_ENTRY`)
-	got := planLines(t, s, `explain retrieve (e.number) where e incipit "60 62"`)
+	quel.MustExec(t, s, `range of e is CATALOG_ENTRY`)
+	got := quel.PlanLines(t, s, `explain retrieve (e.number) where e incipit "60 62"`)
 	joined := strings.Join(got, "\n")
 	if strings.Contains(joined, "IncipitScan") {
 		t.Fatalf("short pattern should not gram-probe:\n%s", joined)
@@ -121,7 +122,7 @@ func TestIncipitShortPatternFallsBack(t *testing.T) {
 	if !strings.Contains(joined, "Scan e on CATALOG_ENTRY") {
 		t.Fatalf("expected heap scan:\n%s", joined)
 	}
-	res := mustExec(t, s, `retrieve (e.number) where e incipit "60 62"`)
+	res := quel.MustExec(t, s, `retrieve (e.number) where e incipit "60 62"`)
 	if got, want := entryNumbers(t, res), []int{1, 3}; sprintInts(got) != sprintInts(want) {
 		t.Fatalf("rows = %v, want %v", got, want)
 	}
@@ -132,7 +133,7 @@ func TestIncipitShortPatternFallsBack(t *testing.T) {
 // pattern's rows.
 func TestIncipitPlanCacheReplay(t *testing.T) {
 	_, s := setupBiblio(t)
-	mustExec(t, s, `range of e is CATALOG_ENTRY`)
+	quel.MustExec(t, s, `range of e is CATALOG_ENTRY`)
 	for _, tc := range []struct {
 		pat, gram string
 		want      []int
@@ -140,11 +141,11 @@ func TestIncipitPlanCacheReplay(t *testing.T) {
 		{"60 62 64 65", `[gram = "2,2,1"]`, []int{1, 3}},
 		{"60 64 67 72", `[gram = "4,3,5"]`, []int{2}},
 	} {
-		plan := strings.Join(planLines(t, s, fmt.Sprintf(`explain retrieve (e.number) where e incipit %q`, tc.pat)), "\n")
+		plan := strings.Join(quel.PlanLines(t, s, fmt.Sprintf(`explain retrieve (e.number) where e incipit %q`, tc.pat)), "\n")
 		if !strings.Contains(plan, "IncipitScan e on CATALOG_ENTRY using ix_incipit_gram_gram "+tc.gram) {
 			t.Fatalf("pattern %q: plan did not derive its gram:\n%s", tc.pat, plan)
 		}
-		res := mustExec(t, s, fmt.Sprintf(`retrieve (e.number) where e incipit %q`, tc.pat))
+		res := quel.MustExec(t, s, fmt.Sprintf(`retrieve (e.number) where e incipit %q`, tc.pat))
 		if got := entryNumbers(t, res); sprintInts(got) != sprintInts(tc.want) {
 			t.Fatalf("pattern %q: rows = %v, want %v", tc.pat, got, tc.want)
 		}
@@ -153,12 +154,16 @@ func TestIncipitPlanCacheReplay(t *testing.T) {
 
 func TestIncipitPrepared(t *testing.T) {
 	_, s := setupBiblio(t)
-	mustExec(t, s, `range of e is CATALOG_ENTRY`)
-	p, err := Prepare(`explain retrieve (e.number) where e incipit $1`)
+	quel.MustExec(t, s, `range of e is CATALOG_ENTRY`)
+	p, err := quel.Prepare(`explain retrieve (e.number) where e incipit $1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecPreparedCtx(context.Background(), p, value.Str("60 62 64 65"))
+	stmts, err := p.Bind(value.Str("60 62 64 65"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.ExecStmt(context.Background(), stmts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +178,8 @@ func TestIncipitPrepared(t *testing.T) {
 }
 
 func TestIncipitErrors(t *testing.T) {
-	db, s := newSession(t)
-	setupChords(t, db)
+	db, s := quel.NewTestSession(t)
+	quel.SetupChords(t, db)
 	// No incipit index registered for NOTE.
 	if _, err := s.Exec(`retrieve (NOTE.name) where NOTE incipit "60 62 64"`); err == nil ||
 		!strings.Contains(err.Error(), "no incipit index") {
@@ -182,7 +187,7 @@ func TestIncipitErrors(t *testing.T) {
 	}
 	// Pattern must be a string.
 	_, s2 := setupBiblio(t)
-	mustExec(t, s2, `range of e is CATALOG_ENTRY`)
+	quel.MustExec(t, s2, `range of e is CATALOG_ENTRY`)
 	if _, err := s2.Exec(`retrieve (e.number) where e incipit 5`); err == nil ||
 		!strings.Contains(err.Error(), "pattern must be a string") {
 		t.Fatalf("err = %v", err)

@@ -56,13 +56,13 @@ var aggFns = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true, "any": true,
 }
 
-// Parse parses a sequence of QUEL statements.
+// Parse parses a sequence of statements.
 func Parse(src string) ([]Stmt, error) {
 	stmts, _, err := ParseParams(src)
 	return stmts, err
 }
 
-// ParseParams parses a sequence of QUEL statements and additionally
+// ParseParams parses a sequence of statements and additionally
 // returns the number of $n placeholders the statements reference (the
 // highest index; $2 without $1 still requires two arguments at bind
 // time).
@@ -113,9 +113,132 @@ func (p *parser) statement() (Stmt, error) {
 	case p.tok.IsKeyword("delete"):
 		p.next()
 		return p.deleteStmt()
+	case p.tok.IsKeyword("define"):
+		p.next()
+		return p.define()
+	case p.tok.IsKeyword("drop"):
+		p.next()
+		if err := p.expectKeyword("index"); err != nil {
+			return nil, err
+		}
+		entity, attrs, err := p.indexTail()
+		if err != nil {
+			return nil, err
+		}
+		return DropIndex{Entity: entity, Attrs: attrs}, nil
 	default:
-		return nil, p.errf("expected a QUEL statement (range, retrieve, append, replace, delete), found %s", p.tok)
+		return nil, p.errf("expected a statement (define, drop, range, retrieve, append, replace, delete, explain), found %s", p.tok)
 	}
+}
+
+// define parses the rest of a define statement.
+func (p *parser) define() (Stmt, error) {
+	switch {
+	case p.tok.IsKeyword("entity"):
+		p.next()
+		name, attrs, err := p.namedAttrs()
+		return DefineEntity{Name: name, Attrs: attrs}, err
+	case p.tok.IsKeyword("relationship"):
+		p.next()
+		name, attrs, err := p.namedAttrs()
+		return DefineRelationship{Name: name, Attrs: attrs}, err
+	case p.tok.IsKeyword("ordering"):
+		p.next()
+		return p.defineOrdering()
+	case p.tok.IsKeyword("index"):
+		p.next()
+		entity, attrs, err := p.indexTail()
+		return DefineIndex{Entity: entity, Attrs: attrs}, err
+	default:
+		return nil, p.errf("expected entity, relationship, ordering, or index after 'define', found %s", p.tok)
+	}
+}
+
+// namedAttrs parses: NAME ( [ attr = type {, attr = type} ] )
+func (p *parser) namedAttrs() (string, []AttrDef, error) {
+	name, err := p.expectIdent()
+	if err != nil {
+		return "", nil, err
+	}
+	if err := p.expectPunct("("); err != nil {
+		return "", nil, err
+	}
+	var attrs []AttrDef
+	for !p.tok.Is(")") {
+		if len(attrs) > 0 {
+			if err := p.expectPunct(","); err != nil {
+				return "", nil, err
+			}
+		}
+		attr, err := p.expectIdent()
+		if err != nil {
+			return "", nil, err
+		}
+		if err := p.expectPunct("="); err != nil {
+			return "", nil, err
+		}
+		typ, err := p.expectIdent()
+		if err != nil {
+			return "", nil, err
+		}
+		attrs = append(attrs, AttrDef{Name: attr, TypeName: typ})
+	}
+	p.next()
+	return name, attrs, nil
+}
+
+// identList parses: ( ident {, ident} )
+func (p *parser) identList() ([]string, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	var names []string
+	for {
+		name, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, name)
+		if !p.tok.Is(",") {
+			break
+		}
+		p.next()
+	}
+	return names, p.expectPunct(")")
+}
+
+// defineOrdering parses: [ name ] ( child {, child} ) [ under parent ]
+func (p *parser) defineOrdering() (Stmt, error) {
+	var o DefineOrdering
+	if p.tok.Kind == lex.Ident && !p.tok.IsKeyword("under") {
+		o.Name = p.tok.Text
+		p.next()
+	}
+	var err error
+	if o.Children, err = p.identList(); err != nil {
+		return nil, err
+	}
+	if p.tok.IsKeyword("under") {
+		p.next()
+		if o.Parent, err = p.expectIdent(); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
+// indexTail parses the `on ENTITY ( attr {, attr} )` clause define
+// index and drop index share.
+func (p *parser) indexTail() (string, []string, error) {
+	if err := p.expectKeyword("on"); err != nil {
+		return "", nil, err
+	}
+	entity, err := p.expectIdent()
+	if err != nil {
+		return "", nil, err
+	}
+	attrs, err := p.identList()
+	return entity, attrs, err
 }
 
 // rangeStmt parses: range of v1 {, v2} is ENTITY

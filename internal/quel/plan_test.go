@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -16,7 +15,7 @@ import (
 // indexed, two chords, six notes.
 func setupPlanned(t testing.TB, db *model.Database) {
 	t.Helper()
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer, chord = integer)
 define ordering note_in_chord (NOTE) under CHORD

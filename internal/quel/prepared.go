@@ -1,10 +1,8 @@
 package quel
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/value"
 )
@@ -27,11 +25,17 @@ type Prepared struct {
 }
 
 // Prepare parses src into a reusable statement.  Placeholders are
-// written $1, $2, ... and are 1-based.
+// written $1, $2, ... and are 1-based.  A definition has no
+// placeholders and cannot be prepared: it is refused as a parse error.
 func Prepare(src string) (*Prepared, error) {
 	stmts, n, err := ParseParams(src)
 	if err != nil {
 		return nil, err
+	}
+	for _, st := range stmts {
+		if IsDDL(st) {
+			return nil, fmt.Errorf("%w: cannot prepare %s; execute it directly", ErrParse, stmtKind(st))
+		}
 	}
 	return &Prepared{src: src, stmts: stmts, nParams: n}, nil
 }
@@ -61,32 +65,6 @@ func (p *Prepared) Bind(args ...value.Value) ([]Stmt, error) {
 		out[i] = bound
 	}
 	return out, nil
-}
-
-// ExecPreparedCtx binds args into p and executes the result exactly as
-// ExecCtx would execute the equivalent inline statements.
-func (s *Session) ExecPreparedCtx(ctx context.Context, p *Prepared, args ...value.Value) (*Result, error) {
-	stmts, err := p.Bind(args...)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, st := range stmts {
-		start := time.Now()
-		r, err := s.execOne(ctx, st)
-		s.m.stmt.ObserveSince(start)
-		s.m.trace.Emit("quel.stmt", stmtKind(st), start, time.Since(start))
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			last = r
-		}
-	}
-	if last == nil {
-		last = &Result{}
-	}
-	return last, nil
 }
 
 // bindStmt returns st with every Param replaced by the matching

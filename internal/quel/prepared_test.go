@@ -5,13 +5,12 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/value"
 )
 
 func setupWorks(t testing.TB, s *Session) {
 	t.Helper()
-	if _, err := ddl.Exec(s.db, `
+	if _, err := NewSession(s.db).Exec(`
 define entity WORK (title = string, opus = integer)
 `); err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestPreparedBindExec(t *testing.T) {
 		t.Fatalf("NumParams = %d", p.NumParams())
 	}
 	for opus, want := range map[int64]string{1: "Sonata", 2: "Partita", 3: "Toccata"} {
-		res, err := s.ExecPreparedCtx(context.Background(), p, value.Int(opus))
+		res, err := execPrepared(context.Background(), s, p, value.Int(opus))
 		if err != nil {
 			t.Fatalf("opus %d: %v", opus, err)
 		}
@@ -82,7 +81,7 @@ func TestPreparedBindExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecPreparedCtx(context.Background(), up, value.Int(30), value.Str("Toccata"))
+	res, err := execPrepared(context.Background(), s, up, value.Int(30), value.Str("Toccata"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +105,10 @@ func TestPreparedArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecPreparedCtx(context.Background(), p); !errors.Is(err, ErrParam) {
+	if _, err := execPrepared(context.Background(), s, p); !errors.Is(err, ErrParam) {
 		t.Fatalf("no args: %v", err)
 	}
-	if _, err := s.ExecPreparedCtx(context.Background(), p, value.Int(1), value.Int(2)); !errors.Is(err, ErrParam) {
+	if _, err := execPrepared(context.Background(), s, p, value.Int(1), value.Int(2)); !errors.Is(err, ErrParam) {
 		t.Fatalf("extra args: %v", err)
 	}
 }
@@ -130,7 +129,7 @@ func TestPreparedSharedAcrossSessions(t *testing.T) {
 	done := make(chan error, 2)
 	run := func(s *Session, opus int64, want string) {
 		for i := 0; i < 200; i++ {
-			res, err := s.ExecPreparedCtx(context.Background(), p, value.Int(opus))
+			res, err := execPrepared(context.Background(), s, p, value.Int(opus))
 			if err != nil {
 				done <- err
 				return
@@ -169,18 +168,28 @@ func TestPreparedUsesIndex(t *testing.T) {
 	db, s := newSession(t)
 	_ = db
 	setupWorks(t, s)
-	if _, err := ddl.Exec(db, `define index on WORK (opus)`); err != nil {
+	if _, err := NewSession(db).Exec(`define index on WORK (opus)`); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Prepare(`retrieve (w.title) where w.opus = $1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecPreparedCtx(context.Background(), p, value.Int(2))
+	res, err := execPrepared(context.Background(), s, p, value.Int(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "Partita" {
 		t.Fatalf("rows: %v", res.Rows)
 	}
+}
+
+// execPrepared binds args into p and runs the bound statements as Exec
+// runs a source.
+func execPrepared(ctx context.Context, s *Session, p *Prepared, args ...value.Value) (*Result, error) {
+	stmts, err := p.Bind(args...)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(ctx, stmts)
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -36,7 +35,7 @@ func mustExec(t testing.TB, s *Session, src string) *Result {
 // the ordering-operator queries.
 func setupChords(t testing.TB, db *model.Database) (chord value.Ref, notes []value.Ref) {
 	t.Helper()
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer)
 define ordering note_in_chord (NOTE) under CHORD
@@ -108,7 +107,7 @@ func TestParseErrors(t *testing.T) {
 // TestStarSpangledBanner runs the §5.6 is-operator query verbatim.
 func TestStarSpangledBanner(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity PERSON (name = string)
 define entity COMPOSITION (title = string)
 define relationship COMPOSER (composer = PERSON, composition = COMPOSITION)
@@ -215,7 +214,7 @@ retrieve (n1.name) where n1 before n2 and n2.name = 2`)
 		t.Fatalf("inferred ordering: %v", got)
 	}
 	// Add a second ordering with NOTE as child → ambiguous.
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity STAFF (name = string)
 define ordering note_on_staff (NOTE) under STAFF`); err != nil {
 		t.Fatal(err)
@@ -420,7 +419,7 @@ replace n (pitch = n.pitch + 12)
 
 func BenchmarkRetrieveSarg(b *testing.B) {
 	db, s := newSession(b)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer)
 define ordering note_in_chord (NOTE) under CHORD
@@ -442,7 +441,7 @@ define ordering note_in_chord (NOTE) under CHORD
 
 func BenchmarkOrderOpQuery(b *testing.B) {
 	db, s := newSession(b)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity CHORD (name = integer)
 define entity NOTE (name = integer, pitch = integer)
 define ordering note_in_chord (NOTE) under CHORD

@@ -3,7 +3,6 @@ package quel
 import (
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -12,7 +11,7 @@ import (
 // including flipped literal-on-left forms.
 func TestSargOperators(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `define entity N (v = integer)`); err != nil {
+	if _, err := NewSession(db).Exec(`define entity N (v = integer)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
@@ -66,7 +65,7 @@ func TestDefaultLabels(t *testing.T) {
 
 func TestTruthiness(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `define entity N (v = integer, name = string)`); err != nil {
+	if _, err := NewSession(db).Exec(`define entity N (v = integer, name = string)`); err != nil {
 		t.Fatal(err)
 	}
 	db.NewEntity("N", model.Attrs{"v": value.Int(1), "name": value.Str("x")})
@@ -103,7 +102,7 @@ func TestTruthiness(t *testing.T) {
 
 func TestNegativeNumbersAndUnaryErrors(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `define entity N (v = integer)`); err != nil {
+	if _, err := NewSession(db).Exec(`define entity N (v = integer)`); err != nil {
 		t.Fatal(err)
 	}
 	db.NewEntity("N", model.Attrs{"v": value.Int(-3)})
@@ -119,7 +118,7 @@ func TestNegativeNumbersAndUnaryErrors(t *testing.T) {
 
 func TestSortBy(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `define entity W (title = string, year = integer)`); err != nil {
+	if _, err := NewSession(db).Exec(`define entity W (title = string, year = integer)`); err != nil {
 		t.Fatal(err)
 	}
 	rows := []struct {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -16,7 +15,7 @@ import (
 // stable.
 func buildScores(t testing.TB, db *model.Database, nScores, notesPer int) {
 	t.Helper()
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity SCORE (name = integer)
 define entity NOTE (name = integer, pitch = integer, score = integer)
 define ordering note_in_score (NOTE) under SCORE

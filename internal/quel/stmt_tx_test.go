@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/ddl"
 	"repro/internal/fault"
 	"repro/internal/fault/torture"
 	"repro/internal/model"
@@ -193,7 +192,7 @@ func TestTortureStatementReplace(t *testing.T) {
 // wait for each other instead of deadlocking.
 func TestConcurrentOrderedDeletesNoDeadlock(t *testing.T) {
 	db, _ := newSession(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity SCORE (name = integer)
 define entity NOTE (name = integer)
 define entity REST (name = integer)
@@ -265,7 +264,7 @@ define ordering item_in_score (NOTE, REST) under SCORE
 // orderings), so the two wait for each other instead of deadlocking.
 func TestQualifiedDeleteRacesDeleteEntity(t *testing.T) {
 	db, s := newSession(t)
-	if _, err := ddl.Exec(db, `
+	if _, err := NewSession(db).Exec(`
 define entity CHORD (name = integer, tag = integer)
 define entity NOTE (name = integer, chord = integer)
 define ordering note_in_chord (NOTE) under CHORD

@@ -17,7 +17,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -267,10 +266,4 @@ func (s *Server) authOK(token string) bool {
 		return true
 	}
 	return subtle.ConstantTimeCompare([]byte(token), []byte(s.opts.AuthToken)) == 1
-}
-
-// isClosedErr reports a network error from an intentionally closed
-// connection, which serve loops treat as a clean exit.
-func isClosedErr(err error) bool {
-	return errors.Is(err, net.ErrClosed)
 }

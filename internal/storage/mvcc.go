@@ -248,26 +248,6 @@ func (r *Relation) snapScan(at uint64, b *Bounds, fn func(id RowID, t value.Row)
 	return r.walk(b, func(p *page, i int) value.Row { return p.state(i).visible(at) }, fn)
 }
 
-// pickVisible is a snapshot's pick: the row visible at CSN at, if that
-// version's key is e's.  The check filters uncommitted inserts, keys the
-// row has left since the pin, and abort debris alike.  The key it
-// compares is built on the stack.
-func pickVisible(r *Relation, ix *index, at uint64, e entry) value.Row {
-	t := r.slotLocked(e.id).visible(at)
-	if t.IsZero() {
-		return t
-	}
-	var kb [64]byte
-	k := ix.appendKey(kb[:0], e.id, t)
-	if ix.spec.Unique && !e.ext { // a unique index's history key
-		k = appendRowID(k, e.id)
-	}
-	if !bytes.Equal(k, e.key()) {
-		return value.Row{}
-	}
-	return t
-}
-
 // snapRangeFallback serves a snapshot index range from the version
 // store, for an index that postdates the pin or is deferred for a bulk
 // load: its trees cannot cover the keys the snapshot sees.  It keeps the
@@ -367,7 +347,7 @@ func (s *Snap) IndexRange(relName, indexName string, lo, hi []byte, reverse bool
 	if r == nil {
 		return fmt.Errorf("storage: no relation %q", relName)
 	}
-	n, err := r.indexRange(indexName, s.csn, lo, hi, reverse, pickVisible, fn)
+	n, _, err := r.indexRange(indexName, s.csn, lo, hi, reverse, fn)
 	s.db.m.snapReads.Add(n)
 	s.db.m.rowsRead.Add(n)
 	return err
@@ -380,7 +360,7 @@ func (s *Snap) IndexGet(relName, indexName string, key []byte) (RowID, value.Row
 	if r == nil {
 		return 0, value.Row{}, false, fmt.Errorf("storage: no relation %q", relName)
 	}
-	id, t, err := r.indexGet(indexName, s.csn, key, pickVisible)
+	id, t, err := r.indexGet(indexName, s.csn, key)
 	if err != nil || t.IsZero() {
 		return 0, value.Row{}, false, err
 	}

@@ -96,34 +96,29 @@ func TestIndexRangeStopsEarly(t *testing.T) {
 		readers := []struct {
 			name string
 			at   uint64
-			pick pickFunc
 		}{
-			{"tx", liveCSN, pickLive},
-			{"snap/no-history", plain.csn, pickVisible},
-			{"snap/history", pinned.csn, pickVisible},
-			{"snap/after-churn", fresh.csn, pickVisible},
+			{"tx", liveCSN},
+			{"snap/no-history", plain.csn},
+			{"snap/history", pinned.csn},
+			{"snap/after-churn", fresh.csn},
 		}
 		lo, hi := value.AppendKey(nil, value.Int(1)), value.AppendKey(nil, value.Int(int64(n)+1))
 		for _, ixName := range []string{"by_pitch", "by_name"} {
 			for _, rd := range readers {
 				for _, reverse := range []bool{false, true} {
 					var all []RowID
-					if _, err := r.indexRange(ixName, rd.at, lo, hi, reverse, rd.pick, func(id RowID, _ value.Row) bool {
+					if _, _, err := r.indexRange(ixName, rd.at, lo, hi, reverse, func(id RowID, _ value.Row) bool {
 						all = append(all, id)
 						return true
 					}); err != nil {
 						t.Fatal(err)
 					}
-					examined := 0
-					counted := func(r *Relation, ix *index, at uint64, e entry) value.Row {
-						examined++
-						return rd.pick(r, ix, at, e)
-					}
 					var got []RowID
-					if _, err := r.indexRange(ixName, rd.at, lo, hi, reverse, counted, func(id RowID, _ value.Row) bool {
+					_, examined, err := r.indexRange(ixName, rd.at, lo, hi, reverse, func(id RowID, _ value.Row) bool {
 						got = append(got, id)
 						return false
-					}); err != nil {
+					})
+					if err != nil {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("n=%d %s %s reverse=%v", n, ixName, rd.name, reverse)

@@ -938,16 +938,32 @@ func (a *entry) compare(b *entry) int {
 	return bytes.Compare(a.appendTo(ab[:0]), b.appendTo(bb[:0]))
 }
 
-// pickFunc maps index entry e to the row its reader sees under e's key,
+// pick maps index entry e to the row its reader sees under e's key,
 // zero if none; at is the reader's CSN.  It runs under r.mu's read
-// lock.  The two read paths differ only in their pick: pickLive for a
-// transaction, pickVisible (mvcc.go) for a snapshot.
-type pickFunc func(r *Relation, ix *index, at uint64, e entry) value.Row
-
-// pickLive is a transaction's pick: the live row, its own uncommitted
-// writes included.  The live tree holds exactly the live rows' keys, so
-// no key check is needed.
-func pickLive(r *Relation, _ *index, _ uint64, e entry) value.Row { return r.liveLocked(e.id) }
+// lock.  A transaction (liveCSN) sees the live row, its own uncommitted
+// writes included: the live tree holds exactly the live rows' keys, so
+// no key check is needed.  A snapshot sees the row visible at at, if
+// that version's key is e's: the check filters uncommitted inserts,
+// keys the row has left since the pin, and abort debris alike.  The key
+// it compares is built on the stack.
+func (r *Relation) pick(ix *index, at uint64, e *entry) value.Row {
+	if at == liveCSN {
+		return r.liveLocked(e.id)
+	}
+	t := r.slotLocked(e.id).visible(at)
+	if t.IsZero() {
+		return t
+	}
+	var kb [64]byte
+	k := ix.appendKey(kb[:0], e.id, t)
+	if ix.spec.Unique && !e.ext { // a unique index's history key
+		k = appendRowID(k, e.id)
+	}
+	if !bytes.Equal(k, e.key()) {
+		return value.Row{}
+	}
+	return t
+}
 
 // rangeCursor walks one tree of an index range in the reader's
 // direction (dir 1 forward, -1 in reverse); e is its entry while ok.
@@ -1009,10 +1025,11 @@ func (c *rangeCursor) next(bound []byte) {
 
 // indexRange calls fn in key order over [lo, hi) of the named index's
 // encoded keys (descending with reverse; nil bounds mean unbounded) with
-// each entry that pick maps to a row, until fn returns false, and
-// returns the number of calls.  at is a snapshot's CSN, whose range also
-// reads the key history, or liveCSN for a transaction, which reads the
-// live tree alone.
+// each entry that pick maps to a row, until fn returns false.  It
+// returns the number of calls and the number of tree entries it
+// examined.  at is a snapshot's CSN, whose range also reads the key
+// history, or liveCSN for a transaction, which reads the live tree
+// alone.
 //
 // Like walk, it works in batches.  Each read-lock hold seeks the live
 // tree (and the history) strictly past the last entry considered,
@@ -1025,7 +1042,7 @@ func (c *rangeCursor) next(bound []byte) {
 // history's twin of the live entry it takes.  A snapshot whose index
 // postdates its pin, or is deferred for a bulk load, continues from the
 // version store (snapRangeFallback).
-func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse bool, pick pickFunc, fn func(id RowID, t value.Row) bool) (n uint64, err error) {
+func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse bool, fn func(id RowID, t value.Row) bool) (n, examined uint64, err error) {
 	var ids [rangeBatch]RowID
 	var ts [rangeBatch]value.Row
 	var kb, lb [64]byte
@@ -1040,17 +1057,17 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 		switch {
 		case ix == nil:
 			r.mu.RUnlock()
-			return n, fmt.Errorf("storage: no index %q on %s", name, r.name)
+			return n, examined, fmt.Errorf("storage: no index %q on %s", name, r.name)
 		case at == liveCSN && r.deferred:
 			r.mu.RUnlock()
-			return n, fmt.Errorf("storage: index %q on %s is deferred for bulk load", name, r.name)
+			return n, examined, fmt.Errorf("storage: index %q on %s is deferred for bulk load", name, r.name)
 		case at != liveCSN && (at < ix.createdAt || r.deferred):
 			r.mu.RUnlock()
 			var after *entry
 			if started {
 				after = &last
 			}
-			return n + r.snapRangeFallback(ix, at, lo, hi, dir, after, fn), nil
+			return n + r.snapRangeFallback(ix, at, lo, hi, dir, after, fn), examined, nil
 		}
 		liveFrom := from
 		if started {
@@ -1081,8 +1098,8 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 		// it only when the next one is needed, so that the batch's last
 		// entry is copied into last once, not every entry.
 		var took *rangeCursor
-		k, examined := 0, 0
-		for ; examined < batch; examined++ {
+		k, i := 0, 0
+		for ; i < batch; i++ {
 			if took != nil {
 				took.next(bound)
 			}
@@ -1099,22 +1116,22 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 				break
 			}
 			took = c
-			if t := pick(r, ix, at, c.e); !t.IsZero() {
+			if t := r.pick(ix, at, &c.e); !t.IsZero() {
 				ids[k], ts[k] = c.e.id, t
 				k++
 			}
 		}
-		if examined == batch {
+		if examined += uint64(i); i == batch {
 			last, started = took.e, true
 		}
 		r.mu.RUnlock()
-		for i := range k {
-			if n++; !fn(ids[i], ts[i]) {
-				return n, nil
+		for j := range k {
+			if n++; !fn(ids[j], ts[j]) {
+				return n, examined, nil
 			}
 		}
-		if examined < batch {
-			return n, nil
+		if i < batch {
+			return n, examined, nil
 		}
 	}
 }
@@ -1125,7 +1142,7 @@ func (r *Relation) indexRange(name string, at uint64, lo, hi []byte, reverse boo
 // key) or the index cannot serve the probe, the range read over the key
 // stopped at its first row.  The range's upper bound is built on the
 // stack.
-func (r *Relation) indexGet(name string, at uint64, key []byte, pick pickFunc) (id RowID, t value.Row, err error) {
+func (r *Relation) indexGet(name string, at uint64, key []byte) (id RowID, t value.Row, err error) {
 	r.mu.RLock()
 	ix := r.findIndex(name)
 	probe := ix != nil && !r.deferred && (at == liveCSN || at >= ix.createdAt)
@@ -1133,7 +1150,7 @@ func (r *Relation) indexGet(name string, at uint64, key []byte, pick pickFunc) (
 		if id, _ = ix.tree.Get(key); id != 0 {
 			e := entry{id: id, ext: true}
 			e.setKey(key)
-			t = pick(r, ix, at, e)
+			t = r.pick(ix, at, &e)
 		}
 	}
 	r.mu.RUnlock()
@@ -1141,7 +1158,7 @@ func (r *Relation) indexGet(name string, at uint64, key []byte, pick pickFunc) (
 		return id, t, nil
 	}
 	var hb [64]byte
-	_, err = r.indexRange(name, at, key, AppendKeyUpper(append(hb[:0], key...)), false, pick, func(rid RowID, row value.Row) bool {
+	_, _, err = r.indexRange(name, at, key, AppendKeyUpper(append(hb[:0], key...)), false, func(rid RowID, row value.Row) bool {
 		id, t = rid, row
 		return false
 	})

@@ -364,7 +364,7 @@ func (tx *Tx) IndexRange(relName, indexName string, lo, hi []byte, reverse bool,
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return err
 	}
-	n, err := r.indexRange(indexName, liveCSN, lo, hi, reverse, pickLive, fn)
+	n, _, err := r.indexRange(indexName, liveCSN, lo, hi, reverse, fn)
 	tx.db.m.rowsRead.Add(n)
 	return err
 }
@@ -383,7 +383,7 @@ func (tx *Tx) IndexGet(relName, indexName string, key []byte) (RowID, value.Row,
 	if err := tx.lock(relName, txn.Shared); err != nil {
 		return 0, value.Row{}, false, err
 	}
-	id, t, err := r.indexGet(indexName, liveCSN, key, pickLive)
+	id, t, err := r.indexGet(indexName, liveCSN, key)
 	if err != nil || t.IsZero() {
 		return 0, value.Row{}, false, err
 	}

@@ -28,12 +28,6 @@ type CSN = uint64
 // visible to every snapshot at or after its begin CSN.
 const InfiniteCSN CSN = ^CSN(0)
 
-// Visible reports whether a version with lifetime [begin, end) is
-// visible to a snapshot pinned at CSN at.
-func Visible(begin, end, at CSN) bool {
-	return begin <= at && end > at
-}
-
 // Snapshot is a pinned read point.  It holds no locks and blocks no
 // writer; it only holds back the garbage-collection watermark until
 // closed.  Close is idempotent.

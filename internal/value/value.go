@@ -126,11 +126,7 @@ func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 // Float returns a floating-point value.
 func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
-// String_ returns a string value.  (Named with a trailing underscore to
-// avoid colliding with the fmt.Stringer method on Value.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
-
-// Str is a short alias for String_.
+// Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
