@@ -21,7 +21,8 @@
 // observability snapshot is served as JSON on ADDR (e.g. :6060).
 //
 // Meta-commands: \schema lists the schema, \status reports store health
-// (degraded read-only mode) and retry counts, \stats dumps the metrics
+// (degraded read-only mode) with the store's statement, retry and
+// commit counts, read from the metrics registry, \stats dumps the metrics
 // registry, \trace on|off toggles engine event tracing (events print
 // after each statement), \figure N prints a paper figure, \quit exits.
 package main
@@ -140,7 +141,7 @@ func main() {
 			prompt()
 			continue
 		case trimmed == `\status`:
-			printStatus(m, session)
+			printStatus(m)
 			prompt()
 			continue
 		case trimmed == `\stats`:
@@ -187,32 +188,30 @@ func main() {
 	}
 }
 
-// printStatus reports store health and the session's retry activity, so
-// a degraded database explains itself instead of failing opaquely.
-func printStatus(m *mdm.MDM, s *mdm.Session) {
+// printStatus reports store health and the store's statement and
+// retry counts from the metrics registry, so a degraded database
+// explains itself instead of failing opaquely.
+func printStatus(m *mdm.MDM) {
 	if h := m.Health(); h.ReadOnly {
 		fmt.Printf("store:      DEGRADED (read-only): %v\n", h.Cause)
 		fmt.Println("            reads keep working; restart to recover from disk")
 	} else {
 		fmt.Println("store:      healthy (read-write)")
 	}
-	st := s.Stats()
-	fmt.Printf("statements: %d\n", st.Statements)
-	fmt.Printf("retries:    %d transparently retried after deadlock/timeout\n", st.Retries)
-	if st.Exhausted > 0 {
-		fmt.Printf("exhausted:  %d statements failed after all retry attempts\n", st.Exhausted)
-	}
-	if st.Canceled > 0 {
-		fmt.Printf("canceled:   %d statements aborted by cancellation\n", st.Canceled)
-	}
 	reg := m.Obs()
-	if c, ok := reg.Get("storage.txn.commit"); ok {
-		fmt.Printf("commits:    %d", c.Value)
-		if a, ok := reg.Get("storage.txn.abort"); ok {
-			fmt.Printf(" (%d aborted)", a.Value)
-		}
-		fmt.Println()
+	count := func(name string) uint64 {
+		c, _ := reg.Get(name)
+		return c.Value
 	}
+	fmt.Printf("statements: %d\n", count("mdm.statements"))
+	fmt.Printf("retries:    %d transactions re-run after deadlock/timeout\n", count("storage.txn.retries"))
+	if n := count("storage.txn.exhausted"); n > 0 {
+		fmt.Printf("exhausted:  %d transactions failed after all retry attempts\n", n)
+	}
+	if n := count("mdm.canceled"); n > 0 {
+		fmt.Printf("canceled:   %d statements aborted by cancellation\n", n)
+	}
+	fmt.Printf("commits:    %d (%d aborted)\n", count("storage.txn.commit"), count("storage.txn.abort"))
 	if h, ok := reg.Get("wal.fsync.ns"); ok && h.Count > 0 {
 		fmt.Printf("wal fsyncs: %d (p99 %s)\n", h.Count, nsString(h.P99))
 	}

@@ -13,6 +13,7 @@ package mdm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -106,43 +107,42 @@ func (m *MDM) Checkpoint() error { return m.Store.Checkpoint() }
 // counters, latency histograms, and trace events there.
 func (m *MDM) Obs() *obs.Registry { return m.Store.Obs() }
 
-// Session is one client connection: a QUEL workspace plus DDL access.
-// Sessions self-heal: statements that lose a deadlock or time out on a
-// lock wait are retried transparently with backoff (see retry.go), so
-// clients see serializable results instead of raw txn errors.
-type Session struct {
-	mdm    *MDM
-	quel   *quel.Session
-	policy RetryPolicy
-	obs    sessionObs
-
-	statements uint64
-	retries    uint64
-	exhausted  uint64
-	canceled   uint64
+// Health describes the manager's availability for new work.
+type Health struct {
+	ReadOnly bool  // degraded: mutations refused, reads still served
+	Cause    error // the I/O failure that degraded the store, if any
 }
 
-// sessionObs mirrors the per-session counters into the manager-wide
-// registry (all handles nil-safe).
-type sessionObs struct {
+// Health reports whether the underlying store has degraded to read-only
+// mode (fsyncgate: a failed WAL fsync poisons the log and the store stops
+// accepting writes rather than acknowledging unrecoverable commits).
+func (m *MDM) Health() Health {
+	cause := m.Store.ReadOnlyCause()
+	return Health{ReadOnly: cause != nil, Cause: cause}
+}
+
+// Session is one client connection: a QUEL workspace plus DDL access.
+// A statement that loses a deadlock or times out on a lock wait is
+// retried with backoff inside its storage transaction (storage.DB.Run,
+// the engine's one retry loop), so clients see serializable results
+// instead of raw txn errors.  The registry counts the statements a
+// session runs (mdm.statements) and those canceled (mdm.canceled).
+type Session struct {
+	mdm        *MDM
+	quel       *quel.Session
 	statements *obs.Counter // mdm.statements
-	retries    *obs.Counter // mdm.retries
-	exhausted  *obs.Counter // mdm.exhausted
 	canceled   *obs.Counter // mdm.canceled
 }
 
-// NewSession opens a client session with the default retry policy.
+// NewSession opens a client session.
 func (m *MDM) NewSession() *Session {
-	s := &Session{mdm: m, quel: quel.NewSession(m.Model), policy: DefaultRetryPolicy}
-	if reg := m.Obs(); reg != nil {
-		s.obs = sessionObs{
-			statements: reg.Counter("mdm.statements"),
-			retries:    reg.Counter("mdm.retries"),
-			exhausted:  reg.Counter("mdm.exhausted"),
-			canceled:   reg.Counter("mdm.canceled"),
-		}
+	reg := m.Obs()
+	return &Session{
+		mdm:        m,
+		quel:       quel.NewSession(m.Model),
+		statements: reg.Counter("mdm.statements"),
+		canceled:   reg.Counter("mdm.canceled"),
 	}
-	return s
 }
 
 // ExecResult is the outcome of one ExecContext call.
@@ -201,12 +201,12 @@ func query(out ExecResult, err error) (*quel.Result, error) {
 
 // run executes parsed statements in order: the one statement loop of
 // ad-hoc sources, prepared statements and the cluster's routed reads.
-// Each statement runs under its own withRetry, so a transient failure
-// re-runs that statement alone, never one before it.  After a
-// definition the meta-catalog is refreshed (§6) before the next QUEL
-// statement runs and before run returns, so the new schema is
-// queryable at once.  The result is the last QUEL statement's, or the
-// definitions' confirmations when there is no QUEL statement.
+// Each statement is its own transaction, so a lost lock re-runs that
+// statement alone, never one before it.  After a definition the
+// meta-catalog is refreshed (§6) before the next QUEL statement runs
+// and before run returns, so the new schema is queryable at once.  The
+// result is the last QUEL statement's, or the definitions'
+// confirmations when there is no QUEL statement.
 func (s *Session) run(ctx context.Context, stmts []quel.Stmt) (out ExecResult, err error) {
 	var msgs []string
 	stale := false // a definition ran since the last refresh
@@ -224,12 +224,10 @@ func (s *Session) run(ctx context.Context, stmts []quel.Stmt) (out ExecResult, e
 				return ExecResult{}, err
 			}
 		}
-		var r *quel.Result
-		if err = s.withRetry(ctx, func() (err error) {
-			r, err = s.quel.ExecStmt(ctx, st)
-			return err
-		}); err != nil {
-			return ExecResult{}, err
+		s.statements.Inc()
+		r, err := s.quel.ExecStmt(ctx, st)
+		if err != nil {
+			return ExecResult{}, s.finish(err)
 		}
 		if ddl {
 			msgs, stale = append(msgs, r.Message), true
@@ -245,6 +243,15 @@ func (s *Session) run(ctx context.Context, stmts []quel.Stmt) (out ExecResult, e
 	}
 	out.Output = strings.Join(msgs, "\n")
 	return out, nil
+}
+
+// finish classifies a statement's error and counts cancellations.
+func (s *Session) finish(err error) error {
+	err = classify(err)
+	if errors.Is(err, ErrCanceled) {
+		s.canceled.Inc()
+	}
+	return err
 }
 
 func (s *Session) refreshCatalog() error {

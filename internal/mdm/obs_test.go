@@ -174,8 +174,8 @@ func TestCancellationAbortsLockWait(t *testing.T) {
 	if _, c := metricValue(t, m, "txn.lock.wait.ns"); c == 0 {
 		t.Error("txn.lock.wait.ns histogram empty after a blocked wait")
 	}
-	if st := s.Stats(); st.Canceled != 1 {
-		t.Errorf("session Canceled = %d, want 1", st.Canceled)
+	if v, _ := metricValue(t, m, "mdm.canceled"); v != 1 {
+		t.Errorf("mdm.canceled = %d, want 1", v)
 	}
 
 	// The lock is still held by the raw transaction; a fresh context

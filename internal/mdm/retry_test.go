@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/meta"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -41,13 +42,15 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 		}
 	}
 	rel := m.Model.InstanceRelation("VOICE")
+	reg := m.Obs()
+	statements := reg.Counter("mdm.statements")
+	setupStatements := statements.Value()
 
 	const sessWorkers, rogueWorkers, iters = 4, 4, 40
 	var (
 		wg           sync.WaitGroup
 		rogueVictims uint64
 		errs         = make(chan error, sessWorkers+rogueWorkers)
-		sessions     = make([]*Session, sessWorkers)
 		stop         = make(chan struct{})
 	)
 
@@ -95,7 +98,6 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 	}
 
 	for w := 0; w < sessWorkers; w++ {
-		sessions[w] = m.NewSession()
 		wg.Add(1)
 		go func(w int, s *Session) {
 			defer wg.Done()
@@ -108,7 +110,7 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 					return
 				}
 			}
-		}(w, sessions[w])
+		}(w, m.NewSession())
 	}
 
 	// Stop the rogues once every session has finished its statements.
@@ -116,11 +118,7 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	go func() {
 		for {
-			total := uint64(0)
-			for _, s := range sessions {
-				total += s.Stats().Statements
-			}
-			if total >= sessWorkers*iters {
+			if statements.Value()-setupStatements >= sessWorkers*iters {
 				close(stop)
 				return
 			}
@@ -136,17 +134,12 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var total SessionStats
-	for _, s := range sessions {
-		st := s.Stats()
-		total.Statements += st.Statements
-		total.Retries += st.Retries
-		total.Exhausted += st.Exhausted
-	}
-	t.Logf("retry stats: %d statements, %d session retries, %d exhausted; %d rogue deadlock victims",
-		total.Statements, total.Retries, total.Exhausted, atomic.LoadUint64(&rogueVictims))
-	if total.Exhausted != 0 {
-		t.Fatalf("%d statements exhausted their retries", total.Exhausted)
+	exhausted := reg.Counter("storage.txn.exhausted").Value()
+	t.Logf("retry stats: %d statements, %d retries, %d exhausted; %d rogue deadlock victims",
+		statements.Value()-setupStatements, reg.Counter("storage.txn.retries").Value(), exhausted,
+		atomic.LoadUint64(&rogueVictims))
+	if exhausted != 0 {
+		t.Fatalf("%d transactions exhausted their retries", exhausted)
 	}
 	if atomic.LoadUint64(&rogueVictims) == 0 {
 		t.Fatal("workload produced no deadlocks; the test exercised nothing")
@@ -165,31 +158,9 @@ func TestSessionRetryAbsorbsDeadlocks(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffShape pins the policy arithmetic: exponential growth,
-// cap, jitter within ±50%.
-func TestRetryBackoffShape(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}
-	for attempt := 1; attempt <= 7; attempt++ {
-		want := time.Millisecond << (attempt - 1)
-		if want > p.MaxDelay {
-			want = p.MaxDelay
-		}
-		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt)
-			if d < want/2 || d > want*3/2 {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, want/2, want*3/2)
-			}
-		}
-	}
-	// Zero-value policy still yields a sane delay.
-	if d := (RetryPolicy{}).backoff(1); d <= 0 {
-		t.Fatalf("zero policy backoff = %v", d)
-	}
-}
-
-// TestExhaustedRetriesSurfaceError verifies the session eventually gives
-// up: with a 1-attempt policy a deadlock victim's error reaches the
-// client, and the Exhausted counter records it.
+// TestExhaustedRetriesSurfaceError verifies that an error other than a
+// lost lock reaches the client at once: it is neither retried nor
+// counted as exhausted, and the statement counts once.
 func TestExhaustedRetriesSurfaceError(t *testing.T) {
 	m, err := Open(Options{SkipCMN: true})
 	if err != nil {
@@ -197,27 +168,41 @@ func TestExhaustedRetriesSurfaceError(t *testing.T) {
 	}
 	defer m.Close()
 	s := m.NewSession()
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
 	if _, err := s.ExecContext(context.Background(), `define entity SOLO (label = string)`); err != nil {
 		t.Fatal(err)
 	}
-	// Not a transient error: surfaced immediately, never retried.
+	reg := m.Obs()
+	before := counters(reg, "mdm.statements", "storage.txn.retries", "storage.txn.exhausted")
 	if _, err := s.ExecContext(context.Background(), `append to NOSUCH (label = "x")`); err == nil {
 		t.Fatal("expected error for unknown entity type")
 	}
-	st := s.Stats()
-	if st.Retries != 0 {
-		t.Fatalf("non-transient error was retried %d times", st.Retries)
+	after := counters(reg, "mdm.statements", "storage.txn.retries", "storage.txn.exhausted")
+	if got := after[0] - before[0]; got != 1 {
+		t.Errorf("mdm.statements moved by %d, want 1", got)
 	}
-	if st.Exhausted != 0 {
+	if got := after[1] - before[1]; got != 0 {
+		t.Fatalf("non-transient error was retried %d times", got)
+	}
+	if after[2] != before[2] {
 		t.Fatalf("non-transient error counted as exhausted")
 	}
 }
 
+// counters reads the named counters of reg.
+func counters(reg *obs.Registry, names ...string) []uint64 {
+	out := make([]uint64, len(names))
+	for i, name := range names {
+		out[i] = reg.Counter(name).Value()
+	}
+	return out
+}
+
 // TestRetryRerunsOnlyTheFailedStatement: a transient failure retries
-// the statement that failed, never one before it in the same source.
-// With B's relation X-locked elsewhere, the source's second statement
-// times out on every attempt; its first commits once.
+// the statement that failed, never one before it in the same source,
+// and in one loop only.  With B's relation X-locked elsewhere, the
+// source's second statement times out on each of the loop's 8 attempts
+// (once per attempt, not once per attempt of two nested loops); its
+// first commits once.
 func TestRetryRerunsOnlyTheFailedStatement(t *testing.T) {
 	store, err := storage.Open(storage.Options{LockWaitTimeout: 5 * time.Millisecond})
 	if err != nil {
@@ -243,7 +228,8 @@ func TestRetryRerunsOnlyTheFailedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Abort()
-	before := s.Stats()
+	names := []string{"txn.lock.timeout", "storage.txn.retries", "storage.txn.exhausted", "mdm.statements"}
+	before := counters(store.Obs(), names...)
 	_, err = s.ExecContext(ctx, "append to A (a = 1)\nappend to B (b = 1)")
 	if !errors.Is(err, txn.ErrTimeout) {
 		t.Fatalf("err = %v, want the lock wait timeout", err)
@@ -251,11 +237,10 @@ func TestRetryRerunsOnlyTheFailedStatement(t *testing.T) {
 	if n := mdl.Count("A"); n != 1 {
 		t.Fatalf("A holds %d rows, want 1: a retry re-ran the statement before the one that failed", n)
 	}
-	st := s.Stats()
-	if got := st.Retries - before.Retries; got != uint64(DefaultRetryPolicy.MaxAttempts-1) {
-		t.Errorf("retries = %d, want %d", got, DefaultRetryPolicy.MaxAttempts-1)
-	}
-	if st.Exhausted-before.Exhausted != 1 || st.Statements-before.Statements != 2 {
-		t.Errorf("stats %+v after %+v: want 2 statements, 1 exhausted", st, before)
+	after := counters(store.Obs(), names...)
+	for i, want := range []uint64{8, 7, 1, 2} {
+		if got := after[i] - before[i]; got != want {
+			t.Errorf("%s moved by %d, want %d", names[i], got, want)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,43 +79,6 @@ func TestPipeRoundTrip(t *testing.T) {
 	if _, err := p.Recv(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv on closed pipe: %v", err)
 	}
-}
-
-// TestStreamConnRoundTrip runs the byte-level framing over a real
-// full-duplex stream (net.Pipe), leader end sending, replica end
-// receiving and acking.
-func TestStreamConnRoundTrip(t *testing.T) {
-	lc, rc := net.Pipe()
-	leader, replica := NewStreamConn(lc), NewStreamConn(rc)
-	done := make(chan error, 1)
-	go func() {
-		for i := uint64(1); i <= 5; i++ {
-			b, err := replica.Recv()
-			if err != nil {
-				done <- err
-				return
-			}
-			if !sameBatch(b, testBatch(i)) {
-				done <- fmt.Errorf("batch %d mangled in transit", i)
-				return
-			}
-			if err := replica.Ack(b.Seq); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	for i := uint64(1); i <= 5; i++ {
-		if err := leader.Send(testBatch(i)); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	leader.Close()
-	replica.Close()
 }
 
 func openLeader(t *testing.T, reg *obs.Registry) *storage.DB {

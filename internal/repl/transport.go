@@ -1,11 +1,7 @@
 package repl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sync"
 
 	"repro/internal/wal"
@@ -38,8 +34,7 @@ type Conn interface {
 }
 
 // Pipe is the in-process Conn: a pair of channels.  It is the transport
-// the single-box cluster and the torture tests run on; StreamConn is
-// the byte-level equivalent for real sockets.
+// the single-box cluster and the torture tests run on.
 type Pipe struct {
 	batches chan *Batch
 	acks    chan uint64
@@ -117,170 +112,5 @@ func (p *Pipe) Ack(seq uint64) error {
 // Close unblocks both ends.  Idempotent.
 func (p *Pipe) Close() error {
 	p.once.Do(func() { close(p.closed) })
-	return nil
-}
-
-// StreamConn frames batches and acks over a byte stream, making the
-// shipping protocol net-ready: both ends wrap their half of a
-// full-duplex stream (net.Conn, net.Pipe) in a StreamConn, the leader
-// end calling Send and the replica end Recv/Ack.
-//
-// Frame format, mirroring the WAL's own: 4-byte little-endian payload
-// length, 4-byte CRC32C of the payload, payload.  A batch payload is
-// tag 'B', uvarint seq / leaderCSN / shippedAt / record count, then
-// length-prefixed wal record encodings; an ack payload is tag 'A' and
-// uvarint seq.
-type StreamConn struct {
-	wmu sync.Mutex
-	w   io.Writer
-	rmu sync.Mutex
-	br  *bufio.Reader
-	c   io.Closer // nil if rw does not implement io.Closer
-}
-
-// NewStreamConn wraps one end of a full-duplex byte stream.
-func NewStreamConn(rw io.ReadWriter) *StreamConn {
-	sc := &StreamConn{w: rw, br: bufio.NewReaderSize(rw, 64<<10)}
-	if c, ok := rw.(io.Closer); ok {
-		sc.c = c
-	}
-	return sc
-}
-
-var streamCRC = crc32.MakeTable(crc32.Castagnoli)
-
-func (sc *StreamConn) writeFrame(payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, streamCRC))
-	if _, err := sc.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := sc.w.Write(payload)
-	return err
-}
-
-func (sc *StreamConn) readFrame() ([]byte, error) {
-	sc.rmu.Lock()
-	defer sc.rmu.Unlock()
-	var hdr [8]byte
-	if _, err := io.ReadFull(sc.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	ln := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if ln > 1<<28 {
-		return nil, fmt.Errorf("repl: implausible frame length %d", ln)
-	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(sc.br, payload); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, streamCRC) != sum {
-		return nil, fmt.Errorf("repl: frame checksum mismatch")
-	}
-	return payload, nil
-}
-
-// Send frames b, writes it, and waits for the matching ack frame.
-func (sc *StreamConn) Send(b *Batch) error {
-	payload := []byte{'B'}
-	payload = binary.AppendUvarint(payload, b.Seq)
-	payload = binary.AppendUvarint(payload, b.LeaderCSN)
-	payload = binary.AppendUvarint(payload, uint64(b.ShippedAt))
-	payload = binary.AppendUvarint(payload, uint64(len(b.Records)))
-	var rec []byte
-	for _, r := range b.Records {
-		rec = wal.AppendRecord(rec[:0], r)
-		payload = binary.AppendUvarint(payload, uint64(len(rec)))
-		payload = append(payload, rec...)
-	}
-	if err := sc.writeFrame(payload); err != nil {
-		return err
-	}
-	ackPayload, err := sc.readFrame()
-	if err != nil {
-		return err
-	}
-	if len(ackPayload) < 2 || ackPayload[0] != 'A' {
-		return fmt.Errorf("repl: expected ack frame")
-	}
-	seq, n := binary.Uvarint(ackPayload[1:])
-	if n <= 0 || seq != b.Seq {
-		return fmt.Errorf("repl: ack %d for batch %d", seq, b.Seq)
-	}
-	return nil
-}
-
-// Recv reads and decodes the next batch frame.
-func (sc *StreamConn) Recv() (*Batch, error) {
-	payload, err := sc.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 1 || payload[0] != 'B' {
-		return nil, fmt.Errorf("repl: expected batch frame")
-	}
-	pos := 1
-	next := func() (uint64, error) {
-		u, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("repl: truncated batch frame")
-		}
-		pos += n
-		return u, nil
-	}
-	b := &Batch{}
-	var u uint64
-	if b.Seq, err = next(); err != nil {
-		return nil, err
-	}
-	if b.LeaderCSN, err = next(); err != nil {
-		return nil, err
-	}
-	if u, err = next(); err != nil {
-		return nil, err
-	}
-	b.ShippedAt = int64(u)
-	count, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(payload)) { // each record costs >= 1 byte
-		return nil, fmt.Errorf("repl: implausible record count %d", count)
-	}
-	b.Records = make([]*wal.Record, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ln, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(payload)-pos) < ln {
-			return nil, fmt.Errorf("repl: truncated record in batch frame")
-		}
-		r, err := wal.DecodeRecord(payload[pos : pos+int(ln)])
-		if err != nil {
-			return nil, err
-		}
-		pos += int(ln)
-		b.Records = append(b.Records, r)
-	}
-	return b, nil
-}
-
-// Ack writes the ack frame for batch seq.
-func (sc *StreamConn) Ack(seq uint64) error {
-	payload := []byte{'A'}
-	payload = binary.AppendUvarint(payload, seq)
-	return sc.writeFrame(payload)
-}
-
-// Close closes the underlying stream if it is closable.
-func (sc *StreamConn) Close() error {
-	if sc.c != nil {
-		return sc.c.Close()
-	}
 	return nil
 }

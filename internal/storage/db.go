@@ -32,11 +32,6 @@ type Options struct {
 	// GroupCommitter).  When false every commit flushes alone — the
 	// per-txn-fsync baseline.  Defaults to false.
 	GroupCommit bool
-	// GroupCommitWindow is how long the flush leader waits for more
-	// committers before draining the queue.  Zero (the default) flushes
-	// immediately, which on fast storage batches well through natural
-	// pipelining alone; ~1-2ms suits spinning disks.
-	GroupCommitWindow time.Duration
 	// CheckpointBytes triggers an automatic checkpoint when the log
 	// exceeds this size.  Zero disables automatic checkpoints.  The
 	// checkpoint runs on a background goroutine (singleflight), never
@@ -118,6 +113,8 @@ type dbMetrics struct {
 	begins      *obs.Counter   // storage.txn.begin
 	commits     *obs.Counter   // storage.txn.commit
 	aborts      *obs.Counter   // storage.txn.abort
+	retries     *obs.Counter   // storage.txn.retries: re-runs after a lost lock
+	exhausted   *obs.Counter   // storage.txn.exhausted: lost locks on every attempt
 	rowsRead    *obs.Counter   // storage.rows.read
 	rowsWritten *obs.Counter   // storage.rows.written
 	checkpoint  *obs.Histogram // storage.checkpoint.ns
@@ -175,6 +172,8 @@ func Open(opts Options) (*DB, error) {
 		begins:      db.obs.Counter("storage.txn.begin"),
 		commits:     db.obs.Counter("storage.txn.commit"),
 		aborts:      db.obs.Counter("storage.txn.abort"),
+		retries:     db.obs.Counter("storage.txn.retries"),
+		exhausted:   db.obs.Counter("storage.txn.exhausted"),
 		rowsRead:    db.obs.Counter("storage.rows.read"),
 		rowsWritten: db.obs.Counter("storage.rows.written"),
 		checkpoint:  db.obs.Histogram("storage.checkpoint.ns"),
@@ -231,10 +230,7 @@ func Open(opts Options) (*DB, error) {
 		// records through ApplyShipped, which owns all physical access.
 		return db, nil
 	}
-	db.committer = wal.NewGroupCommitter(log, wal.GroupOptions{
-		Group:  opts.GroupCommit,
-		Window: opts.GroupCommitWindow,
-	})
+	db.committer = wal.NewGroupCommitter(log, wal.GroupOptions{Group: opts.GroupCommit})
 	db.committer.SetObserver(db.obs)
 	if db.logic != nil {
 		db.committer.SetFailpoints(db.logic)
@@ -693,32 +689,26 @@ func (db *DB) checkpointWith(attach func(checkpointPath string) error) error {
 
 // quiesce takes a shared lock on every relation under a fresh
 // transaction id, waiting out in-flight writers.  It returns the
-// release function.  If the barrier transaction loses a deadlock (a
-// writer holding one relation and waiting on another can cycle through
-// the barrier's shared locks) it retries from scratch.
+// release function.  If the barrier loses a deadlock (a writer holding
+// one relation and waiting on another can cycle through the barrier's
+// shared locks) it retries from scratch, like any transaction.
 func (db *DB) quiesce() (func(), error) {
 	names := db.Relations()
 	sort.Strings(names)
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		id := db.ids.Next()
-		ok := true
+	var id uint64
+	if err := db.retry(context.Background(), func() error {
+		id = db.ids.Next()
 		for _, name := range names {
 			if err := db.locks.AcquireCtx(context.Background(), id, name, txn.Shared); err != nil {
 				db.locks.ReleaseAll(id)
-				if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, txn.ErrTimeout) {
-					lastErr = err
-					ok = false
-					break
-				}
-				return nil, fmt.Errorf("storage: checkpoint quiesce: %w", err)
+				return err
 			}
 		}
-		if ok {
-			return func() { db.locks.ReleaseAll(id) }, nil
-		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("storage: checkpoint quiesce: %w", err)
 	}
-	return nil, fmt.Errorf("storage: checkpoint quiesce: %w", lastErr)
+	return func() { db.locks.ReleaseAll(id) }, nil
 }
 
 // Sync makes all committed transactions durable without checkpointing.

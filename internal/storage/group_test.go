@@ -10,15 +10,22 @@ import (
 	"repro/internal/value"
 )
 
-// groupOpts is the standard group-commit test configuration: batching
-// on, with a leader window long enough that batches queue behind a
-// deliberately slow flush.
-func groupOpts(window time.Duration) Options {
-	return Options{
-		SyncCommits:       true,
-		GroupCommit:       true,
-		GroupCommitWindow: window,
+// holdFlush arms the commit pipeline's group.pre-fsync failpoint to
+// hold the next flush round, after its append and before its fsync,
+// until release is called.  The round's leader keeps the baton while
+// held, so every commit made meanwhile queues behind it.  held waits
+// until the leader is there.
+func holdFlush(reg *fault.Registry) (held, release func()) {
+	point := fault.Point(fault.OpLogic, "group.pre-fsync")
+	base := reg.Hits(point)
+	ch := make(chan struct{})
+	reg.Arm(point, 1, fault.Outcome{Block: ch})
+	held = func() {
+		for reg.Hits(point) == base {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
+	return held, func() { close(ch) }
 }
 
 func mustCreate(t *testing.T, db *DB, name string) {
@@ -120,9 +127,10 @@ func TestConcurrentCommitsShareFlushes(t *testing.T) {
 }
 
 // TestSyncDrainsCommitQueue pins the satellite fix: db.Sync must drain
-// batches still queued behind the flush leader before it fsyncs, so
-// every commit acknowledged before Sync returns is durable — proven by
-// a simulated crash immediately after Sync.
+// the commit queue before it fsyncs, so every commit acknowledged
+// before Sync returns is durable — proven by a simulated crash
+// immediately after Sync.  The commit's flush is held before its fsync,
+// so Sync queues behind it and may not return until it lands.
 func TestSyncDrainsCommitQueue(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry()
@@ -133,7 +141,6 @@ func TestSyncDrainsCommitQueue(t *testing.T) {
 		GroupCommit: true,
 		// No SyncCommits: commits complete as soon as they are in the
 		// log buffer, so ONLY Sync's drain makes them durable.
-		GroupCommitWindow: 40 * time.Millisecond,
 	}
 	db, err := Open(opts)
 	if err != nil {
@@ -141,10 +148,19 @@ func TestSyncDrainsCommitQueue(t *testing.T) {
 	}
 	mustCreate(t, db, "R")
 
+	held, release := holdFlush(reg)
 	committed := make(chan error, 1)
 	go func() { committed <- insertSeq(db, "R", 1, 0) }()
-	time.Sleep(10 * time.Millisecond) // the commit's leader is inside its window
-	if err := db.Sync(); err != nil {
+	held()
+	synced := make(chan error, 1)
+	go func() { synced <- db.Sync() }()
+	select {
+	case err := <-synced:
+		t.Fatalf("Sync returned (%v) while a commit ahead of it was still in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-synced; err != nil {
 		t.Fatal(err)
 	}
 	if err := <-committed; err != nil {
@@ -181,17 +197,15 @@ func TestCheckpointDrainsCommitQueue(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.NewRegistry()
 	inj := fault.NewInjector(fault.Disk{}, reg)
-	db, err := Open(Options{
-		Dir:               dir,
-		FS:                inj,
-		GroupCommit:       true,
-		GroupCommitWindow: 40 * time.Millisecond,
-	})
+	db, err := Open(Options{Dir: dir, FS: inj, GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustCreate(t, db, "R")
 
+	// The first writer's flush is held before its fsync, so the
+	// checkpoint starts with commits still in the pipeline.
+	held, release := holdFlush(reg)
 	const writers = 3
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -203,12 +217,22 @@ func TestCheckpointDrainsCommitQueue(t *testing.T) {
 			errs[w] = insertSeq(db, "R", int64(w+1), 0)
 			acks[w] = time.Now()
 		}(w)
+		if w == 0 {
+			held()
+		}
 	}
-	time.Sleep(10 * time.Millisecond) // let the commits reach the pipeline
-	if err := db.Checkpoint(); err != nil {
+	var returned time.Time
+	ckpt := make(chan error, 1)
+	go func() {
+		err := db.Checkpoint()
+		returned = time.Now()
+		ckpt <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the other writers and the checkpoint reach their waits
+	release()
+	if err := <-ckpt; err != nil {
 		t.Fatal(err)
 	}
-	returned := time.Now()
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
@@ -253,7 +277,7 @@ func TestCheckpointDrainsCommitQueue(t *testing.T) {
 // exclude the uncommitted insert.
 func TestCheckpointExcludesUncommitted(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(groupOpts(0).withDir(dir))
+	db, err := Open(Options{Dir: dir, SyncCommits: true, GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +311,4 @@ func TestCheckpointExcludesUncommitted(t *testing.T) {
 	if got[1] != 1 {
 		t.Fatal("committed row missing from the checkpoint image")
 	}
-}
-
-// withDir returns a copy of opts with Dir set (test helper).
-func (o Options) withDir(dir string) Options {
-	o.Dir = dir
-	return o
 }

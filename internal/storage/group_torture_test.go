@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/fault/torture"
@@ -67,7 +66,7 @@ func TestGroupCommitTortureCrashRecovery(t *testing.T) {
 			acked := make([][]int64, groupTortureWriters)
 			attempted := make([]int64, groupTortureWriters)
 			crashed, err := r.CrashCycle(point, nth, func() error {
-				return groupTortureLifetime(dir, r.FS, acked, attempted)
+				return groupTortureLifetime(dir, r.FS, point, nth, acked, attempted)
 			})
 			if err != nil {
 				t.Fatalf("seam %s nth %d: workload failed: %v", point, nth, err)
@@ -111,21 +110,22 @@ func setupGroupTorture(t *testing.T, dir string, fs *fault.Injector) {
 }
 
 // groupTortureLifetime is one armed process lifetime: reopen, run
-// concurrent writers on disjoint relations, close.  Each writer records
-// its acknowledged commits; the crash panic surfaces in whichever
-// writer was flush leader and is re-raised for the torture runner after
-// all writers have stopped.
-func groupTortureLifetime(dir string, fs *fault.Injector, acked [][]int64, attempted []int64) error {
-	db, err := Open(Options{
-		Dir:               dir,
-		FS:                fs,
-		SyncCommits:       true,
-		GroupCommit:       true,
-		GroupCommitWindow: time.Millisecond,
-	})
+// concurrent writers on disjoint relations, close.  The first flush
+// round is held until every writer has reached its first commit, so
+// the rounds after it carry several batches.  Each writer records its
+// acknowledged commits; the crash panic surfaces in whichever writer
+// was flush leader and is re-raised for the torture runner after all
+// writers have stopped.
+func groupTortureLifetime(dir string, fs *fault.Injector, point string, nth int, acked [][]int64, attempted []int64) error {
+	db, err := Open(Options{Dir: dir, FS: fs, SyncCommits: true, GroupCommit: true})
 	if err != nil {
 		return err
 	}
+	release := holdFirstRound(fs.Registry(), point, nth)
+	defer release()
+	var ready sync.WaitGroup // writers that reached their first commit
+	ready.Add(groupTortureWriters)
+	go func() { ready.Wait(); release() }()
 
 	var (
 		wg       sync.WaitGroup
@@ -137,6 +137,8 @@ func groupTortureLifetime(dir string, fs *fault.Injector, acked [][]int64, attem
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var reached sync.Once
+			defer reached.Do(ready.Done)
 			defer func() {
 				if v := recover(); v != nil {
 					if _, ok := fault.AsCrash(v); !ok {
@@ -166,6 +168,7 @@ func groupTortureLifetime(dir string, fs *fault.Injector, acked [][]int64, attem
 					continue
 				}
 				attempted[w] = seq
+				reached.Do(ready.Done)
 				if err := tx.Commit(); err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -192,6 +195,29 @@ func groupTortureLifetime(dir string, fs *fault.Injector, acked [][]int64, attem
 		return firstErr
 	}
 	return db.Close()
+}
+
+// holdFirstRound holds the next flush round at group.pre-fsync until
+// release is called, so commits made meanwhile queue behind its
+// leader.  When the cycle's crash is armed on that point at hit nth,
+// the hold takes the first hit and hands the crash on to the hits
+// after it.  release also disarms a hold that never fired.
+func holdFirstRound(reg *fault.Registry, point string, nth int) (release func()) {
+	pre := fault.Point(fault.OpLogic, "group.pre-fsync")
+	ch := make(chan struct{})
+	reg.Arm(pre, 1, fault.Outcome{Block: ch, Crash: point == pre && nth == 1})
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			switch {
+			case point != pre:
+				reg.Disarm(pre)
+			case nth > 1:
+				reg.Arm(pre, nth-1, fault.Outcome{Crash: true})
+			}
+			close(ch)
+		})
+	}
 }
 
 // groupTortureVerify reopens after recovery and checks the invariants

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"time"
 
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -519,32 +521,79 @@ func (tx *Tx) Abort() {
 }
 
 // Run executes fn inside a transaction, committing on nil error and
-// aborting otherwise.  Deadlock victims and lock-wait timeouts are
-// retried up to three times; client layers (mdm.Session) add further
-// retry with backoff on top.
+// aborting otherwise.  A transaction that loses a lock is re-run whole
+// (see retry): this is the engine's one retry loop, so no layer above
+// retries again.
 func (db *DB) Run(fn func(tx *Tx) error) error {
 	return db.RunCtx(context.Background(), fn)
 }
 
 // RunCtx is Run under a context: transactions are begun with BeginCtx
 // so blocked lock waits abort with txn.ErrCanceled when ctx is
-// canceled, and no retry is attempted once the context is done.
+// canceled, and no attempt starts once the context is done.
 func (db *DB) RunCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if ctx != nil && ctx.Err() != nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return db.retry(ctx, func() error {
+		if ctx.Err() != nil {
 			return fmt.Errorf("%w: %w", txn.ErrCanceled, ctx.Err())
 		}
 		tx := db.BeginCtx(ctx)
-		err := fn(tx)
-		if err == nil {
-			return tx.Commit()
+		if err := fn(tx); err != nil {
+			tx.Abort()
+			return err
 		}
-		tx.Abort()
+		return tx.Commit()
+	})
+}
+
+// The retry policy of a transaction that loses a lock: at most
+// retryAttempts tries in all, each retry after a capped exponential
+// backoff with ±50 % jitter, so colliding clients desynchronize instead
+// of re-deadlocking in lockstep.  A deadlock victim usually succeeds at
+// once when the other side commits, so the first retries come quickly.
+const (
+	retryAttempts  = 8
+	retryBaseDelay = 500 * time.Microsecond
+	retryMaxDelay  = 50 * time.Millisecond
+)
+
+// retry runs attempt until it succeeds, fails other than by losing a
+// lock (a deadlock victim or a lock-wait timeout), or has run
+// retryAttempts times.  The attempt must leave nothing behind when it
+// loses a lock.  A context canceled during a backoff sleep ends the
+// loop with txn.ErrCanceled.  Retries and give-ups are counted in
+// storage.txn.retries and storage.txn.exhausted.
+func (db *DB) retry(ctx context.Context, attempt func() error) error {
+	for n := 1; ; n++ {
+		err := attempt()
 		if !errors.Is(err, txn.ErrDeadlock) && !errors.Is(err, txn.ErrTimeout) {
 			return err
 		}
-		lastErr = err
+		if n == retryAttempts {
+			db.m.exhausted.Inc()
+			return err
+		}
+		db.m.retries.Inc()
+		t := time.NewTimer(backoff(n))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return fmt.Errorf("%w: %w", txn.ErrCanceled, ctx.Err())
+		}
 	}
-	return lastErr
+}
+
+// backoff returns the sleep before retry n (1-based): retryBaseDelay
+// doubled per earlier retry and capped at retryMaxDelay, then jittered
+// uniformly over [d/2, 3d/2).
+func backoff(n int) time.Duration {
+	d := retryBaseDelay
+	for i := 1; i < n && d < retryMaxDelay; i++ {
+		d *= 2
+	}
+	d = min(d, retryMaxDelay)
+	return d/2 + time.Duration(rand.Int63n(int64(d))) //nolint:gosec // jitter, not crypto
 }

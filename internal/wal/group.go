@@ -131,14 +131,6 @@ type GroupOptions struct {
 	// MaxBytes caps how many appended bytes one flush round covers
 	// before it fsyncs and starts the next round.  Zero means 1MiB.
 	MaxBytes int64
-	// Window is how long the leader waits before draining the queue,
-	// letting more committers pile on per fsync.  Zero (the default)
-	// flushes immediately: on storage where an fsync takes ~100µs the
-	// natural pipelining — arrivals queue while the leader is inside
-	// the previous fsync — already batches well, and any fixed window
-	// only adds latency.  On spinning disks (~10ms per forced write)
-	// 1–2ms windows trade latency for fewer, fuller batches.
-	Window time.Duration
 }
 
 // groupMetrics holds the committer's resolved obs handles.
@@ -354,11 +346,6 @@ func (g *GroupCommitter) lead() {
 		g.crashUnwind(nil)
 	}()
 	for len(g.queue) > 0 {
-		if g.opts.Window > 0 {
-			g.mu.Unlock()
-			time.Sleep(g.opts.Window) // let more committers pile on
-			g.mu.Lock()
-		}
 		round := g.queue
 		g.queue = nil
 		g.mu.Unlock()

@@ -30,6 +30,33 @@ func openGroup(t *testing.T, opts GroupOptions) (*GroupCommitter, *Log, *fault.R
 	return g, l, reg, path
 }
 
+// preFsync is the flush's logic failpoint between the batched append
+// and the fsync.
+var preFsync = fault.Point(fault.OpLogic, "group.pre-fsync")
+
+// holdLeader arms preFsync to block the next flush round until release
+// is closed, with the outcome o then taking effect.  The round's leader
+// keeps the baton meanwhile, so every Commit made while it is held
+// queues behind it and the next round carries all of them.
+func holdLeader(freg *fault.Registry, o fault.Outcome) (release func()) {
+	ch := make(chan struct{})
+	o.Block = ch
+	freg.Arm(preFsync, 1, o)
+	return func() { close(ch) }
+}
+
+// waitQueued waits until a leader is held at preFsync and n batches
+// are queued behind it.
+func waitQueued(g *GroupCommitter, freg *fault.Registry, n int) {
+	for ; freg.Hits(preFsync) == 0; time.Sleep(100 * time.Microsecond) {
+	}
+	for queued := -1; queued < n; time.Sleep(100 * time.Microsecond) {
+		g.mu.Lock()
+		queued = len(g.queue)
+		g.mu.Unlock()
+	}
+}
+
 func commitRecord(txid uint64) []*Record {
 	return []*Record{
 		{Type: RecBegin, TxID: txid},
@@ -141,9 +168,17 @@ func TestGroupCommitSerialMode(t *testing.T) {
 // TestGroupCommitSharedFsyncFailure pins fsyncgate across a batch: when
 // the round's fsync fails, every waiter in the round gets the failure
 // (durability unknown), and later commits fail against the poisoned log.
+// A buffered batch leads the first round and is held before its flush,
+// so the four syncing batches queue behind it and share one fsync.
 func TestGroupCommitSharedFsyncFailure(t *testing.T) {
-	g, _, freg, path := openGroup(t, GroupOptions{Group: true, Window: 20 * time.Millisecond})
+	g, _, freg, path := openGroup(t, GroupOptions{Group: true})
+	reg := obs.NewRegistry()
+	g.SetObserver(reg)
 	freg.Arm(fault.Point(fault.OpSync, path), 1, fault.Outcome{})
+	release := holdLeader(freg, fault.Outcome{})
+	primed := make(chan error, 1)
+	go func() { primed <- g.Commit(context.Background(), &Batch{Records: commitRecord(100)}) }()
+	waitQueued(g, freg, 0)
 
 	const n = 4
 	var wg sync.WaitGroup
@@ -157,17 +192,22 @@ func TestGroupCommitSharedFsyncFailure(t *testing.T) {
 			errs[i] = g.Commit(context.Background(), batches[i])
 		}(i)
 	}
+	waitQueued(g, freg, n)
+	release()
 	wg.Wait()
-	// The leader's window makes one round of all four batches likely but
-	// not guaranteed; whatever the grouping, each batch must have failed
-	// with either the fsync failure or the poisoned-log append failure.
+	if err := <-primed; err != nil {
+		t.Fatalf("buffered leader: %v", err)
+	}
 	for i := 0; i < n; i++ {
 		if errs[i] == nil {
 			t.Fatalf("commit %d succeeded over failing fsync", i)
 		}
-		if st := batches[i].State(); st != BatchSyncFailed && st != BatchAppendFailed {
-			t.Fatalf("commit %d: state %v", i, st)
+		if st := batches[i].State(); st != BatchSyncFailed {
+			t.Fatalf("commit %d: state %v, want SYNC_FAILED from the shared round", i, st)
 		}
+	}
+	if got := reg.Counter("wal.group.batches").Value(); got != 2 {
+		t.Fatalf("wal.group.batches = %d, want 2: the leader's round and one shared round", got)
 	}
 	// The log is poisoned: new commits fail immediately.
 	b := &Batch{Records: commitRecord(99), Sync: true}
@@ -180,15 +220,16 @@ func TestGroupCommitSharedFsyncFailure(t *testing.T) {
 // context dies before the flush stops waiting with ErrAbandoned, but
 // its batch still flushes (in order) and its completion callback runs.
 func TestGroupCommitAbandonedWaiter(t *testing.T) {
-	g, l, _, path := openGroup(t, GroupOptions{Group: true, Window: 60 * time.Millisecond})
+	g, l, freg, path := openGroup(t, GroupOptions{Group: true})
 
-	// The first committer becomes leader and sleeps in the window; the
-	// second enqueues behind it and abandons the wait almost at once.
+	// The first committer leads and is held before its fsync; the second
+	// queues behind it and abandons the wait almost at once.
+	release := holdLeader(freg, fault.Outcome{})
 	leaderDone := make(chan error, 1)
 	go func() {
 		leaderDone <- g.Commit(context.Background(), &Batch{Records: commitRecord(1), Sync: true})
 	}()
-	time.Sleep(10 * time.Millisecond) // let the leader take the baton
+	waitQueued(g, freg, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -202,6 +243,7 @@ func TestGroupCommitAbandonedWaiter(t *testing.T) {
 	if !errors.Is(err, ErrAbandoned) {
 		t.Fatalf("abandoned wait: got %v, want ErrAbandoned", err)
 	}
+	release()
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader commit: %v", err)
 	}
@@ -231,27 +273,37 @@ func TestGroupCommitAbandonedWaiter(t *testing.T) {
 }
 
 // TestGroupCommitMaxBytesSubRounds checks that one big queue is flushed
-// in multiple byte-capped rounds, all successfully.
+// in multiple byte-capped rounds, all successfully: sixteen batches
+// queue behind a held leader and are flushed in one drain of the queue.
 func TestGroupCommitMaxBytesSubRounds(t *testing.T) {
-	g, l, _, _ := openGroup(t, GroupOptions{Group: true, MaxBytes: 256, Window: 20 * time.Millisecond})
+	g, l, freg, _ := openGroup(t, GroupOptions{Group: true, MaxBytes: 256})
 	reg := obs.NewRegistry()
 	g.SetObserver(reg)
+	release := holdLeader(freg, fault.Outcome{})
 
 	const n = 16
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	errs := make([]error, n+1)
+	for i := 0; i <= n; i++ {
+		if i == 1 {
+			waitQueued(g, freg, 0) // batch 0 leads and is held
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = g.Commit(context.Background(), &Batch{Records: commitRecord(uint64(i + 1)), Sync: true})
 		}(i)
 	}
+	waitQueued(g, freg, n)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
+	}
+	if got := reg.Counter("wal.group.batches").Value(); got < 3 {
+		t.Fatalf("wal.group.batches = %d: the queue of %d was not split into byte-capped rounds", got, n)
 	}
 	l.Close()
 }
@@ -338,8 +390,8 @@ func TestExclusivePropagatesFnError(t *testing.T) {
 // concurrent waiters complete as LOST rather than hanging, and the
 // committer is poisoned for the rest of the "process" lifetime.
 func TestGroupCommitCrashAtPreFsync(t *testing.T) {
-	g, _, freg, _ := openGroup(t, GroupOptions{Group: true, Window: 30 * time.Millisecond})
-	freg.Arm(fault.Point(fault.OpLogic, "group.pre-fsync"), 1, fault.Outcome{Crash: true})
+	g, _, freg, _ := openGroup(t, GroupOptions{Group: true})
+	crash := holdLeader(freg, fault.Outcome{Crash: true})
 
 	waiterErr := make(chan error, 1)
 	waiterState := make(chan BatchState, 1)
@@ -352,12 +404,14 @@ func TestGroupCommitCrashAtPreFsync(t *testing.T) {
 		_ = g.Commit(context.Background(), &Batch{Records: commitRecord(1), Sync: true})
 		crashed <- false
 	}()
-	time.Sleep(10 * time.Millisecond) // leader inside its window
+	waitQueued(g, freg, 0)
 	go func() {
 		b := &Batch{Records: commitRecord(2), Sync: true}
 		waiterErr <- g.Commit(context.Background(), b)
 		waiterState <- b.State()
 	}()
+	waitQueued(g, freg, 1)
+	crash()
 
 	if !<-crashed {
 		t.Fatal("leader goroutine did not crash-panic")

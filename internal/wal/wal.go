@@ -214,15 +214,6 @@ var ErrTornTail = errors.New("wal: torn tail (log ends mid-record)")
 // records past the damage may hold acknowledged commits.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// AppendRecord appends r's wire encoding — the WAL's record payload
-// encoding, without length/CRC framing — to dst.  The replication
-// transport uses it to frame records for shipping.
-func AppendRecord(dst []byte, r *Record) []byte { return r.encode(dst) }
-
-// DecodeRecord parses a record payload produced by AppendRecord (or
-// framed into the log by Append).
-func DecodeRecord(buf []byte) (*Record, error) { return decodeRecord(buf) }
-
 // Log is an append-only write-ahead log backed by a single file.
 //
 // The log is fail-stop: after any I/O error (a failed append flush or —

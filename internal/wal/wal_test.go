@@ -468,15 +468,15 @@ func TestDecodeSkipsOldImage(t *testing.T) {
 	old := value.Tuple{value.Int(60), value.Str("c4"), value.Int(480)}
 	rec := &Record{Type: RecUpdate, TxID: 9, Relation: "NOTE", RowID: 7,
 		Old: old, New: value.Tuple{value.Int(62), value.Str("d4"), value.Int(480)}}
-	buf := AppendRecord(nil, rec)
+	buf := rec.encode(nil)
 	if got := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeRecord(buf); err != nil {
+		if _, err := decodeRecord(buf); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 4 {
 		t.Errorf("decoding an update record: %v allocations, want at most 4", got)
 	}
-	r, err := DecodeRecord(buf)
+	r, err := decodeRecord(buf)
 	if err != nil || r.Old != nil || !r.New.Equal(rec.New) {
 		t.Fatalf("decoded %+v, %v", r, err)
 	}
@@ -486,10 +486,10 @@ func TestDecodeSkipsOldImage(t *testing.T) {
 	}
 	bad := bytes.Clone(buf)
 	bad[at+1] = 0xEE // the first column's kind tag
-	if _, err := DecodeRecord(bad); err == nil {
+	if _, err := decodeRecord(bad); err == nil {
 		t.Error("a before image with an unknown kind tag decoded")
 	}
-	if _, err := DecodeRecord(buf[:at+3]); err == nil {
+	if _, err := decodeRecord(buf[:at+3]); err == nil {
 		t.Error("a record cut inside its before image decoded")
 	}
 }

@@ -4,7 +4,7 @@
 // onto the mdm.Err* sentinels so clients can errors.Is across the
 // network.
 //
-// Framing mirrors the WAL-shipping transport (repl.StreamConn): every
+// Framing mirrors the write-ahead log's record frames: every
 // frame is a 4-byte little-endian payload length, a 4-byte CRC32C of
 // the payload, and the payload itself.  A payload is one message: a
 // 1-byte type tag, the uvarint request id, then the type-specific body.
